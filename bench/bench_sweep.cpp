@@ -1,10 +1,9 @@
 // SWEEP: end-to-end scenario-runner benchmarks — the batched work-stealing
-// executor (same-platform batches, one warm SolveScratch per worker)
-// against the historical per-cell stealing with no scratch
-// (`RunOptions::batch = false`), plus scratch-vs-fresh micro rows for one
-// materialized solve.  Results are bit-identical in every configuration
-// (pinned by tests/test_zero_alloc.cpp and the CI thread-count diffs);
-// only wall time moves.  Timing harness shared with the other bench_*
+// executor (same-platform batches, one warm SolveScratch per worker) at one
+// and four threads, plus scratch-vs-fresh micro rows for one materialized
+// solve.  Results are bit-identical in every configuration (pinned by
+// tests/test_zero_alloc.cpp and the CI thread-count diffs); only wall time
+// moves.  Timing harness shared with the other bench_*
 // binaries: bench/bench_harness.hpp; the committed baseline is
 // bench/BENCH_sweep.json.
 
@@ -78,12 +77,11 @@ std::vector<mst::scenario::Cell> make_grid() {
   return cells;
 }
 
-double grid_ns(const std::vector<mst::scenario::Cell>& cells, unsigned threads, bool batch) {
+double grid_ns(const std::vector<mst::scenario::Cell>& cells, unsigned threads) {
   mst::scenario::RunOptions options;
   options.threads = threads;
   options.materialize = true;
   options.reps = 2;
-  options.batch = batch;
   return time_op([&] { keep(mst::scenario::run_cells(cells, options)); });
 }
 
@@ -91,14 +89,11 @@ std::vector<Row> run_all() {
   const mst::api::Registry& reg = mst::api::registry();
   std::vector<Row> rows;
 
-  // End-to-end: the same grid through the batched executor and the
-  // unbatched seed behaviour, single- and multi-threaded.  `n` records the
-  // thread count.
+  // End-to-end: the grid through the batched executor, single- and
+  // multi-threaded.  `n` records the thread count.
   const std::vector<mst::scenario::Cell> cells = make_grid();
-  rows.push_back({"sweep_batched", 1, grid_ns(cells, 1, true)});
-  rows.push_back({"sweep_unbatched", 1, grid_ns(cells, 1, false)});
-  rows.push_back({"sweep_batched", 4, grid_ns(cells, 4, true)});
-  rows.push_back({"sweep_unbatched", 4, grid_ns(cells, 4, false)});
+  rows.push_back({"sweep_batched", 1, grid_ns(cells, 1)});
+  rows.push_back({"sweep_batched", 4, grid_ns(cells, 4)});
 
   // Micro: one materialized solve, warm scratch vs fresh allocations.
   mst::Rng rng(0x5EED);

@@ -303,14 +303,19 @@ DecisionResult Scheduler::solve_within(const Platform& platform, Time deadline,
   return out;
 }
 
-std::size_t Scheduler::max_tasks(const Platform& platform, Time deadline,
-                                 const SolveOptions& options) const {
-  SolveOptions count_only = options;
-  count_only.materialize = false;
-  return solve_within(platform, deadline, count_only).tasks;
-}
-
 namespace {
+
+/// Runs `fn` on the caller's scratch, or on a local one when none was
+/// passed — the one place a solve gets its scratch, so every built-in runs
+/// a single (pooled) path.
+template <typename Fn>
+auto with_scratch(const SolveOptions& options, Fn&& fn) {
+  if (options.scratch != nullptr) return fn(options);
+  SolveScratch local;
+  SolveOptions scoped = options;
+  scoped.scratch = &local;
+  return fn(scoped);
+}
 
 /// Adapts callables to the Scheduler interface (used by both lambda
 /// overloads of Registry::add and by every built-in registration below).
@@ -330,15 +335,18 @@ class FunctionScheduler final : public Scheduler {
   [[nodiscard]] SolveResult solve(const Platform& platform, const Workload& workload,
                                   const SolveOptions& options) const override {
     require_supported(name_, supports_, workload.features());
-    SolveResult result = solve_fn_(platform, workload, options);
-    result.workload = workload;
-    if (!options.materialize) {
-      // Stripping a pooled payload must return its buffers to the scratch,
-      // not free them — count-only sweeps recycle here, every solve.
-      if (options.scratch != nullptr) options.scratch->recycle_schedule(std::move(result.schedule));
-      result.schedule = std::monostate{};
-    }
-    return result;
+    return with_scratch(options, [&](const SolveOptions& scoped) {
+      SolveResult result = solve_fn_(platform, workload, scoped);
+      result.workload = workload;
+      if (!scoped.materialize) {
+        // Stripping a pooled payload must return its buffers to the
+        // scratch, not free them — count-only sweeps recycle here, every
+        // solve.
+        scoped.scratch->recycle_schedule(std::move(result.schedule));
+        result.schedule = std::monostate{};
+      }
+      return result;
+    });
   }
 
   [[nodiscard]] DecisionResult solve_within(const Platform& platform, Time deadline,
@@ -346,13 +354,15 @@ class FunctionScheduler final : public Scheduler {
     if (options.workload != nullptr) {
       require_supported(name_, supports_, options.workload->features());
     }
-    if (!within_fn_) return Scheduler::solve_within(platform, deadline, options);
-    DecisionResult result = within_fn_(platform, deadline, options);
-    if (!options.materialize) {
-      if (options.scratch != nullptr) options.scratch->recycle_schedule(std::move(result.schedule));
-      result.schedule = std::monostate{};
-    }
-    return result;
+    return with_scratch(options, [&](const SolveOptions& scoped) {
+      if (!within_fn_) return Scheduler::solve_within(platform, deadline, scoped);
+      DecisionResult result = within_fn_(platform, deadline, scoped);
+      if (!scoped.materialize) {
+        scoped.scratch->recycle_schedule(std::move(result.schedule));
+        result.schedule = std::monostate{};
+      }
+      return result;
+    });
   }
 
  private:
@@ -495,7 +505,9 @@ DecisionResult Registry::solve_within(const Platform& platform, std::string_view
 
 std::size_t Registry::max_tasks(const Platform& platform, std::string_view algorithm,
                                 Time deadline, const SolveOptions& options) const {
-  return resolve(*this, platform, algorithm).max_tasks(platform, deadline, options);
+  SolveOptions count_only = options;
+  count_only.materialize = false;
+  return solve_within(platform, algorithm, deadline, count_only).tasks;
 }
 
 // ---------------------------------------------------------------------------
@@ -555,10 +567,6 @@ DecisionResult make_decision(const char* algorithm, PlatformKind kind, Time dead
   return result;
 }
 
-std::size_t decision_cap(const SolveOptions& options) {
-  return std::max<std::size_t>(1, options.cap);
-}
-
 /// Workload features the built-ins declare.
 constexpr WorkloadFeatures kReleaseOnly{/*sizes=*/false, /*release=*/true};
 constexpr WorkloadFeatures kSizesAndRelease{/*sizes=*/true, /*release=*/true};
@@ -572,7 +580,7 @@ const Workload* pool_of(const SolveOptions& options) { return options.workload.g
 
 /// Effective decision cap: the search cap, clamped to a finite pool.
 std::size_t decision_cap(const SolveOptions& options, const Workload* pool) {
-  const std::size_t cap = decision_cap(options);
+  const std::size_t cap = std::max<std::size_t>(1, options.cap);
   return pool != nullptr ? std::min(cap, pool->count()) : cap;
 }
 
@@ -585,13 +593,15 @@ bool decision_maximal(std::size_t tasks, std::size_t cap, const Workload* pool) 
 
 /// Wraps a core decision-form schedule (`schedule_within` family) into a
 /// DecisionResult.  The core schedules stay absolute in `[0, deadline]`, so
-/// `makespan() <= deadline` by construction; an empty selection yields a
-/// payload-free result.  A count that hit `cap` may be truncated, so it is
-/// only reported as provably maximal when it also exhausted a finite pool.
+/// `makespan() <= deadline` by construction.  The schedule moves into the
+/// payload only when nonempty, so an empty window yields a payload-free
+/// result and never discards a pooled schedule's warm buffers.  A count
+/// that hit `cap` may be truncated, so it is only reported as provably
+/// maximal when it also exhausted a finite pool.
 template <typename Schedule>
 DecisionResult decision_from_schedule(const char* algorithm, PlatformKind kind, Time deadline,
                                       bool optimal, std::size_t cap, const Workload* pool,
-                                      Schedule schedule) {
+                                      Schedule& schedule) {
   const std::size_t tasks = schedule.num_tasks();
   const Time makespan = schedule.makespan();
   AnySchedule payload;
@@ -600,83 +610,52 @@ DecisionResult decision_from_schedule(const char* algorithm, PlatformKind kind, 
                        optimal && decision_maximal(tasks, cap, pool), std::move(payload));
 }
 
-/// `decision_from_schedule` for a pooled schedule: moves the pool into the
-/// payload only when nonempty, so an empty window never discards the pool's
-/// warm buffers.
-template <typename Schedule>
-DecisionResult decision_from_pooled(const char* algorithm, PlatformKind kind, Time deadline,
-                                    bool optimal, std::size_t cap, const Workload* pool,
-                                    Schedule& schedule) {
-  const std::size_t tasks = schedule.num_tasks();
-  const Time makespan = schedule.makespan();
-  AnySchedule payload;
-  if (tasks > 0) payload = std::move(schedule);
-  return make_decision(algorithm, kind, deadline, tasks, makespan,
-                       optimal && decision_maximal(tasks, cap, pool), std::move(payload));
-}
-
-// Count-path scratch: the caller's SolveScratch when one was threaded
-// through the options, else a per-thread fallback.  `thread_local` is the
-// fallback's whole thread-safety story — each pool worker owns its scratch
-// outright, so the handoff into count_within needs no lock (and the
-// shared-mutable-state lint exempts it).
-ChainCountScratch& chain_count_scratch(const SolveOptions& options) {
-  if (options.scratch != nullptr) return options.scratch->chain;
-  static thread_local ChainCountScratch fallback;
-  return fallback;
-}
-
-ForkCountScratch& fork_count_scratch(const SolveOptions& options) {
-  if (options.scratch != nullptr) return options.scratch->fork;
-  static thread_local ForkCountScratch fallback;
-  return fallback;
-}
-
-SpiderCountScratch& spider_count_scratch(const SolveOptions& options) {
-  if (options.scratch != nullptr) return options.scratch->spider.count;
-  static thread_local SpiderCountScratch fallback;
-  return fallback;
+/// Decision form of the horizon-anchored exact solvers (chain, spider),
+/// drawing from the pool or the identical stream.  Without materialization
+/// only the count sinks run: a nonempty backward construction ends exactly
+/// at the horizon, so the completion time is `deadline` itself (release
+/// dates included — the horizon anchor is unchanged).
+template <typename Core, typename Topology, typename CountScratch, typename Scratch,
+          typename Schedule>
+DecisionResult horizon_decision(PlatformKind kind, const Topology& topology, Time deadline,
+                                const SolveOptions& opts, CountScratch& count_scratch,
+                                Scratch& scratch, Schedule& pooled) {
+  if (deadline <= 0) return make_decision("optimal", kind, deadline, 0, 0, true, {});
+  const Workload* pool = pool_of(opts);
+  const std::size_t cap = decision_cap(opts, pool);
+  const Workload stream = Workload::identical(cap);
+  const Workload& tasks_from = pool != nullptr ? *pool : stream;
+  if (!opts.materialize) {
+    const std::size_t tasks =
+        Core::count_within(topology, deadline, tasks_from, cap, count_scratch);
+    return make_decision("optimal", kind, deadline, tasks, tasks > 0 ? deadline : 0,
+                         /*optimal=*/decision_maximal(tasks, cap, pool), {});
+  }
+  Core::schedule_within_into(topology, deadline, tasks_from, cap, scratch, pooled);
+  return decision_from_schedule("optimal", kind, deadline, /*optimal=*/true, cap, pool, pooled);
 }
 
 /// Decision form of the exhaustive oracles: exact count from the monotone
 /// makespan staircase, optionally materialized as the optimal schedule of
 /// that count (its makespan fits the window by definition of the count).
-DecisionResult chain_brute_force_decision(const Chain& chain, Time deadline,
-                                          const SolveOptions& options) {
+template <typename Topology, typename Schedule>
+DecisionResult brute_force_decision(PlatformKind kind, const Topology& topology, Time deadline,
+                                    const SolveOptions& options,
+                                    std::size_t (*max_tasks)(const Topology&, Time, std::size_t),
+                                    Schedule (*schedule_of)(const Topology&, std::size_t),
+                                    Time (*makespan_of)(const Topology&, std::size_t)) {
   const Workload* pool = pool_of(options);
   const std::size_t cap = decision_cap(options, pool);
-  const std::size_t tasks =
-      deadline > 0 && cap > 0 ? brute_force_chain_max_tasks(chain, deadline, cap) : 0;
+  const std::size_t tasks = deadline > 0 && cap > 0 ? max_tasks(topology, deadline, cap) : 0;
   Time makespan = 0;
   AnySchedule payload;
   if (tasks > 0) {
     if (options.materialize) {
-      ChainSchedule schedule = brute_force_chain_schedule(chain, tasks);
+      Schedule schedule = schedule_of(topology, tasks);
       makespan = schedule.makespan();
       payload = std::move(schedule);
     } else {
-      makespan = brute_force_chain_makespan(chain, tasks);
-    }
-  }
-  return make_decision("brute-force", PlatformKind::kChain, deadline, tasks, makespan,
-                       /*optimal=*/decision_maximal(tasks, cap, pool), std::move(payload));
-}
-
-DecisionResult spider_brute_force_decision(PlatformKind kind, const Spider& spider, Time deadline,
-                                           const SolveOptions& options) {
-  const Workload* pool = pool_of(options);
-  const std::size_t cap = decision_cap(options, pool);
-  const std::size_t tasks =
-      deadline > 0 && cap > 0 ? brute_force_spider_max_tasks(spider, deadline, cap) : 0;
-  Time makespan = 0;
-  AnySchedule payload;
-  if (tasks > 0) {
-    if (options.materialize) {
-      SpiderSchedule schedule = brute_force_spider_schedule(spider, tasks);
-      makespan = schedule.makespan();
-      payload = std::move(schedule);
-    } else {
-      makespan = brute_force_spider_makespan(spider, tasks);
+      makespan = makespan_of(topology, tasks);
     }
   }
   return make_decision("brute-force", kind, deadline, tasks, makespan,
@@ -765,56 +744,16 @@ void register_chain_algorithms(Registry& r) {
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Chain& chain = expect_chain(p, "optimal");
-          if (opts.scratch != nullptr && !w.has_release_dates()) {
-            // Pooled materialization: rebuild the scratch's chain pool in
-            // place (bit-identical to the value-returning path).
-            ChainSchedule& pooled = opts.scratch->chain_pool;
-            ChainScheduler::schedule_into(chain, w.count(), opts.scratch->chain, pooled);
-            const Time lb = chain_makespan_lower_bound(chain, w.count());
-            const Time makespan = pooled.makespan();
-            return make_result("optimal", PlatformKind::kChain, w.count(), makespan, lb, true,
-                               std::move(pooled));
-          }
-          // Identical workloads take the historical path inside the core
-          // scheduler; release dates anchor the backward construction at
-          // the minimal feasible horizon instead.
-          return chain_result("optimal", ChainScheduler::schedule(chain, w), w.count(), true);
+          // Identical workloads run the classic construction; release dates
+          // anchor it at the minimal feasible horizon instead.
+          ChainSchedule& pooled = opts.scratch->chain_pool;
+          ChainScheduler::schedule_into(chain, w, opts.scratch->chain, pooled);
+          return chain_result("optimal", std::move(pooled), w.count(), true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Chain& chain = expect_chain(p, "optimal");
-          if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
-          const Workload* pool = pool_of(opts);
-          const std::size_t cap = decision_cap(opts, pool);
-          if (!opts.materialize) {
-            // Genuinely allocation-free counting for sweeps: warm scratch
-            // (caller-provided or per-thread), no placement vectors ever
-            // built.  A nonempty backward construction always ends exactly
-            // at the horizon, so the completion time is `deadline` itself
-            // (release dates included — the horizon anchor is unchanged).
-            ChainCountScratch& scratch = chain_count_scratch(opts);
-            const std::size_t tasks =
-                pool != nullptr && pool->has_release_dates()
-                    ? ChainScheduler::count_within(chain, deadline, *pool, decision_cap(opts),
-                                                   scratch)
-                    : ChainScheduler::count_within(chain, deadline, cap, scratch);
-            return make_decision("optimal", k, deadline, tasks, tasks > 0 ? deadline : 0,
-                                 /*optimal=*/decision_maximal(tasks, cap, pool), {});
-          }
-          if (pool != nullptr && pool->has_release_dates()) {
-            return decision_from_schedule(
-                "optimal", k, deadline, /*optimal=*/true, cap, pool,
-                ChainScheduler::schedule_within(chain, deadline, *pool, decision_cap(opts)));
-          }
-          if (opts.scratch != nullptr) {
-            ChainSchedule& pooled = opts.scratch->chain_pool;
-            ChainScheduler::schedule_within_into(chain, deadline, cap, opts.scratch->chain,
-                                                 pooled);
-            return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
-                                        pooled);
-          }
-          return decision_from_schedule(
-              "optimal", k, deadline, /*optimal=*/true, cap, pool,
-              ChainScheduler::schedule_within(chain, deadline, cap));
+          return horizon_decision<ChainScheduler>(k, expect_chain(p, "optimal"), deadline, opts,
+                                                  opts.scratch->chain, opts.scratch->chain,
+                                                  opts.scratch->chain_pool);
         });
   r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
          /*exponential=*/false, kSizesAndRelease},
@@ -857,7 +796,9 @@ void register_chain_algorithms(Registry& r) {
                               w.count(), true);
         },
         [](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return chain_brute_force_decision(expect_chain(p, "brute-force"), deadline, opts);
+          return brute_force_decision(PlatformKind::kChain, expect_chain(p, "brute-force"),
+                                      deadline, opts, brute_force_chain_max_tasks,
+                                      brute_force_chain_schedule, brute_force_chain_makespan);
         });
   register_replan(r, k);
 }
@@ -869,54 +810,37 @@ void register_fork_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "optimal");
-          if (opts.scratch != nullptr && !w.has_release_dates()) {
-            ForkSchedule& pooled = opts.scratch->fork_pool;
-            ForkScheduler::schedule_into(fork, w.count(), opts.scratch->fork, pooled);
-            const Time lb = fork_makespan_lower_bound(fork, w.count(), opts.scratch->bound);
-            const Time makespan = pooled.makespan();
-            return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
-          }
-          ForkSchedule schedule = ForkScheduler::schedule(fork, w);
-          const Time lb = spider_makespan_lower_bound(Spider::from_fork(fork), w.count());
-          const Time makespan = schedule.makespan();
-          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(schedule));
+          ForkSchedule& pooled = opts.scratch->fork_pool;
+          ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
+          const Time lb = fork_makespan_lower_bound(fork, w.count(), opts.scratch->bound);
+          const Time makespan = pooled.makespan();
+          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Fork& fork = expect_fork(p, "optimal");
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
-          if (pool != nullptr && pool->has_release_dates()) {
-            // Unlike chain/spider, a fork decision makespan is the EDD
-            // packing's completion time (not the horizon), so a count-only
-            // path cannot report it without the DP's selection — released
-            // pools therefore go through the materializing construction
-            // even when `materialize` is off (the payload is stripped by
-            // the wrapper; pools are sweep-sized, so this stays cheap).
-            return decision_from_schedule(
-                "optimal", k, deadline, /*optimal=*/true, cap, pool,
-                ForkScheduler::schedule_within(fork, deadline, *pool, decision_cap(opts)));
-          }
-          if (!opts.materialize) {
-            // Allocation-free count + makespan: the whole selection /
-            // normalization / EDD sequencing pipeline replayed in warm
-            // scratch (caller-provided or per-thread), no task vectors
-            // built.
-            ForkCountScratch& scratch = fork_count_scratch(opts);
+          if (!opts.materialize && (pool == nullptr || !pool->has_release_dates())) {
+            // Count + makespan: the select and sequencing steps with a
+            // makespan sink, no task vectors built.
             const auto [tasks, makespan] =
-                ForkScheduler::makespan_within(fork, deadline, cap, scratch);
+                ForkScheduler::makespan_within(fork, deadline, cap, opts.scratch->fork);
             return make_decision("optimal", k, deadline, tasks, makespan,
                                  /*optimal=*/decision_maximal(tasks, cap, pool), {});
           }
-          if (opts.scratch != nullptr) {
-            ForkSchedule& pooled = opts.scratch->fork_pool;
-            ForkScheduler::schedule_within_into(fork, deadline, cap, opts.scratch->fork, pooled);
-            return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
+          // Unlike chain/spider, a fork decision makespan is the EDD
+          // packing's completion time (not the horizon), so a count-only
+          // path cannot report it without the DP's selection — released
+          // pools therefore materialize even when `materialize` is off (the
+          // payload is stripped by the wrapper; pools are sweep-sized, so
+          // this stays cheap).
+          const Workload stream = Workload::identical(cap);
+          ForkSchedule& pooled = opts.scratch->fork_pool;
+          ForkScheduler::schedule_within_into(fork, deadline, pool != nullptr ? *pool : stream,
+                                              cap, opts.scratch->fork, pooled);
+          return decision_from_schedule("optimal", k, deadline, /*optimal=*/true, cap, pool,
                                         pooled);
-          }
-          return decision_from_schedule(
-              "optimal", k, deadline, /*optimal=*/true, cap, pool,
-              ForkScheduler::schedule_within(fork, deadline, cap));
         });
   r.add({k, "greedy", "the paper's ascending-c greedy (Beaumont et al.)", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
@@ -933,9 +857,9 @@ void register_fork_algorithms(Registry& r) {
           if (deadline <= 0) return make_decision("greedy", k, deadline, 0, 0, false, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
-          return decision_from_schedule(
-              "greedy", k, deadline, /*optimal=*/false, cap, pool,
-              ForkScheduler::greedy_schedule_within(fork, deadline, cap));
+          ForkSchedule schedule = ForkScheduler::greedy_schedule_within(fork, deadline, cap);
+          return decision_from_schedule("greedy", k, deadline, /*optimal=*/false, cap, pool,
+                                        schedule);
         });
   r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
          /*exponential=*/false, kSizesAndRelease},
@@ -976,7 +900,9 @@ void register_fork_algorithms(Registry& r) {
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Fork& fork = expect_fork(p, "brute-force");
-          return spider_brute_force_decision(k, Spider::from_fork(fork), deadline, opts);
+          return brute_force_decision(k, Spider::from_fork(fork), deadline, opts,
+                                      brute_force_spider_max_tasks, brute_force_spider_schedule,
+                                      brute_force_spider_makespan);
         });
   register_replan(r, k);
 }
@@ -988,50 +914,16 @@ void register_spider_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Spider& spider = expect_spider(p, "optimal");
-          if (opts.scratch != nullptr && !w.has_release_dates()) {
-            SpiderSchedule& pooled = opts.scratch->spider_pool;
-            SpiderScheduler::schedule_into(spider, w.count(), opts.scratch->spider, pooled);
-            const Time lb = spider_makespan_lower_bound(spider, w.count(), opts.scratch->bound);
-            const Time makespan = pooled.makespan();
-            return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
-          }
-          return spider_result("optimal", k, SpiderScheduler::schedule(spider, w), w.count(),
-                               true);
+          SpiderSchedule& pooled = opts.scratch->spider_pool;
+          SpiderScheduler::schedule_into(spider, w, opts.scratch->spider, pooled);
+          const Time lb = spider_makespan_lower_bound(spider, w.count(), opts.scratch->bound);
+          const Time makespan = pooled.makespan();
+          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Spider& spider = expect_spider(p, "optimal");
-          if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
-          const Workload* pool = pool_of(opts);
-          const std::size_t cap = decision_cap(opts, pool);
-          if (!opts.materialize) {
-            // Allocation-free counting (per-leg backward count + count-only
-            // selection, positional-release DP when the pool has release
-            // dates); any kept leg's latest task ends at the horizon, so a
-            // nonempty count completes exactly at `deadline`.
-            SpiderCountScratch& scratch = spider_count_scratch(opts);
-            const std::size_t tasks =
-                pool != nullptr && pool->has_release_dates()
-                    ? SpiderScheduler::count_within(spider, deadline, *pool,
-                                                    decision_cap(opts), scratch)
-                    : SpiderScheduler::count_within(spider, deadline, cap, scratch);
-            return make_decision("optimal", k, deadline, tasks, tasks > 0 ? deadline : 0,
-                                 /*optimal=*/decision_maximal(tasks, cap, pool), {});
-          }
-          if (pool != nullptr && pool->has_release_dates()) {
-            return decision_from_schedule(
-                "optimal", k, deadline, /*optimal=*/true, cap, pool,
-                SpiderScheduler::schedule_within(spider, deadline, *pool, decision_cap(opts)));
-          }
-          if (opts.scratch != nullptr) {
-            SpiderSchedule& pooled = opts.scratch->spider_pool;
-            SpiderScheduler::schedule_within_into(spider, deadline, cap, opts.scratch->spider,
-                                                  pooled);
-            return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
-                                        pooled);
-          }
-          return decision_from_schedule(
-              "optimal", k, deadline, /*optimal=*/true, cap, pool,
-              SpiderScheduler::schedule_within(spider, deadline, cap));
+          return horizon_decision<SpiderScheduler>(k, expect_spider(p, "optimal"), deadline,
+                                                   opts, opts.scratch->spider.count,
+                                                   opts.scratch->spider, opts.scratch->spider_pool);
         });
   r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
          /*exponential=*/false, kSizesAndRelease},
@@ -1069,7 +961,9 @@ void register_spider_algorithms(Registry& r) {
                                w.count(), true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return spider_brute_force_decision(k, expect_spider(p, "brute-force"), deadline, opts);
+          return brute_force_decision(k, expect_spider(p, "brute-force"), deadline, opts,
+                                      brute_force_spider_max_tasks, brute_force_spider_schedule,
+                                      brute_force_spider_makespan);
         });
   register_replan(r, k);
 }
@@ -1077,27 +971,21 @@ void register_spider_algorithms(Registry& r) {
 void register_tree_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kTree;
   // The three offline heuristics take the full SolveFn form (identical
-  // workloads only, as before) so a caller-provided SolveScratch can pool
-  // the dispatch plan and the pipeline working sets; with warm scratch
-  // their per-solve allocation count is independent of `n`.
+  // workloads only, as before) so the SolveScratch pools the dispatch plan
+  // and the pipeline working sets; with warm scratch their per-solve
+  // allocation count is independent of `n`.
   r.add({k, "spider-cover", "optimal plan on the best-rate spider cover (section 8)",
          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Tree& tree = expect_tree(p, "spider-cover");
           const std::size_t n = w.count();
-          if (opts.scratch != nullptr) {
-            TreeDispatch& pooled = opts.scratch->tree_pool;
-            Time makespan = 0;
-            schedule_tree_via_cover_into(tree, n, opts.scratch->tree_cover, pooled.dests,
-                                         makespan);
-            pooled.tree = tree;
-            return make_result("spider-cover", PlatformKind::kTree, n, makespan,
-                               /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
-          }
-          TreeScheduleResult plan = schedule_tree_via_cover(tree, n);
-          return tree_result("spider-cover", tree, std::move(plan.destinations), plan.makespan,
-                             n);
+          TreeDispatch& pooled = opts.scratch->tree_pool;
+          Time makespan = 0;
+          schedule_tree_via_cover_into(tree, n, opts.scratch->tree_cover, pooled.dests, makespan);
+          pooled.tree = tree;
+          return make_result("spider-cover", PlatformKind::kTree, n, makespan, /*lower_bound=*/0,
+                             /*optimal=*/false, std::move(pooled));
         },
         nullptr);
   r.add({k, "forward-greedy", "earliest-completion-time dispatch on the full tree",
@@ -1106,17 +994,12 @@ void register_tree_algorithms(Registry& r) {
           require_tasks(w);
           const Tree& tree = expect_tree(p, "forward-greedy");
           const std::size_t n = w.count();
-          if (opts.scratch != nullptr) {
-            TreeDispatch& pooled = opts.scratch->tree_pool;
-            TreeAsapState state(tree);  // tree-shaped, so n-independent
-            const Time makespan = forward_greedy_tree_into(n, state, pooled.dests);
-            pooled.tree = tree;
-            return make_result("forward-greedy", PlatformKind::kTree, n, makespan,
-                               /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
-          }
-          std::vector<NodeId> dests = forward_greedy_tree(tree, n);
-          const Time makespan = asap_tree_makespan(tree, dests);
-          return tree_result("forward-greedy", tree, std::move(dests), makespan, n);
+          TreeDispatch& pooled = opts.scratch->tree_pool;
+          TreeAsapState state(tree);  // tree-shaped, so n-independent
+          const Time makespan = forward_greedy_tree_into(n, state, pooled.dests);
+          pooled.tree = tree;
+          return make_result("forward-greedy", PlatformKind::kTree, n, makespan,
+                             /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
         },
         nullptr);
   r.add({k, "local-search", "greedy start + reassign/swap descent", /*optimal=*/false,
@@ -1125,19 +1008,14 @@ void register_tree_algorithms(Registry& r) {
           require_tasks(w);
           const Tree& tree = expect_tree(p, "local-search");
           const std::size_t n = w.count();
-          if (opts.scratch != nullptr) {
-            TreeDispatch& pooled = opts.scratch->tree_pool;
-            TreeAsapState state(tree);
-            forward_greedy_tree_into(n, state, pooled.dests);
-            LocalSearchResult improved = improve_tree_dispatch(tree, std::move(pooled.dests));
-            pooled.dests = std::move(improved.dests);
-            pooled.tree = tree;
-            return make_result("local-search", PlatformKind::kTree, n, improved.makespan,
-                               /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
-          }
-          LocalSearchResult improved = local_search_tree(tree, n);
-          return tree_result("local-search", tree, std::move(improved.dests), improved.makespan,
-                             n);
+          TreeDispatch& pooled = opts.scratch->tree_pool;
+          TreeAsapState state(tree);
+          forward_greedy_tree_into(n, state, pooled.dests);
+          LocalSearchResult improved = improve_tree_dispatch(tree, std::move(pooled.dests));
+          pooled.dests = std::move(improved.dests);
+          pooled.tree = tree;
+          return make_result("local-search", PlatformKind::kTree, n, improved.makespan,
+                             /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
         },
         nullptr);
   // The online policies run on the discrete-event simulator, which executes

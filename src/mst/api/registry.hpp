@@ -129,14 +129,14 @@ struct SolveOptions {
   /// is deterministic-class (pure function of the inputs).  The caller owns
   /// the registry and keeps it alive for the call.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional, borrowed cross-solve scratch (`solve_scratch.hpp`).  When
-  /// set, the built-in exact solvers materialize through warm pooled
-  /// buffers instead of per-thread `thread_local` fallbacks, and repeated
-  /// solves become allocation-free once the pools are warm — recycle each
-  /// consumed result back via `SolveScratch::recycle` to close the loop.
-  /// Results are bit-identical with and without scratch.  Not thread-safe:
-  /// one scratch serves one thread at a time; the caller owns it and keeps
-  /// it alive for the call.
+  /// Optional, borrowed cross-solve scratch (`solve_scratch.hpp`).  The
+  /// built-in solvers always run on a scratch — this one when set, else a
+  /// local one the registry builds for the call.  A caller-kept scratch
+  /// stays warm across solves, which then become allocation-free — recycle
+  /// each consumed result back via `SolveScratch::recycle` to close the
+  /// loop.  Results are bit-identical with and without scratch.  Not
+  /// thread-safe: one scratch serves one thread at a time; the caller owns
+  /// it and keeps it alive for the call.
   SolveScratch* scratch = nullptr;
 };
 
@@ -229,10 +229,6 @@ class Scheduler {
   /// algorithms with a native decision procedure override it.
   [[nodiscard]] virtual DecisionResult solve_within(const Platform& platform, Time deadline,
                                                     const SolveOptions& options) const;
-
-  /// Count-only decision form (never materializes).
-  [[nodiscard]] std::size_t max_tasks(const Platform& platform, Time deadline,
-                                      const SolveOptions& options = {}) const;
 };
 
 /// Metadata shown by `mstctl --mode=list` and used by sweeps to filter.
@@ -323,7 +319,9 @@ class Registry {
   [[nodiscard]] DecisionResult solve_within(const Platform& platform, std::string_view algorithm,
                                             Time deadline, const SolveOptions& options = {}) const;
 
-  /// Count-only decision-form dispatch (never materializes).
+  /// Count-only decision-form dispatch: `solve_within` with
+  /// `materialize = false` (same capability gate and metrics), returning
+  /// the count.
   [[nodiscard]] std::size_t max_tasks(const Platform& platform, std::string_view algorithm,
                                       Time deadline, const SolveOptions& options = {}) const;
 

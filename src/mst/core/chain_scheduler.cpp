@@ -1,226 +1,64 @@
 #include "mst/core/chain_scheduler.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "mst/common/assert.hpp"
-#include "mst/schedule/comm_vector.hpp"
+#include "mst/core/kernels.hpp"
 
 namespace mst {
 
-ChainSchedule ChainScheduler::build_backward(const Chain& chain, Time horizon,
-                                             std::size_t max_tasks, bool stop_on_negative) {
-  const std::size_t p = chain.size();
-
-  // Hull and occupancy vectors of the paper's Fig 3, initialised at the
-  // horizon: nothing is scheduled yet, so every link and every processor is
-  // free up to `horizon`.
-  std::vector<Time> hull(p, horizon);
-  std::vector<Time> occupancy(p, horizon);
-
-  // Scratch candidate vector, reused across tasks to avoid re-allocation in
-  // the O(n·p²) inner loops.
-  std::vector<Time> candidate(p, 0);
-
-  // Tasks are produced from the last one backward; collected here in
-  // construction order and reversed at the end so that the result is in
-  // first-link emission order (the paper's indexing convention).
-  std::vector<ChainTask> built;
-  built.reserve(max_tasks);
-
-  while (built.size() < max_tasks) {
-    // Find the greatest candidate communication vector over all destinations.
-    std::optional<CommVector> best;
-    for (std::size_t k1 = p; k1 >= 1; --k1) {
-      const std::size_t k = k1 - 1;  // destination processor (0-based)
-      // Last hop: the task must fully arrive before the processor's earliest
-      // scheduled start minus its own execution, and before the link's hull.
-      candidate[k] = std::min(occupancy[k] - chain.work(k) - chain.comm(k),
-                              hull[k] - chain.comm(k));
-      // Upstream hops, built right to left.
-      for (std::size_t j1 = k; j1 >= 1; --j1) {
-        const std::size_t j = j1 - 1;
-        candidate[j] = std::min(candidate[j + 1] - chain.comm(j), hull[j] - chain.comm(j));
-      }
-      CommVector vec(candidate.begin(), candidate.begin() + static_cast<std::ptrdiff_t>(k) + 1);
-      if (!best || precedes(*best, vec)) best = std::move(vec);
-    }
-    MST_ASSERT(best.has_value());
-
-    // Decision form: stop as soon as the best possible emission would have
-    // to start before time 0 — no further task fits in the window.  Because
-    // the candidate entries increase along the vector (c_j >= 0), checking
-    // the first entry suffices.
-    if (stop_on_negative && best->front() < 0) break;
-
-    // Commit: execute as late as the destination allows, update occupancy
-    // and the hulls of every link the task crosses.
-    const std::size_t dest = best->size() - 1;
-    const Time start = occupancy[dest] - chain.work(dest);
-    occupancy[dest] = start;
-    for (std::size_t k = 0; k <= dest; ++k) hull[k] = (*best)[k];
-    built.push_back(ChainTask{dest, start, std::move(*best)});
-  }
-
-  std::reverse(built.begin(), built.end());
-  return ChainSchedule{chain, std::move(built)};
-}
-
-ChainSchedule ChainScheduler::schedule(const Chain& chain, std::size_t n) {
-  MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  const Time horizon = chain.t_infinity(n);
-  ChainSchedule result = build_backward(chain, horizon, n, /*stop_on_negative=*/false);
-  MST_ASSERT(result.tasks.size() == n);
-
-  // The paper's final normalization: shift by -C^1_1 so the schedule starts
-  // at time 0.  The first emission is never negative — the all-on-first-
-  // processor schedule fits in [0, T∞] by construction of T∞ and the greedy
-  // only ever picks vectors that are at least as late.
-  const Time first_emission = result.tasks.front().emissions.front();
-  MST_ASSERT(first_emission >= 0);
-  result.shift(-first_emission);
-  return result;
-}
-
-Time ChainScheduler::makespan(const Chain& chain, std::size_t n) {
-  return schedule(chain, n).makespan();
-}
-
-ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,
-                                              std::size_t max_tasks) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  return build_backward(chain, t_lim, max_tasks, /*stop_on_negative=*/true);
-}
-
-std::size_t ChainScheduler::max_tasks(const Chain& chain, Time t_lim, std::size_t cap) {
-  ChainCountScratch scratch;
-  return count_within(chain, t_lim, cap, scratch);
-}
-
 namespace {
 
-/// Shared body of the counting entry points; `first_emissions` may be null.
-/// Statically allocation-checked (dynamic twin: tests/test_counting.cpp).
+// Sinks of `detail::backward_construction`.  Statically allocation-checked
+// (dynamic twins: tests/test_counting.cpp, tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
+
+/// Count only; optionally records each task's first-link emission `C^i_1`
+/// (construction order: latest task first).
+struct CountSink {
+  std::vector<Time>* first_emissions;
+  void candidate(std::size_t /*dest*/, const Time* /*vec*/) {}
+  void place(std::size_t /*dest*/, Time /*start*/, const Time* best, const Time* /*hull*/,
+             const Time* /*occupancy*/) {
+    if (first_emissions != nullptr) first_emissions->push_back(best[0]);
+  }
+};
+
+/// Commits each task into a recycled slot of `out.tasks`; the emission
+/// vectors keep their warm capacity across rebuilds.
+struct MaterializeSink {
+  ChainSchedule& out;
+  std::size_t used = 0;
+  void candidate(std::size_t /*dest*/, const Time* /*vec*/) {}
+  void place(std::size_t dest, Time start, const Time* best, const Time* /*hull*/,
+             const Time* /*occupancy*/) {
+    if (used == out.tasks.size()) out.tasks.emplace_back();
+    ChainTask& task = out.tasks[used++];
+    task.proc = dest;
+    task.start = start;
+    task.emissions.assign(best, best + dest + 1);
+  }
+};
+
 std::size_t count_backward(const Chain& chain, Time t_lim, std::size_t cap,
                            ChainCountScratch& scratch, std::vector<Time>* first_emissions) {
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  const std::size_t p = chain.size();
-
-  // The hull/occupancy state of `build_backward`, in reusable buffers.
-  // `assign` only allocates when the capacity grows, so a warm scratch makes
-  // the whole loop allocation-free.
-  scratch.hull.assign(p, t_lim);
-  scratch.occupancy.assign(p, t_lim);
-  scratch.candidate.resize(p);
-  scratch.best.resize(p);
-  Time* const hull = scratch.hull.data();
-  Time* const occupancy = scratch.occupancy.data();
-  Time* const candidate = scratch.candidate.data();
-  Time* const best = scratch.best.data();
-
-  std::size_t count = 0;
-  while (count < cap) {
-    // Greatest candidate communication vector over all destinations, with
-    // the vectors living in the two scratch buffers instead of CommVectors.
-    std::size_t best_len = 0;
-    for (std::size_t k1 = p; k1 >= 1; --k1) {
-      const std::size_t k = k1 - 1;
-      candidate[k] = std::min(occupancy[k] - chain.work(k) - chain.comm(k),
-                              hull[k] - chain.comm(k));
-      for (std::size_t j1 = k; j1 >= 1; --j1) {
-        const std::size_t j = j1 - 1;
-        candidate[j] = std::min(candidate[j + 1] - chain.comm(j), hull[j] - chain.comm(j));
-      }
-      if (best_len == 0 || precedes(best, best_len, candidate, k + 1)) {
-        std::copy(candidate, candidate + k + 1, best);
-        best_len = k + 1;
-      }
-    }
-    MST_ASSERT(best_len >= 1);
-
-    // Decision form: no further task fits in the window.
-    if (best[0] < 0) break;
-
-    const std::size_t dest = best_len - 1;
-    occupancy[dest] -= chain.work(dest);
-    for (std::size_t k = 0; k <= dest; ++k) hull[k] = best[k];
-    if (first_emissions != nullptr) first_emissions->push_back(best[0]);
-    ++count;
-  }
-  return count;
+  CountSink sink{first_emissions};
+  return detail::backward_construction(chain, t_lim, cap, /*stop_on_negative=*/true, scratch,
+                                       sink);
 }
-// mstlint: zero-alloc-end
 
-/// Materializing twin of `count_backward` / `build_backward`: the identical
-/// hull/occupancy arithmetic in the reusable scratch buffers, committing each
-/// task into a recycled slot of `out.tasks` (the emission vectors keep their
-/// warm capacity across rebuilds).  Statically allocation-checked; the
-/// dynamic twin is tests/test_zero_alloc.cpp.
-// mstlint: zero-alloc
+/// Rebuilds `out` in place, tasks in first-link emission order (the paper's
+/// indexing convention; the construction produces them last to first).
 void build_backward_into(const Chain& chain, Time horizon, std::size_t max_tasks,
                          bool stop_on_negative, ChainCountScratch& scratch, ChainSchedule& out) {
-  const std::size_t p = chain.size();
-  scratch.hull.assign(p, horizon);
-  scratch.occupancy.assign(p, horizon);
-  scratch.candidate.resize(p);
-  scratch.best.resize(p);
-  Time* const hull = scratch.hull.data();
-  Time* const occupancy = scratch.occupancy.data();
-  Time* const candidate = scratch.candidate.data();
-  Time* const best = scratch.best.data();
-
   out.chain = chain;  // copy-assign reuses the processor buffer when warm
-  std::size_t used = 0;
-  while (used < max_tasks) {
-    std::size_t best_len = 0;
-    for (std::size_t k1 = p; k1 >= 1; --k1) {
-      const std::size_t k = k1 - 1;
-      candidate[k] = std::min(occupancy[k] - chain.work(k) - chain.comm(k),
-                              hull[k] - chain.comm(k));
-      for (std::size_t j1 = k; j1 >= 1; --j1) {
-        const std::size_t j = j1 - 1;
-        candidate[j] = std::min(candidate[j + 1] - chain.comm(j), hull[j] - chain.comm(j));
-      }
-      if (best_len == 0 || precedes(best, best_len, candidate, k + 1)) {
-        std::copy(candidate, candidate + k + 1, best);
-        best_len = k + 1;
-      }
-    }
-    MST_ASSERT(best_len >= 1);
-
-    if (stop_on_negative && best[0] < 0) break;
-
-    const std::size_t dest = best_len - 1;
-    const Time start = occupancy[dest] - chain.work(dest);
-    occupancy[dest] = start;
-    for (std::size_t k = 0; k <= dest; ++k) hull[k] = best[k];
-    if (used == out.tasks.size()) out.tasks.emplace_back();
-    ChainTask& task = out.tasks[used];
-    task.proc = dest;
-    task.start = start;
-    task.emissions.assign(best, best + best_len);
-    ++used;
-  }
-  out.tasks.resize(used);
+  MaterializeSink sink{out};
+  detail::backward_construction(chain, horizon, max_tasks, stop_on_negative, scratch, sink);
+  out.tasks.resize(sink.used);
   std::reverse(out.tasks.begin(), out.tasks.end());
 }
 // mstlint: zero-alloc-end
-
-}  // namespace
-
-std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim, std::size_t cap,
-                                         ChainCountScratch& scratch) {
-  return count_backward(chain, t_lim, cap, scratch, nullptr);
-}
-
-std::size_t ChainScheduler::count_within_emissions(const Chain& chain, Time t_lim,
-                                                   std::size_t cap, ChainCountScratch& scratch,
-                                                   std::vector<Time>& first_emissions) {
-  return count_backward(chain, t_lim, cap, scratch, &first_emissions);
-}
-
-namespace {
 
 /// Largest k such that the k latest backward emissions dominate the k
 /// earliest release dates: `emissions[j] >= releases[k-1-j]` for all `j < k`
@@ -255,6 +93,30 @@ void require_uniform_sizes(const Workload& workload) {
 
 }  // namespace
 
+ChainSchedule ChainScheduler::build_backward(const Chain& chain, Time horizon,
+                                             std::size_t max_tasks, bool stop_on_negative) {
+  ChainCountScratch scratch;
+  ChainSchedule out;
+  build_backward_into(chain, horizon, max_tasks, stop_on_negative, scratch, out);
+  return out;
+}
+
+std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim, std::size_t cap,
+                                         ChainCountScratch& scratch) {
+  return count_backward(chain, t_lim, cap, scratch, nullptr);
+}
+
+std::size_t ChainScheduler::count_within_emissions(const Chain& chain, Time t_lim,
+                                                   std::size_t cap, ChainCountScratch& scratch,
+                                                   std::vector<Time>& first_emissions) {
+  return count_backward(chain, t_lim, cap, scratch, &first_emissions);
+}
+
+std::size_t ChainScheduler::max_tasks(const Chain& chain, Time t_lim, std::size_t cap) {
+  ChainCountScratch scratch;
+  return count_within(chain, t_lim, cap, scratch);
+}
+
 std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim,
                                          const Workload& workload, std::size_t cap,
                                          ChainCountScratch& scratch) {
@@ -266,61 +128,84 @@ std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim,
   return max_released_count(scratch.emissions, workload.releases());
 }
 
-ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,
-                                              const Workload& workload, std::size_t cap) {
-  require_uniform_sizes(workload);
-  if (!workload.has_release_dates()) {
-    return schedule_within(chain, t_lim, std::min(cap, workload.count()));
-  }
-  ChainCountScratch scratch;
-  const std::size_t k = count_within(chain, t_lim, workload, cap, scratch);
-  // The k-task backward build is the prefix of the counting construction, so
-  // its emissions are exactly the ones the count proved release-feasible.
-  return build_backward(chain, t_lim, k, /*stop_on_negative=*/true);
+void ChainScheduler::schedule_within_into(const Chain& chain, Time t_lim, std::size_t max_tasks,
+                                          ChainCountScratch& scratch, ChainSchedule& out) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  build_backward_into(chain, t_lim, max_tasks, /*stop_on_negative=*/true, scratch, out);
 }
 
-ChainSchedule ChainScheduler::schedule(const Chain& chain, const Workload& workload) {
+void ChainScheduler::schedule_within_into(const Chain& chain, Time t_lim,
+                                          const Workload& workload, std::size_t cap,
+                                          ChainCountScratch& scratch, ChainSchedule& out) {
+  require_uniform_sizes(workload);
+  // With release dates, the k-task backward build is the prefix of the
+  // counting construction, so its emissions are exactly the ones the count
+  // proved release-feasible.
+  const std::size_t k = workload.has_release_dates()
+                            ? count_within(chain, t_lim, workload, cap, scratch)
+                            : std::min(cap, workload.count());
+  schedule_within_into(chain, t_lim, k, scratch, out);
+}
+
+void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
+                                   ChainCountScratch& scratch, ChainSchedule& out) {
   require_uniform_sizes(workload);
   MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
   const std::size_t n = workload.count();
-  if (!workload.has_release_dates()) return schedule(chain, n);
-
-  // Minimal horizon admitting all n tasks.  The all-on-first-processor
-  // schedule shifted past the last release always fits, so the upper bound
-  // is feasible and the search is well defined; monotonicity of the count in
-  // the horizon makes it exact.
-  ChainCountScratch scratch;
-  Time lo = 0;
-  Time hi = workload.last_release() + chain.t_infinity(n);
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (count_within(chain, mid, workload, n, scratch) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
+  if (workload.has_release_dates()) {
+    // Minimal horizon admitting all n tasks.  The all-on-first-processor
+    // schedule shifted past the last release always fits, so the upper
+    // bound is feasible; monotonicity of the count in the horizon makes it
+    // exact.  No -C^1_1 shift: release dates are absolute, the window is the
+    // schedule.
+    const Time horizon =
+        detail::min_horizon(0, workload.last_release() + chain.t_infinity(n), [&](Time t) {
+          return count_within(chain, t, workload, n, scratch) >= n;
+        });
+    schedule_within_into(chain, horizon, workload, n, scratch, out);
+    MST_ASSERT(out.tasks.size() == n);
+    return;
   }
-  ChainSchedule result = schedule_within(chain, lo, workload, n);
-  MST_ASSERT(result.tasks.size() == n);
-  // No -C^1_1 shift: release dates are absolute, the window is the schedule.
-  return result;
-}
-
-void ChainScheduler::schedule_into(const Chain& chain, std::size_t n,
-                                   ChainCountScratch& scratch, ChainSchedule& out) {
-  MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  const Time horizon = chain.t_infinity(n);
-  build_backward_into(chain, horizon, n, /*stop_on_negative=*/false, scratch, out);
+  build_backward_into(chain, chain.t_infinity(n), n, /*stop_on_negative=*/false, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
+
+  // The paper's final normalization: shift by -C^1_1 so the schedule starts
+  // at time 0.  The first emission is never negative — the all-on-first-
+  // processor schedule fits in [0, T∞] by construction of T∞ and the greedy
+  // only ever picks vectors that are at least as late.
   const Time first_emission = out.tasks.front().emissions.front();
   MST_ASSERT(first_emission >= 0);
   out.shift(-first_emission);
 }
 
-void ChainScheduler::schedule_within_into(const Chain& chain, Time t_lim, std::size_t max_tasks,
-                                          ChainCountScratch& scratch, ChainSchedule& out) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  build_backward_into(chain, t_lim, max_tasks, /*stop_on_negative=*/true, scratch, out);
+// Value-returning forms: a local scratch around the `_into` forms above.
+
+ChainSchedule ChainScheduler::schedule(const Chain& chain, std::size_t n) {
+  return schedule(chain, Workload::identical(n));
+}
+
+ChainSchedule ChainScheduler::schedule(const Chain& chain, const Workload& workload) {
+  ChainCountScratch scratch;
+  ChainSchedule out;
+  schedule_into(chain, workload, scratch, out);
+  return out;
+}
+
+Time ChainScheduler::makespan(const Chain& chain, std::size_t n) {
+  return schedule(chain, n).makespan();
+}
+
+ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,
+                                              std::size_t max_tasks) {
+  return schedule_within(chain, t_lim, Workload::identical(max_tasks), max_tasks);
+}
+
+ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,
+                                              const Workload& workload, std::size_t cap) {
+  ChainCountScratch scratch;
+  ChainSchedule out;
+  schedule_within_into(chain, t_lim, workload, cap, scratch, out);
+  return out;
 }
 
 }  // namespace mst

@@ -30,8 +30,8 @@
 
 namespace mst {
 
-/// Reusable buffers for the allocation-free counting path
-/// (`ChainScheduler::count_within`).  Keep one per thread: after the first
+/// Reusable buffers of the backward construction (counting and
+/// materializing alike).  Keep one per thread: after the first
 /// call the buffers are warm, and every further call on a chain of the same
 /// (or smaller) size performs no heap allocation at all — the sweep runner's
 /// hot path relies on this.
@@ -100,10 +100,9 @@ class ChainScheduler {
   /// Runs the counting construction below with a private scratch.
   static std::size_t max_tasks(const Chain& chain, Time t_lim, std::size_t cap);
 
-  /// Decision-form counting without materialization: replays the backward
-  /// construction of `schedule_within` but commits only the hull/occupancy
-  /// updates, never building `ChainTask`s or communication vectors.  Returns
-  /// exactly `schedule_within(chain, t_lim, cap).tasks.size()`.  With a warm
+  /// Decision-form counting without materialization: the backward
+  /// construction of `schedule_within` with a count-only sink, never
+  /// building `ChainTask`s or communication vectors.  With a warm
   /// `scratch` this performs zero heap allocations — the registry's
   /// `materialize == false` fast path and the spider binary search both sit
   /// on it.
@@ -128,19 +127,27 @@ class ChainScheduler {
                                       bool stop_on_negative);
 
   // -------------------------------------------------------------------------
-  // Scratch-reusing materialization.  `_into` variants rebuild `out` in place
-  // — task slots, their communication vectors and the chain copy all reuse
-  // warm capacity — and produce bit-identical results to the value-returning
-  // forms above (pinned by tests/test_zero_alloc.cpp).  After one warm-up
-  // call at a given (p, n), repeated solves perform zero heap allocations.
+  // One kernel, several sinks.  Every entry point above and below runs the
+  // same backward construction (`core/kernels.hpp`); a sink decides what each
+  // step produces: a count, first emissions, a schedule materialized into
+  // reused buffers, or a trace step (`chain_trace.hpp`).  The value-returning
+  // forms are a local scratch around the `_into` forms, which rebuild `out`
+  // in place — task slots, their communication vectors and the chain copy
+  // all reuse warm capacity.  After one warm-up call at a given (p, n),
+  // repeated solves perform zero heap allocations.
 
-  /// In-place twin of `schedule(chain, n)`.
-  static void schedule_into(const Chain& chain, std::size_t n, ChainCountScratch& scratch,
-                            ChainSchedule& out);
+  /// `schedule(chain, workload)` into `out`.
+  static void schedule_into(const Chain& chain, const Workload& workload,
+                            ChainCountScratch& scratch, ChainSchedule& out);
 
-  /// In-place twin of `schedule_within(chain, t_lim, max_tasks)`.
+  /// `schedule_within(chain, t_lim, max_tasks)` into `out`.
   static void schedule_within_into(const Chain& chain, Time t_lim, std::size_t max_tasks,
                                    ChainCountScratch& scratch, ChainSchedule& out);
+
+  /// `schedule_within(chain, t_lim, workload, cap)` into `out`.
+  static void schedule_within_into(const Chain& chain, Time t_lim, const Workload& workload,
+                                   std::size_t cap, ChainCountScratch& scratch,
+                                   ChainSchedule& out);
 };
 
 }  // namespace mst

@@ -1,64 +1,51 @@
 #include "mst/core/chain_trace.hpp"
 
-#include <algorithm>
-#include <optional>
-
 #include "mst/common/assert.hpp"
+#include "mst/core/kernels.hpp"
 
 namespace mst {
 
+namespace {
+
+/// Records every step of the backward construction: the state before it,
+/// all `p` candidates and the committed placement.
+struct TraceSink {
+  std::size_t p;
+  std::vector<ChainTraceStep>& steps;
+  std::vector<CommVector> candidates;
+
+  void candidate(std::size_t dest, const Time* vec) {
+    candidates[dest].assign(vec, vec + dest + 1);
+  }
+  void place(std::size_t dest, Time start, const Time* best, const Time* hull,
+             const Time* occupancy) {
+    ChainTraceStep step;
+    step.hull_before.assign(hull, hull + p);
+    step.occupancy_before.assign(occupancy, occupancy + p);
+    step.candidates = candidates;
+    step.chosen = dest;
+    step.placed = ChainTask{dest, start, CommVector(best, best + dest + 1)};
+    steps.push_back(std::move(step));
+  }
+};
+
+}  // namespace
+
 ChainTrace trace_backward(const Chain& chain, Time horizon, std::size_t max_tasks,
                           bool stop_on_negative) {
-  const std::size_t p = chain.size();
   ChainTrace trace;
   trace.chain = chain;
   trace.horizon = horizon;
+  ChainCountScratch scratch;
+  TraceSink sink{chain.size(), trace.steps, std::vector<CommVector>(chain.size())};
+  detail::backward_construction(chain, horizon, max_tasks, stop_on_negative, scratch, sink);
 
-  std::vector<Time> hull(p, horizon);
-  std::vector<Time> occupancy(p, horizon);
-  std::vector<Time> candidate(p, 0);
-  std::vector<ChainTask> built;
-
-  while (built.size() < max_tasks) {
-    ChainTraceStep step;
-    step.hull_before = hull;
-    step.occupancy_before = occupancy;
-    step.candidates.resize(p);
-
-    std::optional<CommVector> best;
-    std::size_t best_dest = 0;
-    for (std::size_t k1 = p; k1 >= 1; --k1) {
-      const std::size_t k = k1 - 1;
-      candidate[k] =
-          std::min(occupancy[k] - chain.work(k) - chain.comm(k), hull[k] - chain.comm(k));
-      for (std::size_t j1 = k; j1 >= 1; --j1) {
-        const std::size_t j = j1 - 1;
-        candidate[j] = std::min(candidate[j + 1] - chain.comm(j), hull[j] - chain.comm(j));
-      }
-      CommVector vec(candidate.begin(), candidate.begin() + static_cast<std::ptrdiff_t>(k) + 1);
-      step.candidates[k] = vec;
-      if (!best || precedes(*best, vec)) {
-        best = std::move(vec);
-        best_dest = k;
-      }
-    }
-    MST_ASSERT(best.has_value());
-    if (stop_on_negative && best->front() < 0) break;
-
-    const std::size_t dest = best->size() - 1;
-    MST_ASSERT(dest == best_dest);
-    const Time start = occupancy[dest] - chain.work(dest);
-    occupancy[dest] = start;
-    for (std::size_t k = 0; k <= dest; ++k) hull[k] = (*best)[k];
-
-    step.chosen = dest;
-    step.placed = ChainTask{dest, start, *best};
-    built.push_back(step.placed);
-    trace.steps.push_back(std::move(step));
+  // Steps run from the last task backward; the schedule lists tasks in
+  // first-link emission order.
+  trace.schedule.chain = chain;
+  for (auto step = trace.steps.rbegin(); step != trace.steps.rend(); ++step) {
+    trace.schedule.tasks.push_back(step->placed);
   }
-
-  std::reverse(built.begin(), built.end());
-  trace.schedule = ChainSchedule{chain, std::move(built)};
   return trace;
 }
 

@@ -8,17 +8,18 @@
 #include "mst/schedule/comm_vector.hpp"
 
 /// \file chain_trace.hpp
-/// Instrumented backward construction: the same algorithm as
-/// `ChainScheduler::build_backward`, but recording, for every task, the
-/// hull/occupancy state and all `p` candidate communication vectors
+/// Instrumented backward construction: the chain kernel
+/// (`core/kernels.hpp`) run with a trace sink, recording, for every task,
+/// the hull/occupancy state and all `p` candidate communication vectors
 /// considered.  Two consumers:
 ///   * the Lemma 1 property tests — the "no crossing" claim is about the
 ///     candidate vectors themselves, which the plain scheduler discards;
 ///   * `exp_algorithm_trace`, which replays the paper's Fig 2 construction
 ///     decision by decision.
 ///
-/// The traced run must produce exactly the same schedule as the plain one
-/// (asserted in tests); tracing costs one extra O(p²) copy per task.
+/// Being the same loop as `ChainScheduler::build_backward`, the traced run
+/// places exactly the same tasks; tracing costs one extra O(p²) copy per
+/// task.
 
 namespace mst {
 

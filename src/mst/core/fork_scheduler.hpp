@@ -25,16 +25,16 @@
 
 namespace mst {
 
-/// Reusable buffers for `ForkScheduler::count_within`.  Keep one per
-/// thread: with warm buffers the count — on-the-fly virtual-node expansion
-/// plus the count-only Moore–Hodgson selection — performs no heap
-/// allocation at all, matching the chain/spider counting paths.
+/// Reusable buffers of the fork select and sequencing steps (counting and
+/// materializing alike).  Keep one per thread: with warm buffers the count
+/// — on-the-fly virtual-node expansion plus the count-only Moore–Hodgson
+/// selection — and the materialization perform no heap allocation at all,
+/// matching the chain/spider paths.
 struct ForkCountScratch {
   std::vector<DeadlineJob> jobs;  ///< the Fig 6 node instance, reused
-  std::vector<Time> heap;         ///< Moore–Hodgson selection heap
+  std::vector<Time> heap;         ///< count-only Moore–Hodgson heap
   std::vector<Time> dp;           ///< positional-release selection DP row
-  // `makespan_within` extras:
-  std::vector<std::pair<Time, std::size_t>> sel_heap;  ///< (comm, id) eviction heap
+  std::vector<SelectedJob> sel_heap;   ///< Moore–Hodgson selection with ids
   std::vector<std::size_t> slave_of;   ///< job id → slave index
   std::vector<std::size_t> counts;     ///< selected tasks per slave
   std::vector<std::pair<Time, std::size_t>> seq;  ///< (deadline, slave) sequencing
@@ -61,11 +61,10 @@ class ForkScheduler {
                                   ForkCountScratch& scratch);
 
   /// Count *and* completion time of the decision-form schedule, still
-  /// allocation-free: replays the whole `schedule_within` pipeline —
-  /// selection with identities, per-slave normalization, the global-cap
-  /// trim and the EDD port sequencing — in scratch buffers, so the registry
-  /// fast path reports the same (tasks, makespan) pair as the materializing
-  /// path without ever building task vectors.
+  /// allocation-free: the select and sequencing steps of `schedule_within`
+  /// with a makespan sink, so the registry fast path reports the same
+  /// (tasks, makespan) pair as the materializing path without ever building
+  /// task vectors.
   static std::pair<std::size_t, Time> makespan_within(const Fork& fork, Time t_lim,
                                                       std::size_t cap,
                                                       ForkCountScratch& scratch);
@@ -102,19 +101,27 @@ class ForkScheduler {
   static ForkSchedule greedy_schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
 
   // -------------------------------------------------------------------------
-  // Scratch-reusing materialization: bit-identical to the value-returning
-  // forms (pinned by tests/test_zero_alloc.cpp), rebuilding `out` in place so
-  // repeated solves on warm scratch perform zero heap allocations.
+  // One algorithm, two steps.  The *select* step builds the node instance,
+  // runs Moore–Hodgson, counts per slave and trims to the global cap; the
+  // EDD *sequencing* step then feeds either a makespan sink
+  // (`makespan_within`) or a task sink (the `_into` forms, and the greedy's
+  // materialization).  The value-returning forms are a local scratch around
+  // the `_into` forms, which rebuild `out` in place so repeated solves on
+  // warm scratch perform zero heap allocations.
 
-  /// In-place twin of `schedule_within(fork, t_lim, cap)`: the
-  /// `makespan_within` pipeline with step (4) emitting real tasks.
+  /// `schedule_within(fork, t_lim, cap)` into `out`.
   static void schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
                                    ForkCountScratch& scratch, ForkSchedule& out);
 
-  /// In-place twin of `schedule(fork, n)`; the binary search reuses the same
-  /// scratch for every probe instead of building one per `max_tasks` call.
-  static void schedule_into(const Fork& fork, std::size_t n, ForkCountScratch& scratch,
-                            ForkSchedule& out);
+  /// `schedule_within(fork, t_lim, workload, cap)` into `out`.
+  static void schedule_within_into(const Fork& fork, Time t_lim, const Workload& workload,
+                                   std::size_t cap, ForkCountScratch& scratch,
+                                   ForkSchedule& out);
+
+  /// `schedule(fork, workload)` into `out`; every bisection probe reuses
+  /// `scratch`.
+  static void schedule_into(const Fork& fork, const Workload& workload,
+                            ForkCountScratch& scratch, ForkSchedule& out);
 };
 
 }  // namespace mst

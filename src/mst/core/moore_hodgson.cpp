@@ -1,7 +1,7 @@
 #include "mst/core/moore_hodgson.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <type_traits>
 
 #include "mst/common/assert.hpp"
 
@@ -9,72 +9,56 @@ namespace mst {
 
 namespace {
 
-/// Deterministic EDD order.
-bool edd_less(const DeadlineJob& a, const DeadlineJob& b) {
+/// Deterministic EDD order (a function object, so `std::sort` inlines it).
+constexpr auto edd_less = [](const DeadlineJob& a, const DeadlineJob& b) {
   if (a.deadline != b.deadline) return a.deadline < b.deadline;
   if (a.proc_time != b.proc_time) return a.proc_time < b.proc_time;
   return a.id < b.id;
+};
+
+Time proc_time_of(Time entry) { return entry; }
+Time proc_time_of(const SelectedJob& entry) { return entry.first; }
+
+// The one Moore–Hodgson body and the positional-release DP run on caller
+// scratch only — statically allocation-checked (dynamic twins:
+// tests/test_counting.cpp, tests/test_zero_alloc.cpp).
+// mstlint: zero-alloc
+
+/// Sorts `jobs` EDD and leaves the selected jobs in `selected` (heap order).
+/// The selection is a max-heap on processing time: when the running total
+/// overshoots a deadline, evicting the longest selected job is optimal
+/// (Moore 1968).  `Entry` is either the processing time alone (the count is
+/// invariant under which of several longest-job ties gets evicted) or a
+/// `SelectedJob`, which also makes the eviction among equals deterministic.
+template <typename Entry>
+void select_edd(std::vector<DeadlineJob>& jobs, std::vector<Entry>& selected) {
+  std::sort(jobs.begin(), jobs.end(), edd_less);
+  selected.clear();
+  Time total = 0;
+  for (const DeadlineJob& job : jobs) {
+    if constexpr (std::is_same_v<Entry, Time>) {
+      selected.push_back(job.proc_time);
+    } else {
+      selected.emplace_back(job.proc_time, job.id);
+    }
+    std::push_heap(selected.begin(), selected.end());
+    total += job.proc_time;
+    if (total > job.deadline) {
+      std::pop_heap(selected.begin(), selected.end());
+      total -= proc_time_of(selected.back());
+      selected.pop_back();
+    }
+  }
 }
 
 }  // namespace
 
-std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
-
-  // Selected jobs as a max-heap on processing time: when the running total
-  // overshoots a deadline, evicting the longest selected job is optimal
-  // (Moore 1968).
-  struct HeapEntry {
-    Time proc_time;
-    std::size_t id;
-    bool operator<(const HeapEntry& other) const {
-      if (proc_time != other.proc_time) return proc_time < other.proc_time;
-      return id < other.id;  // deterministic eviction among equals
-    }
-  };
-  std::priority_queue<HeapEntry> selected;
-  Time total = 0;
-  for (const DeadlineJob& job : jobs) {
-    selected.push({job.proc_time, job.id});
-    total += job.proc_time;
-    if (total > job.deadline) {
-      const HeapEntry evicted = selected.top();
-      selected.pop();
-      total -= evicted.proc_time;
-    }
-  }
-
-  std::vector<std::size_t> ids;
-  ids.reserve(selected.size());
-  while (!selected.empty()) {
-    ids.push_back(selected.top().id);
-    selected.pop();
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
+void moore_hodgson_select(std::vector<DeadlineJob>& jobs, std::vector<SelectedJob>& selected) {
+  select_edd(jobs, selected);
 }
 
-// The count-only twins below mutate caller-owned scratch only — statically
-// allocation-checked (dynamic twin: tests/test_counting.cpp).
-// mstlint: zero-alloc
 std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
-
-  // Same eviction rule as `moore_hodgson`, but the heap only needs the
-  // processing times: the count is invariant under which of several
-  // longest-job ties gets evicted.
-  heap_scratch.clear();
-  Time total = 0;
-  for (const DeadlineJob& job : jobs) {
-    heap_scratch.push_back(job.proc_time);
-    std::push_heap(heap_scratch.begin(), heap_scratch.end());
-    total += job.proc_time;
-    if (total > job.deadline) {
-      std::pop_heap(heap_scratch.begin(), heap_scratch.end());
-      total -= heap_scratch.back();
-      heap_scratch.pop_back();
-    }
-  }
+  select_edd(jobs, heap_scratch);
   return heap_scratch.size();
 }
 
@@ -105,6 +89,16 @@ std::size_t moore_hodgson_released_count(std::vector<DeadlineJob>& jobs,
   return best;
 }
 // mstlint: zero-alloc-end
+
+std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs) {
+  std::vector<SelectedJob> selected;
+  moore_hodgson_select(jobs, selected);
+  std::vector<std::size_t> ids;
+  ids.reserve(selected.size());
+  for (const auto& [proc_time, id] : selected) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 
 std::vector<std::size_t> moore_hodgson_released(std::vector<DeadlineJob> jobs,
                                                 const std::vector<Time>& releases,

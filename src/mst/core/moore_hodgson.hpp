@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "mst/common/time.hpp"
@@ -34,9 +35,18 @@ struct DeadlineJob {
 /// selected.  Deterministic: ties are broken by (deadline, proc_time, id).
 std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs);
 
-/// Count-only Moore–Hodgson for sweep hot paths: sorts `jobs` in place and
-/// keeps the selected processing times in `heap_scratch` (cleared, capacity
-/// reused), so a warmed-up caller triggers no allocation.  Returns the same
+/// A selected job as `(proc_time, id)`; the selection heap evicts the
+/// largest processing time first, ties toward the larger id.
+using SelectedJob = std::pair<Time, std::size_t>;
+
+/// `moore_hodgson` on caller scratch: sorts `jobs` in place (EDD) and leaves
+/// the selected jobs in `selected` (cleared, capacity reused; heap order —
+/// the ids `moore_hodgson` returns, unsorted).  A warmed-up caller triggers
+/// no allocation.
+void moore_hodgson_select(std::vector<DeadlineJob>& jobs, std::vector<SelectedJob>& selected);
+
+/// Count-only Moore–Hodgson for sweep hot paths: the same selection with a
+/// heap of processing times only, kept in `heap_scratch`.  Returns the same
 /// cardinality `moore_hodgson` selects — the optimum is unique even when the
 /// selection is not.
 std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch);

@@ -63,11 +63,11 @@ struct SpiderSolveScratch {
   SpiderCountScratch count;          ///< binary-search probes + leg builds
   std::vector<ChainSchedule> legs;   ///< pooled leg decision schedules
   std::vector<DeadlineJob> jobs;     ///< node instance in `transform` order
-  std::vector<std::pair<Time, std::size_t>> sel_heap;  ///< (comm, id) eviction heap
+  std::vector<SelectedJob> sel_heap;  ///< Moore–Hodgson selection with ids
   std::vector<std::size_t> leg_of;   ///< node id → leg index
   std::vector<std::size_t> counts;   ///< kept suffix length per leg
-  /// Step (4) sequencing: (deadline, leg, task_index) — the tuple order is
-  /// exactly the legacy `Chosen` comparator.
+  /// Step (4) sequencing: (deadline, leg, task_index), EDD with ties toward
+  /// the lower leg, then the earlier task.
   std::vector<std::tuple<Time, std::size_t, std::size_t>> chosen;
 };
 
@@ -83,9 +83,10 @@ class SpiderScheduler {
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Spider& spider, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: runs the per-leg backward counting and the
-  /// count-only Moore–Hodgson selection entirely in `scratch`, never
-  /// materializing leg schedules or virtual-node vectors.  Returns exactly
+  /// Allocation-free counting: runs the per-leg backward construction with
+  /// a first-emissions sink and the count-only Moore–Hodgson selection
+  /// entirely in `scratch`, never materializing leg schedules or
+  /// virtual-node vectors.  Returns exactly
   /// `schedule_within(spider, t_lim, cap).tasks.size()`.  Both the makespan
   /// form's binary search and the registry's `materialize == false` fast
   /// path run on this.
@@ -120,21 +121,26 @@ class SpiderScheduler {
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
 
   // -------------------------------------------------------------------------
-  // Scratch-reusing materialization: bit-identical to the value-returning
-  // forms (pinned by tests/test_zero_alloc.cpp), rebuilding `out` in place so
-  // repeated solves on warm scratch perform zero heap allocations.
+  // One pipeline, two sinks.  Steps (1)–(2) run the chain kernel on every
+  // leg — count-only with the first-emissions sink for `count_within`,
+  // materialized into pooled leg slots for the `_into` forms; the identical
+  // and the release-dated counts share that leg loop.  The value-returning
+  // forms are a local scratch around the `_into` forms, which rebuild `out`
+  // in place so repeated solves on warm scratch perform zero heap
+  // allocations.
 
-  /// In-place twin of `schedule_within(spider, t_lim, cap)`: per-leg builds
-  /// through the chain `_into` path into pooled leg slots, virtual nodes
-  /// enumerated in the exact `transform` order (leg-major, ascending first
-  /// emission — node ids must match for Moore–Hodgson tie-breaking), then
-  /// the identical selection / trim / EDD re-sequencing.
+  /// `schedule_within(spider, t_lim, cap)` into `out`.
   static void schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);
 
-  /// In-place twin of `schedule(spider, n)` (binary search + normalize).
-  static void schedule_into(const Spider& spider, std::size_t n, SpiderSolveScratch& scratch,
-                            SpiderSchedule& out);
+  /// `schedule_within(spider, t_lim, workload, cap)` into `out`.
+  static void schedule_within_into(const Spider& spider, Time t_lim, const Workload& workload,
+                                   std::size_t cap, SpiderSolveScratch& scratch,
+                                   SpiderSchedule& out);
+
+  /// `schedule(spider, workload)` into `out`.
+  static void schedule_into(const Spider& spider, const Workload& workload,
+                            SpiderSolveScratch& scratch, SpiderSchedule& out);
 };
 
 }  // namespace mst

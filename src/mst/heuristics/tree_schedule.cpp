@@ -13,7 +13,8 @@ void schedule_tree_via_cover_into(const Tree& tree, std::size_t n, TreeCoverScra
                                   std::vector<NodeId>& destinations, Time& makespan) {
   MST_REQUIRE(n >= 1, "need at least one task");
   const SpiderCover cover = cover_tree_with_spider(tree, scratch.arena);
-  SpiderScheduler::schedule_into(cover.spider, n, scratch.spider, scratch.plan);
+  SpiderScheduler::schedule_into(cover.spider, Workload::identical(n), scratch.spider,
+                                 scratch.plan);
   const SpiderSchedule& plan = scratch.plan;
 
   // Destination sequence in master-emission order (the planner already

@@ -85,16 +85,16 @@ double ms_since(const std::chrono::steady_clock::time_point& start) {
 
 /// The one timing loop all three cell modes share: runs `solve` `reps`
 /// times, keeps the smallest wall time in `wall_ms`, and returns the last
-/// result.  When the result type is recyclable (solve/decision results) and
-/// a scratch is present, each overwritten rep hands its payload back first,
-/// so the rep loop itself runs on warm pools.
+/// result.  When the result type is recyclable (solve/decision results),
+/// each overwritten rep hands its payload back to the scratch first, so the
+/// rep loop itself runs on warm pools.
 template <typename Solve>
-auto best_of_reps(int reps, api::SolveScratch* scratch, double& wall_ms, Solve&& solve) {
+auto best_of_reps(int reps, api::SolveScratch& scratch, double& wall_ms, Solve&& solve) {
   using Result = std::invoke_result_t<Solve&>;
   Result result;
   for (int rep = 0; rep < reps; ++rep) {
     if constexpr (requires(api::SolveScratch& s) { s.recycle(std::move(result)); }) {
-      if (rep > 0 && scratch != nullptr) scratch->recycle(std::move(result));
+      if (rep > 0) scratch.recycle(std::move(result));
     }
     const auto start = std::chrono::steady_clock::now();
     result = solve();
@@ -105,12 +105,12 @@ auto best_of_reps(int reps, api::SolveScratch* scratch, double& wall_ms, Solve&&
 }
 
 void run_one(const Cell& cell, const RunOptions& options, const api::Registry& registry,
-             api::SolveScratch* scratch, CellOutcome& out) {
+             api::SolveScratch& scratch, CellOutcome& out) {
   api::SolveOptions solve_options;
   solve_options.materialize = options.materialize;
   solve_options.seed = cell.seed;
   solve_options.cap = options.cap;
-  solve_options.scratch = scratch;
+  solve_options.scratch = &scratch;
   // Decision-form cells of the workload axis select from a finite pool.
   if (cell.mode == CellMode::kWithin) solve_options.workload = cell.workload;
 
@@ -173,7 +173,7 @@ void run_one(const Cell& cell, const RunOptions& options, const api::Registry& r
         const FeasibilityReport report = api::check_feasibility(result);
         if (!report.ok()) out.error = report.summary();
       }
-      if (scratch != nullptr) scratch->recycle(std::move(result));
+      scratch.recycle(std::move(result));
     } else {
       api::DecisionResult result = best_of_reps(reps, scratch, out.wall_ms, [&] {
         return registry.solve_within(*cell.platform, cell.algorithm, cell.deadline,
@@ -187,7 +187,7 @@ void run_one(const Cell& cell, const RunOptions& options, const api::Registry& r
         const FeasibilityReport report = api::check_feasibility(result);
         if (!report.ok()) out.error = report.summary();
       }
-      if (scratch != nullptr) scratch->recycle(std::move(result));
+      scratch.recycle(std::move(result));
     }
   } catch (const std::exception& e) {
     out.error = e.what();
@@ -291,36 +291,24 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
   // identity is the grouping key; the linear scan keeps the grouping
   // deterministic — no unordered containers anywhere in the runner).  A
   // worker executes a whole batch with one warm SolveScratch, so every cell
-  // after the first reuses the previous solve's buffers.  `batch = false`
-  // reproduces the historical per-cell stealing with no scratch at all.
-  // Journal-completed cells are filtered out here, before batching — the
-  // solve hot path never sees them.
+  // after the first reuses the previous solve's buffers.  Journal-completed
+  // cells are filtered out here, before batching — the solve hot path never
+  // sees them.
   std::vector<std::vector<std::size_t>> batches;  // entries are result slots
-  if (options.batch) {
-    std::vector<const api::Platform*> seen;
-    for (std::size_t j = 0; j < owned.size(); ++j) {
-      if (journal_done(done, j)) {
-        skipped_counter.increment();
-        continue;
-      }
-      const api::Platform* platform = cells[owned[j]].platform.get();
-      std::size_t b = 0;
-      while (b < seen.size() && seen[b] != platform) ++b;
-      if (b == seen.size()) {
-        seen.push_back(platform);
-        batches.emplace_back();
-      }
-      batches[b].push_back(j);
+  std::vector<const api::Platform*> seen;
+  for (std::size_t j = 0; j < owned.size(); ++j) {
+    if (journal_done(done, j)) {
+      skipped_counter.increment();
+      continue;
     }
-  } else {
-    batches.reserve(owned.size());
-    for (std::size_t j = 0; j < owned.size(); ++j) {
-      if (journal_done(done, j)) {
-        skipped_counter.increment();
-        continue;
-      }
-      batches.push_back({j});
+    const api::Platform* platform = cells[owned[j]].platform.get();
+    std::size_t b = 0;
+    while (b < seen.size() && seen[b] != platform) ++b;
+    if (b == seen.size()) {
+      seen.push_back(platform);
+      batches.emplace_back();
     }
+    batches[b].push_back(j);
   }
 
   unsigned threads =
@@ -333,7 +321,7 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
   // Work stealing by atomic batch index; slot `j` belongs to owned cell
   // `j`, so the result order never depends on scheduling, and the
   // scratch-reusing solves are bit-identical to scratch-free ones — output
-  // stays identical at any thread count and in both batch modes.  A
+  // stays identical at any thread count.  A
   // journal failure (disk full, fsync error) in any worker stops the pool
   // and rethrows on the calling thread: a sweep that cannot record its
   // progress must fail loudly, not finish unresumably.
@@ -348,8 +336,7 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
     for (std::size_t b = next.fetch_add(1); b < batches.size() && !stop.load();
          b = next.fetch_add(1)) {
       for (std::size_t j : batches[b]) {
-        run_one(cells[owned[j]], options, registry, options.batch ? &scratch : nullptr,
-                results[j]);
+        run_one(cells[owned[j]], options, registry, scratch, results[j]);
         if (journal.has_value()) {
           try {
             journal->append(results[j]);

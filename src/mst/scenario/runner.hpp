@@ -40,16 +40,6 @@ struct RunOptions {
   bool check = false;
   /// Timing repetitions per cell; `wall_ms` keeps the best (smallest) run.
   int reps = 1;
-  /// Batched execution (default): cells are grouped into same-platform
-  /// batches (first-occurrence order), workers steal whole batches, and
-  /// each worker threads one warm `api::SolveScratch` through its batch —
-  /// repeated solves reuse buffers instead of reallocating per cell.
-  /// Results are bit-identical either way (results land in index-keyed
-  /// slots; the scratch paths are pinned equal to the plain ones), so this
-  /// only moves wall time.  `false` reproduces the historical per-cell
-  /// stealing with no scratch — kept for benchmarking the difference
-  /// (bench/bench_sweep.cpp).
-  bool batch = true;
   /// Decision-form search cap (`SolveOptions::cap`).
   std::size_t cap = 1u << 20;
   /// Deterministic grid partition for distributed sweeps: this run executes

@@ -292,20 +292,18 @@ TEST(ShardedRun, ResumeRejectsAForeignGrid) {
 
 /// The tentpole: shard the grid N ways through journals, merge, and demand
 /// the merged report is byte-identical to the single-process run — for 2-
-/// and 3-way splits, in both batch modes, CSV and JSON.
-void check_merge_identity(std::size_t shards, bool batch, const std::string& tag) {
+/// and 3-way splits, CSV and JSON.
+void check_merge_identity(std::size_t shards, const std::string& tag) {
   const std::string dir = scratch_dir("merge_" + tag);
   const std::vector<Cell> cells = expand(small_grid());
 
   RunOptions single;
   single.threads = 2;
-  single.batch = batch;
   const std::vector<CellOutcome> reference = run_cells(cells, single);
 
   for (std::size_t i = 0; i < shards; ++i) {
     RunOptions shard;
     shard.threads = 2;
-    shard.batch = batch;
     shard.shard_index = i;
     shard.shard_count = shards;
     shard.journal_dir = dir;
@@ -324,21 +322,9 @@ void check_merge_identity(std::size_t shards, bool batch, const std::string& tag
   EXPECT_FALSE(to_csv(merged, timing).empty());
 }
 
-TEST(MergeJournals, TwoShardsBatchedByteIdentical) {
-  check_merge_identity(2, /*batch=*/true, "2b");
-}
+TEST(MergeJournals, TwoShardsBatchedByteIdentical) { check_merge_identity(2, "2b"); }
 
-TEST(MergeJournals, ThreeShardsBatchedByteIdentical) {
-  check_merge_identity(3, /*batch=*/true, "3b");
-}
-
-TEST(MergeJournals, TwoShardsUnbatchedByteIdentical) {
-  check_merge_identity(2, /*batch=*/false, "2u");
-}
-
-TEST(MergeJournals, ThreeShardsUnbatchedByteIdentical) {
-  check_merge_identity(3, /*batch=*/false, "3u");
-}
+TEST(MergeJournals, ThreeShardsBatchedByteIdentical) { check_merge_identity(3, "3b"); }
 
 TEST(MergeJournals, MissingShardIsAHardError) {
   const std::string dir = scratch_dir("missing_shard");

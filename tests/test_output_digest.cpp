@@ -117,7 +117,7 @@ void digest_chain(Digest& d, const Chain& chain, Rng& rng) {
   for (const std::size_t n : {1u, 2u, 7u, 23u, 64u}) {
     d.add_schedule(ChainScheduler::schedule(chain, n));
     d.add(ChainScheduler::makespan(chain, n));
-    ChainScheduler::schedule_into(chain, n, scratch, into);
+    ChainScheduler::schedule_into(chain, Workload::identical(n), scratch, into);
     d.add_schedule(into);
     const Workload released = released_workload(rng, n);
     d.add_schedule(ChainScheduler::schedule(chain, released));
@@ -163,7 +163,7 @@ void digest_fork(Digest& d, const Fork& fork, Rng& rng) {
   for (const std::size_t n : {1u, 3u, 9u, 26u, 70u}) {
     d.add_schedule(ForkScheduler::schedule(fork, n));
     d.add(ForkScheduler::makespan(fork, n));
-    ForkScheduler::schedule_into(fork, n, scratch, into);
+    ForkScheduler::schedule_into(fork, Workload::identical(n), scratch, into);
     d.add_schedule(into);
     d.add_schedule(ForkScheduler::schedule(fork, released_workload(rng, n)));
   }
@@ -191,7 +191,7 @@ void digest_spider(Digest& d, const Spider& spider, Rng& rng) {
   for (const std::size_t n : {1u, 4u, 11u, 24u, 60u}) {
     d.add_schedule(SpiderScheduler::schedule(spider, n));
     d.add(SpiderScheduler::makespan(spider, n));
-    SpiderScheduler::schedule_into(spider, n, scratch, into);
+    SpiderScheduler::schedule_into(spider, Workload::identical(n), scratch, into);
     d.add_schedule(into);
     d.add_schedule(SpiderScheduler::schedule(spider, released_workload(rng, n)));
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "mst/api/registry.hpp"
@@ -12,6 +13,7 @@
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
+#include "mst/obs/metrics.hpp"
 #include "mst/platform/generator.hpp"
 
 namespace mst {
@@ -203,6 +205,53 @@ TEST(Registry, UncheckedResultsAreFlagged) {
   bare.tasks = 3;
   bare.makespan = 10;
   EXPECT_FALSE(api::check_feasibility(bare).ok());
+}
+
+/// A scheduler registered by pointer: it checks no workload features
+/// itself, so only the registry's capability gate stands between it and a
+/// pool it cannot handle.  One task per time unit, whatever the platform.
+class UncheckedScheduler final : public api::Scheduler {
+ public:
+  [[nodiscard]] api::SolveResult solve(const api::Platform& platform, const Workload& workload,
+                                       const api::SolveOptions& /*options*/) const override {
+    api::SolveResult result;
+    result.algorithm = "unchecked";
+    result.kind = api::kind_of(platform);
+    result.tasks = workload.count();
+    result.makespan = static_cast<Time>(workload.count());
+    return result;
+  }
+};
+
+api::Registry identical_only_registry() {
+  api::Registry local;
+  local.add({api::PlatformKind::kChain, "unchecked", "identical-only pointer entry (test stub)",
+             /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
+            std::make_shared<const UncheckedScheduler>());
+  return local;
+}
+
+TEST(Registry, MaxTasksAppliesTheCapabilityGate) {
+  const api::Registry local = identical_only_registry();
+  api::SolveOptions options;
+  options.workload = std::make_shared<const Workload>(Workload::released({0, 3, 5}));
+  EXPECT_THROW((void)local.max_tasks(fig2_chain(), "unchecked", 10, options),
+               std::invalid_argument);
+  options.workload = std::make_shared<const Workload>(Workload::identical(3));
+  EXPECT_EQ(local.max_tasks(fig2_chain(), "unchecked", 10, options), 3u);
+}
+
+TEST(Registry, MaxTasksCountsADecideDispatch) {
+  const api::Registry local = identical_only_registry();
+  obs::MetricsRegistry metrics;
+  api::SolveOptions options;
+  options.metrics = &metrics;
+  EXPECT_EQ(local.max_tasks(fig2_chain(), "unchecked", 4, options), 4u);
+  std::int64_t decides = 0;
+  for (const obs::MetricSample& sample : metrics.snapshot()) {
+    if (sample.name == "api.decide.unchecked") decides = sample.value;
+  }
+  EXPECT_EQ(decides, 1);
 }
 
 }  // namespace
