@@ -1,7 +1,8 @@
 // CPLX-FORK: microbenchmarks of the fork (star) scheduler — decision form,
-// makespan binary search, the ascending-c greedy selector and Moore–Hodgson
-// selection.  Timing harness shared with the other bench_* binaries:
-// bench/bench_harness.hpp; the committed baseline is bench/BENCH_fork.json.
+// makespan binary search and its materialization step alone, the
+// ascending-c greedy selector and Moore–Hodgson selection.  Timing harness
+// shared with the other bench_* binaries: bench/bench_harness.hpp; the
+// committed baseline is bench/BENCH_fork.json.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +40,19 @@ std::vector<Row> run_all() {
     for (std::size_t n = 16; n <= 1024; n *= 4) {
       rows.push_back({"fork_makespan_form", n, time_op([&] {
                         keep(mst::ForkScheduler::makespan(fork16, n));
+                      })});
+    }
+    // The materialization alone: the decision form at the optimal horizon
+    // (which the makespan search lands on), on a fresh scratch like the
+    // row above — so the search's share is that row minus this one.
+    for (std::size_t n = 16; n <= 1024; n *= 4) {
+      const mst::Time optimum = mst::ForkScheduler::makespan(fork16, n);
+      rows.push_back({"fork_within_at_optimum", n, time_op([&] {
+                        mst::ForkCountScratch scratch;
+                        mst::ForkSchedule out;
+                        mst::ForkScheduler::schedule_within_into(fork16, optimum, n, scratch,
+                                                                 out);
+                        keep(out.tasks.size());
                       })});
     }
   }

@@ -1,8 +1,8 @@
 // CPLX-SPIDER: microbenchmarks of the spider algorithm (Theorem 2 claims a
-// polynomial bound below O(n²p²)) — decision form, makespan n-sweep and the
-// spider→chains transformation.  Timing harness shared with the other
-// bench_* binaries: bench/bench_harness.hpp; the committed baseline is
-// bench/BENCH_spider.json.
+// polynomial bound below O(n²p²)) — decision form, makespan n-sweep, its
+// materialization step alone and the spider→chains transformation.  Timing
+// harness shared with the other bench_* binaries: bench/bench_harness.hpp;
+// the committed baseline is bench/BENCH_spider.json.
 
 #include <cstddef>
 #include <utility>
@@ -43,6 +43,19 @@ std::vector<Row> run_all() {
     for (std::size_t n = 16; n <= 512; n *= 2) {
       rows.push_back({"spider_makespan_tasks", n, time_op([&] {
                         keep(mst::SpiderScheduler::makespan(spider6, n));
+                      })});
+    }
+    // The materialization alone: the decision form at the optimal horizon
+    // (which the makespan search lands on), on a fresh scratch like the
+    // row above — so the search's share is that row minus this one.
+    for (std::size_t n = 16; n <= 512; n *= 2) {
+      const mst::Time optimum = mst::SpiderScheduler::makespan(spider6, n);
+      rows.push_back({"spider_within_at_optimum", n, time_op([&] {
+                        mst::SpiderSolveScratch scratch;
+                        mst::SpiderSchedule out;
+                        mst::SpiderScheduler::schedule_within_into(spider6, optimum, n, scratch,
+                                                                   out);
+                        keep(out.tasks.size());
                       })});
     }
   }

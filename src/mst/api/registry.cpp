@@ -62,6 +62,18 @@ void require_tasks(std::size_t n) {
 
 void require_tasks(const Workload& workload) { require_tasks(workload.count()); }
 
+/// Makespan solves size their instances by the task count — the fork node
+/// instance alone holds up to `p·n` jobs — so a count above the search
+/// limit the decision form already honours (`SolveOptions::cap`) is
+/// rejected before anything is built.
+void require_within_cap(const Workload& workload, const SolveOptions& options) {
+  const std::size_t limit = std::max<std::size_t>(1, options.cap);
+  if (workload.count() <= limit) return;
+  throw std::invalid_argument("solve: " + std::to_string(workload.count()) +
+                              " tasks exceed the task limit SolveOptions::cap = " +
+                              std::to_string(limit) + " (mstctl --cap)");
+}
+
 /// The capability gate: unsupported workload features are rejected up
 /// front, with a message naming algorithm, feature and remedy — never
 /// silently mis-scheduled.
@@ -319,8 +331,9 @@ auto with_scratch(const SolveOptions& options, Fn&& fn) {
 
 /// Adapts callables to the Scheduler interface (used by both lambda
 /// overloads of Registry::add and by every built-in registration below).
-/// Enforces the `materialize` contract and the workload capability gate
-/// centrally, so individual registrations cannot forget either.
+/// Enforces the `materialize` contract, the workload capability gate and
+/// the task limit centrally, so individual registrations cannot forget
+/// any of them.
 class FunctionScheduler final : public Scheduler {
  public:
   FunctionScheduler(std::string name, WorkloadFeatures supports, Registry::SolveFn solve_fn,
@@ -335,6 +348,7 @@ class FunctionScheduler final : public Scheduler {
   [[nodiscard]] SolveResult solve(const Platform& platform, const Workload& workload,
                                   const SolveOptions& options) const override {
     require_supported(name_, supports_, workload.features());
+    require_within_cap(workload, options);
     return with_scratch(options, [&](const SolveOptions& scoped) {
       SolveResult result = solve_fn_(platform, workload, scoped);
       result.workload = workload;

@@ -114,7 +114,10 @@ struct SolveOptions {
   /// entry); deterministic per (platform, n, seed).
   std::uint64_t seed = 1;
   /// Upper bound on the task count explored by decision-form solves (both
-  /// the native counting procedures and the makespan-inversion adapter).
+  /// the native counting procedures and the makespan-inversion adapter),
+  /// and the largest task count a built-in makespan solve accepts — larger
+  /// workloads are rejected with `std::invalid_argument` before any
+  /// instance is built.
   std::size_t cap = 1u << 20;
   /// Decision-form task pool.  Null (default) keeps the historical
   /// semantics — an unbounded stream of identical tasks, capped by `cap`.

@@ -9,8 +9,14 @@ namespace mst {
 
 namespace {
 
-// Sinks of `detail::backward_construction`.  Statically allocation-checked
-// (dynamic twins: tests/test_counting.cpp, tests/test_zero_alloc.cpp).
+void require_uniform_sizes(const Workload& workload) {
+  MST_REQUIRE(workload.uniform_sizes(),
+              "the backward construction is only optimal for identical task sizes");
+}
+
+// Sinks of `detail::backward_construction` and the build/probe steps of the
+// release-dated counts.  Statically allocation-checked (dynamic twins:
+// tests/test_counting.cpp, tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
 
 /// Count only; optionally records each task's first-link emission `C^i_1`
@@ -58,23 +64,30 @@ void build_backward_into(const Chain& chain, Time horizon, std::size_t max_tasks
   out.tasks.resize(sink.used);
   std::reverse(out.tasks.begin(), out.tasks.end());
 }
-// mstlint: zero-alloc-end
 
-/// Largest k such that the k latest backward emissions dominate the k
-/// earliest release dates: `emissions[j] >= releases[k-1-j]` for all `j < k`
-/// (`emissions` in construction order, latest first; `releases` sorted
-/// ascending).  Feasible(k) implies feasible(k-1) — the matched release of
-/// every emission only gets smaller — so binary search is exact.
-std::size_t max_released_count(const std::vector<Time>& emissions,
+/// The count at `T = H - shift` of a counting construction's first
+/// emissions at `H` (construction order, latest first).  By the shift lemma
+/// (`min_horizon` in `core/kernels.hpp`) the construction at `T` emits the
+/// same values lowered by `shift`, stopping before the first negative one;
+/// emissions never increase along the construction, so that cut is a
+/// prefix.  Without release dates the count is the cut itself.  With them
+/// it is the largest k such that the k latest shifted emissions dominate
+/// the k earliest release dates: `emissions[j] - shift >= releases[k-1-j]`
+/// for all `j < k` (`releases` sorted ascending).  Feasible(k) implies
+/// feasible(k-1) — the matched release of every emission only gets smaller
+/// — so binary search is exact.
+std::size_t max_released_count(const std::vector<Time>& emissions, Time shift,
                                const std::vector<Time>& releases) {
+  std::size_t hi = 0;
+  while (hi < emissions.size() && emissions[hi] >= shift) ++hi;
+  if (releases.empty()) return hi;
   const auto feasible = [&](std::size_t k) {
     for (std::size_t j = 0; j < k; ++j) {
-      if (emissions[j] < releases[k - 1 - j]) return false;
+      if (emissions[j] - shift < releases[k - 1 - j]) return false;
     }
     return true;
   };
   std::size_t lo = 0;
-  std::size_t hi = emissions.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo + 1) / 2;
     if (feasible(mid)) {
@@ -86,12 +99,25 @@ std::size_t max_released_count(const std::vector<Time>& emissions,
   return lo;
 }
 
-void require_uniform_sizes(const Workload& workload) {
-  MST_REQUIRE(workload.uniform_sizes(),
-              "the backward construction is only optimal for identical task sizes");
+}  // namespace
+
+void ChainScheduler::build_instance(const Chain& chain, Time horizon, const Workload& workload,
+                                    std::size_t cap, ChainCountScratch& scratch) {
+  require_uniform_sizes(workload);
+  scratch.build_horizon = horizon;
+  scratch.emissions.clear();
+  count_backward(chain, horizon, std::min(cap, workload.count()), scratch, &scratch.emissions);
 }
 
-}  // namespace
+std::size_t ChainScheduler::probe_instance(Time t_lim, const Workload& workload,
+                                           std::size_t /*cap*/, ChainCountScratch& scratch) {
+  MST_REQUIRE(t_lim >= 0 && t_lim <= scratch.build_horizon,
+              "probe horizon must lie in [0, build horizon]");
+  return max_released_count(scratch.emissions, scratch.build_horizon - t_lim,
+                            workload.releases());
+}
+
+// mstlint: zero-alloc-end
 
 ChainSchedule ChainScheduler::build_backward(const Chain& chain, Time horizon,
                                              std::size_t max_tasks, bool stop_on_negative) {
@@ -123,9 +149,8 @@ std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim,
   require_uniform_sizes(workload);
   const std::size_t k_cap = std::min(cap, workload.count());
   if (!workload.has_release_dates()) return count_within(chain, t_lim, k_cap, scratch);
-  scratch.emissions.clear();
-  count_within_emissions(chain, t_lim, k_cap, scratch, scratch.emissions);
-  return max_released_count(scratch.emissions, workload.releases());
+  build_instance(chain, t_lim, workload, cap, scratch);
+  return probe_instance(t_lim, workload, cap, scratch);
 }
 
 void ChainScheduler::schedule_within_into(const Chain& chain, Time t_lim, std::size_t max_tasks,
@@ -156,12 +181,13 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
     // Minimal horizon admitting all n tasks.  The all-on-first-processor
     // schedule shifted past the last release always fits, so the upper
     // bound is feasible; monotonicity of the count in the horizon makes it
-    // exact.  No -C^1_1 shift: release dates are absolute, the window is the
-    // schedule.
-    const Time horizon =
-        detail::min_horizon(0, workload.last_release() + chain.t_infinity(n), [&](Time t) {
-          return count_within(chain, t, workload, n, scratch) >= n;
-        });
+    // exact.  The backward construction runs once, at the top; every probe
+    // shifts its emissions down to the probed horizon.  No -C^1_1 shift:
+    // release dates are absolute, the window is the schedule.
+    const Time top = workload.last_release() + chain.t_infinity(n);
+    build_instance(chain, top, workload, n, scratch);
+    const Time horizon = detail::min_horizon(
+        0, top, [&](Time t) { return probe_instance(t, workload, n, scratch) >= n; });
     schedule_within_into(chain, horizon, workload, n, scratch, out);
     MST_ASSERT(out.tasks.size() == n);
     return;

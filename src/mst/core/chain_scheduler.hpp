@@ -40,7 +40,8 @@ struct ChainCountScratch {
   std::vector<Time> occupancy;
   std::vector<Time> candidate;
   std::vector<Time> best;
-  std::vector<Time> emissions;  ///< release-date counting: first emissions
+  std::vector<Time> emissions;  ///< release-dated counts: first emissions as built
+  Time build_horizon = 0;       ///< horizon `emissions` were built at
 };
 
 /// Optimal scheduling on chains (stateless; all methods are pure functions
@@ -68,6 +69,13 @@ class ChainScheduler {
   /// optimality), so a horizon admits `n` release-feasible tasks iff any
   /// schedule does.  Non-uniform task sizes are outside the algorithm's
   /// optimality proof and are rejected (`std::invalid_argument`).
+  ///
+  /// Search cost: one `O(n·p²)` backward construction at the top of the
+  /// range, then ~log2(top) probes of `O(n log n)` each, with no further
+  /// construction.  This rests on a shift lemma, a result beyond the paper:
+  /// the construction commutes with a uniform shift of its horizon, so its
+  /// first emissions at `T <= H` are those at `H` shifted by `T - H` and cut
+  /// before the first negative one (`min_horizon` in `core/kernels.hpp`).
   static ChainSchedule schedule(const Chain& chain, const Workload& workload);
 
   /// Workload decision form: as many workload tasks as possible — at most
@@ -77,14 +85,28 @@ class ChainScheduler {
   static ChainSchedule schedule_within(const Chain& chain, Time t_lim, const Workload& workload,
                                        std::size_t cap);
 
-  /// Counting form of the above.  For release-dated workloads this replays
-  /// the counting construction once, collecting first emissions into the
-  /// scratch, and then finds the largest k whose k latest emissions dominate
-  /// the k earliest release dates (sorted-to-sorted matching is optimal for
+  /// Counting form of the above.  For release-dated workloads this builds
+  /// the counting construction's first emissions into the scratch once, and
+  /// then probes them: the largest k whose k latest emissions dominate the k
+  /// earliest release dates (sorted-to-sorted matching is optimal for
   /// interchangeable tasks; the predicate is monotone in k, so a binary
   /// search suffices).
   static std::size_t count_within(const Chain& chain, Time t_lim, const Workload& workload,
                                   std::size_t cap, ChainCountScratch& scratch);
+
+  /// The two steps of the release-dated counts (`count_within` runs both
+  /// at `t_lim`).  `build_instance` runs the counting construction at
+  /// `horizon` once, recording at most `min(cap, workload.count())` first
+  /// emissions in `scratch.emissions`; `probe_instance` then answers the
+  /// count at any `t_lim` in `[0, horizon]` — for the same workload and
+  /// cap — by shifting and cutting those emissions and matching them
+  /// against the release dates, with no further construction.  Equals
+  /// `count_within(chain, t_lim, workload, cap, scratch)` at every such
+  /// `t_lim`, identical workloads included.
+  static void build_instance(const Chain& chain, Time horizon, const Workload& workload,
+                             std::size_t cap, ChainCountScratch& scratch);
+  static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
+                                    ChainCountScratch& scratch);
 
   /// Decision form (§7): schedule as many tasks as possible — at most
   /// `max_tasks` — so that all of them complete by `t_lim`.  All times stay

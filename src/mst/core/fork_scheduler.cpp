@@ -33,23 +33,32 @@ Time single_slave_horizon(const Fork& fork, std::size_t n) {
 // tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
 
-/// The Fig 6 virtual nodes of every slave as `scratch.jobs`, without
-/// materializing per-slave vectors (same node set as `expand_fork`, ids in
-/// the same order), each node's slave in `scratch.slave_of`.
-void append_fork_jobs(const Fork& fork, Time t_lim, std::size_t max_per_slave,
-                      ForkCountScratch& scratch) {
-  scratch.jobs.clear();
-  scratch.slave_of.clear();
+/// Every Fig 6 virtual node that could complete within `t_lim` — at most
+/// `max_per_slave` per slave, slave-major in ascending rank (the node set
+/// and order of `expand_fork`) — as `emit(slave, comm, deadline)`.
+template <typename Emit>
+void for_each_fork_node(const Fork& fork, Time t_lim, std::size_t max_per_slave, Emit&& emit) {
   for (std::size_t i = 0; i < fork.size(); ++i) {
     const Processor& slave = fork.slave(i);
     const Time m = std::max(slave.comm, slave.work);
     for (std::size_t q = 0; q < max_per_slave; ++q) {
       const Time exec = slave.work + static_cast<Time>(q) * m;
       if (exec + slave.comm > t_lim) break;  // could never complete in the window
-      scratch.jobs.push_back(DeadlineJob{slave.comm, t_lim - exec, scratch.jobs.size()});
-      scratch.slave_of.push_back(i);
+      emit(i, slave.comm, t_lim - exec);
     }
   }
+}
+
+/// The node instance of the select step as `scratch.jobs`, ids in
+/// enumeration order, each node's slave in `scratch.slave_of`.
+void append_fork_jobs(const Fork& fork, Time t_lim, std::size_t max_per_slave,
+                      ForkCountScratch& scratch) {
+  scratch.jobs.clear();
+  scratch.slave_of.clear();
+  for_each_fork_node(fork, t_lim, max_per_slave, [&](std::size_t slave, Time comm, Time deadline) {
+    scratch.jobs.push_back(DeadlineJob{comm, deadline, scratch.jobs.size()});
+    scratch.slave_of.push_back(slave);
+  });
 }
 
 /// Sequencing order of the selected counts: slave `i` with count `k` uses
@@ -143,11 +152,7 @@ void materialize_fork(const Fork& fork, Time t_lim, const std::vector<Time>* rel
 
 std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                         ForkCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // The select step with the count-only selection heap.  The global cap
-  // trim only ever reduces the total to `cap`, so `min` reproduces it.
-  append_fork_jobs(fork, t_lim, cap, scratch);
-  return std::min(moore_hodgson_count(scratch.jobs, scratch.heap), cap);
+  return count_within(fork, t_lim, Workload::identical(cap), cap, scratch);
 }
 
 std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Time t_lim,
@@ -165,12 +170,31 @@ std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Ti
 
 std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, const Workload& workload,
                                         std::size_t cap, ForkCountScratch& scratch) {
+  build_instance(fork, t_lim, workload, cap, scratch);
+  return probe_instance(t_lim, workload, cap, scratch);
+}
+
+void ForkScheduler::build_instance(const Fork& fork, Time horizon, const Workload& workload,
+                                   std::size_t cap, ForkCountScratch& scratch) {
   require_uniform_sizes(workload);
-  const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) return count_within(fork, t_lim, k_cap, scratch);
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  append_fork_jobs(fork, t_lim, k_cap, scratch);
-  return moore_hodgson_released_count(scratch.jobs, workload.releases(), k_cap, scratch.dp);
+  MST_REQUIRE(horizon >= 0, "time limit must be non-negative");
+  // A node `(exec, comm)` exists at `T <= horizon` iff `exec + comm <= T`,
+  // i.e. iff its shifted deadline `T - exec` is still at least `comm` —
+  // exactly the probe's filter.
+  scratch.build_horizon = horizon;
+  scratch.edd.clear();
+  for_each_fork_node(fork, horizon, std::min(cap, workload.count()),
+                     [&](std::size_t /*slave*/, Time comm, Time deadline) {
+                       scratch.edd.push_back(EddJob{deadline, comm});
+                     });
+  std::sort(scratch.edd.begin(), scratch.edd.end());
+}
+
+std::size_t ForkScheduler::probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
+                                          ForkCountScratch& scratch) {
+  // The select step's global cap trim only ever reduces the total to the
+  // cap, so the probe's `min` reproduces it.
+  return detail::probe_selection(scratch, t_lim, workload, cap);
 }
 
 void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
@@ -220,10 +244,12 @@ void ForkScheduler::schedule_into(const Fork& fork, const Workload& workload,
   const std::size_t n = workload.count();
   // Minimal horizon: the single-best-slave pipeline shifted past the last
   // release (0 without release dates) is always feasible, so the upper
-  // bound holds; every probe reuses `scratch`.
+  // bound holds.  The node instance is built once, at the top; every probe
+  // shifts it down to its horizon.
+  const Time top = single_slave_horizon(fork, n) + workload.last_release();
+  build_instance(fork, top, workload, n, scratch);
   const Time horizon = detail::min_horizon(
-      0, single_slave_horizon(fork, n) + workload.last_release(),
-      [&](Time t) { return count_within(fork, t, workload, n, scratch) >= n; });
+      0, top, [&](Time t) { return probe_instance(t, workload, n, scratch) >= n; });
   schedule_within_into(fork, horizon, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
 }

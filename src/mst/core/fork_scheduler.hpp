@@ -31,7 +31,9 @@ namespace mst {
 /// selection — and the materialization perform no heap allocation at all,
 /// matching the chain/spider paths.
 struct ForkCountScratch {
-  std::vector<DeadlineJob> jobs;  ///< the Fig 6 node instance, reused
+  std::vector<DeadlineJob> jobs;  ///< the Fig 6 node instance with ids (select step)
+  std::vector<EddJob> edd;        ///< the node instance as built for counting probes
+  Time build_horizon = 0;         ///< horizon `edd` was built at
   std::vector<Time> heap;         ///< count-only Moore–Hodgson heap
   std::vector<Time> dp;           ///< positional-release selection DP row
   std::vector<SelectedJob> sel_heap;   ///< Moore–Hodgson selection with ids
@@ -51,12 +53,13 @@ class ForkScheduler {
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: expands each slave's virtual nodes directly
-  /// into `scratch.jobs` (never building node vectors) and runs the
-  /// count-only Moore–Hodgson selection in `scratch.heap`.  Returns exactly
-  /// `schedule_within(fork, t_lim, cap).tasks.size()`.  The makespan form's
-  /// binary search and the registry's `materialize == false` fast path run
-  /// on this.
+  /// Allocation-free counting: the *build* step expands each slave's
+  /// virtual nodes directly into `scratch.edd` (never building node
+  /// vectors) and sorts them EDD; the *probe* step runs the count-only
+  /// Moore–Hodgson selection over them in `scratch.heap`.  Returns exactly
+  /// `schedule_within(fork, t_lim, cap).tasks.size()`.  The registry's
+  /// `materialize == false` fast path runs on this; the makespan search
+  /// runs the same two steps, building once (see `schedule_into`).
   static std::size_t count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                   ForkCountScratch& scratch);
 
@@ -79,12 +82,30 @@ class ForkScheduler {
   static ForkSchedule schedule_within(const Fork& fork, Time t_lim, const Workload& workload,
                                       std::size_t cap);
 
+  /// The two steps of every count (`count_within` runs both at `t_lim`).
+  /// `build_instance` expands the Fig 6 nodes at `horizon` into
+  /// `scratch.edd`, EDD-sorted; `probe_instance` then answers the count at
+  /// any `t_lim` in `[0, horizon]` — for the same workload and cap — by
+  /// shifting and filtering that instance, in one linear Moore–Hodgson (or
+  /// positional-release DP) pass.  Equals `count_within(fork, t_lim,
+  /// workload, cap, scratch)` at every such `t_lim`.
+  static void build_instance(const Fork& fork, Time horizon, const Workload& workload,
+                             std::size_t cap, ForkCountScratch& scratch);
+  static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
+                                    ForkCountScratch& scratch);
+
   /// Workload makespan form: minimal horizon by binary search over the
-  /// release-aware count (absolute times; no shift).
+  /// release-aware count (absolute times; no shift).  Same search cost as
+  /// below, with the positional-release DP as the probe pass.
   static ForkSchedule schedule(const Fork& fork, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks, found by binary
-  /// search on `t_lim` over the monotone decision form.
+  /// search on `t_lim` over the monotone decision form.  The search builds
+  /// the node instance once, at the top of its range, and every probe
+  /// shifts and filters it (`core/kernels.hpp`, `min_horizon`) — one build
+  /// of `O(p·n)` nodes and one sort, then ~log2(top) linear Moore–Hodgson
+  /// probes with no re-sort.  This horizon-invariance of the instance is a
+  /// result beyond the paper, which re-solves the decision form per probe.
   static ForkSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.
@@ -118,8 +139,8 @@ class ForkScheduler {
                                    std::size_t cap, ForkCountScratch& scratch,
                                    ForkSchedule& out);
 
-  /// `schedule(fork, workload)` into `out`; every bisection probe reuses
-  /// `scratch`.
+  /// `schedule(fork, workload)` into `out`; the search builds its instance
+  /// in `scratch` once and every bisection probe reuses it.
   static void schedule_into(const Fork& fork, const Workload& workload,
                             ForkCountScratch& scratch, ForkSchedule& out);
 };

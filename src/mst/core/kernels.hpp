@@ -5,25 +5,47 @@
 
 #include "mst/common/assert.hpp"
 #include "mst/core/chain_scheduler.hpp"
+#include "mst/core/moore_hodgson.hpp"
 #include "mst/platform/chain.hpp"
 #include "mst/schedule/comm_vector.hpp"
+#include "mst/workload/workload.hpp"
 
 /// \file kernels.hpp
 /// Core-private kernels shared by the exact schedulers: the one horizon
-/// bisection behind every makespan form, and the one implementation of the
-/// Fig 3 backward construction.  Every chain entry point — counting, first
-/// emissions, materialization, tracing — and, through them, the spider
-/// reduction runs that loop; a *sink* decides what each step produces.
+/// bisection behind every makespan form with the fork/spider probe step,
+/// and the one implementation of the Fig 3 backward construction.  Every
+/// chain entry point — counting, first emissions, materialization,
+/// tracing — and, through them, the spider reduction runs that loop; a
+/// *sink* decides what each step produces.
 
 namespace mst::detail {
 
-// Both kernels only touch their arguments — statically allocation-checked
+// The kernels only touch their arguments — statically allocation-checked
 // (dynamic twins: tests/test_counting.cpp, tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
 
 /// Smallest horizon in `[lo, hi]` satisfying the monotone predicate `fits`
 /// (`fits(hi)` must hold).  Every makespan form of the exact core finds its
 /// optimal window through this search.
+///
+/// Build once, probe many times.  The searches never rebuild their instance
+/// per probe, because of a shift lemma (a result beyond the paper): the
+/// backward construction only takes `min`s of, and subtracts from, values
+/// that all start at the horizon (`h = o = H`), so it commutes with a
+/// uniform shift.  Its first emissions at any `T <= H` are the emissions at
+/// `H` shifted by `T - H` and cut before the first negative one (they never
+/// increase along the construction).  The fork and spider node instances
+/// inherit the shift: a Fig 6 node `(exec, comm)` exists at `T` iff
+/// `exec + comm <= T`, with deadline `T - exec`; a Fig 7 leg node has
+/// deadline `C_1 + c_1`, which shifts with the leg's emissions.  So a search
+/// runs one *build* step at the top of its range — the chain emissions, or
+/// the node instance as EDD-sorted `(deadline at H, comm)` pairs — and every
+/// bisection *probe* at `T` lowers each deadline by `H - T` and drops the
+/// jobs whose deadline fell below their processing time.  A uniform shift
+/// keeps EDD order, so a probe is one linear Moore–Hodgson (or
+/// positional-release DP) pass with no sort: one build plus ~log2(top)
+/// linear probes per search.  `count_within` is the same two steps at one
+/// horizon (build at `T`, probe with shift 0).
 template <typename Fits>
 Time min_horizon(Time lo, Time hi, Fits&& fits) {
   while (lo < hi) {
@@ -35,6 +57,24 @@ Time min_horizon(Time lo, Time hi, Fits&& fits) {
     }
   }
   return lo;
+}
+
+/// The probe step of the fork and spider counts: the count at `t_lim` of
+/// the EDD instance `scratch.edd` built at `scratch.build_horizon` for the
+/// same workload and cap — Moore–Hodgson for identical workloads, the
+/// positional-release DP with release dates, each capped at the cap.
+template <typename Scratch>
+std::size_t probe_selection(Scratch& scratch, Time t_lim, const Workload& workload,
+                            std::size_t cap) {
+  MST_REQUIRE(t_lim >= 0 && t_lim <= scratch.build_horizon,
+              "probe horizon must lie in [0, build horizon]");
+  const Time shift = scratch.build_horizon - t_lim;
+  const std::size_t k_cap = std::min(cap, workload.count());
+  if (!workload.has_release_dates()) {
+    return moore_hodgson_count(scratch.edd, shift, k_cap, scratch.heap);
+  }
+  return moore_hodgson_released_count(scratch.edd, shift, workload.releases(), k_cap,
+                                      scratch.dp);
 }
 
 /// The backward construction anchored at `horizon`: hull `h_k` per link and

@@ -21,21 +21,32 @@ Time proc_time_of(const SelectedJob& entry) { return entry.first; }
 
 // The one Moore–Hodgson body and the positional-release DP run on caller
 // scratch only — statically allocation-checked (dynamic twins:
-// tests/test_counting.cpp, tests/test_zero_alloc.cpp).
+// tests/test_counting.cpp, tests/test_zero_alloc.cpp).  Both take an
+// EDD-sorted instance plus a horizon shift and never sort: a makespan
+// search sorts its instance once and probes it at every step.
 // mstlint: zero-alloc
 
-/// Sorts `jobs` EDD and leaves the selected jobs in `selected` (heap order).
-/// The selection is a max-heap on processing time: when the running total
-/// overshoots a deadline, evicting the longest selected job is optimal
-/// (Moore 1968).  `Entry` is either the processing time alone (the count is
-/// invariant under which of several longest-job ties gets evicted) or a
-/// `SelectedJob`, which also makes the eviction among equals deterministic.
-template <typename Entry>
-void select_edd(std::vector<DeadlineJob>& jobs, std::vector<Entry>& selected) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
+/// Leaves the selected jobs of the EDD-sorted `jobs`, every deadline lowered
+/// by `shift`, in `selected` (heap order).  A job whose shifted deadline is
+/// below its processing time is skipped: it does not exist at the shifted
+/// horizon, and it could never be on time anyway — every job selected
+/// before it is strictly shorter, so the eviction it triggers would drop
+/// the job itself.  The selection is a max-heap on processing time: when
+/// the running total overshoots a deadline, evicting the longest selected
+/// job is optimal (Moore 1968).  `Entry` is either the processing time
+/// alone (the count is invariant under which of several longest-job ties
+/// gets evicted) or a `SelectedJob`, which also makes the eviction among
+/// equals deterministic.  Every step adds one job and evicts at most one,
+/// so the selection never shrinks: the pass stops once `limit` jobs are
+/// selected.
+template <typename Job, typename Entry>
+void select_edd(const std::vector<Job>& jobs, Time shift, std::size_t limit,
+                std::vector<Entry>& selected) {
   selected.clear();
   Time total = 0;
-  for (const DeadlineJob& job : jobs) {
+  for (const Job& job : jobs) {
+    const Time deadline = job.deadline - shift;
+    if (deadline < job.proc_time) continue;
     if constexpr (std::is_same_v<Entry, Time>) {
       selected.push_back(job.proc_time);
     } else {
@@ -43,29 +54,37 @@ void select_edd(std::vector<DeadlineJob>& jobs, std::vector<Entry>& selected) {
     }
     std::push_heap(selected.begin(), selected.end());
     total += job.proc_time;
-    if (total > job.deadline) {
+    if (total > deadline) {
       std::pop_heap(selected.begin(), selected.end());
       total -= proc_time_of(selected.back());
       selected.pop_back();
     }
+    if (selected.size() >= limit) return;
   }
 }
 
 }  // namespace
 
 void moore_hodgson_select(std::vector<DeadlineJob>& jobs, std::vector<SelectedJob>& selected) {
-  select_edd(jobs, selected);
+  std::sort(jobs.begin(), jobs.end(), edd_less);
+  select_edd(jobs, 0, jobs.size(), selected);
 }
 
 std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch) {
-  select_edd(jobs, heap_scratch);
+  std::sort(jobs.begin(), jobs.end(), edd_less);
+  select_edd(jobs, 0, jobs.size(), heap_scratch);
   return heap_scratch.size();
 }
 
-std::size_t moore_hodgson_released_count(std::vector<DeadlineJob>& jobs,
+std::size_t moore_hodgson_count(const std::vector<EddJob>& edd, Time shift, std::size_t limit,
+                                std::vector<Time>& heap_scratch) {
+  select_edd(edd, shift, limit, heap_scratch);
+  return std::min(heap_scratch.size(), limit);
+}
+
+std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time shift,
                                          const std::vector<Time>& releases,
                                          std::size_t max_count, std::vector<Time>& dp_scratch) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
   const std::size_t limit = std::min(max_count, releases.size());
 
   // dp[j]: minimal completion time of a feasible selection of j jobs from
@@ -74,17 +93,20 @@ std::size_t moore_hodgson_released_count(std::vector<DeadlineJob>& jobs,
   dp_scratch.assign(limit + 1, kTimeInfinity);
   dp_scratch[0] = 0;
   std::size_t best = 0;
-  for (const DeadlineJob& job : jobs) {
+  for (const EddJob& job : edd) {
+    const Time deadline = job.deadline - shift;
+    if (deadline < job.proc_time) continue;  // absent at this horizon
     const std::size_t top = std::min(best + 1, limit);
     for (std::size_t j = top; j >= 1; --j) {
       if (dp_scratch[j - 1] == kTimeInfinity) continue;
       const Time start = std::max(dp_scratch[j - 1], releases[j - 1]);
       const Time finish = start + job.proc_time;
-      if (finish <= job.deadline && finish < dp_scratch[j]) {
+      if (finish <= deadline && finish < dp_scratch[j]) {
         dp_scratch[j] = finish;
         if (j > best) best = j;
       }
     }
+    if (best == limit) break;  // the count never shrinks
   }
   return best;
 }

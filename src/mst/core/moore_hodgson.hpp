@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -51,6 +52,30 @@ void moore_hodgson_select(std::vector<DeadlineJob>& jobs, std::vector<SelectedJo
 /// selection is not.
 std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch);
 
+/// One job of a horizon-shiftable instance — the *build* step of a makespan
+/// search.  The fork and spider node instances only shift with their
+/// horizon: a node built at horizon `H` with deadline `deadline` has
+/// deadline `deadline - (H - T)` at any `T <= H`, and exists there iff that
+/// is still at least `proc_time`.  A uniform shift keeps EDD order, so an
+/// instance sorted once (`operator<`: deadline, then processing time) serves
+/// every probe of the search.
+struct EddJob {
+  Time deadline = 0;   ///< latest completion at the build horizon
+  Time proc_time = 0;  ///< time on the shared machine
+
+  friend auto operator<=>(const EddJob&, const EddJob&) = default;
+};
+
+/// The *probe* step: `moore_hodgson_count` of the EDD-sorted instance `edd`
+/// built at `H`, probed at `T = H - shift` (`shift >= 0`) — every deadline
+/// lowered by `shift`, jobs whose shifted deadline falls below their
+/// processing time skipped — capped at `limit`.  Equals
+/// `min(moore_hodgson_count(instance built at T), limit)`; linear in `edd`
+/// plus the heap work, no sort, and it stops once `limit` jobs are selected
+/// (the selection never shrinks).
+std::size_t moore_hodgson_count(const std::vector<EddJob>& edd, Time shift, std::size_t limit,
+                                std::vector<Time>& heap_scratch);
+
 /// Positional-release selection — the release-date generalization behind
 /// the fork/spider workload algorithms.  Tasks are identical apart from
 /// their release dates, so the dates bind *positionally*: the j-th selected
@@ -60,8 +85,10 @@ std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time
 /// EDD order (`dp[j]` = minimal completion time of a feasible j-job
 /// selection of the processed prefix); Moore–Hodgson's eviction rule does
 /// not extend to position-dependent machine availability, the DP does.
-/// Sorts `jobs` in place; `dp_scratch` is reused capacity (cleared).
-std::size_t moore_hodgson_released_count(std::vector<DeadlineJob>& jobs,
+/// A probe step like the count above: `edd` is EDD-sorted and built at
+/// `H`, probed at `T = H - shift` (release dates stay absolute).
+/// `dp_scratch` is reused capacity (cleared).
+std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time shift,
                                          const std::vector<Time>& releases,
                                          std::size_t max_count, std::vector<Time>& dp_scratch);
 

@@ -42,23 +42,6 @@ Time best_leg_horizon(const Spider& spider, std::size_t n) {
 // (dynamic twins: tests/test_counting.cpp, tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
 
-/// Steps (1)–(2) count-only, the one leg loop of both counts: each leg's
-/// backward construction with the first-emissions sink, whose emissions
-/// become virtual-node deadlines (`expand_leg`: deadline = C_1 + c_1).
-void append_leg_jobs(const Spider& spider, Time t_lim, std::size_t cap,
-                     SpiderCountScratch& scratch) {
-  scratch.jobs.clear();
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    const Chain& leg = spider.leg(l);
-    scratch.emissions.clear();
-    ChainScheduler::count_within_emissions(leg, t_lim, cap, scratch.chain, scratch.emissions);
-    const Time c1 = leg.comm(0);
-    for (const Time emission : scratch.emissions) {
-      scratch.jobs.push_back(DeadlineJob{c1, emission + c1, scratch.jobs.size()});
-    }
-  }
-}
-
 /// Steps (1)–(2) materialized: per-leg decision schedules into pooled slots,
 /// virtual nodes enumerated in the exact `transform` order (leg-major,
 /// ascending first emission — ids must match for Moore–Hodgson
@@ -112,25 +95,49 @@ void resequence(const Spider& spider, const std::vector<Time>* releases,
 
 std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim, std::size_t cap,
                                           SpiderCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // Counts are per-leg capped like the materialized path; the global cap
-  // trim of step (3) only ever reduces the total to `cap`, so `min`
-  // reproduces it.
-  append_leg_jobs(spider, t_lim, cap, scratch);
-  return std::min(moore_hodgson_count(scratch.jobs, scratch.heap), cap);
+  return count_within(spider, t_lim, Workload::identical(cap), cap, scratch);
 }
 
 std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim,
                                           const Workload& workload, std::size_t cap,
                                           SpiderCountScratch& scratch) {
+  build_instance(spider, t_lim, workload, cap, scratch);
+  return probe_instance(t_lim, workload, cap, scratch);
+}
+
+void SpiderScheduler::build_instance(const Spider& spider, Time horizon,
+                                     const Workload& workload, std::size_t cap,
+                                     SpiderCountScratch& scratch) {
   require_uniform_sizes(workload);
+  MST_REQUIRE(horizon >= 0, "time limit must be non-negative");
+  // Steps (1)–(2) count-only: each leg's backward construction with the
+  // first-emissions sink, whose emissions become virtual-node deadlines
+  // (`expand_leg`: deadline = C_1 + c_1).  The leg emissions at
+  // `T <= horizon` are these shifted down and cut before the first negative
+  // one, i.e. exactly the nodes whose shifted deadline is still at least
+  // `c_1` — the probe's filter.
   const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) return count_within(spider, t_lim, k_cap, scratch);
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // Step (3) swaps the plain Moore–Hodgson count for the positional-release
-  // selection DP.
-  append_leg_jobs(spider, t_lim, k_cap, scratch);
-  return moore_hodgson_released_count(scratch.jobs, workload.releases(), k_cap, scratch.dp);
+  scratch.build_horizon = horizon;
+  scratch.edd.clear();
+  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+    const Chain& leg = spider.leg(l);
+    scratch.emissions.clear();
+    ChainScheduler::count_within_emissions(leg, horizon, k_cap, scratch.chain, scratch.emissions);
+    const Time c1 = leg.comm(0);
+    for (const Time emission : scratch.emissions) {
+      scratch.edd.push_back(EddJob{emission + c1, c1});
+    }
+  }
+  std::sort(scratch.edd.begin(), scratch.edd.end());
+}
+
+std::size_t SpiderScheduler::probe_instance(Time t_lim, const Workload& workload,
+                                            std::size_t cap, SpiderCountScratch& scratch) {
+  // Step (3).  Counts are per-leg capped like the materialized path; its
+  // global cap trim only ever reduces the total to the cap, so the probe's
+  // `min` reproduces it.  With release dates, the positional-release
+  // selection DP replaces Moore–Hodgson.
+  return detail::probe_selection(scratch, t_lim, workload, cap);
 }
 
 void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
@@ -233,10 +240,12 @@ void SpiderScheduler::schedule_into(const Spider& spider, const Workload& worklo
   const std::size_t n = workload.count();
   // Minimal horizon admitting every task: the single-best-leg schedule
   // shifted past the last release (0 without release dates) always fits.
-  // The probes only need counts; one scratch serves the whole search.
+  // The probes only need counts: steps (1)–(2) run once, at the top, and
+  // every probe shifts that instance down to its horizon.
+  const Time top = best_leg_horizon(spider, n) + workload.last_release();
+  build_instance(spider, top, workload, n, scratch.count);
   const Time horizon = detail::min_horizon(
-      0, best_leg_horizon(spider, n) + workload.last_release(),
-      [&](Time t) { return count_within(spider, t, workload, n, scratch.count) >= n; });
+      0, top, [&](Time t) { return probe_instance(t, workload, n, scratch.count) >= n; });
   schedule_within_into(spider, horizon, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
   // Release dates pin the origin; identical workloads start at 0.

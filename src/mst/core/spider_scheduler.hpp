@@ -30,6 +30,15 @@
 /// The makespan form binary-searches `T_lim` over the monotone decision
 /// form; total complexity stays polynomial (Theorem 2) and the result is
 /// optimal (Theorem 3).
+///
+/// Search cost — a result beyond the paper, which re-runs steps (1)–(3) per
+/// probe: steps (1)–(2) only shift with the window (the backward
+/// construction's emissions at `T <= H` are those at `H` shifted by
+/// `T - H` and cut before the first negative one; see `min_horizon` in
+/// `core/kernels.hpp`).  So the search runs steps (1)–(2) once, at the top
+/// of its range — one backward construction per leg and one EDD sort of the
+/// node instance — and each of its ~log2(top) probes is a single linear
+/// Moore–Hodgson pass over the shifted instance, with no re-sort.
 
 namespace mst {
 
@@ -45,13 +54,15 @@ struct SpiderTransformation {
   std::vector<VirtualNode> nodes;
 };
 
-/// Reusable buffers for `SpiderScheduler::count_within`.  Keep one per
-/// thread; with warm buffers the whole spider count — per-leg backward
-/// counting plus the Moore–Hodgson selection — runs without allocating.
+/// Reusable buffers for `SpiderScheduler::count_within` and the makespan
+/// search's probes.  Keep one per thread; with warm buffers the whole
+/// spider count — per-leg backward counting plus the Moore–Hodgson
+/// selection — runs without allocating.
 struct SpiderCountScratch {
   ChainCountScratch chain;          ///< shared across legs
   std::vector<Time> emissions;      ///< one leg's first-link emissions
-  std::vector<DeadlineJob> jobs;    ///< the fork-graph instance
+  std::vector<EddJob> edd;          ///< the fork-graph instance, EDD-sorted as built
+  Time build_horizon = 0;           ///< horizon `edd` was built at
   std::vector<Time> heap;           ///< Moore–Hodgson selection heap
   std::vector<Time> dp;             ///< positional-release selection DP row
 };
@@ -83,15 +94,28 @@ class SpiderScheduler {
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Spider& spider, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: runs the per-leg backward construction with
-  /// a first-emissions sink and the count-only Moore–Hodgson selection
-  /// entirely in `scratch`, never materializing leg schedules or
+  /// Allocation-free counting: the *build* step runs the per-leg backward
+  /// construction with a first-emissions sink into an EDD-sorted node
+  /// instance, the *probe* step the count-only Moore–Hodgson selection over
+  /// it — entirely in `scratch`, never materializing leg schedules or
   /// virtual-node vectors.  Returns exactly
-  /// `schedule_within(spider, t_lim, cap).tasks.size()`.  Both the makespan
-  /// form's binary search and the registry's `materialize == false` fast
-  /// path run on this.
+  /// `schedule_within(spider, t_lim, cap).tasks.size()`.  The registry's
+  /// `materialize == false` fast path runs on this; the makespan search
+  /// runs the same two steps, building once.
   static std::size_t count_within(const Spider& spider, Time t_lim, std::size_t cap,
                                   SpiderCountScratch& scratch);
+
+  /// The two steps of every count (`count_within` runs both at `t_lim`).
+  /// `build_instance` runs steps (1)–(2) at `horizon` into `scratch.edd`,
+  /// EDD-sorted; `probe_instance` then answers step (3) at any `t_lim` in
+  /// `[0, horizon]` — for the same workload and cap — by shifting and
+  /// filtering that instance, in one linear Moore–Hodgson (or
+  /// positional-release DP) pass.  Equals `count_within(spider, t_lim,
+  /// workload, cap, scratch)` at every such `t_lim`.
+  static void build_instance(const Spider& spider, Time horizon, const Workload& workload,
+                             std::size_t cap, SpiderCountScratch& scratch);
+  static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
+                                    SpiderCountScratch& scratch);
 
   /// Makespan form: optimal schedule of exactly `n` tasks.
   static SpiderSchedule schedule(const Spider& spider, std::size_t n);

@@ -3,6 +3,7 @@
 #include <deque>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "mst/baselines/tree_asap.hpp"
 #include "mst/common/assert.hpp"
@@ -100,7 +101,10 @@ class EctStream final : public StreamPolicy {
 class ReplanStream final : public StreamPolicy {
  public:
   explicit ReplanStream(Platform platform) : platform_(std::move(platform)) {
+    if (std::holds_alternative<Chain>(platform_)) solver_.emplace<ChainSolver>();
+    if (std::holds_alternative<Fork>(platform_)) solver_.emplace<ForkSolver>();
     if (const auto* spider = std::get_if<Spider>(&platform_)) {
+      solver_.emplace<SpiderSolver>();
       leg_base_.reserve(spider->num_legs());
       NodeId base = 1;
       for (std::size_t l = 0; l < spider->num_legs(); ++l) {
@@ -128,23 +132,37 @@ class ReplanStream final : public StreamPolicy {
   }
 
  private:
+  /// The exact solver's warm buffers for the policy's platform kind: one
+  /// scratch and one output schedule, rebuilt in place by `schedule_into`
+  /// on every replan (the same plan the value-returning `schedule` forms
+  /// build on a fresh scratch).
+  template <typename Scratch, typename Schedule>
+  struct Solver {
+    Scratch scratch;
+    Schedule plan;
+  };
+  using ChainSolver = Solver<ChainCountScratch, ChainSchedule>;
+  using ForkSolver = Solver<ForkCountScratch, ForkSchedule>;
+  using SpiderSolver = Solver<SpiderSolveScratch, SpiderSchedule>;
+
   void replan() {
     plan_.clear();
+    const Workload backlog = Workload::identical(backlog_);
     if (const auto* chain = std::get_if<Chain>(&platform_)) {
       // ChainSchedule keeps tasks in first-link emission order; processor
       // `i` embeds as node `i + 1`.
-      for (const ChainTask& task : ChainScheduler::schedule(*chain, backlog_).tasks) {
-        plan_.push_back(static_cast<NodeId>(task.proc + 1));
-      }
+      auto& [scratch, plan] = std::get<ChainSolver>(solver_);
+      ChainScheduler::schedule_into(*chain, backlog, scratch, plan);
+      for (const ChainTask& task : plan.tasks) plan_.push_back(static_cast<NodeId>(task.proc + 1));
     } else if (const auto* fork = std::get_if<Fork>(&platform_)) {
       // ForkSchedule keeps emission order; slave `s` embeds as node `s + 1`.
-      for (const ForkTask& task : ForkScheduler::schedule(*fork, backlog_).tasks) {
-        plan_.push_back(static_cast<NodeId>(task.slave + 1));
-      }
+      auto& [scratch, plan] = std::get<ForkSolver>(solver_);
+      ForkScheduler::schedule_into(*fork, backlog, scratch, plan);
+      for (const ForkTask& task : plan.tasks) plan_.push_back(static_cast<NodeId>(task.slave + 1));
     } else if (const auto* spider = std::get_if<Spider>(&platform_)) {
-      for (const SpiderTask& task : SpiderScheduler::schedule(*spider, backlog_).tasks) {
-        plan_.push_back(leg_base_[task.leg] + task.proc);
-      }
+      auto& [scratch, plan] = std::get<SpiderSolver>(solver_);
+      SpiderScheduler::schedule_into(*spider, backlog, scratch, plan);
+      for (const SpiderTask& task : plan.tasks) plan_.push_back(leg_base_[task.leg] + task.proc);
     } else {
       throw std::logic_error("mst: replan policy constructed for a tree platform");
     }
@@ -152,6 +170,7 @@ class ReplanStream final : public StreamPolicy {
   }
 
   Platform platform_;
+  std::variant<std::monostate, ChainSolver, ForkSolver, SpiderSolver> solver_;
   std::vector<NodeId> leg_base_;  ///< spider leg -> first embedded node id
   std::size_t backlog_ = 0;       ///< observed, not yet dispatched
   bool stale_ = false;

@@ -14,6 +14,7 @@
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/common/rng.hpp"
+#include "mst/workload/workload.hpp"
 #include "mst/platform/generator.hpp"
 #include "support/alloc_probe.hpp"
 
@@ -120,6 +121,45 @@ TEST(ForkCounting, ZeroAllocationsAfterWarmup) {
   EXPECT_EQ(pair, expected_pair);
   EXPECT_GT(counted, 0u);
   EXPECT_EQ(allocations, 0);
+}
+
+// The makespan searches' probes: after one build at the top of the range,
+// every probe at a lower horizon — identical or release-dated — runs on the
+// built instance and allocates nothing.
+TEST(Counting, HoistedProbesAllocateNothing) {
+  Rng rng(14);
+  const GeneratorParams params{1, 9, PlatformClass::kUniform};
+  const Chain chain = random_chain(rng, 6, params);
+  const Fork fork = random_fork(rng, 6, params);
+  const Spider spider = random_spider(rng, 4, 3, params);
+  const Time top = 400;
+  for (const Workload& workload :
+       {Workload::identical(200), Workload::released({0, 0, 3, 9, 9, 14, 30, 31, 55, 80})}) {
+    ChainCountScratch chain_scratch;
+    ForkCountScratch fork_scratch;
+    SpiderCountScratch spider_scratch;
+    const std::size_t n = workload.count();
+    ChainScheduler::build_instance(chain, top, workload, n, chain_scratch);
+    ForkScheduler::build_instance(fork, top, workload, n, fork_scratch);
+    SpiderScheduler::build_instance(spider, top, workload, n, spider_scratch);
+    // Warm the probe buffers (heap, DP row) once at the top.
+    const std::size_t expected =
+        ChainScheduler::probe_instance(top, workload, n, chain_scratch) +
+        ForkScheduler::probe_instance(top, workload, n, fork_scratch) +
+        SpiderScheduler::probe_instance(top, workload, n, spider_scratch);
+
+    alloc_probe::arm();
+    std::size_t counted = 0;
+    for (const Time t : {top, top / 2, top / 5, Time{0}}) {
+      counted += ChainScheduler::probe_instance(t, workload, n, chain_scratch) +
+                 ForkScheduler::probe_instance(t, workload, n, fork_scratch) +
+                 SpiderScheduler::probe_instance(t, workload, n, spider_scratch);
+    }
+    const long allocations = alloc_probe::allocations();
+    EXPECT_GE(counted, expected);
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(allocations, 0);
+  }
 }
 
 TEST(Counting, MooreHodgsonCountMatchesSelection) {

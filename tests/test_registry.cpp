@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "mst/api/registry.hpp"
 #include "mst/common/rng.hpp"
@@ -252,6 +253,31 @@ TEST(Registry, MaxTasksCountsADecideDispatch) {
     if (sample.name == "api.decide.unchecked") decides = sample.value;
   }
   EXPECT_EQ(decides, 1);
+}
+
+// Makespan solves size their instances by the task count, so a count above
+// SolveOptions::cap is rejected up front, naming the limit — 4e12 tasks on
+// a fork would otherwise build a node instance of p·n jobs first.
+TEST(Registry, MakespanSolvesRejectCountsAboveTheCap) {
+  const std::size_t huge = 4'000'000'000'000;
+  for (api::PlatformKind kind : api::all_platform_kinds()) {
+    const api::Platform platform = platform_of(kind);
+    for (const std::string& name : api::registry().names(kind)) {
+      SCOPED_TRACE(api::to_string(kind) + "/" + name);
+      EXPECT_THROW((void)api::registry().solve(platform, name, huge), std::invalid_argument);
+    }
+  }
+  api::SolveOptions small;
+  small.cap = 4;
+  EXPECT_EQ(api::registry().solve(small_fork(), "optimal", 4, small).tasks, 4u);
+  try {
+    (void)api::registry().solve(small_fork(), "optimal", 5, small);
+    FAIL() << "a count above the cap was solved";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("5 tasks exceed the task limit SolveOptions::cap = 4"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

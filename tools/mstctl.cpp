@@ -2,7 +2,8 @@
 //
 //   mstctl --mode=list      [--kind=chain|fork|spider|tree]
 //   mstctl --mode=solve     --platform=FILE --algo=NAME|all --tasks=N [--seed=S]
-//                           [--workload=FILE] [--metrics-out=FILE] [--trace-out=FILE]
+//                           [--cap=K] [--workload=FILE] [--metrics-out=FILE]
+//                           [--trace-out=FILE]
 //   mstctl --mode=max-tasks --platform=FILE --deadline=T
 //                           [--algo=NAME|all] [--cap=K] [--seed=S] [--fast]
 //                           [--workload=FILE]
