@@ -7,7 +7,16 @@
 // schedulers were collapsed onto one kernel per algorithm; any change to
 // what the core computes, however small, changes the digest.
 //
-// If an intended algorithmic change moves the digest, the new value must be
+// A second digest freezes everything above the exact core the same way:
+// the non-exact registry entries of every platform kind (baselines,
+// streaming re-planner, tree heuristics, online policies) in makespan and
+// decision form over identical, sized and released workloads, the
+// baselines' direct forms and incremental ASAP states, the online
+// simulator's timelines and the tree's spider cover.  Its expected value
+// was captured before each of those dispatchers was collapsed onto a
+// single implementation.
+//
+// If an intended algorithmic change moves a digest, the new value must be
 // justified in the change that updates it.
 
 #include <gtest/gtest.h>
@@ -21,19 +30,26 @@
 
 #include "mst/api/registry.hpp"
 #include "mst/api/solve_scratch.hpp"
+#include "mst/baselines/asap.hpp"
+#include "mst/baselines/forward_greedy.hpp"
+#include "mst/baselines/round_robin.hpp"
+#include "mst/baselines/single_node.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/chain_trace.hpp"
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/moore_hodgson.hpp"
 #include "mst/core/spider_scheduler.hpp"
+#include "mst/heuristics/tree_cover.hpp"
 #include "mst/platform/generator.hpp"
+#include "mst/sim/online.hpp"
 #include "mst/workload/workload.hpp"
 
 namespace mst {
 namespace {
 
 constexpr std::uint64_t kExpectedDigest = 0x8442fcbab3302b79ULL;
+constexpr std::uint64_t kExpectedAboveCoreDigest = 0xb5c72d45fcb47959ULL;
 
 class Digest {
  public:
@@ -81,6 +97,31 @@ class Digest {
       add(node.exec);
     }
   }
+  void add(const std::vector<NodeId>& nodes) {
+    add(nodes.size());
+    for (const NodeId v : nodes) add(v);
+  }
+  void add(const Chain& chain) {
+    add(chain.size());
+    for (std::size_t k = 0; k < chain.size(); ++k) {
+      add(chain.comm(k));
+      add(chain.work(k));
+    }
+  }
+  void add(const sim::SimResult& run) {
+    add(run.makespan);
+    add(run.tasks.size());
+    for (const sim::SimTask& task : run.tasks) {
+      add(task.dest);
+      add(task.release);
+      add(task.master_emission);
+      add(task.arrival);
+      add(task.start);
+      add(task.end);
+    }
+    add(run.tasks_per_node.size());
+    for (const std::size_t count : run.tasks_per_node) add(count);
+  }
   void add(const api::AnySchedule& schedule) {
     add(schedule.index());
     std::visit(
@@ -89,6 +130,9 @@ class Digest {
           if constexpr (std::is_same_v<S, ChainSchedule> || std::is_same_v<S, ForkSchedule> ||
                         std::is_same_v<S, SpiderSchedule>) {
             add_schedule(payload);
+          } else if constexpr (std::is_same_v<S, api::TreeDispatch>) {
+            add(payload.tree.size());
+            add(payload.dests);
           }
         },
         schedule);
@@ -109,6 +153,20 @@ Workload released_workload(Rng& rng, std::size_t n) {
     release[i] = t;
   }
   return Workload::released(std::move(release));
+}
+
+/// Per-task sizes in `[1, 4]`, all available at time 0.
+Workload sized_workload(Rng& rng, std::size_t n) {
+  std::vector<Time> sizes(n);
+  for (Time& size : sizes) size = rng.uniform(1, 4);
+  return Workload::of_sizes(std::move(sizes));
+}
+
+/// Sizes in `[1, 4]` and bursty release dates.
+Workload sized_released_workload(Rng& rng, std::size_t n) {
+  std::vector<Time> sizes(n);
+  for (Time& size : sizes) size = rng.uniform(1, 4);
+  return Workload(n, std::move(sizes), released_workload(rng, n).releases());
 }
 
 void digest_chain(Digest& d, const Chain& chain, Rng& rng) {
@@ -262,6 +320,147 @@ void digest_registry(Digest& d, const api::Platform& platform, Rng& rng) {
       }
     }
   }
+}
+
+/// One non-exact registry entry in makespan and decision form, on every
+/// workload shape the entry declares support for.
+void digest_entry(Digest& d, const api::Platform& platform, const char* algorithm, Rng& rng) {
+  const api::Registry& registry = api::registry();
+  const api::PlatformKind kind = api::kind_of(platform);
+  api::SolveOptions options;
+  options.seed = static_cast<std::uint64_t>(rng.uniform(1, 1000));
+  for (const std::size_t n : {1u, 5u, 13u}) {
+    for (const Workload& workload :
+         {Workload::identical(n), released_workload(rng, n), sized_workload(rng, n),
+          sized_released_workload(rng, n)}) {
+      if (!registry.supports(kind, algorithm, workload.features())) continue;
+      const api::SolveResult result = registry.solve(platform, algorithm, workload, options);
+      d.add(result.tasks);
+      d.add(result.makespan);
+      d.add(result.lower_bound);
+      d.add(result.optimal);
+      d.add(result.schedule);
+    }
+  }
+  for (const Time deadline : {-2, 0, 11, 37}) {
+    for (const Workload& pool : {Workload(), released_workload(rng, 10), sized_workload(rng, 10)}) {
+      if (!registry.supports(kind, algorithm, pool.features())) continue;
+      for (const bool materialize : {false, true}) {
+        api::SolveOptions within = options;
+        within.materialize = materialize;
+        within.cap = static_cast<std::size_t>(rng.uniform(1, 24));
+        if (!pool.empty()) within.workload = std::make_shared<const Workload>(pool);
+        const api::DecisionResult result =
+            registry.solve_within(platform, algorithm, deadline, within);
+        d.add(result.tasks);
+        d.add(result.makespan);
+        d.add(result.optimal);
+        d.add(result.schedule);
+      }
+    }
+  }
+}
+
+/// The baselines' direct `n` and workload forms, fixed-sequence ASAP timing
+/// and the incremental ASAP states' peeks.
+void digest_baselines(Digest& d, const Chain& chain, const Spider& spider, Rng& rng) {
+  for (const std::size_t n : {1u, 4u, 11u}) {
+    d.add_schedule(forward_greedy_chain(chain, n));
+    d.add_schedule(forward_greedy_spider(spider, n));
+    d.add(forward_greedy_chain_makespan(chain, n));
+    d.add(forward_greedy_spider_makespan(spider, n));
+    d.add_schedule(round_robin_chain(chain, n));
+    d.add_schedule(round_robin_spider(spider, n));
+    d.add(round_robin_chain_makespan(chain, n));
+    d.add(round_robin_spider_makespan(spider, n));
+    d.add_schedule(single_node_chain(chain, n));
+    d.add_schedule(single_node_spider(spider, n));
+    d.add(single_node_chain_makespan(chain, n));
+    d.add(single_node_spider_makespan(spider, n));
+
+    std::vector<std::size_t> chain_dests(n);
+    std::vector<SpiderDest> spider_dests(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      chain_dests[i] = static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(chain.size()) - 1));
+      const auto leg = static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(spider.num_legs()) - 1));
+      spider_dests[i] = SpiderDest{
+          leg, static_cast<std::size_t>(
+                   rng.uniform(0, static_cast<std::int64_t>(spider.leg(leg).size()) - 1))};
+    }
+    const Workload workload = sized_released_workload(rng, n);
+    d.add_schedule(asap_chain_schedule(chain, chain_dests));
+    d.add_schedule(asap_chain_schedule(chain, chain_dests, workload));
+    d.add_schedule(asap_spider_schedule(spider, spider_dests));
+    d.add_schedule(asap_spider_schedule(spider, spider_dests, workload));
+
+    ChainAsapState chain_state(chain);
+    SpiderAsapState spider_state(spider);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Time size = workload.size_of(i);
+      const Time release = workload.release_of(i);
+      for (std::size_t q = 0; q < chain.size(); ++q) {
+        d.add(chain_state.peek_completion(q, size, release));
+      }
+      for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+        for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
+          d.add(spider_state.peek_completion({l, q}, size, release));
+        }
+      }
+      d.add(chain_state.commit(chain_dests[i], size, release));
+      d.add(spider_state.commit(spider_dests[i], size, release));
+    }
+  }
+}
+
+/// The online simulator for every policy, and the tree's spider cover.
+void digest_tree(Digest& d, const Tree& tree, Rng& rng) {
+  const auto seed = static_cast<std::uint64_t>(rng.uniform(0, 1000));
+  for (const sim::OnlinePolicy policy : sim::all_online_policies()) {
+    for (const std::size_t n : {1u, 6u, 17u}) {
+      d.add(sim::simulate_online(tree, n, policy, seed));
+      for (const Workload& workload :
+           {released_workload(rng, n), sized_workload(rng, n), sized_released_workload(rng, n)}) {
+        d.add(sim::simulate_online(tree, workload, policy, seed));
+      }
+    }
+  }
+  const SpiderCover cover = cover_tree_with_spider(tree);
+  d.add(cover.spider.num_legs());
+  for (std::size_t l = 0; l < cover.spider.num_legs(); ++l) {
+    d.add(cover.spider.leg(l));
+    d.add(cover.node_of[l]);
+  }
+}
+
+TEST(OutputDigest, BaselineAndOnlineOutputIsFrozen) {
+  Digest d;
+  Rng rng(20030423);
+  for (int trial = 0; trial < 40; ++trial) {
+    Rng inst = rng.split();
+    const GeneratorParams params{1, 9, all_platform_classes()[trial % 5]};
+    const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 6)), params);
+    const Fork fork = random_fork(inst, static_cast<std::size_t>(rng.uniform(1, 5)), params);
+    const Spider spider =
+        random_spider(inst, static_cast<std::size_t>(rng.uniform(1, 4)), 3, params);
+    const Tree tree = random_tree(inst, static_cast<std::size_t>(rng.uniform(1, 9)), params);
+    digest_baselines(d, chain, spider, rng);
+    digest_tree(d, tree, rng);
+    for (const char* algorithm : {"forward-greedy", "round-robin", "single-node", "replan"}) {
+      digest_entry(d, api::Platform(chain), algorithm, rng);
+      digest_entry(d, api::Platform(fork), algorithm, rng);
+      digest_entry(d, api::Platform(spider), algorithm, rng);
+    }
+    digest_entry(d, api::Platform(chain), "periodic", rng);
+    digest_entry(d, api::Platform(fork), "greedy", rng);
+    for (const char* algorithm :
+         {"spider-cover", "forward-greedy", "local-search", "online-ect", "online-jsq",
+          "online-round-robin", "online-random"}) {
+      digest_entry(d, api::Platform(tree), algorithm, rng);
+    }
+  }
+  EXPECT_EQ(d.value(), kExpectedAboveCoreDigest) << std::hex << "digest 0x" << d.value();
 }
 
 TEST(OutputDigest, ExactCoreOutputIsFrozen) {
