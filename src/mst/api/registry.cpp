@@ -24,7 +24,6 @@
 #include "mst/heuristics/local_search.hpp"
 #include "mst/heuristics/tree_schedule.hpp"
 #include "mst/obs/metrics.hpp"
-#include "mst/sim/online.hpp"
 #include "mst/sim/platform_sim.hpp"
 #include "mst/sim/streaming.hpp"
 
@@ -36,25 +35,33 @@ namespace mst::api {
 
 namespace {
 
-// Alternative extraction with an error message naming the algorithm, so a
+// Platform-kind check with an error message naming the algorithm, so a
 // mismatched dispatch reads "optimal: expected a chain platform" instead of
 // a bare bad_variant_access.
-template <typename T>
-const T& expect(const Platform& platform, const char* algorithm, const char* kind_name) {
-  const T* p = std::get_if<T>(&platform);
-  if (p == nullptr) {
-    throw std::invalid_argument(std::string(algorithm) + ": expected a " + kind_name +
-                                " platform, got " + to_string(kind_of(platform)));
-  }
-  return *p;
+void require_kind(const Platform& platform, const char* algorithm, PlatformKind kind) {
+  if (kind_of(platform) == kind) return;
+  throw std::invalid_argument(std::string(algorithm) + ": expected a " + to_string(kind) +
+                              " platform, got " + to_string(kind_of(platform)));
 }
 
-const Chain& expect_chain(const Platform& p, const char* a) { return expect<Chain>(p, a, "chain"); }
-const Fork& expect_fork(const Platform& p, const char* a) { return expect<Fork>(p, a, "fork"); }
-const Spider& expect_spider(const Platform& p, const char* a) {
-  return expect<Spider>(p, a, "spider");
+template <typename T>
+const T& expect(const Platform& platform, const char* algorithm, PlatformKind kind) {
+  require_kind(platform, algorithm, kind);
+  return std::get<T>(platform);
 }
-const Tree& expect_tree(const Platform& p, const char* a) { return expect<Tree>(p, a, "tree"); }
+
+const Chain& expect_chain(const Platform& p, const char* a) {
+  return expect<Chain>(p, a, PlatformKind::kChain);
+}
+const Fork& expect_fork(const Platform& p, const char* a) {
+  return expect<Fork>(p, a, PlatformKind::kFork);
+}
+const Spider& expect_spider(const Platform& p, const char* a) {
+  return expect<Spider>(p, a, PlatformKind::kSpider);
+}
+const Tree& expect_tree(const Platform& p, const char* a) {
+  return expect<Tree>(p, a, PlatformKind::kTree);
+}
 
 void require_tasks(std::size_t n) {
   if (n == 0) throw std::invalid_argument("solve: need at least one task");
@@ -560,13 +567,6 @@ SolveResult spider_result(const char* algorithm, PlatformKind kind, SpiderSchedu
   return make_result(algorithm, kind, n, makespan, lb, optimal, std::move(schedule));
 }
 
-SolveResult tree_result(const char* algorithm, const Tree& tree, std::vector<NodeId> dests,
-                        Time makespan, std::size_t n) {
-  TreeDispatch dispatch{tree, std::move(dests)};
-  return make_result(algorithm, PlatformKind::kTree, n, makespan, /*lower_bound=*/0,
-                     /*optimal=*/false, std::move(dispatch));
-}
-
 DecisionResult make_decision(const char* algorithm, PlatformKind kind, Time deadline,
                              std::size_t tasks, Time makespan, bool optimal,
                              AnySchedule schedule) {
@@ -676,21 +676,6 @@ DecisionResult brute_force_decision(PlatformKind kind, const Topology& topology,
                        /*optimal=*/decision_maximal(tasks, cap, pool), std::move(payload));
 }
 
-/// The bandwidth-centric baseline as a makespan-form scheduler: dispatch the
-/// first `n` destinations of the repeated periodic block with ASAP timing.
-ChainSchedule periodic_prefix_schedule(const Chain& chain, std::size_t n) {
-  const PeriodicPattern pattern = chain_periodic_pattern(chain);
-  std::vector<std::size_t> dests;
-  dests.reserve(n);
-  while (dests.size() < n) {
-    for (std::size_t dest : pattern.block) {
-      if (dests.size() == n) break;
-      dests.push_back(dest);
-    }
-  }
-  return asap_chain_schedule(chain, dests);
-}
-
 /// Makespan form of the paper's §6 fork greedy: smallest window whose greedy
 /// selection reaches `n` tasks, found by binary search (the count is
 /// monotone in the window for the ascending-`c` greedy) with a doubling
@@ -715,40 +700,44 @@ ForkSchedule fork_greedy_schedule(const Fork& fork, std::size_t n) {
   return schedule;
 }
 
-/// Registers the streaming horizon re-planner for one exactly-solved kind.
-/// The makespan form is the no-lookahead streaming simulation of the
-/// workload's release stream (`sim/streaming.hpp`: the exact solver re-runs
-/// on the known backlog at each arrival), materialized as the dispatch plan
-/// on the embedded tree substrate; with every task released at 0 the single
+/// Registers one streaming entry: `replan` on an exactly-solved kind, or an
+/// `online-*` policy on trees.  The makespan form runs the policy the name
+/// denotes (`sim::make_named_policy`) through the no-lookahead streaming
+/// driver over the workload's release stream (`sim/streaming.hpp`), and
+/// materializes the dispatch plan on the platform's store-and-forward
+/// substrate.  With every task released at 0 the replan policy's single
 /// plan is the offline optimum and the simulated makespan matches it.  The
 /// streaming capability flag is what `mode=stream` sweep cells and
 /// `mstctl --mode=stream` key on.
-void register_replan(Registry& r, PlatformKind k) {
-  r.add({k, "replan", "streaming horizon re-planning (exact solver re-run per arrival)",
-         /*optimal=*/false, /*exponential=*/false, kReleaseStreaming},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
+void register_streaming(Registry& r, PlatformKind k, const char* name, const char* summary,
+                        WorkloadFeatures supports) {
+  r.add({k, name, summary, /*optimal=*/false, /*exponential=*/false, supports},
+        [k, name](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          Tree tree = sim::stream_substrate(p);
-          const std::unique_ptr<sim::StreamPolicy> policy = sim::make_replan_policy(p);
-          const sim::StreamResult run = sim::simulate_stream(tree, w, *policy);
-          std::vector<NodeId> dests;
-          dests.reserve(run.sim.tasks.size());
-          for (const sim::SimTask& task : run.sim.tasks) dests.push_back(task.dest);
-          TreeDispatch dispatch{std::move(tree), std::move(dests)};
-          return make_result("replan", k, w.count(), run.sim.makespan, /*lower_bound=*/0,
-                             /*optimal=*/false, std::move(dispatch));
+          require_kind(p, name, k);
+          // The plan lives in the pooled dispatch, as for every tree entry: a
+          // tree platform copies into its warm capacity.
+          TreeDispatch& pooled = opts.scratch->tree_pool;
+          if (const auto* tree = std::get_if<Tree>(&p)) {
+            pooled.tree = *tree;
+          } else {
+            pooled.tree = sim::stream_substrate(p);
+          }
+          const std::unique_ptr<sim::StreamPolicy> policy =
+              sim::make_named_policy(p, pooled.tree, name, opts.seed);
+          const sim::SimResult run = sim::drive_stream(pooled.tree, w, *policy);
+          pooled.dests.clear();
+          for (const sim::SimTask& task : run.tasks) pooled.dests.push_back(task.dest);
+          return make_result(name, k, w.count(), run.makespan, /*lower_bound=*/0,
+                             /*optimal=*/false, std::move(pooled));
         },
         nullptr);
 }
 
-SolveResult solve_tree_online(const Tree& tree, const Workload& workload,
-                              sim::OnlinePolicy policy, const char* algorithm,
-                              std::uint64_t seed) {
-  const sim::SimResult run = sim::simulate_online(tree, workload, policy, seed);
-  std::vector<NodeId> dests;
-  dests.reserve(run.tasks.size());
-  for (const sim::SimTask& task : run.tasks) dests.push_back(task.dest);
-  return tree_result(algorithm, tree, std::move(dests), run.makespan, workload.count());
+void register_replan(Registry& r, PlatformKind k) {
+  register_streaming(r, k, "replan",
+                     "streaming horizon re-planning (exact solver re-run per arrival)",
+                     kReleaseStreaming);
 }
 
 void register_chain_algorithms(Registry& r) {
@@ -799,7 +788,10 @@ void register_chain_algorithms(Registry& r) {
         [](const Platform& p, std::size_t n) {
           require_tasks(n);
           const Chain& chain = expect_chain(p, "periodic");
-          return chain_result("periodic", periodic_prefix_schedule(chain, n), n, false);
+          // The first `n` destinations of the repeated periodic block, ASAP.
+          return chain_result("periodic",
+                              asap_chain_schedule(chain, chain_periodic_destinations(chain, n)),
+                              n, false);
         });
   r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
          /*exponential=*/true, WorkloadFeatures{}},
@@ -1034,46 +1026,19 @@ void register_tree_algorithms(Registry& r) {
         nullptr);
   // The online policies run on the discrete-event simulator, which executes
   // per-task sizes and release dates natively — the arrival-process axis of
-  // the scenario engine lands here.  All four also adapt to the
-  // no-lookahead streaming driver (the `streaming` capability flag), which
-  // is what `mode=stream` sweep cells key on.
-  r.add({k, "online-ect", "simulated online earliest-completion policy", /*optimal=*/false,
-         /*exponential=*/false, kSizesReleaseStreaming},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
-          return solve_tree_online(expect_tree(p, "online-ect"), w,
-                                   sim::OnlinePolicy::kEarliestCompletion, "online-ect",
-                                   opts.seed);
-        },
-        nullptr);
-  r.add({k, "online-jsq", "simulated online join-shortest-queue policy", /*optimal=*/false,
-         /*exponential=*/false, kSizesReleaseStreaming},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
-          return solve_tree_online(expect_tree(p, "online-jsq"), w,
-                                   sim::OnlinePolicy::kJoinShortestQueue, "online-jsq",
-                                   opts.seed);
-        },
-        nullptr);
-  r.add({k, "online-round-robin", "simulated online round-robin policy", /*optimal=*/false,
-         /*exponential=*/false, kSizesReleaseStreaming},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
-          return solve_tree_online(expect_tree(p, "online-round-robin"), w,
-                                   sim::OnlinePolicy::kRoundRobin, "online-round-robin",
-                                   opts.seed);
-        },
-        nullptr);
-  // Registered now that solves carry options: the policy is deterministic
-  // per SolveOptions::seed, so mstctl runs are reproducible.
-  r.add({k, "online-random", "simulated online uniform-random policy (SolveOptions::seed)",
-         /*optimal=*/false, /*exponential=*/false, kSizesReleaseStreaming},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
-          return solve_tree_online(expect_tree(p, "online-random"), w,
-                                   sim::OnlinePolicy::kRandom, "online-random", opts.seed);
-        },
-        nullptr);
+  // the scenario engine lands here.  Their one implementation is the
+  // no-lookahead stream policy (the `streaming` capability flag), which is
+  // also what `mode=stream` sweep cells key on.  `online-random` is
+  // deterministic per SolveOptions::seed, so mstctl runs are reproducible.
+  register_streaming(r, k, "online-ect", "simulated online earliest-completion policy",
+                     kSizesReleaseStreaming);
+  register_streaming(r, k, "online-jsq", "simulated online join-shortest-queue policy",
+                     kSizesReleaseStreaming);
+  register_streaming(r, k, "online-round-robin", "simulated online round-robin policy",
+                     kSizesReleaseStreaming);
+  register_streaming(r, k, "online-random",
+                     "simulated online uniform-random policy (SolveOptions::seed)",
+                     kSizesReleaseStreaming);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 ///
 /// A `SolveScratch` bundles every reusable buffer a materializing solve
 /// needs — the counting scratch of each core scheduler, the tree-cover
-/// pipeline's arena and working sets, and one pooled schedule per payload
+/// pipeline's working sets, and one pooled schedule per payload
 /// kind.  Thread it through `SolveOptions::scratch` and hand consumed
 /// results back via `recycle`: the schedule payload's buffers move back
 /// into the pool, so the next solve of similar shape rebuilds in place and

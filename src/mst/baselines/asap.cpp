@@ -45,11 +45,7 @@ ChainTask ChainAsapState::commit(std::size_t dest, Time size, Time release) {
 }
 
 ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::size_t>& dests) {
-  ChainAsapState state(chain);
-  ChainSchedule schedule{chain, {}};
-  schedule.tasks.reserve(dests.size());
-  for (std::size_t dest : dests) schedule.tasks.push_back(state.commit(dest));
-  return schedule;
+  return asap_chain_schedule(chain, dests, Workload::identical(dests.size()));
 }
 
 ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::size_t>& dests,
@@ -70,64 +66,34 @@ ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::siz
 // Spider
 // ---------------------------------------------------------------------------
 
-SpiderAsapState::SpiderAsapState(const Spider& spider) : spider_(spider) {
-  link_free_.resize(spider.num_legs());
-  proc_free_.resize(spider.num_legs());
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    link_free_[l].assign(spider.leg(l).size(), 0);
-    proc_free_[l].assign(spider.leg(l).size(), 0);
-  }
+SpiderAsapState::SpiderAsapState(const Spider& spider) {
+  legs_.reserve(spider.num_legs());
+  for (std::size_t l = 0; l < spider.num_legs(); ++l) legs_.emplace_back(spider.leg(l));
 }
 
-std::vector<Time> SpiderAsapState::emissions_for(const SpiderDest& dest, Time size,
-                                                 Time release) const {
-  MST_REQUIRE(dest.leg < spider_.num_legs(), "leg outside the spider");
-  const Chain& leg = spider_.leg(dest.leg);
-  MST_REQUIRE(dest.proc < leg.size(), "processor outside the leg");
-  std::vector<Time> emissions(dest.proc + 1);
-  // The master's one-port serializes first emissions across legs; the leg's
-  // own first link can only be busy through the port, so the port bound
-  // dominates.  The release date gates the master emission only.
-  Time emission = std::max({port_free_, link_free_[dest.leg][0], release});
-  emissions[0] = emission;
-  for (std::size_t k = 1; k <= dest.proc; ++k) {
-    emission = std::max(emission + size * leg.comm(k - 1), link_free_[dest.leg][k]);
-    emissions[k] = emission;
-  }
-  return emissions;
-}
-
+// A leg is a chain whose first emission also waits for the master's
+// one-port, which serializes first emissions across legs: the port bound
+// folds into the release argument of the leg's chain state.
 Time SpiderAsapState::peek_completion(const SpiderDest& dest, Time size, Time release) const {
-  const std::vector<Time> emissions = emissions_for(dest, size, release);
-  const Chain& leg = spider_.leg(dest.leg);
-  const Time arrival = emissions.back() + size * leg.comm(dest.proc);
-  const Time start = std::max(arrival, proc_free_[dest.leg][dest.proc]);
-  return start + size * leg.work(dest.proc);
+  MST_REQUIRE(dest.leg < legs_.size(), "leg outside the spider");
+  return legs_[dest.leg].peek_completion(dest.proc, size, std::max(port_free_, release));
 }
 
 SpiderTask SpiderAsapState::commit(const SpiderDest& dest, Time size, Time release) {
-  std::vector<Time> emissions = emissions_for(dest, size, release);
-  const Chain& leg = spider_.leg(dest.leg);
+  MST_REQUIRE(dest.leg < legs_.size(), "leg outside the spider");
+  ChainAsapState& leg = legs_[dest.leg];
+  ChainTask placed = leg.commit(dest.proc, size, std::max(port_free_, release));
+  port_free_ = placed.emissions[0] + size * leg.chain().comm(0);
   SpiderTask task;
   task.leg = dest.leg;
   task.proc = dest.proc;
-  port_free_ = emissions[0] + size * leg.comm(0);
-  for (std::size_t k = 0; k <= dest.proc; ++k) {
-    link_free_[dest.leg][k] = emissions[k] + size * leg.comm(k);
-  }
-  const Time arrival = emissions.back() + size * leg.comm(dest.proc);
-  task.start = std::max(arrival, proc_free_[dest.leg][dest.proc]);
-  proc_free_[dest.leg][dest.proc] = task.start + size * leg.work(dest.proc);
-  task.emissions = std::move(emissions);
+  task.start = placed.start;
+  task.emissions = std::move(placed.emissions);
   return task;
 }
 
 SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<SpiderDest>& dests) {
-  SpiderAsapState state(spider);
-  SpiderSchedule schedule{spider, {}};
-  schedule.tasks.reserve(dests.size());
-  for (const SpiderDest& dest : dests) schedule.tasks.push_back(state.commit(dest));
-  return schedule;
+  return asap_spider_schedule(spider, dests, Workload::identical(dests.size()));
 }
 
 SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<SpiderDest>& dests,

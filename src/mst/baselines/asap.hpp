@@ -76,7 +76,10 @@ class ChainAsapState {
   std::vector<Time> proc_free_;
 };
 
-/// Same, for spiders (master port + per-leg chain state).
+/// Same, for spiders: one chain state per leg plus the master's one-port.
+/// A task's first emission waits for the port as well as its release date,
+/// so each leg runs the chain recurrence with `max(port free, release)` as
+/// the release argument.
 class SpiderAsapState {
  public:
   explicit SpiderAsapState(const Spider& spider);
@@ -85,17 +88,9 @@ class SpiderAsapState {
                                      Time release = 0) const;
   SpiderTask commit(const SpiderDest& dest, Time size = 1, Time release = 0);
 
-  [[nodiscard]] const Spider& spider() const { return spider_; }
-
  private:
-  /// Computes the emission chain for `dest`; shared by peek and commit.
-  [[nodiscard]] std::vector<Time> emissions_for(const SpiderDest& dest, Time size,
-                                                Time release) const;
-
-  Spider spider_;
-  Time port_free_ = 0;
-  std::vector<std::vector<Time>> link_free_;  // per leg, per link
-  std::vector<std::vector<Time>> proc_free_;  // per leg, per processor
+  std::vector<ChainAsapState> legs_;
+  Time port_free_ = 0;  ///< the master's out-port frees up
 };
 
 }  // namespace mst

@@ -1,48 +1,15 @@
 #include "mst/baselines/forward_greedy.hpp"
 
 #include "mst/baselines/asap.hpp"
-#include "mst/common/assert.hpp"
 
 namespace mst {
 
 ChainSchedule forward_greedy_chain(const Chain& chain, std::size_t n) {
-  ChainAsapState state(chain);
-  ChainSchedule schedule{chain, {}};
-  schedule.tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t best_dest = 0;
-    Time best_completion = kTimeInfinity;
-    for (std::size_t dest = 0; dest < chain.size(); ++dest) {
-      const Time completion = state.peek_completion(dest);
-      if (completion < best_completion) {
-        best_completion = completion;
-        best_dest = dest;
-      }
-    }
-    schedule.tasks.push_back(state.commit(best_dest));
-  }
-  return schedule;
+  return forward_greedy_chain(chain, Workload::identical(n));
 }
 
 SpiderSchedule forward_greedy_spider(const Spider& spider, std::size_t n) {
-  SpiderAsapState state(spider);
-  SpiderSchedule schedule{spider, {}};
-  schedule.tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    SpiderDest best_dest{0, 0};
-    Time best_completion = kTimeInfinity;
-    for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-      for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
-        const Time completion = state.peek_completion({l, q});
-        if (completion < best_completion) {
-          best_completion = completion;
-          best_dest = {l, q};
-        }
-      }
-    }
-    schedule.tasks.push_back(state.commit(best_dest));
-  }
-  return schedule;
+  return forward_greedy_spider(spider, Workload::identical(n));
 }
 
 ChainSchedule forward_greedy_chain(const Chain& chain, const Workload& workload) {

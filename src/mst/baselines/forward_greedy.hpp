@@ -28,8 +28,7 @@ Time forward_greedy_spider_makespan(const Spider& spider, std::size_t n);
 
 /// Workload forms: tasks are dispatched in canonical workload order, each
 /// picking the destination with the earliest size-scaled, release-gated
-/// ASAP completion.  `Workload::identical(n)` reproduces the `n` forms
-/// bit-for-bit.
+/// ASAP completion.  The `n` forms are these on `Workload::identical(n)`.
 ChainSchedule forward_greedy_chain(const Chain& chain, const Workload& workload);
 SpiderSchedule forward_greedy_spider(const Spider& spider, const Workload& workload);
 

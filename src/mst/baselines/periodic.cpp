@@ -43,8 +43,11 @@ double PeriodicPattern::rate() const {
   return total;
 }
 
-PeriodicPattern chain_periodic_pattern(const Chain& chain) {
-  PeriodicPattern pattern;
+namespace {
+
+/// Rates, hyperperiod and per-period counts of the pattern — everything but
+/// the block.  Returns the block length (total tasks per period).
+std::size_t pattern_counts(const Chain& chain, PeriodicPattern& pattern) {
   pattern.rates = chain_lp_rates(chain);
 
   // Hyperperiod: lcm of the denominators of the non-zero rates.
@@ -68,33 +71,59 @@ PeriodicPattern chain_periodic_pattern(const Chain& chain) {
     total += pattern.counts[q];
   }
   MST_ASSERT(total >= 1);
+  return total;
+}
 
+/// The first `length <= total` positions of the block interleaving `counts`
+/// (which sum to `total`).  Position `i` depends only on the counts, the
+/// total and `i`, so a prefix is the whole block's prefix.
+std::vector<std::size_t> interleave(const std::vector<std::size_t>& counts, std::size_t total,
+                                    std::size_t length) {
   // Evenly interleave the counts (per-processor Bresenham): at block
   // position i, emit processor q when its accumulated share crosses the
   // next integer.  Smooth interleaving keeps every link's load spread out,
   // which is what lets ASAP timing track the fluid schedule.
-  pattern.block.reserve(total);
-  std::vector<std::size_t> emitted(pattern.counts.size(), 0);
-  for (std::size_t i = 1; i <= total; ++i) {
+  std::vector<std::size_t> block;
+  block.reserve(length);
+  std::vector<std::size_t> emitted(counts.size(), 0);
+  for (std::size_t i = 1; i <= length; ++i) {
     // Pick the processor whose deficit (expected share - emitted) is
     // largest; ties toward the nearer processor.
-    std::size_t best = pattern.counts.size();
+    std::size_t best = counts.size();
     double best_deficit = -1e300;
-    for (std::size_t q = 0; q < pattern.counts.size(); ++q) {
-      if (pattern.counts[q] == 0) continue;
-      const double expected = static_cast<double>(pattern.counts[q]) *
-                              static_cast<double>(i) / static_cast<double>(total);
+    for (std::size_t q = 0; q < counts.size(); ++q) {
+      if (counts[q] == 0) continue;
+      const double expected =
+          static_cast<double>(counts[q]) * static_cast<double>(i) / static_cast<double>(total);
       const double deficit = expected - static_cast<double>(emitted[q]);
       if (deficit > best_deficit + 1e-12) {
         best_deficit = deficit;
         best = q;
       }
     }
-    MST_ASSERT(best < pattern.counts.size());
+    MST_ASSERT(best < counts.size());
     ++emitted[best];
-    pattern.block.push_back(best);
+    block.push_back(best);
   }
+  return block;
+}
+
+}  // namespace
+
+PeriodicPattern chain_periodic_pattern(const Chain& chain) {
+  PeriodicPattern pattern;
+  const std::size_t total = pattern_counts(chain, pattern);
+  pattern.block = interleave(pattern.counts, total, total);
   return pattern;
+}
+
+std::vector<std::size_t> chain_periodic_destinations(const Chain& chain, std::size_t n) {
+  PeriodicPattern pattern;
+  const std::size_t total = pattern_counts(chain, pattern);
+  const std::vector<std::size_t> block = interleave(pattern.counts, total, std::min(n, total));
+  std::vector<std::size_t> dests(n);
+  for (std::size_t i = 0; i < n; ++i) dests[i] = block[i % block.size()];
+  return dests;
 }
 
 ChainSchedule periodic_chain_schedule(const Chain& chain, const PeriodicPattern& pattern,

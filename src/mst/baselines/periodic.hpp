@@ -52,6 +52,11 @@ struct PeriodicPattern {
 /// capacity instead).
 PeriodicPattern chain_periodic_pattern(const Chain& chain);
 
+/// The first `n` destinations of the repeated block, building only the
+/// first `min(n, block length)` block positions — the block of a chain with
+/// nearly coprime times can hold trillions of entries.
+std::vector<std::size_t> chain_periodic_destinations(const Chain& chain, std::size_t n);
+
 /// Materializes `repetitions` periods as an ASAP schedule (feasible by
 /// construction; used to measure convergence to the LP rate).
 ChainSchedule periodic_chain_schedule(const Chain& chain, const PeriodicPattern& pattern,

@@ -7,19 +7,11 @@
 namespace mst {
 
 ChainSchedule round_robin_chain(const Chain& chain, std::size_t n) {
-  std::vector<std::size_t> dests(n);
-  for (std::size_t i = 0; i < n; ++i) dests[i] = i % chain.size();
-  return asap_chain_schedule(chain, dests);
+  return round_robin_chain(chain, Workload::identical(n));
 }
 
 SpiderSchedule round_robin_spider(const Spider& spider, std::size_t n) {
-  std::vector<SpiderDest> all;
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    for (std::size_t q = 0; q < spider.leg(l).size(); ++q) all.push_back({l, q});
-  }
-  std::vector<SpiderDest> dests(n);
-  for (std::size_t i = 0; i < n; ++i) dests[i] = all[i % all.size()];
-  return asap_spider_schedule(spider, dests);
+  return round_robin_spider(spider, Workload::identical(n));
 }
 
 ChainSchedule round_robin_chain(const Chain& chain, const Workload& workload) {

@@ -8,18 +8,7 @@
 namespace mst {
 
 ChainSchedule single_node_chain(const Chain& chain, std::size_t n) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  ChainSchedule best{chain, {}};
-  Time best_makespan = kTimeInfinity;
-  for (std::size_t q = 0; q < chain.size(); ++q) {
-    ChainSchedule candidate = asap_chain_schedule(chain, std::vector<std::size_t>(n, q));
-    const Time m = candidate.makespan();
-    if (m < best_makespan) {
-      best_makespan = m;
-      best = std::move(candidate);
-    }
-  }
-  return best;
+  return single_node_chain(chain, Workload::identical(n));
 }
 
 Time single_node_chain_makespan(const Chain& chain, std::size_t n) {
@@ -27,21 +16,7 @@ Time single_node_chain_makespan(const Chain& chain, std::size_t n) {
 }
 
 SpiderSchedule single_node_spider(const Spider& spider, std::size_t n) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  SpiderSchedule best{spider, {}};
-  Time best_makespan = kTimeInfinity;
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
-      SpiderSchedule candidate =
-          asap_spider_schedule(spider, std::vector<SpiderDest>(n, SpiderDest{l, q}));
-      const Time m = candidate.makespan();
-      if (m < best_makespan) {
-        best_makespan = m;
-        best = std::move(candidate);
-      }
-    }
-  }
-  return best;
+  return single_node_spider(spider, Workload::identical(n));
 }
 
 Time single_node_spider_makespan(const Spider& spider, std::size_t n) {

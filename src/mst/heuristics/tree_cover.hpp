@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "mst/common/arena.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/platform/tree.hpp"
 
@@ -30,13 +29,10 @@ struct SpiderCover {
 };
 
 /// Chooses, for every child of the root, the descendant path with the
-/// highest chain steady-state rate.  Requires at least one slave.
+/// highest chain steady-state rate (ties toward the first leaf in child
+/// order).  One depth-first walk per root child keeps only the best path
+/// seen so far, so the work and the allocations depend on the tree alone.
+/// Requires at least one slave.
 SpiderCover cover_tree_with_spider(const Tree& tree);
-
-/// Arena-backed variant: the intermediate leaf-path collection lives in
-/// `arena` (reset on entry), so repeated covers reuse one grown block
-/// instead of churning a vector-of-vectors per call.  The returned cover
-/// still owns ordinary vectors; results are identical to the plain form.
-SpiderCover cover_tree_with_spider(const Tree& tree, Arena& arena);
 
 }  // namespace mst

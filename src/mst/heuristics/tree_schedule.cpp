@@ -12,7 +12,7 @@ namespace mst {
 void schedule_tree_via_cover_into(const Tree& tree, std::size_t n, TreeCoverScratch& scratch,
                                   std::vector<NodeId>& destinations, Time& makespan) {
   MST_REQUIRE(n >= 1, "need at least one task");
-  const SpiderCover cover = cover_tree_with_spider(tree, scratch.arena);
+  const SpiderCover cover = cover_tree_with_spider(tree);
   SpiderScheduler::schedule_into(cover.spider, Workload::identical(n), scratch.spider,
                                  scratch.plan);
   const SpiderSchedule& plan = scratch.plan;

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "mst/common/arena.hpp"
 #include "mst/common/time.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/tree.hpp"
@@ -27,12 +26,11 @@ struct TreeScheduleResult {
   std::vector<NodeId> destinations;
 };
 
-/// Reusable buffers for `schedule_tree_via_cover_into`: the leaf-path
-/// arena, the covering-spider solve scratch, and the pooled plan/order
-/// working sets.  With warm buffers the per-solve allocation count is
-/// independent of the task count `n` (only tree-shaped temporaries remain).
+/// Reusable buffers for `schedule_tree_via_cover_into`: the covering-spider
+/// solve scratch and the pooled plan/order working sets.  With warm buffers
+/// the per-solve allocation count is independent of the task count `n`
+/// (only tree-shaped temporaries, such as the cover itself, remain).
 struct TreeCoverScratch {
-  Arena arena;                      ///< leaf-path collection of the cover
   SpiderSolveScratch spider;        ///< covering-spider materialization
   SpiderSchedule plan;              ///< pooled spider plan
   std::vector<std::size_t> order;   ///< emission-order index sort

@@ -1,11 +1,8 @@
 #include "mst/sim/online.hpp"
 
-#include <algorithm>
 #include <memory>
 
-#include "mst/baselines/tree_asap.hpp"
-#include "mst/common/assert.hpp"
-#include "mst/common/rng.hpp"
+#include "mst/sim/streaming.hpp"
 
 namespace mst::sim {
 
@@ -26,46 +23,6 @@ const std::vector<OnlinePolicy>& all_online_policies() {
   return kAll;
 }
 
-namespace {
-
-std::vector<NodeId> slave_nodes(const Tree& tree) {
-  std::vector<NodeId> slaves;
-  for (NodeId v = 1; v < tree.size(); ++v) slaves.push_back(v);
-  return slaves;
-}
-
-}  // namespace
-
-NodeId choose_jsq(const Tree& tree, const DispatchContext& ctx) {
-  // Ascending node id with strict improvement: score ties break toward the
-  // smallest slave index (the documented contract).
-  NodeId best = 1;
-  Time best_score = kTimeInfinity;
-  for (NodeId v = 1; v < tree.size(); ++v) {
-    const Time score =
-        static_cast<Time>(ctx.outstanding[v] + 1) * tree.proc(v).work + tree.path_latency(v);
-    if (score < best_score) {
-      best_score = score;
-      best = v;
-    }
-  }
-  return best;
-}
-
-NodeId choose_ect(TreeAsapState& asap, Time size, Time release) {
-  NodeId best = 1;
-  Time best_completion = kTimeInfinity;
-  for (NodeId v = 1; v < asap.tree().size(); ++v) {
-    const Time completion = asap.peek_completion(v, size, release);
-    if (completion < best_completion) {
-      best_completion = completion;
-      best = v;
-    }
-  }
-  asap.commit(best, size, release);
-  return best;
-}
-
 SimResult simulate_online(const Tree& tree, std::size_t n, OnlinePolicy policy,
                           std::uint64_t seed) {
   return simulate_online(tree, Workload::identical(n), policy, seed);
@@ -73,46 +30,8 @@ SimResult simulate_online(const Tree& tree, std::size_t n, OnlinePolicy policy,
 
 SimResult simulate_online(const Tree& tree, const Workload& workload, OnlinePolicy policy,
                           std::uint64_t seed) {
-  MST_REQUIRE(tree.num_slaves() >= 1, "tree has no slaves");
-  const std::vector<NodeId> slaves = slave_nodes(tree);
-  const std::size_t n = workload.count();
-
-  switch (policy) {
-    case OnlinePolicy::kRoundRobin:
-      return simulate_chooser(tree, workload,
-                              [&slaves](std::size_t i, const DispatchContext&) {
-                                return slaves[i % slaves.size()];
-                              });
-
-    case OnlinePolicy::kRandom: {
-      Rng rng(seed);
-      // Pre-draw so the chooser stays a pure lookup (deterministic even if
-      // the engine ever reorders same-time dispatches).
-      std::vector<NodeId> draws(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        draws[i] = slaves[static_cast<std::size_t>(
-            rng.uniform(0, static_cast<std::int64_t>(slaves.size()) - 1))];
-      }
-      return simulate_chooser(
-          tree, workload, [&draws](std::size_t i, const DispatchContext&) { return draws[i]; });
-    }
-
-    case OnlinePolicy::kJoinShortestQueue:
-      return simulate_chooser(tree, workload, [&](std::size_t, const DispatchContext& ctx) {
-        return choose_jsq(tree, ctx);
-      });
-
-    case OnlinePolicy::kEarliestCompletion: {
-      // Exact forward ASAP estimator: FIFO out-ports + a single source make
-      // its predictions match the simulator exactly (see tree_asap.hpp);
-      // the size/release arguments keep that true for workloads.
-      auto asap = std::make_shared<TreeAsapState>(tree);
-      return simulate_chooser(tree, workload, [&, asap](std::size_t i, const DispatchContext&) {
-        return choose_ect(*asap, workload.size_of(i), workload.release_of(i));
-      });
-    }
-  }
-  throw std::logic_error("mst: unknown online policy");
+  const std::unique_ptr<StreamPolicy> dispatcher = make_stream_policy(tree, policy, seed);
+  return drive_stream(tree, workload, *dispatcher);
 }
 
 }  // namespace mst::sim

@@ -22,10 +22,11 @@
 ///  * ECT            — earliest estimated completion (forward greedy): the
 ///                     strongest online policy, exact estimates thanks to
 ///                     per-edge FIFO.
-
-namespace mst {
-class TreeAsapState;
-}
+///
+/// Each policy has one implementation, the stream policy of
+/// `streaming.hpp` (`make_stream_policy`); `simulate_online` runs it
+/// through the streaming driver, so the two entry points agree by
+/// construction.
 
 namespace mst::sim {
 
@@ -61,16 +62,5 @@ SimResult simulate_online(const Tree& tree, std::size_t n, OnlinePolicy policy,
 /// state mirrors the simulator's size-scaled, release-gated recurrences.
 SimResult simulate_online(const Tree& tree, const Workload& workload, OnlinePolicy policy,
                           std::uint64_t seed = 0);
-
-/// One JSQ decision: the slave minimizing `(outstanding + 1) * work +
-/// path_latency`, ties toward the smallest node id.  Shared by the online
-/// simulator and the streaming adapters (`streaming.hpp`) so the two stay
-/// decision-for-decision identical.
-NodeId choose_jsq(const Tree& tree, const DispatchContext& ctx);
-
-/// One ECT decision: peeks every slave's completion for a `(size, release)`
-/// task, commits the earliest (ties toward the smallest node id) and
-/// returns it.  Shared for the same reason as `choose_jsq`.
-NodeId choose_ect(TreeAsapState& asap, Time size, Time release);
 
 }  // namespace mst::sim

@@ -24,11 +24,9 @@ std::size_t require_slaves(const Tree& tree) {
 }
 
 // ---------------------------------------------------------------------------
-// The four online dispatchers, restated as stream policies.  Each mirrors
-// its `simulate_online` twin decision for decision — with every release at
-// 0 the adaptation is bit-for-bit identical (asserted by the test suite) —
-// but none of them ever holds a `Workload`: sizes and release dates reach
-// them one `observe` at a time.
+// The four online dispatchers — their one implementation; `simulate_online`
+// runs them through the driver below.  None of them ever holds a
+// `Workload`: sizes and release dates reach them one `observe` at a time.
 
 class RoundRobinStream final : public StreamPolicy {
  public:
@@ -48,8 +46,7 @@ class RandomStream final : public StreamPolicy {
       : num_slaves_(require_slaves(tree)), rng_(seed) {}
   void observe(const StreamArrival&) override {}
   NodeId choose(std::size_t, const DispatchContext&) override {
-    // One draw per dispatch, in dispatch order: the same SplitMix64 stream
-    // `simulate_online` pre-draws, consumed lazily because `n` is unknown.
+    // One SplitMix64 draw per dispatch, in dispatch order.
     return 1 + static_cast<NodeId>(
                    rng_.uniform(0, static_cast<std::int64_t>(num_slaves_) - 1));
   }
@@ -59,20 +56,35 @@ class RandomStream final : public StreamPolicy {
   Rng rng_;
 };
 
+/// Join the slave minimizing `(outstanding + 1) * work + path_latency`.
 class JsqStream final : public StreamPolicy {
  public:
   explicit JsqStream(const Tree& tree) : tree_(&tree) { require_slaves(tree); }
   void observe(const StreamArrival&) override {}
   NodeId choose(std::size_t, const DispatchContext& ctx) override {
-    // The shared decider (online.cpp) keeps the adaptation identical to
-    // `simulate_online` decision for decision.
-    return choose_jsq(*tree_, ctx);
+    // Ascending node id with strict improvement: score ties break toward
+    // the smallest slave index (the documented contract).
+    NodeId best = 1;
+    Time best_score = kTimeInfinity;
+    for (NodeId v = 1; v < tree_->size(); ++v) {
+      const Time score = static_cast<Time>(ctx.outstanding[v] + 1) * tree_->proc(v).work +
+                         tree_->path_latency(v);
+      if (score < best_score) {
+        best_score = score;
+        best = v;
+      }
+    }
+    return best;
   }
 
  private:
   const Tree* tree_;
 };
 
+/// Earliest estimated completion: the exact forward ASAP estimator (FIFO
+/// out-ports and a single source make its predictions match the simulator
+/// exactly, see tree_asap.hpp; the size/release arguments keep that true
+/// for workloads).
 class EctStream final : public StreamPolicy {
  public:
   explicit EctStream(const Tree& tree) : asap_(tree) { require_slaves(tree); }
@@ -82,7 +94,17 @@ class EctStream final : public StreamPolicy {
   }
   NodeId choose(std::size_t task, const DispatchContext&) override {
     const StreamArrival& arrival = arrivals_[task];
-    return choose_ect(asap_, arrival.size, arrival.release);
+    NodeId best = 1;
+    Time best_completion = kTimeInfinity;
+    for (NodeId v = 1; v < asap_.tree().size(); ++v) {
+      const Time completion = asap_.peek_completion(v, arrival.size, arrival.release);
+      if (completion < best_completion) {
+        best_completion = completion;
+        best = v;
+      }
+    }
+    asap_.commit(best, arrival.size, arrival.release);
+    return best;
   }
 
  private:
@@ -254,8 +276,8 @@ StreamMetrics compute_metrics(const Workload& workload, const SimResult& sim,
 
 }  // namespace
 
-StreamResult simulate_stream(const Tree& tree, const Workload& workload, StreamPolicy& policy,
-                             const obs::Observation& observation) {
+SimResult drive_stream(const Tree& tree, const Workload& workload, StreamPolicy& policy,
+                       const obs::Observation& observation) {
   std::size_t revealed = 0;
   const DestinationChooser chooser = [&](std::size_t task, const DispatchContext& ctx) {
     // Reveal exactly the arrived prefix: every task whose release date the
@@ -269,8 +291,13 @@ StreamResult simulate_stream(const Tree& tree, const Workload& workload, StreamP
     MST_ASSERT(revealed > task);  // the dispatched task itself has arrived
     return policy.choose(task, ctx);
   };
+  return simulate_chooser(tree, workload, chooser, observation);
+}
+
+StreamResult simulate_stream(const Tree& tree, const Workload& workload, StreamPolicy& policy,
+                             const obs::Observation& observation) {
   StreamResult result;
-  result.sim = simulate_chooser(tree, workload, chooser, observation);
+  result.sim = drive_stream(tree, workload, policy, observation);
   result.metrics = compute_metrics(workload, result.sim, observation);
   return result;
 }

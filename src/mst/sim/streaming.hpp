@@ -15,22 +15,19 @@
 /// \file streaming.hpp
 /// Streaming (no-lookahead) scheduling: the task count `n` is unknown.
 ///
-/// The paper plans the whole schedule offline with `n` known; the online
-/// policies of `online.hpp` dispatch reactively but still receive the full
-/// workload object up front.  This module closes the remaining gap to the
-/// deployed master-worker pools the paper motivates: a `StreamPolicy`
-/// observes tasks strictly one at a time, as their release dates pass on
-/// the simulated clock, and never learns the total task count or any future
-/// release date.  The driver — not policy discipline — enforces that: the
+/// The paper plans the whole schedule offline with `n` known.  This module
+/// models the deployed master-worker pools the paper motivates: a
+/// `StreamPolicy` observes tasks strictly one at a time, as their release
+/// dates pass on the simulated clock, and never learns the total task count
+/// or any future release date.  The driver — not policy discipline — enforces that: the
 /// policy has no reference to the `Workload`; every fact it ever receives
 /// arrives through `observe`, and the driver only calls `observe` for tasks
 /// whose release date has passed.
 ///
 /// Policies:
-///  * the four `OnlinePolicy` dispatchers, adapted (`make_stream_policy`) —
-///    on a workload whose tasks are all released at time 0 each adaptation
-///    reproduces `simulate_online` bit for bit (asserted by
-///    tests/test_streaming.cpp);
+///  * the four `OnlinePolicy` dispatchers (`make_stream_policy`) — their
+///    only implementation: `simulate_online` runs these policies through
+///    `drive_stream`;
 ///  * `replan` (`make_replan_policy`) — horizon re-planning: on every
 ///    arrival the exact chain/fork/spider solver is re-run on the currently
 ///    known, still-undispatched backlog, and dispatch follows that plan's
@@ -38,7 +35,9 @@
 ///    everything released at 0 this degenerates to the offline optimum
 ///    (one plan over the whole instance).
 ///
-/// The registry bridge (`api::run_stream`, in `mst/api/stream.hpp`)
+/// The registry's streaming entries run these policies through the driver
+/// (makespan form); the registry bridge (`api::run_stream`, in
+/// `mst/api/stream.hpp`)
 /// resolves a `(platform kind, algorithm)` pair whose
 /// `AlgorithmInfo::supports.streaming` flag is set, embeds the platform
 /// into the store-and-forward tree substrate, runs this driver and computes
@@ -100,16 +99,19 @@ struct StreamResult {
   StreamMetrics metrics;
 };
 
-/// Runs `policy` over the workload's arrival stream on `tree`.  Dispatch is
-/// FIFO in arrival order (tasks are interchangeable up to their observed
-/// size, and the master serves its backlog in order); the policy only picks
-/// destinations.  `tree` must outlive the call.
-///
-/// `observation` (optional, defaulted off) instruments the run: the
-/// underlying simulation records its Gantt and queue metrics, and the
-/// streaming layer adds arrival counts, a latency histogram and backlog
-/// gauges to the registry plus per-task arrival instants and a backlog
-/// counter series to the trace — all on the simulated clock.
+/// The driver: runs `policy` over the workload's arrival stream on `tree`
+/// and returns the operational timeline.  Dispatch is FIFO in arrival order
+/// (tasks are interchangeable up to their observed size, and the master
+/// serves its backlog in order); the policy only picks destinations.
+/// `tree` must outlive the call.  `observation` (optional, defaulted off)
+/// makes the underlying simulation record its Gantt and queue metrics.
+SimResult drive_stream(const Tree& tree, const Workload& workload, StreamPolicy& policy,
+                       const obs::Observation& observation = {});
+
+/// The driver plus the streaming metrics.  With `observation` the streaming
+/// layer also adds arrival counts, a latency histogram and backlog gauges
+/// to the registry plus per-task arrival instants and a backlog counter
+/// series to the trace — all on the simulated clock.
 StreamResult simulate_stream(const Tree& tree, const Workload& workload, StreamPolicy& policy,
                              const obs::Observation& observation = {});
 

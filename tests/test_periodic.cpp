@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <variant>
 
+#include "mst/api/registry.hpp"
 #include "mst/baselines/bounds.hpp"
 #include "mst/baselines/periodic.hpp"
 #include "mst/common/rng.hpp"
@@ -148,6 +150,40 @@ TEST(Periodic, RejectsZeroRepetitions) {
   const Chain chain = Chain::from_vectors({1}, {1});
   const PeriodicPattern pattern = chain_periodic_pattern(chain);
   EXPECT_THROW(periodic_chain_schedule(chain, pattern, 0), std::invalid_argument);
+}
+
+TEST(Periodic, RegistryPrefixBuildsOnlyTheTasksItNeeds) {
+  // Five nearly coprime processor times push the hyperperiod block to
+  // ~4.6e12 positions; a 3-task prefix must not build the whole block.  The
+  // 4-processor chain with the same first four times fails the same way
+  // when the block is built whole.
+  for (const Chain& chain : {Chain::from_vectors({1, 1, 1, 1, 1}, {997, 991, 983, 977, 971}),
+                             Chain::from_vectors({1, 1, 1, 1}, {997, 991, 983, 977})}) {
+    const api::SolveResult result = api::registry().solve(chain, "periodic", 3);
+    EXPECT_EQ(result.tasks, 3u);
+    EXPECT_TRUE(api::check_feasibility(result).ok()) << chain.describe();
+  }
+}
+
+TEST(Periodic, RegistryPrefixRepeatsTheFullBlock) {
+  Rng rng(319);
+  GeneratorParams params{1, 8, PlatformClass::kUniform};
+  for (int trial = 0; trial < 12; ++trial) {
+    Rng inst = rng.split();
+    const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 4)), params);
+    const PeriodicPattern pattern = chain_periodic_pattern(chain);
+    const std::size_t block = pattern.tasks_per_period();
+    for (const std::size_t n : {std::size_t{1}, block > 1 ? block - 1 : 1, block,
+                                2 * block + 3}) {
+      const api::SolveResult result = api::registry().solve(chain, "periodic", n);
+      const auto& schedule = std::get<ChainSchedule>(result.schedule);
+      ASSERT_EQ(schedule.num_tasks(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(schedule.tasks[i].proc, pattern.block[i % block])
+            << chain.describe() << " n=" << n << " task " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

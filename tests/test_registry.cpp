@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "mst/api/registry.hpp"
 #include "mst/common/rng.hpp"
@@ -161,6 +162,36 @@ TEST(Registry, WrongPlatformAlternativeThrows) {
                std::invalid_argument);
   EXPECT_THROW((void)api::registry().solve(fig2_chain(), "optimal", 0),
                std::invalid_argument);
+}
+
+TEST(Registry, StreamingEntriesRejectPlatformsOfAnotherKind) {
+  // `replan` on every exact kind and one online policy on trees: a platform
+  // of any other kind is refused with the same message every built-in
+  // gives, never solved as its substrate.
+  const std::vector<api::PlatformKind> kinds = {api::PlatformKind::kChain,
+                                                api::PlatformKind::kFork,
+                                                api::PlatformKind::kSpider,
+                                                api::PlatformKind::kTree};
+  for (const api::PlatformKind kind : kinds) {
+    const char* algorithm = kind == api::PlatformKind::kTree ? "online-ect" : "replan";
+    const api::Scheduler* scheduler = api::registry().find(kind, algorithm);
+    ASSERT_NE(scheduler, nullptr) << algorithm;
+    const api::SolveResult own = scheduler->solve(platform_of(kind), 4);
+    EXPECT_EQ(own.kind, kind) << algorithm;
+    EXPECT_EQ(own.tasks, 4u) << algorithm;
+    for (const api::PlatformKind other : kinds) {
+      if (other == kind) continue;
+      try {
+        (void)scheduler->solve(platform_of(other), 4);
+        ADD_FAILURE() << algorithm << " on " << to_string(kind) << " solved a "
+                      << to_string(other) << " platform";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), std::string(algorithm) + ": expected a " +
+                                             to_string(kind) + " platform, got " +
+                                             to_string(other));
+      }
+    }
+  }
 }
 
 // Extending the library is one `add()` call: the new entry is enumerable
