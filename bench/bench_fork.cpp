@@ -1,6 +1,7 @@
 // CPLX-FORK: microbenchmarks of the fork (star) scheduler — decision form,
-// makespan binary search and its materialization step alone, the
-// ascending-c greedy selector and Moore–Hodgson selection.  Timing harness
+// makespan binary search (against n, and against p at n = 1024) and its
+// materialization step alone, the ascending-c greedy selector and
+// Moore–Hodgson selection.  Timing harness
 // shared with the other bench_* binaries: bench/bench_harness.hpp; the
 // committed baseline is bench/BENCH_fork.json.
 
@@ -55,6 +56,15 @@ std::vector<Row> run_all() {
                         keep(out.tasks.size());
                       })});
     }
+  }
+  // The makespan form against the number of slaves at n = 1024: one p-way
+  // merge of up to p·n nodes, the probes from the one-port floor, and the
+  // selection on the built instance.
+  for (std::size_t p = 16; p <= 256; p *= 4) {
+    const mst::Fork fork = make_fork(p);
+    rows.push_back({"fork_makespan_procs", p, time_op([&] {
+                      keep(mst::ForkScheduler::makespan(fork, 1024));
+                    })});
   }
   for (std::size_t p = 2; p <= 32; p *= 4) {
     const mst::Fork fork = make_fork(p);

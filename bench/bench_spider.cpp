@@ -1,6 +1,7 @@
 // CPLX-SPIDER: microbenchmarks of the spider algorithm (Theorem 2 claims a
-// polynomial bound below O(n²p²)) — decision form, makespan n-sweep, its
-// materialization step alone and the spider→chains transformation.  Timing
+// polynomial bound below O(n²p²)) — decision form, makespan n-sweep and
+// legs-sweep at n = 1024, its materialization step alone and the
+// spider→chains transformation.  Timing
 // harness shared with the other bench_* binaries: bench/bench_harness.hpp;
 // the committed baseline is bench/BENCH_spider.json.
 
@@ -58,6 +59,16 @@ std::vector<Row> run_all() {
                         keep(out.tasks.size());
                       })});
     }
+  }
+  // The makespan form against the number of legs (two processors each) at
+  // n = 1024: one backward construction per leg and one p-way merge, the
+  // probes from the one-port floor, and the selection on the built
+  // instance with only each leg's kept suffix rebuilt.
+  for (std::size_t legs = 16; legs <= 256; legs *= 4) {
+    const mst::Spider spider = make_spider(legs, 2);
+    rows.push_back({"spider_makespan_procs", legs, time_op([&] {
+                      keep(mst::SpiderScheduler::makespan(spider, 1024));
+                    })});
   }
   for (std::size_t legs = 2; legs <= 32; legs *= 2) {
     const mst::Spider spider = make_spider(legs, 4);

@@ -186,12 +186,13 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
     // release dates are absolute, the window is the schedule.
     const Time top = workload.last_release() + chain.t_infinity(n);
     build_instance(chain, top, workload, n, scratch);
-    const Time horizon = detail::min_horizon(
-        0, top, [&](Time t) { return probe_instance(t, workload, n, scratch) >= n; });
+    const Time horizon = detail::search_instance(
+        scratch, 0, n, [&](Time t) { return probe_instance(t, workload, n, scratch); });
     schedule_within_into(chain, horizon, workload, n, scratch, out);
     MST_ASSERT(out.tasks.size() == n);
     return;
   }
+  scratch.probes = 0;
   build_backward_into(chain, chain.t_infinity(n), n, /*stop_on_negative=*/false, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
 

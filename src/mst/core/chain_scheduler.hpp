@@ -42,6 +42,7 @@ struct ChainCountScratch {
   std::vector<Time> best;
   std::vector<Time> emissions;  ///< release-dated counts: first emissions as built
   Time build_horizon = 0;       ///< horizon `emissions` were built at
+  std::size_t probes = 0;       ///< bisection probes of the last makespan search
 };
 
 /// Optimal scheduling on chains (stateless; all methods are pure functions
@@ -71,7 +72,8 @@ class ChainScheduler {
   /// optimality proof and are rejected (`std::invalid_argument`).
   ///
   /// Search cost: one `O(n·p²)` backward construction at the top of the
-  /// range, then ~log2(top) probes of `O(n log n)` each, with no further
+  /// range, then at most `ceil(log2(top + 1))` probes of `O(n log n)` each
+  /// (counted in `ChainCountScratch::probes`), with no further
   /// construction.  This rests on a shift lemma, a result beyond the paper:
   /// the construction commutes with a uniform shift of its horizon, so its
   /// first emissions at `T <= H` are those at `H` shifted by `T - H` and cut

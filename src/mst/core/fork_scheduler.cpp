@@ -17,49 +17,21 @@ void require_uniform_sizes(const Workload& workload) {
               "the virtual-node selection is only optimal for identical task sizes");
 }
 
-/// Upper end of every fork horizon search: all `n` tasks on the single best
-/// slave.
-Time single_slave_horizon(const Fork& fork, std::size_t n) {
-  Time hi = kTimeInfinity;
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& s = fork.slave(i);
-    hi = std::min(hi, s.comm + static_cast<Time>(n - 1) * fork.cadence(i) + s.work);
+/// The range of every fork makespan search: each slave is its own source
+/// and is reached after its own link.
+detail::SearchRange search_range(const Fork& fork, const Workload& workload) {
+  detail::SearchRange range(workload.count(), workload.last_release());
+  for (const Processor& slave : fork.slaves()) {
+    range.add_source(slave);
+    range.add_reach(slave.comm, slave.work);
   }
-  return hi;
+  return range;
 }
 
-// The select and sequencing steps run on warm scratch only — statically
-// allocation-checked (dynamic twins: tests/test_counting.cpp,
+// The build, select and sequencing steps run on warm scratch only —
+// statically allocation-checked (dynamic twins: tests/test_counting.cpp,
 // tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
-
-/// Every Fig 6 virtual node that could complete within `t_lim` — at most
-/// `max_per_slave` per slave, slave-major in ascending rank (the node set
-/// and order of `expand_fork`) — as `emit(slave, comm, deadline)`.
-template <typename Emit>
-void for_each_fork_node(const Fork& fork, Time t_lim, std::size_t max_per_slave, Emit&& emit) {
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& slave = fork.slave(i);
-    const Time m = std::max(slave.comm, slave.work);
-    for (std::size_t q = 0; q < max_per_slave; ++q) {
-      const Time exec = slave.work + static_cast<Time>(q) * m;
-      if (exec + slave.comm > t_lim) break;  // could never complete in the window
-      emit(i, slave.comm, t_lim - exec);
-    }
-  }
-}
-
-/// The node instance of the select step as `scratch.jobs`, ids in
-/// enumeration order, each node's slave in `scratch.slave_of`.
-void append_fork_jobs(const Fork& fork, Time t_lim, std::size_t max_per_slave,
-                      ForkCountScratch& scratch) {
-  scratch.jobs.clear();
-  scratch.slave_of.clear();
-  for_each_fork_node(fork, t_lim, max_per_slave, [&](std::size_t slave, Time comm, Time deadline) {
-    scratch.jobs.push_back(DeadlineJob{comm, deadline, scratch.jobs.size()});
-    scratch.slave_of.push_back(slave);
-  });
-}
 
 /// Sequencing order of the selected counts: slave `i` with count `k` uses
 /// its virtual nodes of ranks `0..k-1` (Fig 6), in EDD order as
@@ -76,23 +48,47 @@ void edd_order(const Fork& fork, Time t_lim, ForkCountScratch& scratch) {
   std::sort(scratch.seq.begin(), scratch.seq.end());
 }
 
-/// Select step: the node instance, the optimal Moore–Hodgson selection on
-/// the master port, and per-slave counts in `scratch.counts` — only counts
-/// matter, since normalizing each slave to its smallest-exec prefix is a
-/// pure deadline relaxation — left in EDD order in `scratch.seq`.  Returns
-/// the selected total.
-std::size_t select_fork(const Fork& fork, Time t_lim, std::size_t cap,
-                        ForkCountScratch& scratch) {
-  append_fork_jobs(fork, t_lim, cap, scratch);
-  moore_hodgson_select(scratch.jobs, scratch.sel_heap);
-  scratch.counts.assign(fork.size(), 0);
-  for (const auto& [comm, id] : scratch.sel_heap) ++scratch.counts[scratch.slave_of[id]];
+/// Select step at `t_lim` on the instance built at `scratch.build_horizon`
+/// for the same workload and cap `k_cap`, leaving the EDD sequence in
+/// `scratch.seq` and returning the release dates it must honour (null
+/// without).  Identical tasks: the optimal Moore–Hodgson selection on the
+/// master port and its per-slave counts — only counts matter, since
+/// normalizing each slave to its smallest-exec prefix is a pure deadline
+/// relaxation — trimmed to the cap.  Release dates: the positional-release
+/// DP's own sequence.
+const std::vector<Time>* select_fork(const Fork& fork, Time t_lim, const Workload& workload,
+                                     std::size_t k_cap, ForkCountScratch& scratch) {
+  const Time shift = scratch.build_horizon - t_lim;
+  if (workload.has_release_dates()) {
+    moore_hodgson_released(scratch.edd, shift, workload.releases(), k_cap, scratch.dp,
+                           scratch.taken, scratch.picked);
+    // Replay the DP's own EDD sequence: position j's emission starts no
+    // earlier than the j-th smallest release date, and the DP proved every
+    // completion meets its chosen node's deadline.  (Re-sorting after a
+    // normalization swap is NOT safe under positional releases — a job
+    // moved to a later position also inherits a later release.)  Per slave,
+    // the chosen ranks arrive in descending order, so the c-th arriving task
+    // has at least as many virtual slots behind it as tasks actually follow
+    // — the standard Fig 6 induction still bounds every completion by
+    // `t_lim`.
+    scratch.seq.clear();
+    for (const EddJob& job : scratch.picked) {
+      scratch.seq.emplace_back(job.deadline - shift, detail::run_of(scratch.offsets, job.id));
+    }
+    return &workload.releases();
+  }
 
-  // Global cap: Moore–Hodgson sees `cap` nodes per slave, so the total can
-  // exceed `cap`; trim greedily from the slaves whose *next removed* node is
-  // the hardest (largest exec) — removal never breaks feasibility.
+  moore_hodgson_select(scratch.edd, shift, scratch.sel_heap);
+  scratch.counts.assign(fork.size(), 0);
+  for (const auto& [comm, id] : scratch.sel_heap) {
+    ++scratch.counts[detail::run_of(scratch.offsets, id)];
+  }
+
+  // Global cap: Moore–Hodgson sees `k_cap` nodes per slave, so the total
+  // can exceed `k_cap`; trim greedily from the slaves whose *next removed*
+  // node is the hardest (largest exec) — removal never breaks feasibility.
   std::size_t selected = scratch.sel_heap.size();
-  while (selected > cap) {
+  while (selected > k_cap) {
     std::size_t worst = fork.size();
     Time worst_exec = -1;
     for (std::size_t i = 0; i < fork.size(); ++i) {
@@ -109,7 +105,7 @@ std::size_t select_fork(const Fork& fork, Time t_lim, std::size_t cap,
     --selected;
   }
   edd_order(fork, t_lim, scratch);
-  return selected;
+  return nullptr;
 }
 
 /// Sequencing step: replays `scratch.seq` on the master port — emissions
@@ -158,14 +154,15 @@ std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, std::size_
 std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Time t_lim,
                                                             std::size_t cap,
                                                             ForkCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  const std::size_t selected = select_fork(fork, t_lim, cap, scratch);
+  const Workload tasks = Workload::identical(cap);
+  build_instance(fork, t_lim, tasks, cap, scratch);
+  select_fork(fork, t_lim, tasks, cap, scratch);
   Time makespan = 0;
   sequence_fork(fork, t_lim, nullptr, scratch,
                 [&](std::size_t slave, Time /*emission*/, Time start) {
                   makespan = std::max(makespan, start + fork.slave(slave).work);
                 });
-  return {selected, makespan};
+  return {scratch.seq.size(), makespan};
 }
 
 std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, const Workload& workload,
@@ -180,14 +177,25 @@ void ForkScheduler::build_instance(const Fork& fork, Time horizon, const Workloa
   MST_REQUIRE(horizon >= 0, "time limit must be non-negative");
   // A node `(exec, comm)` exists at `T <= horizon` iff `exec + comm <= T`,
   // i.e. iff its shifted deadline `T - exec` is still at least `comm` —
-  // exactly the probe's filter.
+  // exactly the probe's filter.  Slave `i` contributes its first
+  // `fork_node_count` ranks, ids `offsets[i] + rank` (the enumeration
+  // order of `expand_fork`); its deadlines fall with the rank, so its run in
+  // EDD order is the ranks in descending order.
+  const std::size_t k_cap = std::min(cap, workload.count());
   scratch.build_horizon = horizon;
-  scratch.edd.clear();
-  for_each_fork_node(fork, horizon, std::min(cap, workload.count()),
-                     [&](std::size_t /*slave*/, Time comm, Time deadline) {
-                       scratch.edd.push_back(EddJob{deadline, comm});
-                     });
-  std::sort(scratch.edd.begin(), scratch.edd.end());
+  scratch.offsets.assign(1, 0);
+  for (const Processor& slave : fork.slaves()) {
+    scratch.offsets.push_back(scratch.offsets.back() + fork_node_count(slave, horizon, k_cap));
+  }
+  detail::merge_edd_runs(
+      scratch.offsets,
+      [&](std::size_t i, std::size_t j) {
+        const Processor& slave = fork.slave(i);
+        const std::size_t rank = scratch.offsets[i + 1] - scratch.offsets[i] - 1 - j;
+        const Time exec = slave.work + static_cast<Time>(rank) * fork.cadence(i);
+        return EddJob{horizon - exec, slave.comm, scratch.offsets[i] + rank};
+      },
+      scratch.merge, scratch.edd);
 }
 
 std::size_t ForkScheduler::probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
@@ -199,59 +207,36 @@ std::size_t ForkScheduler::probe_instance(Time t_lim, const Workload& workload, 
 
 void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
                                          ForkCountScratch& scratch, ForkSchedule& out) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  const std::size_t selected = select_fork(fork, t_lim, cap, scratch);
-  materialize_fork(fork, t_lim, nullptr, scratch, out);
-  MST_ASSERT(out.tasks.size() == selected);
+  schedule_within_into(fork, t_lim, Workload::identical(cap), cap, scratch, out);
 }
-// mstlint: zero-alloc-end
 
 void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, const Workload& workload,
                                          std::size_t cap, ForkCountScratch& scratch,
                                          ForkSchedule& out) {
-  require_uniform_sizes(workload);
+  build_instance(fork, t_lim, workload, cap, scratch);
   const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) {
-    schedule_within_into(fork, t_lim, k_cap, scratch, out);
-    return;
-  }
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // `moore_hodgson_released` sorts a copy, so `scratch.jobs` stays indexed
-  // by id.
-  append_fork_jobs(fork, t_lim, k_cap, scratch);
-  const std::vector<std::size_t> picked =
-      moore_hodgson_released(scratch.jobs, workload.releases(), k_cap);
-
-  // Replay the DP's own EDD sequence: position j's emission starts no
-  // earlier than the j-th smallest release date, and the DP proved every
-  // completion meets its chosen node's deadline.  (Re-sorting after a
-  // normalization swap is NOT safe under positional releases — a job moved
-  // to a later position also inherits a later release.)  Per slave, the
-  // chosen ranks arrive in descending order, so the c-th arriving task has
-  // at least as many virtual slots behind it as tasks actually follow —
-  // the standard Fig 6 induction still bounds every completion by `t_lim`.
-  scratch.seq.clear();
-  for (const std::size_t id : picked) {
-    scratch.seq.emplace_back(scratch.jobs[id].deadline, scratch.slave_of[id]);
-  }
-  materialize_fork(fork, t_lim, &workload.releases(), scratch, out);
+  materialize_fork(fork, t_lim, select_fork(fork, t_lim, workload, k_cap, scratch), scratch, out);
 }
 
 void ForkScheduler::schedule_into(const Fork& fork, const Workload& workload,
                                   ForkCountScratch& scratch, ForkSchedule& out) {
   require_uniform_sizes(workload);
   MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
+  // The node instance is built once, at the top; every probe shifts it down
+  // to its horizon, and the optimum is selected from it too.
   const std::size_t n = workload.count();
-  // Minimal horizon: the single-best-slave pipeline shifted past the last
-  // release (0 without release dates) is always feasible, so the upper
-  // bound holds.  The node instance is built once, at the top; every probe
-  // shifts it down to its horizon.
-  const Time top = single_slave_horizon(fork, n) + workload.last_release();
-  build_instance(fork, top, workload, n, scratch);
-  const Time horizon = detail::min_horizon(
-      0, top, [&](Time t) { return probe_instance(t, workload, n, scratch) >= n; });
-  schedule_within_into(fork, horizon, workload, n, scratch, out);
+  const detail::SearchRange range = search_range(fork, workload);
+  build_instance(fork, range.top(), workload, n, scratch);
+  const Time horizon = detail::search_instance(
+      scratch, range.floor(), n, [&](Time t) { return probe_instance(t, workload, n, scratch); });
+  materialize_fork(fork, horizon, select_fork(fork, horizon, workload, n, scratch), scratch, out);
   MST_ASSERT(out.tasks.size() == n);
+}
+// mstlint: zero-alloc-end
+
+Time ForkScheduler::makespan_floor(const Fork& fork, const Workload& workload) {
+  MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
+  return search_range(fork, workload).floor();
 }
 
 // Value-returning forms: a local scratch around the `_into` forms above.

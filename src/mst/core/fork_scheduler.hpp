@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -25,22 +26,25 @@
 
 namespace mst {
 
-/// Reusable buffers of the fork select and sequencing steps (counting and
-/// materializing alike).  Keep one per thread: with warm buffers the count
-/// — on-the-fly virtual-node expansion plus the count-only Moore–Hodgson
-/// selection — and the materialization perform no heap allocation at all,
-/// matching the chain/spider paths.
+/// Reusable buffers of the fork build, select and sequencing steps
+/// (counting and materializing alike).  Keep one per thread: with warm
+/// buffers the count — the merged node instance plus the count-only
+/// Moore–Hodgson selection — the makespan search and the materialization
+/// perform no heap allocation at all, matching the chain/spider paths.
 struct ForkCountScratch {
-  std::vector<DeadlineJob> jobs;  ///< the Fig 6 node instance with ids (select step)
-  std::vector<EddJob> edd;        ///< the node instance as built for counting probes
-  Time build_horizon = 0;         ///< horizon `edd` was built at
-  std::vector<Time> heap;         ///< count-only Moore–Hodgson heap
-  std::vector<Time> dp;           ///< positional-release selection DP row
-  std::vector<SelectedJob> sel_heap;   ///< Moore–Hodgson selection with ids
-  std::vector<std::size_t> slave_of;   ///< job id → slave index
-  std::vector<std::size_t> counts;     ///< selected tasks per slave
+  std::vector<EddJob> edd;          ///< the Fig 6 node instance, EDD order as built
+  std::vector<std::size_t> offsets;  ///< slave i's node ids: [offsets[i], offsets[i+1])
+  Time build_horizon = 0;           ///< horizon `edd` was built at
+  std::vector<EddRun> merge;        ///< the build's p-way merge heap
+  std::vector<Time> heap;           ///< count-only Moore–Hodgson heap
+  std::vector<Time> dp;             ///< positional-release selection DP row
+  std::vector<SelectedJob> sel_heap;    ///< Moore–Hodgson selection with ids
+  std::vector<std::uint64_t> taken;     ///< positional-release selection backtrack bits
+  std::vector<EddJob> picked;           ///< positional-release selection, EDD order
+  std::vector<std::size_t> counts;      ///< selected tasks per slave
   std::vector<std::pair<Time, std::size_t>> seq;  ///< (deadline, slave) sequencing
-  std::vector<Time> slave_free;        ///< per-slave completion during replay
+  std::vector<Time> slave_free;         ///< per-slave completion during replay
+  std::size_t probes = 0;               ///< bisection probes of the last makespan search
 };
 
 class ForkScheduler {
@@ -53,21 +57,21 @@ class ForkScheduler {
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: the *build* step expands each slave's
-  /// virtual nodes directly into `scratch.edd` (never building node
-  /// vectors) and sorts them EDD; the *probe* step runs the count-only
-  /// Moore–Hodgson selection over them in `scratch.heap`.  Returns exactly
-  /// `schedule_within(fork, t_lim, cap).tasks.size()`.  The registry's
-  /// `materialize == false` fast path runs on this; the makespan search
-  /// runs the same two steps, building once (see `schedule_into`).
+  /// Allocation-free counting: the *build* step merges each slave's
+  /// virtual nodes into `scratch.edd` (never building node vectors); the
+  /// *probe* step runs the count-only Moore–Hodgson selection over them in
+  /// `scratch.heap`.  Returns exactly `schedule_within(fork, t_lim,
+  /// cap).tasks.size()`.  The registry's `materialize == false` fast path
+  /// runs on this; the makespan search runs the same two steps, building
+  /// once (see `schedule_into`).
   static std::size_t count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                   ForkCountScratch& scratch);
 
   /// Count *and* completion time of the decision-form schedule, still
-  /// allocation-free: the select and sequencing steps of `schedule_within`
-  /// with a makespan sink, so the registry fast path reports the same
-  /// (tasks, makespan) pair as the materializing path without ever building
-  /// task vectors.
+  /// allocation-free: the build, select and sequencing steps of
+  /// `schedule_within` with a makespan sink, so the registry fast path
+  /// reports the same (tasks, makespan) pair as the materializing path
+  /// without ever building task vectors.
   static std::pair<std::size_t, Time> makespan_within(const Fork& fork, Time t_lim,
                                                       std::size_t cap,
                                                       ForkCountScratch& scratch);
@@ -83,10 +87,13 @@ class ForkScheduler {
                                       std::size_t cap);
 
   /// The two steps of every count (`count_within` runs both at `t_lim`).
-  /// `build_instance` expands the Fig 6 nodes at `horizon` into
-  /// `scratch.edd`, EDD-sorted; `probe_instance` then answers the count at
-  /// any `t_lim` in `[0, horizon]` — for the same workload and cap — by
-  /// shifting and filtering that instance, in one linear Moore–Hodgson (or
+  /// `build_instance` enumerates the Fig 6 nodes at `horizon` — at most
+  /// `min(cap, workload.count())` per slave, slave `i`'s ranks numbered
+  /// from `scratch.offsets[i]` — and merges the slaves' runs, each already
+  /// in EDD order, into `scratch.edd` ordered by `(deadline, comm, id)`;
+  /// `probe_instance` then answers the count at any `t_lim` in
+  /// `[0, horizon]` — for the same workload and cap — by shifting and
+  /// filtering that instance, in one linear Moore–Hodgson (or
   /// positional-release DP) pass.  Equals `count_within(fork, t_lim,
   /// workload, cap, scratch)` at every such `t_lim`.
   static void build_instance(const Fork& fork, Time horizon, const Workload& workload,
@@ -94,18 +101,28 @@ class ForkScheduler {
   static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
                                     ForkCountScratch& scratch);
 
+  /// The lower end of every fork makespan search, the one-port floor
+  /// `max((n-1)·min c, last release) + min(c + w)` (proof at
+  /// `detail::SearchRange` in `core/kernels.hpp`): no schedule of the
+  /// workload finishes earlier.
+  static Time makespan_floor(const Fork& fork, const Workload& workload);
+
   /// Workload makespan form: minimal horizon by binary search over the
-  /// release-aware count (absolute times; no shift).  Same search cost as
-  /// below, with the positional-release DP as the probe pass.
+  /// release-aware count (absolute times; no shift).  Same search as below,
+  /// with the positional-release DP as the probe pass and the selection.
   static ForkSchedule schedule(const Fork& fork, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks, found by binary
   /// search on `t_lim` over the monotone decision form.  The search builds
-  /// the node instance once, at the top of its range, and every probe
-  /// shifts and filters it (`core/kernels.hpp`, `min_horizon`) — one build
-  /// of `O(p·n)` nodes and one sort, then ~log2(top) linear Moore–Hodgson
-  /// probes with no re-sort.  This horizon-invariance of the instance is a
-  /// result beyond the paper, which re-solves the decision form per probe.
+  /// the node instance once, at the top of its range — one p-way merge of
+  /// the slaves' `O(p·n)` nodes, no sort — and every probe shifts and
+  /// filters it (`core/kernels.hpp`, `min_horizon`).  It starts at the
+  /// one-port floor (`makespan_floor`), not 0, so it runs at most
+  /// `ceil(log2(top - floor + 1))` linear Moore–Hodgson probes, and none on
+  /// a port-bound fork, where the floor meets the top.  The optimum is then
+  /// selected and sequenced from the same instance.  This horizon-invariance
+  /// of the instance is a result beyond the paper, which re-solves the
+  /// decision form per probe.
   static ForkSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.
@@ -122,13 +139,14 @@ class ForkScheduler {
   static ForkSchedule greedy_schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
 
   // -------------------------------------------------------------------------
-  // One algorithm, two steps.  The *select* step builds the node instance,
-  // runs Moore–Hodgson, counts per slave and trims to the global cap; the
-  // EDD *sequencing* step then feeds either a makespan sink
-  // (`makespan_within`) or a task sink (the `_into` forms, and the greedy's
-  // materialization).  The value-returning forms are a local scratch around
-  // the `_into` forms, which rebuild `out` in place so repeated solves on
-  // warm scratch perform zero heap allocations.
+  // One algorithm, three steps.  The *build* step merges the node instance;
+  // the *select* step runs Moore–Hodgson on it (shifted to the window),
+  // counts per slave and trims to the global cap; the EDD *sequencing* step
+  // then feeds either a makespan sink (`makespan_within`) or a task sink
+  // (the `_into` forms, and the greedy's materialization).  The
+  // value-returning forms are a local scratch around the `_into` forms,
+  // which rebuild `out` in place so repeated solves on warm scratch perform
+  // zero heap allocations.
 
   /// `schedule_within(fork, t_lim, cap)` into `out`.
   static void schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
@@ -140,7 +158,8 @@ class ForkScheduler {
                                    ForkSchedule& out);
 
   /// `schedule(fork, workload)` into `out`; the search builds its instance
-  /// in `scratch` once and every bisection probe reuses it.
+  /// in `scratch` once, and every bisection probe and the final selection
+  /// reuse it (`scratch.probes` counts the probes).
   static void schedule_into(const Fork& fork, const Workload& workload,
                             ForkCountScratch& scratch, ForkSchedule& out);
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <vector>
 
 #include "mst/common/assert.hpp"
 #include "mst/core/chain_scheduler.hpp"
@@ -12,8 +14,9 @@
 
 /// \file kernels.hpp
 /// Core-private kernels shared by the exact schedulers: the one horizon
-/// bisection behind every makespan form with the fork/spider probe step,
-/// and the one implementation of the Fig 3 backward construction.  Every
+/// bisection behind every makespan form with the fork/spider search range,
+/// build merge and probe step, and the one implementation of the Fig 3
+/// backward construction.  Every
 /// chain entry point — counting, first emissions, materialization,
 /// tracing — and, through them, the spider reduction runs that loop; a
 /// *sink* decides what each step produces.
@@ -25,8 +28,9 @@ namespace mst::detail {
 // mstlint: zero-alloc
 
 /// Smallest horizon in `[lo, hi]` satisfying the monotone predicate `fits`
-/// (`fits(hi)` must hold).  Every makespan form of the exact core finds its
-/// optimal window through this search.
+/// (`fits(hi)` must hold), in at most `ceil(log2(hi - lo + 1))` calls of
+/// `fits`.  Every makespan form of the exact core finds its optimal window
+/// through this search.
 ///
 /// Build once, probe many times.  The searches never rebuild their instance
 /// per probe, because of a shift lemma (a result beyond the paper): the
@@ -39,13 +43,14 @@ namespace mst::detail {
 /// `exec + comm <= T`, with deadline `T - exec`; a Fig 7 leg node has
 /// deadline `C_1 + c_1`, which shifts with the leg's emissions.  So a search
 /// runs one *build* step at the top of its range — the chain emissions, or
-/// the node instance as EDD-sorted `(deadline at H, comm)` pairs — and every
-/// bisection *probe* at `T` lowers each deadline by `H - T` and drops the
-/// jobs whose deadline fell below their processing time.  A uniform shift
-/// keeps EDD order, so a probe is one linear Moore–Hodgson (or
-/// positional-release DP) pass with no sort: one build plus ~log2(top)
-/// linear probes per search.  `count_within` is the same two steps at one
-/// horizon (build at `T`, probe with shift 0).
+/// the node instance as EDD-ordered `(deadline at H, comm, id)` jobs,
+/// merged from the per-source runs (`merge_edd_runs`) — and every bisection
+/// *probe* at `T` lowers each deadline by `H - T` and drops the jobs whose
+/// deadline fell below their processing time.  A uniform shift keeps EDD
+/// order, so a probe is one linear Moore–Hodgson (or positional-release DP)
+/// pass with no sort, and the optimum `T*` is selected and materialized
+/// from the same instance, shifted by `H - T*`.  `count_within` is the same
+/// two steps at one horizon (build at `T`, probe with shift 0).
 template <typename Fits>
 Time min_horizon(Time lo, Time hi, Fits&& fits) {
   while (lo < hi) {
@@ -57,6 +62,119 @@ Time min_horizon(Time lo, Time hi, Fits&& fits) {
     }
   }
   return lo;
+}
+
+/// The range `[floor, top]` a fork or spider makespan search for `n` tasks
+/// bisects, accumulated over the platform's processors with every sum
+/// overflow-checked.
+///
+///   * `top`: all `n` tasks pipelined on the best single first processor
+///     `(c, w)` — `c + (n-1)·max(c, w) + w` — shifted past the last release
+///     date.  Always feasible.  A pipeline that overflows `Time` is skipped;
+///     if every one does, the search is rejected.
+///   * `floor`, the one-port floor: `max((n-1)·min c_1, last release) +
+///     min reach`, where `c_1` is a first-link latency and `reach` the path
+///     latency plus `w` of any processor.  The master emits one task at a
+///     time, each emission holding its port for at least `min c_1`, so the
+///     last task emitted starts no earlier than `(n-1)·min c_1`; with
+///     release dates it also starts no earlier than the last release (the
+///     n-th emission waits for the n-th release).  That task still has to
+///     cross its path and run, so no schedule of `n` tasks finishes before
+///     `floor`.  A valid lower end only shortens the search; on port-bound
+///     platforms it meets `top`, and the search runs no probe at all.
+class SearchRange {
+ public:
+  SearchRange(std::size_t n, Time last_release) : n_(n), last_release_(last_release) {}
+
+  /// A source — fork slave or spider leg — whose first processor is
+  /// `first`.
+  void add_source(const Processor& first) {
+    min_comm_ = std::min(min_comm_, first.comm);
+    Time span = 0;
+    const bool overflow =
+        __builtin_mul_overflow(std::max(first.comm, first.work), n_ - 1, &span) ||
+        __builtin_add_overflow(span, first.comm, &span) ||
+        __builtin_add_overflow(span, first.work, &span) ||
+        __builtin_add_overflow(span, last_release_, &span);
+    if (!overflow) top_ = std::min(top_, span);
+  }
+
+  /// A processor reached after `path` of link latency, computing in `work`.
+  void add_reach(Time path, Time work) {
+    Time reach = 0;
+    if (!__builtin_add_overflow(path, work, &reach)) min_reach_ = std::min(min_reach_, reach);
+  }
+
+  [[nodiscard]] Time top() const {
+    MST_REQUIRE(top_ != kNone,
+                "the n-task pipeline of every fork slave or spider leg exceeds the largest "
+                "time 9223372036854775807");
+    return top_;
+  }
+
+  [[nodiscard]] Time floor() const {
+    // At most `top` (the best pipeline's own terms bound each one), so
+    // nothing here can overflow once `top` exists.
+    Time port = 0;
+    const bool overflow = __builtin_mul_overflow(min_comm_, n_ - 1, &port);
+    MST_ASSERT(!overflow);
+    const Time floor = std::max(port, last_release_) + min_reach_;
+    MST_ASSERT(floor <= top());
+    return floor;
+  }
+
+ private:
+  static constexpr Time kNone = std::numeric_limits<Time>::max();
+  std::size_t n_;
+  Time last_release_;
+  Time top_ = kNone;
+  Time min_comm_ = kNone;
+  Time min_reach_ = kNone;
+};
+
+/// The build step's p-way merge: `runs` EDD-ordered runs of jobs — run `r`
+/// holds `offsets[r+1] - offsets[r]` of them, its j-th being
+/// `job_at(r, j)` — merged into `out` in `EddJob` order through a min-heap
+/// of run heads kept in `heads`.  `O(N log p)` for `N` jobs in `p` runs,
+/// against `O(N log N)` for sorting them.
+template <typename JobAt>
+void merge_edd_runs(const std::vector<std::size_t>& offsets, JobAt&& job_at,
+                    std::vector<EddRun>& heads, std::vector<EddJob>& out) {
+  const auto later = [](const EddRun& a, const EddRun& b) { return b.job < a.job; };
+  const std::size_t runs = offsets.size() - 1;
+  heads.clear();
+  for (std::size_t r = 0; r < runs; ++r) {
+    if (offsets[r] < offsets[r + 1]) heads.push_back(EddRun{job_at(r, 0), r, 1});
+  }
+  std::make_heap(heads.begin(), heads.end(), later);
+  out.clear();
+  while (!heads.empty()) {
+    out.push_back(heads.front().job);
+    EddRun moving = heads.front();
+    if (moving.next == offsets[moving.run + 1] - offsets[moving.run]) {
+      std::pop_heap(heads.begin(), heads.end(), later);
+      heads.pop_back();
+      continue;
+    }
+    // Replace the head by its run's next job and sift it down.
+    moving.job = job_at(moving.run, moving.next++);
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < heads.size(); child = 2 * hole + 1) {
+      if (child + 1 < heads.size() && later(heads[child], heads[child + 1])) ++child;
+      if (!later(moving, heads[child])) break;
+      heads[hole] = heads[child];
+      hole = child;
+    }
+    heads[hole] = moving;
+  }
+}
+
+/// The run holding job `id` of a merged instance (`offsets` as above, ids
+/// numbered run after run).
+inline std::size_t run_of(const std::vector<std::size_t>& offsets, std::size_t id) {
+  return static_cast<std::size_t>(std::upper_bound(offsets.begin(), offsets.end(), id) -
+                                  offsets.begin()) -
+         1;
 }
 
 /// The probe step of the fork and spider counts: the count at `t_lim` of
@@ -75,6 +193,18 @@ std::size_t probe_selection(Scratch& scratch, Time t_lim, const Workload& worklo
   }
   return moore_hodgson_released_count(scratch.edd, shift, workload.releases(), k_cap,
                                       scratch.dp);
+}
+
+/// The bisection of a makespan search over its built instance: the
+/// smallest horizon in `[lo, scratch.build_horizon]` at which
+/// `count_at(horizon)` reaches `n`, its probes counted in `scratch.probes`.
+template <typename Scratch, typename CountAt>
+Time search_instance(Scratch& scratch, Time lo, std::size_t n, CountAt&& count_at) {
+  scratch.probes = 0;
+  return min_horizon(lo, scratch.build_horizon, [&](Time t) {
+    ++scratch.probes;
+    return count_at(t) >= n;
+  });
 }
 
 /// The backward construction anchored at `horizon`: hull `h_k` per link and

@@ -1,6 +1,9 @@
 #include "mst/core/moore_hodgson.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <type_traits>
 
 #include "mst/common/assert.hpp"
@@ -22,11 +25,12 @@ Time proc_time_of(const SelectedJob& entry) { return entry.first; }
 // The one Moore–Hodgson body and the positional-release DP run on caller
 // scratch only — statically allocation-checked (dynamic twins:
 // tests/test_counting.cpp, tests/test_zero_alloc.cpp).  Both take an
-// EDD-sorted instance plus a horizon shift and never sort: a makespan
-// search sorts its instance once and probes it at every step.
+// EDD-ordered instance plus a horizon shift and never sort: a makespan
+// search builds its instance once, probes it at every step and selects
+// from it at its optimum.
 // mstlint: zero-alloc
 
-/// Leaves the selected jobs of the EDD-sorted `jobs`, every deadline lowered
+/// Leaves the selected jobs of the EDD-ordered `jobs`, every deadline lowered
 /// by `shift`, in `selected` (heap order).  A job whose shifted deadline is
 /// below its processing time is skipped: it does not exist at the shifted
 /// horizon, and it could never be on time anyway — every job selected
@@ -63,12 +67,33 @@ void select_edd(const std::vector<Job>& jobs, Time shift, std::size_t limit,
   }
 }
 
-}  // namespace
+/// Never reached by a feasible selection of that many jobs.
+constexpr Time kUnreached = std::numeric_limits<Time>::max();
 
-void moore_hodgson_select(std::vector<DeadlineJob>& jobs, std::vector<SelectedJob>& selected) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
-  select_edd(jobs, 0, jobs.size(), selected);
+/// One job of the positional-release DP, in place on the row `dp[0..limit]`
+/// (`dp[j]`: minimal completion time of a feasible j-job selection of the
+/// processed prefix, sequenced in EDD order with position j-1 starting no
+/// earlier than `releases[j-1]`).  A knapsack update in descending j, so
+/// each `dp[j-1]` read is still the row before this job.  Sets bit j of
+/// `taken` (when given) whenever the job lowers `dp[j]`: a backtrack takes
+/// the job at position j exactly there.  Returns the new largest reachable
+/// j (`best` before).
+std::size_t relax_released(Time* dp, Time proc_time, Time deadline,
+                           const std::vector<Time>& releases, std::size_t limit, std::size_t best,
+                           std::uint64_t* taken) {
+  for (std::size_t j = std::min(best + 1, limit); j >= 1; --j) {
+    if (dp[j - 1] == kUnreached) continue;
+    const Time finish = std::max(dp[j - 1], releases[j - 1]) + proc_time;
+    if (finish <= deadline && finish < dp[j]) {
+      dp[j] = finish;
+      best = std::max(best, j);
+      if (taken != nullptr) taken[j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+  }
+  return best;
 }
+
+}  // namespace
 
 std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch) {
   std::sort(jobs.begin(), jobs.end(), edd_less);
@@ -82,81 +107,75 @@ std::size_t moore_hodgson_count(const std::vector<EddJob>& edd, Time shift, std:
   return std::min(heap_scratch.size(), limit);
 }
 
+void moore_hodgson_select(const std::vector<EddJob>& edd, Time shift,
+                          std::vector<SelectedJob>& selected) {
+  select_edd(edd, shift, edd.size(), selected);
+}
+
 std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time shift,
                                          const std::vector<Time>& releases,
                                          std::size_t max_count, std::vector<Time>& dp_scratch) {
   const std::size_t limit = std::min(max_count, releases.size());
-
-  // dp[j]: minimal completion time of a feasible selection of j jobs from
-  // the processed prefix, sequenced in EDD order with position j-1 starting
-  // no earlier than releases[j-1].  In-place knapsack update (descending j).
-  dp_scratch.assign(limit + 1, kTimeInfinity);
+  dp_scratch.assign(limit + 1, kUnreached);
   dp_scratch[0] = 0;
   std::size_t best = 0;
   for (const EddJob& job : edd) {
     const Time deadline = job.deadline - shift;
     if (deadline < job.proc_time) continue;  // absent at this horizon
-    const std::size_t top = std::min(best + 1, limit);
-    for (std::size_t j = top; j >= 1; --j) {
-      if (dp_scratch[j - 1] == kTimeInfinity) continue;
-      const Time start = std::max(dp_scratch[j - 1], releases[j - 1]);
-      const Time finish = start + job.proc_time;
-      if (finish <= deadline && finish < dp_scratch[j]) {
-        dp_scratch[j] = finish;
-        if (j > best) best = j;
-      }
-    }
+    best = relax_released(dp_scratch.data(), job.proc_time, deadline, releases, limit, best,
+                          nullptr);
     if (best == limit) break;  // the count never shrinks
   }
   return best;
 }
+
+void moore_hodgson_released(const std::vector<EddJob>& edd, Time shift,
+                            const std::vector<Time>& releases, std::size_t max_count,
+                            std::vector<Time>& dp_scratch, std::vector<std::uint64_t>& taken,
+                            std::vector<EddJob>& picked) {
+  const std::size_t limit = std::min(max_count, releases.size());
+  const std::size_t words = limit / 64 + 1;  // one bit per j in [0, limit]
+
+  // One DP row, plus one bit row per job present at this horizon: bit j of
+  // row r is set iff the r-th present job lowered `dp[j]`, i.e. iff the
+  // full (prefix, count) table differs there from the row before — all a
+  // backtrack needs, at 1/64 of the table.
+  dp_scratch.assign(limit + 1, kUnreached);
+  dp_scratch[0] = 0;
+  taken.clear();
+  std::size_t best = 0;
+  for (const EddJob& job : edd) {
+    const Time deadline = job.deadline - shift;
+    if (deadline < job.proc_time) continue;  // absent at this horizon
+    const std::size_t row = taken.size();
+    taken.resize(row + words, 0);
+    best = relax_released(dp_scratch.data(), job.proc_time, deadline, releases, limit, best,
+                          taken.data() + row);
+  }
+
+  // Backtrack: the job of row r was taken at position j iff it lowered
+  // `dp[j]` (ties prefer untaken — either choice is valid).
+  picked.resize(best);
+  std::size_t j = best;
+  std::size_t row = taken.size() / words;
+  for (auto job = edd.rbegin(); job != edd.rend() && j >= 1; ++job) {
+    if (job->deadline - shift < job->proc_time) continue;
+    --row;
+    if ((taken[row * words + j / 64] >> (j % 64)) & 1U) picked[--j] = *job;
+  }
+  MST_ASSERT(j == 0);
+}
 // mstlint: zero-alloc-end
 
 std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs) {
+  std::sort(jobs.begin(), jobs.end(), edd_less);
   std::vector<SelectedJob> selected;
-  moore_hodgson_select(jobs, selected);
+  select_edd(jobs, 0, jobs.size(), selected);
   std::vector<std::size_t> ids;
   ids.reserve(selected.size());
   for (const auto& [proc_time, id] : selected) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-std::vector<std::size_t> moore_hodgson_released(std::vector<DeadlineJob> jobs,
-                                                const std::vector<Time>& releases,
-                                                std::size_t max_count) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
-  const std::size_t limit = std::min(max_count, releases.size());
-  const std::size_t n = jobs.size();
-
-  // Full (prefix, count) table so one maximum selection can be backtracked:
-  // dp[i][j] after the first i jobs in EDD order.
-  std::vector<std::vector<Time>> dp(n + 1, std::vector<Time>(limit + 1, kTimeInfinity));
-  dp[0][0] = 0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    const DeadlineJob& job = jobs[i - 1];
-    dp[i] = dp[i - 1];
-    for (std::size_t j = 1; j <= limit; ++j) {
-      if (dp[i - 1][j - 1] == kTimeInfinity) continue;
-      const Time finish = std::max(dp[i - 1][j - 1], releases[j - 1]) + job.proc_time;
-      if (finish <= job.deadline && finish < dp[i][j]) dp[i][j] = finish;
-    }
-  }
-
-  std::size_t count = limit;
-  while (count > 0 && dp[n][count] == kTimeInfinity) --count;
-
-  // Backtrack: job i-1 was taken at position j iff the value cannot come
-  // from the untaken branch (ties prefer untaken — either choice is valid).
-  std::vector<std::size_t> chosen(count);
-  std::size_t j = count;
-  for (std::size_t i = n; i >= 1 && j >= 1; --i) {
-    if (dp[i][j] == dp[i - 1][j]) continue;
-    chosen[j - 1] = jobs[i - 1].id;
-    --j;
-  }
-  MST_ASSERT(j == 0);
-  return chosen;
 }
 
 bool edd_feasible(std::vector<DeadlineJob> jobs) {

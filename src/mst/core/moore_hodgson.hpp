@@ -2,6 +2,7 @@
 
 #include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -40,12 +41,6 @@ std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs);
 /// largest processing time first, ties toward the larger id.
 using SelectedJob = std::pair<Time, std::size_t>;
 
-/// `moore_hodgson` on caller scratch: sorts `jobs` in place (EDD) and leaves
-/// the selected jobs in `selected` (cleared, capacity reused; heap order —
-/// the ids `moore_hodgson` returns, unsorted).  A warmed-up caller triggers
-/// no allocation.
-void moore_hodgson_select(std::vector<DeadlineJob>& jobs, std::vector<SelectedJob>& selected);
-
 /// Count-only Moore–Hodgson for sweep hot paths: the same selection with a
 /// heap of processing times only, kept in `heap_scratch`.  Returns the same
 /// cardinality `moore_hodgson` selects — the optimum is unique even when the
@@ -57,16 +52,29 @@ std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time
 /// horizon: a node built at horizon `H` with deadline `deadline` has
 /// deadline `deadline - (H - T)` at any `T <= H`, and exists there iff that
 /// is still at least `proc_time`.  A uniform shift keeps EDD order, so an
-/// instance sorted once (`operator<`: deadline, then processing time) serves
-/// every probe of the search.
+/// instance ordered once (`operator<`: deadline, then processing time, then
+/// id — the deterministic EDD order of `moore_hodgson`) serves every probe
+/// of the search and the final selection.  `id` is the node's enumeration
+/// index at the build horizon; the nodes that still exist at `T` are
+/// enumerated in the same order there, so their ids compare exactly as
+/// their enumeration indices at `T` would.
 struct EddJob {
   Time deadline = 0;   ///< latest completion at the build horizon
   Time proc_time = 0;  ///< time on the shared machine
+  std::size_t id = 0;  ///< enumeration index at the build horizon
 
   friend auto operator<=>(const EddJob&, const EddJob&) = default;
 };
 
-/// The *probe* step: `moore_hodgson_count` of the EDD-sorted instance `edd`
+/// One run of the build step's p-way merge: the run's next job in EDD
+/// order, the run, and the position after that job in it.
+struct EddRun {
+  EddJob job;
+  std::size_t run = 0;
+  std::size_t next = 0;
+};
+
+/// The *probe* step: `moore_hodgson_count` of the EDD-ordered instance `edd`
 /// built at `H`, probed at `T = H - shift` (`shift >= 0`) — every deadline
 /// lowered by `shift`, jobs whose shifted deadline falls below their
 /// processing time skipped — capped at `limit`.  Equals
@@ -85,19 +93,33 @@ std::size_t moore_hodgson_count(const std::vector<EddJob>& edd, Time shift, std:
 /// EDD order (`dp[j]` = minimal completion time of a feasible j-job
 /// selection of the processed prefix); Moore–Hodgson's eviction rule does
 /// not extend to position-dependent machine availability, the DP does.
-/// A probe step like the count above: `edd` is EDD-sorted and built at
+/// A probe step like the count above: `edd` is EDD-ordered and built at
 /// `H`, probed at `T = H - shift` (release dates stay absolute).
 /// `dp_scratch` is reused capacity (cleared).
 std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time shift,
                                          const std::vector<Time>& releases,
                                          std::size_t max_count, std::vector<Time>& dp_scratch);
 
-/// Selecting variant: the `id`s of one maximum selection, in the EDD order
-/// they must be sequenced in (position j of the result gets release
-/// `releases[j]`).  Deterministic.
-std::vector<std::size_t> moore_hodgson_released(std::vector<DeadlineJob> jobs,
-                                                const std::vector<Time>& releases,
-                                                std::size_t max_count);
+/// The selecting steps over the same shifted instance (`edd` EDD-ordered,
+/// built at `H`, selected at `T = H - shift`); they read and keep the
+/// built instance, so a makespan search selects at its optimum without
+/// rebuilding it.  `moore_hodgson_select` leaves the Moore–Hodgson
+/// selection in `selected` (cleared, capacity reused; heap order — the
+/// `(proc_time, id)` pairs of the ids `moore_hodgson` returns on the
+/// instance built at `T`).
+void moore_hodgson_select(const std::vector<EddJob>& edd, Time shift,
+                          std::vector<SelectedJob>& selected);
+
+/// Positional-release selection: leaves the jobs of one maximum selection,
+/// as built, in `picked`, in the EDD order they must be sequenced in
+/// (position j gets release `releases[j]`).  Runs the count's DP row in
+/// `dp_scratch` and keeps, per job, one bit per count in `taken` — whether
+/// the job lowered that DP entry — to backtrack (ties toward leaving a job
+/// out).  Deterministic; every buffer is reused capacity.
+void moore_hodgson_released(const std::vector<EddJob>& edd, Time shift,
+                            const std::vector<Time>& releases, std::size_t max_count,
+                            std::vector<Time>& dp_scratch, std::vector<std::uint64_t>& taken,
+                            std::vector<EddJob>& picked);
 
 /// True iff the given jobs all meet their deadlines when run back-to-back in
 /// EDD order — the canonical feasibility test for a selection.

@@ -30,37 +30,24 @@ void require_uniform_sizes(const Workload& workload) {
               "the spider reduction is only optimal for identical task sizes");
 }
 
-/// Upper end of every spider horizon search: all `n` tasks on the single leg
-/// minimizing the trivial first-processor schedule.
-Time best_leg_horizon(const Spider& spider, std::size_t n) {
-  Time hi = kTimeInfinity;
-  for (const Chain& leg : spider.legs()) hi = std::min(hi, leg.t_infinity(n));
-  return hi;
+/// The range of every spider makespan search: each leg is a source, and
+/// each of its processors is reached after the leg's path latency.
+detail::SearchRange search_range(const Spider& spider, const Workload& workload) {
+  detail::SearchRange range(workload.count(), workload.last_release());
+  for (const Chain& leg : spider.legs()) {
+    range.add_source(leg.proc(0));
+    Time path = 0;
+    for (const Processor& proc : leg.procs()) {
+      if (__builtin_add_overflow(path, proc.comm, &path)) break;
+      range.add_reach(path, proc.work);
+    }
+  }
+  return range;
 }
 
 // Steps (1)–(4) run on warm scratch only — statically allocation-checked
 // (dynamic twins: tests/test_counting.cpp, tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
-
-/// Steps (1)–(2) materialized: per-leg decision schedules into pooled slots,
-/// virtual nodes enumerated in the exact `transform` order (leg-major,
-/// ascending first emission — ids must match for Moore–Hodgson
-/// tie-breaking), each node's leg in `scratch.leg_of`.
-void build_legs(const Spider& spider, Time t_lim, std::size_t cap, SpiderSolveScratch& scratch) {
-  const std::size_t num_legs = spider.num_legs();
-  if (scratch.legs.size() < num_legs) scratch.legs.resize(num_legs);
-  scratch.jobs.clear();
-  scratch.leg_of.clear();
-  for (std::size_t l = 0; l < num_legs; ++l) {
-    ChainScheduler::schedule_within_into(spider.leg(l), t_lim, cap, scratch.count.chain,
-                                         scratch.legs[l]);
-    const Time c1 = spider.leg(l).comm(0);
-    for (const ChainTask& t : scratch.legs[l].tasks) {
-      scratch.jobs.push_back(DeadlineJob{c1, t.emissions.front() + c1, scratch.jobs.size()});
-      scratch.leg_of.push_back(l);
-    }
-  }
-}
 
 /// Step (4): revert to a spider schedule.  Replays `scratch.chosen` —
 /// (deadline, leg, task_index) in emission order — on the master port:
@@ -91,6 +78,100 @@ void resequence(const Spider& spider, const std::vector<Time>* releases,
   out.tasks.resize(used);
 }
 
+/// Steps (3)–(4) at `t_lim` on the instance built in `scratch.count` for
+/// the same workload and cap `k_cap`, into `out`.
+///
+/// Step (3) selects on the master's one-port and counts the selected nodes
+/// per leg.  Each leg is then normalized to its smallest-exec nodes, i.e.
+/// the *suffix* of its decision schedule: swapping a selected node for an
+/// unselected same-comm node with a later deadline keeps the selection
+/// EDD-feasible, so counts are preserved.  A suffix of `k` tasks is the
+/// first `k` steps of the leg's backward construction at `t_lim` (Lemma 4),
+/// so only those are rebuilt, never the whole leg.
+void select_spider(const Spider& spider, Time t_lim, const Workload& workload,
+                   std::size_t k_cap, SpiderSolveScratch& scratch, SpiderSchedule& out) {
+  SpiderCountScratch& count = scratch.count;
+  const Time shift = count.build_horizon - t_lim;
+  const std::size_t num_legs = spider.num_legs();
+  scratch.counts.assign(num_legs, 0);
+  const std::vector<Time>* releases = nullptr;
+  if (workload.has_release_dates()) {
+    // Release-aware: positional-release selection on the one-port.
+    releases = &workload.releases();
+    moore_hodgson_released(count.edd, shift, *releases, k_cap, count.dp, scratch.taken,
+                           scratch.picked);
+    for (const EddJob& job : scratch.picked) {
+      ++scratch.counts[detail::run_of(count.offsets, job.id)];
+    }
+  } else {
+    moore_hodgson_select(count.edd, shift, scratch.sel_heap);
+    for (const auto& [comm, id] : scratch.sel_heap) {
+      ++scratch.counts[detail::run_of(count.offsets, id)];
+    }
+    // Global cap: trim the hardest node (largest exec among each leg's next
+    // removal candidate, its earliest kept task) until within cap.
+    // Removing never breaks feasibility.  A node's exec `H - deadline` does
+    // not shift with the horizon.
+    std::size_t total = scratch.sel_heap.size();
+    while (total > k_cap) {
+      std::size_t worst_leg = num_legs;
+      Time worst_exec = -1;
+      for (std::size_t l = 0; l < num_legs; ++l) {
+        if (scratch.counts[l] == 0) continue;
+        const Time emission = count.emissions[count.offsets[l] + scratch.counts[l] - 1];
+        const Time exec = count.build_horizon - emission - spider.leg(l).comm(0);
+        if (exec > worst_exec) {
+          worst_exec = exec;
+          worst_leg = l;
+        }
+      }
+      MST_ASSERT(worst_leg < num_legs);
+      --scratch.counts[worst_leg];
+      --total;
+    }
+  }
+
+  // Each leg's kept suffix, in ascending first-emission order.
+  if (scratch.legs.size() < num_legs) scratch.legs.resize(num_legs);
+  for (std::size_t l = 0; l < num_legs; ++l) {
+    if (scratch.counts[l] == 0) continue;
+    ChainScheduler::schedule_within_into(spider.leg(l), t_lim, scratch.counts[l], count.chain,
+                                         scratch.legs[l]);
+  }
+
+  scratch.chosen.clear();
+  if (releases != nullptr) {
+    // Step (4) with release gating: replay the DP's own EDD sequence —
+    // position j starts no earlier than the j-th smallest release date, and
+    // the DP already proved every completion meets its node's deadline.
+    // Each leg's positions are mapped, in order, onto the suffix tasks of
+    // its schedule (only suffixes are realizable, Lemma 4): within a leg
+    // the EDD order is ascending deadline, and the suffix deadlines
+    // dominate any chosen subset's pointwise, so the mapped tasks only ever
+    // gain slack.  (A global re-sort after the swap would NOT be safe:
+    // moving a job to a later EDD position also moves it to a later
+    // positional release, which can exceed the relaxed deadline.  Keeping
+    // the DP's sequence sidesteps that entirely.)  `scratch.counts` becomes
+    // each leg's next suffix task.
+    scratch.counts.assign(num_legs, 0);
+    for (const EddJob& job : scratch.picked) {
+      const std::size_t leg = detail::run_of(count.offsets, job.id);
+      scratch.chosen.emplace_back(job.deadline - shift, leg, scratch.counts[leg]++);
+    }
+  } else {
+    // Step (4) in EDD order of the kept suffix tasks' emission-completion
+    // deadlines.
+    for (std::size_t l = 0; l < num_legs; ++l) {
+      const Time c1 = spider.leg(l).comm(0);
+      for (std::size_t j = 0; j < scratch.counts[l]; ++j) {
+        scratch.chosen.emplace_back(scratch.legs[l].tasks[j].emissions.front() + c1, l, j);
+      }
+    }
+    std::sort(scratch.chosen.begin(), scratch.chosen.end());
+  }
+  resequence(spider, releases, scratch, out);
+}
+
 }  // namespace
 
 std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim, std::size_t cap,
@@ -115,20 +196,26 @@ void SpiderScheduler::build_instance(const Spider& spider, Time horizon,
   // (`expand_leg`: deadline = C_1 + c_1).  The leg emissions at
   // `T <= horizon` are these shifted down and cut before the first negative
   // one, i.e. exactly the nodes whose shifted deadline is still at least
-  // `c_1` — the probe's filter.
+  // `c_1` — the probe's filter.  Leg `l`'s emissions land in
+  // `scratch.emissions[offsets[l] ..]`, latest first; reversed, they are
+  // its run in EDD order, with ids `offsets[l] + j` in ascending first
+  // emission (the node order of `transform`).
   const std::size_t k_cap = std::min(cap, workload.count());
   scratch.build_horizon = horizon;
-  scratch.edd.clear();
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    const Chain& leg = spider.leg(l);
-    scratch.emissions.clear();
+  scratch.emissions.clear();
+  scratch.offsets.assign(1, 0);
+  for (const Chain& leg : spider.legs()) {
     ChainScheduler::count_within_emissions(leg, horizon, k_cap, scratch.chain, scratch.emissions);
-    const Time c1 = leg.comm(0);
-    for (const Time emission : scratch.emissions) {
-      scratch.edd.push_back(EddJob{emission + c1, c1});
-    }
+    scratch.offsets.push_back(scratch.emissions.size());
   }
-  std::sort(scratch.edd.begin(), scratch.edd.end());
+  detail::merge_edd_runs(
+      scratch.offsets,
+      [&](std::size_t l, std::size_t j) {
+        const Time c1 = spider.leg(l).comm(0);
+        const Time emission = scratch.emissions[scratch.offsets[l + 1] - 1 - j];
+        return EddJob{emission + c1, c1, scratch.offsets[l] + j};
+      },
+      scratch.merge, scratch.edd);
 }
 
 std::size_t SpiderScheduler::probe_instance(Time t_lim, const Workload& workload,
@@ -142,114 +229,38 @@ std::size_t SpiderScheduler::probe_instance(Time t_lim, const Workload& workload
 
 void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
                                            SpiderSolveScratch& scratch, SpiderSchedule& out) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  const std::size_t num_legs = spider.num_legs();
-  build_legs(spider, t_lim, cap, scratch);
-
-  // Step (3): optimal virtual-node selection on the master's one-port, then
-  // per-leg counts.  Each leg is normalized to its smallest-exec nodes, i.e.
-  // the *suffix* of the leg schedule: swapping a selected node for an
-  // unselected same-comm node with a later deadline keeps the selection
-  // EDD-feasible, so counts are preserved.
-  moore_hodgson_select(scratch.jobs, scratch.sel_heap);
-  scratch.counts.assign(num_legs, 0);
-  for (const auto& [comm, id] : scratch.sel_heap) ++scratch.counts[scratch.leg_of[id]];
-
-  // Global cap: trim the hardest node (largest exec among each leg's next
-  // removal candidate) until within cap.  Removing never breaks feasibility.
-  std::size_t total = scratch.sel_heap.size();
-  while (total > cap) {
-    std::size_t worst_leg = num_legs;
-    Time worst_exec = -1;
-    for (std::size_t l = 0; l < num_legs; ++l) {
-      if (scratch.counts[l] == 0) continue;
-      const std::size_t m = scratch.legs[l].tasks.size();
-      const ChainTask& t = scratch.legs[l].tasks[m - scratch.counts[l]];  // earliest kept task
-      const Time exec = t_lim - t.emissions.front() - spider.leg(l).comm(0);
-      if (exec > worst_exec) {
-        worst_exec = exec;
-        worst_leg = l;
-      }
-    }
-    MST_ASSERT(worst_leg < num_legs);
-    --scratch.counts[worst_leg];
-    --total;
-  }
-
-  // Step (4) in EDD order of the kept suffix tasks' emission-completion
-  // deadlines.
-  scratch.chosen.clear();
-  for (std::size_t l = 0; l < num_legs; ++l) {
-    const ChainSchedule& ls = scratch.legs[l];
-    const std::size_t m = ls.tasks.size();
-    const Time c1 = spider.leg(l).comm(0);
-    for (std::size_t j = m - scratch.counts[l]; j < m; ++j) {
-      scratch.chosen.emplace_back(ls.tasks[j].emissions.front() + c1, l, j);
-    }
-  }
-  std::sort(scratch.chosen.begin(), scratch.chosen.end());
-  resequence(spider, nullptr, scratch, out);
+  schedule_within_into(spider, t_lim, Workload::identical(cap), cap, scratch, out);
 }
-// mstlint: zero-alloc-end
 
 void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim,
                                            const Workload& workload, std::size_t cap,
                                            SpiderSolveScratch& scratch, SpiderSchedule& out) {
-  require_uniform_sizes(workload);
-  const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) {
-    schedule_within_into(spider, t_lim, k_cap, scratch, out);
-    return;
-  }
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // Step (3), release-aware: positional-release selection on the one-port.
-  // `moore_hodgson_released` sorts a copy, so `scratch.jobs` stays indexed
-  // by id.
-  build_legs(spider, t_lim, k_cap, scratch);
-  const std::vector<std::size_t> picked =
-      moore_hodgson_released(scratch.jobs, workload.releases(), k_cap);
-
-  // Step (4) with release gating: replay the DP's own EDD sequence —
-  // position j starts no earlier than the j-th smallest release date, and
-  // the DP already proved every completion meets its node's deadline.  Each
-  // leg's positions are mapped, in order, onto the *suffix* tasks of its
-  // schedule (only suffixes are realizable, Lemma 4): within a leg the EDD
-  // order is ascending deadline, and the suffix deadlines dominate any
-  // chosen subset's pointwise, so the mapped tasks only ever gain slack.
-  // (A global re-sort after the swap would NOT be safe: moving a job to a
-  // later EDD position also moves it to a later positional release, which
-  // can exceed the relaxed deadline.  Keeping the DP's sequence sidesteps
-  // that entirely.)  `scratch.counts` becomes each leg's next suffix task.
-  scratch.counts.assign(spider.num_legs(), 0);
-  for (const std::size_t id : picked) ++scratch.counts[scratch.leg_of[id]];
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    scratch.counts[l] = scratch.legs[l].tasks.size() - scratch.counts[l];
-  }
-  scratch.chosen.clear();
-  for (const std::size_t id : picked) {
-    const std::size_t leg = scratch.leg_of[id];
-    scratch.chosen.emplace_back(scratch.jobs[id].deadline, leg, scratch.counts[leg]++);
-  }
-  resequence(spider, &workload.releases(), scratch, out);
+  build_instance(spider, t_lim, workload, cap, scratch.count);
+  select_spider(spider, t_lim, workload, std::min(cap, workload.count()), scratch, out);
 }
 
 void SpiderScheduler::schedule_into(const Spider& spider, const Workload& workload,
                                     SpiderSolveScratch& scratch, SpiderSchedule& out) {
   require_uniform_sizes(workload);
   MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
+  // Steps (1)–(2) run once, at the top; every probe shifts that instance
+  // down to its horizon, and steps (3)–(4) select from it at the optimum.
   const std::size_t n = workload.count();
-  // Minimal horizon admitting every task: the single-best-leg schedule
-  // shifted past the last release (0 without release dates) always fits.
-  // The probes only need counts: steps (1)–(2) run once, at the top, and
-  // every probe shifts that instance down to its horizon.
-  const Time top = best_leg_horizon(spider, n) + workload.last_release();
-  build_instance(spider, top, workload, n, scratch.count);
-  const Time horizon = detail::min_horizon(
-      0, top, [&](Time t) { return probe_instance(t, workload, n, scratch.count) >= n; });
-  schedule_within_into(spider, horizon, workload, n, scratch, out);
+  const detail::SearchRange range = search_range(spider, workload);
+  SpiderCountScratch& built = scratch.count;
+  build_instance(spider, range.top(), workload, n, built);
+  const Time horizon = detail::search_instance(
+      built, range.floor(), n, [&](Time t) { return probe_instance(t, workload, n, built); });
+  select_spider(spider, horizon, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
   // Release dates pin the origin; identical workloads start at 0.
   if (!workload.has_release_dates()) out.normalize();
+}
+// mstlint: zero-alloc-end
+
+Time SpiderScheduler::makespan_floor(const Spider& spider, const Workload& workload) {
+  MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
+  return search_range(spider, workload).floor();
 }
 
 // Value-returning forms: a local scratch around the `_into` forms above.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -36,9 +37,14 @@
 /// construction's emissions at `T <= H` are those at `H` shifted by
 /// `T - H` and cut before the first negative one; see `min_horizon` in
 /// `core/kernels.hpp`).  So the search runs steps (1)–(2) once, at the top
-/// of its range — one backward construction per leg and one EDD sort of the
-/// node instance — and each of its ~log2(top) probes is a single linear
-/// Moore–Hodgson pass over the shifted instance, with no re-sort.
+/// of its range — one backward construction per leg, and one p-way merge
+/// of the legs' node runs, each already in EDD order — and each probe is a
+/// single linear Moore–Hodgson pass over the shifted instance, with no
+/// sort.  It starts at the one-port floor (`makespan_floor`), not 0, so it
+/// runs at most `ceil(log2(top - floor + 1))` probes, and none on a
+/// port-bound spider, where the floor meets the top.  Steps (3)–(4) at the
+/// optimum select from the same instance and rebuild only each leg's kept
+/// suffix — its first `k` construction steps — not the whole leg.
 
 namespace mst {
 
@@ -55,28 +61,31 @@ struct SpiderTransformation {
 };
 
 /// Reusable buffers for `SpiderScheduler::count_within` and the makespan
-/// search's probes.  Keep one per thread; with warm buffers the whole
-/// spider count — per-leg backward counting plus the Moore–Hodgson
-/// selection — runs without allocating.
+/// search's build and probes.  Keep one per thread; with warm buffers the
+/// whole spider count — per-leg backward counting, the merged instance and
+/// the Moore–Hodgson selection — runs without allocating.
 struct SpiderCountScratch {
-  ChainCountScratch chain;          ///< shared across legs
-  std::vector<Time> emissions;      ///< one leg's first-link emissions
-  std::vector<EddJob> edd;          ///< the fork-graph instance, EDD-sorted as built
-  Time build_horizon = 0;           ///< horizon `edd` was built at
-  std::vector<Time> heap;           ///< Moore–Hodgson selection heap
-  std::vector<Time> dp;             ///< positional-release selection DP row
+  ChainCountScratch chain;            ///< shared across legs
+  std::vector<Time> emissions;        ///< first-link emissions, leg after leg, latest first
+  std::vector<std::size_t> offsets;   ///< leg l's emissions and ids: [offsets[l], offsets[l+1])
+  std::vector<EddJob> edd;            ///< the fork-graph instance, EDD order as built
+  Time build_horizon = 0;             ///< horizon `edd` was built at
+  std::vector<EddRun> merge;          ///< the build's p-way merge heap
+  std::vector<Time> heap;             ///< Moore–Hodgson selection heap
+  std::vector<Time> dp;               ///< positional-release selection DP row
+  std::size_t probes = 0;             ///< bisection probes of the last makespan search
 };
 
 /// Reusable buffers for the scratch-reusing materializing path
 /// (`schedule_into` / `schedule_within_into`).  Extends the counting scratch
-/// with pooled per-leg decision schedules and the step (3)–(4) working sets.
+/// with pooled per-leg suffix schedules and the step (3)–(4) working sets.
 struct SpiderSolveScratch {
-  SpiderCountScratch count;          ///< binary-search probes + leg builds
-  std::vector<ChainSchedule> legs;   ///< pooled leg decision schedules
-  std::vector<DeadlineJob> jobs;     ///< node instance in `transform` order
+  SpiderCountScratch count;           ///< the built instance: probes and selection
+  std::vector<ChainSchedule> legs;    ///< pooled kept-suffix schedules per leg
   std::vector<SelectedJob> sel_heap;  ///< Moore–Hodgson selection with ids
-  std::vector<std::size_t> leg_of;   ///< node id → leg index
-  std::vector<std::size_t> counts;   ///< kept suffix length per leg
+  std::vector<std::uint64_t> taken;   ///< positional-release selection backtrack bits
+  std::vector<EddJob> picked;         ///< positional-release selection, EDD order
+  std::vector<std::size_t> counts;    ///< kept suffix length per leg
   /// Step (4) sequencing: (deadline, leg, task_index), EDD with ties toward
   /// the lower leg, then the earlier task.
   std::vector<std::tuple<Time, std::size_t, std::size_t>> chosen;
@@ -95,8 +104,8 @@ class SpiderScheduler {
   static std::size_t max_tasks(const Spider& spider, Time t_lim, std::size_t cap);
 
   /// Allocation-free counting: the *build* step runs the per-leg backward
-  /// construction with a first-emissions sink into an EDD-sorted node
-  /// instance, the *probe* step the count-only Moore–Hodgson selection over
+  /// construction with a first-emissions sink, merged into an EDD-ordered
+  /// node instance, the *probe* step the count-only Moore–Hodgson selection over
   /// it — entirely in `scratch`, never materializing leg schedules or
   /// virtual-node vectors.  Returns exactly
   /// `schedule_within(spider, t_lim, cap).tasks.size()`.  The registry's
@@ -106,16 +115,26 @@ class SpiderScheduler {
                                   SpiderCountScratch& scratch);
 
   /// The two steps of every count (`count_within` runs both at `t_lim`).
-  /// `build_instance` runs steps (1)–(2) at `horizon` into `scratch.edd`,
-  /// EDD-sorted; `probe_instance` then answers step (3) at any `t_lim` in
-  /// `[0, horizon]` — for the same workload and cap — by shifting and
-  /// filtering that instance, in one linear Moore–Hodgson (or
-  /// positional-release DP) pass.  Equals `count_within(spider, t_lim,
-  /// workload, cap, scratch)` at every such `t_lim`.
+  /// `build_instance` runs steps (1)–(2) at `horizon` — at most
+  /// `min(cap, workload.count())` tasks per leg — and merges the legs'
+  /// nodes, each leg's already in EDD order, into `scratch.edd` ordered by
+  /// `(deadline, comm, id)`, leg `l`'s ids numbered from
+  /// `scratch.offsets[l]` in ascending first emission; `probe_instance` then
+  /// answers step (3) at any `t_lim` in `[0, horizon]` — for the same
+  /// workload and cap — by shifting and filtering that instance, in one
+  /// linear Moore–Hodgson (or positional-release DP) pass.  Equals
+  /// `count_within(spider, t_lim, workload, cap, scratch)` at every such
+  /// `t_lim`.
   static void build_instance(const Spider& spider, Time horizon, const Workload& workload,
                              std::size_t cap, SpiderCountScratch& scratch);
   static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
                                     SpiderCountScratch& scratch);
+
+  /// The lower end of every spider makespan search, the one-port floor
+  /// `max((n-1)·min c_{l,1}, last release) + min (path latency + w)` over
+  /// all legs and processors (proof at `detail::SearchRange` in
+  /// `core/kernels.hpp`): no schedule of the workload finishes earlier.
+  static Time makespan_floor(const Spider& spider, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks.
   static SpiderSchedule schedule(const Spider& spider, std::size_t n);
@@ -145,10 +164,10 @@ class SpiderScheduler {
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
 
   // -------------------------------------------------------------------------
-  // One pipeline, two sinks.  Steps (1)–(2) run the chain kernel on every
-  // leg — count-only with the first-emissions sink for `count_within`,
-  // materialized into pooled leg slots for the `_into` forms; the identical
-  // and the release-dated counts share that leg loop.  The value-returning
+  // One pipeline on one built instance.  Steps (1)–(2) run the chain kernel
+  // on every leg with the first-emissions sink (`build_instance`); counts,
+  // probes and the `_into` forms' selection all read that instance, and
+  // the `_into` forms materialize only the kept suffix of each leg.  The value-returning
   // forms are a local scratch around the `_into` forms, which rebuild `out`
   // in place so repeated solves on warm scratch perform zero heap
   // allocations.

@@ -1,5 +1,7 @@
 #include "mst/core/virtual_nodes.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "mst/common/assert.hpp"
@@ -18,12 +20,18 @@ std::vector<VirtualNode> expand_fork_slave(const Processor& slave, std::size_t s
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
   std::vector<VirtualNode> nodes;
   const Time m = std::max(slave.comm, slave.work);
-  for (std::size_t q = 0; q < max_per_slave; ++q) {
-    const Time exec = slave.work + static_cast<Time>(q) * m;
-    if (exec + slave.comm > t_lim) break;  // could never complete in the window
-    nodes.push_back(VirtualNode{slave_index, q, slave.comm, exec});
+  const std::size_t count = fork_node_count(slave, t_lim, max_per_slave);
+  for (std::size_t q = 0; q < count; ++q) {
+    nodes.push_back(VirtualNode{slave_index, q, slave.comm, slave.work + static_cast<Time>(q) * m});
   }
   return nodes;
+}
+
+std::size_t fork_node_count(const Processor& slave, Time t_lim, std::size_t max_per_slave) {
+  if (t_lim - slave.work < slave.comm) return 0;  // `t_lim >= 0` and `w > 0`: no overflow
+  const Time m = std::max(slave.comm, slave.work);
+  const auto ranks = static_cast<std::uint64_t>((t_lim - slave.work - slave.comm) / m) + 1;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(ranks, max_per_slave));
 }
 
 std::vector<VirtualNode> expand_fork(const Fork& fork, Time t_lim, std::size_t max_per_slave) {

@@ -49,9 +49,17 @@ std::string to_string(const VirtualNode& node);
 /// link-bound (`m = c`, arrivals pace the executions).
 ///
 /// Only nodes that could ever be scheduled are generated
-/// (`exec + c <= t_lim`), at most `max_per_slave` of them.
+/// (`exec + c <= t_lim`), at most `max_per_slave` of them: the first
+/// `fork_node_count` ranks.
 std::vector<VirtualNode> expand_fork_slave(const Processor& slave, std::size_t slave_index,
                                            Time t_lim, std::size_t max_per_slave);
+
+/// The number of Fig 6 nodes of slave `(c, w)` within `t_lim`, at most
+/// `max_per_slave`: `min(max_per_slave, (t_lim - w - c)/m + 1)`, and 0 when
+/// `t_lim - w < c`.  Closed form, so no node's `exec` is formed just to find
+/// it out of range — every counted node has `exec <= t_lim - c`, which
+/// cannot overflow.
+std::size_t fork_node_count(const Processor& slave, Time t_lim, std::size_t max_per_slave);
 
 /// All slaves of a fork (concatenated `expand_fork_slave`).
 std::vector<VirtualNode> expand_fork(const Fork& fork, Time t_lim, std::size_t max_per_slave);

@@ -1,0 +1,37 @@
+# Times near the top of the 64-bit range must be solved as documented, never
+# hit signed overflow or an internal assertion.  Invoked by ctest as
+#
+#   cmake -DMSTCTL=<mstctl> -DWORKDIR=<scratch directory>
+#         -P tests/overflow_smoke.cmake
+#
+#   * A slave or leg whose n-task pipeline overflows is skipped by the
+#     makespan search: with a second, fast source, 3 tasks take 4.
+#   * A node whose exec would overflow is never formed: the only slave of
+#     `fork 1` cannot finish one task within the deadline, so 0 tasks fit.
+
+foreach(var MSTCTL WORKDIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "overflow_smoke.cmake needs -D${var}=...")
+  endif()
+endforeach()
+
+# run(<name> <platform text> <expected stdout regex> <mstctl args>...)
+function(run name platform expected)
+  set(file ${WORKDIR}/overflow_${name}.txt)
+  file(WRITE ${file} "${platform}")
+  execute_process(
+    COMMAND ${MSTCTL} --platform=${file} ${ARGN}
+    RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "${name}: expected exit 0, got ${status}\n${out}${err}")
+  endif()
+  if(NOT out MATCHES "${expected}")
+    message(FATAL_ERROR "${name}: output does not match \"${expected}\":\n${out}")
+  endif()
+endfunction()
+
+set(solve --mode=solve --algo=optimal --tasks=3)
+run(fork "fork 2\n4000000000000000000 1\n1 1\n" "optimal +yes +4 " ${solve})
+run(spider "spider 2\nleg 1\n4000000000000000000 1\nleg 1\n1 1\n" "optimal +yes +4 " ${solve})
+run(far_node "fork 1\n5000000000000000000 5000000000000000000\n" "optimal +yes +0 +0 "
+    --mode=max-tasks --algo=optimal --deadline=9000000000000000000)

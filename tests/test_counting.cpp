@@ -162,6 +162,37 @@ TEST(Counting, HoistedProbesAllocateNothing) {
   }
 }
 
+// The makespan searches select at their optimum from the instance they
+// built: with warm scratch, a whole solve — build, probes, selection and
+// materialization — allocates nothing, release-dated ones included.
+TEST(Counting, WarmMakespanSolvesAllocateNothing) {
+  Rng rng(15);
+  const GeneratorParams params{1, 9, PlatformClass::kUniform};
+  const Fork fork = random_fork(rng, 6, params);
+  const Spider spider = random_spider(rng, 4, 3, params);
+  for (const Workload& workload :
+       {Workload::identical(60), Workload::released({0, 0, 3, 9, 9, 14, 30, 31, 55, 80})}) {
+    ForkCountScratch fork_scratch;
+    SpiderSolveScratch spider_scratch;
+    ForkSchedule fork_out;
+    SpiderSchedule spider_out;
+    for (int warm = 0; warm < 2; ++warm) {
+      ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
+      SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
+    }
+    const Time fork_makespan = fork_out.makespan();
+    const Time spider_makespan = spider_out.makespan();
+
+    alloc_probe::arm();
+    ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
+    SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
+    const long allocations = alloc_probe::allocations();
+    EXPECT_EQ(fork_out.makespan(), fork_makespan);
+    EXPECT_EQ(spider_out.makespan(), spider_makespan);
+    EXPECT_EQ(allocations, 0);
+  }
+}
+
 TEST(Counting, MooreHodgsonCountMatchesSelection) {
   Rng rng(31);
   for (int trial = 0; trial < 100; ++trial) {
