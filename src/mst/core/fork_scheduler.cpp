@@ -227,17 +227,13 @@ void ForkScheduler::schedule_into(const Fork& fork, const Workload& workload,
   const std::size_t n = workload.count();
   const detail::SearchRange range = search_range(fork, workload);
   build_instance(fork, range.top(), workload, n, scratch);
+  scratch.floor = range.floor();
   const Time horizon = detail::search_instance(
-      scratch, range.floor(), n, [&](Time t) { return probe_instance(t, workload, n, scratch); });
+      scratch, scratch.floor, n, [&](Time t) { return probe_instance(t, workload, n, scratch); });
   materialize_fork(fork, horizon, select_fork(fork, horizon, workload, n, scratch), scratch, out);
   MST_ASSERT(out.tasks.size() == n);
 }
 // mstlint: zero-alloc-end
-
-Time ForkScheduler::makespan_floor(const Fork& fork, const Workload& workload) {
-  MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
-  return search_range(fork, workload).floor();
-}
 
 // Value-returning forms: a local scratch around the `_into` forms above.
 

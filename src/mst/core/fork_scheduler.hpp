@@ -35,6 +35,7 @@ struct ForkCountScratch {
   std::vector<EddJob> edd;          ///< the Fig 6 node instance, EDD order as built
   std::vector<std::size_t> offsets;  ///< slave i's node ids: [offsets[i], offsets[i+1])
   Time build_horizon = 0;           ///< horizon `edd` was built at
+  Time floor = 0;                   ///< lower end of the last makespan search
   std::vector<EddRun> merge;        ///< the build's p-way merge heap
   std::vector<Time> heap;           ///< count-only Moore–Hodgson heap
   std::vector<Time> dp;             ///< positional-release selection DP row
@@ -101,12 +102,6 @@ class ForkScheduler {
   static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
                                     ForkCountScratch& scratch);
 
-  /// The lower end of every fork makespan search, the one-port floor
-  /// `max((n-1)·min c, last release) + min(c + w)` (proof at
-  /// `detail::SearchRange` in `core/kernels.hpp`): no schedule of the
-  /// workload finishes earlier.
-  static Time makespan_floor(const Fork& fork, const Workload& workload);
-
   /// Workload makespan form: minimal horizon by binary search over the
   /// release-aware count (absolute times; no shift).  Same search as below,
   /// with the positional-release DP as the probe pass and the selection.
@@ -117,12 +112,13 @@ class ForkScheduler {
   /// the node instance once, at the top of its range — one p-way merge of
   /// the slaves' `O(p·n)` nodes, no sort — and every probe shifts and
   /// filters it (`core/kernels.hpp`, `min_horizon`).  It starts at the
-  /// one-port floor (`makespan_floor`), not 0, so it runs at most
-  /// `ceil(log2(top - floor + 1))` linear Moore–Hodgson probes, and none on
-  /// a port-bound fork, where the floor meets the top.  The optimum is then
-  /// selected and sequenced from the same instance.  This horizon-invariance
-  /// of the instance is a result beyond the paper, which re-solves the
-  /// decision form per probe.
+  /// one-port floor (`detail::SearchRange`, kept in `scratch.floor`), not 0,
+  /// so it runs at most `ceil(log2(top - floor + 1))` linear Moore–Hodgson
+  /// probes, and none when the floor meets the top — when one slave has
+  /// both the minimum `c` and the minimum `c + w`, with `w <= c`.  The
+  /// optimum is then selected and sequenced from the same instance.  This
+  /// horizon-invariance of the instance is a result beyond the paper, which
+  /// re-solves the decision form per probe.
   static ForkSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.

@@ -80,8 +80,11 @@ Time min_horizon(Time lo, Time hi, Fits&& fits) {
 ///     release dates it also starts no earlier than the last release (the
 ///     n-th emission waits for the n-th release).  That task still has to
 ///     cross its path and run, so no schedule of `n` tasks finishes before
-///     `floor`.  A valid lower end only shortens the search; on port-bound
-///     platforms it meets `top`, and the search runs no probe at all.
+///     `floor`.  A valid lower end only shortens the search.  For identical
+///     tasks and `n >= 2` it meets `top`, and the search runs no probe,
+///     exactly when one source's first processor `(c, w)` has the minimum
+///     `c_1`, `w <= c` and the minimum reach; any other gap leaves up to
+///     `ceil(log2(top - floor + 1))` probes.
 class SearchRange {
  public:
   SearchRange(std::size_t n, Time last_release) : n_(n), last_release_(last_release) {}
@@ -136,7 +139,9 @@ class SearchRange {
 /// holds `offsets[r+1] - offsets[r]` of them, its j-th being
 /// `job_at(r, j)` — merged into `out` in `EddJob` order through a min-heap
 /// of run heads kept in `heads`.  `O(N log p)` for `N` jobs in `p` runs,
-/// against `O(N log N)` for sorting them.
+/// against `O(N log N)` for sorting them.  Each step replaces the head by
+/// its run's next job and sifts it down once, where `pop_heap` followed by
+/// `push_heap` would sift twice.
 template <typename JobAt>
 void merge_edd_runs(const std::vector<std::size_t>& offsets, JobAt&& job_at,
                     std::vector<EddRun>& heads, std::vector<EddJob>& out) {

@@ -249,19 +249,15 @@ void SpiderScheduler::schedule_into(const Spider& spider, const Workload& worklo
   const detail::SearchRange range = search_range(spider, workload);
   SpiderCountScratch& built = scratch.count;
   build_instance(spider, range.top(), workload, n, built);
+  built.floor = range.floor();
   const Time horizon = detail::search_instance(
-      built, range.floor(), n, [&](Time t) { return probe_instance(t, workload, n, built); });
+      built, built.floor, n, [&](Time t) { return probe_instance(t, workload, n, built); });
   select_spider(spider, horizon, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
   // Release dates pin the origin; identical workloads start at 0.
   if (!workload.has_release_dates()) out.normalize();
 }
 // mstlint: zero-alloc-end
-
-Time SpiderScheduler::makespan_floor(const Spider& spider, const Workload& workload) {
-  MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
-  return search_range(spider, workload).floor();
-}
 
 // Value-returning forms: a local scratch around the `_into` forms above.
 

@@ -40,9 +40,11 @@
 /// of its range — one backward construction per leg, and one p-way merge
 /// of the legs' node runs, each already in EDD order — and each probe is a
 /// single linear Moore–Hodgson pass over the shifted instance, with no
-/// sort.  It starts at the one-port floor (`makespan_floor`), not 0, so it
-/// runs at most `ceil(log2(top - floor + 1))` probes, and none on a
-/// port-bound spider, where the floor meets the top.  Steps (3)–(4) at the
+/// sort.  It starts at the one-port floor (`detail::SearchRange`, kept in
+/// `SpiderCountScratch::floor`), not 0, so it runs at most
+/// `ceil(log2(top - floor + 1))` probes, and none when the floor meets the
+/// top — when one leg's first processor `(c, w)` has the minimum `c_{l,1}`,
+/// `w <= c` and the minimum path latency plus `w`.  Steps (3)–(4) at the
 /// optimum select from the same instance and rebuild only each leg's kept
 /// suffix — its first `k` construction steps — not the whole leg.
 
@@ -70,6 +72,7 @@ struct SpiderCountScratch {
   std::vector<std::size_t> offsets;   ///< leg l's emissions and ids: [offsets[l], offsets[l+1])
   std::vector<EddJob> edd;            ///< the fork-graph instance, EDD order as built
   Time build_horizon = 0;             ///< horizon `edd` was built at
+  Time floor = 0;                     ///< lower end of the last makespan search
   std::vector<EddRun> merge;          ///< the build's p-way merge heap
   std::vector<Time> heap;             ///< Moore–Hodgson selection heap
   std::vector<Time> dp;               ///< positional-release selection DP row
@@ -129,12 +132,6 @@ class SpiderScheduler {
                              std::size_t cap, SpiderCountScratch& scratch);
   static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
                                     SpiderCountScratch& scratch);
-
-  /// The lower end of every spider makespan search, the one-port floor
-  /// `max((n-1)·min c_{l,1}, last release) + min (path latency + w)` over
-  /// all legs and processors (proof at `detail::SearchRange` in
-  /// `core/kernels.hpp`): no schedule of the workload finishes earlier.
-  static Time makespan_floor(const Spider& spider, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks.
   static SpiderSchedule schedule(const Spider& spider, std::size_t n);

@@ -6,8 +6,10 @@
 //   * The one-port floor is a lower bound: never above the optimum, on
 //     random forks and spiders, identical and release-dated, nor above the
 //     brute-force optimum at small sizes.
-//   * A port-bound platform, whose floor meets the top, solves with no
-//     probe; every search stays within `ceil(log2(top - floor + 1))` probes.
+//   * A platform whose floor meets the top — one source with the minimum
+//     first link and the minimum reach, no slower than its link — solves
+//     with no probe; every search stays within
+//     `ceil(log2(top - floor + 1))` probes.
 //   * The merged instance is the `(deadline, comm, id)` order of the node
 //     enumeration, ties included.
 //   * Pipelines that overflow `Time` are skipped; when all do, the search is
@@ -81,34 +83,40 @@ std::vector<Triple> reference_order(const std::vector<VirtualNode>& nodes, Time 
 
 TEST(SearchRange, OnePortFloorNeverExceedsTheOptimum) {
   Rng rng(0xF100);
+  ForkCountScratch fork_scratch;
+  SpiderSolveScratch spider_scratch;
+  ForkSchedule fork_out;
+  SpiderSchedule spider_out;
   for (int trial = 0; trial < 150; ++trial) {
     const GeneratorParams params = params_of(rng, trial);
     const Workload workload = random_workload(rng, static_cast<std::size_t>(rng.uniform(1, 24)));
     const Fork fork = random_fork(rng, static_cast<std::size_t>(rng.uniform(1, 8)), params);
     const Spider spider =
         random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 5)), 1, 4, params);
-    EXPECT_LE(ForkScheduler::makespan_floor(fork, workload),
-              ForkScheduler::schedule(fork, workload).makespan())
-        << fork.describe();
-    EXPECT_LE(SpiderScheduler::makespan_floor(spider, workload),
-              SpiderScheduler::schedule(spider, workload).makespan())
-        << spider.describe();
+    ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
+    EXPECT_LE(fork_scratch.floor, fork_out.makespan()) << fork.describe();
+    SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
+    EXPECT_LE(spider_scratch.count.floor, spider_out.makespan()) << spider.describe();
   }
 }
 
 TEST(SearchRange, OnePortFloorNeverExceedsTheBruteForceOptimum) {
   Rng rng(0xF101);
+  ForkCountScratch fork_scratch;
+  SpiderSolveScratch spider_scratch;
+  ForkSchedule fork_out;
+  SpiderSchedule spider_out;
   for (int trial = 0; trial < 60; ++trial) {
     const GeneratorParams params = params_of(rng, trial);
     const auto n = static_cast<std::size_t>(rng.uniform(1, 5));
     const Fork fork = random_fork(rng, static_cast<std::size_t>(rng.uniform(1, 3)), params);
     const Spider spider =
         random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 3)), 1, 2, params);
-    EXPECT_LE(ForkScheduler::makespan_floor(fork, Workload::identical(n)),
-              brute_force_fork_makespan(fork, n))
+    ForkScheduler::schedule_into(fork, Workload::identical(n), fork_scratch, fork_out);
+    EXPECT_LE(fork_scratch.floor, brute_force_fork_makespan(fork, n))
         << fork.describe() << " n=" << n;
-    EXPECT_LE(SpiderScheduler::makespan_floor(spider, Workload::identical(n)),
-              brute_force_spider_makespan(spider, n))
+    SpiderScheduler::schedule_into(spider, Workload::identical(n), spider_scratch, spider_out);
+    EXPECT_LE(spider_scratch.count.floor, brute_force_spider_makespan(spider, n))
         << spider.describe() << " n=" << n;
   }
 }
@@ -127,14 +135,14 @@ TEST(SearchRange, PortBoundSolvesRunNoProbe) {
     ForkSchedule fork_out;
     ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
     EXPECT_EQ(fork_scratch.probes, 0u) << "n=" << n;
-    EXPECT_EQ(ForkScheduler::makespan_floor(fork, workload), floor);
+    EXPECT_EQ(fork_scratch.floor, floor);
     EXPECT_EQ(fork_out.makespan(), floor);
 
     SpiderSolveScratch spider_scratch;
     SpiderSchedule spider_out;
     SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
     EXPECT_EQ(spider_scratch.count.probes, 0u) << "n=" << n;
-    EXPECT_EQ(SpiderScheduler::makespan_floor(spider, workload), floor);
+    EXPECT_EQ(spider_scratch.count.floor, floor);
     EXPECT_EQ(spider_out.makespan(), floor);
   }
 }
@@ -156,14 +164,13 @@ TEST(SearchRange, ProbesStayWithinTheLogOfTheRange) {
         random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 5)), 1, 4, params);
 
     ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
-    const Time fork_floor = ForkScheduler::makespan_floor(fork, workload);
-    EXPECT_LE(fork_scratch.probes, log2_ceil(fork_scratch.build_horizon - fork_floor + 1))
+    EXPECT_LE(fork_scratch.probes,
+              log2_ceil(fork_scratch.build_horizon - fork_scratch.floor + 1))
         << fork.describe();
 
     SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
-    const Time spider_floor = SpiderScheduler::makespan_floor(spider, workload);
     EXPECT_LE(spider_scratch.count.probes,
-              log2_ceil(spider_scratch.count.build_horizon - spider_floor + 1))
+              log2_ceil(spider_scratch.count.build_horizon - spider_scratch.count.floor + 1))
         << spider.describe();
 
     // The chain search spans [0, T∞(n) + last release]; identical workloads
