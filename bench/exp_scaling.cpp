@@ -1,10 +1,13 @@
 // CPLX-CHAIN / CPLX-SPIDER: measured complexity of the algorithms.  The
-// paper claims O(n·p²) for the chain algorithm (§3) and a polynomial below
+// paper gives O(n·p²) for the chain algorithm (§3) — this library's kernel
+// runs in O(n·p) (core/chain_scheduler.hpp) — and a polynomial below
 // O(n²·p²) for the spider algorithm (Theorem 2).  This harness runs
 // geometric sweeps as declarative scenario grids on the sweep runner
 // (single-threaded, best-of-`reps` wall times, registry dispatch — the path
 // the CLI and the other experiments exercise) and fits log-log slopes: the
-// chain exponent in n must be ~1 and in p ~<=2.
+// chain exponent must be ~1 in n and at most ~1 in p (the kernel's
+// per-task scan stops early once no farther destination can win, so on
+// random chains the p-sweep grows well below linearly).
 
 #include <iostream>
 #include <vector>
@@ -64,7 +67,7 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     std::cout << "fitted exponent in n: " << fit_loglog_slope(xs, ys)
-              << "  (paper: 1.0 — O(n·p²))\n\n";
+              << "  (expected: 1.0, O(n·p); the paper gives O(n·p²))\n\n";
   }
 
   // Chain: sweep p at fixed n.
@@ -72,7 +75,7 @@ int main(int argc, char** argv) {
     scenario::SweepSpec spec = base;
     spec.name = "cplx-chain-p";
     spec.kinds = {api::PlatformKind::kChain};
-    spec.sizes = {4, 8, 16, 32, 64, 128, 256};
+    spec.sizes = {4, 8, 16, 32, 64, 128, 256, 512};
     spec.tasks = {512};
 
     Table table({"p (n=512)", "time [us]"});
@@ -86,7 +89,7 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     std::cout << "fitted exponent in p: " << fit_loglog_slope(xs, ys)
-              << "  (paper: 2.0 — O(n·p²))\n\n";
+              << "  (expected: <= 1.0, O(n·p) at worst; the paper gives O(n·p²))\n\n";
   }
 
   // Spider: sweep n (6 legs of exactly 3 processors).

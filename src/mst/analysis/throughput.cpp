@@ -76,8 +76,9 @@ ThroughputCurve throughput_curve(const Platform& platform,
 
 ThroughputCurve chain_throughput_curve(const Chain& chain,
                                        const std::vector<std::size_t>& ns) {
-  return throughput_curve(chain, ns,
-                          [&](std::size_t n) { return ChainScheduler::makespan(chain, n); });
+  validate_counts(ns);
+  const std::vector<Time> makespans = ChainScheduler::makespans(chain, ns.back());
+  return throughput_curve(chain, ns, [&](std::size_t n) { return makespans[n - 1]; });
 }
 
 ThroughputCurve spider_throughput_curve(const Spider& spider,

@@ -54,7 +54,8 @@ ThroughputCurve throughput_curve(const Platform& platform,
                                  const std::function<Time(std::size_t)>& makespan_of);
 
 /// Samples the *optimal* `M(n)` at the given counts (must be increasing,
-/// >= 1) directly on the exact core schedulers.
+/// >= 1) directly on the exact core schedulers.  The chain form reads every
+/// sample from one backward construction at `T∞` of the largest count.
 ThroughputCurve chain_throughput_curve(const Chain& chain, const std::vector<std::size_t>& ns);
 ThroughputCurve spider_throughput_curve(const Spider& spider,
                                         const std::vector<std::size_t>& ns);

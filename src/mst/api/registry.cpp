@@ -742,7 +742,7 @@ void register_replan(Registry& r, PlatformKind k) {
 
 void register_chain_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kChain;
-  r.add({k, "optimal", "backward construction, Theorem 1 (O(n*p^2))", /*optimal=*/true,
+  r.add({k, "optimal", "backward construction, Theorem 1 (O(n*p))", /*optimal=*/true,
          /*exponential=*/false, kReleaseOnly},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);

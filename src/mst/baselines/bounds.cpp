@@ -105,16 +105,16 @@ Time chain_makespan_lower_bound(const Chain& chain, std::size_t n) {
   Time lb = rate_bound(n, chain_steady_state_rate(chain));
   // (b) Every task crosses link 0; after the last emission ends (>= n*c_0)
   //     the cheapest continuation still costs transit + work.
+  // (c) Any single task pays its full path plus its work.
   Time tail = kTimeInfinity;
+  Time single = kTimeInfinity;
+  Time path = 0;  // `chain.path_latency(q)`, accumulated in O(p)
   for (std::size_t q = 0; q < chain.size(); ++q) {
-    tail = std::min(tail, chain.path_latency(q) - chain.comm(0) + chain.work(q));
+    path += chain.comm(q);
+    tail = std::min(tail, path - chain.comm(0) + chain.work(q));
+    single = std::min(single, path + chain.work(q));
   }
   lb = std::max(lb, static_cast<Time>(n) * chain.comm(0) + tail);
-  // (c) Any single task pays its full path plus its work.
-  Time single = kTimeInfinity;
-  for (std::size_t q = 0; q < chain.size(); ++q) {
-    single = std::min(single, chain.path_latency(q) + chain.work(q));
-  }
   return std::max(lb, single);
 }
 
@@ -129,9 +129,11 @@ Time spider_makespan_lower_bound(const Spider& spider, std::size_t n, OnePortScr
   Time single = kTimeInfinity;
   for (const Chain& leg : spider.legs()) {
     min_c0 = std::min(min_c0, leg.comm(0));
+    Time path = 0;  // `leg.path_latency(q)`, accumulated in O(leg length)
     for (std::size_t q = 0; q < leg.size(); ++q) {
-      tail = std::min(tail, leg.path_latency(q) - leg.comm(0) + leg.work(q));
-      single = std::min(single, leg.path_latency(q) + leg.work(q));
+      path += leg.comm(q);
+      tail = std::min(tail, path - leg.comm(0) + leg.work(q));
+      single = std::min(single, path + leg.work(q));
     }
   }
   lb = std::max(lb, static_cast<Time>(n) * min_c0 + tail);

@@ -7,7 +7,8 @@
 /// Small descriptive-statistics helpers used by the experiment harness
 /// (ratio tables, scaling-exponent fits).  Kept minimal on purpose: the
 /// benches report means/medians over seeded instance sweeps and fit
-/// power-law exponents to confirm the paper's O(n p^2) complexity claim.
+/// power-law exponents to confirm the chain kernel's O(n·p) complexity
+/// (the paper gives O(n·p²)).
 
 namespace mst {
 

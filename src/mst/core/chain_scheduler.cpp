@@ -23,9 +23,7 @@ void require_uniform_sizes(const Workload& workload) {
 /// (construction order: latest task first).
 struct CountSink {
   std::vector<Time>* first_emissions;
-  void candidate(std::size_t /*dest*/, const Time* /*vec*/) {}
-  void place(std::size_t /*dest*/, Time /*start*/, const Time* best, const Time* /*hull*/,
-             const Time* /*occupancy*/) {
+  void place(std::size_t /*dest*/, Time /*start*/, const Time* best) {
     if (first_emissions != nullptr) first_emissions->push_back(best[0]);
   }
 };
@@ -35,9 +33,7 @@ struct CountSink {
 struct MaterializeSink {
   ChainSchedule& out;
   std::size_t used = 0;
-  void candidate(std::size_t /*dest*/, const Time* /*vec*/) {}
-  void place(std::size_t dest, Time start, const Time* best, const Time* /*hull*/,
-             const Time* /*occupancy*/) {
+  void place(std::size_t dest, Time start, const Time* best) {
     if (used == out.tasks.size()) out.tasks.emplace_back();
     ChainTask& task = out.tasks[used++];
     task.proc = dest;
@@ -184,7 +180,12 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
     // exact.  The backward construction runs once, at the top; every probe
     // shifts its emissions down to the probed horizon.  No -C^1_1 shift:
     // release dates are absolute, the window is the schedule.
-    const Time top = workload.last_release() + chain.t_infinity(n);
+    Time top = 0;
+    const bool overflow =
+        __builtin_add_overflow(workload.last_release(), chain.t_infinity(n), &top);
+    MST_REQUIRE(!overflow,
+                "the last release date plus T-infinity exceeds the largest time "
+                "9223372036854775807");
     build_instance(chain, top, workload, n, scratch);
     const Time horizon = detail::search_instance(
         scratch, 0, n, [&](Time t) { return probe_instance(t, workload, n, scratch); });
@@ -219,7 +220,17 @@ ChainSchedule ChainScheduler::schedule(const Chain& chain, const Workload& workl
 }
 
 Time ChainScheduler::makespan(const Chain& chain, std::size_t n) {
-  return schedule(chain, n).makespan();
+  return makespans(chain, n).back();
+}
+
+std::vector<Time> ChainScheduler::makespans(const Chain& chain, std::size_t n) {
+  const Time horizon = chain.t_infinity(n);
+  ChainCountScratch scratch;
+  std::vector<Time> out;
+  count_backward(chain, horizon, n, scratch, &out);
+  MST_ASSERT(out.size() == n);
+  for (Time& emission : out) emission = horizon - emission;
+  return out;
 }
 
 ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,

@@ -1,15 +1,18 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "mst/platform/chain.hpp"
 #include "mst/schedule/chain_schedule.hpp"
 #include "mst/workload/workload.hpp"
 
 /// \file chain_scheduler.hpp
-/// The paper's primary contribution (§3): an `O(n·p²)` algorithm building a
-/// makespan-optimal schedule of `n` identical tasks on a chain of
-/// heterogeneous processors, by *backward* construction from the horizon.
+/// The paper's primary contribution (§3): a makespan-optimal schedule of
+/// `n` identical tasks on a chain of heterogeneous processors, built
+/// *backward* from the horizon.  The paper's loop is quadratic in `p` per
+/// task; this library builds the same schedule in `O(n·p)` (a result beyond
+/// the paper, derived below).
 ///
 /// Sketch (matching the pseudo-code of Fig 3): the algorithm keeps, per
 /// link, a *hull* `h_k` — the earliest emission already scheduled on link
@@ -27,6 +30,35 @@
 ///
 /// Theorem 1 proves the construction optimal; our test-suite re-verifies
 /// this against exhaustive search on thousands of small instances.
+///
+/// One comparison per destination.  Building all `p` candidates costs
+/// `O(p²)` per task.  Unroll the recurrence with the prefix latencies
+/// `S_j = c_0 + … + c_{j-1}`, `a_i = h_i - S_{i+1}` and
+/// `b_k = o_k - w_k - S_{k+1}`:
+///
+///     kC_j = S_j + min(min a[j..k], b_k)
+///
+/// Take destinations `k < k'` and `X = min(min a[k+1..k'], b_k')`.  On their
+/// common prefix `j <= k` the two candidates differ by
+/// `min(A_j, b_k) - min(A_j, X)` with `A_j = min a[j..k]`.  Both equal `A_j`
+/// while `A_j <= min(b_k, X)`, and `A_j` only grows with `j`, up to `a_k`.
+/// So they differ on the prefix iff `b_k != X` and `min(b_k, X) < a_k`.  At
+/// the first difference only the smaller of `b_k` and `X` lies below `A_j`,
+/// so the candidate it belongs to (`k` for `b_k`, `k'` for `X`) is the
+/// smaller there.  Hence `k'` is greater under Definition 3 iff
+///
+///     b_k < min(a_k, min a[k+1..k'], b_k')
+///
+/// and otherwise `k` is: either the prefixes agree and the shorter `k`
+/// wins, or `k` is greater at the first difference.  Candidates have
+/// distinct lengths, and on such vectors Definition 3 is a total order
+/// (lexicographic, with the end of a vector ranking above every entry), so
+/// a left-to-right running maximum finds the candidate the paper's loop
+/// commits.  The running `min a[k..k']` only decreases, so once it drops to
+/// `b_k` or below, `k` is final.  Only the winner is then built, right to
+/// left, and its entries become the new hulls: `O(p)` per task in all, and
+/// the schedule, counts and emissions are bit for bit the paper's
+/// (`tests/test_chain_kernel.cpp` checks them against the quadratic loop).
 
 namespace mst {
 
@@ -36,10 +68,10 @@ namespace mst {
 /// (or smaller) size performs no heap allocation at all — the sweep runner's
 /// hot path relies on this.
 struct ChainCountScratch {
-  std::vector<Time> hull;
-  std::vector<Time> occupancy;
-  std::vector<Time> candidate;
-  std::vector<Time> best;
+  std::vector<Time> prefix;           ///< `S_j`, the latency up to link `j` (`p + 1` entries)
+  std::vector<Time> hull_slack;       ///< `a_i = h_i - S_{i+1}` per link
+  std::vector<Time> occupancy_slack;  ///< `b_k = o_k - w_k - S_{k+1}` per processor
+  std::vector<Time> best;             ///< the winning candidate of the current task
   std::vector<Time> emissions;  ///< release-dated counts: first emissions as built
   Time build_horizon = 0;       ///< horizon `emissions` were built at
   std::size_t probes = 0;       ///< bisection probes of the last makespan search
@@ -51,12 +83,19 @@ class ChainScheduler {
  public:
   /// Makespan form: optimal schedule of exactly `n >= 1` tasks.  The result
   /// starts at time 0 and its makespan equals the optimum (Theorem 1).
-  /// Complexity O(n·p²).
+  /// Complexity O(n·p).
   static ChainSchedule schedule(const Chain& chain, std::size_t n);
 
   /// Optimal makespan of `n` tasks without materializing task placements
-  /// (same cost; convenience for sweeps).
+  /// (`makespans(chain, n).back()`).
   static Time makespan(const Chain& chain, std::size_t n);
+
+  /// Optimal makespans `M(1..n)` (entry `i` holds `M(i+1)`) from one
+  /// counting construction at `H = T∞(n)`.  Its first task placed ends at
+  /// `H`, and its first `i` tasks are the optimal `i`-task schedule shifted
+  /// to end there (suffix optimality plus the shift lemma), so
+  /// `M(i) = H - e_i`, `e_i` being the i-th first emission.
+  static std::vector<Time> makespans(const Chain& chain, std::size_t n);
 
   /// Workload makespan form.  Identical workloads take the `schedule(chain,
   /// n)` path above bit-for-bit.  Release dates are handled natively: tasks
@@ -71,7 +110,7 @@ class ChainScheduler {
   /// schedule does.  Non-uniform task sizes are outside the algorithm's
   /// optimality proof and are rejected (`std::invalid_argument`).
   ///
-  /// Search cost: one `O(n·p²)` backward construction at the top of the
+  /// Search cost: one `O(n·p)` backward construction at the top of the
   /// range, then at most `ceil(log2(top + 1))` probes of `O(n log n)` each
   /// (counted in `ChainCountScratch::probes`), with no further
   /// construction.  This rests on a shift lemma, a result beyond the paper:

@@ -18,8 +18,10 @@
 ///     decision by decision.
 ///
 /// Being the same loop as `ChainScheduler::build_backward`, the traced run
-/// places exactly the same tasks; tracing costs one extra O(p²) copy per
-/// task.
+/// places exactly the same tasks.  The kernel compares destinations without
+/// building their candidates (`core/chain_scheduler.hpp`), so the trace
+/// rebuilds all `p` of them from its own copy of the hull/occupancy state:
+/// tracing is the only `O(p²)`-per-task path left.
 
 namespace mst {
 

@@ -212,72 +212,91 @@ Time search_instance(Scratch& scratch, Time lo, std::size_t n, CountAt&& count_a
   });
 }
 
-/// The backward construction anchored at `horizon`: hull `h_k` per link and
-/// occupancy `o_k` per processor start at the horizon; each step evaluates
-/// one candidate communication vector per destination `k`
+/// The backward construction anchored at `horizon`, in `O(p)` per task
+/// (derivation and proof sketch: `core/chain_scheduler.hpp`).  With
+/// `stop_on_negative` (decision form) it stops before a task whose first
+/// emission would be negative; otherwise it places exactly `max_tasks`
+/// tasks.  Returns the number placed.
 ///
-///     kC_k = min(o_k - w_k - c_k, h_k - c_k),  kC_j = min(kC_{j+1} - c_j, h_j - c_j)
+/// The state is kept relative to the prefix latencies `S_j = c_0 + … +
+/// c_{j-1}`: `a_i = h_i - S_{i+1}` per link and `b_k = o_k - w_k - S_{k+1}`
+/// per processor, so destination `k`'s Fig 3 candidate is
+/// `kC_j = S_j + min(min a[j..k], b_k)`.  Each task scans the destinations
+/// left to right, keeping the Definition 3 maximum `k` so far and
+/// `lim = min a[k..k']`: a later `k'` beats `k` iff
+/// `b_k < min(lim, b_k')`, and once `b_k >= lim` nothing later can.  Only
+/// the winner is built, right to left, and committed as the new hull.
 ///
-/// and commits the greatest under Definition 3.  With `stop_on_negative`
-/// (decision form) it stops before a task whose first emission would be
-/// negative; otherwise it places exactly `max_tasks` tasks.  Returns the
-/// number placed.
+/// Rejects (`std::invalid_argument`) a chain whose total latency plus its
+/// largest `w` overflows `Time`: every value the construction forms stays
+/// within that distance below its state.
 ///
-/// The sink sees every step, latest task first:
-///   * `candidate(k, vec)` — destination `k`'s candidate (`vec[0..k]`);
-///   * `place(dest, start, best, hull, occupancy)` — the committed vector
-///     (`best[0..dest]`) and execution start, with hull/occupancy (length
-///     `p`) as they were *before* this task.
-/// The loop itself only touches `scratch`, so a warm scratch and a
-/// non-allocating sink make it allocation-free.
+/// The sink sees every placement, latest task first:
+/// `place(dest, start, best)` — the committed vector (`best[0..dest]`) and
+/// execution start.  The loop itself only touches `scratch`, so a warm
+/// scratch and a non-allocating sink make it allocation-free.
 template <typename Sink>
 std::size_t backward_construction(const Chain& chain, Time horizon, std::size_t max_tasks,
                                   bool stop_on_negative, ChainCountScratch& scratch, Sink& sink) {
   const std::size_t p = chain.size();
-  scratch.hull.assign(p, horizon);
-  scratch.occupancy.assign(p, horizon);
-  scratch.candidate.resize(p);
+  scratch.prefix.resize(p + 1);
+  scratch.hull_slack.resize(p);
+  scratch.occupancy_slack.resize(p);
   scratch.best.resize(p);
-  Time* const hull = scratch.hull.data();
-  Time* const occupancy = scratch.occupancy.data();
-  Time* const candidate = scratch.candidate.data();
+  Time* const prefix = scratch.prefix.data();
+  Time* const a = scratch.hull_slack.data();
+  Time* const b = scratch.occupancy_slack.data();
   Time* const best = scratch.best.data();
   // Every index below is `< p`, so the loop reads the processors directly
   // rather than through the range-checked `Chain::proc` call.
   const Processor* const procs = chain.procs().data();
 
+  // Prefix sums and the initial state (`h = o = horizon`) in one pass.
+  bool overflow = false;
+  Time max_work = 0;
+  prefix[0] = 0;
+  for (std::size_t k = 0; k < p; ++k) {
+    overflow |= __builtin_add_overflow(prefix[k], procs[k].comm, &prefix[k + 1]);
+    overflow |= __builtin_sub_overflow(horizon, prefix[k + 1], &a[k]);
+    overflow |= __builtin_sub_overflow(a[k], procs[k].work, &b[k]);
+    max_work = std::max(max_work, procs[k].work);
+  }
+  Time reach = 0;
+  overflow |= __builtin_add_overflow(prefix[p], max_work, &reach);
+  MST_REQUIRE(!overflow,
+              "the chain's total link latency plus its largest w exceeds the largest time "
+              "9223372036854775807");
+
   std::size_t placed = 0;
   while (placed < max_tasks) {
-    std::size_t best_len = 0;
-    for (std::size_t k1 = p; k1 >= 1; --k1) {
-      const std::size_t k = k1 - 1;
-      // Last hop, then the upstream hops right to left.
-      candidate[k] = std::min(occupancy[k] - procs[k].work - procs[k].comm,
-                              hull[k] - procs[k].comm);
-      for (std::size_t j1 = k; j1 >= 1; --j1) {
-        const std::size_t j = j1 - 1;
-        candidate[j] = std::min(candidate[j + 1] - procs[j].comm, hull[j] - procs[j].comm);
-      }
-      sink.candidate(k, static_cast<const Time*>(candidate));
-      if (best_len == 0 || precedes(best, best_len, candidate, k + 1)) {
-        std::copy(candidate, candidate + k + 1, best);
-        best_len = k + 1;
+    // Definition 3 maximum over the destinations, one comparison each.
+    std::size_t dest = 0;
+    Time lim = a[0];
+    for (std::size_t k = 1; k < p; ++k) {
+      lim = std::min(lim, a[k]);
+      if (b[dest] >= lim) break;
+      if (b[dest] < b[k]) {
+        dest = k;
+        lim = a[k];
       }
     }
-    MST_ASSERT(best_len >= 1);
 
-    // Candidate entries increase along the vector (c_j >= 0), so the first
-    // entry decides whether the task still fits in the window.
+    // The winner, right to left.  Its entries increase along the vector
+    // (c_j >= 0), so the first one decides whether the task still fits.
+    Time m = b[dest];
+    for (std::size_t j1 = dest + 1; j1 >= 1; --j1) {
+      const std::size_t j = j1 - 1;
+      m = std::min(m, a[j]);
+      best[j] = prefix[j] + m;
+    }
     if (stop_on_negative && best[0] < 0) break;
 
     // Execute as late as the destination allows; the task's emissions
     // become the hulls of every link it crosses.
-    const std::size_t dest = best_len - 1;
-    const Time start = occupancy[dest] - procs[dest].work;
-    sink.place(dest, start, static_cast<const Time*>(best), static_cast<const Time*>(hull),
-               static_cast<const Time*>(occupancy));
-    occupancy[dest] = start;
-    std::copy(best, best + best_len, hull);
+    const Time start = b[dest] + prefix[dest + 1];
+    sink.place(dest, start, static_cast<const Time*>(best));
+    b[dest] -= procs[dest].work;
+    for (std::size_t j = 0; j <= dest; ++j) a[j] = best[j] - prefix[j + 1];
     ++placed;
   }
   return placed;

@@ -1,5 +1,6 @@
 #include "mst/platform/chain.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "mst/common/assert.hpp"
@@ -49,8 +50,14 @@ Chain Chain::suffix(std::size_t from) const {
 Time Chain::t_infinity(std::size_t n) const {
   MST_REQUIRE(n >= 1, "t_infinity needs at least one task");
   const Processor& p0 = procs_.front();
-  const Time step = std::max(p0.work, p0.comm);
-  return p0.comm + static_cast<Time>(n - 1) * step + p0.work;
+  Time span = 0;
+  const bool overflow = __builtin_mul_overflow(std::max(p0.work, p0.comm), n - 1, &span) ||
+                        __builtin_add_overflow(span, p0.comm, &span) ||
+                        __builtin_add_overflow(span, p0.work, &span);
+  MST_REQUIRE(!overflow,
+              "the n-task pipeline on the chain's first processor (T-infinity) exceeds the "
+              "largest time 9223372036854775807");
+  return span;
 }
 
 std::string Chain::describe() const {

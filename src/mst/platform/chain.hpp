@@ -51,7 +51,8 @@ class Chain {
 
   /// `T∞` of the paper's §3: the makespan of the trivial schedule that puts
   /// all `n` tasks on the first processor,
-  /// `c_0 + (n-1)·max(w_0, c_0) + w_0`.  Defined for `n >= 1`.
+  /// `c_0 + (n-1)·max(w_0, c_0) + w_0`.  Defined for `n >= 1`; throws
+  /// `std::invalid_argument` when it exceeds the largest `Time`.
   [[nodiscard]] Time t_infinity(std::size_t n) const;
 
   /// Human-readable one-liner, e.g. `chain[(c=2,w=5),(c=3,w=3)]`.

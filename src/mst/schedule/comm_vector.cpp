@@ -6,16 +6,12 @@
 namespace mst {
 
 bool precedes(const CommVector& a, const CommVector& b) {
-  return precedes(a.data(), a.size(), b.data(), b.size());
-}
-
-bool precedes(const Time* a, std::size_t na, const Time* b, std::size_t nb) {
-  const std::size_t common = std::min(na, nb);
+  const std::size_t common = std::min(a.size(), b.size());
   for (std::size_t k = 0; k < common; ++k) {
     if (a[k] != b[k]) return a[k] < b[k];
   }
   // Equal on the common prefix: the longer vector is the smaller one.
-  return na > nb;
+  return a.size() > b.size();
 }
 
 bool precedes_or_equal(const CommVector& a, const CommVector& b) {

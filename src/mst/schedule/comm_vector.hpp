@@ -28,12 +28,6 @@ using CommVector = std::vector<Time>;
 /// lengths or contents; equal vectors are unordered.
 bool precedes(const CommVector& a, const CommVector& b);
 
-/// Raw-span variant of the Definition 3 order, for callers that keep
-/// candidate vectors in reusable scratch buffers (the allocation-free
-/// counting path of the schedulers).  Identical semantics to the
-/// `CommVector` overload.
-bool precedes(const Time* a, std::size_t na, const Time* b, std::size_t nb);
-
 /// True iff `a ≺ b` or `a == b` (convenience for tests).
 bool precedes_or_equal(const CommVector& a, const CommVector& b);
 

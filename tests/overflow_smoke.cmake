@@ -8,6 +8,9 @@
 #     makespan search: with a second, fast source, 3 tasks take 4.
 #   * A node whose exec would overflow is never formed: the only slave of
 #     `fork 1` cannot finish one task within the deadline, so 0 tasks fit.
+#   * A chain whose horizon T-infinity, or whose total link latency plus its
+#     largest w, overflows is rejected (exit 2) with a message naming the
+#     limit, never answered with a wrong "optimal".
 
 foreach(var MSTCTL WORKDIR)
   if(NOT DEFINED ${var})
@@ -30,8 +33,29 @@ function(run name platform expected)
   endif()
 endfunction()
 
+# rejected(<name> <platform text> <expected stderr regex> <mstctl args>...)
+function(rejected name platform expected)
+  set(file ${WORKDIR}/overflow_${name}.txt)
+  file(WRITE ${file} "${platform}")
+  execute_process(
+    COMMAND ${MSTCTL} --platform=${file} ${ARGN}
+    RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT status EQUAL 2)
+    message(FATAL_ERROR "${name}: expected exit 2, got ${status}\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "${expected}")
+    message(FATAL_ERROR "${name}: error does not match \"${expected}\":\n${err}")
+  endif()
+endfunction()
+
 set(solve --mode=solve --algo=optimal --tasks=3)
 run(fork "fork 2\n4000000000000000000 1\n1 1\n" "optimal +yes +4 " ${solve})
 run(spider "spider 2\nleg 1\n4000000000000000000 1\nleg 1\n1 1\n" "optimal +yes +4 " ${solve})
 run(far_node "fork 1\n5000000000000000000 5000000000000000000\n" "optimal +yes +0 +0 "
     --mode=max-tasks --algo=optimal --deadline=9000000000000000000)
+rejected(chain_horizon "chain 2\n4000000000000000000 1\n1 1\n"
+         "requirement failed.*largest time 9223372036854775807" ${solve})
+rejected(chain_latency
+         "chain 3\n4000000000000000000 1\n4000000000000000000 1\n4000000000000000000 1\n"
+         "requirement failed.*largest time 9223372036854775807"
+         --mode=max-tasks --algo=optimal --deadline=5)

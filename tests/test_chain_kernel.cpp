@@ -1,0 +1,144 @@
+// Differential test of the chain kernel: the O(p)-per-task backward
+// construction (`detail::backward_construction`) against the paper's
+// quadratic Fig 3 loop (tests/support/quadratic_chain.hpp), task for task —
+// destination, execution start and every emission — in both forms of the
+// construction, on random and tie-heavy chains.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <limits>
+#include <ostream>
+#include <stdexcept>
+#include <vector>
+
+#include "mst/common/rng.hpp"
+#include "mst/core/chain_scheduler.hpp"
+#include "mst/platform/generator.hpp"
+#include "support/quadratic_chain.hpp"
+
+namespace mst {
+
+// Readable failures: gtest prints a mismatching task as its fields.
+void PrintTo(const ChainTask& task, std::ostream* os) {
+  *os << "{proc " << task.proc << ", start " << task.start << ", emissions "
+      << to_string(task.emissions) << "}";
+}
+
+namespace {
+
+/// Chain families, the later ones heavy with Definition 3 ties.
+enum class Family { kRandom, kAllOnes, kEqualComm, kWorkAtMostComm, kZeroLatency, kTiny };
+constexpr int kFamilies = 6;
+
+Chain draw_chain(Rng& rng, Family family, std::size_t p) {
+  std::vector<Processor> procs(p);
+  const Time shared_comm = rng.uniform(1, 6);
+  for (Processor& proc : procs) {
+    switch (family) {
+      case Family::kRandom:
+        proc = random_processor(
+            rng, {1, 20, all_platform_classes()[static_cast<std::size_t>(rng.uniform(0, 4))]});
+        break;
+      case Family::kAllOnes:
+        proc = {1, 1};
+        break;
+      case Family::kEqualComm:
+        proc = {shared_comm, rng.uniform(1, 8)};
+        break;
+      case Family::kWorkAtMostComm:
+        proc.comm = rng.uniform(1, 8);
+        proc.work = rng.uniform(1, proc.comm);
+        break;
+      case Family::kZeroLatency:
+        proc = {rng.chance(0.5) ? 0 : rng.uniform(1, 4), rng.uniform(1, 4)};
+        break;
+      case Family::kTiny:
+        proc = {rng.uniform(0, 2), rng.uniform(1, 2)};
+        break;
+    }
+  }
+  return Chain(std::move(procs));
+}
+
+TEST(ChainKernel, MatchesTheQuadraticLoopTaskForTask) {
+  Rng rng(0xC4A17);
+  ChainCountScratch scratch;  // one warm scratch across chains of every size
+  std::vector<Time> emissions;
+  std::size_t min_p = 64;
+  std::size_t max_p = 1;
+  std::size_t stopped_early = 0;
+  constexpr int kDraws = 8000;
+  for (int draw = 0; draw < kDraws; ++draw) {
+    const auto family = static_cast<Family>(draw % kFamilies);
+    const auto p = static_cast<std::size_t>(rng.chance(0.25) ? rng.uniform(1, 64)
+                                                             : rng.uniform(1, 8));
+    const Chain chain = draw_chain(rng, family, p);
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 24));
+    const Time horizon = rng.uniform(0, chain.t_infinity(n));
+    min_p = std::min(min_p, p);
+    max_p = std::max(max_p, p);
+
+    for (const bool stop_on_negative : {true, false}) {
+      const ChainSchedule expected =
+          oracle::quadratic_backward(chain, horizon, n, stop_on_negative);
+      const ChainSchedule actual =
+          ChainScheduler::build_backward(chain, horizon, n, stop_on_negative);
+      ASSERT_EQ(actual.tasks, expected.tasks)
+          << chain.describe() << " horizon=" << horizon << " n=" << n
+          << " stop_on_negative=" << stop_on_negative;
+      if (!stop_on_negative) continue;
+
+      // The counting sink sees the same first emissions, latest task first.
+      emissions.clear();
+      const std::size_t count =
+          ChainScheduler::count_within_emissions(chain, horizon, n, scratch, emissions);
+      ASSERT_EQ(count, expected.tasks.size()) << chain.describe() << " horizon=" << horizon;
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(emissions[i], expected.tasks[count - 1 - i].emissions.front())
+            << chain.describe() << " horizon=" << horizon << " task " << i;
+      }
+      if (count < n) ++stopped_early;
+    }
+  }
+  EXPECT_EQ(min_p, 1u);
+  EXPECT_EQ(max_p, 64u);
+  EXPECT_GT(stopped_early, static_cast<std::size_t>(kDraws / 4));  // the decision cut is exercised
+}
+
+TEST(ChainKernel, MakespanFormMatchesAtTInfinity) {
+  // The makespan form's own horizon, on the tie-heavy families.
+  Rng rng(0xC4A18);
+  for (int draw = 0; draw < 600; ++draw) {
+    const auto family = static_cast<Family>(draw % kFamilies);
+    const Chain chain = draw_chain(rng, family, static_cast<std::size_t>(rng.uniform(1, 16)));
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 40));
+    const Time horizon = chain.t_infinity(n);
+    EXPECT_EQ(ChainScheduler::build_backward(chain, horizon, n, false).tasks,
+              oracle::quadratic_backward(chain, horizon, n, false).tasks)
+        << chain.describe() << " n=" << n;
+  }
+}
+
+TEST(ChainKernel, RejectsTimesBeyondTheLargestTime) {
+  constexpr Time kHuge = 4'000'000'000'000'000'000;
+  // T∞ of 3 tasks on the first processor overflows.
+  const Chain far = Chain::from_vectors({kHuge, 1}, {1, 1});
+  EXPECT_THROW((void)far.t_infinity(3), std::invalid_argument);
+  EXPECT_THROW((void)ChainScheduler::schedule(far, 3), std::invalid_argument);
+  EXPECT_EQ(ChainScheduler::makespan(far, 2), 2 * kHuge + 1);
+  // The prefix latencies overflow, whatever the horizon.
+  const Chain long_links = Chain::from_vectors({kHuge, kHuge, kHuge}, {1, 1, 1});
+  ChainCountScratch scratch;
+  EXPECT_THROW((void)ChainScheduler::count_within(long_links, 5, 3, scratch),
+               std::invalid_argument);
+  // The release-dated search top: the last release plus T∞.
+  const Chain unit = Chain::from_vectors({1}, {1});
+  const Time last_release = std::numeric_limits<Time>::max() - 1;
+  EXPECT_THROW((void)ChainScheduler::schedule(unit, Workload::released({0, last_release})),
+               std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace mst

@@ -22,6 +22,31 @@ TEST(Throughput, CurveSamplesOptimalMakespans) {
   EXPECT_EQ(curve.marginal[2], curve.makespan[2] - curve.makespan[1]);
 }
 
+TEST(Throughput, ChainMakespansFromOneConstructionMatchTheSchedules) {
+  // `makespan(chain, n)` and every curve sample read `T∞ - e_n` from a
+  // counting construction; both must equal the materialized optimum.
+  Rng rng(0x7C0);
+  for (int trial = 0; trial < 150; ++trial) {
+    Rng inst = rng.split();
+    const auto cls = all_platform_classes()[static_cast<std::size_t>(rng.uniform(0, 4))];
+    const Chain chain =
+        random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 12)), {1, 12, cls});
+    std::vector<std::size_t> ns;
+    for (std::size_t n = static_cast<std::size_t>(rng.uniform(1, 3)); n <= 60;
+         n += static_cast<std::size_t>(rng.uniform(1, 9))) {
+      ns.push_back(n);
+    }
+    const ThroughputCurve curve = chain_throughput_curve(chain, ns);
+    ASSERT_EQ(curve.makespan.size(), ns.size());
+    for (std::size_t i = 0; i < ns.size(); ++i) {
+      const Time expected = ChainScheduler::schedule(chain, ns[i]).makespan();
+      EXPECT_EQ(ChainScheduler::makespan(chain, ns[i]), expected)
+          << chain.describe() << " n=" << ns[i];
+      EXPECT_EQ(curve.makespan[i], expected) << chain.describe() << " n=" << ns[i];
+    }
+  }
+}
+
 TEST(Throughput, AffineTailFitRecoversSteadyRate) {
   // A single-processor chain is affine from the start:
   // M(n) = c + (n-1)*max(c,w) + w.
