@@ -827,20 +827,10 @@ void register_fork_algorithms(Registry& r) {
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
-          if (!opts.materialize && (pool == nullptr || !pool->has_release_dates())) {
-            // Count + makespan: the select and sequencing steps with a
-            // makespan sink, no task vectors built.
-            const auto [tasks, makespan] =
-                ForkScheduler::makespan_within(fork, deadline, cap, opts.scratch->fork);
-            return make_decision("optimal", k, deadline, tasks, makespan,
-                                 /*optimal=*/decision_maximal(tasks, cap, pool), {});
-          }
-          // Unlike chain/spider, a fork decision makespan is the EDD
-          // packing's completion time (not the horizon), so a count-only
-          // path cannot report it without the DP's selection — released
-          // pools therefore materialize even when `materialize` is off (the
-          // payload is stripped by the wrapper; pools are sweep-sized, so
-          // this stays cheap).
+          // Unlike chain/spider, a fork decision makespan is the completion
+          // time of the ASAP starts, not the horizon, so every decision
+          // materializes, even when `materialize` is off (the wrapper strips
+          // the payload back into the pool).
           const Workload stream = Workload::identical(cap);
           ForkSchedule& pooled = opts.scratch->fork_pool;
           ForkScheduler::schedule_within_into(fork, deadline, pool != nullptr ? *pool : stream,

@@ -1,51 +1,46 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "mst/core/moore_hodgson.hpp"
+#include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/fork.hpp"
+#include "mst/platform/spider.hpp"
 #include "mst/schedule/fork_schedule.hpp"
+#include "mst/schedule/spider_schedule.hpp"
 #include "mst/workload/workload.hpp"
 
 /// \file fork_scheduler.hpp
 /// Scheduling on fork (star) platforms — §6 of the paper, after Beaumont,
 /// Carter, Ferrante, Legrand, Robert (IPDPS 2002).
 ///
-/// The decision form "how many tasks finish within `T_lim`?" is solved by
-/// (a) expanding every slave into virtual single-task nodes (Fig 6), and
-/// (b) selecting a maximum feasible node set on the master's one-port —
-/// a `1 || ΣU_j` instance solved optimally by Moore–Hodgson
-/// (`moore_hodgson.hpp`).  The selection is normalized per slave to the
-/// smallest-exec prefix (pure deadline relaxation, count preserved), which
-/// makes it realizable as an actual schedule.  The paper's original
+/// A fork is the spider whose legs all have length 1, and for such a leg
+/// the Fig 7 virtual nodes are exactly the Fig 6 nodes: the backward
+/// construction on one processor `(c, w)` gives its q-th latest task the
+/// emission deadline `T_lim - (w + q·max(c, w))`.  So every exact form
+/// below runs the spider pipeline (`spider_scheduler.hpp`: build, probes,
+/// search, Moore–Hodgson or positional-release selection, resequencing) on
+/// the fork as a unit-leg spider, rebuilt in the scratch in place.  One pass
+/// then keeps each task's slave and emission and starts it as soon as it
+/// has arrived and its slave is free, `max(emission + c, slave free)`,
+/// where the spider keeps its planned, as-late-as-possible start.  The
+/// earlier start never ends later, so every deadline still holds; with
+/// release dates it can end a makespan earlier.  The paper's
 /// ascending-`c` greedy is kept as `greedy_max_tasks` for cross-checking
 /// and for the heuristic-comparison experiment.
 
 namespace mst {
 
-/// Reusable buffers of the fork build, select and sequencing steps
-/// (counting and materializing alike).  Keep one per thread: with warm
-/// buffers the count — the merged node instance plus the count-only
-/// Moore–Hodgson selection — the makespan search and the materialization
-/// perform no heap allocation at all, matching the chain/spider paths.
+/// Reusable buffers of every exact fork solve (counting and materializing
+/// alike).  Keep one per thread: with warm buffers, counts, makespan
+/// searches and materializations on forks of as many slaves perform no
+/// heap allocation at all, matching the chain/spider paths.
 struct ForkCountScratch {
-  std::vector<EddJob> edd;          ///< the Fig 6 node instance, EDD order as built
-  std::vector<std::size_t> offsets;  ///< slave i's node ids: [offsets[i], offsets[i+1])
-  Time build_horizon = 0;           ///< horizon `edd` was built at
-  Time floor = 0;                   ///< lower end of the last makespan search
-  std::vector<EddRun> merge;        ///< the build's p-way merge heap
-  std::vector<Time> heap;           ///< count-only Moore–Hodgson heap
-  std::vector<Time> dp;             ///< positional-release selection DP row
-  std::vector<SelectedJob> sel_heap;    ///< Moore–Hodgson selection with ids
-  std::vector<std::uint64_t> taken;     ///< positional-release selection backtrack bits
-  std::vector<EddJob> picked;           ///< positional-release selection, EDD order
-  std::vector<std::size_t> counts;      ///< selected tasks per slave
-  std::vector<std::pair<Time, std::size_t>> seq;  ///< (deadline, slave) sequencing
-  std::vector<Time> slave_free;         ///< per-slave completion during replay
-  std::size_t probes = 0;               ///< bisection probes of the last makespan search
+  Spider spider;                 ///< the fork as a unit-leg spider, rebuilt in place
+  SpiderSolveScratch solve;      ///< the spider pipeline's buffers
+  SpiderSchedule plan;           ///< the spider schedule the start pass reads
+  std::vector<Time> slave_free;  ///< per-slave completion during the start pass
 };
 
 class ForkScheduler {
@@ -58,67 +53,34 @@ class ForkScheduler {
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: the *build* step merges each slave's
-  /// virtual nodes into `scratch.edd` (never building node vectors); the
-  /// *probe* step runs the count-only Moore–Hodgson selection over them in
-  /// `scratch.heap`.  Returns exactly `schedule_within(fork, t_lim,
-  /// cap).tasks.size()`.  The registry's `materialize == false` fast path
-  /// runs on this; the makespan search runs the same two steps, building
-  /// once (see `schedule_into`).
+  /// Allocation-free counting: the spider count of the unit-leg spider.
+  /// Returns exactly `schedule_within(fork, t_lim, cap).tasks.size()`.
   static std::size_t count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                   ForkCountScratch& scratch);
 
   /// Count *and* completion time of the decision-form schedule, still
-  /// allocation-free: the build, select and sequencing steps of
-  /// `schedule_within` with a makespan sink, so the registry fast path
-  /// reports the same (tasks, makespan) pair as the materializing path
-  /// without ever building task vectors.
+  /// allocation-free on warm scratch: the start pass of `schedule_within`
+  /// with a makespan sink, never building the fork schedule.
   static std::pair<std::size_t, Time> makespan_within(const Fork& fork, Time t_lim,
                                                       std::size_t cap,
                                                       ForkCountScratch& scratch);
 
   /// Workload decision form: release dates bind positionally on the
-  /// master's one-port (see spider_scheduler.hpp — forks share the
-  /// positional-release selection DP).  Identical workloads reduce to the
-  /// methods above capped at the workload count; non-uniform sizes are
-  /// rejected.
+  /// master's one-port (see spider_scheduler.hpp).  Identical workloads
+  /// reduce to the methods above capped at the workload count; non-uniform
+  /// sizes are rejected.
   static std::size_t count_within(const Fork& fork, Time t_lim, const Workload& workload,
                                   std::size_t cap, ForkCountScratch& scratch);
   static ForkSchedule schedule_within(const Fork& fork, Time t_lim, const Workload& workload,
                                       std::size_t cap);
 
-  /// The two steps of every count (`count_within` runs both at `t_lim`).
-  /// `build_instance` enumerates the Fig 6 nodes at `horizon` — at most
-  /// `min(cap, workload.count())` per slave, slave `i`'s ranks numbered
-  /// from `scratch.offsets[i]` — and merges the slaves' runs, each already
-  /// in EDD order, into `scratch.edd` ordered by `(deadline, comm, id)`;
-  /// `probe_instance` then answers the count at any `t_lim` in
-  /// `[0, horizon]` — for the same workload and cap — by shifting and
-  /// filtering that instance, in one linear Moore–Hodgson (or
-  /// positional-release DP) pass.  Equals `count_within(fork, t_lim,
-  /// workload, cap, scratch)` at every such `t_lim`.
-  static void build_instance(const Fork& fork, Time horizon, const Workload& workload,
-                             std::size_t cap, ForkCountScratch& scratch);
-  static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
-                                    ForkCountScratch& scratch);
-
-  /// Workload makespan form: minimal horizon by binary search over the
-  /// release-aware count (absolute times; no shift).  Same search as below,
-  /// with the positional-release DP as the probe pass and the selection.
+  /// Workload makespan form: the spider's search of the minimal horizon
+  /// over the release-aware count (absolute times; no shift).
   static ForkSchedule schedule(const Fork& fork, const Workload& workload);
 
-  /// Makespan form: optimal schedule of exactly `n` tasks, found by binary
-  /// search on `t_lim` over the monotone decision form.  The search builds
-  /// the node instance once, at the top of its range — one p-way merge of
-  /// the slaves' `O(p·n)` nodes, no sort — and every probe shifts and
-  /// filters it (`core/kernels.hpp`, `min_horizon`).  It starts at the
-  /// one-port floor (`detail::SearchRange`, kept in `scratch.floor`), not 0,
-  /// so it runs at most `ceil(log2(top - floor + 1))` linear Moore–Hodgson
-  /// probes, and none when the floor meets the top — when one slave has
-  /// both the minimum `c` and the minimum `c + w`, with `w <= c`.  The
-  /// optimum is then selected and sequenced from the same instance.  This
-  /// horizon-invariance of the instance is a result beyond the paper, which
-  /// re-solves the decision form per probe.
+  /// Makespan form: optimal schedule of exactly `n` tasks — the spider's
+  /// search on one built instance, from the one-port floor
+  /// (`scratch.solve.count.floor`, probes in `scratch.solve.count.probes`).
   static ForkSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.
@@ -130,19 +92,15 @@ class ForkScheduler {
   /// the task count.  Cross-checked against `max_tasks` in the test suite.
   static std::size_t greedy_max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
 
-  /// Materializes the greedy selection as an actual schedule (same EDD
-  /// sequencing as the optimal path; counts come from the greedy).
+  /// Materializes the greedy selection as an actual schedule: its nodes in
+  /// EDD order, emitted back-to-back from 0, each task started as soon as
+  /// it has arrived and its slave is free.
   static ForkSchedule greedy_schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
 
   // -------------------------------------------------------------------------
-  // One algorithm, three steps.  The *build* step merges the node instance;
-  // the *select* step runs Moore–Hodgson on it (shifted to the window),
-  // counts per slave and trims to the global cap; the EDD *sequencing* step
-  // then feeds either a makespan sink (`makespan_within`) or a task sink
-  // (the `_into` forms, and the greedy's materialization).  The
-  // value-returning forms are a local scratch around the `_into` forms,
-  // which rebuild `out` in place so repeated solves on warm scratch perform
-  // zero heap allocations.
+  // The `_into` forms rebuild `out` in place, so repeated solves on warm
+  // scratch perform zero heap allocations; the value-returning forms are a
+  // local scratch around them.
 
   /// `schedule_within(fork, t_lim, cap)` into `out`.
   static void schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
@@ -153,9 +111,7 @@ class ForkScheduler {
                                    std::size_t cap, ForkCountScratch& scratch,
                                    ForkSchedule& out);
 
-  /// `schedule(fork, workload)` into `out`; the search builds its instance
-  /// in `scratch` once, and every bisection probe and the final selection
-  /// reuse it (`scratch.probes` counts the probes).
+  /// `schedule(fork, workload)` into `out`.
   static void schedule_into(const Fork& fork, const Workload& workload,
                             ForkCountScratch& scratch, ForkSchedule& out);
 };

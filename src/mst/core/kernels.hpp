@@ -10,16 +10,15 @@
 #include "mst/core/moore_hodgson.hpp"
 #include "mst/platform/chain.hpp"
 #include "mst/schedule/comm_vector.hpp"
-#include "mst/workload/workload.hpp"
 
 /// \file kernels.hpp
 /// Core-private kernels shared by the exact schedulers: the one horizon
-/// bisection behind every makespan form with the fork/spider search range,
-/// build merge and probe step, and the one implementation of the Fig 3
-/// backward construction.  Every
-/// chain entry point — counting, first emissions, materialization,
-/// tracing — and, through them, the spider reduction runs that loop; a
-/// *sink* decides what each step produces.
+/// bisection behind every makespan form with the spider search range and
+/// build merge, and the one implementation of the Fig 3 backward
+/// construction.  Every chain entry point — counting, first emissions,
+/// materialization, tracing — and, through them, the spider reduction (and
+/// the fork, a spider with unit legs) runs that loop; a *sink* decides what
+/// each step produces.
 
 namespace mst::detail {
 
@@ -38,19 +37,19 @@ namespace mst::detail {
 /// that all start at the horizon (`h = o = H`), so it commutes with a
 /// uniform shift.  Its first emissions at any `T <= H` are the emissions at
 /// `H` shifted by `T - H` and cut before the first negative one (they never
-/// increase along the construction).  The fork and spider node instances
-/// inherit the shift: a Fig 6 node `(exec, comm)` exists at `T` iff
-/// `exec + comm <= T`, with deadline `T - exec`; a Fig 7 leg node has
-/// deadline `C_1 + c_1`, which shifts with the leg's emissions.  So a search
-/// runs one *build* step at the top of its range — the chain emissions, or
-/// the node instance as EDD-ordered `(deadline at H, comm, id)` jobs,
-/// merged from the per-source runs (`merge_edd_runs`) — and every bisection
-/// *probe* at `T` lowers each deadline by `H - T` and drops the jobs whose
-/// deadline fell below their processing time.  A uniform shift keeps EDD
-/// order, so a probe is one linear Moore–Hodgson (or positional-release DP)
-/// pass with no sort, and the optimum `T*` is selected and materialized
-/// from the same instance, shifted by `H - T*`.  `count_within` is the same
-/// two steps at one horizon (build at `T`, probe with shift 0).
+/// increase along the construction).  The spider node instance inherits
+/// the shift: a Fig 7 leg node has deadline `C_1 + c_1`, which shifts with
+/// the leg's emissions, and exists at `T` iff that deadline still covers
+/// its `c_1`.  So a search runs one *build* step at the top of its range —
+/// the chain emissions, or the node instance as EDD-ordered
+/// `(deadline at H, comm, id)` jobs, merged from the per-leg runs
+/// (`merge_edd_runs`) — and every bisection *probe* at `T` lowers each
+/// deadline by `H - T` and drops the jobs whose deadline fell below their
+/// processing time.  A uniform shift keeps EDD order, so a probe is one
+/// linear Moore–Hodgson (or positional-release DP) pass with no sort, and
+/// the optimum `T*` is selected and materialized from the same instance,
+/// shifted by `H - T*`.  `count_within` is the same two steps at one
+/// horizon (build at `T`, probe with shift 0).
 template <typename Fits>
 Time min_horizon(Time lo, Time hi, Fits&& fits) {
   while (lo < hi) {
@@ -64,7 +63,7 @@ Time min_horizon(Time lo, Time hi, Fits&& fits) {
   return lo;
 }
 
-/// The range `[floor, top]` a fork or spider makespan search for `n` tasks
+/// The range `[floor, top]` a spider makespan search for `n` tasks
 /// bisects, accumulated over the platform's processors with every sum
 /// overflow-checked.
 ///
@@ -89,8 +88,8 @@ class SearchRange {
  public:
   SearchRange(std::size_t n, Time last_release) : n_(n), last_release_(last_release) {}
 
-  /// A source — fork slave or spider leg — whose first processor is
-  /// `first`.
+  /// A source — a spider leg, or a fork slave as a unit leg — whose first
+  /// processor is `first`.
   void add_source(const Processor& first) {
     min_comm_ = std::min(min_comm_, first.comm);
     Time span = 0;
@@ -182,24 +181,6 @@ inline std::size_t run_of(const std::vector<std::size_t>& offsets, std::size_t i
          1;
 }
 
-/// The probe step of the fork and spider counts: the count at `t_lim` of
-/// the EDD instance `scratch.edd` built at `scratch.build_horizon` for the
-/// same workload and cap — Moore–Hodgson for identical workloads, the
-/// positional-release DP with release dates, each capped at the cap.
-template <typename Scratch>
-std::size_t probe_selection(Scratch& scratch, Time t_lim, const Workload& workload,
-                            std::size_t cap) {
-  MST_REQUIRE(t_lim >= 0 && t_lim <= scratch.build_horizon,
-              "probe horizon must lie in [0, build horizon]");
-  const Time shift = scratch.build_horizon - t_lim;
-  const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) {
-    return moore_hodgson_count(scratch.edd, shift, k_cap, scratch.heap);
-  }
-  return moore_hodgson_released_count(scratch.edd, shift, workload.releases(), k_cap,
-                                      scratch.dp);
-}
-
 /// The bisection of a makespan search over its built instance: the
 /// smallest horizon in `[lo, scratch.build_horizon]` at which
 /// `count_at(horizon)` reaches `n`, its probes counted in `scratch.probes`.
@@ -227,9 +208,15 @@ Time search_instance(Scratch& scratch, Time lo, std::size_t n, CountAt&& count_a
 /// `b_k < min(lim, b_k')`, and once `b_k >= lim` nothing later can.  Only
 /// the winner is built, right to left, and committed as the new hull.
 ///
-/// Rejects (`std::invalid_argument`) a chain whose total latency plus its
-/// largest `w` overflows `Time`: every value the construction forms stays
-/// within that distance below its state.
+/// Rejects (`std::invalid_argument`) a chain whose prefix latencies or
+/// initial state overflow `Time`.  The fixed-count form also rejects a
+/// chain whose total latency plus its largest `w` overflows: its state
+/// keeps falling past 0, and every value it forms stays within that
+/// distance below the state.  The decision form needs no such bound: it
+/// only commits a task whose first emission `best[0] >= 0`, so the
+/// destination's `b >= best[0] >= 0` before it loses one `w`, and every
+/// `a_j = best[j] - S_{j+1} >= -S_p` — all within the range the initial
+/// pass already checked.
 ///
 /// The sink sees every placement, latest task first:
 /// `place(dest, start, best)` — the committed vector (`best[0..dest]`) and
@@ -262,7 +249,7 @@ std::size_t backward_construction(const Chain& chain, Time horizon, std::size_t 
     max_work = std::max(max_work, procs[k].work);
   }
   Time reach = 0;
-  overflow |= __builtin_add_overflow(prefix[p], max_work, &reach);
+  if (!stop_on_negative) overflow |= __builtin_add_overflow(prefix[p], max_work, &reach);
   MST_REQUIRE(!overflow,
               "the chain's total link latency plus its largest w exceeds the largest time "
               "9223372036854775807");

@@ -9,7 +9,8 @@
 #include "mst/common/time.hpp"
 
 /// \file moore_hodgson.hpp
-/// One-machine deadline selection — the engine behind the fork algorithm.
+/// One-machine deadline selection — step (3) of the spider algorithm, and
+/// so of the fork, a spider with unit legs.
 ///
 /// The virtual-node selection problem of §6/§7 is exactly `1 || ΣU_j`:
 /// jobs (master emissions) with processing time `comm` and a hard deadline,
@@ -48,10 +49,10 @@ using SelectedJob = std::pair<Time, std::size_t>;
 std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch);
 
 /// One job of a horizon-shiftable instance — the *build* step of a makespan
-/// search.  The fork and spider node instances only shift with their
-/// horizon: a node built at horizon `H` with deadline `deadline` has
-/// deadline `deadline - (H - T)` at any `T <= H`, and exists there iff that
-/// is still at least `proc_time`.  A uniform shift keeps EDD order, so an
+/// search.  The spider node instance only shifts with its horizon: a node
+/// built at horizon `H` with deadline `deadline` has deadline
+/// `deadline - (H - T)` at any `T <= H`, and exists there iff that is still
+/// at least `proc_time`.  A uniform shift keeps EDD order, so an
 /// instance ordered once (`operator<`: deadline, then processing time, then
 /// id — the deterministic EDD order of `moore_hodgson`) serves every probe
 /// of the search and the final selection.  `id` is the node's enumeration
@@ -85,7 +86,7 @@ std::size_t moore_hodgson_count(const std::vector<EddJob>& edd, Time shift, std:
                                 std::vector<Time>& heap_scratch);
 
 /// Positional-release selection — the release-date generalization behind
-/// the fork/spider workload algorithms.  Tasks are identical apart from
+/// the spider workload algorithms.  Tasks are identical apart from
 /// their release dates, so the dates bind *positionally*: the j-th selected
 /// emission in time order (0-based) cannot start before `releases[j]`
 /// (`releases` sorted ascending).  At most `min(max_count, releases.size())`

@@ -224,7 +224,15 @@ std::size_t SpiderScheduler::probe_instance(Time t_lim, const Workload& workload
   // global cap trim only ever reduces the total to the cap, so the probe's
   // `min` reproduces it.  With release dates, the positional-release
   // selection DP replaces Moore–Hodgson.
-  return detail::probe_selection(scratch, t_lim, workload, cap);
+  MST_REQUIRE(t_lim >= 0 && t_lim <= scratch.build_horizon,
+              "probe horizon must lie in [0, build horizon]");
+  const Time shift = scratch.build_horizon - t_lim;
+  const std::size_t k_cap = std::min(cap, workload.count());
+  if (!workload.has_release_dates()) {
+    return moore_hodgson_count(scratch.edd, shift, k_cap, scratch.heap);
+  }
+  return moore_hodgson_released_count(scratch.edd, shift, workload.releases(), k_cap,
+                                      scratch.dp);
 }
 
 void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,

@@ -21,6 +21,13 @@ Chain::Chain(std::vector<Processor> procs) : procs_(std::move(procs)) { validate
 
 Chain::Chain(std::initializer_list<Processor> procs) : procs_(procs) { validate(procs_); }
 
+// mstlint: zero-alloc
+void Chain::assign(std::span<const Processor> procs) {
+  procs_.assign(procs.begin(), procs.end());
+  validate(procs_);
+}
+// mstlint: zero-alloc-end
+
 Chain Chain::from_vectors(const std::vector<Time>& comms, const std::vector<Time>& works) {
   MST_REQUIRE(comms.size() == works.size(), "comm/work vectors must have equal length");
   std::vector<Processor> procs;

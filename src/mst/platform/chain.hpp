@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,11 @@ class Chain {
   /// invalid (negative latency, non-positive work).
   explicit Chain(std::vector<Processor> procs);
   Chain(std::initializer_list<Processor> procs);
+
+  /// Rebuild from `procs` in place, validated as by the constructor; the
+  /// processor buffer is reused, so a warm chain takes as many processors
+  /// again without allocating.
+  void assign(std::span<const Processor> procs);
 
   /// Build from parallel `(c_i)` / `(w_i)` vectors, paper-style.
   static Chain from_vectors(const std::vector<Time>& comms, const std::vector<Time>& works);

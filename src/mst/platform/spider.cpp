@@ -15,11 +15,18 @@ Spider::Spider(std::initializer_list<Chain> legs) : legs_(legs) {
 }
 
 Spider Spider::from_fork(const Fork& fork) {
-  std::vector<Chain> legs;
-  legs.reserve(fork.size());
-  for (const Processor& p : fork.slaves()) legs.push_back(Chain({p}));
-  return Spider(std::move(legs));
+  Spider spider;
+  spider.assign_fork(fork);
+  return spider;
 }
+
+// mstlint: zero-alloc
+void Spider::assign_fork(const Fork& fork) {
+  MST_REQUIRE(fork.size() > 0, "spider must contain at least one leg");
+  legs_.resize(fork.size());
+  for (std::size_t l = 0; l < legs_.size(); ++l) legs_[l].assign({&fork.slaves()[l], 1});
+}
+// mstlint: zero-alloc-end
 
 const Chain& Spider::leg(std::size_t l) const {
   MST_REQUIRE(l < legs_.size(), "leg index out of range");

@@ -28,6 +28,11 @@ class Spider {
   /// A fork is the special spider whose legs all have length 1.
   static Spider from_fork(const Fork& fork);
 
+  /// Rebuild as `from_fork(fork)` in place: legs already present keep their
+  /// buffers, so a warm spider takes a fork of as many slaves without
+  /// allocating.
+  void assign_fork(const Fork& fork);
+
   [[nodiscard]] std::size_t num_legs() const { return legs_.size(); }
   [[nodiscard]] const Chain& leg(std::size_t l) const;
   [[nodiscard]] const std::vector<Chain>& legs() const { return legs_; }

@@ -11,7 +11,6 @@
 #include "mst/obs/metrics.hpp"
 #include "mst/obs/trace.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 
 namespace mst::sim {
@@ -123,8 +122,10 @@ class EctStream final : public StreamPolicy {
 class ReplanStream final : public StreamPolicy {
  public:
   explicit ReplanStream(Platform platform) : platform_(std::move(platform)) {
+    // A fork is the spider with unit legs: slave `s` becomes leg `s`, whose
+    // only processor embeds as node `s + 1` in the fork's substrate too.
+    if (const auto* fork = std::get_if<Fork>(&platform_)) platform_ = Spider::from_fork(*fork);
     if (std::holds_alternative<Chain>(platform_)) solver_.emplace<ChainSolver>();
-    if (std::holds_alternative<Fork>(platform_)) solver_.emplace<ForkSolver>();
     if (const auto* spider = std::get_if<Spider>(&platform_)) {
       solver_.emplace<SpiderSolver>();
       leg_base_.reserve(spider->num_legs());
@@ -164,7 +165,6 @@ class ReplanStream final : public StreamPolicy {
     Schedule plan;
   };
   using ChainSolver = Solver<ChainCountScratch, ChainSchedule>;
-  using ForkSolver = Solver<ForkCountScratch, ForkSchedule>;
   using SpiderSolver = Solver<SpiderSolveScratch, SpiderSchedule>;
 
   void replan() {
@@ -176,11 +176,6 @@ class ReplanStream final : public StreamPolicy {
       auto& [scratch, plan] = std::get<ChainSolver>(solver_);
       ChainScheduler::schedule_into(*chain, backlog, scratch, plan);
       for (const ChainTask& task : plan.tasks) plan_.push_back(static_cast<NodeId>(task.proc + 1));
-    } else if (const auto* fork = std::get_if<Fork>(&platform_)) {
-      // ForkSchedule keeps emission order; slave `s` embeds as node `s + 1`.
-      auto& [scratch, plan] = std::get<ForkSolver>(solver_);
-      ForkScheduler::schedule_into(*fork, backlog, scratch, plan);
-      for (const ForkTask& task : plan.tasks) plan_.push_back(static_cast<NodeId>(task.slave + 1));
     } else if (const auto* spider = std::get_if<Spider>(&platform_)) {
       auto& [scratch, plan] = std::get<SpiderSolver>(solver_);
       SpiderScheduler::schedule_into(*spider, backlog, scratch, plan);
@@ -192,7 +187,7 @@ class ReplanStream final : public StreamPolicy {
   }
 
   Platform platform_;
-  std::variant<std::monostate, ChainSolver, ForkSolver, SpiderSolver> solver_;
+  std::variant<std::monostate, ChainSolver, SpiderSolver> solver_;
   std::vector<NodeId> leg_base_;  ///< spider leg -> first embedded node id
   std::size_t backlog_ = 0;       ///< observed, not yet dispatched
   bool stale_ = false;

@@ -6,11 +6,14 @@
 #
 #   * A slave or leg whose n-task pipeline overflows is skipped by the
 #     makespan search: with a second, fast source, 3 tasks take 4.
-#   * A node whose exec would overflow is never formed: the only slave of
-#     `fork 1` cannot finish one task within the deadline, so 0 tasks fit.
-#   * A chain whose horizon T-infinity, or whose total link latency plus its
-#     largest w, overflows is rejected (exit 2) with a message naming the
-#     limit, never answered with a wrong "optimal".
+#   * A node whose exec would overflow is never formed: the only processor
+#     of `fork 1`, `chain 1` or a one-leg spider cannot finish one task
+#     within the deadline, so 0 tasks fit.  Its link latency plus its w
+#     overflows, but the decision form stops before any negative emission,
+#     so it needs no such bound.
+#   * A chain whose horizon T-infinity, or whose prefix link latencies,
+#     overflow is rejected (exit 2) with a message naming the limit, never
+#     answered with a wrong "optimal".
 
 foreach(var MSTCTL WORKDIR)
   if(NOT DEFINED ${var})
@@ -51,8 +54,12 @@ endfunction()
 set(solve --mode=solve --algo=optimal --tasks=3)
 run(fork "fork 2\n4000000000000000000 1\n1 1\n" "optimal +yes +4 " ${solve})
 run(spider "spider 2\nleg 1\n4000000000000000000 1\nleg 1\n1 1\n" "optimal +yes +4 " ${solve})
-run(far_node "fork 1\n5000000000000000000 5000000000000000000\n" "optimal +yes +0 +0 "
-    --mode=max-tasks --algo=optimal --deadline=9000000000000000000)
+set(far --mode=max-tasks --algo=optimal --deadline=9000000000000000000)
+run(far_node "fork 1\n5000000000000000000 5000000000000000000\n" "optimal +yes +0 +0 " ${far})
+run(far_node_chain "chain 1\n5000000000000000000 5000000000000000000\n" "optimal +yes +0 +0 "
+    ${far})
+run(far_node_spider "spider 1\nleg 1\n5000000000000000000 5000000000000000000\n"
+    "optimal +yes +0 +0 " ${far})
 rejected(chain_horizon "chain 2\n4000000000000000000 1\n1 1\n"
          "requirement failed.*largest time 9223372036854775807" ${solve})
 rejected(chain_latency

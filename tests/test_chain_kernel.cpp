@@ -140,5 +140,22 @@ TEST(ChainKernel, RejectsTimesBeyondTheLargestTime) {
                std::invalid_argument);
 }
 
+TEST(ChainKernel, DecisionFormNeedsNoLatencyPlusWorkBound) {
+  // c + w = 1e19 overflows `Time`, but the decision form stops before the
+  // first negative emission: no task fits, and none is rejected.
+  constexpr Time kHalf = 5'000'000'000'000'000'000;
+  constexpr Time kDeadline = 9'000'000'000'000'000'000;
+  const Chain far = Chain::from_vectors({kHalf}, {kHalf});
+  ChainCountScratch scratch;
+  EXPECT_EQ(ChainScheduler::count_within(far, kDeadline, 8, scratch), 0u);
+  EXPECT_TRUE(ChainScheduler::schedule_within(far, kDeadline, 8).tasks.empty());
+  // In front of a near processor, the far one no longer rejects the chain.
+  const Chain with_near = Chain::from_vectors({1, kHalf}, {1, kHalf});
+  EXPECT_EQ(ChainScheduler::count_within(with_near, kDeadline, 8, scratch), 8u);
+  // The fixed-count form keeps the bound: its state falls past 0.
+  EXPECT_THROW((void)ChainScheduler::build_backward(far, kDeadline, 1, false),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mst

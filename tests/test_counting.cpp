@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
@@ -123,6 +125,37 @@ TEST(ForkCounting, ZeroAllocationsAfterWarmup) {
   EXPECT_EQ(allocations, 0);
 }
 
+// Every exact fork form converts the fork into its unit-leg spider in the
+// scratch, in place: a warm scratch serves a different fork of as many
+// slaves without allocating.  The second fork is the first with every time
+// doubled, so its solves have the same shape and only the conversion could
+// allocate.
+TEST(ForkCounting, WarmScratchServesAnotherForkWithoutAllocating) {
+  Rng rng(16);
+  const Fork fork = random_fork(rng, 6, GeneratorParams{1, 9, PlatformClass::kUniform});
+  std::vector<Processor> doubled = fork.slaves();
+  for (Processor& slave : doubled) slave = Processor{2 * slave.comm, 2 * slave.work};
+  const Fork other(doubled);
+  const Workload workload = Workload::identical(60);
+  ForkCountScratch scratch;
+  ForkSchedule out;
+  std::size_t counted = 0;
+  for (int warm = 0; warm < 2; ++warm) {
+    counted = ForkScheduler::count_within(fork, 250, 4096, scratch);
+    ForkScheduler::schedule_into(fork, workload, scratch, out);
+  }
+  const Time makespan = out.makespan();
+
+  alloc_probe::arm();
+  const std::size_t other_counted = ForkScheduler::count_within(other, 500, 4096, scratch);
+  ForkScheduler::schedule_into(other, workload, scratch, out);
+  const long allocations = alloc_probe::allocations();
+  EXPECT_EQ(other_counted, counted);
+  EXPECT_EQ(out.makespan(), 2 * makespan);
+  EXPECT_GT(counted, 0u);
+  EXPECT_EQ(allocations, 0);
+}
+
 // The makespan searches' probes: after one build at the top of the range,
 // every probe at a lower horizon — identical or release-dated — runs on the
 // built instance and allocates nothing.
@@ -130,29 +163,30 @@ TEST(Counting, HoistedProbesAllocateNothing) {
   Rng rng(14);
   const GeneratorParams params{1, 9, PlatformClass::kUniform};
   const Chain chain = random_chain(rng, 6, params);
-  const Fork fork = random_fork(rng, 6, params);
+  // A fork is searched as its unit-leg spider.
+  const Spider fork = Spider::from_fork(random_fork(rng, 6, params));
   const Spider spider = random_spider(rng, 4, 3, params);
   const Time top = 400;
   for (const Workload& workload :
        {Workload::identical(200), Workload::released({0, 0, 3, 9, 9, 14, 30, 31, 55, 80})}) {
     ChainCountScratch chain_scratch;
-    ForkCountScratch fork_scratch;
+    SpiderCountScratch fork_scratch;
     SpiderCountScratch spider_scratch;
     const std::size_t n = workload.count();
     ChainScheduler::build_instance(chain, top, workload, n, chain_scratch);
-    ForkScheduler::build_instance(fork, top, workload, n, fork_scratch);
+    SpiderScheduler::build_instance(fork, top, workload, n, fork_scratch);
     SpiderScheduler::build_instance(spider, top, workload, n, spider_scratch);
     // Warm the probe buffers (heap, DP row) once at the top.
     const std::size_t expected =
         ChainScheduler::probe_instance(top, workload, n, chain_scratch) +
-        ForkScheduler::probe_instance(top, workload, n, fork_scratch) +
+        SpiderScheduler::probe_instance(top, workload, n, fork_scratch) +
         SpiderScheduler::probe_instance(top, workload, n, spider_scratch);
 
     alloc_probe::arm();
     std::size_t counted = 0;
     for (const Time t : {top, top / 2, top / 5, Time{0}}) {
       counted += ChainScheduler::probe_instance(t, workload, n, chain_scratch) +
-                 ForkScheduler::probe_instance(t, workload, n, fork_scratch) +
+                 SpiderScheduler::probe_instance(t, workload, n, fork_scratch) +
                  SpiderScheduler::probe_instance(t, workload, n, spider_scratch);
     }
     const long allocations = alloc_probe::allocations();

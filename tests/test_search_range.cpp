@@ -1,7 +1,7 @@
-// The fork and spider makespan searches on one built instance: the range
-// they bisect (the one-port floor up to the single-best-source pipeline),
-// the probes they run, the p-way merge that builds their EDD instance, and
-// the overflow-checked search tops.
+// The spider makespan search on one built instance, forks included as
+// unit-leg spiders: the range it bisects (the one-port floor up to the
+// single-best-source pipeline), the probes it runs, the p-way merge that
+// builds its EDD instance, and the overflow-checked search tops.
 //
 //   * The one-port floor is a lower bound: never above the optimum, on
 //     random forks and spiders, identical and release-dated, nor above the
@@ -11,7 +11,8 @@
 //     with no probe; every search stays within
 //     `ceil(log2(top - floor + 1))` probes.
 //   * The merged instance is the `(deadline, comm, id)` order of the node
-//     enumeration, ties included.
+//     enumeration, ties included; for a fork, its `(deadline, comm)` order
+//     is that of the Fig 6 nodes.
 //   * Pipelines that overflow `Time` are skipped; when all do, the search is
 //     rejected with `std::invalid_argument`.
 
@@ -21,6 +22,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mst/baselines/brute_force.hpp"
@@ -94,7 +96,7 @@ TEST(SearchRange, OnePortFloorNeverExceedsTheOptimum) {
     const Spider spider =
         random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 5)), 1, 4, params);
     ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
-    EXPECT_LE(fork_scratch.floor, fork_out.makespan()) << fork.describe();
+    EXPECT_LE(fork_scratch.solve.count.floor, fork_out.makespan()) << fork.describe();
     SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
     EXPECT_LE(spider_scratch.count.floor, spider_out.makespan()) << spider.describe();
   }
@@ -113,7 +115,7 @@ TEST(SearchRange, OnePortFloorNeverExceedsTheBruteForceOptimum) {
     const Spider spider =
         random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 3)), 1, 2, params);
     ForkScheduler::schedule_into(fork, Workload::identical(n), fork_scratch, fork_out);
-    EXPECT_LE(fork_scratch.floor, brute_force_fork_makespan(fork, n))
+    EXPECT_LE(fork_scratch.solve.count.floor, brute_force_fork_makespan(fork, n))
         << fork.describe() << " n=" << n;
     SpiderScheduler::schedule_into(spider, Workload::identical(n), spider_scratch, spider_out);
     EXPECT_LE(spider_scratch.count.floor, brute_force_spider_makespan(spider, n))
@@ -134,8 +136,8 @@ TEST(SearchRange, PortBoundSolvesRunNoProbe) {
     ForkCountScratch fork_scratch;
     ForkSchedule fork_out;
     ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
-    EXPECT_EQ(fork_scratch.probes, 0u) << "n=" << n;
-    EXPECT_EQ(fork_scratch.floor, floor);
+    EXPECT_EQ(fork_scratch.solve.count.probes, 0u) << "n=" << n;
+    EXPECT_EQ(fork_scratch.solve.count.floor, floor);
     EXPECT_EQ(fork_out.makespan(), floor);
 
     SpiderSolveScratch spider_scratch;
@@ -164,8 +166,8 @@ TEST(SearchRange, ProbesStayWithinTheLogOfTheRange) {
         random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 5)), 1, 4, params);
 
     ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
-    EXPECT_LE(fork_scratch.probes,
-              log2_ceil(fork_scratch.build_horizon - fork_scratch.floor + 1))
+    const SpiderCountScratch& fork_search = fork_scratch.solve.count;
+    EXPECT_LE(fork_search.probes, log2_ceil(fork_search.build_horizon - fork_search.floor + 1))
         << fork.describe();
 
     SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
@@ -185,24 +187,15 @@ TEST(SearchRange, ProbesStayWithinTheLogOfTheRange) {
   }
 }
 
-TEST(MergedInstance, ForkMatchesTheEddOrderOfItsNodes) {
-  Rng rng(0xF103);
-  for (int trial = 0; trial < 200; ++trial) {
-    // Tie-heavy: every slave identical half the time, else times in 1..3.
-    const auto p = static_cast<std::size_t>(rng.uniform(1, 9));
-    std::vector<Processor> slaves(p);
-    const Processor first{rng.uniform(0, 3), rng.uniform(1, 3)};
-    for (Processor& slave : slaves) {
-      slave = trial % 2 == 0 ? first : Processor{rng.uniform(0, 3), rng.uniform(1, 3)};
-    }
-    const Fork fork(slaves);
-    const Time horizon = rng.uniform(0, 40);
-    const auto cap = static_cast<std::size_t>(rng.uniform(1, 30));
-    ForkCountScratch scratch;
-    ForkScheduler::build_instance(fork, horizon, Workload::identical(cap), cap, scratch);
-    EXPECT_EQ(triples(scratch.edd), reference_order(expand_fork(fork, horizon, cap), horizon))
-        << fork.describe() << " H=" << horizon << " cap=" << cap;
-  }
+/// The instance `build_instance` merges for `spider` at `horizon`, checked
+/// against the `(deadline, comm, id)` order of its Fig 7 nodes.
+std::vector<EddJob> expect_edd_order(const Spider& spider, Time horizon, std::size_t cap) {
+  SpiderCountScratch scratch;
+  SpiderScheduler::build_instance(spider, horizon, Workload::identical(cap), cap, scratch);
+  EXPECT_EQ(triples(scratch.edd),
+            reference_order(SpiderScheduler::transform(spider, horizon, cap).nodes, horizon))
+      << spider.describe() << " H=" << horizon << " cap=" << cap;
+  return scratch.edd;
 }
 
 TEST(MergedInstance, SpiderMatchesTheEddOrderOfItsNodes) {
@@ -222,14 +215,35 @@ TEST(MergedInstance, SpiderMatchesTheEddOrderOfItsNodes) {
       procs.front().comm = 0;
       chains.emplace_back(procs);
     }
-    const Spider spider(chains);
-    const Time horizon = rng.uniform(0, 30);
-    const auto cap = static_cast<std::size_t>(rng.uniform(1, 20));
-    SpiderCountScratch scratch;
-    SpiderScheduler::build_instance(spider, horizon, Workload::identical(cap), cap, scratch);
-    EXPECT_EQ(triples(scratch.edd),
-              reference_order(SpiderScheduler::transform(spider, horizon, cap).nodes, horizon))
-        << spider.describe() << " H=" << horizon << " cap=" << cap;
+    expect_edd_order(Spider(chains), rng.uniform(0, 30),
+                     static_cast<std::size_t>(rng.uniform(1, 20)));
+  }
+
+  // Forks run as unit-leg spiders, whose Fig 7 nodes are the Fig 6 nodes.
+  Rng fork_rng(0xF103);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Tie-heavy: every slave identical half the time, else times in 1..3.
+    const auto p = static_cast<std::size_t>(fork_rng.uniform(1, 9));
+    std::vector<Processor> slaves(p);
+    const Processor first{fork_rng.uniform(0, 3), fork_rng.uniform(1, 3)};
+    for (Processor& slave : slaves) {
+      slave = trial % 2 == 0 ? first : Processor{fork_rng.uniform(0, 3), fork_rng.uniform(1, 3)};
+    }
+    const Fork fork(slaves);
+    const Time horizon = fork_rng.uniform(0, 40);
+    const auto cap = static_cast<std::size_t>(fork_rng.uniform(1, 30));
+    // The `(deadline, comm)` order of the Fig 6 nodes.  The ids differ: a
+    // leg's ids ascend in first emission, a slave's in rank.
+    std::vector<std::pair<Time, Time>> built;
+    for (const EddJob& job : expect_edd_order(Spider::from_fork(fork), horizon, cap)) {
+      built.emplace_back(job.deadline, job.proc_time);
+    }
+    std::vector<std::pair<Time, Time>> fig6;
+    for (const auto& [deadline, comm, id] :
+         reference_order(expand_fork(fork, horizon, cap), horizon)) {
+      fig6.emplace_back(deadline, comm);
+    }
+    EXPECT_EQ(built, fig6) << fork.describe() << " H=" << horizon << " cap=" << cap;
   }
 }
 

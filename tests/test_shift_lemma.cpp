@@ -120,6 +120,8 @@ TEST(ShiftLemma, ChainHoistedProbeMatchesCount) {
   }
 }
 
+// Forks run as unit-leg spiders: the spider instance hoisted from the fork
+// answers every fork count.
 TEST(ShiftLemma, ForkHoistedProbeMatchesCount) {
   Rng rng(0xF04C);
   for (int trial = 0; trial < 80; ++trial) {
@@ -129,11 +131,11 @@ TEST(ShiftLemma, ForkHoistedProbeMatchesCount) {
     const Workload workload = random_workload(rng, n);
     const auto cap = static_cast<std::size_t>(rng.uniform(1, static_cast<std::int64_t>(n) + 4));
     const Time top = fork_top(fork, workload);
-    ForkCountScratch hoisted;
+    SpiderCountScratch hoisted;
     ForkCountScratch fresh;
-    ForkScheduler::build_instance(fork, top, workload, cap, hoisted);
+    SpiderScheduler::build_instance(Spider::from_fork(fork), top, workload, cap, hoisted);
     for (const Time t : probe_horizons(rng, top, 20)) {
-      EXPECT_EQ(ForkScheduler::probe_instance(t, workload, cap, hoisted),
+      EXPECT_EQ(SpiderScheduler::probe_instance(t, workload, cap, hoisted),
                 ForkScheduler::count_within(fork, t, workload, cap, fresh))
           << fork.describe() << " H=" << top << " T=" << t << " cap=" << cap;
     }
