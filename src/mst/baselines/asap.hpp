@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
+#include "mst/baselines/tree_asap.hpp"
 #include "mst/platform/chain.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -10,17 +12,13 @@
 #include "mst/workload/workload.hpp"
 
 /// \file asap.hpp
-/// Forward as-soon-as-possible timing for a fixed destination sequence.
+/// Chain and spider schedules of a destination sequence, timed forward as
+/// soon as possible by the engine of `tree_asap.hpp`.
 ///
 /// Given the ordered list of destinations (the order tasks leave the
 /// master), every emission, hop and execution is placed at its earliest
-/// feasible time, FIFO per link and per processor.  For identical tasks,
-/// per-link FIFO is without loss of generality (crossing communications can
-/// always be uncrossed by relabeling — the argument behind Lemma 1), so
-/// minimizing over all destination sequences with ASAP timing yields the
-/// exact optimum.  This is the engine of the exhaustive baseline and of the
-/// forward heuristics; the paper's algorithm, by contrast, never needs to
-/// enumerate sequences.
+/// feasible time, FIFO per link and per processor; the master's one-port
+/// serializes the first emissions of a spider's legs.
 ///
 /// Every entry point also has a workload-aware form: task `i` of the
 /// dispatch order carries size `s_i` (scaling each hop to `s_i·c_k` and the
@@ -39,58 +37,22 @@ ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::siz
 ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::size_t>& dests,
                                   const Workload& workload);
 
-/// Destination on a spider: leg plus processor position within the leg.
-struct SpiderDest {
-  std::size_t leg = 0;
-  std::size_t proc = 0;
-
-  friend bool operator==(const SpiderDest&, const SpiderDest&) = default;
-};
-
-/// ASAP schedule of the given spider destination sequence; the master's
-/// one-port serializes first emissions in sequence order.
+/// ASAP schedule of the given spider destination sequence.
 SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<SpiderDest>& dests);
 SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<SpiderDest>& dests,
                                     const Workload& workload);
 
-/// Incremental ASAP state for chain construction — lets heuristics append
-/// one destination at a time and query the resulting completion time without
-/// recomputing the prefix (O(p) per append).
-class ChainAsapState {
- public:
-  explicit ChainAsapState(const Chain& chain);
+/// Picks the engine node that task `i` of the workload (of the given size
+/// and release date) is sent to, from the state before it is placed.
+using NextNode =
+    std::function<NodeId(const TreeAsapState& state, std::size_t i, Time size, Time release)>;
 
-  /// Completion time if the next task were sent to `dest`, without
-  /// committing.  `size` scales the task's communications and execution;
-  /// its first emission starts no earlier than `release`.
-  [[nodiscard]] Time peek_completion(std::size_t dest, Time size = 1, Time release = 0) const;
-
-  /// Appends a task to `dest`; returns its placement.
-  ChainTask commit(std::size_t dest, Time size = 1, Time release = 0);
-
-  [[nodiscard]] const Chain& chain() const { return chain_; }
-
- private:
-  Chain chain_;
-  std::vector<Time> link_free_;
-  std::vector<Time> proc_free_;
-};
-
-/// Same, for spiders: one chain state per leg plus the master's one-port.
-/// A task's first emission waits for the port as well as its release date,
-/// so each leg runs the chain recurrence with `max(port free, release)` as
-/// the release argument.
-class SpiderAsapState {
- public:
-  explicit SpiderAsapState(const Spider& spider);
-
-  [[nodiscard]] Time peek_completion(const SpiderDest& dest, Time size = 1,
-                                     Time release = 0) const;
-  SpiderTask commit(const SpiderDest& dest, Time size = 1, Time release = 0);
-
- private:
-  std::vector<ChainAsapState> legs_;
-  Time port_free_ = 0;  ///< the master's out-port frees up
-};
+/// Dispatches `workload` in order, task `i` to the node `next` picks, and
+/// returns the schedule the engine times: the one replay behind every
+/// chain and spider baseline.
+ChainSchedule asap_chain_replay(const Chain& chain, const Workload& workload,
+                                const NextNode& next);
+SpiderSchedule asap_spider_replay(const Spider& spider, const Workload& workload,
+                                  const NextNode& next);
 
 }  // namespace mst

@@ -1,7 +1,5 @@
 #include "mst/baselines/brute_force.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "mst/baselines/asap.hpp"
@@ -11,162 +9,40 @@ namespace mst {
 
 namespace {
 
-/// DFS over chain destination sequences with incremental ASAP state and
-/// makespan pruning.  `emit` receives the best sequence found (optional).
-class ChainSearch {
- public:
-  ChainSearch(const Chain& chain, std::size_t n) : chain_(chain), n_(n) {
-    link_free_.assign(chain.size(), 0);
-    proc_free_.assign(chain.size(), 0);
-    current_.reserve(n);
-  }
+/// The first optimal node sequence of `n` tasks the search finds.
+template <typename Platform>
+std::vector<NodeId> optimal_sequence(const Platform& platform, std::size_t n) {
+  TreeAsapState state(platform);
+  std::vector<NodeId> best;
+  brute_force_makespan(state, n, &best);
+  return best;
+}
 
-  Time run(std::vector<std::size_t>* best_seq) {
-    dfs(0);
-    MST_ASSERT(best_ > 0 || n_ == 0);
-    if (best_seq != nullptr) *best_seq = best_sequence_;
-    return best_;
-  }
-
- private:
-  void dfs(Time current_makespan) {
-    if (current_makespan >= best_) return;  // prune: can only grow
-    if (current_.size() == n_) {
-      best_ = current_makespan;
-      best_sequence_ = current_;
-      return;
-    }
-    for (std::size_t dest = 0; dest < chain_.size(); ++dest) {
-      // Inline ASAP commit with undo.
-      std::vector<Time> saved_links(link_free_.begin(),
-                                    link_free_.begin() + static_cast<std::ptrdiff_t>(dest) + 1);
-      const Time saved_proc = proc_free_[dest];
-
-      Time emission = link_free_[0];
-      link_free_[0] = emission + chain_.comm(0);
-      for (std::size_t k = 1; k <= dest; ++k) {
-        emission = std::max(emission + chain_.comm(k - 1), link_free_[k]);
-        link_free_[k] = emission + chain_.comm(k);
-      }
-      const Time arrival = emission + chain_.comm(dest);
-      const Time start = std::max(arrival, proc_free_[dest]);
-      const Time end = start + chain_.work(dest);
-      proc_free_[dest] = end;
-
-      current_.push_back(dest);
-      dfs(std::max(current_makespan, end));
-      current_.pop_back();
-
-      std::copy(saved_links.begin(), saved_links.end(), link_free_.begin());
-      proc_free_[dest] = saved_proc;
-    }
-  }
-
-  const Chain& chain_;
-  std::size_t n_;
-  std::vector<Time> link_free_;
-  std::vector<Time> proc_free_;
-  std::vector<std::size_t> current_;
-  std::vector<std::size_t> best_sequence_;
-  Time best_ = kTimeInfinity;
-};
-
-/// Same search over spider destinations.
-class SpiderSearch {
- public:
-  SpiderSearch(const Spider& spider, std::size_t n) : spider_(spider), n_(n) {
-    link_free_.resize(spider.num_legs());
-    proc_free_.resize(spider.num_legs());
-    for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-      link_free_[l].assign(spider.leg(l).size(), 0);
-      proc_free_[l].assign(spider.leg(l).size(), 0);
-    }
-    current_.reserve(n);
-  }
-
-  Time run(std::vector<SpiderDest>* best_seq) {
-    dfs(0);
-    if (best_seq != nullptr) *best_seq = best_sequence_;
-    return best_;
-  }
-
- private:
-  void dfs(Time current_makespan) {
-    if (current_makespan >= best_) return;
-    if (current_.size() == n_) {
-      best_ = current_makespan;
-      best_sequence_ = current_;
-      return;
-    }
-    for (std::size_t l = 0; l < spider_.num_legs(); ++l) {
-      const Chain& leg = spider_.leg(l);
-      for (std::size_t q = 0; q < leg.size(); ++q) {
-        std::vector<Time> saved_links(link_free_[l].begin(),
-                                      link_free_[l].begin() + static_cast<std::ptrdiff_t>(q) + 1);
-        const Time saved_proc = proc_free_[l][q];
-        const Time saved_port = port_free_;
-
-        Time emission = std::max(port_free_, link_free_[l][0]);
-        port_free_ = emission + leg.comm(0);
-        link_free_[l][0] = port_free_;
-        for (std::size_t k = 1; k <= q; ++k) {
-          emission = std::max(emission + leg.comm(k - 1), link_free_[l][k]);
-          link_free_[l][k] = emission + leg.comm(k);
-        }
-        const Time arrival = emission + leg.comm(q);
-        const Time start = std::max(arrival, proc_free_[l][q]);
-        const Time end = start + leg.work(q);
-        proc_free_[l][q] = end;
-
-        current_.push_back({l, q});
-        dfs(std::max(current_makespan, end));
-        current_.pop_back();
-
-        std::copy(saved_links.begin(), saved_links.end(), link_free_[l].begin());
-        proc_free_[l][q] = saved_proc;
-        port_free_ = saved_port;
-      }
-    }
-  }
-
-  const Spider& spider_;
-  std::size_t n_;
-  Time port_free_ = 0;
-  std::vector<std::vector<Time>> link_free_;
-  std::vector<std::vector<Time>> proc_free_;
-  std::vector<SpiderDest> current_;
-  std::vector<SpiderDest> best_sequence_;
-  Time best_ = kTimeInfinity;
-};
+/// Replays `nodes` in order.
+NextNode follow(const std::vector<NodeId>& nodes) {
+  return [&nodes](const TreeAsapState&, std::size_t i, Time, Time) { return nodes[i]; };
+}
 
 }  // namespace
 
 Time brute_force_chain_makespan(const Chain& chain, std::size_t n) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  ChainSearch search(chain, n);
-  return search.run(nullptr);
+  TreeAsapState state(chain);
+  return brute_force_makespan(state, n);
 }
 
 ChainSchedule brute_force_chain_schedule(const Chain& chain, std::size_t n) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  ChainSearch search(chain, n);
-  std::vector<std::size_t> seq;
-  search.run(&seq);
-  return asap_chain_schedule(chain, seq);
+  const std::vector<NodeId> best = optimal_sequence(chain, n);
+  return asap_chain_replay(chain, Workload::identical(n), follow(best));
 }
 
 Time brute_force_spider_makespan(const Spider& spider, std::size_t n) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  SpiderSearch search(spider, n);
-  return search.run(nullptr);
+  TreeAsapState state(spider);
+  return brute_force_makespan(state, n);
 }
 
 SpiderSchedule brute_force_spider_schedule(const Spider& spider, std::size_t n) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  SpiderSearch search(spider, n);
-  std::vector<SpiderDest> seq;
-  search.run(&seq);
-  return asap_spider_schedule(spider, seq);
+  const std::vector<NodeId> best = optimal_sequence(spider, n);
+  return asap_spider_replay(spider, Workload::identical(n), follow(best));
 }
 
 Time brute_force_fork_makespan(const Fork& fork, std::size_t n) {

@@ -1,11 +1,33 @@
 #include "mst/baselines/single_node.hpp"
 
-#include <vector>
-
 #include "mst/baselines/asap.hpp"
 #include "mst/common/assert.hpp"
 
 namespace mst {
+
+namespace {
+
+/// The single-node pipeline with the smallest makespan over the `slaves`
+/// engine nodes of `platform`, ties toward the smaller node.
+template <typename Schedule, typename Platform>
+Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workload& workload,
+                       Schedule (*replay)(const Platform&, const Workload&, const NextNode&)) {
+  MST_REQUIRE(workload.count() >= 1, "need at least one task");
+  Schedule best{platform, {}};
+  Time best_makespan = kTimeInfinity;
+  for (NodeId v = 1; v <= slaves; ++v) {
+    Schedule candidate =
+        replay(platform, workload, [v](const TreeAsapState&, std::size_t, Time, Time) { return v; });
+    const Time m = candidate.makespan();
+    if (m < best_makespan) {
+      best_makespan = m;
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 ChainSchedule single_node_chain(const Chain& chain, std::size_t n) {
   return single_node_chain(chain, Workload::identical(n));
@@ -24,37 +46,11 @@ Time single_node_spider_makespan(const Spider& spider, std::size_t n) {
 }
 
 ChainSchedule single_node_chain(const Chain& chain, const Workload& workload) {
-  MST_REQUIRE(workload.count() >= 1, "need at least one task");
-  ChainSchedule best{chain, {}};
-  Time best_makespan = kTimeInfinity;
-  for (std::size_t q = 0; q < chain.size(); ++q) {
-    ChainSchedule candidate =
-        asap_chain_schedule(chain, std::vector<std::size_t>(workload.count(), q), workload);
-    const Time m = candidate.makespan();
-    if (m < best_makespan) {
-      best_makespan = m;
-      best = std::move(candidate);
-    }
-  }
-  return best;
+  return best_pipeline(chain, chain.size(), workload, asap_chain_replay);
 }
 
 SpiderSchedule single_node_spider(const Spider& spider, const Workload& workload) {
-  MST_REQUIRE(workload.count() >= 1, "need at least one task");
-  SpiderSchedule best{spider, {}};
-  Time best_makespan = kTimeInfinity;
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
-      SpiderSchedule candidate = asap_spider_schedule(
-          spider, std::vector<SpiderDest>(workload.count(), SpiderDest{l, q}), workload);
-      const Time m = candidate.makespan();
-      if (m < best_makespan) {
-        best_makespan = m;
-        best = std::move(candidate);
-      }
-    }
-  }
-  return best;
+  return best_pipeline(spider, spider.num_processors(), workload, asap_spider_replay);
 }
 
 }  // namespace mst

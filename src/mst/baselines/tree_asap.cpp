@@ -6,56 +6,109 @@
 
 namespace mst {
 
-TreeAsapState::TreeAsapState(const Tree& tree)
-    : tree_(&tree), port_free_(tree.size(), 0), proc_free_(tree.size(), 0) {
-  // Flatten every root-excluded root→v path into one table so the hot
-  // peek/commit loops below walk spans instead of materializing vectors.
-  path_offset_.reserve(tree.size() + 1);
-  path_offset_.push_back(0);
-  for (NodeId v = 0; v < tree.size(); ++v) {
-    if (v != 0) {
-      for (NodeId hop : tree.path_from_root(v)) path_nodes_.push_back(hop);
-    }
-    path_offset_.push_back(path_nodes_.size());
+namespace {
+
+/// `from + size·duration`: the end of a `size`-scaled hop or execution.
+Time advance(Time from, Time size, Time duration) { return from + size * duration; }
+
+}  // namespace
+
+TreeAsapState::TreeAsapState(const Tree& tree) : TreeAsapState() {
+  nodes_.reserve(tree.size());
+  for (NodeId v = 1; v < tree.size(); ++v) add_node(tree.parent(v), tree.proc(v));
+}
+
+TreeAsapState::TreeAsapState(const Chain& chain) : TreeAsapState() {
+  nodes_.reserve(chain.size() + 1);
+  NodeId parent = 0;
+  for (const Processor& proc : chain.procs()) parent = add_node(parent, proc);
+}
+
+TreeAsapState::TreeAsapState(const Spider& spider) : TreeAsapState() {
+  nodes_.reserve(spider.num_processors() + 1);
+  for (const Chain& leg : spider.legs()) {
+    NodeId parent = 0;
+    for (const Processor& proc : leg.procs()) parent = add_node(parent, proc);
   }
 }
 
-void TreeAsapState::reset() {
-  std::fill(port_free_.begin(), port_free_.end(), 0);
-  std::fill(proc_free_.begin(), proc_free_.end(), 0);
+NodeId TreeAsapState::add_node(NodeId parent, const Processor& proc) {
+  const NodeId v = nodes_.size();
+  const Node& up = nodes_[parent];
+  Node node{proc, 0, 0, paths_.size(), up.depth + 1};
+  for (std::size_t i = up.path; i < up.path + up.depth; ++i) {
+    const NodeId hop = paths_[i];
+    paths_.push_back(hop);
+  }
+  paths_.push_back(v);
+  nodes_.push_back(node);
+  return v;
 }
 
 // mstlint: zero-alloc
-Time TreeAsapState::peek_completion(NodeId dest, Time size, Time release) const {
-  MST_REQUIRE(dest != 0 && dest < tree_->size(), "destination must be a slave node");
-  Time ready = release;
-  NodeId prev = 0;
-  for (const NodeId* hop = path_begin(dest); hop != path_end(dest); ++hop) {
-    const Time emit = std::max(ready, port_free_[prev]);
-    ready = emit + size * tree_->proc(*hop).comm;
-    prev = *hop;
-  }
-  return std::max(ready, proc_free_[dest]) + size * tree_->proc(dest).work;
+void TreeAsapState::reset() {
+  for (Node& node : nodes_) node.port_free = node.proc_free = 0;
 }
 
-Time TreeAsapState::commit(NodeId dest, Time size, Time release) {
-  MST_REQUIRE(dest != 0 && dest < tree_->size(), "destination must be a slave node");
+template <typename OnHop>
+Time TreeAsapState::walk(NodeId dest, Time size, Time release, OnHop&& on_hop) const {
+  MST_REQUIRE(dest != 0 && dest < nodes_.size(), "destination must be a slave node");
+  const Node& target = nodes_[dest];
   Time ready = release;
-  NodeId prev = 0;
-  for (const NodeId* hop = path_begin(dest); hop != path_end(dest); ++hop) {
-    const Time emit = std::max(ready, port_free_[prev]);
-    ready = emit + size * tree_->proc(*hop).comm;
-    port_free_[prev] = ready;
-    prev = *hop;
+  NodeId sender = 0;
+  for (const NodeId* hop = &paths_[target.path]; hop != &paths_[target.path] + target.depth;
+       ++hop) {
+    const Time emit = std::max(ready, nodes_[sender].port_free);
+    ready = advance(emit, size, nodes_[*hop].proc.comm);
+    on_hop(sender, emit, ready);
+    sender = *hop;
   }
-  proc_free_[dest] = std::max(ready, proc_free_[dest]) + size * tree_->proc(dest).work;
-  return proc_free_[dest];
+  return advance(std::max(ready, target.proc_free), size, target.proc.work);
+}
+
+Time TreeAsapState::peek_completion(NodeId dest, Time size, Time release) const {
+  return walk(dest, size, release, [](NodeId, Time, Time) {});
+}
+
+Time TreeAsapState::commit(NodeId dest, Time size, Time release, Time* emissions) {
+  const Time end = walk(dest, size, release, [&](NodeId sender, Time emit, Time link_free) {
+    nodes_[sender].port_free = link_free;
+    if (emissions != nullptr) *emissions++ = emit;
+  });
+  nodes_[dest].proc_free = end;
+  return end;
+}
+
+NodeId TreeAsapState::earliest_completion(Time size, Time release) const {
+  NodeId best = 1;
+  Time best_completion = peek_completion(best, size, release);
+  for (NodeId v = 2; v < nodes_.size(); ++v) {
+    const Time completion = peek_completion(v, size, release);
+    if (completion < best_completion) {
+      best_completion = completion;
+      best = v;
+    }
+  }
+  return best;
 }
 
 Time asap_tree_makespan(const std::vector<NodeId>& dests, TreeAsapState& state) {
   state.reset();
   Time makespan = 0;
   for (NodeId dest : dests) makespan = std::max(makespan, state.commit(dest));
+  return makespan;
+}
+
+Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests) {
+  MST_REQUIRE(state.size() >= 2, "tree has no slaves");
+  state.reset();
+  dests.clear();
+  Time makespan = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId best = state.earliest_completion();
+    makespan = std::max(makespan, state.commit(best));
+    dests.push_back(best);
+  }
   return makespan;
 }
 // mstlint: zero-alloc-end
@@ -72,89 +125,85 @@ std::vector<NodeId> forward_greedy_tree(const Tree& tree, std::size_t n) {
   return dests;
 }
 
-// mstlint: zero-alloc
-Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests) {
-  const Tree& tree = state.tree();
-  MST_REQUIRE(tree.num_slaves() >= 1, "tree has no slaves");
-  state.reset();
-  dests.clear();
-  Time makespan = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    NodeId best = 1;
-    Time best_completion = kTimeInfinity;
-    for (NodeId v = 1; v < tree.size(); ++v) {
-      const Time completion = state.peek_completion(v);
-      if (completion < best_completion) {
-        best_completion = completion;
-        best = v;
-      }
-    }
-    makespan = std::max(makespan, state.commit(best));
-    dests.push_back(best);
-  }
-  return makespan;
-}
-// mstlint: zero-alloc-end
-
 Time forward_greedy_tree_makespan(const Tree& tree, std::size_t n) {
   return asap_tree_makespan(tree, forward_greedy_tree(tree, n));
 }
 
-/// Branch-and-bound DFS over destination sequences, mirroring the chain /
-/// spider searches in brute_force.cpp but over tree paths.
+/// Branch-and-bound DFS over destination sequences: commit, recurse, then
+/// undo the commit from a stack of the out-port and processor times it
+/// overwrote.  A branch is pruned once its partial makespan reaches the
+/// best complete one, so the first optimal sequence found is kept.
 class TreeSearch {
  public:
-  TreeSearch(const Tree& tree, std::size_t n) : state_(tree), n_(n) {}
+  TreeSearch(TreeAsapState& state, std::size_t n) : state_(state), n_(n) {
+    current_.reserve(n);
+  }
 
-  Time run() {
-    dfs(0, 0);
+  Time run(std::vector<NodeId>* best) {
+    state_.reset();
+    dfs(0);
+    if (best != nullptr) *best = best_sequence_;
     return best_;
   }
 
  private:
-  void dfs(std::size_t placed, Time current_makespan) {
-    if (current_makespan >= best_) return;
-    if (placed == n_) {
+  void dfs(Time current_makespan) {
+    if (found_ && current_makespan >= best_) return;
+    if (current_.size() == n_) {
       best_ = current_makespan;
+      best_sequence_ = current_;
+      found_ = true;
       return;
     }
-    const Tree& tree = state_.tree();
-    for (NodeId dest = 1; dest < tree.size(); ++dest) {
-      // Save the touched state slots (ports along the path + the cpu).
-      const NodeId* const path = state_.path_begin(dest);
-      const std::size_t path_len =
-          static_cast<std::size_t>(state_.path_end(dest) - path);
-      std::vector<Time> saved_ports;
-      saved_ports.reserve(path_len);
-      NodeId prev = 0;
-      for (std::size_t i = 0; i < path_len; ++i) {
-        saved_ports.push_back(state_.port_free_[prev]);
-        prev = path[i];
-      }
-      const Time saved_proc = state_.proc_free_[dest];
+    std::vector<TreeAsapState::Node>& nodes = state_.nodes_;
+    for (NodeId dest = 1; dest < nodes.size(); ++dest) {
+      const std::size_t mark = undo_.size();
+      visit_senders(dest, [&](NodeId sender) { undo_.push_back(nodes[sender].port_free); });
+      undo_.push_back(nodes[dest].proc_free);
 
       const Time end = state_.commit(dest);
-      dfs(placed + 1, std::max(current_makespan, end));
+      current_.push_back(dest);
+      dfs(std::max(current_makespan, end));
+      current_.pop_back();
 
-      prev = 0;
-      for (std::size_t i = 0; i < path_len; ++i) {
-        state_.port_free_[prev] = saved_ports[i];
-        prev = path[i];
-      }
-      state_.proc_free_[dest] = saved_proc;
+      std::size_t slot = mark;
+      visit_senders(dest, [&](NodeId sender) { nodes[sender].port_free = undo_[slot++]; });
+      nodes[dest].proc_free = undo_[slot];
+      undo_.resize(mark);
     }
   }
 
-  TreeAsapState state_;
+  /// Every node whose out-port a task to `dest` occupies: the master and
+  /// each relay on the way.
+  template <typename Visit>
+  void visit_senders(NodeId dest, Visit&& visit) const {
+    const TreeAsapState::Node& target = state_.nodes_[dest];
+    visit(NodeId{0});
+    for (std::size_t i = target.path; i + 1 < target.path + target.depth; ++i) {
+      visit(state_.paths_[i]);
+    }
+  }
+
+  TreeAsapState& state_;
   std::size_t n_;
-  Time best_ = kTimeInfinity;
+  bool found_ = false;
+  Time best_ = 0;
+  std::vector<NodeId> current_;
+  std::vector<NodeId> best_sequence_;
+  std::vector<Time> undo_;
 };
+
+Time brute_force_makespan(TreeAsapState& state, std::size_t n, std::vector<NodeId>* best) {
+  MST_REQUIRE(n >= 1, "need at least one task");
+  MST_REQUIRE(state.size() >= 2, "platform has no slaves");
+  return TreeSearch(state, n).run(best);
+}
 
 Time brute_force_tree_makespan(const Tree& tree, std::size_t n) {
   MST_REQUIRE(n >= 1, "need at least one task");
   MST_REQUIRE(tree.num_slaves() >= 1, "tree has no slaves");
-  TreeSearch search(tree, n);
-  return search.run();
+  TreeAsapState state(tree);
+  return brute_force_makespan(state, n);
 }
 
 }  // namespace mst

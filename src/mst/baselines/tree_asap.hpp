@@ -3,29 +3,53 @@
 #include <cstddef>
 #include <vector>
 
+#include "mst/platform/chain.hpp"
+#include "mst/platform/spider.hpp"
 #include "mst/platform/tree.hpp"
 
 /// \file tree_asap.hpp
-/// Forward ASAP timing on general trees — the tree-shaped sibling of
-/// `asap.hpp`.
+/// The forward ASAP engine: earliest timing of a destination sequence on a
+/// chain, a spider or a general tree, and the searches built on it.
 ///
-/// Because the master is the only task source and every out-port forwards
-/// FIFO, the incremental estimate below predicts the discrete-event
-/// simulator's timing *exactly* (same argument as for chains; verified in
-/// the test suite).  It powers the tree forward-greedy baseline, the ECT
-/// online policy and the exhaustive tree optimum used to judge the §8
-/// covering heuristics.
+/// Every emission, hop and execution is placed at its earliest feasible
+/// time, FIFO per out-port and per processor.  Because the master is the
+/// only task source and every out-port forwards FIFO, this predicts the
+/// discrete-event simulator's timing *exactly* (verified in the test
+/// suite).  For identical tasks per-link FIFO is without loss of generality
+/// (crossing communications can be uncrossed by relabeling — the argument
+/// behind Lemma 1), so minimizing over all destination sequences with ASAP
+/// timing yields the exact optimum.  This one recurrence times every
+/// baseline (`asap.hpp`, forward greedy, round robin, single node), the
+/// exhaustive oracles (`brute_force.hpp`, `brute_force_tree_makespan`), the
+/// ECT online policy and the local-search descent; the paper's algorithm,
+/// by contrast, never needs to enumerate sequences.
+///
+/// Chains and spiders are numbered as `tree_from_chain`/`tree_from_spider`
+/// embed them, without building the tree: chain processor `k` is node
+/// `k + 1`, spider leg `l` processor `d` is node `spider_node(spider, {l, d})`.
 
 namespace mst {
 
-/// Incremental ASAP state over a tree: per node, when its out-port and its
-/// processor become free.  The root→node paths are flattened into one table
-/// at construction, so `peek_completion` and `commit` never allocate — the
+/// Incremental ASAP state: per node, when its out-port and its processor
+/// become free.  The root→node paths are flattened into one table at
+/// construction, so `peek_completion` and `commit` never allocate — the
 /// local-search descent evaluates thousands of candidate sequences per solve
 /// through one state, `reset()`-ing between replays.
 class TreeAsapState {
  public:
   explicit TreeAsapState(const Tree& tree);
+  explicit TreeAsapState(const Chain& chain);
+  explicit TreeAsapState(const Spider& spider);
+
+  /// Node count, the master (node 0) included.
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
+
+  /// Number of hops from the master to `v` (a chain processor `k` is `k + 1`
+  /// hops away).
+  [[nodiscard]] std::size_t depth(NodeId v) const { return nodes_[v].depth; }
+
+  /// Node `v`'s incoming link and work.
+  [[nodiscard]] const Processor& proc(NodeId v) const { return nodes_[v].proc; }
 
   /// Completion time if the next task were sent to `dest` (a slave node),
   /// without committing.  `size` scales every hop and the execution; the
@@ -33,31 +57,42 @@ class TreeAsapState {
   /// the identical-task arithmetic exactly, matching the simulator).
   [[nodiscard]] Time peek_completion(NodeId dest, Time size = 1, Time release = 0) const;
 
-  /// Appends a task to `dest`; returns its completion time.
-  Time commit(NodeId dest, Time size = 1, Time release = 0);
+  /// Appends a task to `dest`; returns its completion time.  When
+  /// `emissions` is given, it receives the task's emission time on each of
+  /// the `depth(dest)` hops, master first.
+  Time commit(NodeId dest, Time size = 1, Time release = 0, Time* emissions = nullptr);
+
+  /// The slave whose `peek_completion(v, size, release)` is smallest, ties
+  /// toward the smaller node id: the earliest-completion-time choice.
+  [[nodiscard]] NodeId earliest_completion(Time size = 1, Time release = 0) const;
 
   /// Forget every committed task (all ports and processors free at 0); the
-  /// path table is tree-shaped and survives.  Allocation-free.
+  /// path table is platform-shaped and survives.  Allocation-free.
   void reset();
-
-  [[nodiscard]] const Tree& tree() const { return *tree_; }
 
  private:
   friend class TreeSearch;  // exhaustive search needs save/restore access
 
-  /// The root-excluded root→`v` path, as a view into the flat table.
-  [[nodiscard]] const NodeId* path_begin(NodeId v) const {
-    return path_nodes_.data() + path_offset_[v];
-  }
-  [[nodiscard]] const NodeId* path_end(NodeId v) const {
-    return path_nodes_.data() + path_offset_[v + 1];
-  }
+  struct Node {
+    Processor proc;             ///< incoming link and work (unused for the master)
+    Time port_free = 0;         ///< the node's out-port frees up
+    Time proc_free = 0;         ///< the node's processor frees up
+    std::size_t path = 0;       ///< root-excluded root→node path: `paths_[path, path + depth)`
+    std::size_t depth = 0;
+  };
 
-  const Tree* tree_;
-  std::vector<Time> port_free_;
-  std::vector<Time> proc_free_;
-  std::vector<std::size_t> path_offset_;  ///< size() + 1 entries
-  std::vector<NodeId> path_nodes_;        ///< concatenated root-excluded paths
+  TreeAsapState() : nodes_(1) {}
+
+  /// Appends a node under `parent` (already present); returns its id.
+  NodeId add_node(NodeId parent, const Processor& proc);
+
+  /// The recurrence, once: walks master→`dest` and returns the completion;
+  /// `on_hop(sender, emission, link_free)` sees every hop.
+  template <typename OnHop>
+  Time walk(NodeId dest, Time size, Time release, OnHop&& on_hop) const;
+
+  std::vector<Node> nodes_;
+  std::vector<NodeId> paths_;  ///< concatenated root-excluded paths
 };
 
 /// Makespan of dispatching the given destination sequence ASAP.
@@ -77,9 +112,15 @@ Time forward_greedy_tree_makespan(const Tree& tree, std::size_t n);
 /// chosen sequence is identical to `forward_greedy_tree`.
 Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests);
 
-/// Exhaustive exact optimum on a tree (branch & bound over destination
-/// sequences, exponential — small instances only).  This is the ground
-/// truth the §8 covering heuristics are measured against.
+/// Exhaustive exact optimum of `n` identical tasks from `state`'s platform
+/// (reset first): branch and bound over destination sequences, nodes tried
+/// in ascending id, exponential — small instances only.  `best`, when
+/// given, receives the first optimal sequence found.
+Time brute_force_makespan(TreeAsapState& state, std::size_t n,
+                          std::vector<NodeId>* best = nullptr);
+
+/// The same on a tree.  This is the ground truth the §8 covering
+/// heuristics are measured against.
 Time brute_force_tree_makespan(const Tree& tree, std::size_t n);
 
 }  // namespace mst

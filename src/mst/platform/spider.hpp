@@ -13,6 +13,14 @@
 
 namespace mst {
 
+/// Destination on a spider: leg plus processor position within the leg.
+struct SpiderDest {
+  std::size_t leg = 0;
+  std::size_t proc = 0;
+
+  friend bool operator==(const SpiderDest&, const SpiderDest&) = default;
+};
+
 /// A spider graph: the master (root) feeds several independent chains
 /// ("legs").  The master's out-port is shared across legs — it sends one task
 /// at a time, so a task bound for leg `l` occupies the master for the leg's

@@ -133,6 +133,13 @@ Tree tree_from_spider(const Spider& spider) {
   return tree;
 }
 
+NodeId spider_node(const Spider& spider, const SpiderDest& dest) {
+  MST_REQUIRE(dest.proc < spider.leg(dest.leg).size(), "destination outside its spider leg");
+  NodeId node = 1 + dest.proc;
+  for (std::size_t l = 0; l < dest.leg; ++l) node += spider.leg(l).size();
+  return node;
+}
+
 std::string Tree::describe() const {
   std::ostringstream os;
   os << "tree{n=" << size() << ", slaves=" << num_slaves() << '}';

@@ -89,4 +89,8 @@ Tree tree_from_chain(const Chain& chain);
 /// `1 + sum(len of legs < l) + d`.
 Tree tree_from_spider(const Spider& spider);
 
+/// The node id of `dest` in `tree_from_spider(spider)`.  Throws unless
+/// `dest` names a processor of its own leg.
+NodeId spider_node(const Spider& spider, const SpiderDest& dest);
+
 }  // namespace mst

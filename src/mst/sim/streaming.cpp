@@ -93,15 +93,7 @@ class EctStream final : public StreamPolicy {
   }
   NodeId choose(std::size_t task, const DispatchContext&) override {
     const StreamArrival& arrival = arrivals_[task];
-    NodeId best = 1;
-    Time best_completion = kTimeInfinity;
-    for (NodeId v = 1; v < asap_.tree().size(); ++v) {
-      const Time completion = asap_.peek_completion(v, arrival.size, arrival.release);
-      if (completion < best_completion) {
-        best_completion = completion;
-        best = v;
-      }
-    }
+    const NodeId best = asap_.earliest_completion(arrival.size, arrival.release);
     asap_.commit(best, arrival.size, arrival.release);
     return best;
   }

@@ -38,11 +38,10 @@ TEST(Asap, ChainTimingByHand) {
 }
 
 TEST(Asap, PeekMatchesCommit) {
-  ChainAsapState state(fig2_chain());
+  TreeAsapState state(fig2_chain());
   for (std::size_t dest : {1u, 0u, 1u, 0u}) {
-    const Time predicted = state.peek_completion(dest);
-    const ChainTask t = state.commit(dest);
-    EXPECT_EQ(t.start + fig2_chain().work(dest), predicted);
+    const Time predicted = state.peek_completion(dest + 1);
+    EXPECT_EQ(state.commit(dest + 1), predicted);
   }
 }
 
@@ -56,10 +55,9 @@ TEST(Asap, SpiderSerializesMasterPort) {
 }
 
 TEST(Asap, RejectsBadDestinations) {
-  ChainAsapState state(fig2_chain());
-  EXPECT_THROW((void)state.peek_completion(5), std::invalid_argument);
-  SpiderAsapState sstate(Spider{fig2_chain()});
-  EXPECT_THROW(sstate.commit({3, 0}), std::invalid_argument);
+  TreeAsapState state(fig2_chain());
+  EXPECT_THROW((void)state.peek_completion(5 + 1), std::invalid_argument);
+  EXPECT_THROW(asap_spider_schedule(Spider{fig2_chain()}, {{3, 0}}), std::invalid_argument);
 }
 
 TEST(BruteForce, TrivialInstances) {

@@ -395,21 +395,35 @@ void digest_baselines(Digest& d, const Chain& chain, const Spider& spider, Rng& 
     d.add_schedule(asap_spider_schedule(spider, spider_dests));
     d.add_schedule(asap_spider_schedule(spider, spider_dests, workload));
 
-    ChainAsapState chain_state(chain);
-    SpiderAsapState spider_state(spider);
+    // The engine numbers chain processor `q` as node `q + 1` and spider
+    // nodes by leg, then by processor.
+    TreeAsapState chain_state(chain);
+    TreeAsapState spider_state(spider);
     for (std::size_t i = 0; i < n; ++i) {
       const Time size = workload.size_of(i);
       const Time release = workload.release_of(i);
       for (std::size_t q = 0; q < chain.size(); ++q) {
-        d.add(chain_state.peek_completion(q, size, release));
+        d.add(chain_state.peek_completion(q + 1, size, release));
       }
-      for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-        for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
-          d.add(spider_state.peek_completion({l, q}, size, release));
-        }
+      for (NodeId v = 1; v < spider_state.size(); ++v) {
+        d.add(spider_state.peek_completion(v, size, release));
       }
-      d.add(chain_state.commit(chain_dests[i], size, release));
-      d.add(spider_state.commit(spider_dests[i], size, release));
+      ChainTask chain_task;
+      chain_task.proc = chain_dests[i];
+      chain_task.emissions.resize(chain_dests[i] + 1);
+      chain_task.start = chain_state.commit(chain_dests[i] + 1, size, release,
+                                            chain_task.emissions.data()) -
+                         size * chain.work(chain_dests[i]);
+      d.add(chain_task);
+      const SpiderDest dest = spider_dests[i];
+      SpiderTask spider_task;
+      spider_task.leg = dest.leg;
+      spider_task.proc = dest.proc;
+      spider_task.emissions.resize(dest.proc + 1);
+      spider_task.start = spider_state.commit(spider_node(spider, dest), size, release,
+                                              spider_task.emissions.data()) -
+                          size * spider.leg(dest.leg).work(dest.proc);
+      d.add(spider_task);
     }
   }
 }
