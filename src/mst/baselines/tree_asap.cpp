@@ -9,7 +9,15 @@ namespace mst {
 namespace {
 
 /// `from + size·duration`: the end of a `size`-scaled hop or execution.
-Time advance(Time from, Time size, Time duration) { return from + size * duration; }
+/// Every time the engine forms passes through here, checked.
+Time advance(Time from, Time size, Time duration) {
+  Time span = 0;
+  Time end = 0;
+  const bool overflow = __builtin_mul_overflow(size, duration, &span) ||
+                        __builtin_add_overflow(from, span, &end);
+  MST_REQUIRE(!overflow, "an ASAP time exceeds the largest time 9223372036854775807");
+  return end;
+}
 
 }  // namespace
 

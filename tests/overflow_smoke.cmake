@@ -14,6 +14,9 @@
 #   * A chain whose horizon T-infinity, or whose prefix link latencies,
 #     overflow is rejected (exit 2) with a message naming the limit, never
 #     answered with a wrong "optimal".
+#   * A baseline whose ASAP timing would pass the largest time (the slow
+#     slave's c + w) is rejected (exit 2) naming the limit, never answered
+#     with a wrapped makespan.
 
 foreach(var MSTCTL WORKDIR)
   if(NOT DEFINED ${var})
@@ -66,3 +69,8 @@ rejected(chain_latency
          "chain 3\n4000000000000000000 1\n4000000000000000000 1\n4000000000000000000 1\n"
          "requirement failed.*largest time 9223372036854775807"
          --mode=max-tasks --algo=optimal --deadline=5)
+set(slow_fork "fork 2\n5000000000000000000 5000000000000000000\n1 1\n")
+foreach(algo forward-greedy single-node round-robin)
+  rejected(asap_${algo} "${slow_fork}" "largest time 9223372036854775807"
+           --mode=solve --algo=${algo} --tasks=3)
+endforeach()
