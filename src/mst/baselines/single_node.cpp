@@ -14,12 +14,12 @@ Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workl
                        Schedule (*replay)(const Platform&, const Workload&, const NextNode&)) {
   MST_REQUIRE(workload.count() >= 1, "need at least one task");
   Schedule best{platform, {}};
-  Time best_makespan = kTimeInfinity;
+  Time best_makespan = 0;
   for (NodeId v = 1; v <= slaves; ++v) {
     Schedule candidate =
         replay(platform, workload, [v](const TreeAsapState&, std::size_t, Time, Time) { return v; });
     const Time m = candidate.makespan();
-    if (m < best_makespan) {
+    if (v == 1 || m < best_makespan) {
       best_makespan = m;
       best = std::move(candidate);
     }

@@ -14,6 +14,8 @@
 #   * A chain whose horizon T-infinity, or whose prefix link latencies,
 #     overflow is rejected (exit 2) with a message naming the limit, never
 #     answered with a wrong "optimal".
+#   * A pipeline ending past 2^61 is still a candidate: single-node on one
+#     processor whose c is 3e18 finishes one task at 3e18 + 1.
 #   * A baseline whose ASAP timing would pass the largest time (the slow
 #     slave's c + w) is rejected (exit 2) naming the limit, never answered
 #     with a wrapped makespan.
@@ -74,3 +76,8 @@ foreach(algo forward-greedy single-node round-robin)
   rejected(asap_${algo} "${slow_fork}" "largest time 9223372036854775807"
            --mode=solve --algo=${algo} --tasks=3)
 endforeach()
+set(one_task --mode=solve --algo=single-node --tasks=1)
+run(single_node_chain "chain 1\n3000000000000000000 1\n" "single-node +no +3000000000000000001 "
+    ${one_task})
+run(single_node_spider "spider 1\nleg 1\n3000000000000000000 1\n"
+    "single-node +no +3000000000000000001 " ${one_task})
