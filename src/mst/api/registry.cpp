@@ -818,7 +818,9 @@ void register_fork_algorithms(Registry& r) {
           const Fork& fork = expect_fork(p, "optimal");
           ForkSchedule& pooled = opts.scratch->fork_pool;
           ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
-          const Time lb = fork_makespan_lower_bound(fork, w.count(), opts.scratch->bound);
+          // Bound the unit-leg spider `schedule_into` left in the scratch.
+          const Time lb = spider_makespan_lower_bound(opts.scratch->fork.spider, w.count(),
+                                                      opts.scratch->bound);
           const Time makespan = pooled.makespan();
           return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
         },

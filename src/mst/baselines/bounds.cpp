@@ -146,28 +146,4 @@ Time spider_makespan_lower_bound(const Spider& spider, std::size_t n) {
   return spider_makespan_lower_bound(spider, n, scratch);
 }
 
-Time fork_makespan_lower_bound(const Fork& fork, std::size_t n, OnePortScratch& scratch) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  // A fork is a spider of single-processor legs: leg rate
-  // `min(1/c_i, 1/w_i)`, first-link cost `c_i`, path latency `c_i`.  The
-  // terms below mirror the spider bound on `Spider::from_fork(fork)`
-  // term-for-term (same iteration order, same arithmetic), so the result is
-  // bit-identical — without building the spider.
-  scratch.clear();
-  for (const Processor& slave : fork.slaves()) {
-    scratch.emplace_back(slave.comm, std::min(inv(slave.comm), inv(slave.work)));
-  }
-  Time lb = rate_bound(n, one_port_fill(scratch));
-  Time min_c0 = kTimeInfinity;
-  Time tail = kTimeInfinity;
-  Time single = kTimeInfinity;
-  for (const Processor& slave : fork.slaves()) {
-    min_c0 = std::min(min_c0, slave.comm);
-    tail = std::min(tail, slave.work);
-    single = std::min(single, slave.comm + slave.work);
-  }
-  lb = std::max(lb, static_cast<Time>(n) * min_c0 + tail);
-  return std::max(lb, single);
-}
-
 }  // namespace mst

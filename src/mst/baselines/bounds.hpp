@@ -6,7 +6,6 @@
 
 #include "mst/common/time.hpp"
 #include "mst/platform/chain.hpp"
-#include "mst/platform/fork.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/platform/tree.hpp"
 
@@ -38,7 +37,7 @@ double spider_steady_state_rate(const Spider& spider);
 /// which forwards but does not compute).
 double tree_steady_state_rate(const Tree& tree);
 
-/// Reusable buffer for the one-port fill of the spider/fork bounds; keep
+/// Reusable buffer for the one-port fill of the spider bounds; keep
 /// one per thread and the bound computations below allocate nothing.
 using OnePortScratch = std::vector<std::pair<Time, double>>;
 
@@ -49,10 +48,5 @@ Time spider_makespan_lower_bound(const Spider& spider, std::size_t n);
 
 /// Scratch-reusing twin (identical value; warm scratch ⇒ no allocation).
 Time spider_makespan_lower_bound(const Spider& spider, std::size_t n, OnePortScratch& scratch);
-
-/// Fork view of the spider bound, computed without materializing the
-/// equivalent spider: equals
-/// `spider_makespan_lower_bound(Spider::from_fork(fork), n)`.
-Time fork_makespan_lower_bound(const Fork& fork, std::size_t n, OnePortScratch& scratch);
 
 }  // namespace mst
