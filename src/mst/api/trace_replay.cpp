@@ -39,18 +39,10 @@ struct ReplayVisitor {
   }
 
   sim::SimResult operator()(const SpiderSchedule& schedule) const {
-    // Embedding bases: leg `l`'s first node is 1 + total length of legs < l.
-    std::vector<NodeId> leg_base;
-    leg_base.reserve(schedule.spider.num_legs());
-    NodeId base = 1;
-    for (std::size_t l = 0; l < schedule.spider.num_legs(); ++l) {
-      leg_base.push_back(base);
-      base += static_cast<NodeId>(schedule.spider.leg(l).size());
-    }
     std::vector<NodeId> dests;
     dests.reserve(schedule.tasks.size());
     for (const SpiderTask& task : schedule.tasks) {
-      dests.push_back(leg_base[task.leg] + static_cast<NodeId>(task.proc));
+      dests.push_back(spider_node(schedule.spider, {task.leg, task.proc}));
     }
     return sim::simulate_dispatch(tree_from_spider(schedule.spider), dests, result.workload,
                                   observation);

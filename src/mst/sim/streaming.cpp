@@ -118,15 +118,7 @@ class ReplanStream final : public StreamPolicy {
     // only processor embeds as node `s + 1` in the fork's substrate too.
     if (const auto* fork = std::get_if<Fork>(&platform_)) platform_ = Spider::from_fork(*fork);
     if (std::holds_alternative<Chain>(platform_)) solver_.emplace<ChainSolver>();
-    if (const auto* spider = std::get_if<Spider>(&platform_)) {
-      solver_.emplace<SpiderSolver>();
-      leg_base_.reserve(spider->num_legs());
-      NodeId base = 1;
-      for (std::size_t l = 0; l < spider->num_legs(); ++l) {
-        leg_base_.push_back(base);
-        base += spider->leg(l).size();
-      }
-    }
+    if (std::holds_alternative<Spider>(platform_)) solver_.emplace<SpiderSolver>();
   }
 
   void observe(const StreamArrival&) override {
@@ -171,7 +163,9 @@ class ReplanStream final : public StreamPolicy {
     } else if (const auto* spider = std::get_if<Spider>(&platform_)) {
       auto& [scratch, plan] = std::get<SpiderSolver>(solver_);
       SpiderScheduler::schedule_into(*spider, backlog, scratch, plan);
-      for (const SpiderTask& task : plan.tasks) plan_.push_back(leg_base_[task.leg] + task.proc);
+      for (const SpiderTask& task : plan.tasks) {
+        plan_.push_back(spider_node(*spider, {task.leg, task.proc}));
+      }
     } else {
       throw std::logic_error("mst: replan policy constructed for a tree platform");
     }
@@ -180,8 +174,7 @@ class ReplanStream final : public StreamPolicy {
 
   Platform platform_;
   std::variant<std::monostate, ChainSolver, SpiderSolver> solver_;
-  std::vector<NodeId> leg_base_;  ///< spider leg -> first embedded node id
-  std::size_t backlog_ = 0;       ///< observed, not yet dispatched
+  std::size_t backlog_ = 0;  ///< observed, not yet dispatched
   bool stale_ = false;
   std::deque<NodeId> plan_;
 };
