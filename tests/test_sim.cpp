@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mst/baselines/asap.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
@@ -11,6 +15,7 @@
 #include "mst/sim/engine.hpp"
 #include "mst/sim/platform_sim.hpp"
 #include "mst/sim/static_replay.hpp"
+#include "mst/workload/workload.hpp"
 
 namespace mst {
 namespace {
@@ -68,8 +73,40 @@ TEST(PlatformSim, SingleTaskTransitTime) {
   EXPECT_EQ(r.makespan, 10);
 }
 
+/// Random sizes in [1, 4] and/or bursty nondecreasing release dates.
+Workload random_workload(Rng& rng, std::size_t n, bool sized, bool released) {
+  std::vector<Time> sizes;
+  std::vector<Time> release;
+  Time t = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (sized) sizes.push_back(rng.uniform(1, 4));
+    if (released) release.push_back(t += rng.uniform(0, 6));
+  }
+  return Workload(n, std::move(sizes), std::move(release));
+}
+
+/// The sized, release-dated and sized-and-released workloads of `n` tasks.
+std::vector<Workload> uneven_workloads(Rng& rng, std::size_t n) {
+  return {random_workload(rng, n, true, false), random_workload(rng, n, false, true),
+          random_workload(rng, n, true, true)};
+}
+
+/// Every task of an ASAP schedule starts, and leaves the master, exactly
+/// when the event simulator's does.
+template <typename Schedule>
+void expect_tasks_match(const Schedule& asap, const sim::SimResult& simulated,
+                        const std::string& what) {
+  ASSERT_EQ(asap.tasks.size(), simulated.tasks.size()) << what;
+  for (std::size_t i = 0; i < asap.tasks.size(); ++i) {
+    EXPECT_EQ(asap.tasks[i].start, simulated.tasks[i].start) << what << " task " << i;
+    EXPECT_EQ(asap.tasks[i].emissions.front(), simulated.tasks[i].master_emission)
+        << what << " task " << i;
+  }
+}
+
 TEST(PlatformSim, MatchesAsapOnChainsForRandomSequences) {
   Rng rng(404);
+  Rng draws(4040);  // workloads, apart so the platforms stay as they were
   GeneratorParams params{1, 8, PlatformClass::kUniform};
   for (int trial = 0; trial < 20; ++trial) {
     Rng inst = rng.split();
@@ -85,11 +122,17 @@ TEST(PlatformSim, MatchesAsapOnChainsForRandomSequences) {
     const Time asap = asap_chain_schedule(chain, dests).makespan();
     const sim::SimResult sim_result = sim::simulate_dispatch(tree_from_chain(chain), nodes);
     EXPECT_EQ(sim_result.makespan, asap) << chain.describe() << " trial " << trial;
+    for (const Workload& workload : uneven_workloads(draws, n)) {
+      expect_tasks_match(asap_chain_schedule(chain, dests, workload),
+                         sim::simulate_dispatch(tree_from_chain(chain), nodes, workload),
+                         chain.describe() + " trial " + std::to_string(trial));
+    }
   }
 }
 
 TEST(PlatformSim, MatchesAsapOnSpiders) {
   Rng rng(505);
+  Rng draws(5050);  // workloads, apart so the platforms stay as they were
   GeneratorParams params{1, 7, PlatformClass::kUniform};
   for (int trial = 0; trial < 15; ++trial) {
     Rng inst = rng.split();
@@ -110,6 +153,11 @@ TEST(PlatformSim, MatchesAsapOnSpiders) {
     const Time asap = asap_spider_schedule(spider, dests).makespan();
     const sim::SimResult sim_result = sim::simulate_dispatch(tree, nodes);
     EXPECT_EQ(sim_result.makespan, asap) << spider.describe() << " trial " << trial;
+    for (const Workload& workload : uneven_workloads(draws, n)) {
+      expect_tasks_match(asap_spider_schedule(spider, dests, workload),
+                         sim::simulate_dispatch(tree, nodes, workload),
+                         spider.describe() + " trial " + std::to_string(trial));
+    }
   }
 }
 

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mst/baselines/tree_asap.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/sim/platform_sim.hpp"
+#include "mst/workload/workload.hpp"
 
 namespace mst {
 namespace {
@@ -36,6 +40,7 @@ TEST(TreeAsap, PeekMatchesCommit) {
 
 TEST(TreeAsap, MatchesEventSimulatorExactly) {
   Rng rng(22);
+  Rng draws(220);  // workloads, apart so the trees stay as they were
   GeneratorParams params{1, 8, PlatformClass::kUniform};
   for (int trial = 0; trial < 15; ++trial) {
     Rng inst = rng.split();
@@ -47,6 +52,30 @@ TEST(TreeAsap, MatchesEventSimulatorExactly) {
     }
     EXPECT_EQ(asap_tree_makespan(tree, dests), sim::simulate_dispatch(tree, dests).makespan)
         << tree.describe() << " trial " << trial;
+
+    // Sized and release-dated: every task starts, and leaves the master,
+    // exactly when the simulator's does.
+    for (const auto& [sized, released] : {std::pair{true, false}, {false, true}, {true, true}}) {
+      std::vector<Time> sizes;
+      std::vector<Time> release;
+      Time t = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (sized) sizes.push_back(draws.uniform(1, 4));
+        if (released) release.push_back(t += draws.uniform(0, 6));
+      }
+      const Workload workload(n, std::move(sizes), std::move(release));
+      const sim::SimResult simulated = sim::simulate_dispatch(tree, dests, workload);
+      TreeAsapState state(tree);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::vector<Time> emissions(state.depth(dests[i]));
+        const Time size = workload.size_of(i);
+        const Time end = state.commit(dests[i], size, workload.release_of(i), emissions.data());
+        EXPECT_EQ(end - size * tree.proc(dests[i]).work, simulated.tasks[i].start)
+            << tree.describe() << " trial " << trial << " task " << i;
+        EXPECT_EQ(emissions.front(), simulated.tasks[i].master_emission)
+            << tree.describe() << " trial " << trial << " task " << i;
+      }
+    }
   }
 }
 
