@@ -37,7 +37,9 @@ SpiderSchedule asap_spider_replay(const Spider& spider, const Workload& workload
                                   const NextNode& next) {
   TreeAsapState state(spider);
   std::vector<std::size_t> leg_of(1);  // node -> leg, in engine node order
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) leg_of.insert(leg_of.end(), spider.leg(l).size(), l);
+  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+    leg_of.insert(leg_of.end(), spider.leg(l).size(), l);
+  }
   SpiderSchedule schedule{spider, std::vector<SpiderTask>(workload.count())};
   for (std::size_t i = 0; i < workload.count(); ++i) {
     SpiderTask& task = schedule.tasks[i];

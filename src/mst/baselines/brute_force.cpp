@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "mst/baselines/asap.hpp"
-#include "mst/common/assert.hpp"
 
 namespace mst {
 

@@ -17,7 +17,10 @@
 /// to uncross any two communications, cf. Lemma 1), and for a fixed sequence
 /// ASAP forward timing is optimal because every completion time is monotone
 /// in every resource-availability input.  The search is a DFS over the
-/// `p^n` sequences with branch-and-bound pruning on the partial makespan.
+/// `p^n` sequences with branch-and-bound pruning on the partial makespan:
+/// the one search of `tree_asap.hpp` (`brute_force_makespan`), run on the
+/// chain's or spider's engine nodes in ascending order — by processor on a
+/// chain, by leg then by processor on a spider.
 ///
 /// Cost is exponential — intended for instances around `n <= 9`, `p <= 4`
 /// (tests) and the OPT-* experiment tables; the library's schedulers solve
