@@ -172,7 +172,7 @@ FeasibilityReport check_payload(const AnySchedule& schedule, std::size_t tasks, 
           const FeasibilityReport inner = mst::check_feasibility(payload, payload_workload);
           for (const std::string& v : inner.violations()) report.add_violation(v);
           check_task_count(tasks, payload.num_tasks(), report);
-          check_makespan(makespan, payload.makespan(), /*exact=*/true, report);
+          check_makespan(makespan, payload.makespan(payload_workload), /*exact=*/true, report);
         } else if constexpr (std::is_same_v<S, TreeDispatch>) {
           bool dests_ok = true;
           for (NodeId dest : payload.dests) {
@@ -551,20 +551,21 @@ SolveResult make_result(const char* algorithm, PlatformKind kind, std::size_t ta
 
 // NB: makespan and bound are computed into locals before the `make_result`
 // call — argument evaluation order is unspecified, so `schedule.makespan()`
-// must not race the `std::move(schedule)` argument.
-SolveResult chain_result(const char* algorithm, ChainSchedule schedule, std::size_t n,
+// must not race the `std::move(schedule)` argument.  Task `i` of the
+// schedule is task `i` of `w`; the makespan scales its work by its size.
+SolveResult chain_result(const char* algorithm, ChainSchedule schedule, const Workload& w,
                          bool optimal) {
-  const Time lb = chain_makespan_lower_bound(schedule.chain, n);
-  const Time makespan = schedule.makespan();
-  return make_result(algorithm, PlatformKind::kChain, n, makespan, lb, optimal,
+  const Time lb = chain_makespan_lower_bound(schedule.chain, w.count());
+  const Time makespan = schedule.makespan(w);
+  return make_result(algorithm, PlatformKind::kChain, w.count(), makespan, lb, optimal,
                      std::move(schedule));
 }
 
 SolveResult spider_result(const char* algorithm, PlatformKind kind, SpiderSchedule schedule,
-                          std::size_t n, bool optimal) {
-  const Time lb = spider_makespan_lower_bound(schedule.spider, n);
-  const Time makespan = schedule.makespan();
-  return make_result(algorithm, kind, n, makespan, lb, optimal, std::move(schedule));
+                          const Workload& w, bool optimal) {
+  const Time lb = spider_makespan_lower_bound(schedule.spider, w.count());
+  const Time makespan = schedule.makespan(w);
+  return make_result(algorithm, kind, w.count(), makespan, lb, optimal, std::move(schedule));
 }
 
 DecisionResult make_decision(const char* algorithm, PlatformKind kind, Time deadline,
@@ -751,7 +752,7 @@ void register_chain_algorithms(Registry& r) {
           // anchor it at the minimal feasible horizon instead.
           ChainSchedule& pooled = opts.scratch->chain_pool;
           ChainScheduler::schedule_into(chain, w, opts.scratch->chain, pooled);
-          return chain_result("optimal", std::move(pooled), w.count(), true);
+          return chain_result("optimal", std::move(pooled), w, true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           return horizon_decision<ChainScheduler>(k, expect_chain(p, "optimal"), deadline, opts,
@@ -763,8 +764,7 @@ void register_chain_algorithms(Registry& r) {
         [](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Chain& chain = expect_chain(p, "forward-greedy");
-          return chain_result("forward-greedy", forward_greedy_chain(chain, w), w.count(),
-                              false);
+          return chain_result("forward-greedy", forward_greedy_chain(chain, w), w, false);
         },
         nullptr);
   r.add({k, "round-robin", "heterogeneity-blind cyclic dispatch", /*optimal=*/false,
@@ -772,7 +772,7 @@ void register_chain_algorithms(Registry& r) {
         [](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Chain& chain = expect_chain(p, "round-robin");
-          return chain_result("round-robin", round_robin_chain(chain, w), w.count(), false);
+          return chain_result("round-robin", round_robin_chain(chain, w), w, false);
         },
         nullptr);
   r.add({k, "single-node", "best single-processor pipeline (generalized T-infinity)",
@@ -780,7 +780,7 @@ void register_chain_algorithms(Registry& r) {
         [](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Chain& chain = expect_chain(p, "single-node");
-          return chain_result("single-node", single_node_chain(chain, w), w.count(), false);
+          return chain_result("single-node", single_node_chain(chain, w), w, false);
         },
         nullptr);
   r.add({k, "periodic", "bandwidth-centric periodic pattern, ASAP prefix", /*optimal=*/false,
@@ -791,15 +791,14 @@ void register_chain_algorithms(Registry& r) {
           // The first `n` destinations of the repeated periodic block, ASAP.
           return chain_result("periodic",
                               asap_chain_schedule(chain, chain_periodic_destinations(chain, n)),
-                              n, false);
+                              Workload::identical(n), false);
         });
   r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
          /*exponential=*/true, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Chain& chain = expect_chain(p, "brute-force");
-          return chain_result("brute-force", brute_force_chain_schedule(chain, w.count()),
-                              w.count(), true);
+          return chain_result("brute-force", brute_force_chain_schedule(chain, w.count()), w, true);
         },
         [](const Platform& p, Time deadline, const SolveOptions& opts) {
           return brute_force_decision(PlatformKind::kChain, expect_chain(p, "brute-force"),
@@ -865,8 +864,7 @@ void register_fork_algorithms(Registry& r) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "forward-greedy");
           return spider_result("forward-greedy", k,
-                               forward_greedy_spider(Spider::from_fork(fork), w), w.count(),
-                               false);
+                               forward_greedy_spider(Spider::from_fork(fork), w), w, false);
         },
         nullptr);
   r.add({k, "round-robin", "heterogeneity-blind cyclic dispatch", /*optimal=*/false,
@@ -875,7 +873,7 @@ void register_fork_algorithms(Registry& r) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "round-robin");
           return spider_result("round-robin", k,
-                               round_robin_spider(Spider::from_fork(fork), w), w.count(), false);
+                               round_robin_spider(Spider::from_fork(fork), w), w, false);
         },
         nullptr);
   r.add({k, "single-node", "best single-slave pipeline", /*optimal=*/false,
@@ -884,7 +882,7 @@ void register_fork_algorithms(Registry& r) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "single-node");
           return spider_result("single-node", k,
-                               single_node_spider(Spider::from_fork(fork), w), w.count(), false);
+                               single_node_spider(Spider::from_fork(fork), w), w, false);
         },
         nullptr);
   r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
@@ -894,7 +892,7 @@ void register_fork_algorithms(Registry& r) {
           const Fork& fork = expect_fork(p, "brute-force");
           return spider_result("brute-force", k,
                                brute_force_spider_schedule(Spider::from_fork(fork), w.count()),
-                               w.count(), true);
+                               w, true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Fork& fork = expect_fork(p, "brute-force");
@@ -928,8 +926,7 @@ void register_spider_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Spider& spider = expect_spider(p, "forward-greedy");
-          return spider_result("forward-greedy", k, forward_greedy_spider(spider, w), w.count(),
-                               false);
+          return spider_result("forward-greedy", k, forward_greedy_spider(spider, w), w, false);
         },
         nullptr);
   r.add({k, "round-robin", "heterogeneity-blind cyclic dispatch", /*optimal=*/false,
@@ -937,8 +934,7 @@ void register_spider_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Spider& spider = expect_spider(p, "round-robin");
-          return spider_result("round-robin", k, round_robin_spider(spider, w), w.count(),
-                               false);
+          return spider_result("round-robin", k, round_robin_spider(spider, w), w, false);
         },
         nullptr);
   r.add({k, "single-node", "best single-processor pipeline over all legs", /*optimal=*/false,
@@ -946,8 +942,7 @@ void register_spider_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Spider& spider = expect_spider(p, "single-node");
-          return spider_result("single-node", k, single_node_spider(spider, w), w.count(),
-                               false);
+          return spider_result("single-node", k, single_node_spider(spider, w), w, false);
         },
         nullptr);
   r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
@@ -956,7 +951,7 @@ void register_spider_algorithms(Registry& r) {
           require_tasks(w);
           const Spider& spider = expect_spider(p, "brute-force");
           return spider_result("brute-force", k, brute_force_spider_schedule(spider, w.count()),
-                               w.count(), true);
+                               w, true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           return brute_force_decision(k, expect_spider(p, "brute-force"), deadline, opts,

@@ -16,9 +16,9 @@ Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workl
   Schedule best{platform, {}};
   Time best_makespan = 0;
   for (NodeId v = 1; v <= slaves; ++v) {
-    Schedule candidate =
-        replay(platform, workload, [v](const TreeAsapState&, std::size_t, Time, Time) { return v; });
-    const Time m = candidate.makespan();
+    Schedule candidate = replay(platform, workload,
+                                [v](const TreeAsapState&, std::size_t, Time, Time) { return v; });
+    const Time m = candidate.makespan(workload);
     if (v == 1 || m < best_makespan) {
       best_makespan = m;
       best = std::move(candidate);

@@ -14,9 +14,11 @@ Time ChainTask::arrival(const Chain& chain) const {
 
 Time ChainTask::end(const Chain& chain) const { return start + chain.work(proc); }
 
-Time ChainSchedule::makespan() const {
+Time ChainSchedule::makespan(const Workload& workload) const {
   Time last = 0;
-  for (const ChainTask& t : tasks) last = std::max(last, t.end(chain));
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    last = std::max(last, tasks[i].start + workload.size_of(i) * chain.work(tasks[i].proc));
+  }
   return last;
 }
 

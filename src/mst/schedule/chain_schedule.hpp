@@ -5,6 +5,7 @@
 
 #include "mst/platform/chain.hpp"
 #include "mst/schedule/comm_vector.hpp"
+#include "mst/workload/workload.hpp"
 
 /// \file chain_schedule.hpp
 /// Concrete schedules on chain platforms (Definition 1 of the paper).
@@ -35,8 +36,10 @@ struct ChainSchedule {
 
   [[nodiscard]] std::size_t num_tasks() const { return tasks.size(); }
 
-  /// Definition 2: completion time of the last task (0 for no tasks).
-  [[nodiscard]] Time makespan() const;
+  /// Definition 2: completion time of the last task (0 for no tasks).  Task
+  /// `i` runs for `workload.size_of(i)·w`; the default workload sizes every
+  /// task 1.
+  [[nodiscard]] Time makespan(const Workload& workload = {}) const;
 
   /// Earliest event in the schedule (first emission or first start); the
   /// canonical schedules start at 0 after the paper's final shift.

@@ -6,9 +6,11 @@
 
 namespace mst {
 
-Time ForkSchedule::makespan() const {
+Time ForkSchedule::makespan(const Workload& workload) const {
   Time last = 0;
-  for (const ForkTask& t : tasks) last = std::max(last, t.end(fork));
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    last = std::max(last, tasks[i].start + workload.size_of(i) * fork.slave(tasks[i].slave).work);
+  }
   return last;
 }
 

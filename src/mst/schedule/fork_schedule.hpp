@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mst/platform/fork.hpp"
+#include "mst/workload/workload.hpp"
 
 /// \file fork_schedule.hpp
 /// Concrete schedules on fork (star) platforms (§6).
@@ -30,7 +31,9 @@ struct ForkSchedule {
   std::vector<ForkTask> tasks;
 
   [[nodiscard]] std::size_t num_tasks() const { return tasks.size(); }
-  [[nodiscard]] Time makespan() const;
+  /// Completion time of the last task (0 for no tasks).  Task `i` runs for
+  /// `workload.size_of(i)·w`; the default workload sizes every task 1.
+  [[nodiscard]] Time makespan(const Workload& workload = {}) const;
   [[nodiscard]] std::vector<std::size_t> tasks_per_slave() const;
 
   friend bool operator==(const ForkSchedule&, const ForkSchedule&) = default;

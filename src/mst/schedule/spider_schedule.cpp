@@ -14,9 +14,12 @@ Time SpiderTask::arrival(const Spider& spider) const {
 
 Time SpiderTask::end(const Spider& spider) const { return start + spider.leg(leg).work(proc); }
 
-Time SpiderSchedule::makespan() const {
+Time SpiderSchedule::makespan(const Workload& workload) const {
   Time last = 0;
-  for (const SpiderTask& t : tasks) last = std::max(last, t.end(spider));
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const SpiderTask& t = tasks[i];
+    last = std::max(last, t.start + workload.size_of(i) * spider.leg(t.leg).work(t.proc));
+  }
   return last;
 }
 

@@ -5,6 +5,7 @@
 
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/comm_vector.hpp"
+#include "mst/workload/workload.hpp"
 
 /// \file spider_schedule.hpp
 /// Concrete schedules on spider platforms (§7).
@@ -34,7 +35,10 @@ struct SpiderSchedule {
   std::vector<SpiderTask> tasks;
 
   [[nodiscard]] std::size_t num_tasks() const { return tasks.size(); }
-  [[nodiscard]] Time makespan() const;
+
+  /// Completion time of the last task (0 for no tasks).  Task `i` runs for
+  /// `workload.size_of(i)·w`; the default workload sizes every task 1.
+  [[nodiscard]] Time makespan(const Workload& workload = {}) const;
 
   /// Tasks per leg.
   [[nodiscard]] std::vector<std::size_t> tasks_per_leg() const;

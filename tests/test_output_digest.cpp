@@ -49,7 +49,7 @@ namespace mst {
 namespace {
 
 constexpr std::uint64_t kExpectedDigest = 0x8442fcbab3302b79ULL;
-constexpr std::uint64_t kExpectedAboveCoreDigest = 0xb5c72d45fcb47959ULL;
+constexpr std::uint64_t kExpectedAboveCoreDigest = 0xfc935b625ec77a24ULL;
 
 class Digest {
  public:

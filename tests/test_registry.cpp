@@ -142,6 +142,23 @@ TEST(Registry, RandomInstancesStayFeasible) {
   }
 }
 
+// A sized task runs for its size times w: one task of size 5 on a
+// processor with (c, w) = (1, 2) ends at 5·1 + 5·2 = 15, on every platform
+// kind the sized baselines serve.
+TEST(Registry, SizedBaselineMakespansScaleTheWork) {
+  const Workload sized = Workload::of_sizes({5});
+  const Chain one = Chain::from_vectors({1}, {2});
+  for (const api::Platform& platform :
+       {api::Platform(one), api::Platform(Fork{Processor{1, 2}}), api::Platform(Spider{one})}) {
+    for (const char* algorithm : {"forward-greedy", "round-robin", "single-node"}) {
+      SCOPED_TRACE(api::to_string(api::kind_of(platform)) + "/" + algorithm);
+      const api::SolveResult result = api::registry().solve(platform, algorithm, sized);
+      EXPECT_EQ(result.makespan, 15);
+      EXPECT_TRUE(api::check_feasibility(result).ok()) << api::check_feasibility(result).summary();
+    }
+  }
+}
+
 TEST(Registry, UnknownAlgorithmThrowsWithKnownNames) {
   try {
     (void)api::registry().solve(fig2_chain(), "simulated-annealing", 4);
