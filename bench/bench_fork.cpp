@@ -50,7 +50,7 @@ std::vector<Row> run_all() {
       const mst::Time optimum = mst::ForkScheduler::makespan(fork16, n);
       rows.push_back({"fork_within_at_optimum", n, time_op([&] {
                         mst::ForkCountScratch scratch;
-                        mst::ForkSchedule out;
+                        mst::SpiderSchedule out;
                         mst::ForkScheduler::schedule_within_into(fork16, optimum, n, scratch,
                                                                  out);
                         keep(out.tasks.size());

@@ -164,8 +164,7 @@ FeasibilityReport check_payload(const AnySchedule& schedule, std::size_t tasks, 
   std::visit(
       [&](const auto& payload) {
         using S = std::decay_t<decltype(payload)>;
-        if constexpr (std::is_same_v<S, ChainSchedule> || std::is_same_v<S, ForkSchedule> ||
-                      std::is_same_v<S, SpiderSchedule>) {
+        if constexpr (std::is_same_v<S, ChainSchedule> || std::is_same_v<S, SpiderSchedule>) {
           const Workload& payload_workload =
               payload.num_tasks() == effective.count() ? effective
                                                        : Workload::identical(payload.num_tasks());
@@ -681,7 +680,7 @@ DecisionResult brute_force_decision(PlatformKind kind, const Topology& topology,
 /// selection reaches `n` tasks, found by binary search (the count is
 /// monotone in the window for the ascending-`c` greedy) with a doubling
 /// safety net, then materialized.
-ForkSchedule fork_greedy_schedule(const Fork& fork, std::size_t n) {
+SpiderSchedule fork_greedy_schedule(const Fork& fork, std::size_t n) {
   Time lo = 1;
   Time hi = single_node_spider_makespan(Spider::from_fork(fork), n);
   while (ForkScheduler::greedy_max_tasks(fork, hi, n) < n) hi *= 2;
@@ -693,7 +692,7 @@ ForkSchedule fork_greedy_schedule(const Fork& fork, std::size_t n) {
       lo = mid + 1;
     }
   }
-  ForkSchedule schedule = ForkScheduler::greedy_schedule_within(fork, lo, n);
+  SpiderSchedule schedule = ForkScheduler::greedy_schedule_within(fork, lo, n);
   while (schedule.num_tasks() < n) {
     lo *= 2;
     schedule = ForkScheduler::greedy_schedule_within(fork, lo, n);
@@ -815,11 +814,10 @@ void register_fork_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "optimal");
-          ForkSchedule& pooled = opts.scratch->fork_pool;
+          SpiderSchedule& pooled = opts.scratch->spider_pool;
           ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
-          // Bound the unit-leg spider `schedule_into` left in the scratch.
-          const Time lb = spider_makespan_lower_bound(opts.scratch->fork.spider, w.count(),
-                                                      opts.scratch->bound);
+          const Time lb =
+              spider_makespan_lower_bound(pooled.spider, w.count(), opts.scratch->bound);
           const Time makespan = pooled.makespan();
           return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
         },
@@ -833,7 +831,7 @@ void register_fork_algorithms(Registry& r) {
           // materializes, even when `materialize` is off (the wrapper strips
           // the payload back into the pool).
           const Workload stream = Workload::identical(cap);
-          ForkSchedule& pooled = opts.scratch->fork_pool;
+          SpiderSchedule& pooled = opts.scratch->spider_pool;
           ForkScheduler::schedule_within_into(fork, deadline, pool != nullptr ? *pool : stream,
                                               cap, opts.scratch->fork, pooled);
           return decision_from_schedule("optimal", k, deadline, /*optimal=*/true, cap, pool,
@@ -844,17 +842,14 @@ void register_fork_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "greedy");
-          ForkSchedule schedule = fork_greedy_schedule(fork, w.count());
-          const Time lb = spider_makespan_lower_bound(Spider::from_fork(fork), w.count());
-          const Time makespan = schedule.makespan();
-          return make_result("greedy", k, w.count(), makespan, lb, false, std::move(schedule));
+          return spider_result("greedy", k, fork_greedy_schedule(fork, w.count()), w, false);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Fork& fork = expect_fork(p, "greedy");
           if (deadline <= 0) return make_decision("greedy", k, deadline, 0, 0, false, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
-          ForkSchedule schedule = ForkScheduler::greedy_schedule_within(fork, deadline, cap);
+          SpiderSchedule schedule = ForkScheduler::greedy_schedule_within(fork, deadline, cap);
           return decision_from_schedule("greedy", k, deadline, /*optimal=*/false, cap, pool,
                                         schedule);
         });

@@ -18,7 +18,6 @@
 #include "mst/platform/tree.hpp"
 #include "mst/schedule/chain_schedule.hpp"
 #include "mst/schedule/feasibility.hpp"
-#include "mst/schedule/fork_schedule.hpp"
 #include "mst/schedule/spider_schedule.hpp"
 #include "mst/workload/workload.hpp"
 
@@ -97,9 +96,10 @@ struct TreeDispatch {
 };
 
 /// Whichever concrete schedule the algorithm produced.  `monostate` means
-/// the algorithm reports a makespan without materializing placements.
-using AnySchedule =
-    std::variant<std::monostate, ChainSchedule, ForkSchedule, SpiderSchedule, TreeDispatch>;
+/// the algorithm reports a makespan without materializing placements.  A
+/// fork algorithm produces the `SpiderSchedule` of the fork's unit-leg
+/// spider (`Spider::from_fork`: slave `i` is leg `i`).
+using AnySchedule = std::variant<std::monostate, ChainSchedule, SpiderSchedule, TreeDispatch>;
 
 struct SolveScratch;  // solve_scratch.hpp: borrowed cross-solve buffers
 
@@ -186,7 +186,7 @@ struct DecisionResult {
 };
 
 /// Validates the materialized schedule: Definition 1 conditions for chain /
-/// fork / spider payloads, operational replay for tree dispatch plans
+/// spider payloads (a fork's is its unit-leg spider's), operational replay for tree dispatch plans
 /// (replayed makespan must not exceed the reported one), and task-count
 /// consistency.  A `monostate` payload yields an "unchecked" violation so
 /// callers never mistake makespan-only results for verified ones, and a

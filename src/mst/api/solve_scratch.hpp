@@ -36,8 +36,7 @@ struct SolveScratch {
   // Pooled schedule payloads.  A solve moves the pool into its result; the
   // caller moves it back with `recycle` once the result is consumed.
   ChainSchedule chain_pool;
-  ForkSchedule fork_pool;
-  SpiderSchedule spider_pool;
+  SpiderSchedule spider_pool;  ///< spider and fork payloads alike
   TreeDispatch tree_pool;
 
   /// Reclaims the buffers of a consumed schedule payload.  Accepts any
@@ -46,8 +45,6 @@ struct SolveScratch {
   void recycle_schedule(AnySchedule&& schedule) {
     if (auto* chain_schedule = std::get_if<ChainSchedule>(&schedule)) {
       chain_pool = std::move(*chain_schedule);
-    } else if (auto* fork_schedule = std::get_if<ForkSchedule>(&schedule)) {
-      fork_pool = std::move(*fork_schedule);
     } else if (auto* spider_schedule = std::get_if<SpiderSchedule>(&schedule)) {
       spider_pool = std::move(*spider_schedule);
     } else if (auto* dispatch = std::get_if<TreeDispatch>(&schedule)) {

@@ -28,16 +28,6 @@ struct ReplayVisitor {
                                   observation);
   }
 
-  sim::SimResult operator()(const ForkSchedule& schedule) const {
-    std::vector<NodeId> dests;
-    dests.reserve(schedule.tasks.size());
-    for (const ForkTask& task : schedule.tasks) {
-      dests.push_back(static_cast<NodeId>(task.slave + 1));
-    }
-    return sim::simulate_dispatch(tree_from_spider(Spider::from_fork(schedule.fork)), dests,
-                                  result.workload, observation);
-  }
-
   sim::SimResult operator()(const SpiderSchedule& schedule) const {
     std::vector<NodeId> dests;
     dests.reserve(schedule.tasks.size());

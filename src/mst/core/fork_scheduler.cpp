@@ -22,33 +22,20 @@ const Spider& unit_legs(const Fork& fork, ForkCountScratch& scratch) {
   return scratch.spider;
 }
 
-/// The start pass over the spider plan in `scratch.plan`: each task keeps
-/// its slave (its leg) and emission, and starts as soon as it has arrived
-/// and its slave is free.  A slave receives its tasks in emission order, so
-/// by induction each start is at most the planned one.  Hands each task to
-/// `emit(slave, emission, start)` in emission order.
-template <typename Emit>
-void start_asap(const Fork& fork, ForkCountScratch& scratch, Emit&& emit) {
+/// The start pass over the unit-leg spider schedule `out`, in place: each
+/// task keeps its slave (its leg) and emission, and starts as soon as it has
+/// arrived and its slave is free.  A slave receives its tasks in emission
+/// order, so by induction each start is at most the planned one.
+void start_asap(const Fork& fork, ForkCountScratch& scratch, SpiderSchedule& out) {
   scratch.slave_free.assign(fork.size(), 0);
-  for (const SpiderTask& task : scratch.plan.tasks) {
+  for (SpiderTask& task : out.tasks) {
     const Processor& slave = fork.slaves()[task.leg];
-    const Time emission = task.emissions.front();
-    const Time start = std::max(emission + slave.comm, scratch.slave_free[task.leg]);
+    Time& slave_free = scratch.slave_free[task.leg];
+    const Time start = std::max(task.emissions.front() + slave.comm, slave_free);
     MST_ASSERT(start <= task.start);
-    scratch.slave_free[task.leg] = start + slave.work;
-    emit(task.leg, emission, start);
+    task.start = start;
+    slave_free = start + slave.work;
   }
-}
-
-/// The start pass rebuilt into `out` in place — `ForkTask` is trivially
-/// destructible, so clear()+push_back never touches the heap within warm
-/// capacity.
-void materialize(const Fork& fork, ForkCountScratch& scratch, ForkSchedule& out) {
-  out.fork = fork;  // copy-assign reuses the slave buffer when warm
-  out.tasks.clear();
-  start_asap(fork, scratch, [&](std::size_t slave, Time emission, Time start) {
-    out.tasks.push_back(ForkTask{slave, emission, start});
-  });
 }
 
 }  // namespace
@@ -64,60 +51,47 @@ std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, const Work
                                        scratch.solve.count);
 }
 
-std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Time t_lim,
-                                                            std::size_t cap,
-                                                            ForkCountScratch& scratch) {
-  SpiderScheduler::schedule_within_into(unit_legs(fork, scratch), t_lim, cap, scratch.solve,
-                                        scratch.plan);
-  Time makespan = 0;
-  start_asap(fork, scratch, [&](std::size_t slave, Time /*emission*/, Time start) {
-    makespan = std::max(makespan, start + fork.slaves()[slave].work);
-  });
-  return {scratch.plan.tasks.size(), makespan};
-}
-
 void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
-                                         ForkCountScratch& scratch, ForkSchedule& out) {
+                                         ForkCountScratch& scratch, SpiderSchedule& out) {
   schedule_within_into(fork, t_lim, Workload::identical(cap), cap, scratch, out);
 }
 
 void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, const Workload& workload,
                                          std::size_t cap, ForkCountScratch& scratch,
-                                         ForkSchedule& out) {
+                                         SpiderSchedule& out) {
   SpiderScheduler::schedule_within_into(unit_legs(fork, scratch), t_lim, workload, cap,
-                                        scratch.solve, scratch.plan);
-  materialize(fork, scratch, out);
+                                        scratch.solve, out);
+  start_asap(fork, scratch, out);
 }
 
 void ForkScheduler::schedule_into(const Fork& fork, const Workload& workload,
-                                  ForkCountScratch& scratch, ForkSchedule& out) {
-  SpiderScheduler::schedule_into(unit_legs(fork, scratch), workload, scratch.solve,
-                                 scratch.plan);
-  materialize(fork, scratch, out);
+                                  ForkCountScratch& scratch, SpiderSchedule& out) {
+  SpiderScheduler::schedule_into(unit_legs(fork, scratch), workload, scratch.solve, out);
+  start_asap(fork, scratch, out);
 }
 // mstlint: zero-alloc-end
 
 // Value-returning forms: a local scratch around the `_into` forms above.
 
-ForkSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim, std::size_t cap) {
+SpiderSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim, std::size_t cap) {
   return schedule_within(fork, t_lim, Workload::identical(cap), cap);
 }
 
-ForkSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim,
-                                            const Workload& workload, std::size_t cap) {
+SpiderSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim,
+                                              const Workload& workload, std::size_t cap) {
   ForkCountScratch scratch;
-  ForkSchedule out;
+  SpiderSchedule out;
   schedule_within_into(fork, t_lim, workload, cap, scratch, out);
   return out;
 }
 
-ForkSchedule ForkScheduler::schedule(const Fork& fork, std::size_t n) {
+SpiderSchedule ForkScheduler::schedule(const Fork& fork, std::size_t n) {
   return schedule(fork, Workload::identical(n));
 }
 
-ForkSchedule ForkScheduler::schedule(const Fork& fork, const Workload& workload) {
+SpiderSchedule ForkScheduler::schedule(const Fork& fork, const Workload& workload) {
   ForkCountScratch scratch;
-  ForkSchedule out;
+  SpiderSchedule out;
   schedule_into(fork, workload, scratch, out);
   return out;
 }
@@ -168,15 +142,15 @@ std::size_t ForkScheduler::greedy_max_tasks(const Fork& fork, Time t_lim, std::s
   return greedy_selection(fork, t_lim, cap).size();
 }
 
-ForkSchedule ForkScheduler::greedy_schedule_within(const Fork& fork, Time t_lim,
-                                                   std::size_t cap) {
+SpiderSchedule ForkScheduler::greedy_schedule_within(const Fork& fork, Time t_lim,
+                                                     std::size_t cap) {
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
   std::vector<DeadlineJob> selected = greedy_selection(fork, t_lim, cap);
   // EDD, ties toward the lower slave (one slave's deadlines are distinct).
   std::sort(selected.begin(), selected.end(), [](const DeadlineJob& a, const DeadlineJob& b) {
     return std::tie(a.deadline, a.id) < std::tie(b.deadline, b.id);
   });
-  ForkSchedule out{fork, {}};
+  SpiderSchedule out{Spider::from_fork(fork), {}};
   std::vector<Time> slave_free(fork.size(), 0);
   Time port = 0;
   for (const DeadlineJob& job : selected) {
@@ -186,7 +160,7 @@ ForkSchedule ForkScheduler::greedy_schedule_within(const Fork& fork, Time t_lim,
     MST_ASSERT(port <= job.deadline);
     const Time start = std::max(port, slave_free[job.id]);
     slave_free[job.id] = start + slave.work;
-    out.tasks.push_back(ForkTask{job.id, emission, start});
+    out.tasks.push_back(SpiderTask{job.id, 0, start, {emission}});
   }
   return out;
 }

@@ -1,13 +1,11 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/fork.hpp"
 #include "mst/platform/spider.hpp"
-#include "mst/schedule/fork_schedule.hpp"
 #include "mst/schedule/spider_schedule.hpp"
 #include "mst/workload/workload.hpp"
 
@@ -21,14 +19,18 @@
 /// emission deadline `T_lim - (w + q·max(c, w))`.  So every exact form
 /// below runs the spider pipeline (`spider_scheduler.hpp`: build, probes,
 /// search, Moore–Hodgson or positional-release selection, resequencing) on
-/// the fork as a unit-leg spider, rebuilt in the scratch in place.  One pass
-/// then keeps each task's slave and emission and starts it as soon as it
-/// has arrived and its slave is free, `max(emission + c, slave free)`,
-/// where the spider keeps its planned, as-late-as-possible start.  The
-/// earlier start never ends later, so every deadline still holds; with
-/// release dates it can end a makespan earlier.  The paper's
-/// ascending-`c` greedy is kept as `greedy_max_tasks` for cross-checking
-/// and for the heuristic-comparison experiment.
+/// the fork as a unit-leg spider, rebuilt in the scratch in place, and every
+/// form returns that spider's schedule: slave `i` is leg `i`, each task runs
+/// on the leg's only processor (`proc = 0`), and `emissions` holds its one
+/// master emission.  There is no separate fork schedule type; the spider
+/// checker (`check_feasibility`) covers every fork condition.  One pass then
+/// rewrites each task's start in place to the moment it has arrived and its
+/// slave is free, `max(emission + c, slave free)`, where the spider keeps
+/// its planned, as-late-as-possible start.  The earlier start never ends
+/// later, so every deadline still holds; with release dates it can end a
+/// makespan earlier.  The paper's ascending-`c` greedy is kept as
+/// `greedy_max_tasks` for cross-checking and for the heuristic-comparison
+/// experiment.
 
 namespace mst {
 
@@ -39,7 +41,6 @@ namespace mst {
 struct ForkCountScratch {
   Spider spider;                 ///< the fork as a unit-leg spider, rebuilt in place
   SpiderSolveScratch solve;      ///< the spider pipeline's buffers
-  SpiderSchedule plan;           ///< the spider schedule the start pass reads
   std::vector<Time> slave_free;  ///< per-slave completion during the start pass
 };
 
@@ -48,7 +49,7 @@ class ForkScheduler {
   /// Decision form: a feasible schedule of the maximum number of tasks — at
   /// most `cap` — all completing by `t_lim`.  Master emissions are sequenced
   /// EDD back-to-back from time 0.
-  static ForkSchedule schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
+  static SpiderSchedule schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
 
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
@@ -58,30 +59,23 @@ class ForkScheduler {
   static std::size_t count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                   ForkCountScratch& scratch);
 
-  /// Count *and* completion time of the decision-form schedule, still
-  /// allocation-free on warm scratch: the start pass of `schedule_within`
-  /// with a makespan sink, never building the fork schedule.
-  static std::pair<std::size_t, Time> makespan_within(const Fork& fork, Time t_lim,
-                                                      std::size_t cap,
-                                                      ForkCountScratch& scratch);
-
   /// Workload decision form: release dates bind positionally on the
   /// master's one-port (see spider_scheduler.hpp).  Identical workloads
   /// reduce to the methods above capped at the workload count; non-uniform
   /// sizes are rejected.
   static std::size_t count_within(const Fork& fork, Time t_lim, const Workload& workload,
                                   std::size_t cap, ForkCountScratch& scratch);
-  static ForkSchedule schedule_within(const Fork& fork, Time t_lim, const Workload& workload,
-                                      std::size_t cap);
+  static SpiderSchedule schedule_within(const Fork& fork, Time t_lim, const Workload& workload,
+                                        std::size_t cap);
 
   /// Workload makespan form: the spider's search of the minimal horizon
   /// over the release-aware count (absolute times; no shift).
-  static ForkSchedule schedule(const Fork& fork, const Workload& workload);
+  static SpiderSchedule schedule(const Fork& fork, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks — the spider's
   /// search on one built instance, from the one-port floor
   /// (`scratch.solve.count.floor`, probes in `scratch.solve.count.probes`).
-  static ForkSchedule schedule(const Fork& fork, std::size_t n);
+  static SpiderSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.
   static Time makespan(const Fork& fork, std::size_t n);
@@ -95,7 +89,8 @@ class ForkScheduler {
   /// Materializes the greedy selection as an actual schedule: its nodes in
   /// EDD order, emitted back-to-back from 0, each task started as soon as
   /// it has arrived and its slave is free.
-  static ForkSchedule greedy_schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
+  static SpiderSchedule greedy_schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
+
 
   // -------------------------------------------------------------------------
   // The `_into` forms rebuild `out` in place, so repeated solves on warm
@@ -104,16 +99,16 @@ class ForkScheduler {
 
   /// `schedule_within(fork, t_lim, cap)` into `out`.
   static void schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
-                                   ForkCountScratch& scratch, ForkSchedule& out);
+                                   ForkCountScratch& scratch, SpiderSchedule& out);
 
   /// `schedule_within(fork, t_lim, workload, cap)` into `out`.
   static void schedule_within_into(const Fork& fork, Time t_lim, const Workload& workload,
                                    std::size_t cap, ForkCountScratch& scratch,
-                                   ForkSchedule& out);
+                                   SpiderSchedule& out);
 
   /// `schedule(fork, workload)` into `out`.
   static void schedule_into(const Fork& fork, const Workload& workload,
-                            ForkCountScratch& scratch, ForkSchedule& out);
+                            ForkCountScratch& scratch, SpiderSchedule& out);
 };
 
 }  // namespace mst

@@ -32,7 +32,6 @@
 #include "mst/schedule/chain_schedule.hpp"
 #include "mst/schedule/comm_vector.hpp"
 #include "mst/schedule/feasibility.hpp"
-#include "mst/schedule/fork_schedule.hpp"
 #include "mst/schedule/gantt.hpp"
 #include "mst/schedule/json.hpp"
 #include "mst/schedule/metrics.hpp"

@@ -173,50 +173,6 @@ FeasibilityReport check_feasibility(const ChainSchedule& schedule, const Workloa
   return report;
 }
 
-FeasibilityReport check_feasibility(const ForkSchedule& schedule) {
-  return check_feasibility(schedule, Workload::identical(schedule.tasks.size()));
-}
-
-FeasibilityReport check_feasibility(const ForkSchedule& schedule, const Workload& workload) {
-  FeasibilityReport report;
-  const Fork& fork = schedule.fork;
-  const bool aligned = check_workload_count(schedule.tasks.size(), workload, report);
-  const std::vector<Time> sizes = aligned_sizes(schedule.tasks.size(), workload, aligned);
-
-  std::vector<Interval> master_port;
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const ForkTask& t = schedule.tasks[i];
-    const Time s = sizes[i];
-    if (t.slave >= fork.size()) {
-      report.add_violation(fmt1("structure", i, "destination outside the fork"));
-      continue;
-    }
-    const Processor& slave = fork.slave(t.slave);
-    if (t.emission + s * slave.comm > t.start) {
-      std::ostringstream os;
-      os << "arrival " << t.emission + s * slave.comm << " > start " << t.start;
-      report.add_violation(fmt1("reception before execution", i, os.str()));
-    }
-    if (aligned && workload.has_release_dates()) {
-      check_release(t.emission, workload.release_of(i), i, report);
-    }
-    master_port.push_back({t.emission, s * slave.comm, i});
-  }
-  check_exclusive(std::move(master_port), "master one-port", report);
-
-  for (std::size_t q = 0; q < fork.size(); ++q) {
-    std::vector<Interval> busy;
-    for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-      const ForkTask& t = schedule.tasks[i];
-      if (t.slave == q) busy.push_back({t.start, sizes[i] * fork.slave(q).work, i});
-    }
-    std::ostringstream label;
-    label << "slave " << q << " exclusivity";
-    check_exclusive(std::move(busy), label.str().c_str(), report);
-  }
-  return report;
-}
-
 FeasibilityReport check_feasibility(const SpiderSchedule& schedule) {
   return check_feasibility(schedule, Workload::identical(schedule.tasks.size()));
 }

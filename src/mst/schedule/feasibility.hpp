@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "mst/schedule/chain_schedule.hpp"
-#include "mst/schedule/fork_schedule.hpp"
 #include "mst/schedule/spider_schedule.hpp"
 #include "mst/workload/workload.hpp"
 
@@ -24,8 +23,10 @@
 ///
 /// For spiders one more rule applies (§6): the master sends one task at a
 /// time *across all legs*, so first emissions of different legs must not
-/// overlap either.  For forks the same one-port rule serializes the
-/// emissions to all slaves.
+/// overlap either.  A fork schedule is the schedule of its unit-leg spider
+/// (`Spider::from_fork`; slave `i` is leg `i`), so the spider checker is
+/// also the fork checker: condition (2) is reception before start, (3)
+/// slave exclusivity, and the cross-leg rule the master's one-port rule.
 
 namespace mst {
 
@@ -47,10 +48,6 @@ class FeasibilityReport {
 /// destination, destination inside the chain, non-negative times).
 FeasibilityReport check_feasibility(const ChainSchedule& schedule);
 
-/// Checks arrival-before-start, per-slave execution exclusivity, and the
-/// master's one-port emission rule.
-FeasibilityReport check_feasibility(const ForkSchedule& schedule);
-
 /// Chain conditions within every leg + the cross-leg master one-port rule.
 FeasibilityReport check_feasibility(const SpiderSchedule& schedule);
 
@@ -62,7 +59,6 @@ FeasibilityReport check_feasibility(const SpiderSchedule& schedule);
 /// `Workload::identical(n)` these reduce exactly to the unchecked-workload
 /// forms above.
 FeasibilityReport check_feasibility(const ChainSchedule& schedule, const Workload& workload);
-FeasibilityReport check_feasibility(const ForkSchedule& schedule, const Workload& workload);
 FeasibilityReport check_feasibility(const SpiderSchedule& schedule, const Workload& workload);
 
 }  // namespace mst

@@ -68,20 +68,6 @@ std::string to_json(const ChainSchedule& schedule) {
   return os.str();
 }
 
-std::string to_json(const ForkSchedule& schedule) {
-  std::ostringstream os;
-  os << "{\"platform\":" << to_json(schedule.fork) << ",\"makespan\":" << schedule.makespan()
-     << ",\"tasks\":[";
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const ForkTask& t = schedule.tasks[i];
-    if (i) os << ',';
-    os << "{\"slave\":" << t.slave << ",\"emission\":" << t.emission << ",\"start\":" << t.start
-       << '}';
-  }
-  os << "]}";
-  return os.str();
-}
-
 std::string to_json(const SpiderSchedule& schedule) {
   std::ostringstream os;
   os << "{\"platform\":" << to_json(schedule.spider) << ",\"makespan\":" << schedule.makespan()

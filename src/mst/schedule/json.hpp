@@ -3,7 +3,6 @@
 #include <string>
 
 #include "mst/schedule/chain_schedule.hpp"
-#include "mst/schedule/fork_schedule.hpp"
 #include "mst/schedule/spider_schedule.hpp"
 
 /// \file json.hpp
@@ -20,7 +19,6 @@ std::string to_json(const Spider& spider);
 /// Schedule dumps embed the platform and list every task as
 /// `{"proc":…, "start":…, "emissions":[…]}` (fields per topology).
 std::string to_json(const ChainSchedule& schedule);
-std::string to_json(const ForkSchedule& schedule);
 std::string to_json(const SpiderSchedule& schedule);
 
 }  // namespace mst

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "mst/core/chain_scheduler.hpp"
@@ -93,16 +94,17 @@ TEST(ForkCounting, MatchesMaterializedConstruction) {
     const GeneratorParams params{1, 9, all_platform_classes()[trial % 5]};
     const Fork fork = random_fork(inst, p, params);
     ForkCountScratch scratch;
+    SpiderSchedule into;
     for (const Time t_lim : {0, 4, 19, 45, 120}) {
       const std::size_t cap = static_cast<std::size_t>(rng.uniform(1, 40));
-      const ForkSchedule materialized = ForkScheduler::schedule_within(fork, t_lim, cap);
+      const SpiderSchedule materialized = ForkScheduler::schedule_within(fork, t_lim, cap);
       EXPECT_EQ(ForkScheduler::count_within(fork, t_lim, cap, scratch),
                 materialized.tasks.size())
           << fork.describe() << " T=" << t_lim << " cap=" << cap;
-      // The count+makespan twin replays the full pipeline.
-      const auto [tasks, makespan] = ForkScheduler::makespan_within(fork, t_lim, cap, scratch);
-      EXPECT_EQ(tasks, materialized.tasks.size());
-      EXPECT_EQ(makespan, materialized.makespan())
+      // The warm-scratch twin replays the full pipeline.
+      ForkScheduler::schedule_within_into(fork, t_lim, cap, scratch, into);
+      EXPECT_EQ(into.tasks.size(), materialized.tasks.size());
+      EXPECT_EQ(into.makespan(), materialized.makespan())
           << fork.describe() << " T=" << t_lim << " cap=" << cap;
     }
   }
@@ -112,12 +114,15 @@ TEST(ForkCounting, ZeroAllocationsAfterWarmup) {
   Rng rng(13);
   const Fork fork = random_fork(rng, 6, GeneratorParams{1, 9, PlatformClass::kUniform});
   ForkCountScratch scratch;
+  SpiderSchedule into;
   const std::size_t expected = ForkScheduler::count_within(fork, 250, 4096, scratch);
-  const auto expected_pair = ForkScheduler::makespan_within(fork, 250, 4096, scratch);
+  ForkScheduler::schedule_within_into(fork, 250, 4096, scratch, into);
+  const std::pair<std::size_t, Time> expected_pair{into.tasks.size(), into.makespan()};
 
   alloc_probe::arm();
   const std::size_t counted = ForkScheduler::count_within(fork, 250, 4096, scratch);
-  const auto pair = ForkScheduler::makespan_within(fork, 250, 4096, scratch);
+  ForkScheduler::schedule_within_into(fork, 250, 4096, scratch, into);
+  const std::pair<std::size_t, Time> pair{into.tasks.size(), into.makespan()};
   const long allocations = alloc_probe::allocations();
   EXPECT_EQ(counted, expected);
   EXPECT_EQ(pair, expected_pair);
@@ -138,7 +143,7 @@ TEST(ForkCounting, WarmScratchServesAnotherForkWithoutAllocating) {
   const Fork other(doubled);
   const Workload workload = Workload::identical(60);
   ForkCountScratch scratch;
-  ForkSchedule out;
+  SpiderSchedule out;
   std::size_t counted = 0;
   for (int warm = 0; warm < 2; ++warm) {
     counted = ForkScheduler::count_within(fork, 250, 4096, scratch);
@@ -208,7 +213,7 @@ TEST(Counting, WarmMakespanSolvesAllocateNothing) {
        {Workload::identical(60), Workload::released({0, 0, 3, 9, 9, 14, 30, 31, 55, 80})}) {
     ForkCountScratch fork_scratch;
     SpiderSolveScratch spider_scratch;
-    ForkSchedule fork_out;
+    SpiderSchedule fork_out;
     SpiderSchedule spider_out;
     for (int warm = 0; warm < 2; ++warm) {
       ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);

@@ -92,32 +92,49 @@ TEST(Feasibility, BackToBackIsLegal) {
   EXPECT_TRUE(check_feasibility(s).ok()) << check_feasibility(s).summary();
 }
 
+/// A fork schedule is the schedule of the fork's unit-leg spider: the task
+/// `(slave, emission, start)` runs on leg `slave`'s only processor, and the
+/// spider checker covers every fork condition.
+SpiderTask fork_task(std::size_t slave, Time emission, Time start) {
+  return SpiderTask{slave, 0, start, {emission}};
+}
+
 TEST(ForkFeasibility, AcceptsSerializedEmissions) {
   const Fork fork({Processor{2, 3}, Processor{1, 10}});
-  ForkSchedule s{fork, {ForkTask{0, 0, 2}, ForkTask{1, 2, 3}}};
+  SpiderSchedule s{Spider::from_fork(fork), {fork_task(0, 0, 2), fork_task(1, 2, 3)}};
   EXPECT_TRUE(check_feasibility(s).ok()) << check_feasibility(s).summary();
 }
 
 TEST(ForkFeasibility, DetectsMasterPortOverlap) {
   const Fork fork({Processor{2, 3}, Processor{1, 10}});
-  ForkSchedule s{fork, {ForkTask{0, 0, 2}, ForkTask{1, 1, 3}}};  // port busy [0,2)
+  // port busy [0,2)
+  SpiderSchedule s{Spider::from_fork(fork), {fork_task(0, 0, 2), fork_task(1, 1, 3)}};
   const FeasibilityReport report = check_feasibility(s);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("master one-port"), std::string::npos) << report.summary();
 }
 
 TEST(ForkFeasibility, DetectsEarlyStartAndSlaveOverlap) {
-  const Fork fork({Processor{2, 3}});
-  ForkSchedule early{fork, {ForkTask{0, 0, 1}}};
-  EXPECT_FALSE(check_feasibility(early).ok());
-  ForkSchedule overlap{fork, {ForkTask{0, 0, 2}, ForkTask{0, 2, 4}}};
-  EXPECT_FALSE(check_feasibility(overlap).ok());
+  const Spider fork = Spider::from_fork(Fork({Processor{2, 3}}));
+  SpiderSchedule early{fork, {fork_task(0, 0, 1)}};  // arrives at 2
+  const FeasibilityReport early_report = check_feasibility(early);
+  ASSERT_FALSE(early_report.ok());
+  EXPECT_NE(early_report.summary().find("arrival 2 > start 1"), std::string::npos)
+      << early_report.summary();
+  SpiderSchedule overlap{fork, {fork_task(0, 0, 2), fork_task(0, 2, 4)}};  // [2,5) and [4,7)
+  const FeasibilityReport overlap_report = check_feasibility(overlap);
+  ASSERT_FALSE(overlap_report.ok());
+  EXPECT_NE(overlap_report.summary().find("condition (3) on processor 0"), std::string::npos)
+      << overlap_report.summary();
 }
 
 TEST(ForkFeasibility, DetectsBadSlaveIndex) {
   const Fork fork({Processor{2, 3}});
-  ForkSchedule s{fork, {ForkTask{3, 0, 2}}};
-  EXPECT_FALSE(check_feasibility(s).ok());
+  SpiderSchedule s{Spider::from_fork(fork), {fork_task(3, 0, 2)}};
+  const FeasibilityReport report = check_feasibility(s);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.summary().find("leg outside the spider"), std::string::npos)
+      << report.summary();
 }
 
 TEST(SpiderFeasibility, AcceptsIndependentLegs) {

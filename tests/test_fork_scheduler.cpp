@@ -30,10 +30,10 @@ TEST(ForkScheduler, TwoIdenticalSlavesHalveTheWork) {
 TEST(ForkScheduler, DecisionFormCountsAndFeasibility) {
   const Fork fork({Processor{2, 5}, Processor{4, 1}});
   for (Time t = 0; t <= 20; ++t) {
-    const ForkSchedule s = ForkScheduler::schedule_within(fork, t, 50);
+    const SpiderSchedule s = ForkScheduler::schedule_within(fork, t, 50);
     const FeasibilityReport report = check_feasibility(s);
     ASSERT_TRUE(report.ok()) << "T=" << t << "\n" << report.summary();
-    for (const ForkTask& task : s.tasks) EXPECT_LE(task.end(fork), t);
+    for (const SpiderTask& task : s.tasks) EXPECT_LE(task.end(s.spider), t);
   }
 }
 
@@ -49,14 +49,14 @@ TEST(ForkScheduler, DecisionFormIsMonotone) {
 
 TEST(ForkScheduler, CapLimitsTheSchedule) {
   const Fork fork({Processor{1, 1}, Processor{1, 1}});
-  const ForkSchedule s = ForkScheduler::schedule_within(fork, 1000, 5);
+  const SpiderSchedule s = ForkScheduler::schedule_within(fork, 1000, 5);
   EXPECT_EQ(s.num_tasks(), 5u);
 }
 
 TEST(ForkScheduler, MakespanFormHitsExactWindow) {
   const Fork fork({Processor{2, 5}, Processor{4, 1}});
   for (std::size_t n = 1; n <= 8; ++n) {
-    const ForkSchedule s = ForkScheduler::schedule(fork, n);
+    const SpiderSchedule s = ForkScheduler::schedule(fork, n);
     ASSERT_EQ(s.num_tasks(), n);
     EXPECT_TRUE(check_feasibility(s).ok()) << check_feasibility(s).summary();
     // One fewer time unit must not fit n tasks (minimality of the window).
@@ -125,12 +125,12 @@ TEST_P(ForkProperty, GreedyScheduleIsFeasibleAndMatchesItsCount) {
     const auto p = static_cast<std::size_t>(rng.uniform(1, 5));
     const Fork fork = random_fork(inst, p, params);
     const Time t_lim = rng.uniform(0, 50);
-    const ForkSchedule s = ForkScheduler::greedy_schedule_within(fork, t_lim, 60);
+    const SpiderSchedule s = ForkScheduler::greedy_schedule_within(fork, t_lim, 60);
     EXPECT_EQ(s.num_tasks(), ForkScheduler::greedy_max_tasks(fork, t_lim, 60))
         << fork.describe() << " T=" << t_lim;
     const FeasibilityReport report = check_feasibility(s);
     ASSERT_TRUE(report.ok()) << fork.describe() << "\n" << report.summary();
-    for (const ForkTask& task : s.tasks) EXPECT_LE(task.end(fork), t_lim);
+    for (const SpiderTask& task : s.tasks) EXPECT_LE(task.end(s.spider), t_lim);
   }
 }
 

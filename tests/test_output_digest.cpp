@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -72,11 +73,6 @@ class Digest {
     add(task.start);
     add(task.emissions);
   }
-  void add(const ForkTask& task) {
-    add(task.slave);
-    add(task.emission);
-    add(task.start);
-  }
   void add(const SpiderTask& task) {
     add(task.leg);
     add(task.proc);
@@ -87,6 +83,16 @@ class Digest {
   void add_schedule(const Schedule& schedule) {
     add(schedule.tasks.size());
     for (const auto& task : schedule.tasks) add(task);
+  }
+  /// A fork schedule — the unit-leg spider schedule every fork form returns
+  /// — hashed as the fork tasks `(slave, emission, start)` it once held.
+  void add_fork_schedule(const SpiderSchedule& schedule) {
+    add(schedule.tasks.size());
+    for (const SpiderTask& task : schedule.tasks) {
+      add(task.leg);
+      add(task.emissions.front());
+      add(task.start);
+    }
   }
   void add(const std::vector<VirtualNode>& nodes) {
     add(nodes.size());
@@ -122,13 +128,22 @@ class Digest {
     add(run.tasks_per_node.size());
     for (const std::size_t count : run.tasks_per_node) add(count);
   }
-  void add(const api::AnySchedule& schedule) {
-    add(schedule.index());
+  /// A registry payload under the variant index it had while forks had a
+  /// schedule type of their own (monostate 0, chain 1, fork 2, spider 3,
+  /// tree 4).  `fork_payload` marks the unit-leg spider schedule of a fork
+  /// entry that returned that type (`optimal`, `greedy`): it hashes as
+  /// index 2 with the fork tasks.
+  void add(const api::AnySchedule& schedule, bool fork_payload) {
+    if (const auto* spider = std::get_if<SpiderSchedule>(&schedule); spider && fork_payload) {
+      add(std::size_t{2});
+      add_fork_schedule(*spider);
+      return;
+    }
+    add(schedule.index() < 2 ? schedule.index() : schedule.index() + 1);
     std::visit(
         [&](const auto& payload) {
           using S = std::decay_t<decltype(payload)>;
-          if constexpr (std::is_same_v<S, ChainSchedule> || std::is_same_v<S, ForkSchedule> ||
-                        std::is_same_v<S, SpiderSchedule>) {
+          if constexpr (std::is_same_v<S, ChainSchedule> || std::is_same_v<S, SpiderSchedule>) {
             add_schedule(payload);
           } else if constexpr (std::is_same_v<S, api::TreeDispatch>) {
             add(payload.tree.size());
@@ -217,29 +232,28 @@ void digest_chain(Digest& d, const Chain& chain, Rng& rng) {
 
 void digest_fork(Digest& d, const Fork& fork, Rng& rng) {
   ForkCountScratch scratch;
-  ForkSchedule into;
+  SpiderSchedule into;
   for (const std::size_t n : {1u, 3u, 9u, 26u, 70u}) {
-    d.add_schedule(ForkScheduler::schedule(fork, n));
+    d.add_fork_schedule(ForkScheduler::schedule(fork, n));
     d.add(ForkScheduler::makespan(fork, n));
     ForkScheduler::schedule_into(fork, Workload::identical(n), scratch, into);
-    d.add_schedule(into);
-    d.add_schedule(ForkScheduler::schedule(fork, released_workload(rng, n)));
+    d.add_fork_schedule(into);
+    d.add_fork_schedule(ForkScheduler::schedule(fork, released_workload(rng, n)));
   }
   for (const Time t_lim : {0, 5, 18, 44, 120}) {
     const auto cap = static_cast<std::size_t>(rng.uniform(1, 30));
-    d.add_schedule(ForkScheduler::schedule_within(fork, t_lim, cap));
+    d.add_fork_schedule(ForkScheduler::schedule_within(fork, t_lim, cap));
     ForkScheduler::schedule_within_into(fork, t_lim, cap, scratch, into);
-    d.add_schedule(into);
+    d.add_fork_schedule(into);
     d.add(ForkScheduler::count_within(fork, t_lim, cap, scratch));
     d.add(ForkScheduler::max_tasks(fork, t_lim, cap));
-    const auto [tasks, makespan] = ForkScheduler::makespan_within(fork, t_lim, cap, scratch);
-    d.add(tasks);
-    d.add(makespan);
+    d.add(into.tasks.size());
+    d.add(into.makespan());
     d.add(ForkScheduler::greedy_max_tasks(fork, t_lim, cap));
-    d.add_schedule(ForkScheduler::greedy_schedule_within(fork, t_lim, cap));
+    d.add_fork_schedule(ForkScheduler::greedy_schedule_within(fork, t_lim, cap));
     const Workload released = released_workload(rng, cap);
     d.add(ForkScheduler::count_within(fork, t_lim, released, cap, scratch));
-    d.add_schedule(ForkScheduler::schedule_within(fork, t_lim, released, cap));
+    d.add_fork_schedule(ForkScheduler::schedule_within(fork, t_lim, released, cap));
   }
 }
 
@@ -282,8 +296,16 @@ void digest_moore_hodgson(Digest& d, Rng& rng) {
   }
 }
 
+/// Whether the entry returned the fork schedule type before every fork
+/// payload became the unit-leg spider schedule (`Digest::add`).
+bool returned_fork_schedules(const api::Platform& platform, std::string_view algorithm) {
+  return api::kind_of(platform) == api::PlatformKind::kFork &&
+         (algorithm == "optimal" || algorithm == "greedy");
+}
+
 void digest_registry(Digest& d, const api::Platform& platform, Rng& rng) {
   const api::Registry& registry = api::registry();
+  const bool fork = returned_fork_schedules(platform, "optimal");
   api::SolveScratch scratch;
   for (const bool pooled : {false, true}) {
     api::SolveOptions options;
@@ -296,7 +318,7 @@ void digest_registry(Digest& d, const api::Platform& platform, Rng& rng) {
         d.add(result.makespan);
         d.add(result.lower_bound);
         d.add(result.optimal);
-        d.add(result.schedule);
+        d.add(result.schedule, fork);
         scratch.recycle(std::move(result));
       }
     }
@@ -313,7 +335,7 @@ void digest_registry(Digest& d, const api::Platform& platform, Rng& rng) {
           d.add(result.tasks);
           d.add(result.makespan);
           d.add(result.optimal);
-          d.add(result.schedule);
+          d.add(result.schedule, fork);
           d.add(registry.max_tasks(platform, "optimal", deadline, within));
           scratch.recycle(std::move(result));
         }
@@ -327,6 +349,7 @@ void digest_registry(Digest& d, const api::Platform& platform, Rng& rng) {
 void digest_entry(Digest& d, const api::Platform& platform, const char* algorithm, Rng& rng) {
   const api::Registry& registry = api::registry();
   const api::PlatformKind kind = api::kind_of(platform);
+  const bool fork = returned_fork_schedules(platform, algorithm);
   api::SolveOptions options;
   options.seed = static_cast<std::uint64_t>(rng.uniform(1, 1000));
   for (const std::size_t n : {1u, 5u, 13u}) {
@@ -339,7 +362,7 @@ void digest_entry(Digest& d, const api::Platform& platform, const char* algorith
       d.add(result.makespan);
       d.add(result.lower_bound);
       d.add(result.optimal);
-      d.add(result.schedule);
+      d.add(result.schedule, fork);
     }
   }
   for (const Time deadline : {-2, 0, 11, 37}) {
@@ -355,7 +378,7 @@ void digest_entry(Digest& d, const api::Platform& platform, const char* algorith
         d.add(result.tasks);
         d.add(result.makespan);
         d.add(result.optimal);
-        d.add(result.schedule);
+        d.add(result.schedule, fork);
       }
     }
   }

@@ -180,7 +180,7 @@ TEST(ReleaseDates, ForkOptimalMatchesExhaustiveOracle) {
     const auto n = static_cast<std::size_t>(rng.uniform(1, 4));
     const Workload workload = random_released(rng, n, rng.uniform(0, 25));
 
-    const ForkSchedule schedule = ForkScheduler::schedule(fork, workload);
+    const SpiderSchedule schedule = ForkScheduler::schedule(fork, workload);
     const Time oracle = spider_oracle_makespan(embedded, workload);
     EXPECT_EQ(schedule.makespan(), oracle) << fork.describe() << " " << workload.describe();
     const FeasibilityReport report = check_feasibility(schedule, workload);
@@ -193,7 +193,7 @@ TEST(ReleaseDates, ForkOptimalMatchesExhaustiveOracle) {
           ForkScheduler::count_within(fork, t_lim, workload, 64, scratch);
       EXPECT_EQ(counted, spider_oracle_count(embedded, workload, t_lim))
           << fork.describe() << " " << workload.describe() << " T=" << t_lim;
-      const ForkSchedule within = ForkScheduler::schedule_within(fork, t_lim, workload, 64);
+      const SpiderSchedule within = ForkScheduler::schedule_within(fork, t_lim, workload, 64);
       EXPECT_EQ(within.num_tasks(), counted);
       const FeasibilityReport within_report =
           check_feasibility(within, workload.prefix(counted));

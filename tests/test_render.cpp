@@ -94,13 +94,5 @@ TEST(Json, SpiderScheduleEmbedsTasks) {
   EXPECT_NE(json.find("\"makespan\":5"), std::string::npos);
 }
 
-TEST(Json, ForkScheduleEmbedsTasks) {
-  const Fork fork({Processor{2, 3}});
-  ForkSchedule s{fork, {ForkTask{0, 0, 2}}};
-  const std::string json = to_json(s);
-  EXPECT_NE(json.find("\"slave\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"emission\":0"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mst

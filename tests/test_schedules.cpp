@@ -1,11 +1,11 @@
-// Unit tests of the schedule data structures (chain / fork / spider).
+// Unit tests of the schedule data structures (chain / spider; a fork's is its
+// unit-leg spider's).
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "mst/schedule/chain_schedule.hpp"
-#include "mst/schedule/fork_schedule.hpp"
 #include "mst/schedule/spider_schedule.hpp"
 
 namespace mst {
@@ -66,14 +66,15 @@ TEST(ChainScheduleData, ShiftMovesEveryTime) {
 }
 
 TEST(ForkScheduleData, ArrivalEndAndMakespan) {
-  const Fork fork({Processor{2, 3}, Processor{1, 10}});
-  ForkSchedule s{fork, {ForkTask{0, 0, 2}, ForkTask{1, 2, 3}}};
+  // A fork schedule is its unit-leg spider's: slave `i` is leg `i`.
+  const Spider fork = Spider::from_fork(Fork({Processor{2, 3}, Processor{1, 10}}));
+  SpiderSchedule s{fork, {SpiderTask{0, 0, 2, {0}}, SpiderTask{1, 0, 3, {2}}}};
   EXPECT_EQ(s.tasks[0].arrival(fork), 2);
   EXPECT_EQ(s.tasks[0].end(fork), 5);
   EXPECT_EQ(s.tasks[1].arrival(fork), 3);
   EXPECT_EQ(s.tasks[1].end(fork), 13);
   EXPECT_EQ(s.makespan(), 13);
-  const auto counts = s.tasks_per_slave();
+  const auto counts = s.tasks_per_leg();
   EXPECT_EQ(counts[0], 1u);
   EXPECT_EQ(counts[1], 1u);
 }

@@ -87,7 +87,7 @@ TEST(SearchRange, OnePortFloorNeverExceedsTheOptimum) {
   Rng rng(0xF100);
   ForkCountScratch fork_scratch;
   SpiderSolveScratch spider_scratch;
-  ForkSchedule fork_out;
+  SpiderSchedule fork_out;
   SpiderSchedule spider_out;
   for (int trial = 0; trial < 150; ++trial) {
     const GeneratorParams params = params_of(rng, trial);
@@ -106,7 +106,7 @@ TEST(SearchRange, OnePortFloorNeverExceedsTheBruteForceOptimum) {
   Rng rng(0xF101);
   ForkCountScratch fork_scratch;
   SpiderSolveScratch spider_scratch;
-  ForkSchedule fork_out;
+  SpiderSchedule fork_out;
   SpiderSchedule spider_out;
   for (int trial = 0; trial < 60; ++trial) {
     const GeneratorParams params = params_of(rng, trial);
@@ -134,7 +134,7 @@ TEST(SearchRange, PortBoundSolvesRunNoProbe) {
     const Time floor = 2 * static_cast<Time>(n - 1) + 3;
 
     ForkCountScratch fork_scratch;
-    ForkSchedule fork_out;
+    SpiderSchedule fork_out;
     ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
     EXPECT_EQ(fork_scratch.solve.count.probes, 0u) << "n=" << n;
     EXPECT_EQ(fork_scratch.solve.count.floor, floor);
@@ -155,7 +155,7 @@ TEST(SearchRange, ProbesStayWithinTheLogOfTheRange) {
   ForkCountScratch fork_scratch;
   SpiderSolveScratch spider_scratch;
   ChainSchedule chain_out;
-  ForkSchedule fork_out;
+  SpiderSchedule fork_out;
   SpiderSchedule spider_out;
   for (int trial = 0; trial < 120; ++trial) {
     const GeneratorParams params = params_of(rng, trial);
