@@ -676,30 +676,6 @@ DecisionResult brute_force_decision(PlatformKind kind, const Topology& topology,
                        /*optimal=*/decision_maximal(tasks, cap, pool), std::move(payload));
 }
 
-/// Makespan form of the paper's §6 fork greedy: smallest window whose greedy
-/// selection reaches `n` tasks, found by binary search (the count is
-/// monotone in the window for the ascending-`c` greedy) with a doubling
-/// safety net, then materialized.
-SpiderSchedule fork_greedy_schedule(const Fork& fork, std::size_t n) {
-  Time lo = 1;
-  Time hi = single_node_spider_makespan(Spider::from_fork(fork), n);
-  while (ForkScheduler::greedy_max_tasks(fork, hi, n) < n) hi *= 2;
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (ForkScheduler::greedy_max_tasks(fork, mid, n) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  SpiderSchedule schedule = ForkScheduler::greedy_schedule_within(fork, lo, n);
-  while (schedule.num_tasks() < n) {
-    lo *= 2;
-    schedule = ForkScheduler::greedy_schedule_within(fork, lo, n);
-  }
-  return schedule;
-}
-
 /// Registers one streaming entry: `replan` on an exactly-solved kind, or an
 /// `online-*` policy on trees.  The makespan form runs the policy the name
 /// denotes (`sim::make_named_policy`) through the no-lookahead streaming
@@ -842,7 +818,8 @@ void register_fork_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "greedy");
-          return spider_result("greedy", k, fork_greedy_schedule(fork, w.count()), w, false);
+          return spider_result("greedy", k, ForkScheduler::greedy_schedule(fork, w.count()), w,
+                               false);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Fork& fork = expect_fork(p, "greedy");

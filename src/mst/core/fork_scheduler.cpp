@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "mst/common/assert.hpp"
+#include "mst/core/kernels.hpp"
 #include "mst/core/moore_hodgson.hpp"
 #include "mst/core/virtual_nodes.hpp"
 
@@ -162,6 +163,21 @@ SpiderSchedule ForkScheduler::greedy_schedule_within(const Fork& fork, Time t_li
     slave_free[job.id] = start + slave.work;
     out.tasks.push_back(SpiderTask{job.id, 0, start, {emission}});
   }
+  return out;
+}
+
+SpiderSchedule ForkScheduler::greedy_schedule(const Fork& fork, std::size_t n) {
+  MST_REQUIRE(n >= 1, "schedule needs at least one task");
+  detail::SearchRange range(n, /*last_release=*/0);
+  for (const Processor& slave : fork.slaves()) {
+    range.add_source(slave);
+    range.add_reach(slave.comm, slave.work);
+  }
+  const Time window = detail::min_horizon(range.floor(), range.top(), [&](Time t) {
+    return greedy_max_tasks(fork, t, n) >= n;
+  });
+  SpiderSchedule out = greedy_schedule_within(fork, window, n);
+  MST_ASSERT(out.tasks.size() == n);
   return out;
 }
 

@@ -91,6 +91,13 @@ class ForkScheduler {
   /// it has arrived and its slave is free.
   static SpiderSchedule greedy_schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
 
+  /// Makespan form of the greedy: the greedy schedule of `n` tasks in the
+  /// smallest window whose selection reaches `n`, bisected over the
+  /// spider's search range (`detail::SearchRange`: from the one-port floor
+  /// up to the best slave's own n-task pipeline, skipping a slave whose
+  /// pipeline overflows).  The greedy count is the optimal count, so the
+  /// top always admits `n` tasks.
+  static SpiderSchedule greedy_schedule(const Fork& fork, std::size_t n);
 
   // -------------------------------------------------------------------------
   // The `_into` forms rebuild `out` in place, so repeated solves on warm

@@ -6,6 +6,7 @@
 #
 #   * A slave or leg whose n-task pipeline overflows is skipped by the
 #     makespan search: with a second, fast source, 3 tasks take 4.
+#   * The fork greedy's makespan search skips it the same way.
 #   * A node whose exec would overflow is never formed: the only processor
 #     of `fork 1`, `chain 1` or a one-leg spider cannot finish one task
 #     within the deadline, so 0 tasks fit.  Its link latency plus its w
@@ -59,6 +60,8 @@ endfunction()
 set(solve --mode=solve --algo=optimal --tasks=3)
 run(fork "fork 2\n4000000000000000000 1\n1 1\n" "optimal +yes +4 " ${solve})
 run(spider "spider 2\nleg 1\n4000000000000000000 1\nleg 1\n1 1\n" "optimal +yes +4 " ${solve})
+run(fork_greedy "fork 2\n4000000000000000000 1\n1 1\n" "greedy +no +4 "
+    --mode=solve --algo=greedy --tasks=3)
 set(far --mode=max-tasks --algo=optimal --deadline=9000000000000000000)
 run(far_node "fork 1\n5000000000000000000 5000000000000000000\n" "optimal +yes +0 +0 " ${far})
 run(far_node_chain "chain 1\n5000000000000000000 5000000000000000000\n" "optimal +yes +0 +0 "

@@ -70,6 +70,18 @@ TEST(ForkScheduler, RejectsInvalidArguments) {
   EXPECT_THROW(ForkScheduler::schedule_within(fork, -3, 5), std::invalid_argument);
 }
 
+TEST(ForkScheduler, GreedyMakespanFormSkipsOverflowingPipelines) {
+  // The first slave's 3-task pipeline, 4e18 + 2·4e18 + 1, overflows `Time`;
+  // the second one's takes 4.
+  const Fork fork({{4000000000000000000, 1}, {1, 1}});
+  const SpiderSchedule s = ForkScheduler::greedy_schedule(fork, 3);
+  EXPECT_EQ(s.num_tasks(), 3u);
+  EXPECT_EQ(s.makespan(), 4);
+  EXPECT_TRUE(check_feasibility(s).ok()) << check_feasibility(s).summary();
+  EXPECT_THROW(ForkScheduler::greedy_schedule(Fork({{4000000000000000000, 1}}), 3),
+               std::invalid_argument);
+}
+
 /// Random sweeps: optimality against brute force and agreement with the
 /// paper's greedy.
 class ForkProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -131,6 +143,25 @@ TEST_P(ForkProperty, GreedyScheduleIsFeasibleAndMatchesItsCount) {
     const FeasibilityReport report = check_feasibility(s);
     ASSERT_TRUE(report.ok()) << fork.describe() << "\n" << report.summary();
     for (const SpiderTask& task : s.tasks) EXPECT_LE(task.end(s.spider), t_lim);
+  }
+}
+
+TEST_P(ForkProperty, GreedyMakespanFormIsOptimal) {
+  // The greedy count is the optimal count, so the smallest window reaching
+  // `n` is the optimal makespan, and the greedy schedule of `n` tasks in it
+  // ends exactly there.
+  Rng rng(GetParam() + 900);
+  GeneratorParams params{1, 9, PlatformClass::kUniform};
+  for (int trial = 0; trial < 8; ++trial) {
+    Rng inst = rng.split();
+    const auto p = static_cast<std::size_t>(rng.uniform(1, 5));
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 40));
+    const Fork fork = random_fork(inst, p, params);
+    const SpiderSchedule s = ForkScheduler::greedy_schedule(fork, n);
+    ASSERT_EQ(s.num_tasks(), n) << fork.describe();
+    EXPECT_EQ(s.makespan(), ForkScheduler::makespan(fork, n)) << fork.describe() << " n=" << n;
+    EXPECT_TRUE(check_feasibility(s).ok()) << fork.describe() << "\n"
+                                           << check_feasibility(s).summary();
   }
 }
 
