@@ -1,6 +1,8 @@
 #include "mst/core/fork_scheduler.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <numeric>
 #include <tuple>
 
@@ -108,8 +110,32 @@ std::size_t ForkScheduler::max_tasks(const Fork& fork, Time t_lim, std::size_t c
 
 namespace {
 
-/// The §6 greedy's selection: one job per selected virtual node, its `id`
-/// the node's slave.
+/// The greedy selection's EDD order, ties toward the lower slave: strict on
+/// a selection, where one slave's deadlines are distinct.
+bool edd_before(const DeadlineJob& a, const DeadlineJob& b) {
+  return std::tie(a.deadline, a.id) < std::tie(b.deadline, b.id);
+}
+
+/// Whether the EDD-ordered `jobs` all meet their deadlines run back-to-back
+/// from 0 (an end past the largest time misses its deadline).
+bool meets_deadlines(const std::vector<DeadlineJob>& jobs) {
+  Time end = 0;
+  for (const DeadlineJob& job : jobs) {
+    if (__builtin_add_overflow(end, job.proc_time, &end) || end > job.deadline) return false;
+  }
+  return true;
+}
+
+/// The §6 greedy's selection in EDD order (`edd_before`): one job per
+/// selected virtual node, its `id` the node's slave.
+///
+/// The greedy adds a slave's nodes in rank order while the selection stays
+/// EDD-feasible, and stops at the first that does not fit.  A subset of a
+/// feasible set is feasible, so what it adds is the longest prefix of ranks
+/// that fits: found by bisection, each test one merge of the selection with
+/// that prefix and one pass over the result.  `O((N + k) log k)` per slave
+/// for `N` selected and `k` nodes, where adding node by node to a copy of
+/// the selection and sorting it (`edd_feasible`) is `O(N log N)` per node.
 std::vector<DeadlineJob> greedy_selection(const Fork& fork, Time t_lim, std::size_t cap) {
   // §6: processors sorted by ascending communication times, ties broken by
   // ascending processing times.
@@ -124,14 +150,31 @@ std::vector<DeadlineJob> greedy_selection(const Fork& fork, Time t_lim, std::siz
   });
 
   std::vector<DeadlineJob> selected;
+  std::vector<DeadlineJob> ranks;  // one slave's nodes in EDD order: highest rank first
+  std::vector<DeadlineJob> merged;
   for (std::size_t i : order) {
-    for (const VirtualNode& node : expand_fork_slave(fork.slave(i), i, t_lim, cap)) {
-      if (selected.size() >= cap) return selected;
-      std::vector<DeadlineJob> trial = selected;
-      trial.push_back({node.comm, node.deadline(t_lim), i});
-      if (!edd_feasible(trial)) break;  // rank q failed; rank q+1 is strictly harder
-      selected = std::move(trial);
+    ranks.clear();
+    for (const VirtualNode& node : expand_fork_slave(fork.slave(i), i, t_lim,
+                                                     cap - selected.size())) {
+      ranks.push_back({node.comm, node.deadline(t_lim), i});
     }
+    std::reverse(ranks.begin(), ranks.end());
+    // `merged` becomes the selection plus the slave's `k` lowest ranks.
+    const auto merge_ranks = [&](std::size_t k) {
+      merged.clear();
+      std::merge(selected.begin(), selected.end(), ranks.end() - static_cast<std::ptrdiff_t>(k),
+                 ranks.end(), std::back_inserter(merged), edd_before);
+    };
+    std::size_t fits = 0;  // the selection alone fits
+    std::size_t fails = ranks.size() + 1;
+    while (fails - fits > 1) {
+      const std::size_t mid = fits + (fails - fits) / 2;
+      merge_ranks(mid);
+      (meets_deadlines(merged) ? fits : fails) = mid;
+    }
+    merge_ranks(fits);
+    selected.swap(merged);
+    if (selected.size() == cap) break;
   }
   return selected;
 }
@@ -146,15 +189,10 @@ std::size_t ForkScheduler::greedy_max_tasks(const Fork& fork, Time t_lim, std::s
 SpiderSchedule ForkScheduler::greedy_schedule_within(const Fork& fork, Time t_lim,
                                                      std::size_t cap) {
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  std::vector<DeadlineJob> selected = greedy_selection(fork, t_lim, cap);
-  // EDD, ties toward the lower slave (one slave's deadlines are distinct).
-  std::sort(selected.begin(), selected.end(), [](const DeadlineJob& a, const DeadlineJob& b) {
-    return std::tie(a.deadline, a.id) < std::tie(b.deadline, b.id);
-  });
   SpiderSchedule out{Spider::from_fork(fork), {}};
   std::vector<Time> slave_free(fork.size(), 0);
   Time port = 0;
-  for (const DeadlineJob& job : selected) {
+  for (const DeadlineJob& job : greedy_selection(fork, t_lim, cap)) {
     const Processor& slave = fork.slave(job.id);
     const Time emission = port;
     port += slave.comm;

@@ -84,6 +84,8 @@ class ForkScheduler {
   /// communication time (ties by processing time), then fill each slave with
   /// further virtual nodes while the insertion stays EDD-feasible.  Returns
   /// the task count.  Cross-checked against `max_tasks` in the test suite.
+  /// Each slave's nodes join in one bisection over how many of its ranks
+  /// still fit, each test a linear merge with the EDD-ordered selection.
   static std::size_t greedy_max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
 
   /// Materializes the greedy selection as an actual schedule: its nodes in

@@ -3,14 +3,46 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <tuple>
+#include <vector>
+
 #include "mst/baselines/brute_force.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/fork_scheduler.hpp"
+#include "mst/core/moore_hodgson.hpp"
+#include "mst/core/virtual_nodes.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/schedule/feasibility.hpp"
 
 namespace mst {
 namespace {
+
+/// The §6 greedy node by node, as the paper states it: slaves in ascending
+/// `(c, w)` order, each adding its next Fig 6 node while the selection plus
+/// that node stays EDD-feasible.  Returns the selected nodes per slave.
+std::vector<std::size_t> node_by_node_greedy(const Fork& fork, Time t_lim, std::size_t cap) {
+  std::vector<std::size_t> order(fork.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::tie(fork.slave(a).comm, fork.slave(a).work) <
+           std::tie(fork.slave(b).comm, fork.slave(b).work);
+  });
+  std::vector<DeadlineJob> selected;
+  std::vector<std::size_t> per_slave(fork.size(), 0);
+  for (const std::size_t i : order) {
+    for (const VirtualNode& node : expand_fork_slave(fork.slave(i), i, t_lim, cap)) {
+      if (selected.size() >= cap) return per_slave;
+      std::vector<DeadlineJob> trial = selected;
+      trial.push_back({node.comm, node.deadline(t_lim), i});
+      if (!edd_feasible(trial)) break;
+      selected = std::move(trial);
+      ++per_slave[i];
+    }
+  }
+  return per_slave;
+}
 
 TEST(ForkScheduler, SingleSlaveMatchesPipelineFormula) {
   const Fork fork({Processor{2, 5}});
@@ -126,6 +158,22 @@ TEST_P(ForkProperty, GreedyMatchesOptimumOnForkExpansions) {
     EXPECT_EQ(ForkScheduler::greedy_max_tasks(fork, t_lim, 60),
               ForkScheduler::max_tasks(fork, t_lim, 60))
         << fork.describe() << " T=" << t_lim;
+  }
+}
+
+TEST_P(ForkProperty, GreedySelectsWhatTheNodeByNodeGreedySelects) {
+  Rng rng(GetParam() + 700);
+  for (int trial = 0; trial < 40; ++trial) {
+    Rng inst = rng.split();
+    const auto p = static_cast<std::size_t>(rng.uniform(1, 6));
+    const GeneratorParams params{1, rng.uniform(2, 12), all_platform_classes()[trial % 5]};
+    const Fork fork = random_fork(inst, p, params);
+    const Time t_lim = rng.uniform(0, 150);
+    const auto cap = static_cast<std::size_t>(rng.uniform(1, 80));
+    const std::vector<std::size_t> expected = node_by_node_greedy(fork, t_lim, cap);
+    const SpiderSchedule s = ForkScheduler::greedy_schedule_within(fork, t_lim, cap);
+    EXPECT_EQ(s.tasks_per_leg(), expected) << fork.describe() << " T=" << t_lim << " cap=" << cap;
+    EXPECT_EQ(ForkScheduler::greedy_max_tasks(fork, t_lim, cap), s.num_tasks());
   }
 }
 
