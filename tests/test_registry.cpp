@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "mst/api/registry.hpp"
@@ -91,6 +92,29 @@ TEST(Registry, EveryAlgorithmProducesFeasibleSchedules) {
     EXPECT_GT(result.makespan, 0);
     const FeasibilityReport report = api::check_feasibility(result);
     EXPECT_TRUE(report.ok()) << report.summary();
+  }
+}
+
+// A fork schedule is the schedule of the fork's unit-leg spider: every fork
+// entry that places tasks (all but the streaming `replan`, whose payload is
+// a tree dispatch plan) returns the `SpiderSchedule` of `Spider::from_fork`
+// in both forms, and the spider checker accepts it.
+TEST(Registry, ForkEntriesMaterializeUnitLegSpiderSchedules) {
+  const Fork fork = small_fork();
+  const Spider unit_legs = Spider::from_fork(fork);
+  for (const api::AlgorithmInfo& info : api::registry().list(api::PlatformKind::kFork)) {
+    if (info.name == "replan") continue;
+    SCOPED_TRACE(info.name);
+    const api::SolveResult solved = api::registry().solve(fork, info.name, 6);
+    const api::DecisionResult decided = api::registry().solve_within(fork, info.name, 12);
+    for (const api::AnySchedule* payload : {&solved.schedule, &decided.schedule}) {
+      const auto* schedule = std::get_if<SpiderSchedule>(payload);
+      ASSERT_NE(schedule, nullptr);
+      EXPECT_EQ(schedule->spider, unit_legs);
+      EXPECT_GT(schedule->num_tasks(), 0u);
+      const FeasibilityReport report = check_feasibility(*schedule);
+      EXPECT_TRUE(report.ok()) << report.summary();
+    }
   }
 }
 
