@@ -186,9 +186,9 @@ struct DecisionResult {
 };
 
 /// Validates the materialized schedule: Definition 1 conditions for chain /
-/// spider payloads (a fork's is its unit-leg spider's), operational replay for tree dispatch plans
-/// (replayed makespan must not exceed the reported one), and task-count
-/// consistency.  A `monostate` payload yields an "unchecked" violation so
+/// spider payloads (a fork's is its unit-leg spider's), operational replay
+/// for tree dispatch plans (replayed makespan must not exceed the reported
+/// one), and task-count consistency.  A `monostate` payload yields an "unchecked" violation so
 /// callers never mistake makespan-only results for verified ones, and a
 /// nonempty result claiming a non-positive makespan is rejected outright.
 FeasibilityReport check_feasibility(const SolveResult& result);

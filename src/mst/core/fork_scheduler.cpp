@@ -133,9 +133,8 @@ bool meets_deadlines(const std::vector<DeadlineJob>& jobs) {
 /// EDD-feasible, and stops at the first that does not fit.  A subset of a
 /// feasible set is feasible, so what it adds is the longest prefix of ranks
 /// that fits: found by bisection, each test one merge of the selection with
-/// that prefix and one pass over the result.  `O((N + k) log k)` per slave
-/// for `N` selected and `k` nodes, where adding node by node to a copy of
-/// the selection and sorting it (`edd_feasible`) is `O(N log N)` per node.
+/// that prefix and one pass over the result, `O((N + k) log k)` per slave
+/// for `N` selected and `k` nodes.
 std::vector<DeadlineJob> greedy_selection(const Fork& fork, Time t_lim, std::size_t cap) {
   // §6: processors sorted by ascending communication times, ties broken by
   // ascending processing times.

@@ -28,9 +28,9 @@
 /// slave is free, `max(emission + c, slave free)`, where the spider keeps
 /// its planned, as-late-as-possible start.  The earlier start never ends
 /// later, so every deadline still holds; with release dates it can end a
-/// makespan earlier.  The paper's ascending-`c` greedy is kept as
-/// `greedy_max_tasks` for cross-checking and for the heuristic-comparison
-/// experiment.
+/// makespan earlier.  The paper's ascending-`c` greedy is kept
+/// (`greedy_*`, the registry's fork `greedy`) for cross-checking and for the
+/// heuristic-comparison experiment.
 
 namespace mst {
 
