@@ -1,144 +1,188 @@
 #include "mst/schedule/feasibility.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <numeric>
+#include <span>
 #include <sstream>
+#include <type_traits>
 
 namespace mst {
 
 namespace {
 
-std::string fmt1(const char* what, std::size_t i, const std::string& detail) {
-  std::ostringstream os;
-  os << what << " violated by task " << i << ": " << detail;
-  return os.str();
-}
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+constexpr const char* kNegative = "negative start or emission time";
 
-/// Checks that half-open busy intervals `[t, t+len)` taken by the given
-/// (owner, time) pairs never overlap; reports via `label`.
+/// Busy interval `[begin, begin + length)` of one hop of a task.
 struct Interval {
   Time begin;
   Time length;
   std::size_t task;
 };
 
-void check_exclusive(std::vector<Interval> intervals, const char* label,
-                     FeasibilityReport& report) {
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) { return a.begin < b.begin; });
-  for (std::size_t k = 1; k < intervals.size(); ++k) {
-    const Interval& prev = intervals[k - 1];
-    const Interval& cur = intervals[k];
-    if (prev.begin + prev.length > cur.begin) {
-      std::ostringstream os;
-      os << label << ": interval [" << prev.begin << ", " << prev.begin + prev.length
-         << ") of task " << prev.task << " overlaps [" << cur.begin << ", "
-         << cur.begin + cur.length << ") of task " << cur.task;
-      report.add_violation(os.str());
-    }
-  }
-}
-
-/// Workload/task-count consistency shared by every workload-aware check.
-/// Returns false when the counts diverge (per-task checks then use the
-/// uniform defaults to avoid out-of-range lookups).
-bool check_workload_count(std::size_t tasks, const Workload& workload,
-                          FeasibilityReport& report) {
-  if (workload.count() == tasks) return true;
+/// `<what> violated by task <i>: [leg <leg>: ]<detail...>`.
+template <class... Detail>
+std::string violation(const char* what, std::size_t i, std::size_t leg, const Detail&... detail) {
   std::ostringstream os;
-  os << "workload mismatch: schedule holds " << tasks << " task(s), workload describes "
-     << workload.count();
-  report.add_violation(os.str());
-  return false;
+  os << what << " violated by task " << i << ": ";
+  if (leg != kNone) os << "leg " << leg << ": ";
+  (os << ... << detail);
+  return os.str();
 }
 
-/// Release-date gate: the task's master emission must not start early.
-void check_release(Time emission, Time release, std::size_t i, FeasibilityReport& report) {
-  if (emission < release) {
+/// Reports every overlap of neighbouring intervals of one resource, named
+/// `[leg <leg>: ]<label>[ <index>]`, sorting by begin (then task) only when
+/// out of order.
+void check_exclusive(std::span<Interval> bucket, std::size_t leg, const char* label,
+                     std::size_t index, FeasibilityReport& report) {
+  const auto before = [](const Interval& a, const Interval& b) {
+    return a.begin < b.begin || (a.begin == b.begin && a.task < b.task);
+  };
+  if (!std::is_sorted(bucket.begin(), bucket.end(), before)) {
+    std::sort(bucket.begin(), bucket.end(), before);
+  }
+  for (std::size_t k = 1; k < bucket.size(); ++k) {
+    const Interval& prev = bucket[k - 1];
+    const Interval& cur = bucket[k];
+    if (prev.begin + prev.length <= cur.begin) continue;
     std::ostringstream os;
-    os << "master emission " << emission << " precedes release date " << release;
-    report.add_violation(fmt1("release date", i, os.str()));
+    if (leg != kNone) os << "leg " << leg << ": ";
+    os << label;
+    if (index != kNone) os << ' ' << index;
+    os << ": interval [" << prev.begin << ", " << prev.begin + prev.length << ") of task "
+       << prev.task << " overlaps [" << cur.begin << ", " << cur.begin + cur.length
+       << ") of task " << cur.task;
+    report.add_violation(os.str());
   }
 }
 
-/// Shared core for the per-leg chain conditions; `leg_label` annotates
-/// messages when checking inside a spider.  `sizes` scales task `i`'s
-/// communication and execution occupancy (Definition 1 with per-task
-/// durations; all-1 sizes reproduce the identical checks verbatim).
-void check_chain_conditions(const Chain& chain, const std::vector<const ChainTask*>& tasks,
-                            const std::vector<Time>& sizes, const std::string& leg_label,
-                            FeasibilityReport& report) {
-  const std::size_t p = chain.size();
+std::size_t leg_of(const ChainTask&) { return 0; }
+std::size_t leg_of(const SpiderTask& t) { return t.leg; }
 
-  // Structural checks first; skip malformed tasks in the pairwise phase.
-  std::vector<bool> well_formed(tasks.size(), true);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const ChainTask& t = *tasks[i];
-    const Time s = sizes[i];
-    if (t.proc >= p) {
-      report.add_violation(fmt1("structure", i, leg_label + "destination outside the chain"));
-      well_formed[i] = false;
+/// Definition 1 over every hop of a chain (one leg, no message prefix) or
+/// of a spider (per-leg messages prefixed `leg l: ` with leg-local task
+/// indices, then the master's out-port with global ones).  Schedule task
+/// `i` is workload task `i`; on a count mismatch every size is 1.
+template <class Task>
+FeasibilityReport check(std::span<const Chain> legs, const std::vector<Task>& tasks,
+                        const Workload& workload) {
+  constexpr bool kSpider = std::is_same_v<Task, SpiderTask>;
+  const std::size_t n = tasks.size();
+  FeasibilityReport report;
+  const bool aligned = workload.count() == n;
+  if (!aligned) {
+    std::ostringstream os;
+    os << "workload mismatch: schedule holds " << n << " task(s), workload describes "
+       << workload.count();
+    report.add_violation(os.str());
+  }
+  const auto size_of = [&](std::size_t i) { return aligned ? workload.size_of(i) : Time{1}; };
+  // Spider legs and release dates: first for spiders, last for chains.
+  const auto check_legs_and_releases = [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Task& t = tasks[i];
+      if (leg_of(t) >= legs.size()) {
+        report.add_violation(violation("structure", i, kNone, "leg outside the spider"));
+      } else if (aligned && workload.has_release_dates() && !t.emissions.empty() &&
+                 t.emissions[0] < workload.release_of(i)) {
+        report.add_violation(violation("release date", i, kNone, "master emission ",
+                                       t.emissions[0], " precedes release date ",
+                                       workload.release_of(i)));
+      }
+    }
+  };
+  if (kSpider) check_legs_and_releases();
+
+  // Leg `l`'s processor `q` is node `v = first[l] + q + 1`, as in the ASAP engine:
+  // bucket `v - 1`, the link into it `nodes + v - 1`; the master's is last.
+  std::vector<std::size_t> first(legs.size() + 1, 0);
+  for (std::size_t l = 0; l < legs.size(); ++l) first[l + 1] = first[l] + legs[l].size();
+  const std::size_t nodes = first.back();
+  const std::size_t master = 2 * nodes;
+
+  // Counting sort of the hops by bucket, counts two slots up: once placed,
+  // bucket `b` is `hops[at[b], at[b + 1])`, in task order.  A structurally
+  // broken task takes no interval.
+  std::vector<const char*> error(n, nullptr);
+  std::vector<std::size_t> at(master + 3, 0);
+  const auto joins_master = [&](std::size_t i) {
+    return kSpider && error[i] != kNegative && !tasks[i].emissions.empty();
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const Task& t = tasks[i];
+    const std::size_t l = leg_of(t);
+    if (l >= legs.size()) continue;
+    if (t.start < 0 ||
+        std::any_of(t.emissions.begin(), t.emissions.end(), [](Time e) { return e < 0; })) {
+      error[i] = kNegative;
+    } else if (t.proc >= legs[l].size()) {
+      error[i] = "destination outside the chain";
+    } else if (t.emissions.size() != t.proc + 1) {
+      error[i] = "emission vector length does not match destination";
+    }
+    if (joins_master(i)) ++at[master + 2];
+    if (error[i] != nullptr) continue;
+    ++at[first[l] + t.proc + 2];
+    for (std::size_t k = 0; k <= t.proc; ++k) ++at[nodes + first[l] + k + 2];
+  }
+  std::partial_sum(at.begin(), at.end(), at.begin());
+  std::vector<Interval> hops(at.back());
+  const auto place = [&](std::size_t b, Time begin, Time length, std::size_t task) {
+    hops[at[b + 1]++] = Interval{begin, length, task};
+  };
+
+  // Conditions (1) and (2) in task order, held in `pending` until the leg's
+  // buckets are checked; `seen[l]` numbers the tasks within leg `l`.
+  std::vector<std::size_t> seen(legs.size(), 0);
+  std::vector<std::vector<std::string>> pending(legs.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const Task& t = tasks[i];
+    const std::size_t l = leg_of(t);
+    if (l >= legs.size()) continue;
+    const Chain& chain = legs[l];
+    const std::size_t j = seen[l]++;
+    const std::size_t leg = kSpider ? l : kNone;
+    // A first emission holds the master's out-port for the first link's
+    // latency, across all legs.
+    if (joins_master(i)) place(master, t.emissions[0], size_of(i) * chain.comm(0), i);
+    if (error[i] != nullptr) {
+      pending[l].push_back(violation("structure", j, leg, error[i]));
       continue;
     }
-    if (t.emissions.size() != t.proc + 1) {
-      report.add_violation(
-          fmt1("structure", i, leg_label + "emission vector length does not match destination"));
-      well_formed[i] = false;
-      continue;
-    }
-    // Condition (1): store-and-forward along the path.
-    for (std::size_t k = 1; k <= t.proc; ++k) {
-      if (t.emissions[k - 1] + s * chain.comm(k - 1) > t.emissions[k]) {
-        std::ostringstream os;
-        os << leg_label << "C_" << k - 1 << "=" << t.emissions[k - 1]
-           << " + c=" << s * chain.comm(k - 1) << " > C_" << k << "=" << t.emissions[k];
-        report.add_violation(fmt1("condition (1)", i, os.str()));
+    const Time s = size_of(i);
+    place(first[l] + t.proc, t.start, s * chain.work(t.proc), j);
+    for (std::size_t k = 0; k <= t.proc; ++k) {
+      place(nodes + first[l] + k, t.emissions[k], s * chain.comm(k), j);
+      if (k > 0 && t.emissions[k - 1] + s * chain.comm(k - 1) > t.emissions[k]) {
+        pending[l].push_back(violation("condition (1)", j, leg, "C_", k - 1, "=",
+                                       t.emissions[k - 1], " + c=", s * chain.comm(k - 1),
+                                       " > C_", k, "=", t.emissions[k]));
       }
     }
-    // Condition (2): full reception before execution.
-    if (t.emissions.back() + s * chain.comm(t.proc) > t.start) {
-      std::ostringstream os;
-      os << leg_label << "arrival " << t.emissions.back() + s * chain.comm(t.proc) << " > start "
-         << t.start;
-      report.add_violation(fmt1("condition (2)", i, os.str()));
+    const Time arrival = t.emissions.back() + s * chain.comm(t.proc);
+    if (arrival > t.start) {
+      pending[l].push_back(
+          violation("condition (2)", j, leg, "arrival ", arrival, " > start ", t.start));
     }
   }
 
-  // Condition (3): processor exclusivity.
-  for (std::size_t q = 0; q < p; ++q) {
-    std::vector<Interval> busy;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (well_formed[i] && tasks[i]->proc == q) {
-        busy.push_back({tasks[i]->start, sizes[i] * chain.work(q), i});
-      }
+  // Conditions (3) and (4) per processor and per link, then the master.
+  const auto bucket = [&](std::size_t b) {
+    return std::span<Interval>(hops.data() + at[b], hops.data() + at[b + 1]);
+  };
+  for (std::size_t l = 0; l < legs.size(); ++l) {
+    const std::size_t leg = kSpider ? l : kNone;
+    for (std::string& message : pending[l]) report.add_violation(std::move(message));
+    for (std::size_t q = 0; q < legs[l].size(); ++q) {
+      check_exclusive(bucket(first[l] + q), leg, "condition (3) on processor", q, report);
     }
-    std::ostringstream label;
-    label << leg_label << "condition (3) on processor " << q;
-    check_exclusive(std::move(busy), label.str().c_str(), report);
-  }
-
-  // Condition (4): link exclusivity.
-  for (std::size_t k = 0; k < p; ++k) {
-    std::vector<Interval> busy;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (well_formed[i] && tasks[i]->proc >= k) {
-        busy.push_back({tasks[i]->emissions[k], sizes[i] * chain.comm(k), i});
-      }
+    for (std::size_t k = 0; k < legs[l].size(); ++k) {
+      check_exclusive(bucket(nodes + first[l] + k), leg, "condition (4) on link", k, report);
     }
-    std::ostringstream label;
-    label << leg_label << "condition (4) on link " << k;
-    check_exclusive(std::move(busy), label.str().c_str(), report);
   }
-}
-
-/// Per-task sizes of a workload aligned to `count` tasks (all 1 when the
-/// workload is uniform or mismatched).
-std::vector<Time> aligned_sizes(std::size_t count, const Workload& workload, bool aligned) {
-  std::vector<Time> sizes(count, 1);
-  if (aligned && !workload.uniform_sizes()) {
-    for (std::size_t i = 0; i < count; ++i) sizes[i] = workload.size_of(i);
-  }
-  return sizes;
+  check_exclusive(bucket(master), kNone, "master one-port (cross-leg)", kNone, report);
+  if (!kSpider) check_legs_and_releases();
+  return report;
 }
 
 }  // namespace
@@ -156,21 +200,7 @@ FeasibilityReport check_feasibility(const ChainSchedule& schedule) {
 }
 
 FeasibilityReport check_feasibility(const ChainSchedule& schedule, const Workload& workload) {
-  FeasibilityReport report;
-  const bool aligned = check_workload_count(schedule.tasks.size(), workload, report);
-  const std::vector<Time> sizes = aligned_sizes(schedule.tasks.size(), workload, aligned);
-  std::vector<const ChainTask*> ptrs;
-  ptrs.reserve(schedule.tasks.size());
-  for (const ChainTask& t : schedule.tasks) ptrs.push_back(&t);
-  check_chain_conditions(schedule.chain, ptrs, sizes, "", report);
-  if (aligned && workload.has_release_dates()) {
-    for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-      if (!schedule.tasks[i].emissions.empty()) {
-        check_release(schedule.tasks[i].emissions.front(), workload.release_of(i), i, report);
-      }
-    }
-  }
-  return report;
+  return check(std::span(&schedule.chain, 1), schedule.tasks, workload);
 }
 
 FeasibilityReport check_feasibility(const SpiderSchedule& schedule) {
@@ -178,43 +208,7 @@ FeasibilityReport check_feasibility(const SpiderSchedule& schedule) {
 }
 
 FeasibilityReport check_feasibility(const SpiderSchedule& schedule, const Workload& workload) {
-  FeasibilityReport report;
-  const Spider& spider = schedule.spider;
-  const bool aligned = check_workload_count(schedule.tasks.size(), workload, report);
-  const std::vector<Time> sizes = aligned_sizes(schedule.tasks.size(), workload, aligned);
-
-  // Per-leg chain conditions.  Reuse the chain checker by projecting the
-  // spider tasks of each leg onto ChainTask views (and their sizes along).
-  std::vector<std::vector<ChainTask>> leg_tasks(spider.num_legs());
-  std::vector<std::vector<Time>> leg_sizes(spider.num_legs());
-  std::vector<Interval> master_port;
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const SpiderTask& t = schedule.tasks[i];
-    if (t.leg >= spider.num_legs()) {
-      report.add_violation(fmt1("structure", i, "leg outside the spider"));
-      continue;
-    }
-    leg_tasks[t.leg].push_back(ChainTask{t.proc, t.start, t.emissions});
-    leg_sizes[t.leg].push_back(sizes[i]);
-    if (!t.emissions.empty()) {
-      // Master one-port: the emission on the leg's first link occupies the
-      // master for that link's latency.
-      master_port.push_back({t.emissions.front(), sizes[i] * spider.leg(t.leg).comm(0), i});
-      if (aligned && workload.has_release_dates()) {
-        check_release(t.emissions.front(), workload.release_of(i), i, report);
-      }
-    }
-  }
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    std::vector<const ChainTask*> ptrs;
-    ptrs.reserve(leg_tasks[l].size());
-    for (const ChainTask& t : leg_tasks[l]) ptrs.push_back(&t);
-    std::ostringstream label;
-    label << "leg " << l << ": ";
-    check_chain_conditions(spider.leg(l), ptrs, leg_sizes[l], label.str(), report);
-  }
-  check_exclusive(std::move(master_port), "master one-port (cross-leg)", report);
-  return report;
+  return check(std::span(schedule.spider.legs()), schedule.tasks, workload);
 }
 
 }  // namespace mst

@@ -21,12 +21,15 @@
 ///      have `|T(i) - T(j)| >= w_{P(i)}`;
 ///  (4) one communication at a time per link: `|C^i_k - C^j_k| >= c_k`.
 ///
-/// For spiders one more rule applies (§6): the master sends one task at a
-/// time *across all legs*, so first emissions of different legs must not
-/// overlap either.  A fork schedule is the schedule of its unit-leg spider
-/// (`Spider::from_fork`; slave `i` is leg `i`), so the spider checker is
-/// also the fork checker: condition (2) is reception before start, (3)
-/// slave exclusivity, and the cross-leg rule the master's one-port rule.
+/// For spiders (§6) the master also sends one task at a time *across all
+/// legs*.  A fork schedule is its unit-leg spider's (`Spider::from_fork`;
+/// slave `i` is leg `i`), so the spider checker is also the fork checker.
+///
+/// One pass checks them all, a chain being a one-leg spider: a counting
+/// sort puts every hop in its resource's bucket (per processor, per link,
+/// and a spider master's out-port) in `O(Σ hops + p)`, in task order; an
+/// unsorted bucket is sorted by begin, ties in task order.  A negative time
+/// is a structure violation, and such a task takes no interval.
 
 namespace mst {
 
@@ -44,8 +47,8 @@ class FeasibilityReport {
   std::vector<std::string> violations_;
 };
 
-/// Checks conditions (1)-(4) plus structural sanity (vector length matches
-/// destination, destination inside the chain, non-negative times).
+/// Checks conditions (1)-(4) plus structural sanity (non-negative times,
+/// destination inside the chain, vector length matches destination).
 FeasibilityReport check_feasibility(const ChainSchedule& schedule);
 
 /// Chain conditions within every leg + the cross-leg master one-port rule.

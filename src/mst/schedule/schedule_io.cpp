@@ -1,6 +1,9 @@
 #include "mst/schedule/schedule_io.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "mst/common/assert.hpp"
@@ -27,6 +30,7 @@ class Tokens {
   }
 
   [[nodiscard]] bool done() const { return pos_ >= tokens_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return tokens_.size() - pos_; }
 
   std::string next(const char* what) {
     MST_REQUIRE(!done(), std::string("unexpected end of schedule, expected ") + what);
@@ -62,14 +66,10 @@ class Tokens {
     MST_REQUIRE(done(), "trailing input in schedule file: '" + tokens_[pos_] + "'");
   }
 
-  /// Consumes and returns the remaining tokens that belong to the embedded
-  /// platform block: `count` processor pairs plus the header that was
-  /// already validated by the caller.
-  std::string take_platform_block(std::size_t header_tokens, std::size_t pairs) {
+  /// Consumes the `pairs` processor `c w` pairs of the embedded platform.
+  std::string take_pairs(std::size_t pairs) {
     std::ostringstream os;
-    for (std::size_t i = 0; i < header_tokens + 2 * pairs; ++i) {
-      os << next("platform description") << ' ';
-    }
+    for (std::size_t i = 0; i < 2 * pairs; ++i) os << next("platform description") << ' ';
     return os.str();
   }
 
@@ -78,19 +78,32 @@ class Tokens {
   std::size_t pos_ = 0;
 };
 
-void write_task_line(std::ostringstream& os, const ChainTask& t) {
+template <class Task>
+void write_task_line(std::ostream& os, const Task& t) {
   os << t.proc << ' ' << t.start;
   for (Time e : t.emissions) os << ' ' << e;
   os << '\n';
 }
 
-ChainTask parse_task_line(Tokens& toks, std::size_t max_proc) {
+/// Reads task `index`'s line on `chain`.  Each hop's arrival `C_k + c_k`
+/// and the end `T + w` must fit in `Time`, so checks cannot overflow.
+ChainTask parse_task_line(Tokens& toks, const Chain& chain, std::size_t index) {
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  const auto limit = [index](const std::string& what) {
+    return "task " + std::to_string(index) + ": " + what + " exceeds the largest time " +
+           std::to_string(kMax);
+  };
   ChainTask t;
   t.proc = toks.next_index("destination processor");
-  MST_REQUIRE(t.proc < max_proc, "task destination outside the platform");
+  MST_REQUIRE(t.proc < chain.size(), "task destination outside the platform");
   t.start = toks.next_time("start time");
+  MST_REQUIRE(t.start <= kMax - chain.work(t.proc), limit("end T + w"));
   t.emissions.resize(t.proc + 1);
-  for (Time& e : t.emissions) e = toks.next_time("emission time");
+  for (std::size_t k = 0; k <= t.proc; ++k) {
+    t.emissions[k] = toks.next_time("emission time");
+    MST_REQUIRE(t.emissions[k] <= kMax - chain.comm(k),
+                limit("arrival C_k + c_k on link " + std::to_string(k)));
+  }
   return t;
 }
 
@@ -112,11 +125,7 @@ std::string write_schedule(const SpiderSchedule& schedule) {
   os << write_spider(schedule.spider);
   os << "tasks " << schedule.tasks.size() << '\n';
   os << "# leg proc start emissions...\n";
-  for (const SpiderTask& t : schedule.tasks) {
-    os << t.leg << ' ' << t.proc << ' ' << t.start;
-    for (Time e : t.emissions) os << ' ' << e;
-    os << '\n';
-  }
+  for (const SpiderTask& t : schedule.tasks) write_task_line(os << t.leg << ' ', t);
   return os.str();
 }
 
@@ -126,16 +135,13 @@ ChainSchedule parse_chain_schedule(const std::string& text) {
   toks.expect("chain");
   const std::size_t p = toks.next_index("processor count");
   MST_REQUIRE(p >= 1, "chain must have at least one processor");
-  std::ostringstream platform_text;
-  platform_text << "chain " << p << '\n';
-  platform_text << toks.take_platform_block(0, p);
-  const Chain chain = parse_chain(platform_text.str());
+  const Chain chain = parse_chain("chain " + std::to_string(p) + '\n' + toks.take_pairs(p));
 
   toks.expect("tasks");
   const std::size_t n = toks.next_index("task count");
   ChainSchedule schedule{chain, {}};
-  schedule.tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) schedule.tasks.push_back(parse_task_line(toks, p));
+  schedule.tasks.reserve(std::min(n, toks.remaining() / 3));  // a task line has 3+ tokens
+  for (std::size_t i = 0; i < n; ++i) schedule.tasks.push_back(parse_task_line(toks, chain, i));
   toks.expect_end();
   return schedule;
 }
@@ -148,29 +154,23 @@ SpiderSchedule parse_spider_schedule(const std::string& text) {
   MST_REQUIRE(legs >= 1, "spider must have at least one leg");
   std::ostringstream platform_text;
   platform_text << "spider " << legs << '\n';
-  std::vector<std::size_t> leg_sizes;
   for (std::size_t l = 0; l < legs; ++l) {
     toks.expect("leg");
     const std::size_t p = toks.next_index("leg length");
     MST_REQUIRE(p >= 1, "leg must have at least one processor");
-    leg_sizes.push_back(p);
-    platform_text << "leg " << p << '\n' << toks.take_platform_block(0, p) << '\n';
+    platform_text << "leg " << p << '\n' << toks.take_pairs(p) << '\n';
   }
   const Spider spider = parse_spider(platform_text.str());
 
   toks.expect("tasks");
   const std::size_t n = toks.next_index("task count");
   SpiderSchedule schedule{spider, {}};
-  schedule.tasks.reserve(n);
+  schedule.tasks.reserve(std::min(n, toks.remaining() / 4));  // a task line has 4+ tokens
   for (std::size_t i = 0; i < n; ++i) {
-    SpiderTask t;
-    t.leg = toks.next_index("leg");
-    MST_REQUIRE(t.leg < legs, "task leg outside the platform");
-    const ChainTask inner = parse_task_line(toks, leg_sizes[t.leg]);
-    t.proc = inner.proc;
-    t.start = inner.start;
-    t.emissions = inner.emissions;
-    schedule.tasks.push_back(std::move(t));
+    const std::size_t leg = toks.next_index("leg");
+    MST_REQUIRE(leg < legs, "task leg outside the platform");
+    ChainTask t = parse_task_line(toks, spider.leg(leg), i);
+    schedule.tasks.push_back(SpiderTask{leg, t.proc, t.start, std::move(t.emissions)});
   }
   toks.expect_end();
   return schedule;

@@ -26,9 +26,10 @@
 ///     <leg> <proc0based> <start> <emission_0> ...
 ///
 /// `parse_*` performs structural validation only (destination in range,
-/// emission count matches); use `check_feasibility` / `sim::replay` for
-/// semantic validation — keeping the two separate lets tooling load and
-/// report on *infeasible* schedules.
+/// emission count matches, every hop's `C_k + c_k` and the end `T + w` fit
+/// in `Time`); use `check_feasibility` / `sim::replay` for semantic
+/// validation — keeping the two separate lets tooling load and report on
+/// *infeasible* schedules.
 
 namespace mst {
 

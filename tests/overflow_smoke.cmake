@@ -20,6 +20,11 @@
 #   * A baseline whose ASAP timing would pass the largest time (the slow
 #     slave's c + w) is rejected (exit 2) naming the limit, never answered
 #     with a wrapped makespan.
+#   * A schedule file given to `--mode=validate` is bounded at parse: a
+#     hop arrival C + c or an end T + w past the largest time, or a task
+#     count beyond the file's task lines, exits 2 with a message (never a
+#     signed overflow or a bad_alloc); a negative time parses but is a
+#     structure violation (exit 1).
 
 foreach(var MSTCTL WORKDIR)
   if(NOT DEFINED ${var})
@@ -57,6 +62,21 @@ function(rejected name platform expected)
   endif()
 endfunction()
 
+# validate(<name> <schedule text> <expected exit> <expected output regex>)
+function(validate name schedule expected_status expected)
+  set(file ${WORKDIR}/overflow_${name}.txt)
+  file(WRITE ${file} "${schedule}")
+  execute_process(
+    COMMAND ${MSTCTL} --mode=validate --schedule=${file}
+    RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT status EQUAL expected_status)
+    message(FATAL_ERROR "${name}: expected exit ${expected_status}, got ${status}\n${out}${err}")
+  endif()
+  if(NOT "${out}${err}" MATCHES "${expected}")
+    message(FATAL_ERROR "${name}: output does not match \"${expected}\":\n${out}${err}")
+  endif()
+endfunction()
+
 set(solve --mode=solve --algo=optimal --tasks=3)
 run(fork "fork 2\n4000000000000000000 1\n1 1\n" "optimal +yes +4 " ${solve})
 run(spider "spider 2\nleg 1\n4000000000000000000 1\nleg 1\n1 1\n" "optimal +yes +4 " ${solve})
@@ -84,3 +104,16 @@ run(single_node_chain "chain 1\n3000000000000000000 1\n" "single-node +no +30000
     ${one_task})
 run(single_node_spider "spider 1\nleg 1\n3000000000000000000 1\n"
     "single-node +no +3000000000000000001 " ${one_task})
+
+set(max 9223372036854775807)
+validate(validate_arrival "chain_schedule\nchain 1\n5 5\ntasks 1\n0 0 ${max}\n" 2
+         "task 0: arrival C_k \\+ c_k on link 0 exceeds the largest time ${max}")
+validate(validate_end "chain_schedule\nchain 1\n5 1\ntasks 1\n0 ${max} 0\n" 2
+         "task 0: end T \\+ w exceeds the largest time ${max}")
+validate(validate_chain_count "chain_schedule\nchain 1\n5 5\ntasks 100000000000\n0 5 0\n" 2
+         "unexpected end of schedule")
+validate(validate_spider_count
+         "spider_schedule\nspider 1\nleg 1\n5 5\ntasks 999999999999999999\n0 0 5 0\n" 2
+         "unexpected end of schedule")
+validate(validate_negative "chain_schedule\nchain 2\n1 1\n1 1\ntasks 1\n1 5 -7 0\n" 1
+         "structure violated by task 0: negative start or emission time")

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mst/schedule/feasibility.hpp"
 
 namespace mst {
@@ -73,6 +76,21 @@ TEST(Feasibility, DetectsStructuralErrors) {
   EXPECT_FALSE(check_feasibility(wrong_dest).ok());
   ChainSchedule wrong_len{fig2_chain(), {ChainTask{1, 9, {0}}}};
   EXPECT_FALSE(check_feasibility(wrong_len).ok());
+}
+
+TEST(Feasibility, RejectsNegativeTimes) {
+  // Arrival 0 + 1 <= start 5, so only the negative emission is wrong; the
+  // task takes no interval, so the overlapping second task is not flagged.
+  ChainSchedule s{Chain::from_vectors({1, 1}, {1, 1}), {}};
+  s.tasks.push_back(ChainTask{1, 5, {-7, 0}});
+  s.tasks.push_back(ChainTask{1, 5, {0, 1}});
+  EXPECT_EQ(check_feasibility(s).violations(),
+            std::vector<std::string>{
+                "structure violated by task 0: negative start or emission time"});
+  s.tasks[0] = ChainTask{0, -1, {0}};
+  EXPECT_EQ(check_feasibility(s).violations(),
+            std::vector<std::string>{
+                "structure violated by task 0: negative start or emission time"});
 }
 
 TEST(Feasibility, CollectsAllViolations) {
@@ -161,6 +179,18 @@ TEST(SpiderFeasibility, AppliesChainConditionsInsideLegs) {
   const FeasibilityReport report = check_feasibility(s);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("condition (2)"), std::string::npos) << report.summary();
+}
+
+TEST(SpiderFeasibility, RejectsNegativeTimes) {
+  // Task 1 is leg 1's first task (leg-local index 0); it joins neither its
+  // leg's buckets nor the master's out-port, where it would overlap task 0.
+  const Spider spider{fig2_chain(), Chain::from_vectors({4}, {2})};
+  SpiderSchedule s{spider, {}};
+  s.tasks.push_back(SpiderTask{0, 0, 2, {0}});
+  s.tasks.push_back(SpiderTask{1, 0, -3, {1}});
+  EXPECT_EQ(check_feasibility(s).violations(),
+            std::vector<std::string>{
+                "structure violated by task 0: leg 1: negative start or emission time"});
 }
 
 TEST(SpiderFeasibility, DetectsBadLegIndex) {

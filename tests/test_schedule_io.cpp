@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/common/rng.hpp"
@@ -84,6 +87,49 @@ TEST(ScheduleIo, RejectsStructuralErrors) {
   EXPECT_THROW(parse_spider_schedule(
                    "spider_schedule\nspider 1\nleg 1\n2 3\ntasks 1\n3 0 2 0\n"),
                std::invalid_argument);
+  // Task counts far beyond the file's task lines end at the file's end, not
+  // in a reservation of that many slots.
+  for (const char* count : {"100000000000", "999999999999999999"}) {
+    EXPECT_THROW(parse_chain_schedule(std::string("chain_schedule\nchain 1\n2 3\ntasks ") +
+                                      count + "\n0 2 0\n"),
+                 std::invalid_argument)
+        << count;
+    EXPECT_THROW(parse_spider_schedule(
+                     std::string("spider_schedule\nspider 1\nleg 1\n2 3\ntasks ") + count +
+                     "\n0 0 2 0\n"),
+                 std::invalid_argument)
+        << count;
+  }
+}
+
+/// The message of the `invalid_argument` that parsing `text` throws.
+template <class Parse>
+std::string parse_error(Parse parse, const std::string& text) {
+  try {
+    parse(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(ScheduleIo, RejectsTimesPastTheLargestTime) {
+  const std::string max = "9223372036854775807";
+  // Arrival C_0 + c_0 = max + 5.
+  const std::string arrival = parse_error(
+      parse_chain_schedule, "chain_schedule\nchain 1\n5 5\ntasks 1\n0 0 " + max + "\n");
+  EXPECT_NE(arrival.find("task 0: arrival C_k + c_k on link 0 exceeds the largest time " + max),
+            std::string::npos)
+      << arrival;
+  // End T + w = max + 1 on the second task of a spider leg.
+  const std::string end = parse_error(
+      parse_spider_schedule,
+      "spider_schedule\nspider 1\nleg 1\n5 1\ntasks 2\n0 0 5 0\n0 0 " + max + " 5\n");
+  EXPECT_NE(end.find("task 1: end T + w exceeds the largest time " + max), std::string::npos)
+      << end;
+  // The largest times that still fit are accepted.
+  EXPECT_NO_THROW(parse_chain_schedule("chain_schedule\nchain 1\n5 1\ntasks 1\n0 " +
+                                       std::string("9223372036854775806 9223372036854775802\n")));
 }
 
 TEST(ScheduleIo, EmptySchedulesRoundTrip) {

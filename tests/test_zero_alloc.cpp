@@ -18,9 +18,12 @@
 #include "mst/api/registry.hpp"
 #include "mst/api/solve_scratch.hpp"
 #include "mst/common/rng.hpp"
+#include "mst/core/chain_scheduler.hpp"
+#include "mst/core/spider_scheduler.hpp"
 #include "mst/obs/metrics.hpp"
 #include "mst/obs/observation.hpp"
 #include "mst/platform/generator.hpp"
+#include "mst/schedule/feasibility.hpp"
 #include "mst/sim/engine.hpp"
 #include "mst/sim/online.hpp"
 #include "mst/sim/streaming.hpp"
@@ -236,6 +239,38 @@ TEST(SolveZeroAlloc, TreeHeuristicAllocationCountIndependentOfTaskCount) {
   const long small = solve_allocations(tree, "local-search", 24);
   const long large = solve_allocations(tree, "local-search", 48);
   EXPECT_EQ(small, large) << "local-search";
+}
+
+/// Allocations of one check of a feasible library schedule, built outside
+/// the probed window.
+template <class Schedule>
+long check_allocations(const Schedule& schedule) {
+  alloc_probe::Scope probe;
+  const FeasibilityReport report = check_feasibility(schedule);
+  const long count = probe.count();
+  EXPECT_TRUE(report.ok()) << report.summary();
+  return count;
+}
+
+TEST(CheckZeroAlloc, FeasibleCheckAllocationCountIndependentOfSize) {
+  // The checker's buffers (node offsets, task errors, bucket offsets, the
+  // interval array, per-leg counters and message lists) are a fixed set per
+  // call, and a feasible schedule formats no text: 16 times the processors
+  // and tasks add no allocation.
+  Rng rng(10);
+  const GeneratorParams params{4, 8, PlatformClass::kUniform};
+  const long small_chain =
+      check_allocations(ChainScheduler::schedule(random_chain(rng, 16, params), 64));
+  const long large_chain =
+      check_allocations(ChainScheduler::schedule(random_chain(rng, 256, params), 1024));
+  EXPECT_GT(small_chain, 0);
+  EXPECT_EQ(small_chain, large_chain);
+  const long small_spider =
+      check_allocations(SpiderScheduler::schedule(random_spider(rng, 4, 4, 4, params), 64));
+  const long large_spider =
+      check_allocations(SpiderScheduler::schedule(random_spider(rng, 16, 16, 16, params), 1024));
+  EXPECT_GT(small_spider, 0);
+  EXPECT_EQ(small_spider, large_spider);
 }
 
 }  // namespace
