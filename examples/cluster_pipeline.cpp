@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
   const ChainSchedule plan = ChainScheduler::schedule(pipeline, tasks);
   std::cout << "optimal makespan: " << plan.makespan() << " s\n";
   std::cout << "lower bound:      " << chain_makespan_lower_bound(pipeline, tasks) << " s\n";
-  std::cout << "single best node: " << single_node_chain_makespan(pipeline, tasks) << " s\n";
-  std::cout << "forward greedy:   " << forward_greedy_chain_makespan(pipeline, tasks) << " s\n\n";
+  const Workload batch = Workload::identical(tasks);
+  std::cout << "single best node: " << single_node(pipeline, batch).makespan() << " s\n";
+  std::cout << "forward greedy:   " << forward_greedy(pipeline, batch).makespan() << " s\n\n";
 
   const ChainUtilization util = compute_utilization(plan);
   Table table({"stage", "tasks", "cpu busy %", "uplink busy %"});

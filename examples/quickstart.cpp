@@ -49,9 +49,9 @@ int main() {
   }
 
   // Compare against what a naive dispatcher would do.
-  std::cout << "\nround-robin would need: " << round_robin_spider_makespan(spider, 8) << "\n";
-  std::cout << "forward greedy would need: " << forward_greedy_spider_makespan(spider, 8)
-            << "\n";
+  const Workload eight = Workload::identical(8);
+  std::cout << "\nround-robin would need: " << round_robin(spider, eight).makespan() << "\n";
+  std::cout << "forward greedy would need: " << forward_greedy(spider, eight).makespan() << "\n";
   std::cout << "steady-state rate bound: " << spider_steady_state_rate(spider)
             << " tasks/unit\n";
   return 0;

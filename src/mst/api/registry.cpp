@@ -29,10 +29,6 @@
 
 namespace mst::api {
 
-// The Platform variant and its kind helpers moved to the platform layer
-// (src/mst/platform/any.cpp); `registry.hpp` re-exports them into this
-// namespace.
-
 namespace {
 
 // Platform-kind check with an error message naming the algorithm, so a
@@ -42,25 +38,6 @@ void require_kind(const Platform& platform, const char* algorithm, PlatformKind 
   if (kind_of(platform) == kind) return;
   throw std::invalid_argument(std::string(algorithm) + ": expected a " + to_string(kind) +
                               " platform, got " + to_string(kind_of(platform)));
-}
-
-template <typename T>
-const T& expect(const Platform& platform, const char* algorithm, PlatformKind kind) {
-  require_kind(platform, algorithm, kind);
-  return std::get<T>(platform);
-}
-
-const Chain& expect_chain(const Platform& p, const char* a) {
-  return expect<Chain>(p, a, PlatformKind::kChain);
-}
-const Fork& expect_fork(const Platform& p, const char* a) {
-  return expect<Fork>(p, a, PlatformKind::kFork);
-}
-const Spider& expect_spider(const Platform& p, const char* a) {
-  return expect<Spider>(p, a, PlatformKind::kSpider);
-}
-const Tree& expect_tree(const Platform& p, const char* a) {
-  return expect<Tree>(p, a, PlatformKind::kTree);
 }
 
 void require_tasks(std::size_t n) {
@@ -238,9 +215,6 @@ FeasibilityReport check_feasibility(const DecisionResult& result) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry mechanics
-
-// ---------------------------------------------------------------------------
 // Scheduler defaults: decision form by makespan inversion
 
 DecisionResult Scheduler::solve_within(const Platform& platform, Time deadline,
@@ -337,14 +311,16 @@ auto with_scratch(const SolveOptions& options, Fn&& fn) {
 
 /// Adapts callables to the Scheduler interface (used by both lambda
 /// overloads of Registry::add and by every built-in registration below).
-/// Enforces the `materialize` contract, the workload capability gate and
-/// the task limit centrally, so individual registrations cannot forget
-/// any of them.
+/// Enforces the platform kind, the `materialize` contract, the workload
+/// capability gate and the task limit centrally, so individual
+/// registrations cannot forget any of them — and every callable may take
+/// its platform alternative with `std::get`.
 class FunctionScheduler final : public Scheduler {
  public:
-  FunctionScheduler(std::string name, WorkloadFeatures supports, Registry::SolveFn solve_fn,
-                    Registry::DecisionFn within_fn)
-      : name_(std::move(name)),
+  FunctionScheduler(PlatformKind kind, std::string name, WorkloadFeatures supports,
+                    Registry::SolveFn solve_fn, Registry::DecisionFn within_fn)
+      : kind_(kind),
+        name_(std::move(name)),
         supports_(supports),
         solve_fn_(std::move(solve_fn)),
         within_fn_(std::move(within_fn)) {}
@@ -353,6 +329,7 @@ class FunctionScheduler final : public Scheduler {
 
   [[nodiscard]] SolveResult solve(const Platform& platform, const Workload& workload,
                                   const SolveOptions& options) const override {
+    require_kind(platform, name_.c_str(), kind_);
     require_supported(name_, supports_, workload.features());
     require_within_cap(workload, options);
     return with_scratch(options, [&](const SolveOptions& scoped) {
@@ -371,6 +348,9 @@ class FunctionScheduler final : public Scheduler {
 
   [[nodiscard]] DecisionResult solve_within(const Platform& platform, Time deadline,
                                             const SolveOptions& options) const override {
+    // Before the makespan-inversion adapter, whose empty-window early
+    // return would otherwise answer for a platform of another kind.
+    require_kind(platform, name_.c_str(), kind_);
     if (options.workload != nullptr) {
       require_supported(name_, supports_, options.workload->features());
     }
@@ -386,6 +366,7 @@ class FunctionScheduler final : public Scheduler {
   }
 
  private:
+  PlatformKind kind_;
   std::string name_;
   WorkloadFeatures supports_;
   Registry::SolveFn solve_fn_;
@@ -420,7 +401,7 @@ void Registry::add(AlgorithmInfo info,
 void Registry::add(AlgorithmInfo info, SolveFn solve_fn, DecisionFn within_fn) {
   if (solve_fn == nullptr) throw std::invalid_argument("registry: null solve function");
   auto scheduler = std::make_shared<const FunctionScheduler>(
-      info.name, info.supports, std::move(solve_fn), std::move(within_fn));
+      info.kind, info.name, info.supports, std::move(solve_fn), std::move(within_fn));
   add(std::move(info), std::move(scheduler));
 }
 
@@ -552,19 +533,27 @@ SolveResult make_result(const char* algorithm, PlatformKind kind, std::size_t ta
 // call — argument evaluation order is unspecified, so `schedule.makespan()`
 // must not race the `std::move(schedule)` argument.  Task `i` of the
 // schedule is task `i` of `w`; the makespan scales its work by its size.
-SolveResult chain_result(const char* algorithm, ChainSchedule schedule, const Workload& w,
-                         bool optimal) {
+SolveResult shape_result(const char* algorithm, PlatformKind kind, ChainSchedule schedule,
+                         const Workload& w, bool optimal) {
   const Time lb = chain_makespan_lower_bound(schedule.chain, w.count());
   const Time makespan = schedule.makespan(w);
-  return make_result(algorithm, PlatformKind::kChain, w.count(), makespan, lb, optimal,
-                     std::move(schedule));
+  return make_result(algorithm, kind, w.count(), makespan, lb, optimal, std::move(schedule));
 }
 
-SolveResult spider_result(const char* algorithm, PlatformKind kind, SpiderSchedule schedule,
-                          const Workload& w, bool optimal) {
+SolveResult shape_result(const char* algorithm, PlatformKind kind, SpiderSchedule schedule,
+                         const Workload& w, bool optimal) {
   const Time lb = spider_makespan_lower_bound(schedule.spider, w.count());
   const Time makespan = schedule.makespan(w);
   return make_result(algorithm, kind, w.count(), makespan, lb, optimal, std::move(schedule));
+}
+
+/// Runs `fn` on the platform's shape: the chain, the fork's unit-leg spider
+/// (the paper solves a fork as that spider, sections 6-7) or the spider.
+template <typename Fn>
+auto on_shape(const Platform& platform, Fn&& fn) {
+  if (const auto* chain = std::get_if<Chain>(&platform)) return fn(*chain);
+  if (const auto* fork = std::get_if<Fork>(&platform)) return fn(Spider::from_fork(*fork));
+  return fn(std::get<Spider>(platform));
 }
 
 DecisionResult make_decision(const char* algorithm, PlatformKind kind, Time deadline,
@@ -652,24 +641,22 @@ DecisionResult horizon_decision(PlatformKind kind, const Topology& topology, Tim
 /// Decision form of the exhaustive oracles: exact count from the monotone
 /// makespan staircase, optionally materialized as the optimal schedule of
 /// that count (its makespan fits the window by definition of the count).
-template <typename Topology, typename Schedule>
-DecisionResult brute_force_decision(PlatformKind kind, const Topology& topology, Time deadline,
-                                    const SolveOptions& options,
-                                    std::size_t (*max_tasks)(const Topology&, Time, std::size_t),
-                                    Schedule (*schedule_of)(const Topology&, std::size_t),
-                                    Time (*makespan_of)(const Topology&, std::size_t)) {
+template <typename Shape>
+DecisionResult brute_force_decision(PlatformKind kind, const Shape& shape, Time deadline,
+                                    const SolveOptions& options) {
   const Workload* pool = pool_of(options);
   const std::size_t cap = decision_cap(options, pool);
-  const std::size_t tasks = deadline > 0 && cap > 0 ? max_tasks(topology, deadline, cap) : 0;
+  const std::size_t tasks =
+      deadline > 0 && cap > 0 ? brute_force_max_tasks(shape, deadline, cap) : 0;
   Time makespan = 0;
   AnySchedule payload;
   if (tasks > 0) {
     if (options.materialize) {
-      Schedule schedule = schedule_of(topology, tasks);
+      auto schedule = brute_force_schedule(shape, tasks);
       makespan = schedule.makespan();
       payload = std::move(schedule);
     } else {
-      makespan = makespan_of(topology, tasks);
+      makespan = brute_force_makespan(shape, tasks);
     }
   }
   return make_decision("brute-force", kind, deadline, tasks, makespan,
@@ -690,7 +677,6 @@ void register_streaming(Registry& r, PlatformKind k, const char* name, const cha
   r.add({k, name, summary, /*optimal=*/false, /*exponential=*/false, supports},
         [k, name](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          require_kind(p, name, k);
           // The plan lives in the pooled dispatch, as for every tree entry: a
           // tree platform copies into its warm capacity.
           TreeDispatch& pooled = opts.scratch->tree_pool;
@@ -716,70 +702,86 @@ void register_replan(Registry& r, PlatformKind k) {
                      kReleaseStreaming);
 }
 
+/// Registers one ASAP-engine baseline for an exact kind: `policy(shape, w)`
+/// runs on whatever `on_shape` hands it.
+template <typename Policy>
+void add_engine_baseline(Registry& r, PlatformKind k, const char* name, const char* summary,
+                         Policy policy) {
+  r.add({k, name, summary, /*optimal=*/false, /*exponential=*/false, kSizesAndRelease},
+        [k, name, policy](const Platform& p, const Workload& w, const SolveOptions&) {
+          require_tasks(w);
+          return on_shape(p, [&](const auto& shape) {
+            return shape_result(name, k, policy(shape, w), w, /*optimal=*/false);
+          });
+        },
+        nullptr);
+}
+
+/// The forward-greedy, round-robin and single-node baselines, registered
+/// the same way for chains, forks and spiders.
+void register_engine_baselines(Registry& r, PlatformKind k) {
+  add_engine_baseline(r, k, "forward-greedy", "earliest-completion-time list scheduling",
+                      [](const auto& shape, const Workload& w) {
+                        return forward_greedy(shape, w);
+                      });
+  add_engine_baseline(r, k, "round-robin", "heterogeneity-blind cyclic dispatch",
+                      [](const auto& shape, const Workload& w) { return round_robin(shape, w); });
+  const char* pipeline_summary =
+      k == PlatformKind::kChain  ? "best single-processor pipeline (generalized T-infinity)"
+      : k == PlatformKind::kFork ? "best single-slave pipeline"
+                                 : "best single-processor pipeline over all legs";
+  add_engine_baseline(r, k, "single-node", pipeline_summary,
+                      [](const auto& shape, const Workload& w) { return single_node(shape, w); });
+}
+
+/// The exhaustive oracle of an exact kind, identical workloads only.
+void register_brute_force(Registry& r, PlatformKind k) {
+  r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
+         /*exponential=*/true, WorkloadFeatures{}},
+        [k](const Platform& p, const Workload& w, const SolveOptions&) {
+          require_tasks(w);
+          return on_shape(p, [&](const auto& shape) {
+            return shape_result("brute-force", k, brute_force_schedule(shape, w.count()), w,
+                                /*optimal=*/true);
+          });
+        },
+        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
+          return on_shape(p, [&](const auto& shape) {
+            return brute_force_decision(k, shape, deadline, opts);
+          });
+        });
+}
+
 void register_chain_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kChain;
   r.add({k, "optimal", "backward construction, Theorem 1 (O(n*p))", /*optimal=*/true,
          /*exponential=*/false, kReleaseOnly},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
+        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          const Chain& chain = expect_chain(p, "optimal");
+          const Chain& chain = std::get<Chain>(p);
           // Identical workloads run the classic construction; release dates
           // anchor it at the minimal feasible horizon instead.
           ChainSchedule& pooled = opts.scratch->chain_pool;
           ChainScheduler::schedule_into(chain, w, opts.scratch->chain, pooled);
-          return chain_result("optimal", std::move(pooled), w, true);
+          return shape_result("optimal", k, std::move(pooled), w, true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return horizon_decision<ChainScheduler>(k, expect_chain(p, "optimal"), deadline, opts,
+          return horizon_decision<ChainScheduler>(k, std::get<Chain>(p), deadline, opts,
                                                   opts.scratch->chain, opts.scratch->chain,
                                                   opts.scratch->chain_pool);
         });
-  r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Chain& chain = expect_chain(p, "forward-greedy");
-          return chain_result("forward-greedy", forward_greedy_chain(chain, w), w, false);
-        },
-        nullptr);
-  r.add({k, "round-robin", "heterogeneity-blind cyclic dispatch", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Chain& chain = expect_chain(p, "round-robin");
-          return chain_result("round-robin", round_robin_chain(chain, w), w, false);
-        },
-        nullptr);
-  r.add({k, "single-node", "best single-processor pipeline (generalized T-infinity)",
-         /*optimal=*/false, /*exponential=*/false, kSizesAndRelease},
-        [](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Chain& chain = expect_chain(p, "single-node");
-          return chain_result("single-node", single_node_chain(chain, w), w, false);
-        },
-        nullptr);
+  register_engine_baselines(r, k);
   r.add({k, "periodic", "bandwidth-centric periodic pattern, ASAP prefix", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
-        [](const Platform& p, std::size_t n) {
+        [k](const Platform& p, std::size_t n) {
           require_tasks(n);
-          const Chain& chain = expect_chain(p, "periodic");
+          const Chain& chain = std::get<Chain>(p);
           // The first `n` destinations of the repeated periodic block, ASAP.
-          return chain_result("periodic",
+          return shape_result("periodic", k,
                               asap_chain_schedule(chain, chain_periodic_destinations(chain, n)),
                               Workload::identical(n), false);
         });
-  r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
-         /*exponential=*/true, WorkloadFeatures{}},
-        [](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Chain& chain = expect_chain(p, "brute-force");
-          return chain_result("brute-force", brute_force_chain_schedule(chain, w.count()), w, true);
-        },
-        [](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return brute_force_decision(PlatformKind::kChain, expect_chain(p, "brute-force"),
-                                      deadline, opts, brute_force_chain_max_tasks,
-                                      brute_force_chain_schedule, brute_force_chain_makespan);
-        });
+  register_brute_force(r, k);
   register_replan(r, k);
 }
 
@@ -789,7 +791,7 @@ void register_fork_algorithms(Registry& r) {
          /*exponential=*/false, kReleaseOnly},
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          const Fork& fork = expect_fork(p, "optimal");
+          const Fork& fork = std::get<Fork>(p);
           SpiderSchedule& pooled = opts.scratch->spider_pool;
           ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
           const Time lb =
@@ -798,7 +800,7 @@ void register_fork_algorithms(Registry& r) {
           return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Fork& fork = expect_fork(p, "optimal");
+          const Fork& fork = std::get<Fork>(p);
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
@@ -817,12 +819,12 @@ void register_fork_algorithms(Registry& r) {
          /*exponential=*/false, WorkloadFeatures{}},
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
           require_tasks(w);
-          const Fork& fork = expect_fork(p, "greedy");
-          return spider_result("greedy", k, ForkScheduler::greedy_schedule(fork, w.count()), w,
-                               false);
+          const Fork& fork = std::get<Fork>(p);
+          return shape_result("greedy", k, ForkScheduler::greedy_schedule(fork, w.count()), w,
+                              false);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Fork& fork = expect_fork(p, "greedy");
+          const Fork& fork = std::get<Fork>(p);
           if (deadline <= 0) return make_decision("greedy", k, deadline, 0, 0, false, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
@@ -830,48 +832,8 @@ void register_fork_algorithms(Registry& r) {
           return decision_from_schedule("greedy", k, deadline, /*optimal=*/false, cap, pool,
                                         schedule);
         });
-  r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Fork& fork = expect_fork(p, "forward-greedy");
-          return spider_result("forward-greedy", k,
-                               forward_greedy_spider(Spider::from_fork(fork), w), w, false);
-        },
-        nullptr);
-  r.add({k, "round-robin", "heterogeneity-blind cyclic dispatch", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Fork& fork = expect_fork(p, "round-robin");
-          return spider_result("round-robin", k,
-                               round_robin_spider(Spider::from_fork(fork), w), w, false);
-        },
-        nullptr);
-  r.add({k, "single-node", "best single-slave pipeline", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Fork& fork = expect_fork(p, "single-node");
-          return spider_result("single-node", k,
-                               single_node_spider(Spider::from_fork(fork), w), w, false);
-        },
-        nullptr);
-  r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
-         /*exponential=*/true, WorkloadFeatures{}},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Fork& fork = expect_fork(p, "brute-force");
-          return spider_result("brute-force", k,
-                               brute_force_spider_schedule(Spider::from_fork(fork), w.count()),
-                               w, true);
-        },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Fork& fork = expect_fork(p, "brute-force");
-          return brute_force_decision(k, Spider::from_fork(fork), deadline, opts,
-                                      brute_force_spider_max_tasks, brute_force_spider_schedule,
-                                      brute_force_spider_makespan);
-        });
+  register_engine_baselines(r, k);
+  register_brute_force(r, k);
   register_replan(r, k);
 }
 
@@ -881,7 +843,7 @@ void register_spider_algorithms(Registry& r) {
          /*exponential=*/false, kReleaseOnly},
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          const Spider& spider = expect_spider(p, "optimal");
+          const Spider& spider = std::get<Spider>(p);
           SpiderSchedule& pooled = opts.scratch->spider_pool;
           SpiderScheduler::schedule_into(spider, w, opts.scratch->spider, pooled);
           const Time lb = spider_makespan_lower_bound(spider, w.count(), opts.scratch->bound);
@@ -889,47 +851,12 @@ void register_spider_algorithms(Registry& r) {
           return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return horizon_decision<SpiderScheduler>(k, expect_spider(p, "optimal"), deadline,
-                                                   opts, opts.scratch->spider.count,
+          return horizon_decision<SpiderScheduler>(k, std::get<Spider>(p), deadline, opts,
+                                                   opts.scratch->spider.count,
                                                    opts.scratch->spider, opts.scratch->spider_pool);
         });
-  r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Spider& spider = expect_spider(p, "forward-greedy");
-          return spider_result("forward-greedy", k, forward_greedy_spider(spider, w), w, false);
-        },
-        nullptr);
-  r.add({k, "round-robin", "heterogeneity-blind cyclic dispatch", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Spider& spider = expect_spider(p, "round-robin");
-          return spider_result("round-robin", k, round_robin_spider(spider, w), w, false);
-        },
-        nullptr);
-  r.add({k, "single-node", "best single-processor pipeline over all legs", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Spider& spider = expect_spider(p, "single-node");
-          return spider_result("single-node", k, single_node_spider(spider, w), w, false);
-        },
-        nullptr);
-  r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
-         /*exponential=*/true, WorkloadFeatures{}},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Spider& spider = expect_spider(p, "brute-force");
-          return spider_result("brute-force", k, brute_force_spider_schedule(spider, w.count()),
-                               w, true);
-        },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return brute_force_decision(k, expect_spider(p, "brute-force"), deadline, opts,
-                                      brute_force_spider_max_tasks, brute_force_spider_schedule,
-                                      brute_force_spider_makespan);
-        });
+  register_engine_baselines(r, k);
+  register_brute_force(r, k);
   register_replan(r, k);
 }
 
@@ -943,7 +870,7 @@ void register_tree_algorithms(Registry& r) {
          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          const Tree& tree = expect_tree(p, "spider-cover");
+          const Tree& tree = std::get<Tree>(p);
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
           Time makespan = 0;
@@ -957,7 +884,7 @@ void register_tree_algorithms(Registry& r) {
          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          const Tree& tree = expect_tree(p, "forward-greedy");
+          const Tree& tree = std::get<Tree>(p);
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
           TreeAsapState state(tree);  // tree-shaped, so n-independent
@@ -971,7 +898,7 @@ void register_tree_algorithms(Registry& r) {
          /*exponential=*/false, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          const Tree& tree = expect_tree(p, "local-search");
+          const Tree& tree = std::get<Tree>(p);
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
           TreeAsapState state(tree);

@@ -280,7 +280,9 @@ class Registry {
   void add(AlgorithmInfo info, std::function<SolveResult(const Platform&, std::size_t)> fn);
 
   /// Options-aware registration, with an optional native decision form
-  /// (pass `nullptr` to keep the adapter).
+  /// (pass `nullptr` to keep the adapter).  Both callable forms only ever
+  /// see a platform of `info.kind`: any other kind is rejected first, in
+  /// both the makespan and the decision form.
   void add(AlgorithmInfo info, SolveFn solve_fn, DecisionFn within_fn);
 
   /// Lookup; null when absent.

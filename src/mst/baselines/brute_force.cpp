@@ -24,40 +24,24 @@ NextNode follow(const std::vector<NodeId>& nodes) {
 
 }  // namespace
 
-Time brute_force_chain_makespan(const Chain& chain, std::size_t n) {
+Time brute_force_makespan(const Chain& chain, std::size_t n) {
   TreeAsapState state(chain);
   return brute_force_makespan(state, n);
 }
 
-ChainSchedule brute_force_chain_schedule(const Chain& chain, std::size_t n) {
-  const std::vector<NodeId> best = optimal_sequence(chain, n);
-  return asap_chain_replay(chain, Workload::identical(n), follow(best));
-}
-
-Time brute_force_spider_makespan(const Spider& spider, std::size_t n) {
+Time brute_force_makespan(const Spider& spider, std::size_t n) {
   TreeAsapState state(spider);
   return brute_force_makespan(state, n);
 }
 
-SpiderSchedule brute_force_spider_schedule(const Spider& spider, std::size_t n) {
+ChainSchedule brute_force_schedule(const Chain& chain, std::size_t n) {
+  const std::vector<NodeId> best = optimal_sequence(chain, n);
+  return asap_chain_replay(chain, Workload::identical(n), follow(best));
+}
+
+SpiderSchedule brute_force_schedule(const Spider& spider, std::size_t n) {
   const std::vector<NodeId> best = optimal_sequence(spider, n);
   return asap_spider_replay(spider, Workload::identical(n), follow(best));
-}
-
-Time brute_force_fork_makespan(const Fork& fork, std::size_t n) {
-  return brute_force_spider_makespan(Spider::from_fork(fork), n);
-}
-
-std::size_t brute_force_chain_max_tasks(const Chain& chain, Time t_lim, std::size_t cap) {
-  std::size_t count = 0;
-  while (count < cap && brute_force_chain_makespan(chain, count + 1) <= t_lim) ++count;
-  return count;
-}
-
-std::size_t brute_force_spider_max_tasks(const Spider& spider, Time t_lim, std::size_t cap) {
-  std::size_t count = 0;
-  while (count < cap && brute_force_spider_makespan(spider, count + 1) <= t_lim) ++count;
-  return count;
 }
 
 }  // namespace mst

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstddef>
-
 #include "mst/platform/chain.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -9,8 +7,10 @@
 #include "mst/workload/workload.hpp"
 
 /// \file forward_greedy.hpp
-/// Earliest-completion-time list scheduling — the natural *forward*
-/// heuristic the paper's backward construction competes against.
+/// `forward_greedy(shape, workload)`: earliest-completion-time list
+/// scheduling on a chain or a spider — the natural *forward* heuristic the
+/// paper's backward construction competes against.  A fork runs as its
+/// unit-leg spider (`Spider::from_fork`).
 ///
 /// Tasks are dispatched one at a time; each picks the destination whose
 /// ASAP completion time is smallest (ties toward the nearer processor).
@@ -20,16 +20,10 @@
 
 namespace mst {
 
-ChainSchedule forward_greedy_chain(const Chain& chain, std::size_t n);
-SpiderSchedule forward_greedy_spider(const Spider& spider, std::size_t n);
-
-Time forward_greedy_chain_makespan(const Chain& chain, std::size_t n);
-Time forward_greedy_spider_makespan(const Spider& spider, std::size_t n);
-
-/// Workload forms: tasks are dispatched in canonical workload order, each
-/// picking the destination with the earliest size-scaled, release-gated
-/// ASAP completion.  The `n` forms are these on `Workload::identical(n)`.
-ChainSchedule forward_greedy_chain(const Chain& chain, const Workload& workload);
-SpiderSchedule forward_greedy_spider(const Spider& spider, const Workload& workload);
+/// Tasks are dispatched in canonical workload order, each picking the
+/// destination with the earliest size-scaled, release-gated ASAP completion;
+/// `Workload::identical(n)` gives the identical-task schedule.
+ChainSchedule forward_greedy(const Chain& chain, const Workload& workload);
+SpiderSchedule forward_greedy(const Spider& spider, const Workload& workload);
 
 }  // namespace mst

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstddef>
-
 #include "mst/platform/chain.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -9,7 +7,9 @@
 #include "mst/workload/workload.hpp"
 
 /// \file round_robin.hpp
-/// Round-robin dispatch — the heterogeneity-blind baseline.
+/// `round_robin(shape, workload)`: round-robin dispatch on a chain or a
+/// spider — the heterogeneity-blind baseline.  A fork runs as its unit-leg
+/// spider (`Spider::from_fork`).
 ///
 /// Tasks cycle over the processors in index order with ASAP timing.  On a
 /// heterogeneous platform this both overloads slow processors and starves
@@ -18,16 +18,9 @@
 
 namespace mst {
 
-ChainSchedule round_robin_chain(const Chain& chain, std::size_t n);
-SpiderSchedule round_robin_spider(const Spider& spider, std::size_t n);
-
-/// Workload forms: the cyclic destination sequence is unchanged (round
-/// robin is blind to sizes and releases by definition); timing is the
-/// size-scaled, release-gated ASAP placement.
-ChainSchedule round_robin_chain(const Chain& chain, const Workload& workload);
-SpiderSchedule round_robin_spider(const Spider& spider, const Workload& workload);
-
-Time round_robin_chain_makespan(const Chain& chain, std::size_t n);
-Time round_robin_spider_makespan(const Spider& spider, std::size_t n);
+/// The cyclic destination sequence ignores sizes and releases by
+/// definition; timing is the size-scaled, release-gated ASAP placement.
+ChainSchedule round_robin(const Chain& chain, const Workload& workload);
+SpiderSchedule round_robin(const Spider& spider, const Workload& workload);
 
 }  // namespace mst

@@ -29,27 +29,11 @@ Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workl
 
 }  // namespace
 
-ChainSchedule single_node_chain(const Chain& chain, std::size_t n) {
-  return single_node_chain(chain, Workload::identical(n));
-}
-
-Time single_node_chain_makespan(const Chain& chain, std::size_t n) {
-  return single_node_chain(chain, n).makespan();
-}
-
-SpiderSchedule single_node_spider(const Spider& spider, std::size_t n) {
-  return single_node_spider(spider, Workload::identical(n));
-}
-
-Time single_node_spider_makespan(const Spider& spider, std::size_t n) {
-  return single_node_spider(spider, n).makespan();
-}
-
-ChainSchedule single_node_chain(const Chain& chain, const Workload& workload) {
+ChainSchedule single_node(const Chain& chain, const Workload& workload) {
   return best_pipeline(chain, chain.size(), workload, asap_chain_replay);
 }
 
-SpiderSchedule single_node_spider(const Spider& spider, const Workload& workload) {
+SpiderSchedule single_node(const Spider& spider, const Workload& workload) {
   return best_pipeline(spider, spider.num_processors(), workload, asap_spider_replay);
 }
 

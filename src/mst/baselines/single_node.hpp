@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstddef>
-
 #include "mst/platform/chain.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -9,7 +7,9 @@
 #include "mst/workload/workload.hpp"
 
 /// \file single_node.hpp
-/// Best-single-processor baseline — the generalization of the paper's `T∞`.
+/// `single_node(shape, workload)`: the best-single-processor baseline on a
+/// chain or a spider — the generalization of the paper's `T∞`.  A fork runs
+/// as its unit-leg spider (`Spider::from_fork`).
 ///
 /// All `n` tasks are pipelined to one processor; the best such processor is
 /// chosen by exact evaluation.  The paper's `T∞ = c_1 + (n-1)·max(w_1,c_1)
@@ -19,18 +19,10 @@
 
 namespace mst {
 
-/// Best single-processor schedule on a chain (ASAP pipeline to the
-/// minimizing processor).
-ChainSchedule single_node_chain(const Chain& chain, std::size_t n);
-Time single_node_chain_makespan(const Chain& chain, std::size_t n);
-
-/// Best single-processor schedule over all legs of a spider.
-SpiderSchedule single_node_spider(const Spider& spider, std::size_t n);
-Time single_node_spider_makespan(const Spider& spider, std::size_t n);
-
-/// Workload forms: the whole workload pipelines to the single processor
-/// minimizing the size-scaled, release-gated ASAP makespan.
-ChainSchedule single_node_chain(const Chain& chain, const Workload& workload);
-SpiderSchedule single_node_spider(const Spider& spider, const Workload& workload);
+/// The whole workload pipelines to the single processor (over every leg of
+/// a spider) minimizing the size-scaled, release-gated ASAP makespan, ties
+/// toward the nearer processor.
+ChainSchedule single_node(const Chain& chain, const Workload& workload);
+SpiderSchedule single_node(const Spider& spider, const Workload& workload);
 
 }  // namespace mst

@@ -100,9 +100,9 @@ foreach(algo forward-greedy single-node round-robin)
            --mode=solve --algo=${algo} --tasks=3)
 endforeach()
 set(one_task --mode=solve --algo=single-node --tasks=1)
-run(single_node_chain "chain 1\n3000000000000000000 1\n" "single-node +no +3000000000000000001 "
+run(chain_single_node "chain 1\n3000000000000000000 1\n" "single-node +no +3000000000000000001 "
     ${one_task})
-run(single_node_spider "spider 1\nleg 1\n3000000000000000000 1\n"
+run(spider_single_node "spider 1\nleg 1\n3000000000000000000 1\n"
     "single-node +no +3000000000000000001 " ${one_task})
 
 set(max 9223372036854775807)

@@ -1,8 +1,10 @@
 // Tests of the baseline schedulers: ASAP executor, brute force sanity,
-// forward greedy, round robin and single node.
+// forward greedy, round robin and single node, and the relations between
+// their chain, spider and fork forms.
 
 #include <gtest/gtest.h>
 
+#include "mst/api/registry.hpp"
 #include "mst/baselines/asap.hpp"
 #include "mst/baselines/brute_force.hpp"
 #include "mst/baselines/forward_greedy.hpp"
@@ -65,31 +67,31 @@ TEST(Asap, RejectsBadDestinations) {
 
 TEST(BruteForce, TrivialInstances) {
   const Chain one = Chain::from_vectors({2}, {3});
-  EXPECT_EQ(brute_force_chain_makespan(one, 1), 5);
-  EXPECT_EQ(brute_force_chain_makespan(one, 3), one.t_infinity(3));
-  EXPECT_THROW(brute_force_chain_makespan(one, 0), std::invalid_argument);
+  EXPECT_EQ(brute_force_makespan(one, 1), 5);
+  EXPECT_EQ(brute_force_makespan(one, 3), one.t_infinity(3));
+  EXPECT_THROW(brute_force_makespan(one, 0), std::invalid_argument);
 }
 
 TEST(BruteForce, ScheduleMatchesReportedMakespan) {
   const Chain chain = fig2_chain();
   for (std::size_t n = 1; n <= 5; ++n) {
-    const ChainSchedule s = brute_force_chain_schedule(chain, n);
-    EXPECT_EQ(s.makespan(), brute_force_chain_makespan(chain, n));
+    const ChainSchedule s = brute_force_schedule(chain, n);
+    EXPECT_EQ(s.makespan(), brute_force_makespan(chain, n));
     EXPECT_TRUE(check_feasibility(s).ok()) << check_feasibility(s).summary();
   }
   const Spider spider{fig2_chain(), Chain::from_vectors({4}, {2})};
   for (std::size_t n = 1; n <= 4; ++n) {
-    const SpiderSchedule s = brute_force_spider_schedule(spider, n);
-    EXPECT_EQ(s.makespan(), brute_force_spider_makespan(spider, n));
+    const SpiderSchedule s = brute_force_schedule(spider, n);
+    EXPECT_EQ(s.makespan(), brute_force_makespan(spider, n));
     EXPECT_TRUE(check_feasibility(s).ok()) << check_feasibility(s).summary();
   }
 }
 
 TEST(BruteForce, MaxTasksStaircase) {
   const Chain chain = fig2_chain();
-  EXPECT_EQ(brute_force_chain_max_tasks(chain, 14, 10), 5u);
-  EXPECT_EQ(brute_force_chain_max_tasks(chain, 13, 10), 4u);
-  EXPECT_EQ(brute_force_chain_max_tasks(chain, 4, 10), 0u);
+  EXPECT_EQ(brute_force_max_tasks(chain, 14, 10), 5u);
+  EXPECT_EQ(brute_force_max_tasks(chain, 13, 10), 4u);
+  EXPECT_EQ(brute_force_max_tasks(chain, 4, 10), 0u);
 }
 
 class BaselineProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -104,9 +106,10 @@ TEST_P(BaselineProperty, HeuristicsAreFeasibleAndBoundedByOptimal) {
     const Chain chain = random_chain(inst, p, params);
     const Time optimal = ChainScheduler::makespan(chain, n);
 
-    const ChainSchedule greedy = forward_greedy_chain(chain, n);
-    const ChainSchedule rr = round_robin_chain(chain, n);
-    const ChainSchedule single = single_node_chain(chain, n);
+    const Workload w = Workload::identical(n);
+    const ChainSchedule greedy = forward_greedy(chain, w);
+    const ChainSchedule rr = round_robin(chain, w);
+    const ChainSchedule single = single_node(chain, w);
     for (const ChainSchedule* s : {&greedy, &rr, &single}) {
       ASSERT_EQ(s->num_tasks(), n);
       const FeasibilityReport report = check_feasibility(*s);
@@ -128,9 +131,10 @@ TEST_P(BaselineProperty, SpiderHeuristicsFeasibleAndBounded) {
     const Spider spider = random_spider(inst, legs, 3, params);
     const Time optimal = SpiderScheduler::makespan(spider, n);
 
-    const SpiderSchedule greedy = forward_greedy_spider(spider, n);
-    const SpiderSchedule rr = round_robin_spider(spider, n);
-    const SpiderSchedule single = single_node_spider(spider, n);
+    const Workload w = Workload::identical(n);
+    const SpiderSchedule greedy = forward_greedy(spider, w);
+    const SpiderSchedule rr = round_robin(spider, w);
+    const SpiderSchedule single = single_node(spider, w);
     for (const SpiderSchedule* s : {&greedy, &rr, &single}) {
       ASSERT_EQ(s->num_tasks(), n);
       const FeasibilityReport report = check_feasibility(*s);
@@ -150,8 +154,73 @@ TEST_P(BaselineProperty, GreedyNeverWorseThanRoundRobinOnChains) {
     Rng inst = rng.split();
     const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(2, 5)), params);
     const auto n = static_cast<std::size_t>(rng.uniform(1, 10));
-    EXPECT_LE(forward_greedy_chain_makespan(chain, n), round_robin_chain_makespan(chain, n) * 2)
+    const Workload w = Workload::identical(n);
+    EXPECT_LE(forward_greedy(chain, w).makespan(), round_robin(chain, w).makespan() * 2)
         << chain.describe();
+  }
+}
+
+/// A one-leg spider's schedule is its chain's, task by task.
+void expect_same_schedule(const ChainSchedule& chain, const SpiderSchedule& spider,
+                          const Workload& w) {
+  ASSERT_EQ(spider.num_tasks(), chain.num_tasks());
+  for (std::size_t i = 0; i < chain.num_tasks(); ++i) {
+    SCOPED_TRACE("task " + std::to_string(i));
+    EXPECT_EQ(spider.tasks[i].leg, 0u);
+    EXPECT_EQ(spider.tasks[i].proc, chain.tasks[i].proc);
+    EXPECT_EQ(spider.tasks[i].emissions, chain.tasks[i].emissions);
+    EXPECT_EQ(spider.tasks[i].start, chain.tasks[i].start);
+  }
+  EXPECT_EQ(spider.makespan(w), chain.makespan(w));
+}
+
+TEST_P(BaselineProperty, OneLegSpiderEqualsItsChain) {
+  // A chain is the spider with one leg: every shape-generic baseline gives
+  // both the same emissions, starts and makespan, on identical, sized and
+  // release-dated workloads (brute force: identical only).
+  Rng rng(GetParam());
+  GeneratorParams params{1, 9, PlatformClass::kUniform};
+  for (int trial = 0; trial < 6; ++trial) {
+    Rng inst = rng.split();
+    const auto p = static_cast<std::size_t>(rng.uniform(1, 4));
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 7));
+    const Chain chain = random_chain(inst, p, params);
+    const Spider spider{chain};
+    SCOPED_TRACE(chain.describe() + " n=" + std::to_string(n));
+    std::vector<Time> sizes(n);
+    std::vector<Time> release(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sizes[i] = rng.uniform(1, 4);
+      release[i] = rng.uniform(0, 12);
+    }
+    for (const Workload& w : {Workload::identical(n), Workload::of_sizes(sizes),
+                              Workload::released(release)}) {
+      expect_same_schedule(forward_greedy(chain, w), forward_greedy(spider, w), w);
+      expect_same_schedule(round_robin(chain, w), round_robin(spider, w), w);
+      expect_same_schedule(single_node(chain, w), single_node(spider, w), w);
+    }
+    expect_same_schedule(brute_force_schedule(chain, n), brute_force_schedule(spider, n),
+                         Workload::identical(n));
+  }
+}
+
+TEST_P(BaselineProperty, ForkEntriesEqualTheirUnitLegSpider) {
+  // A fork is the spider whose legs all have length 1: each shape-generic
+  // registry entry answers both alike.
+  Rng rng(GetParam());
+  GeneratorParams params{1, 9, PlatformClass::kUniform};
+  for (int trial = 0; trial < 4; ++trial) {
+    Rng inst = rng.split();
+    const auto p = static_cast<std::size_t>(rng.uniform(1, 4));
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 6));
+    const Fork fork = random_fork(inst, p, params);
+    const api::Platform as_fork = fork;
+    const api::Platform as_spider = Spider::from_fork(fork);
+    for (const char* name : {"forward-greedy", "round-robin", "single-node", "brute-force"}) {
+      EXPECT_EQ(api::registry().solve(as_fork, name, n).makespan,
+                api::registry().solve(as_spider, name, n).makespan)
+          << name << " " << fork.describe() << " n=" << n;
+    }
   }
 }
 

@@ -53,7 +53,7 @@ TEST_P(ChainProperty, MatchesBruteForceOptimum) {
     Rng inst = rng.split();
     const Chain chain = random_chain(inst, p, params());
     const Time alg = ChainScheduler::makespan(chain, n);
-    const Time opt = brute_force_chain_makespan(chain, n);
+    const Time opt = brute_force_makespan(chain, n);
     ASSERT_EQ(alg, opt) << chain.describe() << " n=" << n;
   }
 }
@@ -179,7 +179,7 @@ TEST_P(ChainProperty, DecisionFormMatchesBruteForceCount) {
     const Chain chain = random_chain(inst, p, params());
     const Time t_lim = rng.uniform(0, 25);
     const std::size_t alg = ChainScheduler::max_tasks(chain, t_lim, 7);
-    EXPECT_EQ(alg, brute_force_chain_max_tasks(chain, t_lim, 7))
+    EXPECT_EQ(alg, brute_force_max_tasks(chain, t_lim, 7))
         << chain.describe() << " T=" << t_lim;
   }
 }

@@ -45,12 +45,12 @@ std::vector<Time> probe_deadlines(const api::Platform& platform, std::size_t k_m
 std::size_t oracle_max_tasks(const api::Platform& platform, Time deadline) {
   if (deadline < 0) return 0;
   if (const auto* chain = std::get_if<Chain>(&platform)) {
-    return brute_force_chain_max_tasks(*chain, deadline, kCap);
+    return brute_force_max_tasks(*chain, deadline, kCap);
   }
   if (const auto* fork = std::get_if<Fork>(&platform)) {
-    return brute_force_spider_max_tasks(Spider::from_fork(*fork), deadline, kCap);
+    return brute_force_max_tasks(Spider::from_fork(*fork), deadline, kCap);
   }
-  return brute_force_spider_max_tasks(std::get<Spider>(platform), deadline, kCap);
+  return brute_force_max_tasks(std::get<Spider>(platform), deadline, kCap);
 }
 
 api::Platform random_platform(api::PlatformKind kind, Rng& rng) {

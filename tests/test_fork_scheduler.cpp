@@ -56,7 +56,7 @@ TEST(ForkScheduler, SingleSlaveMatchesPipelineFormula) {
 TEST(ForkScheduler, TwoIdenticalSlavesHalveTheWork) {
   // Two (c=1, w=4) slaves, 4 tasks: interleave emissions, each slave runs 2.
   const Fork fork({Processor{1, 4}, Processor{1, 4}});
-  EXPECT_EQ(ForkScheduler::makespan(fork, 4), brute_force_fork_makespan(fork, 4));
+  EXPECT_EQ(ForkScheduler::makespan(fork, 4), brute_force_makespan(Spider::from_fork(fork), 4));
 }
 
 TEST(ForkScheduler, DecisionFormCountsAndFeasibility) {
@@ -126,7 +126,7 @@ TEST_P(ForkProperty, MatchesBruteForceMakespan) {
     const auto p = static_cast<std::size_t>(rng.uniform(1, 3));
     const auto n = static_cast<std::size_t>(rng.uniform(1, 6));
     const Fork fork = random_fork(inst, p, params);
-    EXPECT_EQ(ForkScheduler::makespan(fork, n), brute_force_fork_makespan(fork, n))
+    EXPECT_EQ(ForkScheduler::makespan(fork, n), brute_force_makespan(Spider::from_fork(fork), n))
         << fork.describe() << " n=" << n;
   }
 }
@@ -225,7 +225,7 @@ TEST_P(ForkProperty, ViaSpiderReductionAgrees) {
     const std::size_t optimal = ForkScheduler::max_tasks(fork, t_lim, 50);
     if (optimal > 7) continue;  // keep the exhaustive check tractable
     EXPECT_EQ(optimal,
-              brute_force_spider_max_tasks(Spider::from_fork(fork), t_lim, optimal + 2))
+              brute_force_max_tasks(Spider::from_fork(fork), t_lim, optimal + 2))
         << fork.describe() << " T=" << t_lim;
   }
 }

@@ -56,11 +56,12 @@ TEST(Integration, EveryComponentAgreesOnTheOptimum) {
   const Chain chain = Chain::from_vectors({2, 1, 3}, {4, 2, 5});
   const std::size_t n = 6;
   const Time alg = ChainScheduler::makespan(chain, n);
-  EXPECT_EQ(alg, brute_force_chain_makespan(chain, n));
+  EXPECT_EQ(alg, brute_force_makespan(chain, n));
   EXPECT_GE(alg, chain_makespan_lower_bound(chain, n));
-  EXPECT_LE(alg, single_node_chain_makespan(chain, n));
-  EXPECT_LE(alg, forward_greedy_chain_makespan(chain, n));
-  EXPECT_LE(alg, round_robin_chain_makespan(chain, n));
+  const Workload w = Workload::identical(n);
+  EXPECT_LE(alg, single_node(chain, w).makespan());
+  EXPECT_LE(alg, forward_greedy(chain, w).makespan());
+  EXPECT_LE(alg, round_robin(chain, w).makespan());
 }
 
 TEST(Integration, PlannerBeatsOnlinePoliciesOnAHardInstance) {

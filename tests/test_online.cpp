@@ -82,7 +82,7 @@ TEST(Online, EctMatchesForwardGreedyOnSpiders) {
     const auto legs = static_cast<std::size_t>(rng.uniform(1, 4));
     const Spider spider = random_spider(inst, legs, 3, params);
     const auto n = static_cast<std::size_t>(rng.uniform(1, 12));
-    const Time greedy = forward_greedy_spider_makespan(spider, n);
+    const Time greedy = forward_greedy(spider, Workload::identical(n)).makespan();
     const sim::SimResult r = sim::simulate_online(
         tree_from_spider(spider), n, sim::OnlinePolicy::kEarliestCompletion, 0);
     EXPECT_EQ(r.makespan, greedy) << spider.describe() << " n=" << n;

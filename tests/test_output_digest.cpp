@@ -384,22 +384,24 @@ void digest_entry(Digest& d, const api::Platform& platform, const char* algorith
   }
 }
 
-/// The baselines' direct `n` and workload forms, fixed-sequence ASAP timing
-/// and the incremental ASAP states' peeks.
+/// The baselines on identical workloads (each schedule, then each
+/// makespan), fixed-sequence ASAP timing and the incremental ASAP states'
+/// peeks.
 void digest_baselines(Digest& d, const Chain& chain, const Spider& spider, Rng& rng) {
   for (const std::size_t n : {1u, 4u, 11u}) {
-    d.add_schedule(forward_greedy_chain(chain, n));
-    d.add_schedule(forward_greedy_spider(spider, n));
-    d.add(forward_greedy_chain_makespan(chain, n));
-    d.add(forward_greedy_spider_makespan(spider, n));
-    d.add_schedule(round_robin_chain(chain, n));
-    d.add_schedule(round_robin_spider(spider, n));
-    d.add(round_robin_chain_makespan(chain, n));
-    d.add(round_robin_spider_makespan(spider, n));
-    d.add_schedule(single_node_chain(chain, n));
-    d.add_schedule(single_node_spider(spider, n));
-    d.add(single_node_chain_makespan(chain, n));
-    d.add(single_node_spider_makespan(spider, n));
+    const Workload w = Workload::identical(n);
+    d.add_schedule(forward_greedy(chain, w));
+    d.add_schedule(forward_greedy(spider, w));
+    d.add(forward_greedy(chain, w).makespan());
+    d.add(forward_greedy(spider, w).makespan());
+    d.add_schedule(round_robin(chain, w));
+    d.add_schedule(round_robin(spider, w));
+    d.add(round_robin(chain, w).makespan());
+    d.add(round_robin(spider, w).makespan());
+    d.add_schedule(single_node(chain, w));
+    d.add_schedule(single_node(spider, w));
+    d.add(single_node(chain, w).makespan());
+    d.add(single_node(spider, w).makespan());
 
     std::vector<std::size_t> chain_dests(n);
     std::vector<SpiderDest> spider_dests(n);

@@ -205,31 +205,37 @@ TEST(Registry, WrongPlatformAlternativeThrows) {
                std::invalid_argument);
 }
 
-TEST(Registry, StreamingEntriesRejectPlatformsOfAnotherKind) {
-  // `replan` on every exact kind and one online policy on trees: a platform
-  // of any other kind is refused with the same message every built-in
-  // gives, never solved as its substrate.
-  const std::vector<api::PlatformKind> kinds = {api::PlatformKind::kChain,
-                                                api::PlatformKind::kFork,
-                                                api::PlatformKind::kSpider,
-                                                api::PlatformKind::kTree};
-  for (const api::PlatformKind kind : kinds) {
-    const char* algorithm = kind == api::PlatformKind::kTree ? "online-ect" : "replan";
-    const api::Scheduler* scheduler = api::registry().find(kind, algorithm);
-    ASSERT_NE(scheduler, nullptr) << algorithm;
-    const api::SolveResult own = scheduler->solve(platform_of(kind), 4);
-    EXPECT_EQ(own.kind, kind) << algorithm;
-    EXPECT_EQ(own.tasks, 4u) << algorithm;
-    for (const api::PlatformKind other : kinds) {
-      if (other == kind) continue;
-      try {
-        (void)scheduler->solve(platform_of(other), 4);
-        ADD_FAILURE() << algorithm << " on " << to_string(kind) << " solved a "
-                      << to_string(other) << " platform";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_EQ(std::string(e.what()), std::string(algorithm) + ": expected a " +
-                                             to_string(kind) + " platform, got " +
-                                             to_string(other));
+/// Runs `call`, which must throw `std::invalid_argument` with `message`.
+template <typename Call>
+void expect_rejected(const Call& call, const std::string& message) {
+  try {
+    call();
+    ADD_FAILURE() << "accepted; expected \"" << message << "\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
+TEST(Registry, EveryEntryRejectsPlatformsOfAnotherKind) {
+  // Every built-in refuses a platform of any other kind with one message,
+  // in the makespan form and in the decision form — an empty window
+  // included, which the makespan-inversion adapter answers without a probe
+  // solve — and never solves it as its substrate.
+  for (const api::AlgorithmInfo& info : api::registry().list()) {
+    SCOPED_TRACE(api::to_string(info.kind) + "/" + info.name);
+    const api::Scheduler* scheduler = api::registry().find(info.kind, info.name);
+    ASSERT_NE(scheduler, nullptr);
+    const api::SolveResult own = scheduler->solve(platform_of(info.kind), 4);
+    EXPECT_EQ(own.kind, info.kind);
+    EXPECT_EQ(own.tasks, 4u);
+    for (const api::PlatformKind other : api::all_platform_kinds()) {
+      if (other == info.kind) continue;
+      const api::Platform platform = platform_of(other);
+      const std::string message = info.name + ": expected a " + api::to_string(info.kind) +
+                                  " platform, got " + api::to_string(other);
+      expect_rejected([&] { (void)scheduler->solve(platform, 4); }, message);
+      for (const Time deadline : {Time{0}, Time{50}}) {
+        expect_rejected([&] { (void)scheduler->solve_within(platform, deadline, {}); }, message);
       }
     }
   }

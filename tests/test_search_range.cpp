@@ -115,10 +115,10 @@ TEST(SearchRange, OnePortFloorNeverExceedsTheBruteForceOptimum) {
     const Spider spider =
         random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 3)), 1, 2, params);
     ForkScheduler::schedule_into(fork, Workload::identical(n), fork_scratch, fork_out);
-    EXPECT_LE(fork_scratch.solve.count.floor, brute_force_fork_makespan(fork, n))
+    EXPECT_LE(fork_scratch.solve.count.floor, brute_force_makespan(Spider::from_fork(fork), n))
         << fork.describe() << " n=" << n;
     SpiderScheduler::schedule_into(spider, Workload::identical(n), spider_scratch, spider_out);
-    EXPECT_LE(spider_scratch.count.floor, brute_force_spider_makespan(spider, n))
+    EXPECT_LE(spider_scratch.count.floor, brute_force_makespan(spider, n))
         << spider.describe() << " n=" << n;
   }
 }

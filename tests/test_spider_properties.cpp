@@ -52,7 +52,7 @@ TEST_P(SpiderProperty, MatchesBruteForceOptimum) {
     const auto n = static_cast<std::size_t>(rng.uniform(1, 6));
     const Spider spider = random_spider(inst, legs, 2, params());
     const Time alg = SpiderScheduler::makespan(spider, n);
-    const Time opt = brute_force_spider_makespan(spider, n);
+    const Time opt = brute_force_makespan(spider, n);
     ASSERT_EQ(alg, opt) << spider.describe() << " n=" << n;
   }
 }
@@ -108,7 +108,7 @@ TEST_P(SpiderProperty, DecisionFormMatchesBruteForceCount) {
     const Spider spider = random_spider(inst, legs, 2, params());
     const Time t_lim = rng.uniform(0, 20);
     const std::size_t alg = SpiderScheduler::max_tasks(spider, t_lim, 6);
-    EXPECT_EQ(alg, brute_force_spider_max_tasks(spider, t_lim, 6))
+    EXPECT_EQ(alg, brute_force_max_tasks(spider, t_lim, 6))
         << spider.describe() << " T=" << t_lim;
   }
 }

@@ -53,7 +53,7 @@ TEST(SpiderScheduler, KnownTwoLegInstance) {
     const SpiderSchedule s = SpiderScheduler::schedule(spider, n);
     ASSERT_EQ(s.num_tasks(), n);
     EXPECT_TRUE(check_feasibility(s).ok()) << check_feasibility(s).summary();
-    EXPECT_EQ(s.makespan(), brute_force_spider_makespan(spider, n)) << "n=" << n;
+    EXPECT_EQ(s.makespan(), brute_force_makespan(spider, n)) << "n=" << n;
   }
 }
 
