@@ -174,8 +174,9 @@ std::size_t parse_header(const std::string& path, const std::string& content, He
 /// Scans the framed records after the header.  `valid_end` is the offset
 /// just past the last intact record: anything beyond it — a truncated
 /// frame, a short payload, a CRC mismatch, any malformed header line — is
-/// the torn tail.  Only the *final* record can legitimately tear (appends
-/// are sequential and fsync'd), so scanning stops at the first bad frame.
+/// the torn tail.  Only the file's tail can legitimately tear (each group
+/// of appends starts after the previous group's fsync, and nothing is
+/// written after a failed one), so scanning stops at the first bad frame.
 JournalReplay scan_records(const std::string& content, std::size_t start,
                            std::size_t& valid_end) {
   JournalReplay replay;
@@ -224,6 +225,27 @@ void write_all(int fd, const std::string& path, const std::string& bytes) {
       throw std::runtime_error(path + ": journal write failed: " + std::strerror(errno));
     }
     done += static_cast<std::size_t>(n);
+  }
+}
+
+void sync(int fd, const std::string& path) {
+  if (::fsync(fd) != 0) {
+    throw std::runtime_error(path + ": journal fsync failed: " + std::strerror(errno));
+  }
+}
+
+/// fsyncs directory `dir`, so an entry just created in it survives a crash
+/// (POSIX does not promise that from the new file's own fsync).
+void sync_directory(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    throw std::runtime_error(dir + ": cannot open journal directory: " + std::strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int error = errno;
+  ::close(fd);
+  if (rc != 0) {
+    throw std::runtime_error(dir + ": journal directory fsync failed: " + std::strerror(error));
   }
 }
 
@@ -379,7 +401,6 @@ Journal::Journal(const std::string& dir, std::size_t shard_index, std::size_t sh
     replay_ = scan_records(content, body, valid_end);
   }
 
-  LockGuard lock(mutex_);
   fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT, 0644);
   if (fd_ < 0) {
     throw std::runtime_error(path_ + ": cannot open journal: " + std::strerror(errno));
@@ -396,13 +417,11 @@ Journal::Journal(const std::string& dir, std::size_t shard_index, std::size_t sh
   if (::lseek(fd_, 0, SEEK_END) < 0) {
     throw std::runtime_error(path_ + ": cannot seek journal: " + std::strerror(errno));
   }
-  if (::fsync(fd_) != 0) {
-    throw std::runtime_error(path_ + ": journal fsync failed: " + std::strerror(errno));
-  }
+  sync(fd_, path_);
+  if (content.empty()) sync_directory(dir);
 }
 
 Journal::~Journal() {
-  LockGuard lock(mutex_);
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -410,14 +429,50 @@ void Journal::append(const CellOutcome& outcome) {
   const std::string payload = encode_record(outcome);
   std::ostringstream frame;
   frame << "rec " << payload.size() << ' ' << crc32(payload) << '\n' << payload << '\n';
-  // One writer at a time: frames must land contiguously, and the fsync
-  // must cover this frame before the next one begins — that ordering is
-  // what limits a crash to tearing only the final record.
-  LockGuard lock(mutex_);
-  write_all(fd_, path_, frame.str());
-  if (::fsync(fd_) != 0) {
-    throw std::runtime_error(path_ + ": journal fsync failed: " + std::strerror(errno));
+
+  // Group commit (DeWitt et al., SIGMOD 1984).  Queue the frame; a caller
+  // that finds no flush running becomes the leader, takes every queued
+  // frame and writes + fsyncs them at once with the lock dropped, while
+  // later callers queue the next group behind it.  Each caller returns
+  // once a finished flush covers its own frame.  Groups land in queue
+  // order, one at a time, and the first failure is sticky: nothing is
+  // written after a frame that may be torn.
+  UniqueLock lock(mutex_);
+  pending_ += frame.str();
+  const std::uint64_t mine = ++queued_;
+  while (durable_ < mine) {
+    if (failure_ != nullptr) std::rethrow_exception(failure_);
+    if (flushing_) {
+      flushed_.wait(lock);
+      continue;
+    }
+    flushing_ = true;
+    std::string group;
+    group.swap(pending_);
+    const std::uint64_t covered = queued_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      write_all(fd_, path_, group);
+      sync(fd_, path_);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    flushing_ = false;
+    if (error == nullptr) {
+      durable_ = covered;
+      ++syncs_;
+    } else {
+      failure_ = error;
+    }
+    flushed_.notify_all();
   }
+}
+
+std::uint64_t Journal::syncs() const {
+  LockGuard lock(mutex_);
+  return syncs_;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -15,12 +16,19 @@
 /// A million-cell sweep that dies at cell 900k should not start over from
 /// zero.  Cells are self-contained and byte-identical at any thread count,
 /// so the unit of durability is one completed cell: the runner appends one
-/// checksummed, fsync'd record per finished cell to its shard's journal,
-/// and a restarted run replays the journal, skips every completed cell and
-/// recomputes nothing.  A crash can tear at most the final record (appends
-/// are sequential and each one is fsync'd before the next begins); replay
-/// detects the torn tail by frame length / CRC and truncates the file back
-/// to the last valid record.
+/// checksummed record per finished cell to its shard's journal, and a
+/// restarted run replays the journal, skips every completed cell and
+/// recomputes nothing.
+///
+/// Appends are group-committed: the records that worker threads append
+/// while one fsync is running are written and fsync'd together by the next
+/// one, so a sweep pays one fsync per group of concurrent appends rather
+/// than one per record.  Durability is still per cell — `append` returns
+/// only after an fsync that covers its own record — and groups land
+/// strictly one after another, so a crash can tear only the file's tail.  Replay detects the torn tail by frame length / CRC and truncates
+/// the file back to the last valid record.  After any failed write or
+/// fsync the journal refuses every later append, so no record ever lands
+/// behind a torn one.
 ///
 /// File format (text-framed, binary-safe payloads):
 ///
@@ -80,9 +88,8 @@ struct JournalReplay {
 /// appends.  Throws `std::runtime_error` when the file belongs to a
 /// different run (header mismatch) or cannot be opened.
 ///
-/// `append` is thread-safe (the runner's workers call it directly) and
-/// durable: the framed record is written and fsync'd before it returns, so
-/// a cell reported complete stays complete across a SIGKILL.
+/// A freshly created file is fsync'd together with its directory, so the
+/// new directory entry survives a crash too.
 class Journal {
  public:
   Journal(const std::string& dir, std::size_t shard_index, std::size_t shard_count,
@@ -94,13 +101,33 @@ class Journal {
   [[nodiscard]] const JournalReplay& replayed() const { return replay_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
+  /// Thread-safe (the runner's workers call it directly) and durable: it
+  /// returns only after an fsync that covers this record, so a cell
+  /// reported complete stays complete across a SIGKILL.  Concurrent calls
+  /// share one write + fsync (group commit); a call arriving while a flush
+  /// runs waits for it, then joins the next group.  Throws
+  /// `std::runtime_error` when the write or fsync fails — and, once one
+  /// has failed, on every later call, without writing anything.
   void append(const CellOutcome& outcome) MST_EXCLUDES(mutex_);
+
+  /// fsyncs made by `append` so far: one per group, so at most the number
+  /// of successful appends.
+  [[nodiscard]] std::uint64_t syncs() const MST_EXCLUDES(mutex_);
 
  private:
   std::string path_;
   JournalReplay replay_;
-  Mutex mutex_;
-  int fd_ MST_GUARDED_BY(mutex_) = -1;
+  /// Opened by the constructor and closed by the destructor; in between
+  /// only the current flush leader (`flushing_`) writes through it.
+  int fd_ = -1;
+  mutable Mutex mutex_;
+  CondVar flushed_ MST_GUARDED_BY(mutex_);              ///< signalled when a flush ends
+  std::string pending_ MST_GUARDED_BY(mutex_);          ///< frames of the next group
+  std::uint64_t queued_ MST_GUARDED_BY(mutex_) = 0;      ///< frames ever queued
+  std::uint64_t durable_ MST_GUARDED_BY(mutex_) = 0;     ///< frames an fsync covered
+  bool flushing_ MST_GUARDED_BY(mutex_) = false;         ///< a leader is writing
+  std::exception_ptr failure_ MST_GUARDED_BY(mutex_);    ///< first write/fsync error
+  std::uint64_t syncs_ MST_GUARDED_BY(mutex_) = 0;       ///< fsyncs made by `append`
 };
 
 /// Reads every `shard-*-of-*.mstj` under `dir`, validates cross-shard

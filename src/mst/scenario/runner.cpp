@@ -250,12 +250,16 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
   std::size_t replayed_failed = 0;
   obs::Counter appended_counter;
   obs::Counter skipped_counter;
+  obs::Counter syncs_counter;
   if (!options.journal_dir.empty()) {
     journal.emplace(options.journal_dir, options.shard_index, options.shard_count,
                     cells.size(), grid_fingerprint(cells));
     if (options.metrics != nullptr) {
       appended_counter = options.metrics->counter("scenario.journal.appended");
       skipped_counter = options.metrics->counter("scenario.journal.skipped");
+      // How appends grouped depends on thread interleaving: wall-time class.
+      syncs_counter = options.metrics->counter("scenario.journal.syncs",
+                                               obs::DeterminismClass::kWallTime);
       options.metrics->counter("scenario.journal.replayed")
           .add(static_cast<std::int64_t>(journal->replayed().outcomes.size()));
       options.metrics->counter("scenario.journal.torn")
@@ -361,6 +365,7 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
     for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
+  if (journal.has_value()) syncs_counter.add(static_cast<std::int64_t>(journal->syncs()));
   if (journal_failure != nullptr) std::rethrow_exception(journal_failure);
   return results;
 }

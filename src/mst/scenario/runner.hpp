@@ -118,7 +118,8 @@ struct CellOutcome {
 /// contract); with N shards it holds exactly the owned cells' outcomes in
 /// ascending canonical-index order — the rows of this shard's report.
 /// Journal metrics (when `RunOptions::metrics` is set):
-/// `scenario.journal.appended` / `.replayed` / `.skipped` / `.torn`.
+/// `scenario.journal.appended` / `.replayed` / `.skipped` / `.torn`, plus
+/// the wall-time-class `scenario.journal.syncs` (fsyncs the appends made).
 /// Throws `std::invalid_argument` on an out-of-range shard and
 /// `std::runtime_error` when a journal belongs to a different sweep.
 std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOptions& options,

@@ -1,14 +1,21 @@
 // Distributed, resumable sweeps: journal record round-trips, torn-tail
-// truncation recovery, resume-skips-completed-cells, and the tentpole
+// truncation recovery, group-committed concurrent appends and their
+// sticky failure, resume-skips-completed-cells, and the tentpole
 // contract — N shard journals merge into CSV/JSON byte-identical to the
 // single-process run (both batch modes, 2- and 3-way splits).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mst/obs/metrics.hpp"
@@ -193,6 +200,128 @@ TEST(JournalFile, TornTailIsTruncatedAndRecovered) {
   }
 }
 
+TEST(JournalFile, ConcurrentAppendsReplayExactlyOnce) {
+  const std::string dir = scratch_dir("concurrent");
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 25;
+  {
+    Journal journal(dir, 0, 1, kThreads * kPerThread, 0x77);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&journal, t] {
+        CellOutcome out = sample_outcome();
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          out.cell.index = t * kPerThread + i;
+          journal.append(out);
+        }
+      });
+    }
+    for (std::thread& thread : pool) thread.join();
+    EXPECT_GE(journal.syncs(), 1u);
+    EXPECT_LE(journal.syncs(), kThreads * kPerThread);
+  }
+  Journal reopened(dir, 0, 1, kThreads * kPerThread, 0x77);
+  EXPECT_FALSE(reopened.replayed().torn);
+  std::multiset<std::size_t> indices;
+  for (const CellOutcome& out : reopened.replayed().outcomes) {
+    indices.insert(out.cell.index);
+    EXPECT_EQ(out.error, sample_outcome().error);
+  }
+  ASSERT_EQ(indices.size(), kThreads * kPerThread);
+  for (std::size_t index = 0; index < kThreads * kPerThread; ++index) {
+    EXPECT_EQ(indices.count(index), 1u) << "cell " << index;
+  }
+}
+
+/// Runs in a forked child: eight threads append until a small file-size
+/// limit tears a frame, then the limit is lifted (as when a full disk
+/// frees space).  Every append must throw from the first failure on
+/// without writing a byte, and a reopen must replay every append that
+/// returned.  Exits 0 when all of that holds, else prints why and exits 1.
+void appends_after_a_failure_write_nothing(const std::string& dir) {
+  const auto fail = [](const std::string& why) {
+    std::fprintf(stderr, "%s\n", why.c_str());
+    std::exit(1);
+  };
+  std::signal(SIGXFSZ, SIG_IGN);  // over-limit writes then fail with EFBIG
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kMaxPerThread = 1000;
+  std::vector<std::vector<std::size_t>> succeeded(kThreads);
+  std::uintmax_t torn_size = 0;
+  {
+    Journal journal(dir, 0, 1, kThreads * kMaxPerThread + 1, 0x5EED);
+    const std::string path = journal_path(dir, 0, 1);
+    rlimit limit{};
+    if (getrlimit(RLIMIT_FSIZE, &limit) != 0) fail("getrlimit failed");
+    const rlim_t hard = limit.rlim_max;
+    limit.rlim_cur = std::filesystem::file_size(path) + 4099;  // mid-frame
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) fail("setrlimit failed");
+
+    std::vector<unsigned char> threw(kThreads, 0);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        CellOutcome out = sample_outcome();
+        for (std::size_t i = 0; i < kMaxPerThread; ++i) {
+          out.cell.index = t * kMaxPerThread + i;
+          try {
+            journal.append(out);
+          } catch (const std::runtime_error&) {
+            threw[t] = 1;
+            return;
+          }
+          succeeded[t].push_back(out.cell.index);
+        }
+      });
+    }
+    for (std::thread& thread : pool) thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      if (threw[t] == 0) fail("thread " + std::to_string(t) + " never saw the failure");
+    }
+    torn_size = std::filesystem::file_size(path);
+    if (torn_size != limit.rlim_cur) fail("the failed write did not tear at the limit");
+
+    limit.rlim_cur = hard;
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) fail("setrlimit (lift) failed");
+    CellOutcome late = sample_outcome();
+    late.cell.index = kThreads * kMaxPerThread;
+    try {
+      journal.append(late);
+      fail("an append after a failed write returned");
+    } catch (const std::runtime_error&) {
+    }
+    if (std::filesystem::file_size(path) != torn_size) {
+      fail("an append after a failed write wrote past the torn frame");
+    }
+  }
+
+  Journal reopened(dir, 0, 1, kThreads * kMaxPerThread + 1, 0x5EED);
+  std::multiset<std::size_t> replayed;
+  for (const CellOutcome& out : reopened.replayed().outcomes) replayed.insert(out.cell.index);
+  std::size_t returned = 0;
+  for (const std::vector<std::size_t>& indices : succeeded) {
+    for (const std::size_t index : indices) {
+      if (replayed.count(index) != 1) {
+        fail("cell " + std::to_string(index) + " was reported durable but does not replay");
+      }
+      ++returned;
+    }
+  }
+  // Only the failed group's frames may replay without their append having
+  // returned — at most one frame per thread.
+  if (replayed.size() > returned + kThreads) fail("more frames replay than were written");
+  if (std::filesystem::file_size(journal_path(dir, 0, 1)) > torn_size) {
+    fail("the reopened journal grew");
+  }
+  std::exit(0);
+}
+
+TEST(JournalFile, AppendsAfterAFailedWriteThrowAndWriteNothing) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // the child starts threads
+  const std::string dir = scratch_dir("sticky_failure");
+  EXPECT_EXIT(appends_after_a_failure_write_nothing(dir), ::testing::ExitedWithCode(0), "");
+}
+
 TEST(ShardedRun, PartitionIsDisjointAndComplete) {
   const std::vector<Cell> cells = expand(small_grid());
   RunOptions options;
@@ -276,6 +405,45 @@ TEST(ShardedRun, ResumeSkipsCompletedCellsAndAnnouncesProgress) {
   EXPECT_EQ(without_journal(metrics), without_journal(first_metrics));
 }
 
+/// `scenario.journal.syncs`, or -1 when the run did not register it.
+std::int64_t journal_syncs(const obs::MetricsRegistry& metrics, std::int64_t& appended) {
+  std::int64_t syncs = -1;
+  for (const obs::MetricSample& sample : metrics.snapshot(true)) {
+    if (sample.name == "scenario.journal.appended") appended = sample.value;
+    if (sample.name == "scenario.journal.syncs") {
+      EXPECT_EQ(sample.determinism, obs::DeterminismClass::kWallTime);
+      syncs = sample.value;
+    }
+  }
+  return syncs;
+}
+
+TEST(ShardedRun, JournalSyncsCountTheAppendsFsyncs) {
+  const std::vector<Cell> cells = expand(small_grid());
+  RunOptions options;
+  options.journal_dir = scratch_dir("syncs_t1");
+  options.threads = 1;
+  obs::MetricsRegistry serial;
+  options.metrics = &serial;
+  (void)run_cells(cells, options);
+  std::int64_t appended = 0;
+  // One worker never has two frames in flight: one fsync per append.
+  EXPECT_EQ(journal_syncs(serial, appended), appended);
+  EXPECT_EQ(appended, static_cast<std::int64_t>(cells.size()));
+
+  options.journal_dir = scratch_dir("syncs_t8");
+  options.threads = 8;
+  obs::MetricsRegistry threaded;
+  options.metrics = &threaded;
+  (void)run_cells(cells, options);
+  appended = 0;
+  const std::int64_t syncs = journal_syncs(threaded, appended);
+  EXPECT_GE(syncs, 1);
+  EXPECT_LE(syncs, appended);
+  // Wall-time class: the deterministic JSON never shows it.
+  EXPECT_EQ(threaded.to_json().find("scenario.journal.syncs"), std::string::npos);
+}
+
 TEST(ShardedRun, ResumeRejectsAForeignGrid) {
   const std::string dir = scratch_dir("foreign");
   SweepSpec spec = small_grid();
@@ -293,7 +461,8 @@ TEST(ShardedRun, ResumeRejectsAForeignGrid) {
 /// The tentpole: shard the grid N ways through journals, merge, and demand
 /// the merged report is byte-identical to the single-process run — for 2-
 /// and 3-way splits, CSV and JSON.
-void check_merge_identity(std::size_t shards, const std::string& tag) {
+void check_merge_identity(std::size_t shards, const std::string& tag,
+                          unsigned shard_threads = 2) {
   const std::string dir = scratch_dir("merge_" + tag);
   const std::vector<Cell> cells = expand(small_grid());
 
@@ -303,7 +472,7 @@ void check_merge_identity(std::size_t shards, const std::string& tag) {
 
   for (std::size_t i = 0; i < shards; ++i) {
     RunOptions shard;
-    shard.threads = 2;
+    shard.threads = shard_threads;
     shard.shard_index = i;
     shard.shard_count = shards;
     shard.journal_dir = dir;
@@ -325,6 +494,14 @@ void check_merge_identity(std::size_t shards, const std::string& tag) {
 TEST(MergeJournals, TwoShardsBatchedByteIdentical) { check_merge_identity(2, "2b"); }
 
 TEST(MergeJournals, ThreeShardsBatchedByteIdentical) { check_merge_identity(3, "3b"); }
+
+// Eight workers per shard group-commit their appends; the merge must not
+// notice.
+TEST(MergeJournals, TwoShardsEightThreadsByteIdentical) { check_merge_identity(2, "2t8", 8); }
+
+TEST(MergeJournals, ThreeShardsEightThreadsByteIdentical) {
+  check_merge_identity(3, "3t8", 8);
+}
 
 TEST(MergeJournals, MissingShardIsAHardError) {
   const std::string dir = scratch_dir("missing_shard");
