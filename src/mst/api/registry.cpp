@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mst/api/solve_scratch.hpp"
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -901,9 +902,12 @@ void register_tree_algorithms(Registry& r) {
           const Tree& tree = std::get<Tree>(p);
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
-          TreeAsapState state(tree);
-          forward_greedy_tree_into(n, state, pooled.dests);
-          LocalSearchResult improved = improve_tree_dispatch(tree, std::move(pooled.dests));
+          LocalSearchResult improved =
+              local_search_tree(tree, n, opts.scratch->local_search, std::move(pooled.dests));
+          if (opts.metrics != nullptr) {
+            opts.metrics->counter("heuristics.local_search.commits")
+                .add(static_cast<std::int64_t>(improved.commits));
+          }
           pooled.dests = std::move(improved.dests);
           pooled.tree = tree;
           return make_result("local-search", PlatformKind::kTree, n, improved.makespan,

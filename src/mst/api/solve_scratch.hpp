@@ -8,6 +8,7 @@
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
+#include "mst/heuristics/local_search.hpp"
 #include "mst/heuristics/tree_schedule.hpp"
 
 /// \file solve_scratch.hpp
@@ -15,8 +16,8 @@
 ///
 /// A `SolveScratch` bundles every reusable buffer a materializing solve
 /// needs — the counting scratch of each core scheduler, the tree-cover
-/// pipeline's working sets, and one pooled schedule per payload
-/// kind.  Thread it through `SolveOptions::scratch` and hand consumed
+/// pipeline's and the local search's working sets, and one pooled schedule
+/// per payload kind.  Thread it through `SolveOptions::scratch` and hand consumed
 /// results back via `recycle`: the schedule payload's buffers move back
 /// into the pool, so the next solve of similar shape rebuilds in place and
 /// performs zero heap allocations once warm (pinned by
@@ -31,6 +32,7 @@ struct SolveScratch {
   ForkCountScratch fork;
   SpiderSolveScratch spider;
   TreeCoverScratch tree_cover;
+  LocalSearchScratch local_search;  ///< engine, snapshots and bounds of the tree descent
   OnePortScratch bound;  ///< spider/fork lower-bound one-port fill
 
   // Pooled schedule payloads.  A solve moves the pool into its result; the

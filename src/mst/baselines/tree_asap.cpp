@@ -21,29 +21,39 @@ Time advance(Time from, Time size, Time duration) {
 
 }  // namespace
 
-TreeAsapState::TreeAsapState(const Tree& tree) : TreeAsapState() {
-  nodes_.reserve(tree.size());
-  for (NodeId v = 1; v < tree.size(); ++v) add_node(tree.parent(v), tree.proc(v));
-}
+TreeAsapState::TreeAsapState(const Tree& tree) { assign(tree); }
 
-TreeAsapState::TreeAsapState(const Chain& chain) : TreeAsapState() {
-  nodes_.reserve(chain.size() + 1);
+TreeAsapState::TreeAsapState(const Chain& chain) {
+  start(chain.size() + 1);
   NodeId parent = 0;
   for (const Processor& proc : chain.procs()) parent = add_node(parent, proc);
 }
 
-TreeAsapState::TreeAsapState(const Spider& spider) : TreeAsapState() {
-  nodes_.reserve(spider.num_processors() + 1);
+TreeAsapState::TreeAsapState(const Spider& spider) {
+  start(spider.num_processors() + 1);
   for (const Chain& leg : spider.legs()) {
     NodeId parent = 0;
     for (const Processor& proc : leg.procs()) parent = add_node(parent, proc);
   }
 }
 
+void TreeAsapState::assign(const Tree& tree) {
+  start(tree.size());
+  for (NodeId v = 1; v < tree.size(); ++v) add_node(tree.parent(v), tree.proc(v));
+}
+
+void TreeAsapState::start(std::size_t nodes) {
+  nodes_.clear();
+  paths_.clear();
+  nodes_.reserve(nodes);
+  times_.assign(2 * nodes, 0);
+  nodes_.push_back(Node{});
+}
+
 NodeId TreeAsapState::add_node(NodeId parent, const Processor& proc) {
   const NodeId v = nodes_.size();
   const Node& up = nodes_[parent];
-  Node node{proc, 0, 0, paths_.size(), up.depth + 1};
+  Node node{proc, paths_.size(), up.depth + 1};
   for (std::size_t i = up.path; i < up.path + up.depth; ++i) {
     const NodeId hop = paths_[i];
     paths_.push_back(hop);
@@ -54,9 +64,11 @@ NodeId TreeAsapState::add_node(NodeId parent, const Processor& proc) {
 }
 
 // mstlint: zero-alloc
-void TreeAsapState::reset() {
-  for (Node& node : nodes_) node.port_free = node.proc_free = 0;
-}
+void TreeAsapState::reset() { std::fill(times_.begin(), times_.end(), 0); }
+
+void TreeAsapState::save(Time* out) const { std::copy(times_.begin(), times_.end(), out); }
+
+void TreeAsapState::restore(const Time* in) { std::copy_n(in, times_.size(), times_.begin()); }
 
 template <typename OnHop>
 Time TreeAsapState::walk(NodeId dest, Time size, Time release, OnHop&& on_hop) const {
@@ -66,12 +78,12 @@ Time TreeAsapState::walk(NodeId dest, Time size, Time release, OnHop&& on_hop) c
   NodeId sender = 0;
   for (const NodeId* hop = &paths_[target.path]; hop != &paths_[target.path] + target.depth;
        ++hop) {
-    const Time emit = std::max(ready, nodes_[sender].port_free);
+    const Time emit = std::max(ready, times_[2 * sender]);
     ready = advance(emit, size, nodes_[*hop].proc.comm);
     on_hop(sender, emit, ready);
     sender = *hop;
   }
-  return advance(std::max(ready, target.proc_free), size, target.proc.work);
+  return advance(std::max(ready, times_[2 * dest + 1]), size, target.proc.work);
 }
 
 Time TreeAsapState::peek_completion(NodeId dest, Time size, Time release) const {
@@ -80,10 +92,10 @@ Time TreeAsapState::peek_completion(NodeId dest, Time size, Time release) const 
 
 Time TreeAsapState::commit(NodeId dest, Time size, Time release, Time* emissions) {
   const Time end = walk(dest, size, release, [&](NodeId sender, Time emit, Time link_free) {
-    nodes_[sender].port_free = link_free;
+    times_[2 * sender] = link_free;
     if (emissions != nullptr) *emissions++ = emit;
   });
-  nodes_[dest].proc_free = end;
+  times_[2 * dest + 1] = end;
   return end;
 }
 
@@ -137,13 +149,14 @@ Time forward_greedy_tree_makespan(const Tree& tree, std::size_t n) {
   return asap_tree_makespan(tree, forward_greedy_tree(tree, n));
 }
 
-/// Branch-and-bound DFS over destination sequences: commit, recurse, then
-/// undo the commit from a stack of the out-port and processor times it
-/// overwrote.  A branch is pruned once its partial makespan reaches the
-/// best complete one, so the first optimal sequence found is kept.
+/// Branch-and-bound DFS over destination sequences: at each depth the
+/// state is saved once and restored before each branch.  A branch is pruned
+/// once its partial makespan reaches the best complete one, so the first
+/// optimal sequence found is kept.
 class TreeSearch {
  public:
-  TreeSearch(TreeAsapState& state, std::size_t n) : state_(state), n_(n) {
+  TreeSearch(TreeAsapState& state, std::size_t n)
+      : state_(state), n_(n), snapshots_(n * state.saved_size()) {
     current_.reserve(n);
   }
 
@@ -163,32 +176,14 @@ class TreeSearch {
       found_ = true;
       return;
     }
-    std::vector<TreeAsapState::Node>& nodes = state_.nodes_;
-    for (NodeId dest = 1; dest < nodes.size(); ++dest) {
-      const std::size_t mark = undo_.size();
-      visit_senders(dest, [&](NodeId sender) { undo_.push_back(nodes[sender].port_free); });
-      undo_.push_back(nodes[dest].proc_free);
-
+    Time* snapshot = &snapshots_[current_.size() * state_.saved_size()];
+    state_.save(snapshot);
+    for (NodeId dest = 1; dest < state_.size(); ++dest) {
+      state_.restore(snapshot);
       const Time end = state_.commit(dest);
       current_.push_back(dest);
       dfs(std::max(current_makespan, end));
       current_.pop_back();
-
-      std::size_t slot = mark;
-      visit_senders(dest, [&](NodeId sender) { nodes[sender].port_free = undo_[slot++]; });
-      nodes[dest].proc_free = undo_[slot];
-      undo_.resize(mark);
-    }
-  }
-
-  /// Every node whose out-port a task to `dest` occupies: the master and
-  /// each relay on the way.
-  template <typename Visit>
-  void visit_senders(NodeId dest, Visit&& visit) const {
-    const TreeAsapState::Node& target = state_.nodes_[dest];
-    visit(NodeId{0});
-    for (std::size_t i = target.path; i + 1 < target.path + target.depth; ++i) {
-      visit(state_.paths_[i]);
     }
   }
 
@@ -198,7 +193,7 @@ class TreeSearch {
   Time best_ = 0;
   std::vector<NodeId> current_;
   std::vector<NodeId> best_sequence_;
-  std::vector<Time> undo_;
+  std::vector<Time> snapshots_;  ///< the state on entering each depth
 };
 
 Time brute_force_makespan(TreeAsapState& state, std::size_t n, std::vector<NodeId>* best) {

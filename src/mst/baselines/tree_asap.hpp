@@ -34,12 +34,24 @@ namespace mst {
 /// become free.  The root→node paths are flattened into one table at
 /// construction, so `peek_completion` and `commit` never allocate — the
 /// local-search descent evaluates thousands of candidate sequences per solve
-/// through one state, `reset()`-ing between replays.
+/// through one state.
+///
+/// Those free times are the state's only mutable part: `save` copies them,
+/// `2·size()` values, into a caller buffer and `restore` writes them back,
+/// so a search can return to any earlier prefix of a sequence in `O(|V|)`
+/// instead of replaying it (the local search keeps one snapshot per prefix,
+/// the exhaustive search one per depth).
 class TreeAsapState {
  public:
+  /// An empty state, to be given a platform by `assign`.
+  TreeAsapState() = default;
   explicit TreeAsapState(const Tree& tree);
   explicit TreeAsapState(const Chain& chain);
   explicit TreeAsapState(const Spider& spider);
+
+  /// Rebuilds the state for `tree`, all ports and processors free at 0.
+  /// Allocation-free once the buffers have held a tree this large.
+  void assign(const Tree& tree);
 
   /// Node count, the master (node 0) included.
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
@@ -50,6 +62,10 @@ class TreeAsapState {
 
   /// Node `v`'s incoming link and work.
   [[nodiscard]] const Processor& proc(NodeId v) const { return nodes_[v].proc; }
+
+  /// When the master's out-port frees up: no later task leaves the master
+  /// before it.
+  [[nodiscard]] Time master_port_free() const { return times_[0]; }
 
   /// Completion time if the next task were sent to `dest` (a slave node),
   /// without committing.  `size` scales every hop and the execution; the
@@ -70,18 +86,24 @@ class TreeAsapState {
   /// path table is platform-shaped and survives.  Allocation-free.
   void reset();
 
- private:
-  friend class TreeSearch;  // exhaustive search needs save/restore access
+  /// Number of values `save` writes and `restore` reads: `2·size()`.
+  [[nodiscard]] std::size_t saved_size() const { return times_.size(); }
 
+  /// Copies every out-port and processor free time to `out[0, saved_size())`.
+  void save(Time* out) const;
+
+  /// Returns to the state a `save` on this platform wrote to `in`.
+  void restore(const Time* in);
+
+ private:
   struct Node {
-    Processor proc;             ///< incoming link and work (unused for the master)
-    Time port_free = 0;         ///< the node's out-port frees up
-    Time proc_free = 0;         ///< the node's processor frees up
-    std::size_t path = 0;       ///< root-excluded root→node path: `paths_[path, path + depth)`
+    Processor proc;        ///< incoming link and work (unused for the master)
+    std::size_t path = 0;  ///< root-excluded root→node path: `paths_[path, path + depth)`
     std::size_t depth = 0;
   };
 
-  TreeAsapState() : nodes_(1) {}
+  /// Empties the state down to the master, reserving room for `nodes`.
+  void start(std::size_t nodes);
 
   /// Appends a node under `parent` (already present); returns its id.
   NodeId add_node(NodeId parent, const Processor& proc);
@@ -93,6 +115,9 @@ class TreeAsapState {
 
   std::vector<Node> nodes_;
   std::vector<NodeId> paths_;  ///< concatenated root-excluded paths
+  /// The mutable times: node `v`'s out-port frees at `times_[2v]`, its
+  /// processor at `times_[2v + 1]`.
+  std::vector<Time> times_;
 };
 
 /// Makespan of dispatching the given destination sequence ASAP.

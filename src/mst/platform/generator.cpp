@@ -49,7 +49,9 @@ Processor random_processor(Rng& rng, const GeneratorParams& params) {
       return {c, base};
     }
   }
-  MST_ASSERT(false);
+  // Called directly (not through MST_ASSERT) so the compiler sees that no
+  // path falls off the end of this non-void function.
+  detail::throw_invariant("false", __FILE__, __LINE__);
 }
 
 Chain random_chain(Rng& rng, std::size_t p, const GeneratorParams& params) {

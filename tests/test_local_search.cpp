@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "mst/api/registry.hpp"
 #include "mst/baselines/tree_asap.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/heuristics/local_search.hpp"
+#include "mst/obs/metrics.hpp"
 #include "mst/platform/generator.hpp"
+#include "mst/scenario/runner.hpp"
+#include "mst/scenario/spec.hpp"
+#include "support/full_replay_local_search.hpp"
 
 namespace mst {
 namespace {
@@ -99,6 +107,113 @@ TEST(LocalSearch, RejectsInvalidInitialDestinations) {
   const Tree tree = tree_from_chain(Chain::from_vectors({1}, {1}));
   EXPECT_THROW(improve_tree_dispatch(tree, {0}), std::invalid_argument);
   EXPECT_THROW(improve_tree_dispatch(tree, {9}), std::invalid_argument);
+}
+
+TEST(LocalSearch, MatchesTheFullReplayDescent) {
+  // Suffix replay and early rejection are exact: the descent must accept
+  // the same moves as replaying every candidate from scratch.  Every
+  // platform class and depth bias, 1 to 64 slaves, n from 0 to 64, short
+  // and long pass budgets, greedy and random starts.
+  const PlatformClass classes[] = {PlatformClass::kUniform, PlatformClass::kCommBound,
+                                   PlatformClass::kComputeBound, PlatformClass::kCorrelated,
+                                   PlatformClass::kAntiCorrelated};
+  const std::size_t slave_counts[] = {1, 2, 5, 17, 64};
+  const std::size_t task_counts[] = {0, 1, 2, 9, 30, 64};
+  const std::size_t pass_budgets[] = {1, 2, 16};
+  Rng rng(46);
+  std::size_t cases = 0;
+  std::size_t moved = 0;
+  for (const PlatformClass platform_class : classes) {
+    for (const double depth_bias : {0.0, 0.5, 1.0}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        Rng inst = rng.split();
+        const std::size_t slaves = slave_counts[rng.uniform(0, 4)];
+        const std::size_t n = task_counts[rng.uniform(0, 5)];
+        const std::size_t max_passes = pass_budgets[trial % 3];
+        const Tree tree = random_tree(inst, slaves, {1, 9, platform_class}, depth_bias);
+        std::vector<NodeId> start = forward_greedy_tree(tree, n);
+        if (trial % 2 == 1) {
+          for (NodeId& v : start) v = static_cast<NodeId>(rng.uniform(1, slaves));
+        }
+        const LocalSearchResult expected =
+            oracle::full_replay_local_search(tree, start, max_passes);
+        const LocalSearchResult got = improve_tree_dispatch(tree, start, max_passes);
+        const std::string context = tree.describe() + " n=" + std::to_string(n) +
+                                    " passes=" + std::to_string(max_passes);
+        EXPECT_EQ(got.dests, expected.dests) << context;
+        EXPECT_EQ(got.makespan, expected.makespan) << context;
+        EXPECT_EQ(got.moves, expected.moves) << context;
+        EXPECT_EQ(got.passes, expected.passes) << context;
+        ++cases;
+        moved += got.moves > 0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 60u);
+  EXPECT_GE(moved, 15u);  // the comparison must exercise accepted moves
+}
+
+TEST(LocalSearch, MatchesTheFullReplayDescentOnLargeTrees) {
+  // The largest sizes the benchmark sweeps (64 slaves, 64 tasks), greedy
+  // and random starts, where the suffix and the one-port bound matter most.
+  Rng rng(47);
+  for (int trial = 0; trial < 4; ++trial) {
+    Rng inst = rng.split();
+    const Tree tree = random_tree(inst, 64, {4, 8, PlatformClass::kUniform}, 0.5);
+    std::vector<NodeId> start = forward_greedy_tree(tree, 64);
+    if (trial % 2 == 1) {
+      for (NodeId& v : start) v = static_cast<NodeId>(rng.uniform(1, 64));
+    }
+    const LocalSearchResult expected = oracle::full_replay_local_search(tree, start, 16);
+    const LocalSearchResult got = improve_tree_dispatch(tree, start, 16);
+    EXPECT_EQ(got.dests, expected.dests) << trial;
+    EXPECT_EQ(got.makespan, expected.makespan) << trial;
+    EXPECT_EQ(got.moves, expected.moves) << trial;
+    EXPECT_EQ(got.passes, expected.passes) << trial;
+  }
+}
+
+TEST(LocalSearch, CommitsFallBelowTheFullReplay) {
+  // The work count the gain shows in: on a 64-slave tree the descent makes
+  // strictly fewer engine commits than the full replay, for the same result.
+  Rng rng(48);
+  const Tree tree = random_tree(rng, 64, {4, 8, PlatformClass::kUniform}, 0.5);
+  const LocalSearchResult got = local_search_tree(tree, 64);
+  const LocalSearchResult full =
+      oracle::full_replay_local_search(tree, forward_greedy_tree(tree, 64), 16);
+  EXPECT_EQ(got.dests, full.dests);
+  EXPECT_GT(got.commits, 0u);
+  EXPECT_LT(got.commits, full.commits);
+}
+
+/// The `heuristics.local_search.commits` total of a small local-search
+/// sweep run on `threads` workers.
+std::int64_t sweep_commits(unsigned threads) {
+  scenario::SweepSpec spec;
+  spec.name = "commits";
+  spec.kinds = {api::PlatformKind::kTree};
+  spec.sizes = {6, 16};
+  spec.instances = 4;
+  spec.depth_bias = 0.5;
+  spec.algorithms = {"local-search"};
+  spec.tasks = {12};
+  obs::MetricsRegistry metrics;
+  scenario::RunOptions options;
+  options.threads = threads;
+  options.metrics = &metrics;
+  for (const scenario::CellOutcome& out : scenario::run_cells(scenario::expand(spec), options)) {
+    EXPECT_TRUE(out.ok()) << out.error;
+  }
+  for (const obs::MetricSample& sample : metrics.snapshot()) {
+    if (sample.name == "heuristics.local_search.commits") return sample.value;
+  }
+  return -1;
+}
+
+TEST(LocalSearch, CommitCounterIsIdenticalAtAnyThreadCount) {
+  const std::int64_t one = sweep_commits(1);
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(one, sweep_commits(8));
 }
 
 }  // namespace

@@ -224,10 +224,10 @@ TEST(SolveZeroAlloc, ScratchSolvesMatchPlainSolvesExactly) {
 }
 
 TEST(SolveZeroAlloc, TreeHeuristicAllocationCountIndependentOfTaskCount) {
-  // Tree-shaped platforms keep per-solve state (`TreeAsapState` caches the
-  // path table of one tree, so it cannot live in the platform-agnostic
-  // scratch); the contract is the streaming one — the allocation count is
-  // per-*tree*, never per-task.
+  // The cover and the greedy build tree-shaped state per solve (the cover,
+  // a `TreeAsapState` with the path table of one tree); the contract is the
+  // streaming one — the allocation count is per-*tree*, never per-task.
+  // (The local search keeps its state in the scratch: see the next test.)
   Rng rng(33);
   const api::Platform tree(random_tree(rng, 10, {1, 9, PlatformClass::kUniform}));
   for (const char* algorithm : {"spider-cover", "forward-greedy"}) {
@@ -239,6 +239,14 @@ TEST(SolveZeroAlloc, TreeHeuristicAllocationCountIndependentOfTaskCount) {
   const long small = solve_allocations(tree, "local-search", 24);
   const long large = solve_allocations(tree, "local-search", 48);
   EXPECT_EQ(small, large) << "local-search";
+}
+
+TEST(SolveZeroAlloc, WarmLocalSearchSolveIsAllocationFree) {
+  // The local search keeps its engine state, prefix snapshots and bounds in
+  // the scratch, so a warm solve on the same tree allocates nothing.
+  Rng rng(34);
+  const api::Platform tree(random_tree(rng, 10, {1, 9, PlatformClass::kUniform}));
+  EXPECT_EQ(solve_allocations(tree, "local-search", 48), 0);
 }
 
 /// Allocations of one check of a feasible library schedule, built outside
