@@ -84,6 +84,14 @@ void count_dispatch(obs::MetricsRegistry* metrics, const char* prefix,
   metrics->counter(name).increment();
 }
 
+/// Folds the Fig 7 nodes the last fork or spider `optimal` solve built
+/// (`SpiderCountScratch::nodes_built`) into `core.spider.nodes_built`.
+void count_nodes_built(const SolveOptions& opts, const SpiderCountScratch& scratch) {
+  if (opts.metrics == nullptr) return;
+  opts.metrics->counter("core.spider.nodes_built")
+      .add(static_cast<std::int64_t>(scratch.nodes_built));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -795,6 +803,7 @@ void register_fork_algorithms(Registry& r) {
           const Fork& fork = std::get<Fork>(p);
           SpiderSchedule& pooled = opts.scratch->spider_pool;
           ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
+          count_nodes_built(opts, opts.scratch->fork.solve.count);
           const Time lb =
               spider_makespan_lower_bound(pooled.spider, w.count(), opts.scratch->bound);
           const Time makespan = pooled.makespan();
@@ -813,6 +822,7 @@ void register_fork_algorithms(Registry& r) {
           SpiderSchedule& pooled = opts.scratch->spider_pool;
           ForkScheduler::schedule_within_into(fork, deadline, pool != nullptr ? *pool : stream,
                                               cap, opts.scratch->fork, pooled);
+          count_nodes_built(opts, opts.scratch->fork.solve.count);
           return decision_from_schedule("optimal", k, deadline, /*optimal=*/true, cap, pool,
                                         pooled);
         });
@@ -847,14 +857,19 @@ void register_spider_algorithms(Registry& r) {
           const Spider& spider = std::get<Spider>(p);
           SpiderSchedule& pooled = opts.scratch->spider_pool;
           SpiderScheduler::schedule_into(spider, w, opts.scratch->spider, pooled);
+          count_nodes_built(opts, opts.scratch->spider.count);
           const Time lb = spider_makespan_lower_bound(spider, w.count(), opts.scratch->bound);
           const Time makespan = pooled.makespan();
           return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return horizon_decision<SpiderScheduler>(k, std::get<Spider>(p), deadline, opts,
-                                                   opts.scratch->spider.count,
-                                                   opts.scratch->spider, opts.scratch->spider_pool);
+          SpiderSolveScratch& scratch = opts.scratch->spider;
+          scratch.count.nodes_built = 0;  // an empty window solves nothing
+          DecisionResult result = horizon_decision<SpiderScheduler>(
+              k, std::get<Spider>(p), deadline, opts, scratch.count, scratch,
+              opts.scratch->spider_pool);
+          count_nodes_built(opts, scratch.count);
+          return result;
         });
   register_engine_baselines(r, k);
   register_brute_force(r, k);
@@ -888,7 +903,8 @@ void register_tree_algorithms(Registry& r) {
           const Tree& tree = std::get<Tree>(p);
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
-          TreeAsapState state(tree);  // tree-shaped, so n-independent
+          TreeAsapState& state = opts.scratch->engine.state;
+          state.assign(tree);
           const Time makespan = forward_greedy_tree_into(n, state, pooled.dests);
           pooled.tree = tree;
           return make_result("forward-greedy", PlatformKind::kTree, n, makespan,
@@ -903,7 +919,7 @@ void register_tree_algorithms(Registry& r) {
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
           LocalSearchResult improved =
-              local_search_tree(tree, n, opts.scratch->local_search, std::move(pooled.dests));
+              local_search_tree(tree, n, opts.scratch->engine, std::move(pooled.dests));
           if (opts.metrics != nullptr) {
             opts.metrics->counter("heuristics.local_search.commits")
                 .add(static_cast<std::int64_t>(improved.commits));

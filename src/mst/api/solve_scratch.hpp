@@ -32,7 +32,9 @@ struct SolveScratch {
   ForkCountScratch fork;
   SpiderSolveScratch spider;
   TreeCoverScratch tree_cover;
-  LocalSearchScratch local_search;  ///< engine, snapshots and bounds of the tree descent
+  /// The forward-ASAP engine with the tree descent's snapshots and bounds;
+  /// the tree `forward-greedy` and `local-search` entries both run on it.
+  LocalSearchScratch engine;
   OnePortScratch bound;  ///< spider/fork lower-bound one-port fill
 
   // Pooled schedule payloads.  A solve moves the pool into its result; the

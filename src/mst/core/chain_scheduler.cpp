@@ -188,7 +188,7 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
                 "9223372036854775807");
     build_instance(chain, top, workload, n, scratch);
     const Time horizon = detail::search_instance(
-        scratch, 0, n, [&](Time t) { return probe_instance(t, workload, n, scratch); });
+        scratch, 0, top, n, [&](Time t) { return probe_instance(t, workload, n, scratch); });
     schedule_within_into(chain, horizon, workload, n, scratch, out);
     MST_ASSERT(out.tasks.size() == n);
     return;

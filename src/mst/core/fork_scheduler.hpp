@@ -17,8 +17,9 @@
 /// the Fig 7 virtual nodes are exactly the Fig 6 nodes: the backward
 /// construction on one processor `(c, w)` gives its q-th latest task the
 /// emission deadline `T_lim - (w + q·max(c, w))`.  So every exact form
-/// below runs the spider pipeline (`spider_scheduler.hpp`: build, probes,
-/// search, Moore–Hodgson or positional-release selection, resequencing) on
+/// below runs the spider pipeline (`spider_scheduler.hpp`: the lazy
+/// ascending-`c` greedy for identical tasks, or the built instance and the
+/// positional-release selection with release dates; search; resequencing) on
 /// the fork as a unit-leg spider, rebuilt in the scratch in place, and every
 /// form returns that spider's schedule: slave `i` is leg `i`, each task runs
 /// on the leg's only processor (`proc = 0`), and `emissions` holds its one
@@ -28,7 +29,8 @@
 /// slave is free, `max(emission + c, slave free)`, where the spider keeps
 /// its planned, as-late-as-possible start.  The earlier start never ends
 /// later, so every deadline still holds; with release dates it can end a
-/// makespan earlier.  The paper's ascending-`c` greedy is kept
+/// makespan earlier.  The paper's own form of the greedy — slaves by
+/// ascending `c`, ties by `w`, over each slave's Fig 6 nodes — is kept
 /// (`greedy_*`, the registry's fork `greedy`) for cross-checking and for the
 /// heuristic-comparison experiment.
 

@@ -31,8 +31,12 @@ namespace mst::detail {
 /// `fits`.  Every makespan form of the exact core finds its optimal window
 /// through this search.
 ///
-/// Build once, probe many times.  The searches never rebuild their instance
-/// per probe, because of a shift lemma (a result beyond the paper): the
+/// Build once, probe many times — the chain searches and the release-dated
+/// spider (and fork) searches never rebuild their instance per probe; an
+/// identical-task spider or fork search instead runs each probe as the lazy
+/// greedy's count (`spider_scheduler.hpp`), which builds only the nodes that
+/// probe can keep.  Building once rests on a shift lemma (a result beyond
+/// the paper): the
 /// backward construction only takes `min`s of, and subtracts from, values
 /// that all start at the horizon (`h = o = H`), so it commutes with a
 /// uniform shift.  Its first emissions at any `T <= H` are the emissions at
@@ -46,10 +50,11 @@ namespace mst::detail {
 /// (`merge_edd_runs`) — and every bisection *probe* at `T` lowers each
 /// deadline by `H - T` and drops the jobs whose deadline fell below their
 /// processing time.  A uniform shift keeps EDD order, so a probe is one
-/// linear Moore–Hodgson (or positional-release DP) pass with no sort, and
-/// the optimum `T*` is selected and materialized from the same instance,
-/// shifted by `H - T*`.  `count_within` is the same two steps at one
-/// horizon (build at `T`, probe with shift 0).
+/// linear positional-release DP pass (Moore–Hodgson's for `probe_instance`
+/// on identical tasks) with no sort, and the optimum `T*` is selected and
+/// materialized from the same instance, shifted by `H - T*`.  A
+/// release-dated `count_within` is the same two steps at one horizon
+/// (build at `T`, probe with shift 0).
 template <typename Fits>
 Time min_horizon(Time lo, Time hi, Fits&& fits) {
   while (lo < hi) {
@@ -181,13 +186,13 @@ inline std::size_t run_of(const std::vector<std::size_t>& offsets, std::size_t i
          1;
 }
 
-/// The bisection of a makespan search over its built instance: the
-/// smallest horizon in `[lo, scratch.build_horizon]` at which
-/// `count_at(horizon)` reaches `n`, its probes counted in `scratch.probes`.
+/// The bisection of a makespan search: the smallest horizon in `[lo, hi]`
+/// at which `count_at(horizon)` reaches `n`, its probes counted in
+/// `scratch.probes`.
 template <typename Scratch, typename CountAt>
-Time search_instance(Scratch& scratch, Time lo, std::size_t n, CountAt&& count_at) {
+Time search_instance(Scratch& scratch, Time lo, Time hi, std::size_t n, CountAt&& count_at) {
   scratch.probes = 0;
-  return min_horizon(lo, scratch.build_horizon, [&](Time t) {
+  return min_horizon(lo, hi, [&](Time t) {
     ++scratch.probes;
     return count_at(t) >= n;
   });

@@ -107,11 +107,6 @@ std::size_t moore_hodgson_count(const std::vector<EddJob>& edd, Time shift, std:
   return std::min(heap_scratch.size(), limit);
 }
 
-void moore_hodgson_select(const std::vector<EddJob>& edd, Time shift,
-                          std::vector<SelectedJob>& selected) {
-  select_edd(edd, shift, edd.size(), selected);
-}
-
 std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time shift,
                                          const std::vector<Time>& releases,
                                          std::size_t max_count, std::vector<Time>& dp_scratch) {

@@ -18,10 +18,16 @@
 /// The Moore–Hodgson algorithm solves it optimally in `O(N log N)`.
 ///
 /// The paper cites the ascending-`c` greedy of Beaumont et al. [2] for this
-/// step; we implement both (see `fork_scheduler.hpp` for the greedy) and use
-/// Moore–Hodgson as the default because its optimality holds for *arbitrary*
-/// job sets — which makes the spider reduction robust — while the greedy's
-/// proof relies on the structured node sequences of fork expansion.
+/// step.  Its proof relies on the structure of the node sequences — one
+/// processing time per source, deadlines falling with the rank — which fork
+/// expansion has and so does every spider leg's Fig 7 run: identical-task
+/// spider and fork solves therefore select with a lazy greedy that builds
+/// only the nodes it keeps (`spider_scheduler.hpp`, exchange argument
+/// there).  Moore–Hodgson's optimality holds for *arbitrary* job sets; it
+/// stays for `probe_instance`'s identical-task count, for
+/// `moore_hodgson`/`moore_hodgson_count` below, and as the test oracle of
+/// the greedy (`tests/support/moore_hodgson_oracle.hpp`).  Release-dated
+/// selections use the positional-release DP.
 
 namespace mst {
 
@@ -101,22 +107,15 @@ std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time sh
                                          const std::vector<Time>& releases,
                                          std::size_t max_count, std::vector<Time>& dp_scratch);
 
-/// The selecting steps over the same shifted instance (`edd` EDD-ordered,
-/// built at `H`, selected at `T = H - shift`); they read and keep the
-/// built instance, so a makespan search selects at its optimum without
-/// rebuilding it.  `moore_hodgson_select` leaves the Moore–Hodgson
-/// selection in `selected` (cleared, capacity reused; heap order — the
-/// `(proc_time, id)` pairs of the ids `moore_hodgson` returns on the
-/// instance built at `T`).
-void moore_hodgson_select(const std::vector<EddJob>& edd, Time shift,
-                          std::vector<SelectedJob>& selected);
-
-/// Positional-release selection: leaves the jobs of one maximum selection,
-/// as built, in `picked`, in the EDD order they must be sequenced in
-/// (position j gets release `releases[j]`).  Runs the count's DP row in
-/// `dp_scratch` and keeps, per job, one bit per count in `taken` — whether
-/// the job lowered that DP entry — to backtrack (ties toward leaving a job
-/// out).  Deterministic; every buffer is reused capacity.
+/// Positional-release selection over the same shifted instance (`edd`
+/// EDD-ordered, built at `H`, selected at `T = H - shift`); it reads and
+/// keeps the built instance, so a release-dated makespan search selects at
+/// its optimum without rebuilding it.  Leaves the jobs of one maximum
+/// selection, as built, in `picked`, in the EDD order they must be
+/// sequenced in (position j gets release `releases[j]`).  Runs the count's
+/// DP row in `dp_scratch` and keeps, per job, one bit per count in `taken`
+/// — whether the job lowered that DP entry — to backtrack (ties toward
+/// leaving a job out).  Deterministic; every buffer is reused capacity.
 void moore_hodgson_released(const std::vector<EddJob>& edd, Time shift,
                             const std::vector<Time>& releases, std::size_t max_count,
                             std::vector<Time>& dp_scratch, std::vector<std::uint64_t>& taken,

@@ -1,6 +1,9 @@
 #include "mst/core/spider_scheduler.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <tuple>
+#include <vector>
 
 #include "mst/common/assert.hpp"
 #include "mst/core/chain_scheduler.hpp"
@@ -78,16 +81,151 @@ void resequence(const Spider& spider, const std::vector<Time>* releases,
   out.tasks.resize(used);
 }
 
-/// Steps (3)–(4) at `t_lim` on the instance built in `scratch.count` for
-/// the same workload and cap `k_cap`, into `out`.
+/// The longest prefix of the joining leg `g`'s `built` ranks (latest
+/// emissions first) that keeps the selection EDD-feasible, in one pass
+/// (`c = g.comm > 0`; ranks `0..k-1` are due at `d_0 > d_1 > …`):
+///   * rank `i` completes at `E(d_i) + c·(k − i)`, `E(d)` being the
+///     selection's completion up to deadline `d`: `k <= i + (d_i − E(d_i))/c`;
+///   * a selected node with `r` ranks due after it completes `c·(k − r)`
+///     later once `k > r`: `k <= r + slack/c`.
+/// Each bound binds only prefixes longer than its threshold (`i` or `r`)
+/// and is never below it, so the answer is the least bound.  In descending
+/// deadline order the thresholds only grow, so the pass stops once one
+/// reaches the least bound so far.
+std::size_t longest_prefix(const SpiderCountScratch& scratch, const GreedyLeg& g,
+                           std::size_t built) {
+  const Time* const emissions = scratch.emissions.data() + g.first;
+  std::size_t limit = built;
+  // `limit = min(limit, threshold + slack/c)`, dividing only when that
+  // lowers it; `limit·c` is at most the port time left, so no overflow.
+  const auto bound = [&](std::size_t threshold, Time slack) {
+    if (threshold < limit && slack < static_cast<Time>(limit - threshold) * g.comm) {
+      limit = threshold + static_cast<std::size_t>(slack / g.comm);
+    }
+  };
+  const GreedyNode* const begin = scratch.selected.data();
+  const GreedyNode* next = begin + scratch.selected.size();  // selected nodes left: [begin, next)
+  for (std::size_t i = 0; i < limit; ++i) {
+    const Time deadline = emissions[i] + g.comm;
+    // Selected nodes due at or after rank i, before rank i - 1: `i` ranks
+    // are due after them.
+    for (; next != begin && (next - 1)->deadline >= deadline; --next) {
+      bound(i, (next - 1)->deadline - (next - 1)->end);
+    }
+    if (i >= limit) break;
+    // Rank i, after the selected nodes due before it.  A node due at the
+    // same time ends `E(d_i)` when it is the last of them, and its bound
+    // above was rank i's own.
+    bound(i, deadline - (next == begin ? 0 : (next - 1)->end));
+  }
+  return limit;
+}
+
+/// Merges the joining leg's `k` latest nodes into the selection, EDD order
+/// with completion times.  Nodes due before the smallest new deadline keep
+/// theirs.  The merged selection is feasible, so every completion is at
+/// most its deadline and no sum overflows.
+void join_leg(SpiderCountScratch& scratch, const GreedyLeg& g, std::size_t k) {
+  const Time* const emissions = scratch.emissions.data() + g.first;
+  const std::vector<GreedyNode>& selected = scratch.selected;
+  auto it = std::lower_bound(
+      selected.begin(), selected.end(), emissions[k - 1] + g.comm,
+      [](const GreedyNode& node, Time deadline) { return node.deadline < deadline; });
+  Time end = it == selected.begin() ? 0 : std::prev(it)->end;
+  scratch.merged.assign(selected.begin(), it);
+  const auto join = [&](Time deadline, Time comm) {
+    end += comm;
+    MST_ASSERT(end <= deadline);
+    scratch.merged.push_back(GreedyNode{deadline, comm, end});
+  };
+  for (std::size_t j = k; j >= 1; --j) {
+    const Time deadline = emissions[j - 1] + g.comm;
+    for (; it != selected.end() && it->deadline <= deadline; ++it) join(it->deadline, it->comm);
+    join(deadline, g.comm);
+  }
+  for (; it != selected.end(); ++it) join(it->deadline, it->comm);
+  scratch.selected.swap(scratch.merged);
+}
+
+/// The greedy's join order, ascending `(c_1, leg)`, in `scratch.legs`; it
+/// holds at every horizon, so a makespan search orders once.
+void order_legs(const Spider& spider, SpiderCountScratch& scratch) {
+  scratch.legs.clear();
+  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+    scratch.legs.push_back(GreedyLeg{spider.leg(l).comm(0), l, 0, 0});
+  }
+  std::sort(scratch.legs.begin(), scratch.legs.end(), [](const GreedyLeg& a, const GreedyLeg& b) {
+    return std::tie(a.comm, a.leg) < std::tie(b.comm, b.leg);
+  });
+}
+
+/// Starts an identical-task decision at `t_lim`: checks its inputs, resets
+/// the node count and orders the legs.
+void start_greedy(const Spider& spider, Time t_lim, const Workload& workload,
+                  SpiderCountScratch& scratch) {
+  require_uniform_sizes(workload);
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  scratch.nodes_built = 0;
+  order_legs(spider, scratch);
+}
+
+/// The identical-task greedy at `t_lim` (steps (1)–(3); the exchange
+/// argument is in spider_scheduler.hpp) over the legs `order_legs` left in
+/// `scratch.legs`: each builds at most `min(room, (t_lim − used)/c_1)`
+/// nodes and keeps the longest prefix of its ranks that fits, at most
+/// `k_cap` per leg.  `count_only` stops once `k_cap` are kept and keeps
+/// only the joining leg's emissions; a selection keeps every leg's, for the
+/// trim.  Returns the nodes kept (`min(optimum, k_cap)` when `count_only`).
+std::size_t greedy(const Spider& spider, Time t_lim, std::size_t k_cap, bool count_only,
+                   SpiderCountScratch& scratch) {
+  for (GreedyLeg& g : scratch.legs) g.kept = 0;
+  scratch.selected.clear();
+  scratch.emissions.clear();
+  std::size_t total = 0;
+  Time used = 0;  // port time of the selection, at most `t_lim`
+  for (GreedyLeg& g : scratch.legs) {
+    if (count_only && total == k_cap) break;
+    const std::size_t room = count_only ? k_cap - total : k_cap;
+    Time port = 0;  // `room·c_1`: the division only when port time binds
+    const std::size_t bound = !__builtin_mul_overflow(room, g.comm, &port) && port <= t_lim - used
+                                  ? room
+                                  : static_cast<std::size_t>((t_lim - used) / g.comm);
+    if (count_only) scratch.emissions.clear();
+    g.first = scratch.emissions.size();
+    const std::size_t built =
+        bound == 0 ? 0
+                   : ChainScheduler::count_within_emissions(spider.leg(g.leg), t_lim, bound,
+                                                            scratch.chain, scratch.emissions);
+    scratch.nodes_built += built;
+    // A leg's nodes alone always fit — the earliest is due at `c_1` or
+    // later and the rest at least `c_1` apart — and so do nodes that take
+    // no port time.
+    const std::size_t fits = scratch.selected.empty() || g.comm == 0
+                                 ? built
+                                 : longest_prefix(scratch, g, built);
+    if (fits == 0) continue;
+    // Only a later leg reads the merged selection.
+    const bool last = &g == &scratch.legs.back() || (count_only && total + fits == k_cap);
+    if (!last) join_leg(scratch, g, fits);
+    g.kept = fits;
+    total += fits;
+    used += static_cast<Time>(fits) * g.comm;
+  }
+  return total;
+}
+
+/// Steps (3)–(4) at `t_lim` for the workload and cap `k_cap`, into `out`.
+/// Release-dated selections read the instance built in `scratch.count`,
+/// identical-task ones the leg order `order_legs` left there.
 ///
 /// Step (3) selects on the master's one-port and counts the selected nodes
 /// per leg.  Each leg is then normalized to its smallest-exec nodes, i.e.
 /// the *suffix* of its decision schedule: swapping a selected node for an
 /// unselected same-comm node with a later deadline keeps the selection
-/// EDD-feasible, so counts are preserved.  A suffix of `k` tasks is the
-/// first `k` steps of the leg's backward construction at `t_lim` (Lemma 4),
-/// so only those are rebuilt, never the whole leg.
+/// EDD-feasible, so counts are preserved (the greedy keeps such prefixes of
+/// ranks already).  A suffix of `k` tasks is the first `k` steps of the
+/// leg's backward construction at `t_lim` (Lemma 4), so only those are
+/// rebuilt, never the whole leg.
 void select_spider(const Spider& spider, Time t_lim, const Workload& workload,
                    std::size_t k_cap, SpiderSolveScratch& scratch, SpiderSchedule& out) {
   SpiderCountScratch& count = scratch.count;
@@ -104,31 +242,25 @@ void select_spider(const Spider& spider, Time t_lim, const Workload& workload,
       ++scratch.counts[detail::run_of(count.offsets, job.id)];
     }
   } else {
-    moore_hodgson_select(count.edd, shift, scratch.sel_heap);
-    for (const auto& [comm, id] : scratch.sel_heap) {
-      ++scratch.counts[detail::run_of(count.offsets, id)];
-    }
+    std::size_t total = greedy(spider, t_lim, k_cap, /*count_only=*/false, count);
     // Global cap: trim the hardest node (largest exec among each leg's next
-    // removal candidate, its earliest kept task) until within cap.
-    // Removing never breaks feasibility.  A node's exec `H - deadline` does
-    // not shift with the horizon.
-    std::size_t total = scratch.sel_heap.size();
-    while (total > k_cap) {
-      std::size_t worst_leg = num_legs;
-      Time worst_exec = -1;
-      for (std::size_t l = 0; l < num_legs; ++l) {
-        if (scratch.counts[l] == 0) continue;
-        const Time emission = count.emissions[count.offsets[l] + scratch.counts[l] - 1];
-        const Time exec = count.build_horizon - emission - spider.leg(l).comm(0);
-        if (exec > worst_exec) {
+    // removal candidate, its earliest kept task; ties toward the lower leg)
+    // until within cap.  Removing never breaks feasibility.
+    for (; total > k_cap; --total) {
+      GreedyLeg* worst = nullptr;
+      Time worst_exec = 0;
+      for (GreedyLeg& g : count.legs) {
+        if (g.kept == 0) continue;
+        const Time exec = t_lim - count.emissions[g.first + g.kept - 1] - g.comm;
+        if (worst == nullptr || exec > worst_exec || (exec == worst_exec && g.leg < worst->leg)) {
           worst_exec = exec;
-          worst_leg = l;
+          worst = &g;
         }
       }
-      MST_ASSERT(worst_leg < num_legs);
-      --scratch.counts[worst_leg];
-      --total;
+      MST_ASSERT(worst != nullptr);
+      --worst->kept;
     }
+    for (const GreedyLeg& g : count.legs) scratch.counts[g.leg] = g.kept;
   }
 
   // Each leg's kept suffix, in ascending first-emission order.
@@ -182,8 +314,12 @@ std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim, std:
 std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim,
                                           const Workload& workload, std::size_t cap,
                                           SpiderCountScratch& scratch) {
-  build_instance(spider, t_lim, workload, cap, scratch);
-  return probe_instance(t_lim, workload, cap, scratch);
+  if (workload.has_release_dates()) {
+    build_instance(spider, t_lim, workload, cap, scratch);
+    return probe_instance(t_lim, workload, cap, scratch);
+  }
+  start_greedy(spider, t_lim, workload, scratch);
+  return greedy(spider, t_lim, std::min(cap, workload.count()), /*count_only=*/true, scratch);
 }
 
 void SpiderScheduler::build_instance(const Spider& spider, Time horizon,
@@ -208,6 +344,7 @@ void SpiderScheduler::build_instance(const Spider& spider, Time horizon,
     ChainScheduler::count_within_emissions(leg, horizon, k_cap, scratch.chain, scratch.emissions);
     scratch.offsets.push_back(scratch.emissions.size());
   }
+  scratch.nodes_built = scratch.emissions.size();
   detail::merge_edd_runs(
       scratch.offsets,
       [&](std::size_t l, std::size_t j) {
@@ -243,7 +380,11 @@ void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std
 void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim,
                                            const Workload& workload, std::size_t cap,
                                            SpiderSolveScratch& scratch, SpiderSchedule& out) {
-  build_instance(spider, t_lim, workload, cap, scratch.count);
+  if (workload.has_release_dates()) {
+    build_instance(spider, t_lim, workload, cap, scratch.count);
+  } else {
+    start_greedy(spider, t_lim, workload, scratch.count);
+  }
   select_spider(spider, t_lim, workload, std::min(cap, workload.count()), scratch, out);
 }
 
@@ -251,15 +392,27 @@ void SpiderScheduler::schedule_into(const Spider& spider, const Workload& worklo
                                     SpiderSolveScratch& scratch, SpiderSchedule& out) {
   require_uniform_sizes(workload);
   MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
-  // Steps (1)–(2) run once, at the top; every probe shifts that instance
-  // down to its horizon, and steps (3)–(4) select from it at the optimum.
+  // Identical tasks: every probe is a greedy count.  Release dates: steps
+  // (1)–(2) run once, at the top; every probe shifts that instance down to
+  // its horizon, and steps (3)–(4) select from it at the optimum.
   const std::size_t n = workload.count();
   const detail::SearchRange range = search_range(spider, workload);
-  SpiderCountScratch& built = scratch.count;
-  build_instance(spider, range.top(), workload, n, built);
-  built.floor = range.floor();
-  const Time horizon = detail::search_instance(
-      built, built.floor, n, [&](Time t) { return probe_instance(t, workload, n, built); });
+  SpiderCountScratch& count = scratch.count;
+  count.top = range.top();  // rejects an overflowing range before `floor` sums it
+  count.floor = range.floor();
+  Time horizon = 0;
+  if (workload.has_release_dates()) {
+    build_instance(spider, count.top, workload, n, count);
+    horizon = detail::search_instance(count, count.floor, count.top, n, [&](Time t) {
+      return probe_instance(t, workload, n, count);
+    });
+  } else {
+    count.nodes_built = 0;
+    order_legs(spider, count);
+    horizon = detail::search_instance(count, count.floor, count.top, n, [&](Time t) {
+      return greedy(spider, t, n, /*count_only=*/true, count);
+    });
+  }
   select_spider(spider, horizon, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
   // Release dates pin the origin; identical workloads start at 0.

@@ -22,7 +22,7 @@
 ///   (2) turn every scheduled task into a virtual single-task node
 ///       (`comm = c_1` of the leg, `exec = T_lim − C¹ᵢ − c_1`, Fig 7);
 ///   (3) select a maximum feasible node set on the master's one-port
-///       (the fork-graph step; Moore–Hodgson here);
+///       (the fork-graph step);
 ///   (4) revert: a leg with `k` selected nodes executes the *last `k`
 ///       tasks* of its chain schedule — optimal for `k` tasks by the
 ///       backward construction (Lemma 4) — with master emissions moved to
@@ -32,21 +32,74 @@
 /// form; total complexity stays polynomial (Theorem 2) and the result is
 /// optimal (Theorem 3).
 ///
-/// Search cost — a result beyond the paper, which re-runs steps (1)–(3) per
+/// Identical tasks: steps (1)–(3) as one lazy greedy (a result beyond the
+/// paper, which runs Moore–Hodgson over every Fig 7 node).  Legs join in
+/// ascending `(c_1, leg)` order; each builds, with the first-emissions sink,
+/// only as many of its nodes as could still fit — `min(room, (T_lim −
+/// used)/c_1)`, since every deadline is at most `T_lim` and so a feasible
+/// set holds the port at most `T_lim` — and keeps the longest prefix of its
+/// ranks (latest emissions first) that leaves the selection EDD-feasible.
+/// That prefix is the least of one bound per node due at or after its
+/// earliest rank, read in one pass down the deadline-sorted selection;
+/// a merge then joins it.  A count stops once `cap` nodes are kept.
+/// A selection applies only the per-leg limit `cap`, then trims the total
+/// down to `cap` by dropping, one at a time, the node of largest
+/// `exec = T_lim − C¹ − c_1` among the legs' earliest kept nodes (ties
+/// toward the lower leg).
+///
+/// Why the greedy is exact.  The nodes of one leg `l` share one processing
+/// time `c_l` (its first link), their deadlines `C¹ᵢ + c_l` fall with the
+/// rank, and consecutive ones are at least `c_l` apart (the first link is
+/// exclusive), so every leg's nodes alone are EDD-feasible.  Proven:
+///   * Prefix closure.  Swapping a selected node for an unselected node of
+///     the same leg with a later deadline keeps an EDD-feasible set
+///     feasible (same processing time, every completion no later than its
+///     deadline), so some optimal set takes a prefix of every leg's ranks:
+///     only the per-leg counts matter, and the longest fitting prefix is
+///     well defined (a prefix of a fitting prefix fits).
+///   * Exchange.  Let `O` be an optimal prefix-closed set agreeing with the
+///     greedy's `G` on as many legs as possible in the greedy's order, and
+///     `l` the first leg where they differ.  `G` took the longest prefix of
+///     `l` that fits with the same earlier legs, so `O_l < G_l`.  Add `l`'s
+///     next rank `x` to `O`.  Every overloaded deadline `t` (load past `t`)
+///     is at or after `x`'s; the nodes of legs up to `l` alone fit (they are
+///     a subset of `G`), so the earliest overloaded `t` also covers a node
+///     `y` of a later leg `m`, with `c_m >= c_l`.  Dropping `y` lowers the
+///     load at every deadline from `y`'s on by `c_m >= c_l`, the most any
+///     point was overloaded by, so `O + x − y` is feasible, as large, and —
+///     after the prefix swap — agrees with `G` on one more rank.  Repeating
+///     ends at `G`, so the greedy's count is the optimum.  The gaps of at
+///     least `c_l` are not needed for this; the constant `c_l` per leg is.
+///   * The counts equal Moore–Hodgson's (both are the optimum), and so does
+///     the count of a selection trimmed to the cap.
+/// Pinned by tests, not proven: that the greedy's *per-leg* counts before
+/// the trim equal those of Moore–Hodgson's selection over every node
+/// (max-heap on `(c_1, id)`, evicting the longest, ties toward the higher
+/// leg); every schedule is a function of those counts.
+/// `tests/test_spider_greedy.cpp` checks counts, per-leg counts and
+/// whole schedules against that selection (`tests/support/`) on tie-heavy
+/// spiders, unit-leg forks and one-leg spiders.
+///
+/// Release dates keep steps (1)–(2) on the whole node instance
+/// (`build_instance`) and select with the positional-release DP.
+///
+/// Search cost.  An identical-task search runs one greedy count per probe;
+/// it builds only the nodes each probe can keep.  A release-dated search
+/// builds once — a result beyond the paper, which re-runs steps (1)–(3) per
 /// probe: steps (1)–(2) only shift with the window (the backward
 /// construction's emissions at `T <= H` are those at `H` shifted by
 /// `T - H` and cut before the first negative one; see `min_horizon` in
-/// `core/kernels.hpp`).  So the search runs steps (1)–(2) once, at the top
+/// `core/kernels.hpp`).  So that search runs steps (1)–(2) once, at the top
 /// of its range — one backward construction per leg, and one p-way merge
 /// of the legs' node runs, each already in EDD order — and each probe is a
-/// single linear Moore–Hodgson pass over the shifted instance, with no
-/// sort.  It starts at the one-port floor (`detail::SearchRange`, kept in
-/// `SpiderCountScratch::floor`), not 0, so it runs at most
+/// single linear DP pass over the shifted instance, with no sort.  Both
+/// start at the one-port floor (`detail::SearchRange`, kept in
+/// `SpiderCountScratch::floor`), not 0, so they run at most
 /// `ceil(log2(top - floor + 1))` probes, and none when the floor meets the
 /// top — when one leg's first processor `(c, w)` has the minimum `c_{l,1}`,
 /// `w <= c` and the minimum path latency plus `w`.  Steps (3)–(4) at the
-/// optimum select from the same instance and rebuild only each leg's kept
-/// suffix — its first `k` construction steps — not the whole leg.
+/// optimum rebuild only each leg's kept suffix — its first `k`
+/// construction steps — not the whole leg.
 
 namespace mst {
 
@@ -62,21 +115,44 @@ struct SpiderTransformation {
   std::vector<VirtualNode> nodes;
 };
 
+/// One leg in the identical-task greedy's order, with what it kept.
+struct GreedyLeg {
+  Time comm = 0;          ///< the leg's `c_1`; legs join by `(comm, leg)`
+  std::size_t leg = 0;
+  std::size_t first = 0;  ///< its nodes' emissions: `SpiderCountScratch::emissions[first ..]`
+  std::size_t kept = 0;   ///< the prefix of its ranks it keeps
+};
+
+/// One node of the greedy's selection, in EDD order.
+struct GreedyNode {
+  Time deadline = 0;
+  Time comm = 0;
+  Time end = 0;  ///< completion when the selection runs back-to-back from 0
+};
+
 /// Reusable buffers for `SpiderScheduler::count_within` and the makespan
-/// search's build and probes.  Keep one per thread; with warm buffers the
-/// whole spider count — per-leg backward counting, the merged instance and
-/// the Moore–Hodgson selection — runs without allocating.
+/// search's probes.  Keep one per thread; with warm buffers a whole count —
+/// the greedy's lazy per-leg construction and merges, or a release-dated
+/// build and DP — runs without allocating.
 struct SpiderCountScratch {
   ChainCountScratch chain;            ///< shared across legs
-  std::vector<Time> emissions;        ///< first-link emissions, leg after leg, latest first
+  /// First-link emissions, latest first per leg: leg after leg as built by
+  /// `build_instance`; a greedy selection's at `GreedyLeg::first`, a greedy
+  /// count's only for the leg joining.
+  std::vector<Time> emissions;
   std::vector<std::size_t> offsets;   ///< leg l's emissions and ids: [offsets[l], offsets[l+1])
-  std::vector<EddJob> edd;            ///< the fork-graph instance, EDD order as built
+  std::vector<EddJob> edd;            ///< the built instance, EDD order as built
   Time build_horizon = 0;             ///< horizon `edd` was built at
-  Time floor = 0;                     ///< lower end of the last makespan search
   std::vector<EddRun> merge;          ///< the build's p-way merge heap
-  std::vector<Time> heap;             ///< Moore–Hodgson selection heap
+  std::vector<Time> heap;             ///< `probe_instance`'s Moore–Hodgson heap
   std::vector<Time> dp;               ///< positional-release selection DP row
+  std::vector<GreedyLeg> legs;        ///< the greedy's legs in join order
+  std::vector<GreedyNode> selected;   ///< the greedy's selection
+  std::vector<GreedyNode> merged;     ///< the selection with the joining leg's prefix
+  Time floor = 0;                     ///< lower end of the last makespan search
+  Time top = 0;                       ///< upper end of the last makespan search
   std::size_t probes = 0;             ///< bisection probes of the last makespan search
+  std::size_t nodes_built = 0;        ///< Fig 7 nodes built by the last count or solve
 };
 
 /// Reusable buffers for the scratch-reusing materializing path
@@ -85,7 +161,6 @@ struct SpiderCountScratch {
 struct SpiderSolveScratch {
   SpiderCountScratch count;           ///< the built instance: probes and selection
   std::vector<ChainSchedule> legs;    ///< pooled kept-suffix schedules per leg
-  std::vector<SelectedJob> sel_heap;  ///< Moore–Hodgson selection with ids
   std::vector<std::uint64_t> taken;   ///< positional-release selection backtrack bits
   std::vector<EddJob> picked;         ///< positional-release selection, EDD order
   std::vector<std::size_t> counts;    ///< kept suffix length per leg
@@ -106,19 +181,19 @@ class SpiderScheduler {
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Spider& spider, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: the *build* step runs the per-leg backward
-  /// construction with a first-emissions sink, merged into an EDD-ordered
-  /// node instance, the *probe* step the count-only Moore–Hodgson selection over
-  /// it — entirely in `scratch`, never materializing leg schedules or
-  /// virtual-node vectors.  Returns exactly
+  /// Allocation-free counting: the greedy's count (see above), building
+  /// only the nodes it can keep, entirely in `scratch` — never leg
+  /// schedules or virtual-node vectors.  Returns exactly
   /// `schedule_within(spider, t_lim, cap).tasks.size()`.  The registry's
-  /// `materialize == false` fast path runs on this; the makespan search
-  /// runs the same two steps, building once.
+  /// `materialize == false` fast path and every probe of the makespan
+  /// search run on this.
   static std::size_t count_within(const Spider& spider, Time t_lim, std::size_t cap,
                                   SpiderCountScratch& scratch);
 
-  /// The two steps of every count (`count_within` runs both at `t_lim`).
-  /// `build_instance` runs steps (1)–(2) at `horizon` — at most
+  /// The two steps of a release-dated count (`count_within` runs both at
+  /// `t_lim`); for identical tasks `probe_instance` runs Moore–Hodgson's
+  /// count and equals the greedy's.  `build_instance` runs steps (1)–(2) at
+  /// `horizon` — at most
   /// `min(cap, workload.count())` tasks per leg — and merges the legs'
   /// nodes, each leg's already in EDD order, into `scratch.edd` ordered by
   /// `(deadline, comm, id)`, leg `l`'s ids numbered from
@@ -161,10 +236,9 @@ class SpiderScheduler {
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
 
   // -------------------------------------------------------------------------
-  // One pipeline on one built instance.  Steps (1)–(2) run the chain kernel
-  // on every leg with the first-emissions sink (`build_instance`); counts,
-  // probes and the `_into` forms' selection all read that instance, and
-  // the `_into` forms materialize only the kept suffix of each leg.  The value-returning
+  // One pipeline.  Steps (1)–(3) are the greedy for identical tasks and
+  // the built instance plus the DP with release dates; the `_into` forms
+  // then materialize only the kept suffix of each leg.  The value-returning
   // forms are a local scratch around the `_into` forms, which rebuild `out`
   // in place so repeated solves on warm scratch perform zero heap
   // allocations.

@@ -70,11 +70,23 @@ const std::vector<WorkloadGen>& workload_axis(const SweepSpec& spec) {
   return spec.workloads.empty() ? kIdentical : spec.workloads;
 }
 
-/// Appends one platform's cells (all algorithms × workload axis × work-axis
-/// points), all sharing one immutable platform instance.  Workloads are
-/// generated once per (generator, n) and shared across the platform's
-/// algorithms.
+/// The most cells one platform expands to per algorithm: every work-axis
+/// point of every workload generator.
+std::size_t cells_per_algorithm(const SweepSpec& spec) {
+  std::size_t cells = 0;
+  for (const WorkloadGen& gen : workload_axis(spec)) {
+    cells += spec.tasks.size() + spec.deadlines.size() * (gen.identical() ? 1 : spec.tasks.size());
+    if (spec.stream) cells += spec.tasks.size();
+  }
+  return cells;
+}
+
+/// Appends one platform's cells (its kind's `algorithms` × workload axis ×
+/// work-axis points), all sharing one immutable platform instance.
+/// Workloads are generated once per (generator, n) and shared across the
+/// platform's algorithms.
 void append_platform_cells(const SweepSpec& spec, const api::Registry& registry,
+                           const std::vector<std::string>& algorithms,
                            std::shared_ptr<const api::Platform> platform,
                            const std::string& cls_label, std::size_t size,
                            std::size_t instance, std::uint64_t platform_seed,
@@ -98,7 +110,7 @@ void append_platform_cells(const SweepSpec& spec, const api::Registry& registry,
     return entry;
   };
 
-  for (const std::string& algorithm : algorithms_for(spec, kind, registry)) {
+  for (const std::string& algorithm : algorithms) {
     auto push = [&](CellMode mode, std::size_t n, Time deadline, std::size_t gen_index) {
       Cell cell;
       cell.index = out.size();
@@ -220,12 +232,29 @@ std::vector<Cell> expand(const SweepSpec& spec, const api::Registry& registry) {
     }
   }
 
+  // Each kind's algorithms, resolved once; the grid's size bounds the
+  // reservation, so the cells are never moved by a reallocation.
+  std::vector<std::vector<std::string>> algorithms(all_platform_kinds().size());
+  for (api::PlatformKind kind : all_platform_kinds()) {
+    algorithms[static_cast<std::size_t>(kind)] = algorithms_for(spec, kind, registry);
+  }
+  std::size_t platform_cells = 0;
+  for (const api::Platform& platform : spec.platforms) {
+    platform_cells += algorithms[static_cast<std::size_t>(api::kind_of(platform))].size();
+  }
+  for (api::PlatformKind kind : spec.kinds) {
+    platform_cells += spec.classes.size() * spec.sizes.size() * spec.instances *
+                      algorithms[static_cast<std::size_t>(kind)].size();
+  }
   std::vector<Cell> cells;
+  cells.reserve(platform_cells * cells_per_algorithm(spec));
   for (std::size_t i = 0; i < spec.platforms.size(); ++i) {
     auto platform = std::make_shared<const api::Platform>(spec.platforms[i]);
     const std::size_t size = api::num_processors(*platform);
-    append_platform_cells(spec, registry, std::move(platform), "-", size,
-                          /*instance=*/i, /*platform_seed=*/0, cells);
+    const api::PlatformKind kind = api::kind_of(*platform);
+    append_platform_cells(spec, registry, algorithms[static_cast<std::size_t>(kind)],
+                          std::move(platform), "-", size, /*instance=*/i, /*platform_seed=*/0,
+                          cells);
   }
   // Platform cache: grid points that resolve to the same (generator inputs,
   // seed) key — e.g. a spec listing a size or class twice — share one
@@ -262,8 +291,8 @@ std::vector<Cell> expand(const SweepSpec& spec, const api::Registry& registry) {
           if (cached == nullptr) {
             cached = std::make_shared<const api::Platform>(make_platform(pspec, platform_seed));
           }
-          append_platform_cells(spec, registry, cached, to_string(cls), size, instance,
-                                platform_seed, cells);
+          append_platform_cells(spec, registry, algorithms[static_cast<std::size_t>(kind)],
+                                cached, to_string(cls), size, instance, platform_seed, cells);
         }
       }
     }

@@ -134,7 +134,9 @@ TEST(ForkCounting, ZeroAllocationsAfterWarmup) {
 // scratch, in place: a warm scratch serves a different fork of as many
 // slaves without allocating.  The second fork is the first with every time
 // doubled, so its solves have the same shape and only the conversion could
-// allocate.
+// allocate.  A count with the makespan solve's cap at ten times its
+// optimum allocates nothing either: the greedy's buffers are bounded by the
+// cap, not the window.
 TEST(ForkCounting, WarmScratchServesAnotherForkWithoutAllocating) {
   Rng rng(16);
   const Fork fork = random_fork(rng, 6, GeneratorParams{1, 9, PlatformClass::kUniform});
@@ -154,9 +156,12 @@ TEST(ForkCounting, WarmScratchServesAnotherForkWithoutAllocating) {
   alloc_probe::arm();
   const std::size_t other_counted = ForkScheduler::count_within(other, 500, 4096, scratch);
   ForkScheduler::schedule_into(other, workload, scratch, out);
+  const std::size_t wide_counted =
+      ForkScheduler::count_within(other, 10 * out.makespan(), workload.count(), scratch);
   const long allocations = alloc_probe::allocations();
   EXPECT_EQ(other_counted, counted);
   EXPECT_EQ(out.makespan(), 2 * makespan);
+  EXPECT_EQ(wide_counted, workload.count());
   EXPECT_GT(counted, 0u);
   EXPECT_EQ(allocations, 0);
 }
@@ -201,9 +206,12 @@ TEST(Counting, HoistedProbesAllocateNothing) {
   }
 }
 
-// The makespan searches select at their optimum from the instance they
-// built: with warm scratch, a whole solve — build, probes, selection and
-// materialization — allocates nothing, release-dated ones included.
+// With warm scratch, a whole makespan solve — probes, selection and
+// materialization — allocates nothing, release-dated ones included.  The
+// identical-task greedy builds only the nodes a count can keep, so its
+// buffers are bounded by the cap, not the window: a count at ten times the
+// optimum with the same cap allocates nothing either (the full node
+// instance grows with the window).
 TEST(Counting, WarmMakespanSolvesAllocateNothing) {
   Rng rng(15);
   const GeneratorParams params{1, 9, PlatformClass::kUniform};
@@ -229,6 +237,18 @@ TEST(Counting, WarmMakespanSolvesAllocateNothing) {
     EXPECT_EQ(fork_out.makespan(), fork_makespan);
     EXPECT_EQ(spider_out.makespan(), spider_makespan);
     EXPECT_EQ(allocations, 0);
+    if (workload.has_release_dates()) continue;
+
+    const std::size_t n = workload.count();
+    alloc_probe::arm();
+    const std::size_t fork_count =
+        ForkScheduler::count_within(fork, 10 * fork_makespan, n, fork_scratch);
+    const std::size_t spider_count =
+        SpiderScheduler::count_within(spider, 10 * spider_makespan, n, spider_scratch.count);
+    const long wide_allocations = alloc_probe::allocations();
+    EXPECT_EQ(fork_count, n);
+    EXPECT_EQ(spider_count, n);
+    EXPECT_EQ(wide_allocations, 0);
   }
 }
 

@@ -167,12 +167,12 @@ TEST(SearchRange, ProbesStayWithinTheLogOfTheRange) {
 
     ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
     const SpiderCountScratch& fork_search = fork_scratch.solve.count;
-    EXPECT_LE(fork_search.probes, log2_ceil(fork_search.build_horizon - fork_search.floor + 1))
+    EXPECT_LE(fork_search.probes, log2_ceil(fork_search.top - fork_search.floor + 1))
         << fork.describe();
 
     SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
     EXPECT_LE(spider_scratch.count.probes,
-              log2_ceil(spider_scratch.count.build_horizon - spider_scratch.count.floor + 1))
+              log2_ceil(spider_scratch.count.top - spider_scratch.count.floor + 1))
         << spider.describe();
 
     // The chain search spans [0, T∞(n) + last release]; identical workloads

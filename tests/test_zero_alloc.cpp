@@ -177,6 +177,26 @@ long solve_allocations(const api::Platform& platform, const char* algorithm, std
   return count;
 }
 
+/// Allocations of one materialized decision-form solve on a warm
+/// `api::SolveScratch`, warmed up like `solve_allocations`.
+long decision_allocations(const api::Platform& platform, const char* algorithm, Time deadline) {
+  const api::Registry& registry = api::registry();
+  api::SolveScratch scratch;
+  api::SolveOptions options;
+  options.materialize = true;
+  options.scratch = &scratch;
+  for (int warm = 0; warm < 2; ++warm) {
+    scratch.recycle(registry.solve_within(platform, algorithm, deadline, options));
+  }
+
+  alloc_probe::Scope probe;
+  api::DecisionResult result = registry.solve_within(platform, algorithm, deadline, options);
+  const long count = probe.count();
+  EXPECT_GT(result.tasks, 0u);
+  scratch.recycle(std::move(result));
+  return count;
+}
+
 TEST(SolveZeroAlloc, MaterializedOptimalSolvesAreAllocationFree) {
   // The tentpole claim: with a warm scratch, a full schedule-producing
   // solve on each closed-form platform allocates nothing — the plan is
@@ -224,10 +244,10 @@ TEST(SolveZeroAlloc, ScratchSolvesMatchPlainSolvesExactly) {
 }
 
 TEST(SolveZeroAlloc, TreeHeuristicAllocationCountIndependentOfTaskCount) {
-  // The cover and the greedy build tree-shaped state per solve (the cover,
-  // a `TreeAsapState` with the path table of one tree); the contract is the
+  // The cover builds tree-shaped state per solve; the contract is the
   // streaming one — the allocation count is per-*tree*, never per-task.
-  // (The local search keeps its state in the scratch: see the next test.)
+  // (The greedy and the local search keep their engine state in the
+  // scratch: see the next tests.)
   Rng rng(33);
   const api::Platform tree(random_tree(rng, 10, {1, 9, PlatformClass::kUniform}));
   for (const char* algorithm : {"spider-cover", "forward-greedy"}) {
@@ -247,6 +267,16 @@ TEST(SolveZeroAlloc, WarmLocalSearchSolveIsAllocationFree) {
   Rng rng(34);
   const api::Platform tree(random_tree(rng, 10, {1, 9, PlatformClass::kUniform}));
   EXPECT_EQ(solve_allocations(tree, "local-search", 48), 0);
+}
+
+TEST(SolveZeroAlloc, WarmForwardGreedySolveIsAllocationFree) {
+  // The tree forward-greedy assigns the scratch's engine state in place, so
+  // a warm solve on the same tree allocates nothing — in makespan form, and
+  // in decision form, whose makespan inversion runs one solve per probe.
+  Rng rng(35);
+  const api::Platform tree(random_tree(rng, 10, {1, 9, PlatformClass::kUniform}));
+  EXPECT_EQ(solve_allocations(tree, "forward-greedy", 48), 0);
+  EXPECT_EQ(decision_allocations(tree, "forward-greedy", 200), 0);
 }
 
 /// Allocations of one check of a feasible library schedule, built outside
