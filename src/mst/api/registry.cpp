@@ -84,7 +84,7 @@ void count_dispatch(obs::MetricsRegistry* metrics, const char* prefix,
   metrics->counter(name).increment();
 }
 
-/// Folds the Fig 7 nodes the last fork or spider `optimal` solve built
+/// Folds the Fig 7 nodes the last exact fork or spider solve built
 /// (`SpiderCountScratch::nodes_built`) into `core.spider.nodes_built`.
 void count_nodes_built(const SolveOptions& opts, const SpiderCountScratch& scratch) {
   if (opts.metrics == nullptr) return;
@@ -794,54 +794,59 @@ void register_chain_algorithms(Registry& r) {
   register_replan(r, k);
 }
 
+/// The fork's exact solve, shared by its `optimal` and `greedy` entries:
+/// the paper's §6 ascending-`c` greedy is the spider pipeline's
+/// identical-task selection on unit legs, so both run `ForkScheduler` on
+/// the pooled scratch and differ only in name and `optimal` flag.
+SolveResult fork_solve(const char* algorithm, bool optimal, const Platform& p, const Workload& w,
+                       const SolveOptions& opts) {
+  require_tasks(w);
+  const Fork& fork = std::get<Fork>(p);
+  SpiderSchedule& pooled = opts.scratch->spider_pool;
+  ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
+  count_nodes_built(opts, opts.scratch->fork.solve.count);
+  const Time lb = spider_makespan_lower_bound(pooled.spider, w.count(), opts.scratch->bound);
+  const Time makespan = pooled.makespan();
+  return make_result(algorithm, PlatformKind::kFork, w.count(), makespan, lb, optimal,
+                     std::move(pooled));
+}
+
+/// The fork's decision form, shared like `fork_solve`.  Unlike chain/spider,
+/// a fork decision makespan is the completion time of the ASAP starts, not
+/// the horizon, so every decision materializes, even when `materialize` is
+/// off (the wrapper strips the payload back into the pool).
+DecisionResult fork_decision(const char* algorithm, bool optimal, const Platform& p,
+                             Time deadline, const SolveOptions& opts) {
+  const PlatformKind k = PlatformKind::kFork;
+  if (deadline <= 0) return make_decision(algorithm, k, deadline, 0, 0, optimal, {});
+  const Workload* pool = pool_of(opts);
+  const std::size_t cap = decision_cap(opts, pool);
+  const Workload stream = Workload::identical(cap);
+  SpiderSchedule& pooled = opts.scratch->spider_pool;
+  ForkScheduler::schedule_within_into(std::get<Fork>(p), deadline,
+                                      pool != nullptr ? *pool : stream, cap, opts.scratch->fork,
+                                      pooled);
+  count_nodes_built(opts, opts.scratch->fork.solve.count);
+  return decision_from_schedule(algorithm, k, deadline, optimal, cap, pool, pooled);
+}
+
 void register_fork_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kFork;
-  r.add({k, "optimal", "Moore-Hodgson virtual-node selection, Fig 6", /*optimal=*/true,
-         /*exponential=*/false, kReleaseOnly},
-        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
-          const Fork& fork = std::get<Fork>(p);
-          SpiderSchedule& pooled = opts.scratch->spider_pool;
-          ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
-          count_nodes_built(opts, opts.scratch->fork.solve.count);
-          const Time lb =
-              spider_makespan_lower_bound(pooled.spider, w.count(), opts.scratch->bound);
-          const Time makespan = pooled.makespan();
-          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
+  r.add({k, "optimal", "ascending-c greedy over Fig 6 nodes; positional-release DP",
+         /*optimal=*/true, /*exponential=*/false, kReleaseOnly},
+        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
+          return fork_solve("optimal", /*optimal=*/true, p, w, opts);
         },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Fork& fork = std::get<Fork>(p);
-          if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
-          const Workload* pool = pool_of(opts);
-          const std::size_t cap = decision_cap(opts, pool);
-          // Unlike chain/spider, a fork decision makespan is the completion
-          // time of the ASAP starts, not the horizon, so every decision
-          // materializes, even when `materialize` is off (the wrapper strips
-          // the payload back into the pool).
-          const Workload stream = Workload::identical(cap);
-          SpiderSchedule& pooled = opts.scratch->spider_pool;
-          ForkScheduler::schedule_within_into(fork, deadline, pool != nullptr ? *pool : stream,
-                                              cap, opts.scratch->fork, pooled);
-          count_nodes_built(opts, opts.scratch->fork.solve.count);
-          return decision_from_schedule("optimal", k, deadline, /*optimal=*/true, cap, pool,
-                                        pooled);
+        [](const Platform& p, Time deadline, const SolveOptions& opts) {
+          return fork_decision("optimal", /*optimal=*/true, p, deadline, opts);
         });
   r.add({k, "greedy", "the paper's ascending-c greedy (Beaumont et al.)", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Fork& fork = std::get<Fork>(p);
-          return shape_result("greedy", k, ForkScheduler::greedy_schedule(fork, w.count()), w,
-                              false);
+        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
+          return fork_solve("greedy", /*optimal=*/false, p, w, opts);
         },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Fork& fork = std::get<Fork>(p);
-          if (deadline <= 0) return make_decision("greedy", k, deadline, 0, 0, false, {});
-          const Workload* pool = pool_of(opts);
-          const std::size_t cap = decision_cap(opts, pool);
-          SpiderSchedule schedule = ForkScheduler::greedy_schedule_within(fork, deadline, cap);
-          return decision_from_schedule("greedy", k, deadline, /*optimal=*/false, cap, pool,
-                                        schedule);
+        [](const Platform& p, Time deadline, const SolveOptions& opts) {
+          return fork_decision("greedy", /*optimal=*/false, p, deadline, opts);
         });
   register_engine_baselines(r, k);
   register_brute_force(r, k);
@@ -850,8 +855,8 @@ void register_fork_algorithms(Registry& r) {
 
 void register_spider_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kSpider;
-  r.add({k, "optimal", "per-leg decision form + Moore-Hodgson, Theorem 3", /*optimal=*/true,
-         /*exponential=*/false, kReleaseOnly},
+  r.add({k, "optimal", "Fig 7 nodes + ascending-c greedy or release DP, Theorem 3",
+         /*optimal=*/true, /*exponential=*/false, kReleaseOnly},
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Spider& spider = std::get<Spider>(p);

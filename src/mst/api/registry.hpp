@@ -47,7 +47,7 @@
 ///    identical stream (default) or from a finite `SolveOptions::workload`.
 ///
 /// Every entry supports the decision form: algorithms with a native decision
-/// procedure (the chain backward construction, the fork/spider Moore–Hodgson
+/// procedure (the chain backward construction, the fork/spider virtual-node
 /// selections, the brute-force oracles) register it directly; every other
 /// entry inherits an adapter that inverts its makespan form by exponential +
 /// binary search, which is exact whenever the makespan is monotone in the

@@ -29,10 +29,10 @@
 /// slave is free, `max(emission + c, slave free)`, where the spider keeps
 /// its planned, as-late-as-possible start.  The earlier start never ends
 /// later, so every deadline still holds; with release dates it can end a
-/// makespan earlier.  The paper's own form of the greedy — slaves by
-/// ascending `c`, ties by `w`, over each slave's Fig 6 nodes — is kept
-/// (`greedy_*`, the registry's fork `greedy`) for cross-checking and for the
-/// heuristic-comparison experiment.
+/// makespan earlier.  The paper's §6 selection — slaves by ascending `c`,
+/// each adding its Fig 6 nodes while the selection stays EDD-feasible — is
+/// that spider greedy on unit legs, so the fork keeps no greedy of its own:
+/// the registry's fork `greedy` entry runs the forms below too.
 
 namespace mst {
 
@@ -75,33 +75,12 @@ class ForkScheduler {
   static SpiderSchedule schedule(const Fork& fork, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks — the spider's
-  /// search on one built instance, from the one-port floor
-  /// (`scratch.solve.count.floor`, probes in `scratch.solve.count.probes`).
+  /// search from the one-port floor (`scratch.solve.count.floor`, probes in
+  /// `scratch.solve.count.probes`).
   static SpiderSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.
   static Time makespan(const Fork& fork, std::size_t n);
-
-  /// The paper's §6 greedy (Beaumont et al. [2]): sort slaves by ascending
-  /// communication time (ties by processing time), then fill each slave with
-  /// further virtual nodes while the insertion stays EDD-feasible.  Returns
-  /// the task count.  Cross-checked against `max_tasks` in the test suite.
-  /// Each slave's nodes join in one bisection over how many of its ranks
-  /// still fit, each test a linear merge with the EDD-ordered selection.
-  static std::size_t greedy_max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
-
-  /// Materializes the greedy selection as an actual schedule: its nodes in
-  /// EDD order, emitted back-to-back from 0, each task started as soon as
-  /// it has arrived and its slave is free.
-  static SpiderSchedule greedy_schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
-
-  /// Makespan form of the greedy: the greedy schedule of `n` tasks in the
-  /// smallest window whose selection reaches `n`, bisected over the
-  /// spider's search range (`detail::SearchRange`: from the one-port floor
-  /// up to the best slave's own n-task pipeline, skipping a slave whose
-  /// pipeline overflows).  The greedy count is the optimal count, so the
-  /// top always admits `n` tasks.
-  static SpiderSchedule greedy_schedule(const Fork& fork, std::size_t n);
 
   // -------------------------------------------------------------------------
   // The `_into` forms rebuild `out` in place, so repeated solves on warm

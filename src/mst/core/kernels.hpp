@@ -50,8 +50,8 @@ namespace mst::detail {
 /// (`merge_edd_runs`) — and every bisection *probe* at `T` lowers each
 /// deadline by `H - T` and drops the jobs whose deadline fell below their
 /// processing time.  A uniform shift keeps EDD order, so a probe is one
-/// linear positional-release DP pass (Moore–Hodgson's for `probe_instance`
-/// on identical tasks) with no sort, and the optimum `T*` is selected and
+/// linear positional-release DP pass with no sort (`probe_instance` takes
+/// release-dated workloads only), and the optimum `T*` is selected and
 /// materialized from the same instance, shifted by `H - T*`.  A
 /// release-dated `count_within` is the same two steps at one horizon
 /// (build at `T`, probe with shift 0).

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 
 #include "mst/common/assert.hpp"
 
@@ -12,60 +11,12 @@ namespace mst {
 
 namespace {
 
-/// Deterministic EDD order (a function object, so `std::sort` inlines it).
-constexpr auto edd_less = [](const DeadlineJob& a, const DeadlineJob& b) {
-  if (a.deadline != b.deadline) return a.deadline < b.deadline;
-  if (a.proc_time != b.proc_time) return a.proc_time < b.proc_time;
-  return a.id < b.id;
-};
-
-Time proc_time_of(Time entry) { return entry; }
-Time proc_time_of(const SelectedJob& entry) { return entry.first; }
-
-// The one Moore–Hodgson body and the positional-release DP run on caller
-// scratch only — statically allocation-checked (dynamic twins:
-// tests/test_counting.cpp, tests/test_zero_alloc.cpp).  Both take an
-// EDD-ordered instance plus a horizon shift and never sort: a makespan
-// search builds its instance once, probes it at every step and selects
-// from it at its optimum.
+// The positional-release DP runs on caller scratch only — statically
+// allocation-checked (dynamic twins: tests/test_counting.cpp,
+// tests/test_zero_alloc.cpp).  It takes an EDD-ordered instance plus a
+// horizon shift and never sorts: a makespan search builds its instance
+// once, probes it at every step and selects from it at its optimum.
 // mstlint: zero-alloc
-
-/// Leaves the selected jobs of the EDD-ordered `jobs`, every deadline lowered
-/// by `shift`, in `selected` (heap order).  A job whose shifted deadline is
-/// below its processing time is skipped: it does not exist at the shifted
-/// horizon, and it could never be on time anyway — every job selected
-/// before it is strictly shorter, so the eviction it triggers would drop
-/// the job itself.  The selection is a max-heap on processing time: when
-/// the running total overshoots a deadline, evicting the longest selected
-/// job is optimal (Moore 1968).  `Entry` is either the processing time
-/// alone (the count is invariant under which of several longest-job ties
-/// gets evicted) or a `SelectedJob`, which also makes the eviction among
-/// equals deterministic.  Every step adds one job and evicts at most one,
-/// so the selection never shrinks: the pass stops once `limit` jobs are
-/// selected.
-template <typename Job, typename Entry>
-void select_edd(const std::vector<Job>& jobs, Time shift, std::size_t limit,
-                std::vector<Entry>& selected) {
-  selected.clear();
-  Time total = 0;
-  for (const Job& job : jobs) {
-    const Time deadline = job.deadline - shift;
-    if (deadline < job.proc_time) continue;
-    if constexpr (std::is_same_v<Entry, Time>) {
-      selected.push_back(job.proc_time);
-    } else {
-      selected.emplace_back(job.proc_time, job.id);
-    }
-    std::push_heap(selected.begin(), selected.end());
-    total += job.proc_time;
-    if (total > deadline) {
-      std::pop_heap(selected.begin(), selected.end());
-      total -= proc_time_of(selected.back());
-      selected.pop_back();
-    }
-    if (selected.size() >= limit) return;
-  }
-}
 
 /// Never reached by a feasible selection of that many jobs.
 constexpr Time kUnreached = std::numeric_limits<Time>::max();
@@ -94,18 +45,6 @@ std::size_t relax_released(Time* dp, Time proc_time, Time deadline,
 }
 
 }  // namespace
-
-std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
-  select_edd(jobs, 0, jobs.size(), heap_scratch);
-  return heap_scratch.size();
-}
-
-std::size_t moore_hodgson_count(const std::vector<EddJob>& edd, Time shift, std::size_t limit,
-                                std::vector<Time>& heap_scratch) {
-  select_edd(edd, shift, limit, heap_scratch);
-  return std::min(heap_scratch.size(), limit);
-}
 
 std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time shift,
                                          const std::vector<Time>& releases,
@@ -161,42 +100,5 @@ void moore_hodgson_released(const std::vector<EddJob>& edd, Time shift,
   MST_ASSERT(j == 0);
 }
 // mstlint: zero-alloc-end
-
-std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
-  std::vector<SelectedJob> selected;
-  select_edd(jobs, 0, jobs.size(), selected);
-  std::vector<std::size_t> ids;
-  ids.reserve(selected.size());
-  for (const auto& [proc_time, id] : selected) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-bool edd_feasible(std::vector<DeadlineJob> jobs) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
-  Time total = 0;
-  for (const DeadlineJob& job : jobs) {
-    total += job.proc_time;
-    if (total > job.deadline) return false;
-  }
-  return true;
-}
-
-std::vector<Time> sequence_edd(const std::vector<DeadlineJob>& jobs) {
-  std::vector<std::size_t> order(jobs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return edd_less(jobs[a], jobs[b]); });
-
-  std::vector<Time> starts(jobs.size(), 0);
-  Time cursor = 0;
-  for (std::size_t idx : order) {
-    starts[idx] = cursor;
-    cursor += jobs[idx].proc_time;
-    MST_ASSERT(cursor <= jobs[idx].deadline);
-  }
-  return starts;
-}
 
 }  // namespace mst

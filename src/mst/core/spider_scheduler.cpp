@@ -357,18 +357,15 @@ void SpiderScheduler::build_instance(const Spider& spider, Time horizon,
 
 std::size_t SpiderScheduler::probe_instance(Time t_lim, const Workload& workload,
                                             std::size_t cap, SpiderCountScratch& scratch) {
-  // Step (3).  Counts are per-leg capped like the materialized path; its
-  // global cap trim only ever reduces the total to the cap, so the probe's
-  // `min` reproduces it.  With release dates, the positional-release
-  // selection DP replaces Moore–Hodgson.
+  // Step (3) with release dates: the positional-release selection DP.
+  // Counts are per-leg capped like the materialized path.  Identical tasks
+  // never probe a built instance: their counts are the greedy's.
+  MST_REQUIRE(workload.has_release_dates(),
+              "a built spider instance is probed only with release dates");
   MST_REQUIRE(t_lim >= 0 && t_lim <= scratch.build_horizon,
               "probe horizon must lie in [0, build horizon]");
-  const Time shift = scratch.build_horizon - t_lim;
-  const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) {
-    return moore_hodgson_count(scratch.edd, shift, k_cap, scratch.heap);
-  }
-  return moore_hodgson_released_count(scratch.edd, shift, workload.releases(), k_cap,
+  return moore_hodgson_released_count(scratch.edd, scratch.build_horizon - t_lim,
+                                      workload.releases(), std::min(cap, workload.count()),
                                       scratch.dp);
 }
 

@@ -81,7 +81,9 @@
 /// spiders, unit-leg forks and one-leg spiders.
 ///
 /// Release dates keep steps (1)–(2) on the whole node instance
-/// (`build_instance`) and select with the positional-release DP.
+/// (`build_instance`) and select with the positional-release DP;
+/// `probe_instance`, that DP's count over the built instance, is for
+/// release-dated workloads only.
 ///
 /// Search cost.  An identical-task search runs one greedy count per probe;
 /// it builds only the nodes each probe can keep.  A release-dated search
@@ -144,7 +146,6 @@ struct SpiderCountScratch {
   std::vector<EddJob> edd;            ///< the built instance, EDD order as built
   Time build_horizon = 0;             ///< horizon `edd` was built at
   std::vector<EddRun> merge;          ///< the build's p-way merge heap
-  std::vector<Time> heap;             ///< `probe_instance`'s Moore–Hodgson heap
   std::vector<Time> dp;               ///< positional-release selection DP row
   std::vector<GreedyLeg> legs;        ///< the greedy's legs in join order
   std::vector<GreedyNode> selected;   ///< the greedy's selection
@@ -191,18 +192,18 @@ class SpiderScheduler {
                                   SpiderCountScratch& scratch);
 
   /// The two steps of a release-dated count (`count_within` runs both at
-  /// `t_lim`); for identical tasks `probe_instance` runs Moore–Hodgson's
-  /// count and equals the greedy's.  `build_instance` runs steps (1)–(2) at
-  /// `horizon` — at most
+  /// `t_lim`).  `build_instance` runs steps (1)–(2) at `horizon` — at most
   /// `min(cap, workload.count())` tasks per leg — and merges the legs'
   /// nodes, each leg's already in EDD order, into `scratch.edd` ordered by
   /// `(deadline, comm, id)`, leg `l`'s ids numbered from
-  /// `scratch.offsets[l]` in ascending first emission; `probe_instance` then
-  /// answers step (3) at any `t_lim` in `[0, horizon]` — for the same
-  /// workload and cap — by shifting and filtering that instance, in one
-  /// linear Moore–Hodgson (or positional-release DP) pass.  Equals
+  /// `scratch.offsets[l]` in ascending first emission; it accepts any
+  /// uniform-size workload.  `probe_instance` then answers step (3) at any
+  /// `t_lim` in `[0, horizon]` — for the same release-dated workload and
+  /// cap — by shifting and filtering that instance, in one linear
+  /// positional-release DP pass.  Equals
   /// `count_within(spider, t_lim, workload, cap, scratch)` at every such
-  /// `t_lim`.
+  /// `t_lim`.  It rejects an identical workload (`std::invalid_argument`):
+  /// identical-task counts are the greedy's, which builds no instance.
   static void build_instance(const Spider& spider, Time horizon, const Workload& workload,
                              std::size_t cap, SpiderCountScratch& scratch);
   static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,

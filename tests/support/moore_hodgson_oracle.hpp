@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mst/core/chain_scheduler.hpp"
@@ -14,22 +15,33 @@
 #include "mst/workload/workload.hpp"
 
 /// \file moore_hodgson_oracle.hpp
-/// Test oracle: the identical-task spider selection as the library ran it
-/// before the lazy greedy — Moore–Hodgson over every Fig 7 node of the
+/// Test oracle: Moore–Hodgson (Moore 1968), the one copy left of it.  The
+/// library selects identical-task spider and fork nodes with the lazy
+/// ascending-`c` greedy (`spider_scheduler.hpp`); this file keeps the
+/// selection it replaced — Moore–Hodgson over every Fig 7 node of the
 /// instance `SpiderScheduler::build_instance` merges, its max-heap on
 /// `(c_1, id)` evicting the longest node (ties toward the larger id, i.e.
-/// the higher leg), then the global cap trim and the step (4) resequencing.
-/// The library's greedy (`spider_scheduler.hpp`) must reproduce its counts,
-/// its per-leg counts and so every schedule bit for bit;
-/// `tests/test_spider_greedy.cpp` checks that.  This is the only copy
-/// of the Moore–Hodgson selection with ids over a built instance.
+/// the higher leg), then the global cap trim and the step (4)
+/// resequencing.  The greedy must reproduce its counts, its per-leg counts
+/// and so every schedule bit for bit; `tests/test_spider_greedy.cpp` checks
+/// that.  A thin form over plain `(proc_time, deadline, id)` jobs serves
+/// the textbook tests (`tests/test_moore_hodgson.cpp`).
 
 namespace mst::oracle {
 
+/// A selected job as `(proc_time, id)`; the selection heap evicts the
+/// largest processing time first, ties toward the larger id.
+using SelectedJob = std::pair<Time, std::size_t>;
+
 /// Moore–Hodgson over the EDD-ordered `edd`, every deadline lowered by
-/// `shift`: the selected `(proc_time, id)` pairs, in heap order.
-inline std::vector<SelectedJob> moore_hodgson_select(const std::vector<EddJob>& edd, Time shift) {
-  std::vector<SelectedJob> selected;
+/// `shift`: leaves the selected jobs in `selected` (heap order; reused
+/// capacity, so a warm buffer allocates nothing).  A job whose shifted
+/// deadline is below its processing time is skipped: it does not exist at
+/// the shifted horizon.  When the running total overshoots a deadline,
+/// evicting the longest selected job is optimal.
+inline void moore_hodgson_select(const std::vector<EddJob>& edd, Time shift,
+                                 std::vector<SelectedJob>& selected) {
+  selected.clear();
   Time total = 0;
   for (const EddJob& job : edd) {
     const Time deadline = job.deadline - shift;
@@ -43,7 +55,44 @@ inline std::vector<SelectedJob> moore_hodgson_select(const std::vector<EddJob>& 
       selected.pop_back();
     }
   }
+}
+
+inline std::vector<SelectedJob> moore_hodgson_select(const std::vector<EddJob>& edd, Time shift) {
+  std::vector<SelectedJob> selected;
+  moore_hodgson_select(edd, shift, selected);
   return selected;
+}
+
+/// One job of the plain form.
+struct DeadlineJob {
+  Time proc_time = 0;  ///< time on the machine
+  Time deadline = 0;   ///< latest allowed completion
+  std::size_t id = 0;  ///< caller-side identity, reported back
+};
+
+/// Maximum-cardinality on-time subset of `jobs`: the selected ids,
+/// ascending.  The subset is feasible run back-to-back in EDD order; jobs
+/// with `deadline < proc_time` are never selected.  Ties are broken by
+/// `(deadline, proc_time, id)`, `EddJob`'s order.
+inline std::vector<std::size_t> moore_hodgson(const std::vector<DeadlineJob>& jobs) {
+  std::vector<EddJob> edd;
+  for (const DeadlineJob& job : jobs) edd.push_back(EddJob{job.deadline, job.proc_time, job.id});
+  std::sort(edd.begin(), edd.end());
+  std::vector<std::size_t> ids;
+  for (const SelectedJob& job : moore_hodgson_select(edd, 0)) ids.push_back(job.second);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// The identical-task probe of an instance `SpiderScheduler::build_instance`
+/// left in `built`: Moore–Hodgson's count at `t_lim` (in
+/// `[0, built.build_horizon]`), capped at `min(cap, workload.count())` like
+/// the library's counts.  `selected` is reused capacity.
+inline std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
+                                  const SpiderCountScratch& built,
+                                  std::vector<SelectedJob>& selected) {
+  moore_hodgson_select(built.edd, built.build_horizon - t_lim, selected);
+  return std::min({selected.size(), cap, workload.count()});
 }
 
 /// The kept nodes per leg of the decision at `t_lim` with cap `cap`:
@@ -84,7 +133,8 @@ inline std::size_t count_within(const Spider& spider, Time t_lim, std::size_t ca
   SpiderCountScratch built;
   const Workload workload = Workload::identical(cap);
   SpiderScheduler::build_instance(spider, t_lim, workload, cap, built);
-  return SpiderScheduler::probe_instance(t_lim, workload, cap, built);
+  std::vector<SelectedJob> selected;
+  return probe_instance(t_lim, workload, cap, built, selected);
 }
 
 /// The decision schedule: each leg's kept suffix, its tasks emitted

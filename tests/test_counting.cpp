@@ -20,6 +20,7 @@
 #include "mst/workload/workload.hpp"
 #include "mst/platform/generator.hpp"
 #include "support/alloc_probe.hpp"
+#include "support/moore_hodgson_oracle.hpp"
 
 namespace mst {
 namespace {
@@ -167,8 +168,12 @@ TEST(ForkCounting, WarmScratchServesAnotherForkWithoutAllocating) {
 }
 
 // The makespan searches' probes: after one build at the top of the range,
-// every probe at a lower horizon — identical or release-dated — runs on the
-// built instance and allocates nothing.
+// every probe at a lower horizon runs on the built instance and allocates
+// nothing — the chain's, identical or release-dated, and the spider's and
+// fork's release-dated ones.  Identical-task spider and fork searches probe
+// with the greedy instead (`WarmMakespanSolvesAllocateNothing`); here their
+// built instances are probed by the oracle's Moore–Hodgson on a warm
+// buffer.
 TEST(Counting, HoistedProbesAllocateNothing) {
   Rng rng(14);
   const GeneratorParams params{1, 9, PlatformClass::kUniform};
@@ -182,22 +187,26 @@ TEST(Counting, HoistedProbesAllocateNothing) {
     ChainCountScratch chain_scratch;
     SpiderCountScratch fork_scratch;
     SpiderCountScratch spider_scratch;
+    std::vector<oracle::SelectedJob> selected;
     const std::size_t n = workload.count();
+    const auto spider_probe = [&](Time t, SpiderCountScratch& built) {
+      return workload.has_release_dates()
+                 ? SpiderScheduler::probe_instance(t, workload, n, built)
+                 : oracle::probe_instance(t, workload, n, built, selected);
+    };
     ChainScheduler::build_instance(chain, top, workload, n, chain_scratch);
     SpiderScheduler::build_instance(fork, top, workload, n, fork_scratch);
     SpiderScheduler::build_instance(spider, top, workload, n, spider_scratch);
     // Warm the probe buffers (heap, DP row) once at the top.
-    const std::size_t expected =
-        ChainScheduler::probe_instance(top, workload, n, chain_scratch) +
-        SpiderScheduler::probe_instance(top, workload, n, fork_scratch) +
-        SpiderScheduler::probe_instance(top, workload, n, spider_scratch);
+    const std::size_t expected = ChainScheduler::probe_instance(top, workload, n, chain_scratch) +
+                                 spider_probe(top, fork_scratch) +
+                                 spider_probe(top, spider_scratch);
 
     alloc_probe::arm();
     std::size_t counted = 0;
     for (const Time t : {top, top / 2, top / 5, Time{0}}) {
       counted += ChainScheduler::probe_instance(t, workload, n, chain_scratch) +
-                 SpiderScheduler::probe_instance(t, workload, n, fork_scratch) +
-                 SpiderScheduler::probe_instance(t, workload, n, spider_scratch);
+                 spider_probe(t, fork_scratch) + spider_probe(t, spider_scratch);
     }
     const long allocations = alloc_probe::allocations();
     EXPECT_GE(counted, expected);
@@ -249,20 +258,6 @@ TEST(Counting, WarmMakespanSolvesAllocateNothing) {
     EXPECT_EQ(fork_count, n);
     EXPECT_EQ(spider_count, n);
     EXPECT_EQ(wide_allocations, 0);
-  }
-}
-
-TEST(Counting, MooreHodgsonCountMatchesSelection) {
-  Rng rng(31);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<DeadlineJob> jobs;
-    const auto count = static_cast<std::size_t>(rng.uniform(0, 12));
-    for (std::size_t i = 0; i < count; ++i) {
-      jobs.push_back({rng.uniform(1, 9), rng.uniform(0, 40), i});
-    }
-    std::vector<DeadlineJob> scratch_jobs = jobs;
-    std::vector<Time> heap;
-    EXPECT_EQ(moore_hodgson_count(scratch_jobs, heap), moore_hodgson(jobs).size());
   }
 }
 

@@ -1,15 +1,33 @@
-// Tests of the one-machine deadline selector (Moore–Hodgson) underlying the
-// fork algorithm, including optimality against subset enumeration.
+// Tests of Moore–Hodgson, the one-machine deadline selector that is the
+// test oracle of the spider/fork greedy (tests/support/moore_hodgson_oracle.hpp),
+// including optimality against subset enumeration.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "mst/common/rng.hpp"
-#include "mst/core/moore_hodgson.hpp"
+#include "support/moore_hodgson_oracle.hpp"
 
 namespace mst {
 namespace {
+
+using oracle::DeadlineJob;
+using oracle::moore_hodgson;
+
+/// True iff `jobs` all meet their deadlines run back-to-back in EDD order.
+bool edd_feasible(std::vector<DeadlineJob> jobs) {
+  std::sort(jobs.begin(), jobs.end(), [](const DeadlineJob& a, const DeadlineJob& b) {
+    return a.deadline < b.deadline;
+  });
+  Time total = 0;
+  for (const DeadlineJob& job : jobs) {
+    total += job.proc_time;
+    if (total > job.deadline) return false;
+  }
+  return true;
+}
 
 TEST(MooreHodgson, SelectsEverythingWhenLoose) {
   std::vector<DeadlineJob> jobs = {{2, 100, 0}, {3, 100, 1}, {4, 100, 2}};
@@ -61,19 +79,6 @@ TEST(EddFeasible, MatchesManualCheck) {
   EXPECT_TRUE(edd_feasible({{2, 2, 0}, {2, 4, 1}}));
   EXPECT_FALSE(edd_feasible({{2, 2, 0}, {2, 3, 1}}));
   EXPECT_TRUE(edd_feasible({}));
-}
-
-TEST(SequenceEdd, ProducesBackToBackStarts) {
-  const std::vector<DeadlineJob> jobs = {{2, 10, 0}, {3, 4, 1}, {1, 20, 2}};
-  const auto starts = sequence_edd(jobs);
-  // EDD order: job1 (d=4), job0 (d=10), job2 (d=20).
-  EXPECT_EQ(starts[1], 0);
-  EXPECT_EQ(starts[0], 3);
-  EXPECT_EQ(starts[2], 5);
-}
-
-TEST(SequenceEdd, ThrowsOnInfeasibleSet) {
-  EXPECT_THROW(sequence_edd({{5, 2, 0}}), std::logic_error);
 }
 
 /// Exhaustive optimality check: Moore–Hodgson must match the best subset

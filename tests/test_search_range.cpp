@@ -72,8 +72,8 @@ std::vector<Triple> triples(const std::vector<EddJob>& edd) {
 }
 
 /// The reference instance: virtual nodes numbered in enumeration order,
-/// sorted by `(deadline, comm, id)` — the EDD order `moore_hodgson` breaks
-/// ties by.
+/// sorted by `(deadline, comm, id)` — `EddJob`'s EDD order, the one the
+/// positional-release DP and the Moore–Hodgson oracle break ties by.
 std::vector<Triple> reference_order(const std::vector<VirtualNode>& nodes, Time horizon) {
   std::vector<Triple> out;
   for (std::size_t id = 0; id < nodes.size(); ++id) {

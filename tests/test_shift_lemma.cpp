@@ -6,11 +6,15 @@
 // at the top of its range, and probes it at each bisection step: a probe at
 // `T` after a build at `top` must equal a fresh build-and-probe at `T`
 // (`count_within`), for chains, forks and spiders, with identical and
-// release-dated workloads, on every platform class.
+// release-dated workloads, on every platform class.  Identical-task spider
+// and fork counts are the greedy's, which builds no instance; their built
+// instances are probed with the oracle's Moore–Hodgson
+// (tests/support/moore_hodgson_oracle.hpp), which must give the same counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "mst/common/rng.hpp"
@@ -19,6 +23,7 @@
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/workload/workload.hpp"
+#include "support/moore_hodgson_oracle.hpp"
 
 namespace mst {
 namespace {
@@ -78,6 +83,19 @@ Time spider_top(const Spider& spider, const Workload& workload) {
   return top + workload.last_release();
 }
 
+/// A probe at `t` of the spider instance built in `hoisted`: the library's
+/// positional-release DP with release dates, the oracle's Moore–Hodgson for
+/// identical tasks (the library counts those with the greedy, which builds
+/// no instance).
+std::size_t hoisted_probe(Time t, const Workload& workload, std::size_t cap,
+                          SpiderCountScratch& hoisted) {
+  if (workload.has_release_dates()) {
+    return SpiderScheduler::probe_instance(t, workload, cap, hoisted);
+  }
+  std::vector<oracle::SelectedJob> selected;
+  return oracle::probe_instance(t, workload, cap, hoisted, selected);
+}
+
 GeneratorParams params_of(Rng& rng, int trial) {
   return GeneratorParams{1, rng.uniform(2, 12), all_platform_classes()[trial % 5]};
 }
@@ -135,7 +153,7 @@ TEST(ShiftLemma, ForkHoistedProbeMatchesCount) {
     ForkCountScratch fresh;
     SpiderScheduler::build_instance(Spider::from_fork(fork), top, workload, cap, hoisted);
     for (const Time t : probe_horizons(rng, top, 20)) {
-      EXPECT_EQ(SpiderScheduler::probe_instance(t, workload, cap, hoisted),
+      EXPECT_EQ(hoisted_probe(t, workload, cap, hoisted),
                 ForkScheduler::count_within(fork, t, workload, cap, fresh))
           << fork.describe() << " H=" << top << " T=" << t << " cap=" << cap;
     }
@@ -155,11 +173,22 @@ TEST(ShiftLemma, SpiderHoistedProbeMatchesCount) {
     SpiderCountScratch fresh;
     SpiderScheduler::build_instance(spider, top, workload, cap, hoisted);
     for (const Time t : probe_horizons(rng, top, 20)) {
-      EXPECT_EQ(SpiderScheduler::probe_instance(t, workload, cap, hoisted),
+      EXPECT_EQ(hoisted_probe(t, workload, cap, hoisted),
                 SpiderScheduler::count_within(spider, t, workload, cap, fresh))
           << spider.describe() << " H=" << top << " T=" << t << " cap=" << cap;
     }
   }
+}
+
+// A built spider instance answers release-dated probes only; identical-task
+// counts are the greedy's.
+TEST(ShiftLemma, SpiderProbeRejectsIdenticalWorkloads) {
+  Rng rng(0x1D);
+  const Spider spider = random_spider(rng, 3, 1, 3, params_of(rng, 0));
+  const Workload workload = Workload::identical(6);
+  SpiderCountScratch built;
+  SpiderScheduler::build_instance(spider, 60, workload, 6, built);
+  EXPECT_THROW(SpiderScheduler::probe_instance(30, workload, 6, built), std::invalid_argument);
 }
 
 /// `makespan` is the smallest horizon whose fresh count admits all `n`

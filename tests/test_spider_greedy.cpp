@@ -4,7 +4,8 @@
 // (tests/support/moore_hodgson_oracle.hpp), on seeded random, tie-heavy,
 // unit-leg (fork) and one-leg spiders, at caps 1..64 and 2^20 and horizons
 // 0..300, the counts, the per-leg kept counts and the whole decision and
-// makespan schedules must be identical.  The exchange argument in
+// makespan schedules must be identical; counts and per-leg counts also at
+// `exact-large`'s sizes (up to 256 legs, n 1024, deadlines to 1024).  The exchange argument in
 // core/spider_scheduler.hpp proves the counts equal; the per-leg counts,
 // and so the schedules, are pinned only here.
 //
@@ -157,6 +158,40 @@ TEST(GreedyDifferential, MakespanSchedulesMatchMooreHodgson) {
       EXPECT_TRUE(check_feasibility(out).ok()) << where;
     }
     if (::testing::Test::HasFailure()) break;
+  }
+}
+
+// At `exact-large`'s sizes — forks of 64 and 256 slaves, spiders of 64 and
+// 256 legs of length 2, times in [4, 8] — the greedy's counts and per-leg
+// counts equal Moore–Hodgson's on decisions at deadlines 256, 512 and 1024
+// capped at n = 256 and 1024.  (The oracle's full instance makes makespan
+// forms at n = 1024 several times dearer; the 40,000 small cases above
+// cover those.)
+TEST(GreedyDifferential, PerfbenchSizesMatchMooreHodgson) {
+  Rng rng(0x1A26E);
+  SpiderSolveScratch solve;
+  SpiderSchedule out;
+  const GeneratorParams params{4, 8};
+  for (const std::size_t width : {64u, 256u}) {
+    for (const bool fork : {true, false}) {
+      const Spider spider = fork ? Spider::from_fork(random_fork(rng, width, params))
+                                 : random_spider(rng, width, 2, 2, params);
+      for (const std::size_t n : {256u, 1024u}) {
+        for (const Time deadline : {256, 512, 1024}) {
+          const std::string where = std::string(fork ? "fork " : "spider ") +
+                                    std::to_string(width) + " n=" + std::to_string(n) +
+                                    " T=" + std::to_string(deadline);
+          const std::vector<std::size_t> expected = oracle::leg_counts(spider, deadline, n);
+          std::size_t expected_count = 0;
+          for (const std::size_t kept : expected) expected_count += kept;
+          EXPECT_EQ(SpiderScheduler::count_within(spider, deadline, n, solve.count),
+                    expected_count)
+              << where;
+          SpiderScheduler::schedule_within_into(spider, deadline, n, solve, out);
+          EXPECT_EQ(solve.counts, expected) << where;
+        }
+      }
+    }
   }
 }
 

@@ -208,6 +208,7 @@ TEST(SolveZeroAlloc, MaterializedOptimalSolvesAreAllocationFree) {
   const api::Platform spider(random_spider(rng, 6, 3, params));
   EXPECT_EQ(solve_allocations(chain, "optimal", 300), 0) << "chain";
   EXPECT_EQ(solve_allocations(fork, "optimal", 300), 0) << "fork";
+  EXPECT_EQ(solve_allocations(fork, "greedy", 300), 0) << "fork greedy";
   EXPECT_EQ(solve_allocations(spider, "optimal", 300), 0) << "spider";
 }
 
