@@ -188,13 +188,18 @@ TEST(StaticReplay, AcceptsOptimalChainSchedules) {
   }
 }
 
+// The broken-schedule cases pin `conflicts` whole: every string and its
+// order (events fire in time order, ties in scheduling order; per task the
+// negative-time and store-and-forward checks come first, at scheduling).
+
+using Conflicts = std::vector<std::string>;
+
 TEST(StaticReplay, DetectsLinkConflict) {
   const Chain chain = Chain::from_vectors({2}, {3});
   ChainSchedule bad{chain, {ChainTask{0, 2, {0}}, ChainTask{0, 5, {1}}}};
   const sim::ReplayResult r = sim::replay(bad);
   EXPECT_FALSE(r.ok);
-  ASSERT_FALSE(r.conflicts.empty());
-  EXPECT_NE(r.conflicts[0].find("link 0"), std::string::npos);
+  EXPECT_EQ(r.conflicts, Conflicts{"link 0: task 1 claims at 1 but resource is busy until 2"});
 }
 
 TEST(StaticReplay, DetectsEarlyStart) {
@@ -202,6 +207,7 @@ TEST(StaticReplay, DetectsEarlyStart) {
   ChainSchedule bad{chain, {ChainTask{0, 1, {0}}}};
   const sim::ReplayResult r = sim::replay(bad);
   EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.conflicts, Conflicts{"proc 0: task 0 starts at 1 before its arrival at 2"});
 }
 
 TEST(StaticReplay, DetectsProcessorConflict) {
@@ -209,6 +215,7 @@ TEST(StaticReplay, DetectsProcessorConflict) {
   ChainSchedule bad{chain, {ChainTask{0, 2, {0}}, ChainTask{0, 4, {1}}}};
   const sim::ReplayResult r = sim::replay(bad);
   EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.conflicts, Conflicts{"proc 0: task 1 claims at 4 but resource is busy until 7"});
 }
 
 TEST(StaticReplay, DetectsNegativeTimes) {
@@ -216,6 +223,7 @@ TEST(StaticReplay, DetectsNegativeTimes) {
   ChainSchedule bad{chain, {ChainTask{0, 2, {-1}}}};
   const sim::ReplayResult r = sim::replay(bad);
   EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.conflicts, Conflicts{"emission of task 0 is negative (-1)"});
 }
 
 TEST(StaticReplay, DetectsSpiderMasterConflict) {
@@ -223,11 +231,56 @@ TEST(StaticReplay, DetectsSpiderMasterConflict) {
   SpiderSchedule bad{spider, {SpiderTask{0, 0, 3, {0}}, SpiderTask{1, 0, 4, {1}}}};
   const sim::ReplayResult r = sim::replay(bad);
   EXPECT_FALSE(r.ok);
-  bool mentions_master = false;
-  for (const std::string& c : r.conflicts) {
-    if (c.find("master") != std::string::npos) mentions_master = true;
-  }
-  EXPECT_TRUE(mentions_master);
+  EXPECT_EQ(r.conflicts,
+            Conflicts{"master port: task 1 claims at 1 but resource is busy until 3"});
+}
+
+TEST(StaticReplay, ReportsEveryChainConflictInOrder) {
+  // A busy link and processor, starts before arrival, negative times (fired
+  // at 0) and a forward before its reception completes.
+  const Chain chain = Chain::from_vectors({2, 1}, {3, 4});
+  ChainSchedule bad{chain,
+                    {ChainTask{1, 3, {0, 2}}, ChainTask{1, 5, {1, 4}}, ChainTask{0, 4, {3}},
+                     ChainTask{0, -2, {-1}}, ChainTask{1, 8, {6, 7}}}};
+  const sim::ReplayResult r = sim::replay(bad);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.makespan, 12);
+  EXPECT_EQ(r.conflicts,
+            (Conflicts{"start of task 3 is negative (-2)",
+                       "emission of task 3 is negative (-1)",
+                       "task 4 forwarded on link 1 at 7 before its reception completes at 8",
+                       "link 0: task 3 claims at 0 but resource is busy until 2",
+                       "proc 0: task 3 starts at 0 before its arrival at 1",
+                       "link 0: task 1 claims at 1 but resource is busy until 2",
+                       "proc 0: task 2 starts at 4 before its arrival at 5",
+                       "proc 1: task 1 claims at 5 but resource is busy until 7",
+                       "proc 1: task 4 claims at 8 but resource is busy until 9"}));
+}
+
+TEST(StaticReplay, ReportsEverySpiderConflictInOrder) {
+  // The master port claimed by two legs, a busy link and processor, a start
+  // before arrival, negative times (fired at 0) and a forward before its
+  // reception completes; a task claims the master port before its leg's
+  // links.
+  const Spider spider{Chain::from_vectors({2, 1}, {3, 4}), Chain::from_vectors({3}, {2})};
+  SpiderSchedule bad{spider,
+                     {SpiderTask{0, 1, 3, {0, 2}}, SpiderTask{1, 0, 4, {1}},
+                      SpiderTask{0, 0, 5, {4}}, SpiderTask{0, 1, 7, {5, 6}},
+                      SpiderTask{1, 0, -1, {-3}}, SpiderTask{0, 1, 10, {7, 9}}}};
+  const sim::ReplayResult r = sim::replay(bad);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.makespan, 14);
+  EXPECT_EQ(r.conflicts,
+            (Conflicts{"task 3 forwarded on link 1 at 6 before its reception completes at 7",
+                       "start of task 4 is negative (-1)",
+                       "emission of task 4 is negative (-3)",
+                       "master port: task 4 claims at 0 but resource is busy until 2",
+                       "master port: task 1 claims at 1 but resource is busy until 3",
+                       "leg 1 link 0: task 1 claims at 1 but resource is busy until 3",
+                       "leg 0 proc 0: task 2 starts at 5 before its arrival at 6",
+                       "master port: task 3 claims at 5 but resource is busy until 6",
+                       "leg 0 link 0: task 3 claims at 5 but resource is busy until 6",
+                       "leg 0 proc 1: task 5 claims at 10 but resource is busy until 11"}));
 }
 
 }  // namespace
