@@ -542,16 +542,16 @@ SolveResult make_result(const char* algorithm, PlatformKind kind, std::size_t ta
 // call — argument evaluation order is unspecified, so `schedule.makespan()`
 // must not race the `std::move(schedule)` argument.  Task `i` of the
 // schedule is task `i` of `w`; the makespan scales its work by its size.
-SolveResult shape_result(const char* algorithm, PlatformKind kind, ChainSchedule schedule,
-                         const Workload& w, bool optimal) {
-  const Time lb = chain_makespan_lower_bound(schedule.chain, w.count());
-  const Time makespan = schedule.makespan(w);
-  return make_result(algorithm, kind, w.count(), makespan, lb, optimal, std::move(schedule));
-}
-
-SolveResult shape_result(const char* algorithm, PlatformKind kind, SpiderSchedule schedule,
-                         const Workload& w, bool optimal) {
-  const Time lb = spider_makespan_lower_bound(schedule.spider, w.count());
+// A spider's bound fills the scratch's one-port buffer.
+template <class Schedule>
+SolveResult shape_result(const char* algorithm, PlatformKind kind, Schedule schedule,
+                         const Workload& w, bool optimal, const SolveOptions& opts) {
+  Time lb = 0;
+  if constexpr (std::is_same_v<Schedule, SpiderSchedule>) {
+    lb = spider_makespan_lower_bound(schedule.spider, w.count(), opts.scratch->bound);
+  } else {
+    lb = chain_makespan_lower_bound(schedule.chain, w.count());
+  }
   const Time makespan = schedule.makespan(w);
   return make_result(algorithm, kind, w.count(), makespan, lb, optimal, std::move(schedule));
 }
@@ -717,10 +717,10 @@ template <typename Policy>
 void add_engine_baseline(Registry& r, PlatformKind k, const char* name, const char* summary,
                          Policy policy) {
   r.add({k, name, summary, /*optimal=*/false, /*exponential=*/false, kSizesAndRelease},
-        [k, name, policy](const Platform& p, const Workload& w, const SolveOptions&) {
+        [k, name, policy](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           return on_shape(p, [&](const auto& shape) {
-            return shape_result(name, k, policy(shape, w), w, /*optimal=*/false);
+            return shape_result(name, k, policy(shape, w), w, /*optimal=*/false, opts);
           });
         },
         nullptr);
@@ -747,11 +747,11 @@ void register_engine_baselines(Registry& r, PlatformKind k) {
 void register_brute_force(Registry& r, PlatformKind k) {
   r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
          /*exponential=*/true, WorkloadFeatures{}},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
+        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           return on_shape(p, [&](const auto& shape) {
             return shape_result("brute-force", k, brute_force_schedule(shape, w.count()), w,
-                                /*optimal=*/true);
+                                /*optimal=*/true, opts);
           });
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
@@ -772,7 +772,7 @@ void register_chain_algorithms(Registry& r) {
           // anchor it at the minimal feasible horizon instead.
           ChainSchedule& pooled = opts.scratch->chain_pool;
           ChainScheduler::schedule_into(chain, w, opts.scratch->chain, pooled);
-          return shape_result("optimal", k, std::move(pooled), w, true);
+          return shape_result("optimal", k, std::move(pooled), w, true, opts);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           return horizon_decision<ChainScheduler>(k, std::get<Chain>(p), deadline, opts,
@@ -782,14 +782,14 @@ void register_chain_algorithms(Registry& r) {
   register_engine_baselines(r, k);
   r.add({k, "periodic", "bandwidth-centric periodic pattern, ASAP prefix", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
-        [k](const Platform& p, std::size_t n) {
-          require_tasks(n);
+        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
+          require_tasks(w);
           const Chain& chain = std::get<Chain>(p);
           // The first `n` destinations of the repeated periodic block, ASAP.
-          return shape_result("periodic", k,
-                              asap_chain_schedule(chain, chain_periodic_destinations(chain, n)),
-                              Workload::identical(n), false);
-        });
+          const auto dests = chain_periodic_destinations(chain, w.count());
+          return shape_result("periodic", k, asap_chain_schedule(chain, dests), w, false, opts);
+        },
+        nullptr);
   register_brute_force(r, k);
   register_replan(r, k);
 }
@@ -805,10 +805,7 @@ SolveResult fork_solve(const char* algorithm, bool optimal, const Platform& p, c
   SpiderSchedule& pooled = opts.scratch->spider_pool;
   ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
   count_nodes_built(opts, opts.scratch->fork.solve.count);
-  const Time lb = spider_makespan_lower_bound(pooled.spider, w.count(), opts.scratch->bound);
-  const Time makespan = pooled.makespan();
-  return make_result(algorithm, PlatformKind::kFork, w.count(), makespan, lb, optimal,
-                     std::move(pooled));
+  return shape_result(algorithm, PlatformKind::kFork, std::move(pooled), w, optimal, opts);
 }
 
 /// The fork's decision form, shared like `fork_solve`.  Unlike chain/spider,
@@ -863,9 +860,7 @@ void register_spider_algorithms(Registry& r) {
           SpiderSchedule& pooled = opts.scratch->spider_pool;
           SpiderScheduler::schedule_into(spider, w, opts.scratch->spider, pooled);
           count_nodes_built(opts, opts.scratch->spider.count);
-          const Time lb = spider_makespan_lower_bound(spider, w.count(), opts.scratch->bound);
-          const Time makespan = pooled.makespan();
-          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
+          return shape_result("optimal", k, std::move(pooled), w, true, opts);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           SpiderSolveScratch& scratch = opts.scratch->spider;

@@ -13,7 +13,8 @@
 
 /// \file asap.hpp
 /// Chain and spider schedules of a destination sequence, timed forward as
-/// soon as possible by the engine of `tree_asap.hpp`.
+/// soon as possible by the engine of `tree_asap.hpp`: one replay body for
+/// both, a chain being the one-leg spider whose tasks carry no leg.
 ///
 /// Given the ordered list of destinations (the order tasks leave the
 /// master), every emission, hop and execution is placed at its earliest
@@ -54,5 +55,14 @@ ChainSchedule asap_chain_replay(const Chain& chain, const Workload& workload,
                                 const NextNode& next);
 SpiderSchedule asap_spider_replay(const Spider& spider, const Workload& workload,
                                   const NextNode& next);
+
+namespace detail {
+
+/// The body of both replays, for a shape-generic caller: `Schedule` is
+/// `ChainSchedule` on a `Chain`, `SpiderSchedule` on a `Spider`.
+template <class Schedule, class Shape>
+Schedule asap_replay(const Shape& shape, const Workload& workload, const NextNode& next);
+
+}  // namespace detail
 
 }  // namespace mst

@@ -8,40 +8,38 @@ namespace mst {
 
 namespace {
 
-/// The first optimal node sequence of `n` tasks the search finds.
-template <typename Platform>
-std::vector<NodeId> optimal_sequence(const Platform& platform, std::size_t n) {
-  TreeAsapState state(platform);
-  std::vector<NodeId> best;
-  brute_force_makespan(state, n, &best);
-  return best;
+/// The exact optimum of `n` identical tasks on the shape's engine nodes;
+/// `best` receives the first optimal node sequence the search finds.
+template <typename Shape>
+Time exact_makespan(const Shape& shape, std::size_t n, std::vector<NodeId>* best = nullptr) {
+  TreeAsapState state(shape);
+  return brute_force_makespan(state, n, best);
 }
 
-/// Replays `nodes` in order.
-NextNode follow(const std::vector<NodeId>& nodes) {
-  return [&nodes](const TreeAsapState&, std::size_t i, Time, Time) { return nodes[i]; };
+/// The ASAP schedule of that first optimal sequence.
+template <typename Schedule, typename Shape>
+Schedule exact_schedule(const Shape& shape, std::size_t n) {
+  std::vector<NodeId> best;
+  exact_makespan(shape, n, &best);
+  return detail::asap_replay<Schedule>(
+      shape, Workload::identical(n),
+      [&best](const TreeAsapState&, std::size_t i, Time, Time) { return best[i]; });
 }
 
 }  // namespace
 
-Time brute_force_makespan(const Chain& chain, std::size_t n) {
-  TreeAsapState state(chain);
-  return brute_force_makespan(state, n);
-}
+Time brute_force_makespan(const Chain& chain, std::size_t n) { return exact_makespan(chain, n); }
 
 Time brute_force_makespan(const Spider& spider, std::size_t n) {
-  TreeAsapState state(spider);
-  return brute_force_makespan(state, n);
+  return exact_makespan(spider, n);
 }
 
 ChainSchedule brute_force_schedule(const Chain& chain, std::size_t n) {
-  const std::vector<NodeId> best = optimal_sequence(chain, n);
-  return asap_chain_replay(chain, Workload::identical(n), follow(best));
+  return exact_schedule<ChainSchedule>(chain, n);
 }
 
 SpiderSchedule brute_force_schedule(const Spider& spider, std::size_t n) {
-  const std::vector<NodeId> best = optimal_sequence(spider, n);
-  return asap_spider_replay(spider, Workload::identical(n), follow(best));
+  return exact_schedule<SpiderSchedule>(spider, n);
 }
 
 }  // namespace mst

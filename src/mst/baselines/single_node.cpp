@@ -10,14 +10,13 @@ namespace {
 /// The single-node pipeline with the smallest makespan over the `slaves`
 /// engine nodes of `platform`, ties toward the smaller node.
 template <typename Schedule, typename Platform>
-Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workload& workload,
-                       Schedule (*replay)(const Platform&, const Workload&, const NextNode&)) {
+Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workload& workload) {
   MST_REQUIRE(workload.count() >= 1, "need at least one task");
   Schedule best{platform, {}};
   Time best_makespan = 0;
   for (NodeId v = 1; v <= slaves; ++v) {
-    Schedule candidate = replay(platform, workload,
-                                [v](const TreeAsapState&, std::size_t, Time, Time) { return v; });
+    Schedule candidate = detail::asap_replay<Schedule>(
+        platform, workload, [v](const TreeAsapState&, std::size_t, Time, Time) { return v; });
     const Time m = candidate.makespan(workload);
     if (v == 1 || m < best_makespan) {
       best_makespan = m;
@@ -30,11 +29,11 @@ Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workl
 }  // namespace
 
 ChainSchedule single_node(const Chain& chain, const Workload& workload) {
-  return best_pipeline(chain, chain.size(), workload, asap_chain_replay);
+  return best_pipeline<ChainSchedule>(chain, chain.size(), workload);
 }
 
 SpiderSchedule single_node(const Spider& spider, const Workload& workload) {
-  return best_pipeline(spider, spider.num_processors(), workload, asap_spider_replay);
+  return best_pipeline<SpiderSchedule>(spider, spider.num_processors(), workload);
 }
 
 }  // namespace mst

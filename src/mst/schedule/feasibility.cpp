@@ -4,7 +4,8 @@
 #include <numeric>
 #include <span>
 #include <sstream>
-#include <type_traits>
+
+#include "mst/schedule/legs.hpp"
 
 namespace mst {
 
@@ -56,9 +57,6 @@ void check_exclusive(std::span<Interval> bucket, std::size_t leg, const char* la
   }
 }
 
-std::size_t leg_of(const ChainTask&) { return 0; }
-std::size_t leg_of(const SpiderTask& t) { return t.leg; }
-
 /// Definition 1 over every hop of a chain (one leg, no message prefix) or
 /// of a spider (per-leg messages prefixed `leg l: ` with leg-local task
 /// indices, then the master's out-port with global ones).  Schedule task
@@ -66,7 +64,7 @@ std::size_t leg_of(const SpiderTask& t) { return t.leg; }
 template <class Task>
 FeasibilityReport check(std::span<const Chain> legs, const std::vector<Task>& tasks,
                         const Workload& workload) {
-  constexpr bool kSpider = std::is_same_v<Task, SpiderTask>;
+  constexpr bool kSpider = kSpiderTask<Task>;
   const std::size_t n = tasks.size();
   FeasibilityReport report;
   const bool aligned = workload.count() == n;
@@ -200,7 +198,7 @@ FeasibilityReport check_feasibility(const ChainSchedule& schedule) {
 }
 
 FeasibilityReport check_feasibility(const ChainSchedule& schedule, const Workload& workload) {
-  return check(std::span(&schedule.chain, 1), schedule.tasks, workload);
+  return check(legs_of(schedule.chain), schedule.tasks, workload);
 }
 
 FeasibilityReport check_feasibility(const SpiderSchedule& schedule) {
@@ -208,7 +206,7 @@ FeasibilityReport check_feasibility(const SpiderSchedule& schedule) {
 }
 
 FeasibilityReport check_feasibility(const SpiderSchedule& schedule, const Workload& workload) {
-  return check(std::span(schedule.spider.legs()), schedule.tasks, workload);
+  return check(legs_of(schedule.spider), schedule.tasks, workload);
 }
 
 }  // namespace mst

@@ -1,10 +1,12 @@
 #include "mst/schedule/gantt.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "mst/common/assert.hpp"
+#include "mst/schedule/legs.hpp"
 
 namespace mst {
 
@@ -42,7 +44,41 @@ class Row {
   std::string cells_;
 };
 
-std::string render_rows(const std::vector<Row>& rows) {
+/// One row per resource, each leg's links then its processors (a spider's
+/// prefixed `leg l ` after the master-port row), every hop painted.
+template <class Schedule>
+std::string render(const Schedule& schedule, std::span<const Chain> legs, Time time_scale) {
+  using Task = typename decltype(schedule.tasks)::value_type;
+  MST_REQUIRE(time_scale >= 1, "time_scale must be >= 1");
+  const Time horizon = std::max<Time>(schedule.makespan(), 1);
+
+  std::vector<Row> rows;
+  if (kSpiderTask<Task>) rows.emplace_back("master port", horizon, time_scale);
+  std::vector<std::size_t> leg_base(legs.size());
+  for (std::size_t l = 0; l < legs.size(); ++l) {
+    leg_base[l] = rows.size();
+    const std::string prefix = kSpiderTask<Task> ? "leg " + std::to_string(l) + " " : "";
+    for (std::size_t k = 0; k < legs[l].size(); ++k) {
+      rows.emplace_back(prefix + "link " + std::to_string(k), horizon, time_scale);
+    }
+    for (std::size_t q = 0; q < legs[l].size(); ++q) {
+      rows.emplace_back(prefix + "proc " + std::to_string(q), horizon, time_scale);
+    }
+  }
+
+  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
+    const Task& t = schedule.tasks[i];
+    const Chain& leg = legs[leg_of(t)];
+    const std::size_t base = leg_base[leg_of(t)];
+    if (kSpiderTask<Task> && !t.emissions.empty()) {
+      rows[0].paint(t.emissions.front(), t.emissions.front() + leg.comm(0), i);
+    }
+    for (std::size_t k = 0; k < t.emissions.size(); ++k) {
+      rows[base + k].paint(t.emissions[k], t.emissions[k] + leg.comm(k), i);
+    }
+    rows[base + leg.size() + t.proc].paint(t.start, t.start + leg.work(t.proc), i);
+  }
+
   std::size_t width = 0;
   for (const Row& r : rows) width = std::max(width, r.name_size());
   std::ostringstream os;
@@ -53,62 +89,11 @@ std::string render_rows(const std::vector<Row>& rows) {
 }  // namespace
 
 std::string render_gantt(const ChainSchedule& schedule, Time time_scale) {
-  MST_REQUIRE(time_scale >= 1, "time_scale must be >= 1");
-  const Chain& chain = schedule.chain;
-  const Time horizon = std::max<Time>(schedule.makespan(), 1);
-
-  std::vector<Row> rows;
-  for (std::size_t k = 0; k < chain.size(); ++k) {
-    rows.emplace_back("link " + std::to_string(k), horizon, time_scale);
-  }
-  for (std::size_t q = 0; q < chain.size(); ++q) {
-    rows.emplace_back("proc " + std::to_string(q), horizon, time_scale);
-  }
-
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const ChainTask& t = schedule.tasks[i];
-    for (std::size_t k = 0; k < t.emissions.size(); ++k) {
-      rows[k].paint(t.emissions[k], t.emissions[k] + chain.comm(k), i);
-    }
-    rows[chain.size() + t.proc].paint(t.start, t.start + chain.work(t.proc), i);
-  }
-  return render_rows(rows);
+  return render(schedule, legs_of(schedule.chain), time_scale);
 }
 
 std::string render_gantt(const SpiderSchedule& schedule, Time time_scale) {
-  MST_REQUIRE(time_scale >= 1, "time_scale must be >= 1");
-  const Spider& spider = schedule.spider;
-  const Time horizon = std::max<Time>(schedule.makespan(), 1);
-
-  std::vector<Row> rows;
-  rows.emplace_back("master port", horizon, time_scale);
-  // Row index bookkeeping: for each leg, first its links then its processors.
-  std::vector<std::size_t> leg_base(spider.num_legs());
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    leg_base[l] = rows.size();
-    const Chain& leg = spider.leg(l);
-    for (std::size_t k = 0; k < leg.size(); ++k) {
-      rows.emplace_back("leg " + std::to_string(l) + " link " + std::to_string(k), horizon,
-                        time_scale);
-    }
-    for (std::size_t q = 0; q < leg.size(); ++q) {
-      rows.emplace_back("leg " + std::to_string(l) + " proc " + std::to_string(q), horizon,
-                        time_scale);
-    }
-  }
-
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const SpiderTask& t = schedule.tasks[i];
-    const Chain& leg = spider.leg(t.leg);
-    if (!t.emissions.empty()) {
-      rows[0].paint(t.emissions.front(), t.emissions.front() + leg.comm(0), i);
-    }
-    for (std::size_t k = 0; k < t.emissions.size(); ++k) {
-      rows[leg_base[t.leg] + k].paint(t.emissions[k], t.emissions[k] + leg.comm(k), i);
-    }
-    rows[leg_base[t.leg] + leg.size() + t.proc].paint(t.start, t.start + leg.work(t.proc), i);
-  }
-  return render_rows(rows);
+  return render(schedule, legs_of(schedule.spider), time_scale);
 }
 
 }  // namespace mst

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "mst/schedule/legs.hpp"
+
 namespace mst {
 
 namespace {
@@ -22,6 +24,26 @@ void write_times(std::ostringstream& os, const CommVector& v) {
     os << v[i];
   }
   os << ']';
+}
+
+/// `{"platform":…,"makespan":…,"tasks":[…]}`, a spider's tasks leading
+/// with their `leg`.
+template <class Task>
+std::string schedule_json(const std::string& platform, Time makespan,
+                          const std::vector<Task>& tasks) {
+  std::ostringstream os;
+  os << "{\"platform\":" << platform << ",\"makespan\":" << makespan << ",\"tasks\":[";
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const Task& t = tasks[i];
+    if (i) os << ',';
+    os << '{';
+    if constexpr (kSpiderTask<Task>) os << "\"leg\":" << t.leg << ',';
+    os << "\"proc\":" << t.proc << ",\"start\":" << t.start << ",\"emissions\":";
+    write_times(os, t.emissions);
+    os << '}';
+  }
+  os << "]}";
+  return os.str();
 }
 
 }  // namespace
@@ -54,34 +76,11 @@ std::string to_json(const Spider& spider) {
 }
 
 std::string to_json(const ChainSchedule& schedule) {
-  std::ostringstream os;
-  os << "{\"platform\":" << to_json(schedule.chain) << ",\"makespan\":" << schedule.makespan()
-     << ",\"tasks\":[";
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const ChainTask& t = schedule.tasks[i];
-    if (i) os << ',';
-    os << "{\"proc\":" << t.proc << ",\"start\":" << t.start << ",\"emissions\":";
-    write_times(os, t.emissions);
-    os << '}';
-  }
-  os << "]}";
-  return os.str();
+  return schedule_json(to_json(schedule.chain), schedule.makespan(), schedule.tasks);
 }
 
 std::string to_json(const SpiderSchedule& schedule) {
-  std::ostringstream os;
-  os << "{\"platform\":" << to_json(schedule.spider) << ",\"makespan\":" << schedule.makespan()
-     << ",\"tasks\":[";
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const SpiderTask& t = schedule.tasks[i];
-    if (i) os << ',';
-    os << "{\"leg\":" << t.leg << ",\"proc\":" << t.proc << ",\"start\":" << t.start
-       << ",\"emissions\":";
-    write_times(os, t.emissions);
-    os << '}';
-  }
-  os << "]}";
-  return os.str();
+  return schedule_json(to_json(schedule.spider), schedule.makespan(), schedule.tasks);
 }
 
 }  // namespace mst

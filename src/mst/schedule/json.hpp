@@ -16,8 +16,9 @@ std::string to_json(const Chain& chain);
 std::string to_json(const Fork& fork);
 std::string to_json(const Spider& spider);
 
-/// Schedule dumps embed the platform and list every task as
-/// `{"proc":…, "start":…, "emissions":[…]}` (fields per topology).
+/// Schedule dumps embed the platform and the makespan and list every task
+/// as `{"proc":…, "start":…, "emissions":[…]}`, one body for both: a
+/// spider's tasks lead with `"leg":…`, a chain's (the one leg) do not.
 std::string to_json(const ChainSchedule& schedule);
 std::string to_json(const SpiderSchedule& schedule);
 

@@ -2,9 +2,17 @@
 
 #include <algorithm>
 
-#include "mst/common/assert.hpp"
-
 namespace mst {
+
+namespace {
+
+template <class Schedule>
+double tasks_per_time(const Schedule& schedule) {
+  const Time m = schedule.makespan();
+  return m <= 0 ? 0.0 : static_cast<double>(schedule.num_tasks()) / static_cast<double>(m);
+}
+
+}  // namespace
 
 ChainUtilization compute_utilization(const ChainSchedule& schedule) {
   ChainUtilization u;
@@ -57,16 +65,8 @@ SpiderUtilization compute_utilization(const SpiderSchedule& schedule) {
   return u;
 }
 
-double throughput(const ChainSchedule& schedule) {
-  const Time m = schedule.makespan();
-  if (m <= 0) return 0.0;
-  return static_cast<double>(schedule.num_tasks()) / static_cast<double>(m);
-}
+double throughput(const ChainSchedule& schedule) { return tasks_per_time(schedule); }
 
-double throughput(const SpiderSchedule& schedule) {
-  const Time m = schedule.makespan();
-  if (m <= 0) return 0.0;
-  return static_cast<double>(schedule.num_tasks()) / static_cast<double>(m);
-}
+double throughput(const SpiderSchedule& schedule) { return tasks_per_time(schedule); }
 
 }  // namespace mst

@@ -1,10 +1,12 @@
 #include "mst/schedule/svg.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "mst/common/assert.hpp"
+#include "mst/schedule/legs.hpp"
 
 namespace mst {
 
@@ -80,54 +82,50 @@ class SvgBuilder {
   std::string body_;
 };
 
-}  // namespace
-
-std::string render_svg(const ChainSchedule& schedule, const SvgOptions& options) {
-  const Chain& chain = schedule.chain;
+/// One lane per resource, each leg's links then its processors (a spider's
+/// prefixed `L<l> ` after the master-port lane), one box per hop.
+template <class Task>
+std::string render(std::span<const Chain> legs, const std::vector<Task>& tasks, Time makespan,
+                   const SvgOptions& options) {
   std::vector<std::string> lanes;
-  for (std::size_t k = 0; k < chain.size(); ++k) lanes.push_back("link " + std::to_string(k));
-  for (std::size_t q = 0; q < chain.size(); ++q) lanes.push_back("proc " + std::to_string(q));
-
-  SvgBuilder svg(std::move(lanes), schedule.makespan(), options);
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const ChainTask& t = schedule.tasks[i];
-    for (std::size_t k = 0; k < t.emissions.size(); ++k) {
-      svg.box(k, t.emissions[k], t.emissions[k] + chain.comm(k), i, /*is_comm=*/true);
+  if (kSpiderTask<Task>) lanes.push_back("master port");
+  std::vector<std::size_t> leg_base(legs.size());
+  for (std::size_t l = 0; l < legs.size(); ++l) {
+    leg_base[l] = lanes.size();
+    const std::string prefix = kSpiderTask<Task> ? "L" + std::to_string(l) + " " : "";
+    for (std::size_t k = 0; k < legs[l].size(); ++k) {
+      lanes.push_back(prefix + "link " + std::to_string(k));
     }
-    svg.box(chain.size() + t.proc, t.start, t.start + chain.work(t.proc), i, /*is_comm=*/false);
+    for (std::size_t q = 0; q < legs[l].size(); ++q) {
+      lanes.push_back(prefix + "proc " + std::to_string(q));
+    }
+  }
+
+  SvgBuilder svg(std::move(lanes), makespan, options);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const Task& t = tasks[i];
+    const Chain& leg = legs[leg_of(t)];
+    const std::size_t base = leg_base[leg_of(t)];
+    if (kSpiderTask<Task> && !t.emissions.empty()) {
+      svg.box(0, t.emissions.front(), t.emissions.front() + leg.comm(0), i, /*is_comm=*/true);
+    }
+    for (std::size_t k = 0; k < t.emissions.size(); ++k) {
+      svg.box(base + k, t.emissions[k], t.emissions[k] + leg.comm(k), i, /*is_comm=*/true);
+    }
+    svg.box(base + leg.size() + t.proc, t.start, t.start + leg.work(t.proc), i,
+            /*is_comm=*/false);
   }
   return svg.finish();
 }
 
-std::string render_svg(const SpiderSchedule& schedule, const SvgOptions& options) {
-  const Spider& spider = schedule.spider;
-  std::vector<std::string> lanes;
-  lanes.push_back("master port");
-  std::vector<std::size_t> leg_base(spider.num_legs());
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    leg_base[l] = lanes.size();
-    for (std::size_t k = 0; k < spider.leg(l).size(); ++k) {
-      lanes.push_back("L" + std::to_string(l) + " link " + std::to_string(k));
-    }
-    for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
-      lanes.push_back("L" + std::to_string(l) + " proc " + std::to_string(q));
-    }
-  }
+}  // namespace
 
-  SvgBuilder svg(std::move(lanes), schedule.makespan(), options);
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const SpiderTask& t = schedule.tasks[i];
-    const Chain& leg = spider.leg(t.leg);
-    if (!t.emissions.empty()) {
-      svg.box(0, t.emissions.front(), t.emissions.front() + leg.comm(0), i, true);
-    }
-    for (std::size_t k = 0; k < t.emissions.size(); ++k) {
-      svg.box(leg_base[t.leg] + k, t.emissions[k], t.emissions[k] + leg.comm(k), i, true);
-    }
-    svg.box(leg_base[t.leg] + leg.size() + t.proc, t.start, t.start + leg.work(t.proc), i,
-            false);
-  }
-  return svg.finish();
+std::string render_svg(const ChainSchedule& schedule, const SvgOptions& options) {
+  return render(legs_of(schedule.chain), schedule.tasks, schedule.makespan(), options);
+}
+
+std::string render_svg(const SpiderSchedule& schedule, const SvgOptions& options) {
+  return render(legs_of(schedule.spider), schedule.tasks, schedule.makespan(), options);
 }
 
 }  // namespace mst

@@ -8,7 +8,8 @@
 /// \file svg.hpp
 /// Standalone SVG Gantt charts (no external renderer needed): one lane per
 /// resource, one rectangle per communication or execution, tasks colored by
-/// index.  Produces figures equivalent to the paper's Fig 2 drawing.
+/// index.  Produces figures equivalent to the paper's Fig 2 drawing.  Lanes
+/// follow the legs as in `gantt.hpp`, a spider's prefixed `L<l> `.
 
 namespace mst {
 

@@ -1,14 +1,25 @@
 #include "mst/sim/static_replay.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "mst/common/assert.hpp"
+#include "mst/schedule/legs.hpp"
 #include "mst/sim/engine.hpp"
 
 namespace mst::sim {
 
 namespace {
+
+/// Records a conflict: `parts` streamed in order.
+template <class... Parts>
+void add_conflict(ReplayResult& result, const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  result.ok = false;
+  result.conflicts.push_back(os.str());
+}
 
 /// A resource that admits one occupation at a time; claims must be issued
 /// in non-decreasing time order (guaranteed by the engine).
@@ -19,13 +30,20 @@ class SerialResource {
 
   void claim(Time now, Time duration, std::size_t task) {
     if (now < busy_until_) {
-      std::ostringstream os;
-      os << name_ << ": task " << task << " claims at " << now << " but resource is busy until "
-         << busy_until_;
-      result_->ok = false;
-      result_->conflicts.push_back(os.str());
+      add_conflict(*result_, name_, ": task ", task, " claims at ", now,
+                   " but resource is busy until ", busy_until_);
     }
     busy_until_ = std::max(busy_until_, now + duration);
+  }
+
+  /// A processor's claim by the execution of `task`, which must not start
+  /// before the task has fully arrived.
+  void execute(Time now, Time arrival, Time duration, std::size_t task) {
+    if (now < arrival) {
+      add_conflict(*result_, name_, ": task ", task, " starts at ", now, " before its arrival at ",
+                   arrival);
+    }
+    claim(now, duration, task);
   }
 
  private:
@@ -34,131 +52,77 @@ class SerialResource {
   Time busy_until_ = 0;
 };
 
-/// Negative times are impossible operationally; record them as conflicts so
-/// the replay rejects what the analytic checker would also reject.
-void flag_negative(Time value, const char* what, std::size_t task, ReplayResult* result) {
-  if (value < 0) {
-    std::ostringstream os;
-    os << what << " of task " << task << " is negative (" << value << ")";
-    result->ok = false;
-    result->conflicts.push_back(os.str());
-  }
-}
+/// One replay for a chain (one leg, resources unprefixed, no master port)
+/// and a spider (resources prefixed `leg l `).  Per task, negative times
+/// (impossible operationally, so rejected like the analytic checker does)
+/// and store-and-forward (a node cannot forward a task it has not fully
+/// received, the replay twin of condition (1)) are checked at once; then
+/// events claim the master port (spider), each link of the path and the
+/// processor.
+template <class Task>
+ReplayResult replay_legs(std::span<const Chain> legs, const std::vector<Task>& tasks) {
+  ReplayResult result;
+  Engine engine;
 
-/// Operational store-and-forward: a node cannot start forwarding a task it
-/// has not fully received yet (the replay twin of condition (1)).
-void check_store_and_forward(const Chain& chain, const CommVector& emissions, std::size_t task,
-                             ReplayResult* result) {
-  for (std::size_t k = 1; k < emissions.size(); ++k) {
-    if (emissions[k - 1] + chain.comm(k - 1) > emissions[k]) {
-      std::ostringstream os;
-      os << "task " << task << " forwarded on link " << k << " at " << emissions[k]
-         << " before its reception completes at " << emissions[k - 1] + chain.comm(k - 1);
-      result->ok = false;
-      result->conflicts.push_back(os.str());
+  SerialResource master_port("master port", &result);
+  std::vector<std::vector<SerialResource>> links(legs.size());
+  std::vector<std::vector<SerialResource>> procs(legs.size());
+  for (std::size_t l = 0; l < legs.size(); ++l) {
+    const std::string prefix = kSpiderTask<Task> ? "leg " + std::to_string(l) + " " : "";
+    for (std::size_t k = 0; k < legs[l].size(); ++k) {
+      links[l].emplace_back(prefix + "link " + std::to_string(k), &result);
+      procs[l].emplace_back(prefix + "proc " + std::to_string(k), &result);
     }
   }
+
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const Task& t = tasks[i];
+    const std::size_t l = leg_of(t);
+    MST_REQUIRE(l < legs.size(), "task leg outside the spider");
+    const Chain& leg = legs[l];
+    MST_REQUIRE(t.proc < leg.size() && t.emissions.size() == t.proc + 1,
+                "malformed task placement");
+    const CommVector& e = t.emissions;
+    if (t.start < 0) add_conflict(result, "start of task ", i, " is negative (", t.start, ")");
+    for (std::size_t k = 0; k <= t.proc; ++k) {
+      if (e[k] < 0) add_conflict(result, "emission of task ", i, " is negative (", e[k], ")");
+    }
+    for (std::size_t k = 1; k <= t.proc; ++k) {
+      if (e[k - 1] + leg.comm(k - 1) > e[k]) {
+        add_conflict(result, "task ", i, " forwarded on link ", k, " at ", e[k],
+                     " before its reception completes at ", e[k - 1] + leg.comm(k - 1));
+      }
+    }
+    if constexpr (kSpiderTask<Task>) {
+      // The first emission claims both the master port and the leg's link 0.
+      engine.at(std::max<Time>(e[0], 0), [&master_port, &engine, c = leg.comm(0), i] {
+        master_port.claim(engine.now(), c, i);
+      });
+    }
+    for (std::size_t k = 0; k <= t.proc; ++k) {
+      engine.at(std::max<Time>(e[k], 0), [&link = links[l][k], &engine, c = leg.comm(k), i] {
+        link.claim(engine.now(), c, i);
+      });
+    }
+    const Time arrival = e.back() + leg.comm(t.proc);
+    engine.at(std::max<Time>(t.start, 0),
+              [&proc = procs[l][t.proc], &engine, arrival, w = leg.work(t.proc), i] {
+                proc.execute(engine.now(), arrival, w, i);
+              });
+    result.makespan = std::max(result.makespan, t.start + leg.work(t.proc));
+  }
+  engine.run();
+  return result;
 }
 
 }  // namespace
 
 ReplayResult replay(const ChainSchedule& schedule) {
-  ReplayResult result;
-  const Chain& chain = schedule.chain;
-  Engine engine;
-
-  std::vector<SerialResource> links;
-  std::vector<SerialResource> procs;
-  for (std::size_t k = 0; k < chain.size(); ++k) {
-    links.emplace_back("link " + std::to_string(k), &result);
-    procs.emplace_back("proc " + std::to_string(k), &result);
-  }
-
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const ChainTask& t = schedule.tasks[i];
-    MST_REQUIRE(t.proc < chain.size() && t.emissions.size() == t.proc + 1,
-                "malformed task placement");
-    flag_negative(t.start, "start", i, &result);
-    for (std::size_t k = 0; k <= t.proc; ++k) {
-      flag_negative(t.emissions[k], "emission", i, &result);
-    }
-    check_store_and_forward(chain, t.emissions, i, &result);
-    for (std::size_t k = 0; k <= t.proc; ++k) {
-      engine.at(std::max<Time>(t.emissions[k], 0),
-                [&links, &chain, &engine, k, i] { links[k].claim(engine.now(), chain.comm(k), i); });
-    }
-    const Time arrival = t.emissions.back() + chain.comm(t.proc);
-    // `t` is captured by reference: it lives in `schedule.tasks`, which
-    // outlives `engine.run()`, and a by-value ChainTask copy would exceed
-    // the engine's inline callback storage.
-    engine.at(std::max<Time>(t.start, 0), [&procs, &chain, &engine, &result, &t, arrival, i] {
-      if (engine.now() < arrival) {
-        std::ostringstream os;
-        os << "proc " << t.proc << ": task " << i << " starts at " << engine.now()
-           << " before its arrival at " << arrival;
-        result.ok = false;
-        result.conflicts.push_back(os.str());
-      }
-      procs[t.proc].claim(engine.now(), chain.work(t.proc), i);
-    });
-    result.makespan = std::max(result.makespan, t.start + chain.work(t.proc));
-  }
-  engine.run();
-  return result;
+  return replay_legs(legs_of(schedule.chain), schedule.tasks);
 }
 
 ReplayResult replay(const SpiderSchedule& schedule) {
-  ReplayResult result;
-  const Spider& spider = schedule.spider;
-  Engine engine;
-
-  SerialResource master_port("master port", &result);
-  std::vector<std::vector<SerialResource>> links(spider.num_legs());
-  std::vector<std::vector<SerialResource>> procs(spider.num_legs());
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    for (std::size_t k = 0; k < spider.leg(l).size(); ++k) {
-      links[l].emplace_back("leg " + std::to_string(l) + " link " + std::to_string(k), &result);
-      procs[l].emplace_back("leg " + std::to_string(l) + " proc " + std::to_string(k), &result);
-    }
-  }
-
-  for (std::size_t i = 0; i < schedule.tasks.size(); ++i) {
-    const SpiderTask& t = schedule.tasks[i];
-    MST_REQUIRE(t.leg < spider.num_legs(), "task leg outside the spider");
-    const Chain& leg = spider.leg(t.leg);
-    MST_REQUIRE(t.proc < leg.size() && t.emissions.size() == t.proc + 1,
-                "malformed task placement");
-    flag_negative(t.start, "start", i, &result);
-    for (std::size_t k = 0; k <= t.proc; ++k) {
-      flag_negative(t.emissions[k], "emission", i, &result);
-    }
-    check_store_and_forward(leg, t.emissions, i, &result);
-    // The first emission claims both the master port and the leg's link 0.
-    engine.at(std::max<Time>(t.emissions[0], 0), [&master_port, &leg, &engine, i] {
-      master_port.claim(engine.now(), leg.comm(0), i);
-    });
-    for (std::size_t k = 0; k <= t.proc; ++k) {
-      engine.at(std::max<Time>(t.emissions[k], 0), [&links, &leg, &engine, l = t.leg, k, i] {
-        links[l][k].claim(engine.now(), leg.comm(k), i);
-      });
-    }
-    const Time arrival = t.emissions.back() + leg.comm(t.proc);
-    // By-reference `t` as in the chain replay above: the task outlives the
-    // run and a SpiderTask copy would not fit the inline callback storage.
-    engine.at(std::max<Time>(t.start, 0), [&procs, &leg, &engine, &result, &t, arrival, i] {
-      if (engine.now() < arrival) {
-        std::ostringstream os;
-        os << "leg " << t.leg << " proc " << t.proc << ": task " << i << " starts at "
-           << engine.now() << " before its arrival at " << arrival;
-        result.ok = false;
-        result.conflicts.push_back(os.str());
-      }
-      procs[t.leg][t.proc].claim(engine.now(), leg.work(t.proc), i);
-    });
-    result.makespan = std::max(result.makespan, t.start + leg.work(t.proc));
-  }
-  engine.run();
-  return result;
+  return replay_legs(legs_of(schedule.spider), schedule.tasks);
 }
 
 }  // namespace mst::sim

@@ -15,7 +15,9 @@
 /// before its task fully arrived.  This is an independent, operational
 /// re-implementation of the Definition 1 checker: the test suite requires
 /// both to agree on every schedule, and the realized makespan to equal the
-/// analytic one.
+/// analytic one.  Like the checker, one body walks the legs: a chain is the
+/// one leg, its resources unprefixed (`link k`, `proc q`) and without the
+/// spider's `master port`, which a task claims before its leg's links.
 
 namespace mst::sim {
 

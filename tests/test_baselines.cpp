@@ -174,6 +174,22 @@ void expect_same_schedule(const ChainSchedule& chain, const SpiderSchedule& spid
   EXPECT_EQ(spider.makespan(w), chain.makespan(w));
 }
 
+/// The registry's `optimal` on two forms of one platform: equal makespans
+/// for `n` identical tasks, and equal count-only `solve_within` counts at
+/// deadlines below, at and above that makespan.
+void expect_same_optimal(const api::Platform& a, const api::Platform& b, std::size_t n) {
+  const api::Registry& registry = api::registry();
+  const Time makespan = registry.solve(a, "optimal", n).makespan;
+  EXPECT_EQ(makespan, registry.solve(b, "optimal", n).makespan) << "n=" << n;
+  api::SolveOptions count_only;
+  count_only.materialize = false;
+  for (const Time deadline : {makespan / 2, makespan, 2 * makespan + 3}) {
+    EXPECT_EQ(registry.solve_within(a, "optimal", deadline, count_only).tasks,
+              registry.solve_within(b, "optimal", deadline, count_only).tasks)
+        << "deadline " << deadline;
+  }
+}
+
 TEST_P(BaselineProperty, OneLegSpiderEqualsItsChain) {
   // A chain is the spider with one leg: every shape-generic baseline gives
   // both the same emissions, starts and makespan, on identical, sized and
@@ -201,6 +217,9 @@ TEST_P(BaselineProperty, OneLegSpiderEqualsItsChain) {
     }
     expect_same_schedule(brute_force_schedule(chain, n), brute_force_schedule(spider, n),
                          Workload::identical(n));
+    // The exact solvers agree too, on identical workloads: the same makespan
+    // and the same count-only decisions.
+    expect_same_optimal(chain, spider, n);
   }
 }
 
@@ -216,11 +235,13 @@ TEST_P(BaselineProperty, ForkEntriesEqualTheirUnitLegSpider) {
     const Fork fork = random_fork(inst, p, params);
     const api::Platform as_fork = fork;
     const api::Platform as_spider = Spider::from_fork(fork);
-    for (const char* name : {"forward-greedy", "round-robin", "single-node", "brute-force"}) {
+    for (const char* name :
+         {"optimal", "forward-greedy", "round-robin", "single-node", "brute-force"}) {
       EXPECT_EQ(api::registry().solve(as_fork, name, n).makespan,
                 api::registry().solve(as_spider, name, n).makespan)
           << name << " " << fork.describe() << " n=" << n;
     }
+    expect_same_optimal(as_fork, as_spider, n);
   }
 }
 
