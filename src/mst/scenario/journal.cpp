@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -228,7 +229,7 @@ void write_all(int fd, const std::string& path, const std::string& bytes) {
   }
 }
 
-void sync(int fd, const std::string& path) {
+void fsync_file(int fd, const std::string& path) {
   if (::fsync(fd) != 0) {
     throw std::runtime_error(path + ": journal fsync failed: " + std::strerror(errno));
   }
@@ -417,62 +418,93 @@ Journal::Journal(const std::string& dir, std::size_t shard_index, std::size_t sh
   if (::lseek(fd_, 0, SEEK_END) < 0) {
     throw std::runtime_error(path_ + ": cannot seek journal: " + std::strerror(errno));
   }
-  sync(fd_, path_);
+  fsync_file(fd_, path_);
   if (content.empty()) sync_directory(dir);
+  flusher_ = std::thread([this] { flush_loop(); });
 }
 
 Journal::~Journal() {
-  if (fd_ >= 0) ::close(fd_);
+  {
+    LockGuard lock(mutex_);
+    stopping_ = true;
+    queued_cv_.notify_all();
+  }
+  flusher_.join();
+  ::close(fd_);
 }
 
 void Journal::append(const CellOutcome& outcome) {
   const std::string payload = encode_record(outcome);
-  std::ostringstream frame;
-  frame << "rec " << payload.size() << ' ' << crc32(payload) << '\n' << payload << '\n';
+  const std::string frame_header =
+      "rec " + std::to_string(payload.size()) + ' ' + std::to_string(crc32(payload)) + '\n';
 
-  // Group commit (DeWitt et al., SIGMOD 1984).  Queue the frame; a caller
-  // that finds no flush running becomes the leader, takes every queued
-  // frame and writes + fsyncs them at once with the lock dropped, while
-  // later callers queue the next group behind it.  Each caller returns
-  // once a finished flush covers its own frame.  Groups land in queue
-  // order, one at a time, and the first failure is sticky: nothing is
-  // written after a frame that may be torn.
   UniqueLock lock(mutex_);
-  pending_ += frame.str();
-  const std::uint64_t mine = ++queued_;
-  while (durable_ < mine) {
-    if (failure_ != nullptr) std::rethrow_exception(failure_);
-    if (flushing_) {
-      flushed_.wait(lock);
-      continue;
-    }
-    flushing_ = true;
-    std::string group;
+  while (failure_ == nullptr && pending_.size() >= kMaxPendingBytes) flushed_cv_.wait(lock);
+  if (failure_ != nullptr) std::rethrow_exception(failure_);
+  // The flusher sleeps only on an empty queue, so only the first frame of
+  // a group needs to wake it.
+  if (pending_.empty()) queued_cv_.notify_all();
+  pending_ += frame_header;
+  pending_ += payload;
+  pending_ += '\n';
+  ++queued_;
+}
+
+void Journal::sync() {
+  UniqueLock lock(mutex_);
+  const std::uint64_t mine = queued_;
+  while (failure_ == nullptr && durable_ < mine) flushed_cv_.wait(lock);
+  if (failure_ != nullptr) std::rethrow_exception(failure_);
+}
+
+void Journal::flush_loop() {
+  // Flush pipelining (Aether, PVLDB 2010): workers queue frames while this
+  // thread writes and fsyncs the previous group with the lock dropped.
+  // `group` and `pending_` swap roles each round, so once both have grown
+  // to a group's size no flush allocates.  Groups land in queue order, one
+  // at a time, and the first failure is sticky: the loop ends, so nothing
+  // is written after a frame that may be torn.
+  std::string group;
+  UniqueLock lock(mutex_);
+  while (true) {
+    while (pending_.empty() && !stopping_) queued_cv_.wait(lock);
+    if (pending_.empty()) return;  // stopping, and everything queued landed
     group.swap(pending_);
     const std::uint64_t covered = queued_;
+    if (group.size() >= kMaxPendingBytes) flushed_cv_.notify_all();  // appends held back
     lock.unlock();
+    const auto start = std::chrono::steady_clock::now();
     std::exception_ptr error;
     try {
       write_all(fd_, path_, group);
-      sync(fd_, path_);
+      fsync_file(fd_, path_);
     } catch (...) {
       error = std::current_exception();
     }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    group.clear();
     lock.lock();
-    flushing_ = false;
+    flush_ns_ += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
     if (error == nullptr) {
       durable_ = covered;
       ++syncs_;
     } else {
       failure_ = error;
     }
-    flushed_.notify_all();
+    flushed_cv_.notify_all();
+    if (failure_ != nullptr) return;
   }
 }
 
 std::uint64_t Journal::syncs() const {
   LockGuard lock(mutex_);
   return syncs_;
+}
+
+std::uint64_t Journal::flush_us() const {
+  LockGuard lock(mutex_);
+  return flush_ns_ / 1000;
 }
 
 // ---------------------------------------------------------------------------

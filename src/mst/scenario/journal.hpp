@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <exception>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mst/common/mutex.hpp"
@@ -20,15 +21,21 @@
 /// restarted run replays the journal, skips every completed cell and
 /// recomputes nothing.
 ///
-/// Appends are group-committed: the records that worker threads append
-/// while one fsync is running are written and fsync'd together by the next
-/// one, so a sweep pays one fsync per group of concurrent appends rather
-/// than one per record.  Durability is still per cell — `append` returns
-/// only after an fsync that covers its own record — and groups land
-/// strictly one after another, so a crash can tear only the file's tail.  Replay detects the torn tail by frame length / CRC and truncates
-/// the file back to the last valid record.  After any failed write or
-/// fsync the journal refuses every later append, so no record ever lands
-/// behind a torn one.
+/// Appends are flush-pipelined (the logging design of Aether, Johnson et
+/// al., PVLDB 3(1), 2010, built on DeWitt et al.'s group commit, SIGMOD
+/// 1984): `append` frames the record on the calling worker, queues it and
+/// returns at once, and the journal's one flusher thread writes and fsyncs
+/// whatever has queued since its last fsync as one group.  A worker never
+/// waits for a disk; it blocks only when more than `kMaxPendingBytes`
+/// wait for the flusher.  The price is a crash window: a record whose
+/// `append` returned is durable only once `sync()` returns (the runner
+/// calls it before `run_cells` returns), so a SIGKILL can lose the last
+/// groups' cells, and a resume then recomputes them.  Groups land strictly
+/// in queue order, one after another, so the file is always a prefix of
+/// append order and a crash can tear only its tail.  Replay detects the
+/// torn tail by frame length / CRC and truncates the file back to the
+/// last valid record.  After any failed write or fsync the journal refuses
+/// every later append and sync, so no record ever lands behind a torn one.
 ///
 /// File format (text-framed, binary-safe payloads):
 ///
@@ -89,7 +96,9 @@ struct JournalReplay {
 /// different run (header mismatch) or cannot be opened.
 ///
 /// A freshly created file is fsync'd together with its directory, so the
-/// new directory entry survives a crash too.
+/// new directory entry survives a crash too.  The destructor drains the
+/// queue, fsyncs it and joins the flusher; it cannot throw, so a failure
+/// there is lost — call `sync()` first to learn of it.
 class Journal {
  public:
   Journal(const std::string& dir, std::size_t shard_index, std::size_t shard_count,
@@ -101,33 +110,55 @@ class Journal {
   [[nodiscard]] const JournalReplay& replayed() const { return replay_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// Thread-safe (the runner's workers call it directly) and durable: it
-  /// returns only after an fsync that covers this record, so a cell
-  /// reported complete stays complete across a SIGKILL.  Concurrent calls
-  /// share one write + fsync (group commit); a call arriving while a flush
-  /// runs waits for it, then joins the next group.  Throws
-  /// `std::runtime_error` when the write or fsync fails — and, once one
-  /// has failed, on every later call, without writing anything.
+  /// Thread-safe (the runner's workers call it directly).  Encodes and
+  /// frames the record, queues it for the flusher and returns without
+  /// waiting for the disk, unless more than `kMaxPendingBytes` already
+  /// wait to be written: then it blocks until the flusher takes them.  The
+  /// record is durable only once a later `sync()` returns.  Throws
+  /// `std::runtime_error`, without queuing anything, once a write or fsync
+  /// has failed.
   void append(const CellOutcome& outcome) MST_EXCLUDES(mutex_);
 
-  /// fsyncs made by `append` so far: one per group, so at most the number
-  /// of successful appends.
+  /// Blocks until every record queued before the call is written and
+  /// fsync'd.  Throws `std::runtime_error` once a write or fsync has
+  /// failed — also when the failed group came after this call's records.
+  void sync() MST_EXCLUDES(mutex_);
+
+  /// fsyncs the flusher made so far: one per group, so at most the number
+  /// of records appended, and at least one once `sync()` returned after
+  /// an append.
   [[nodiscard]] std::uint64_t syncs() const MST_EXCLUDES(mutex_);
 
+  /// Microseconds the flusher has spent in write + fsync so far.
+  [[nodiscard]] std::uint64_t flush_us() const MST_EXCLUDES(mutex_);
+
+  /// Queued bytes past which `append` waits for the flusher.  It bounds
+  /// the two group buffers, and so what a crash can lose: this much
+  /// queued plus the group being written.
+  static constexpr std::size_t kMaxPendingBytes = std::size_t{4} << 20;
+
  private:
+  /// The flusher thread's body: take the pending group, write and fsync
+  /// it with the lock dropped, advance `durable_`, repeat; return once
+  /// stopped and drained, or after the first failure.
+  void flush_loop() MST_EXCLUDES(mutex_);
+
   std::string path_;
   JournalReplay replay_;
   /// Opened by the constructor and closed by the destructor; in between
-  /// only the current flush leader (`flushing_`) writes through it.
+  /// only the flusher thread writes through it.
   int fd_ = -1;
   mutable Mutex mutex_;
-  CondVar flushed_ MST_GUARDED_BY(mutex_);              ///< signalled when a flush ends
+  CondVar queued_cv_ MST_GUARDED_BY(mutex_);            ///< work for the flusher, or stop
+  CondVar flushed_cv_ MST_GUARDED_BY(mutex_);           ///< a group was taken, landed or failed
   std::string pending_ MST_GUARDED_BY(mutex_);          ///< frames of the next group
   std::uint64_t queued_ MST_GUARDED_BY(mutex_) = 0;      ///< frames ever queued
   std::uint64_t durable_ MST_GUARDED_BY(mutex_) = 0;     ///< frames an fsync covered
-  bool flushing_ MST_GUARDED_BY(mutex_) = false;         ///< a leader is writing
+  bool stopping_ MST_GUARDED_BY(mutex_) = false;         ///< the destructor is draining
   std::exception_ptr failure_ MST_GUARDED_BY(mutex_);    ///< first write/fsync error
-  std::uint64_t syncs_ MST_GUARDED_BY(mutex_) = 0;       ///< fsyncs made by `append`
+  std::uint64_t syncs_ MST_GUARDED_BY(mutex_) = 0;       ///< fsyncs made by the flusher
+  std::uint64_t flush_ns_ MST_GUARDED_BY(mutex_) = 0;    ///< flusher write + fsync time
+  std::thread flusher_;  ///< started last by the constructor, joined by the destructor
 };
 
 /// Reads every `shard-*-of-*.mstj` under `dir`, validates cross-shard

@@ -251,14 +251,17 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
   obs::Counter appended_counter;
   obs::Counter skipped_counter;
   obs::Counter syncs_counter;
+  obs::Counter flush_counter;
   if (!options.journal_dir.empty()) {
     journal.emplace(options.journal_dir, options.shard_index, options.shard_count,
                     cells.size(), grid_fingerprint(cells));
     if (options.metrics != nullptr) {
       appended_counter = options.metrics->counter("scenario.journal.appended");
       skipped_counter = options.metrics->counter("scenario.journal.skipped");
-      // How appends grouped depends on thread interleaving: wall-time class.
+      // How appends grouped depends on the disk's pace: wall-time class.
       syncs_counter = options.metrics->counter("scenario.journal.syncs",
+                                               obs::DeterminismClass::kWallTime);
+      flush_counter = options.metrics->counter("scenario.journal.flush_us",
                                                obs::DeterminismClass::kWallTime);
       options.metrics->counter("scenario.journal.replayed")
           .add(static_cast<std::int64_t>(journal->replayed().outcomes.size()));
@@ -326,9 +329,11 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
   // `j`, so the result order never depends on scheduling, and the
   // scratch-reusing solves are bit-identical to scratch-free ones — output
   // stays identical at any thread count.  A
-  // journal failure (disk full, fsync error) in any worker stops the pool
-  // and rethrows on the calling thread: a sweep that cannot record its
-  // progress must fail loudly, not finish unresumably.
+  // journal failure (disk full, fsync error) that any worker's append
+  // reports stops the pool, and one the flusher meets after the last
+  // append fails the closing sync; either rethrows on the calling thread:
+  // a sweep that cannot record its progress must fail loudly, not finish
+  // unresumably.
   std::atomic<std::size_t> next{0};
   std::atomic<bool> stop{false};
   std::exception_ptr journal_failure;
@@ -365,7 +370,17 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
     for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
-  if (journal.has_value()) syncs_counter.add(static_cast<std::int64_t>(journal->syncs()));
+  if (journal.has_value()) {
+    // Merge and report must see only durable journals: wait for the
+    // flusher to land every queued record, and fail loudly if it could not.
+    try {
+      journal->sync();
+    } catch (...) {
+      if (journal_failure == nullptr) journal_failure = std::current_exception();
+    }
+    syncs_counter.add(static_cast<std::int64_t>(journal->syncs()));
+    flush_counter.add(static_cast<std::int64_t>(journal->flush_us()));
+  }
   if (journal_failure != nullptr) std::rethrow_exception(journal_failure);
   return results;
 }

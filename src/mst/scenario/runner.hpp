@@ -55,9 +55,12 @@ struct RunOptions {
   /// Crash-safe resume: when nonempty, the runner opens (or creates)
   /// `journal_dir/shard-<i>-of-<N>.mstj` (scenario/journal.hpp), replays
   /// every completed cell recorded there — skipping its solve entirely;
-  /// completed cells never even enter a batch — and appends one fsync'd,
-  /// checksummed record per newly finished cell.  A SIGKILL'd run resumes
-  /// from its last completed cell; a torn final record is truncated away.
+  /// completed cells never even enter a batch — and appends one
+  /// checksummed record per newly finished cell.  The journal's flusher
+  /// thread writes and fsyncs the records in groups behind the workers,
+  /// and `run_cells` returns only once every record is durable.  A
+  /// SIGKILL'd run resumes from the last group that landed, recomputing
+  /// the cells queued after it; a torn final record is truncated away.
   /// Replayed per-cell metric snapshots are absorbed back into `metrics`,
   /// so the aggregate matches the uninterrupted run's.  The journals of
   /// all N shards reassemble into the single-process bytes via
@@ -70,9 +73,11 @@ struct RunOptions {
   /// without waiting for the first completion, and progress never appears
   /// to jump backwards after a resume — then once per newly finished cell
   /// with (cells done so far incl. replayed, shard total, whether that
-  /// cell failed).  Calls are serialized under a mutex (the pool's one
-  /// shared-state channel — see ProgressSink in runner.cpp, whose counters
-  /// are compiler-checked `MST_GUARDED_BY` under the Clang CI job), and
+  /// cell failed).  A finished cell is computed and queued to the journal,
+  /// not yet durable: a crash can still lose it until `run_cells` returns.
+  /// Calls are serialized under a mutex (the pool's one shared-state
+  /// channel — see ProgressSink in runner.cpp, whose counters are
+  /// compiler-checked `MST_GUARDED_BY` under the Clang CI job), and
   /// `done` is monotone replayed, replayed+1 .. total; completion *order*
   /// still depends on thread scheduling, so a callback that cares about
   /// determinism should key on counts, never on which cell landed.
@@ -119,7 +124,10 @@ struct CellOutcome {
 /// ascending canonical-index order — the rows of this shard's report.
 /// Journal metrics (when `RunOptions::metrics` is set):
 /// `scenario.journal.appended` / `.replayed` / `.skipped` / `.torn`, plus
-/// the wall-time-class `scenario.journal.syncs` (fsyncs the appends made).
+/// the wall-time-class `scenario.journal.syncs` (fsyncs the flusher made,
+/// one per group) and `scenario.journal.flush_us` (its write + fsync
+/// time).  With a journal, returns only after `Journal::sync()`: every
+/// record is durable, or the sticky write/fsync failure is rethrown.
 /// Throws `std::invalid_argument` on an out-of-range shard and
 /// `std::runtime_error` when a journal belongs to a different sweep.
 std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOptions& options,

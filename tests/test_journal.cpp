@@ -1,11 +1,12 @@
 // Distributed, resumable sweeps: journal record round-trips, torn-tail
-// truncation recovery, group-committed concurrent appends and their
-// sticky failure, resume-skips-completed-cells, and the tentpole
-// contract — N shard journals merge into CSV/JSON byte-identical to the
+// truncation recovery, flush-pipelined concurrent appends, their sticky
+// failure and a crash before `sync()`, resume-skips-completed-cells, and the
+// merge contract — N shard journals merge into CSV/JSON byte-identical to the
 // single-process run (both batch modes, 2- and 3-way splits).
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
@@ -217,6 +218,7 @@ TEST(JournalFile, ConcurrentAppendsReplayExactlyOnce) {
       });
     }
     for (std::thread& thread : pool) thread.join();
+    journal.sync();
     EXPECT_GE(journal.syncs(), 1u);
     EXPECT_LE(journal.syncs(), kThreads * kPerThread);
   }
@@ -233,11 +235,50 @@ TEST(JournalFile, ConcurrentAppendsReplayExactlyOnce) {
   }
 }
 
-/// Runs in a forked child: eight threads append until a small file-size
-/// limit tears a frame, then the limit is lifted (as when a full disk
-/// frees space).  Every append must throw from the first failure on
-/// without writing a byte, and a reopen must replay every append that
-/// returned.  Exits 0 when all of that holds, else prints why and exits 1.
+// Four threads appending 1 MiB frames often outrun the flusher past
+// `Journal::kMaxPendingBytes` and wait for it to take a group; whether or
+// not they had to wait, every frame lands exactly once.
+TEST(JournalFile, AppendsPastThePendingBoundWaitAndLand) {
+  const std::string dir = scratch_dir("bound");
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 8;
+  const std::string big(std::size_t{1} << 20, 'x');
+  {
+    Journal journal(dir, 0, 1, kThreads * kPerThread, 0xB16);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&journal, &big, t] {
+        CellOutcome out = sample_outcome();
+        out.error = big;
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          out.cell.index = t * kPerThread + i;
+          journal.append(out);
+        }
+      });
+    }
+    for (std::thread& thread : pool) thread.join();
+  }
+  Journal reopened(dir, 0, 1, kThreads * kPerThread, 0xB16);
+  EXPECT_FALSE(reopened.replayed().torn);
+  std::multiset<std::size_t> indices;
+  for (const CellOutcome& out : reopened.replayed().outcomes) {
+    indices.insert(out.cell.index);
+    EXPECT_EQ(out.error, big);
+  }
+  ASSERT_EQ(indices.size(), kThreads * kPerThread);
+  for (std::size_t index = 0; index < kThreads * kPerThread; ++index) {
+    EXPECT_EQ(indices.count(index), 1u) << "cell " << index;
+  }
+}
+
+/// Runs in a forked child: eight threads append, each calling `sync()`
+/// after every tenth append and once at the end, until a small file-size
+/// limit tears a group the flusher writes; then the limit is lifted (as
+/// when a full disk frees space).  Every thread must observe the failure,
+/// through `append` or `sync`, and from then on both must throw without
+/// writing a byte.  A reopen must replay every frame queued before a
+/// `sync()` that returned, each thread's frames as a prefix of its append
+/// order.  Exits 0 when all of that holds, else prints why and exits 1.
 void appends_after_a_failure_write_nothing(const std::string& dir) {
   const auto fail = [](const std::string& why) {
     std::fprintf(stderr, "%s\n", why.c_str());
@@ -246,7 +287,9 @@ void appends_after_a_failure_write_nothing(const std::string& dir) {
   std::signal(SIGXFSZ, SIG_IGN);  // over-limit writes then fail with EFBIG
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kMaxPerThread = 1000;
-  std::vector<std::vector<std::size_t>> succeeded(kThreads);
+  constexpr std::size_t kSyncEvery = 10;
+  std::vector<std::size_t> queued(kThreads, 0);  // appends that returned
+  std::vector<std::size_t> synced(kThreads, 0);  // of those, covered by a returned sync
   std::uintmax_t torn_size = 0;
   {
     Journal journal(dir, 0, 1, kThreads * kMaxPerThread + 1, 0x5EED);
@@ -258,25 +301,44 @@ void appends_after_a_failure_write_nothing(const std::string& dir) {
     if (setrlimit(RLIMIT_FSIZE, &limit) != 0) fail("setrlimit failed");
 
     std::vector<unsigned char> threw(kThreads, 0);
+    std::vector<unsigned char> recovered(kThreads, 0);
     std::vector<std::thread> pool;
     for (std::size_t t = 0; t < kThreads; ++t) {
       pool.emplace_back([&, t] {
         CellOutcome out = sample_outcome();
-        for (std::size_t i = 0; i < kMaxPerThread; ++i) {
-          out.cell.index = t * kMaxPerThread + i;
-          try {
+        try {
+          for (std::size_t i = 0; i < kMaxPerThread; ++i) {
+            out.cell.index = t * kMaxPerThread + i;
             journal.append(out);
-          } catch (const std::runtime_error&) {
-            threw[t] = 1;
-            return;
+            if (++queued[t] % kSyncEvery == 0) {
+              journal.sync();
+              synced[t] = queued[t];
+            }
           }
-          succeeded[t].push_back(out.cell.index);
+          journal.sync();
+          synced[t] = queued[t];
+          return;  // never saw the failure
+        } catch (const std::runtime_error&) {
+          threw[t] = 1;
+        }
+        try {
+          journal.append(out);
+          recovered[t] = 1;
+        } catch (const std::runtime_error&) {
+        }
+        try {
+          journal.sync();
+          recovered[t] = 1;
+        } catch (const std::runtime_error&) {
         }
       });
     }
     for (std::thread& thread : pool) thread.join();
     for (std::size_t t = 0; t < kThreads; ++t) {
       if (threw[t] == 0) fail("thread " + std::to_string(t) + " never saw the failure");
+      if (recovered[t] != 0) {
+        fail("thread " + std::to_string(t) + " appended or synced after the failure");
+      }
     }
     torn_size = std::filesystem::file_size(path);
     if (torn_size != limit.rlim_cur) fail("the failed write did not tear at the limit");
@@ -290,26 +352,29 @@ void appends_after_a_failure_write_nothing(const std::string& dir) {
       fail("an append after a failed write returned");
     } catch (const std::runtime_error&) {
     }
+    try {
+      journal.sync();
+      fail("a sync after a failed write returned");
+    } catch (const std::runtime_error&) {
+    }
     if (std::filesystem::file_size(path) != torn_size) {
       fail("an append after a failed write wrote past the torn frame");
     }
   }
 
   Journal reopened(dir, 0, 1, kThreads * kMaxPerThread + 1, 0x5EED);
-  std::multiset<std::size_t> replayed;
-  for (const CellOutcome& out : reopened.replayed().outcomes) replayed.insert(out.cell.index);
-  std::size_t returned = 0;
-  for (const std::vector<std::size_t>& indices : succeeded) {
-    for (const std::size_t index : indices) {
-      if (replayed.count(index) != 1) {
-        fail("cell " + std::to_string(index) + " was reported durable but does not replay");
-      }
-      ++returned;
-    }
+  std::vector<std::vector<std::size_t>> replayed(kThreads);
+  for (const CellOutcome& out : reopened.replayed().outcomes) {
+    replayed[out.cell.index / kMaxPerThread].push_back(out.cell.index % kMaxPerThread);
   }
-  // Only the failed group's frames may replay without their append having
-  // returned — at most one frame per thread.
-  if (replayed.size() > returned + kThreads) fail("more frames replay than were written");
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const std::string thread = "thread " + std::to_string(t);
+    for (std::size_t i = 0; i < replayed[t].size(); ++i) {
+      if (replayed[t][i] != i) fail(thread + ": the replay is not a prefix of its appends");
+    }
+    if (replayed[t].size() < synced[t]) fail(thread + ": a synced frame does not replay");
+    if (replayed[t].size() > queued[t]) fail(thread + ": a frame replays that never queued");
+  }
   if (std::filesystem::file_size(journal_path(dir, 0, 1)) > torn_size) {
     fail("the reopened journal grew");
   }
@@ -320,6 +385,56 @@ TEST(JournalFile, AppendsAfterAFailedWriteThrowAndWriteNothing) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // the child starts threads
   const std::string dir = scratch_dir("sticky_failure");
   EXPECT_EXIT(appends_after_a_failure_write_nothing(dir), ::testing::ExitedWithCode(0), "");
+}
+
+/// Runs in a forked child: appends `outcomes` in order through a fresh
+/// journal, syncing after the first `synced`, then exits without `sync()`
+/// or the destructor — a crash between `append` and `sync`.
+[[noreturn]] void append_then_die(const std::string& dir, const std::vector<Cell>& cells,
+                                  const std::vector<CellOutcome>& outcomes,
+                                  std::size_t synced) {
+  Journal journal(dir, 0, 1, cells.size(), grid_fingerprint(cells));
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    journal.append(outcomes[i]);
+    if (i + 1 == synced) journal.sync();
+  }
+  ::_exit(0);
+}
+
+TEST(JournalFile, KillBetweenAppendAndSyncReplaysAPrefixAndResumes) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // the child starts a flusher
+  const std::string dir = scratch_dir("kill");
+  const std::vector<Cell> cells = expand(small_grid());
+  RunOptions plain;
+  plain.threads = 2;
+  const std::vector<CellOutcome> reference = run_cells(cells, plain);
+  const std::size_t synced = reference.size() / 2;
+  EXPECT_EXIT(append_then_die(dir, cells, reference, synced), ::testing::ExitedWithCode(0), "");
+
+  std::size_t kept = 0;
+  {
+    Journal reopened(dir, 0, 1, cells.size(), grid_fingerprint(cells));
+    const std::vector<CellOutcome>& replayed = reopened.replayed().outcomes;
+    kept = replayed.size();
+    ASSERT_GE(kept, synced);
+    ASSERT_LE(kept, reference.size());
+    for (std::size_t i = 0; i < kept; ++i) {
+      EXPECT_EQ(replayed[i].cell.index, reference[i].cell.index) << "record " << i;
+    }
+  }
+  {
+    // The reopen truncated any torn tail: nothing torn is left behind.
+    Journal again(dir, 0, 1, cells.size(), grid_fingerprint(cells));
+    EXPECT_FALSE(again.replayed().torn);
+    EXPECT_EQ(again.replayed().outcomes.size(), kept);
+  }
+
+  RunOptions resume = plain;
+  resume.journal_dir = dir;
+  (void)run_cells(cells, resume);
+  const std::vector<CellOutcome> merged = merge_journals(dir);
+  EXPECT_EQ(to_csv(merged, {}), to_csv(reference, {}));
+  EXPECT_EQ(to_json(merged, {}), to_json(reference, {}));
 }
 
 TEST(ShardedRun, PartitionIsDisjointAndComplete) {
@@ -405,43 +520,80 @@ TEST(ShardedRun, ResumeSkipsCompletedCellsAndAnnouncesProgress) {
   EXPECT_EQ(without_journal(metrics), without_journal(first_metrics));
 }
 
-/// `scenario.journal.syncs`, or -1 when the run did not register it.
-std::int64_t journal_syncs(const obs::MetricsRegistry& metrics, std::int64_t& appended) {
-  std::int64_t syncs = -1;
+/// The wall-time journal counter `name`, or -1 when the run did not
+/// register it; `appended` receives `scenario.journal.appended`.
+std::int64_t wall_time_counter(const obs::MetricsRegistry& metrics, const std::string& name,
+                               std::int64_t& appended) {
+  std::int64_t value = -1;
   for (const obs::MetricSample& sample : metrics.snapshot(true)) {
     if (sample.name == "scenario.journal.appended") appended = sample.value;
-    if (sample.name == "scenario.journal.syncs") {
-      EXPECT_EQ(sample.determinism, obs::DeterminismClass::kWallTime);
-      syncs = sample.value;
+    if (sample.name == name) {
+      EXPECT_EQ(sample.determinism, obs::DeterminismClass::kWallTime) << name;
+      value = sample.value;
     }
   }
-  return syncs;
+  return value;
 }
 
 TEST(ShardedRun, JournalSyncsCountTheAppendsFsyncs) {
   const std::vector<Cell> cells = expand(small_grid());
-  RunOptions options;
-  options.journal_dir = scratch_dir("syncs_t1");
-  options.threads = 1;
-  obs::MetricsRegistry serial;
-  options.metrics = &serial;
-  (void)run_cells(cells, options);
-  std::int64_t appended = 0;
-  // One worker never has two frames in flight: one fsync per append.
-  EXPECT_EQ(journal_syncs(serial, appended), appended);
-  EXPECT_EQ(appended, static_cast<std::int64_t>(cells.size()));
+  for (const unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    RunOptions options;
+    options.journal_dir = scratch_dir("syncs_t" + std::to_string(threads));
+    options.threads = threads;
+    obs::MetricsRegistry metrics;
+    options.metrics = &metrics;
+    (void)run_cells(cells, options);
+    std::int64_t appended = 0;
+    // The flusher fsyncs once per group, and run_cells returned only after
+    // the last group landed.
+    const std::int64_t syncs = wall_time_counter(metrics, "scenario.journal.syncs", appended);
+    EXPECT_EQ(appended, static_cast<std::int64_t>(cells.size()));
+    EXPECT_GE(syncs, 1);
+    EXPECT_LE(syncs, appended);
+    EXPECT_GE(wall_time_counter(metrics, "scenario.journal.flush_us", appended), 0);
+    // Wall-time class: the deterministic JSON never shows them; --timing does.
+    EXPECT_EQ(metrics.to_json().find("scenario.journal.syncs"), std::string::npos);
+    EXPECT_EQ(metrics.to_json().find("scenario.journal.flush_us"), std::string::npos);
+    EXPECT_NE(metrics.to_json(true).find("scenario.journal.flush_us"), std::string::npos);
+  }
+}
 
-  options.journal_dir = scratch_dir("syncs_t8");
-  options.threads = 8;
-  obs::MetricsRegistry threaded;
-  options.metrics = &threaded;
-  (void)run_cells(cells, options);
-  appended = 0;
-  const std::int64_t syncs = journal_syncs(threaded, appended);
-  EXPECT_GE(syncs, 1);
-  EXPECT_LE(syncs, appended);
-  // Wall-time class: the deterministic JSON never shows it.
-  EXPECT_EQ(threaded.to_json().find("scenario.journal.syncs"), std::string::npos);
+/// Runs in a forked child: journaled sweeps under a file-size limit that
+/// admits a journal's header and nothing more.  A shard that owns one cell
+/// appends once, and that append returns before the flusher can fail, so
+/// only `run_cells`' closing sync can report the failure; the whole grid at
+/// eight threads meets it through appends or the sync.  Either way
+/// `run_cells` must throw.  Exits 0 when both runs threw, else prints
+/// which returned and exits 1.
+void sweeps_that_cannot_journal_throw(const std::string& dir) {
+  std::signal(SIGXFSZ, SIG_IGN);  // over-limit writes then fail with EFBIG
+  const std::vector<Cell> cells = expand(small_grid());
+  { Journal probe(dir + "/probe", 0, cells.size(), cells.size(), grid_fingerprint(cells)); }
+  rlimit limit{};
+  if (getrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(1);
+  limit.rlim_cur = std::filesystem::file_size(journal_path(dir + "/probe", 0, cells.size()));
+  if (setrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(1);
+  for (const std::size_t shards : {cells.size(), std::size_t{1}}) {
+    RunOptions options;
+    options.threads = shards == 1 ? 8 : 1;
+    options.shard_count = shards;
+    options.journal_dir = dir + "/of" + std::to_string(shards);
+    try {
+      (void)run_cells(cells, options);
+      std::fprintf(stderr, "run_cells returned with %zu shards\n", shards);
+      std::exit(1);
+    } catch (const std::runtime_error&) {
+    }
+  }
+  std::exit(0);
+}
+
+TEST(ShardedRun, ASweepWhoseJournalCannotWriteThrows) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // the child starts threads
+  const std::string dir = scratch_dir("cannot_write");
+  EXPECT_EXIT(sweeps_that_cannot_journal_throw(dir), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ShardedRun, ResumeRejectsAForeignGrid) {
@@ -495,8 +647,7 @@ TEST(MergeJournals, TwoShardsBatchedByteIdentical) { check_merge_identity(2, "2b
 
 TEST(MergeJournals, ThreeShardsBatchedByteIdentical) { check_merge_identity(3, "3b"); }
 
-// Eight workers per shard group-commit their appends; the merge must not
-// notice.
+// Eight workers per shard feed one flusher; the merge must not notice.
 TEST(MergeJournals, TwoShardsEightThreadsByteIdentical) { check_merge_identity(2, "2t8", 8); }
 
 TEST(MergeJournals, ThreeShardsEightThreadsByteIdentical) {
