@@ -19,18 +19,23 @@ Time advance(Time from, Time size, Time duration) {
   return end;
 }
 
+/// Length of the path table of a chain of `p` processors: `1 + ... + p`.
+std::size_t chain_hops(std::size_t p) { return p * (p + 1) / 2; }
+
 }  // namespace
 
 TreeAsapState::TreeAsapState(const Tree& tree) { assign(tree); }
 
 TreeAsapState::TreeAsapState(const Chain& chain) {
-  start(chain.size() + 1);
+  start(chain.size() + 1, chain_hops(chain.size()));
   NodeId parent = 0;
   for (const Processor& proc : chain.procs()) parent = add_node(parent, proc);
 }
 
 TreeAsapState::TreeAsapState(const Spider& spider) {
-  start(spider.num_processors() + 1);
+  std::size_t hops = 0;
+  for (const Chain& leg : spider.legs()) hops += chain_hops(leg.size());
+  start(spider.num_processors() + 1, hops);
   for (const Chain& leg : spider.legs()) {
     NodeId parent = 0;
     for (const Processor& proc : leg.procs()) parent = add_node(parent, proc);
@@ -42,10 +47,11 @@ void TreeAsapState::assign(const Tree& tree) {
   for (NodeId v = 1; v < tree.size(); ++v) add_node(tree.parent(v), tree.proc(v));
 }
 
-void TreeAsapState::start(std::size_t nodes) {
+void TreeAsapState::start(std::size_t nodes, std::size_t hops) {
   nodes_.clear();
   paths_.clear();
   nodes_.reserve(nodes);
+  paths_.reserve(hops);
   times_.assign(2 * nodes, 0);
   nodes_.push_back(Node{});
 }

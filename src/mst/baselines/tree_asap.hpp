@@ -102,8 +102,9 @@ class TreeAsapState {
     std::size_t depth = 0;
   };
 
-  /// Empties the state down to the master, reserving room for `nodes`.
-  void start(std::size_t nodes);
+  /// Empties the state down to the master, reserving room for `nodes`
+  /// nodes whose root-excluded paths total `hops` entries.
+  void start(std::size_t nodes, std::size_t hops = 0);
 
   /// Appends a node under `parent` (already present); returns its id.
   NodeId add_node(NodeId parent, const Processor& proc);

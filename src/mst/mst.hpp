@@ -6,6 +6,7 @@
 /// conscious users; examples and quick experiments can just include this.
 
 #include "mst/common/cli.hpp"
+#include "mst/common/lexer.hpp"
 #include "mst/common/rational.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/common/stats.hpp"

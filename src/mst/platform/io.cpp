@@ -1,5 +1,6 @@
 #include "mst/platform/io.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -9,78 +10,9 @@ namespace mst {
 
 namespace {
 
-/// Tokenized input with comment stripping and line tracking for errors.
-class Lexer {
- public:
-  explicit Lexer(const std::string& text) {
-    std::istringstream is(text);
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-      ++lineno;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      std::istringstream ls(line);
-      std::string tok;
-      while (ls >> tok) tokens_.push_back({tok, lineno});
-    }
-  }
-
-  [[nodiscard]] bool done() const { return pos_ >= tokens_.size(); }
-
-  std::string next(const char* what) {
-    MST_REQUIRE(!done(), std::string("unexpected end of input, expected ") + what);
-    return tokens_[pos_++].text;
-  }
-
-  Time next_time(const char* what) {
-    MST_REQUIRE(!done(), std::string("unexpected end of input, expected ") + what);
-    const std::size_t line = tokens_[pos_].line;
-    const std::string tok = next(what);
-    std::size_t used = 0;
-    Time v = 0;
-    try {
-      v = std::stoll(tok, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    MST_REQUIRE(used == tok.size(), "line " + std::to_string(line) + ": expected " +
-                                        std::string(what) + ", got '" + tok + "'");
-    return v;
-  }
-
-  std::size_t next_count(const char* what) {
-    const Time v = next_time(what);
-    MST_REQUIRE(v >= 1, std::string(what) + " must be >= 1");
-    return static_cast<std::size_t>(v);
-  }
-
-  void expect(const std::string& keyword) {
-    const auto line = done() ? 0 : tokens_[pos_].line;
-    const std::string tok = next(keyword.c_str());
-    MST_REQUIRE(tok == keyword,
-                "line " + std::to_string(line) + ": expected '" + keyword + "', got '" + tok + "'");
-  }
-
-  void expect_end() const {
-    if (!done()) {
-      MST_REQUIRE(false, "line " + std::to_string(tokens_[pos_].line) + ": trailing input '" +
-                             tokens_[pos_].text + "'");
-    }
-  }
-
- private:
-  struct Token {
-    std::string text;
-    std::size_t line;
-  };
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<Processor> parse_proc_list(Lexer& lex, std::size_t p) {
+std::vector<Processor> read_proc_list(Lexer& lex, std::size_t p) {
   std::vector<Processor> procs;
-  procs.reserve(p);
+  procs.reserve(std::min(p, lex.remaining() / 2));  // a processor is 2 tokens
   for (std::size_t i = 0; i < p; ++i) {
     const Time c = lex.next_time("link latency");
     const Time w = lex.next_time("processing time");
@@ -91,6 +23,37 @@ std::vector<Processor> parse_proc_list(Lexer& lex, std::size_t p) {
 
 void write_proc_list(std::ostringstream& os, const std::vector<Processor>& procs) {
   for (const Processor& p : procs) os << p.comm << ' ' << p.work << '\n';
+}
+
+Fork read_fork(Lexer& lex) {
+  lex.expect("fork");
+  const std::size_t p = lex.next_count("slave count");
+  return Fork(read_proc_list(lex, p));
+}
+
+Tree read_tree(Lexer& lex) {
+  lex.expect("tree");
+  const std::size_t slaves = lex.next_count("slave count");
+  Tree tree;
+  for (std::size_t i = 1; i <= slaves; ++i) {
+    const Time parent = lex.next_time("parent id");
+    MST_REQUIRE(parent >= 0 && static_cast<std::size_t>(parent) < i,
+                "slave " + std::to_string(i) + ": parent must be 0 (the master) or an earlier "
+                "slave id, got " + std::to_string(parent));
+    const Time c = lex.next_time("link latency");
+    const Time w = lex.next_time("processing time");
+    tree.add_node(static_cast<NodeId>(parent), Processor{c, w});
+  }
+  return tree;
+}
+
+/// The platform `read` finds in `text`, which must hold nothing else.
+template <class Read>
+auto parse_whole(const std::string& text, Read read) {
+  Lexer lex(text);
+  auto platform = read(lex);
+  lex.expect_end();
+  return platform;
 }
 
 }  // namespace
@@ -130,60 +93,32 @@ std::string write_tree(const Tree& tree) {
   return os.str();
 }
 
-Chain parse_chain(const std::string& text) {
-  Lexer lex(text);
+Chain read_chain(Lexer& lex) {
   lex.expect("chain");
   const std::size_t p = lex.next_count("processor count");
-  Chain chain(parse_proc_list(lex, p));
-  lex.expect_end();
-  return chain;
+  return Chain(read_proc_list(lex, p));
 }
 
-Fork parse_fork(const std::string& text) {
-  Lexer lex(text);
-  lex.expect("fork");
-  const std::size_t p = lex.next_count("slave count");
-  Fork fork(parse_proc_list(lex, p));
-  lex.expect_end();
-  return fork;
-}
-
-Spider parse_spider(const std::string& text) {
-  Lexer lex(text);
+Spider read_spider(Lexer& lex) {
   lex.expect("spider");
   const std::size_t legs = lex.next_count("leg count");
   std::vector<Chain> chains;
-  chains.reserve(legs);
+  chains.reserve(std::min(legs, lex.remaining() / 4));  // a leg is 4+ tokens
   for (std::size_t l = 0; l < legs; ++l) {
     lex.expect("leg");
     const std::size_t p = lex.next_count("leg length");
-    chains.emplace_back(parse_proc_list(lex, p));
+    chains.emplace_back(read_proc_list(lex, p));
   }
-  lex.expect_end();
   return Spider(std::move(chains));
 }
 
-Tree parse_tree(const std::string& text) {
-  Lexer lex(text);
-  lex.expect("tree");
-  const std::size_t slaves = lex.next_count("slave count");
-  Tree tree;
-  for (std::size_t i = 1; i <= slaves; ++i) {
-    const Time parent = lex.next_time("parent id");
-    MST_REQUIRE(parent >= 0 && static_cast<std::size_t>(parent) < i,
-                "slave " + std::to_string(i) + ": parent must be 0 (the master) or an earlier "
-                "slave id, got " + std::to_string(parent));
-    const Time c = lex.next_time("link latency");
-    const Time w = lex.next_time("processing time");
-    tree.add_node(static_cast<NodeId>(parent), Processor{c, w});
-  }
-  lex.expect_end();
-  return tree;
-}
+Chain parse_chain(const std::string& text) { return parse_whole(text, read_chain); }
+Fork parse_fork(const std::string& text) { return parse_whole(text, read_fork); }
+Spider parse_spider(const std::string& text) { return parse_whole(text, read_spider); }
+Tree parse_tree(const std::string& text) { return parse_whole(text, read_tree); }
 
 std::string peek_platform_kind(const std::string& text) {
-  Lexer probe(text);
-  return probe.next("platform kind");
+  return Lexer(text).next("platform kind");
 }
 
 }  // namespace mst

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
+#include "mst/common/lexer.hpp"
 #include "mst/platform/chain.hpp"
 #include "mst/platform/fork.hpp"
 #include "mst/platform/spider.hpp"
@@ -11,7 +11,8 @@
 /// \file io.hpp
 /// Plain-text platform descriptions.
 ///
-/// Format (line oriented, `#` starts a comment):
+/// Format (the lexical rules of `common/lexer.hpp`: `#` comments,
+/// whitespace-separated tokens):
 ///
 ///     chain <p>
 ///     <c_1> <w_1>
@@ -32,7 +33,10 @@
 ///     ...                      # (the master) or an earlier slave id
 ///
 /// `parse_*` throws `std::invalid_argument` with a line number on malformed
-/// input.  `write_*`/`parse_*` round-trip exactly.
+/// input.  `write_*`/`parse_*` round-trip exactly.  `read_*` reads one
+/// description from a lexer at its header keyword and leaves the lexer
+/// after it: formats that embed a platform (schedule files) read it in
+/// place, so its errors name their line in the embedding file.
 
 namespace mst {
 
@@ -45,6 +49,9 @@ Chain parse_chain(const std::string& text);
 Fork parse_fork(const std::string& text);
 Spider parse_spider(const std::string& text);
 Tree parse_tree(const std::string& text);
+
+Chain read_chain(Lexer& lex);
+Spider read_spider(Lexer& lex);
 
 /// The header keyword of a platform description ("chain", "fork", "spider",
 /// "tree", ...), read with the same comment/whitespace rules as the parsers.

@@ -2,178 +2,107 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "mst/common/assert.hpp"
+#include "mst/common/lexer.hpp"
 #include "mst/platform/io.hpp"
+#include "mst/schedule/legs.hpp"
 
 namespace mst {
 
 namespace {
 
-/// Minimal whitespace tokenizer (schedule files are machine-written; the
-/// platform header is delegated to platform/io.hpp which tracks lines).
-class Tokens {
- public:
-  explicit Tokens(const std::string& text) {
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      std::istringstream ls(line);
-      std::string tok;
-      while (ls >> tok) tokens_.push_back(tok);
-    }
+/// The task type of a `ChainSchedule` or a `SpiderSchedule`.
+template <class Schedule>
+using TaskOf = typename decltype(Schedule::tasks)::value_type;
+
+/// Writes either schedule kind: a chain is leg 0, and its task lines carry
+/// no `leg` column.
+template <class Schedule>
+std::string write_any(const Schedule& schedule) {
+  constexpr bool kSpider = kSpiderTask<TaskOf<Schedule>>;
+  std::ostringstream os;
+  if constexpr (kSpider) {
+    os << "spider_schedule\n" << write_spider(schedule.spider);
+  } else {
+    os << "chain_schedule\n" << write_chain(schedule.chain);
   }
-
-  [[nodiscard]] bool done() const { return pos_ >= tokens_.size(); }
-  [[nodiscard]] std::size_t remaining() const { return tokens_.size() - pos_; }
-
-  std::string next(const char* what) {
-    MST_REQUIRE(!done(), std::string("unexpected end of schedule, expected ") + what);
-    return tokens_[pos_++];
+  os << "tasks " << schedule.tasks.size() << '\n';
+  os << (kSpider ? "# leg proc start emissions...\n" : "# proc start emissions...\n");
+  for (const auto& t : schedule.tasks) {
+    if constexpr (kSpider) os << t.leg << ' ';
+    os << t.proc << ' ' << t.start;
+    for (Time e : t.emissions) os << ' ' << e;
+    os << '\n';
   }
-
-  Time next_time(const char* what) {
-    const std::string tok = next(what);
-    std::size_t used = 0;
-    Time v = 0;
-    try {
-      v = std::stoll(tok, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    MST_REQUIRE(used == tok.size(),
-                std::string("expected ") + what + ", got '" + tok + "'");
-    return v;
-  }
-
-  std::size_t next_index(const char* what) {
-    const Time v = next_time(what);
-    MST_REQUIRE(v >= 0, std::string(what) + " must be non-negative");
-    return static_cast<std::size_t>(v);
-  }
-
-  void expect(const std::string& keyword) {
-    const std::string tok = next(keyword.c_str());
-    MST_REQUIRE(tok == keyword, "expected '" + keyword + "', got '" + tok + "'");
-  }
-
-  void expect_end() {
-    MST_REQUIRE(done(), "trailing input in schedule file: '" + tokens_[pos_] + "'");
-  }
-
-  /// Consumes the `pairs` processor `c w` pairs of the embedded platform.
-  std::string take_pairs(std::size_t pairs) {
-    std::ostringstream os;
-    for (std::size_t i = 0; i < 2 * pairs; ++i) os << next("platform description") << ' ';
-    return os.str();
-  }
-
- private:
-  std::vector<std::string> tokens_;
-  std::size_t pos_ = 0;
-};
-
-template <class Task>
-void write_task_line(std::ostream& os, const Task& t) {
-  os << t.proc << ' ' << t.start;
-  for (Time e : t.emissions) os << ' ' << e;
-  os << '\n';
+  return os.str();
 }
 
-/// Reads task `index`'s line on `chain`.  Each hop's arrival `C_k + c_k`
-/// and the end `T + w` must fit in `Time`, so checks cannot overflow.
-ChainTask parse_task_line(Tokens& toks, const Chain& chain, std::size_t index) {
+/// Reads either schedule kind, its embedded platform in place.  Each hop's
+/// arrival `C_k + c_k` and each end `T + w` must fit in `Time`, so checks
+/// cannot overflow.
+template <class Schedule>
+Schedule parse_any(const std::string& text) {
+  using Task = TaskOf<Schedule>;
+  constexpr bool kSpider = kSpiderTask<Task>;
   constexpr Time kMax = std::numeric_limits<Time>::max();
-  const auto limit = [index](const std::string& what) {
-    return "task " + std::to_string(index) + ": " + what + " exceeds the largest time " +
-           std::to_string(kMax);
-  };
-  ChainTask t;
-  t.proc = toks.next_index("destination processor");
-  MST_REQUIRE(t.proc < chain.size(), "task destination outside the platform");
-  t.start = toks.next_time("start time");
-  MST_REQUIRE(t.start <= kMax - chain.work(t.proc), limit("end T + w"));
-  t.emissions.resize(t.proc + 1);
-  for (std::size_t k = 0; k <= t.proc; ++k) {
-    t.emissions[k] = toks.next_time("emission time");
-    MST_REQUIRE(t.emissions[k] <= kMax - chain.comm(k),
-                limit("arrival C_k + c_k on link " + std::to_string(k)));
+  Lexer lex(text, "schedule");
+  lex.expect(kSpider ? "spider_schedule" : "chain_schedule");
+  Schedule schedule;
+  std::span<const Chain> legs;
+  if constexpr (kSpider) {
+    schedule.spider = read_spider(lex);
+    legs = legs_of(schedule.spider);
+  } else {
+    schedule.chain = read_chain(lex);
+    legs = legs_of(schedule.chain);
   }
-  return t;
+
+  lex.expect("tasks");
+  const std::size_t n = lex.next_index("task count");
+  const std::size_t min_tokens = kSpider ? 4 : 3;  // [leg] proc start emission...
+  schedule.tasks.reserve(std::min(n, lex.remaining() / min_tokens));
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto limit = [i](const std::string& what) {
+      return "task " + std::to_string(i) + ": " + what + " exceeds the largest time " +
+             std::to_string(kMax);
+    };
+    Task& t = schedule.tasks.emplace_back();
+    if constexpr (kSpider) {
+      t.leg = lex.next_index("leg");
+      MST_REQUIRE(t.leg < legs.size(), "task leg outside the platform");
+    }
+    const Chain& chain = legs[leg_of(t)];
+    t.proc = lex.next_index("destination processor");
+    MST_REQUIRE(t.proc < chain.size(), "task destination outside the platform");
+    t.start = lex.next_time("start time");
+    MST_REQUIRE(t.start <= kMax - chain.work(t.proc), limit("end T + w"));
+    t.emissions.resize(t.proc + 1);
+    for (std::size_t k = 0; k <= t.proc; ++k) {
+      t.emissions[k] = lex.next_time("emission time");
+      MST_REQUIRE(t.emissions[k] <= kMax - chain.comm(k),
+                  limit("arrival C_k + c_k on link " + std::to_string(k)));
+    }
+  }
+  lex.expect_end();
+  return schedule;
 }
 
 }  // namespace
 
-std::string write_schedule(const ChainSchedule& schedule) {
-  std::ostringstream os;
-  os << "chain_schedule\n";
-  os << write_chain(schedule.chain);
-  os << "tasks " << schedule.tasks.size() << '\n';
-  os << "# proc start emissions...\n";
-  for (const ChainTask& t : schedule.tasks) write_task_line(os, t);
-  return os.str();
-}
-
-std::string write_schedule(const SpiderSchedule& schedule) {
-  std::ostringstream os;
-  os << "spider_schedule\n";
-  os << write_spider(schedule.spider);
-  os << "tasks " << schedule.tasks.size() << '\n';
-  os << "# leg proc start emissions...\n";
-  for (const SpiderTask& t : schedule.tasks) write_task_line(os << t.leg << ' ', t);
-  return os.str();
-}
+std::string write_schedule(const ChainSchedule& schedule) { return write_any(schedule); }
+std::string write_schedule(const SpiderSchedule& schedule) { return write_any(schedule); }
 
 ChainSchedule parse_chain_schedule(const std::string& text) {
-  Tokens toks(text);
-  toks.expect("chain_schedule");
-  toks.expect("chain");
-  const std::size_t p = toks.next_index("processor count");
-  MST_REQUIRE(p >= 1, "chain must have at least one processor");
-  const Chain chain = parse_chain("chain " + std::to_string(p) + '\n' + toks.take_pairs(p));
-
-  toks.expect("tasks");
-  const std::size_t n = toks.next_index("task count");
-  ChainSchedule schedule{chain, {}};
-  schedule.tasks.reserve(std::min(n, toks.remaining() / 3));  // a task line has 3+ tokens
-  for (std::size_t i = 0; i < n; ++i) schedule.tasks.push_back(parse_task_line(toks, chain, i));
-  toks.expect_end();
-  return schedule;
+  return parse_any<ChainSchedule>(text);
 }
 
 SpiderSchedule parse_spider_schedule(const std::string& text) {
-  Tokens toks(text);
-  toks.expect("spider_schedule");
-  toks.expect("spider");
-  const std::size_t legs = toks.next_index("leg count");
-  MST_REQUIRE(legs >= 1, "spider must have at least one leg");
-  std::ostringstream platform_text;
-  platform_text << "spider " << legs << '\n';
-  for (std::size_t l = 0; l < legs; ++l) {
-    toks.expect("leg");
-    const std::size_t p = toks.next_index("leg length");
-    MST_REQUIRE(p >= 1, "leg must have at least one processor");
-    platform_text << "leg " << p << '\n' << toks.take_pairs(p) << '\n';
-  }
-  const Spider spider = parse_spider(platform_text.str());
-
-  toks.expect("tasks");
-  const std::size_t n = toks.next_index("task count");
-  SpiderSchedule schedule{spider, {}};
-  schedule.tasks.reserve(std::min(n, toks.remaining() / 4));  // a task line has 4+ tokens
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t leg = toks.next_index("leg");
-    MST_REQUIRE(leg < legs, "task leg outside the platform");
-    ChainTask t = parse_task_line(toks, spider.leg(leg), i);
-    schedule.tasks.push_back(SpiderTask{leg, t.proc, t.start, std::move(t.emissions)});
-  }
-  toks.expect_end();
-  return schedule;
+  return parse_any<SpiderSchedule>(text);
 }
 
 }  // namespace mst

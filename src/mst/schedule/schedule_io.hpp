@@ -10,7 +10,9 @@
 ///
 /// Makes schedules first-class artifacts: a planner can emit one, an
 /// external tool (or a human) can inspect or edit it, and the validators
-/// re-admit it.  Format (line oriented, `#` comments):
+/// re-admit it.  Format (the lexical rules of `common/lexer.hpp`; the
+/// embedded platform is read in place by `read_chain`/`read_spider`, so
+/// every error names its line in the schedule file):
 ///
 ///     chain_schedule
 ///     chain <p>

@@ -1,77 +1,13 @@
 #include "mst/workload/workload_io.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
 #include "mst/common/assert.hpp"
+#include "mst/common/lexer.hpp"
 
 namespace mst {
-
-namespace {
-
-/// Tokenized input with comment stripping and line tracking, mirroring the
-/// platform parser's error style.
-class Lexer {
- public:
-  explicit Lexer(const std::string& text) {
-    std::istringstream is(text);
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-      ++lineno;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      std::istringstream ls(line);
-      std::string tok;
-      while (ls >> tok) tokens_.push_back({tok, lineno});
-    }
-  }
-
-  [[nodiscard]] bool done() const { return pos_ >= tokens_.size(); }
-
-  [[nodiscard]] const std::string& peek() const {
-    MST_REQUIRE(!done(), "unexpected end of workload input");
-    return tokens_[pos_].text;
-  }
-
-  std::string next(const char* what) {
-    MST_REQUIRE(!done(), std::string("unexpected end of input, expected ") + what);
-    return tokens_[pos_++].text;
-  }
-
-  Time next_time(const char* what) {
-    MST_REQUIRE(!done(), std::string("unexpected end of input, expected ") + what);
-    const std::size_t line = tokens_[pos_].line;
-    const std::string tok = next(what);
-    std::size_t used = 0;
-    Time v = 0;
-    try {
-      v = std::stoll(tok, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    MST_REQUIRE(used == tok.size(), "line " + std::to_string(line) + ": expected " +
-                                        std::string(what) + ", got '" + tok + "'");
-    return v;
-  }
-
-  void expect_end() const {
-    if (!done()) {
-      MST_REQUIRE(false, "line " + std::to_string(tokens_[pos_].line) + ": trailing input '" +
-                             tokens_[pos_].text + "'");
-    }
-  }
-
- private:
-  struct Token {
-    std::string text;
-    std::size_t line;
-  };
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
 
 std::string write_workload(const Workload& workload) {
   std::ostringstream os;
@@ -91,11 +27,8 @@ std::string write_workload(const Workload& workload) {
 
 Workload parse_workload(const std::string& text) {
   Lexer lex(text);
-  const std::string head = lex.next("'workload' header");
-  MST_REQUIRE(head == "workload", "expected 'workload', got '" + head + "'");
-  const Time count = lex.next_time("task count");
-  MST_REQUIRE(count >= 0, "task count must be >= 0");
-  const auto n = static_cast<std::size_t>(count);
+  lex.expect("workload");
+  const std::size_t n = lex.next_index("task count");
 
   std::vector<Time> sizes;
   std::vector<Time> release;
@@ -103,17 +36,16 @@ Workload parse_workload(const std::string& text) {
     const std::string key = lex.next("'sizes' or 'release'");
     if (key == "sizes") {
       MST_REQUIRE(sizes.empty(), "duplicate 'sizes' line");
-      sizes.reserve(n);
+      sizes.reserve(std::min(n, lex.remaining()));
       for (std::size_t i = 0; i < n; ++i) sizes.push_back(lex.next_time("task size"));
     } else if (key == "release") {
       MST_REQUIRE(release.empty(), "duplicate 'release' line");
-      release.reserve(n);
+      release.reserve(std::min(n, lex.remaining()));
       for (std::size_t i = 0; i < n; ++i) release.push_back(lex.next_time("release date"));
     } else {
       MST_REQUIRE(false, "unknown workload key '" + key + "'");
     }
   }
-  lex.expect_end();
   // Range validation (sizes >= 1, release >= 0) lives in the constructor.
   return Workload(n, std::move(sizes), std::move(release));
 }

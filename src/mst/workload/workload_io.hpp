@@ -8,7 +8,8 @@
 /// Plain-text workload descriptions — the workload sibling of the platform
 /// format (mst/platform/io.hpp).
 ///
-/// Format (line oriented, `#` starts a comment):
+/// Format (the lexical rules of `common/lexer.hpp`: `#` comments,
+/// whitespace-separated tokens):
 ///
 ///     workload <n>
 ///     sizes <s_1> ... <s_n>      # optional; task sizes, each >= 1

@@ -25,6 +25,9 @@
 #     count beyond the file's task lines, exits 2 with a message (never a
 #     signed overflow or a bad_alloc); a negative time parses but is a
 #     structure violation (exit 1).
+#   * A header count beyond the file's tokens (`chain`, `fork`, `spider` or
+#     `workload` 10^12) stops at "unexpected end of input" (exit 2), never
+#     in a bad_alloc from reserving that many items.
 
 foreach(var MSTCTL WORKDIR)
   if(NOT DEFINED ${var})
@@ -117,3 +120,12 @@ validate(validate_spider_count
          "unexpected end of schedule")
 validate(validate_negative "chain_schedule\nchain 2\n1 1\n1 1\ntasks 1\n1 5 -7 0\n" 1
          "structure violated by task 0: negative start or emission time")
+
+set(huge 1000000000000)
+set(count_end "requirement failed.*unexpected end of input")
+rejected(chain_count "chain ${huge}\n1 1\n" "${count_end}" ${solve})
+rejected(fork_count "fork ${huge}\n1 1\n" "${count_end}" ${solve})
+rejected(spider_count "spider ${huge}\nleg 1\n1 1\n" "${count_end}" ${solve})
+file(WRITE ${WORKDIR}/huge_workload.txt "workload ${huge}\nrelease 0\n")
+rejected(workload_count "chain 1\n1 1\n" "${count_end}"
+         --mode=solve --algo=forward-greedy --workload=${WORKDIR}/huge_workload.txt)

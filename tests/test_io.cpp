@@ -153,6 +153,14 @@ TEST(Io, RejectsInvalidProcessorValues) {
   EXPECT_THROW(parse_chain("chain 0\n"), std::invalid_argument);
 }
 
+TEST(Io, HeaderCountsBeyondTheFileEndAtItsEnd) {
+  // A count the file cannot back is read up to the file's end and rejected
+  // there, never reserved up front (10^12 processors would not fit).
+  EXPECT_THROW(parse_chain("chain 1000000000000\n1 1\n"), std::invalid_argument);
+  EXPECT_THROW(parse_fork("fork 1000000000000\n1 1\n"), std::invalid_argument);
+  EXPECT_THROW(parse_spider("spider 1000000000000\nleg 1\n1 1\n"), std::invalid_argument);
+}
+
 TEST(Io, ErrorsMentionLineNumbers) {
   try {
     parse_chain("chain 1\nbad 2\n");

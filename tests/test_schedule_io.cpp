@@ -132,6 +132,30 @@ TEST(ScheduleIo, RejectsTimesPastTheLargestTime) {
                                        std::string("9223372036854775806 9223372036854775802\n")));
 }
 
+TEST(ScheduleIo, EmbeddedPlatformErrorsNameTheirLineInTheFile) {
+  // The bad token `x` sits on line 6, after a comment and a blank line.
+  const std::string chain_error = parse_error(parse_chain_schedule,
+                                              "# a chain schedule\n"
+                                              "chain_schedule\n"
+                                              "\n"
+                                              "chain 2\n"
+                                              "1 2\n"
+                                              "1 x\n"
+                                              "tasks 0\n");
+  EXPECT_NE(chain_error.find("line 6: expected processing time, got 'x'"), std::string::npos)
+      << chain_error;
+  const std::string spider_error = parse_error(parse_spider_schedule,
+                                               "# a spider schedule\n"
+                                               "spider_schedule\n"
+                                               "\n"
+                                               "spider 1\n"
+                                               "leg 2 1 2\n"
+                                               "1 x\n"
+                                               "tasks 0\n");
+  EXPECT_NE(spider_error.find("line 6: expected processing time, got 'x'"), std::string::npos)
+      << spider_error;
+}
+
 TEST(ScheduleIo, EmptySchedulesRoundTrip) {
   const Chain chain = Chain::from_vectors({1}, {1});
   ChainSchedule empty{chain, {}};

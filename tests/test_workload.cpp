@@ -93,6 +93,10 @@ TEST(WorkloadIo, FuzzRejection) {
   EXPECT_THROW(parse_workload("workload 2\nsizes 1 1\nsizes 1 1\n"), std::invalid_argument);
   EXPECT_THROW(parse_workload("workload 2\nbogus 1 2\n"), std::invalid_argument);
   EXPECT_THROW(parse_workload("workload 1\nrelease 0\ntrailing\n"), std::invalid_argument);
+  // A count the file cannot back ends at the file's end, never in a
+  // reservation of that many dates or sizes.
+  EXPECT_THROW(parse_workload("workload 1000000000000\nrelease 0\n"), std::invalid_argument);
+  EXPECT_THROW(parse_workload("workload 1000000000000\nsizes 1\n"), std::invalid_argument);
 }
 
 TEST(WorkloadGenTest, DeterministicPerSeedAndValidated) {

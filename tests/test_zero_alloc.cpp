@@ -280,6 +280,18 @@ TEST(SolveZeroAlloc, WarmForwardGreedySolveIsAllocationFree) {
   EXPECT_EQ(decision_allocations(tree, "forward-greedy", 200), 0);
 }
 
+TEST(SolveZeroAlloc, SingleNodeAllocationCountIndependentOfProcessorCount) {
+  // single-node scores every candidate node by engine commits on one state
+  // and builds only the winner's schedule, so a warm solve allocates as
+  // much on 16 processors as on 4.
+  Rng rng(36);
+  const GeneratorParams params{1, 10, PlatformClass::kUniform};
+  const api::Platform small(random_chain(rng, 4, params));
+  const api::Platform large(random_chain(rng, 16, params));
+  EXPECT_EQ(solve_allocations(small, "single-node", 64),
+            solve_allocations(large, "single-node", 64));
+}
+
 /// Allocations of one check of a feasible library schedule, built outside
 /// the probed window.
 template <class Schedule>

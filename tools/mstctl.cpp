@@ -709,13 +709,8 @@ int run_merge(const mst::Args& args) {
 int run_validate(const mst::Args& args) {
   using namespace mst;
   const std::string text = slurp(args.get("schedule", ""));
-  // Dispatch on the header keyword: the first token outside a `#` comment,
-  // as parse_*_schedule reads it.
-  std::istringstream lines(text);
-  std::string kind;
-  for (std::string line; kind.empty() && std::getline(lines, line);) {
-    std::istringstream(line.substr(0, line.find('#'))) >> kind;
-  }
+  // Dispatch on the header keyword, read by the lexer parse_*_schedule uses.
+  const std::string kind = Lexer(text, "schedule").next("schedule kind");
   FeasibilityReport report;
   Time analytic_makespan = 0;
   sim::ReplayResult replayed;
