@@ -92,6 +92,14 @@ void count_nodes_built(const SolveOptions& opts, const SpiderCountScratch& scrat
       .add(static_cast<std::int64_t>(scratch.nodes_built));
 }
 
+/// Folds the bisection probes of the last fork or spider makespan search
+/// (`SpiderCountScratch::probes`) into `core.spider.probes`.  Decisions
+/// run no search and leave the field as the last search set it.
+void count_probes(const SolveOptions& opts, const SpiderCountScratch& scratch) {
+  if (opts.metrics == nullptr) return;
+  opts.metrics->counter("core.spider.probes").add(static_cast<std::int64_t>(scratch.probes));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -805,6 +813,7 @@ SolveResult fork_solve(const char* algorithm, bool optimal, const Platform& p, c
   SpiderSchedule& pooled = opts.scratch->spider_pool;
   ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
   count_nodes_built(opts, opts.scratch->fork.solve.count);
+  count_probes(opts, opts.scratch->fork.solve.count);
   return shape_result(algorithm, PlatformKind::kFork, std::move(pooled), w, optimal, opts);
 }
 
@@ -860,6 +869,7 @@ void register_spider_algorithms(Registry& r) {
           SpiderSchedule& pooled = opts.scratch->spider_pool;
           SpiderScheduler::schedule_into(spider, w, opts.scratch->spider, pooled);
           count_nodes_built(opts, opts.scratch->spider.count);
+          count_probes(opts, opts.scratch->spider.count);
           return shape_result("optimal", k, std::move(pooled), w, true, opts);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {

@@ -7,11 +7,7 @@
 
 namespace mst {
 
-namespace {
-
 std::string at_line(std::size_t line) { return "line " + std::to_string(line) + ": "; }
-
-}  // namespace
 
 Lexer::Lexer(const std::string& text, std::string document) : document_(std::move(document)) {
   std::istringstream is(text);
@@ -72,6 +68,11 @@ void Lexer::expect(const std::string& keyword) {
   ++pos_;
   MST_REQUIRE(tok.text == keyword,
               at_line(tok.line) + "expected '" + keyword + "', got '" + tok.text + "'");
+}
+
+std::size_t Lexer::line() const {
+  MST_ASSERT(pos_ >= 1);
+  return tokens_[pos_ - 1].line;
 }
 
 void Lexer::expect_end() const {

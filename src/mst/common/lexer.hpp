@@ -22,6 +22,9 @@
 
 namespace mst {
 
+/// The `line N: ` that starts an error about a token on line `line`.
+std::string at_line(std::size_t line);
+
 class Lexer {
  public:
   /// Splits `text` into tokens.  `document` names the input in the error
@@ -50,6 +53,9 @@ class Lexer {
 
   /// Throws unless every token has been read.
   void expect_end() const;
+
+  /// The line of the last token read, for errors about its value.
+  [[nodiscard]] std::size_t line() const;
 
  private:
   struct Token {

@@ -71,12 +71,13 @@ class ForkScheduler {
                                         std::size_t cap);
 
   /// Workload makespan form: the spider's search of the minimal horizon
-  /// over the release-aware count (absolute times; no shift).
+  /// over the release-aware count, bracketed between the identical-task
+  /// optimum and its release-delayed selection (absolute times; no shift).
   static SpiderSchedule schedule(const Fork& fork, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks — the spider's
-  /// search from the one-port floor (`scratch.solve.count.floor`, probes in
-  /// `scratch.solve.count.probes`).
+  /// search from the one-port floor (its ends in `scratch.solve.count.floor`
+  /// and `top`, probes in `scratch.solve.count.probes`).
   static SpiderSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.

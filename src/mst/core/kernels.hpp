@@ -45,6 +45,7 @@ namespace mst::detail {
 /// the shift: a Fig 7 leg node has deadline `C_1 + c_1`, which shifts with
 /// the leg's emissions, and exists at `T` iff that deadline still covers
 /// its `c_1`.  So a search runs one *build* step at the top of its range —
+/// for a release-dated spider, the upper end `UB` of its bracket —
 /// the chain emissions, or the node instance as EDD-ordered
 /// `(deadline at H, comm, id)` jobs, merged from the per-leg runs
 /// (`merge_edd_runs`) — and every bisection *probe* at `T` lowers each
@@ -68,30 +69,40 @@ Time min_horizon(Time lo, Time hi, Fits&& fits) {
   return lo;
 }
 
-/// The range `[floor, top]` a spider makespan search for `n` tasks
-/// bisects, accumulated over the platform's processors with every sum
-/// overflow-checked.
+/// The bounds of a spider makespan search for `n` tasks, accumulated over
+/// the platform's processors with every sum overflow-checked.
 ///
 ///   * `top`: all `n` tasks pipelined on the best single first processor
 ///     `(c, w)` — `c + (n-1)·max(c, w) + w` — shifted past the last release
 ///     date.  Always feasible.  A pipeline that overflows `Time` is skipped;
 ///     if every one does, the search is rejected.
-///   * `floor`, the one-port floor: `max((n-1)·min c_1, last release) +
-///     min reach`, where `c_1` is a first-link latency and `reach` the path
-///     latency plus `w` of any processor.  The master emits one task at a
-///     time, each emission holding its port for at least `min c_1`, so the
-///     last task emitted starts no earlier than `(n-1)·min c_1`; with
-///     release dates it also starts no earlier than the last release (the
-///     n-th emission waits for the n-th release).  That task still has to
-///     cross its path and run, so no schedule of `n` tasks finishes before
-///     `floor`.  A valid lower end only shortens the search.  For identical
-///     tasks and `n >= 2` it meets `top`, and the search runs no probe,
-///     exactly when one source's first processor `(c, w)` has the minimum
-///     `c_1`, `w <= c` and the minimum reach; any other gap leaves up to
-///     `ceil(log2(top - floor + 1))` probes.
+///   * `floor`, the release one-port floor: `max_k (r[n-k] + (k-1)·min c_1)
+///     + min reach` over `k = 1..n`, where `r` is the ascending release
+///     dates (0-based, all 0 without release dates), `c_1` a first-link
+///     latency and `reach` the path latency plus `w` of any processor.
+///     Proof sketch: the j-th emission in time order starts no earlier than
+///     `r[j]` (dates bind positionally), and the master emits one task at
+///     a time, each emission holding its port for at least `min c_1`.  So
+///     of the last `k` emissions, the first starts at or after `r[n-k]`
+///     and the last `(k-1)·min c_1` later still; that task then has to
+///     cross its path and run.  No schedule of `n` tasks — not only none
+///     the selection DP finds — finishes before `floor`.  `k = n` and
+///     `k = 1` give the two terms of the plain one-port floor
+///     `max((n-1)·min c_1, last release) + min reach`.  Every term is at
+///     most `top` (the best pipeline's own terms bound it), so nothing
+///     here can overflow once `top` exists.
+///
+/// A valid lower end only shortens the search.  For identical tasks and
+/// `n >= 2` the floor meets `top`, and the search runs no probe, exactly
+/// when one source's first processor `(c, w)` has the minimum `c_1`,
+/// `w <= c` and the minimum reach; any other gap leaves up to
+/// `ceil(log2(top - floor + 1))` probes.  A release-dated search is
+/// bracketed tighter still, between the identical-task optimum and its
+/// release-delayed selection (`spider_scheduler.cpp`); both ends lie in
+/// `[floor, top]`.
 class SearchRange {
  public:
-  SearchRange(std::size_t n, Time last_release) : n_(n), last_release_(last_release) {}
+  explicit SearchRange(std::size_t n) : n_(n) {}
 
   /// A source — a spider leg, or a fork slave as a unit leg — whose first
   /// processor is `first`.
@@ -101,8 +112,7 @@ class SearchRange {
     const bool overflow =
         __builtin_mul_overflow(std::max(first.comm, first.work), n_ - 1, &span) ||
         __builtin_add_overflow(span, first.comm, &span) ||
-        __builtin_add_overflow(span, first.work, &span) ||
-        __builtin_add_overflow(span, last_release_, &span);
+        __builtin_add_overflow(span, first.work, &span);
     if (!overflow) top_ = std::min(top_, span);
   }
 
@@ -112,28 +122,38 @@ class SearchRange {
     if (!__builtin_add_overflow(path, work, &reach)) min_reach_ = std::min(min_reach_, reach);
   }
 
-  [[nodiscard]] Time top() const {
-    MST_REQUIRE(top_ != kNone,
+  /// `top` for tasks all released by `last_release`.
+  [[nodiscard]] Time top(Time last_release = 0) const {
+    Time top = 0;
+    MST_REQUIRE(top_ != kNone && !__builtin_add_overflow(top_, last_release, &top),
                 "the n-task pipeline of every fork slave or spider leg exceeds the largest "
                 "time 9223372036854775807");
-    return top_;
+    return top;
   }
 
-  [[nodiscard]] Time floor() const {
-    // At most `top` (the best pipeline's own terms bound each one), so
-    // nothing here can overflow once `top` exists.
+  /// `floor` for the release dates `releases` (ascending, one per task, or
+  /// empty when all are 0).
+  [[nodiscard]] Time floor(const std::vector<Time>& releases = {}) const {
+    MST_ASSERT(releases.empty() || releases.size() == n_);
+    // Term `j` is that of the last `k = n - j` emissions; without release
+    // dates `j = 0` is the largest.
+    const std::size_t terms = releases.empty() ? 1 : n_;
     Time port = 0;
-    const bool overflow = __builtin_mul_overflow(min_comm_, n_ - 1, &port);
-    MST_ASSERT(!overflow);
-    const Time floor = std::max(port, last_release_) + min_reach_;
-    MST_ASSERT(floor <= top());
+    for (std::size_t j = 0; j < terms; ++j) {
+      Time term = 0;
+      const bool overflow = __builtin_mul_overflow(min_comm_, n_ - 1 - j, &term) ||
+                            __builtin_add_overflow(term, releases.empty() ? 0 : releases[j], &term);
+      MST_ASSERT(!overflow);
+      port = std::max(port, term);
+    }
+    const Time floor = port + min_reach_;
+    MST_ASSERT(floor <= top(releases.empty() ? 0 : releases.back()));
     return floor;
   }
 
  private:
   static constexpr Time kNone = std::numeric_limits<Time>::max();
   std::size_t n_;
-  Time last_release_;
   Time top_ = kNone;
   Time min_comm_ = kNone;
   Time min_reach_ = kNone;

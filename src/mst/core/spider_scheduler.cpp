@@ -33,10 +33,11 @@ void require_uniform_sizes(const Workload& workload) {
               "the spider reduction is only optimal for identical task sizes");
 }
 
-/// The range of every spider makespan search: each leg is a source, and
-/// each of its processors is reached after the leg's path latency.
-detail::SearchRange search_range(const Spider& spider, const Workload& workload) {
-  detail::SearchRange range(workload.count(), workload.last_release());
+/// The bounds of every spider makespan search for `n` tasks: each leg is a
+/// source, and each of its processors is reached after the leg's path
+/// latency.
+detail::SearchRange search_range(const Spider& spider, std::size_t n) {
+  detail::SearchRange range(n);
   for (const Chain& leg : spider.legs()) {
     range.add_source(leg.proc(0));
     Time path = 0;
@@ -214,6 +215,49 @@ std::size_t greedy(const Spider& spider, Time t_lim, std::size_t k_cap, bool cou
   return total;
 }
 
+/// The release-dated makespan search of `workload`'s `n` tasks, bracketed
+/// by the identical-task optimum `t_id` (a result beyond the paper, which
+/// searches the whole horizon):
+///   * `LB = max(floor, t_id)`.  `floor` is the release one-port floor
+///     (`detail::SearchRange`).  Release dates only remove selections — a
+///     DP selection is EDD-feasible without them too — so `T* >= t_id`.
+///   * `UB = t_id + δ`.  Take the greedy's `n` nodes at `t_id`, in the DP's
+///     own EDD order `(deadline, proc_time, id)`, `P_j` the sum of the first
+///     `j` processing times, and `δ = max_j (r[j] − P_j)⁺`.  At `UB` the
+///     same nodes exist with every deadline `δ` later (the shift lemma,
+///     `detail::min_horizon`), and by induction the j-th completes at
+///     `C_j <= P_{j+1} + δ`: it starts at `max(C_{j-1}, r[j]) <= P_j + δ`.
+///     `P_{j+1}` is at most its deadline at `t_id`, so the DP count at `UB`
+///     reaches `n`.  Summing `P_j` in any other order — the schedule's port
+///     order, ties broken by leg, say — is not a bound.  `δ` is at most the
+///     last release, so `UB` stays within the search's top.
+/// Builds once at `UB` and bisects `[LB, UB]` with DP probes, none when
+/// `LB == UB`; leaves `[LB, UB]` in `count.floor` and `count.top`.
+Time search_released(const Spider& spider, const Workload& workload, Time floor, Time t_id,
+                     SpiderCountScratch& count) {
+  const std::size_t n = workload.count();
+  const std::vector<Time>& releases = workload.releases();
+  const std::size_t kept = greedy(spider, t_id, n, /*count_only=*/true, count);
+  MST_ASSERT(kept == n);
+  // A count leaves the leg it completes with out of the merged selection,
+  // which is `(deadline, comm, leg)` ordered, `end` being `P_{j+1}`.
+  const auto last = std::find_if(count.legs.rbegin(), count.legs.rend(),
+                                 [](const GreedyLeg& g) { return g.kept > 0; });
+  join_leg(count, *last, last->kept);
+  Time delay = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const GreedyNode& node = count.selected[j];
+    delay = std::max(delay, releases[j] - (node.end - node.comm));
+  }
+  count.floor = std::max(floor, t_id);
+  count.top = t_id + delay;
+  MST_ASSERT(count.floor <= count.top);
+  SpiderScheduler::build_instance(spider, count.top, workload, n, count);
+  return detail::search_instance(count, count.floor, count.top, n, [&](Time t) {
+    return SpiderScheduler::probe_instance(t, workload, n, count);
+  });
+}
+
 /// Steps (3)–(4) at `t_lim` for the workload and cap `k_cap`, into `out`.
 /// Release-dated selections read the instance built in `scratch.count`,
 /// identical-task ones the leg order `order_legs` left there.
@@ -315,6 +359,7 @@ std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim,
                                           const Workload& workload, std::size_t cap,
                                           SpiderCountScratch& scratch) {
   if (workload.has_release_dates()) {
+    scratch.nodes_built = 0;
     build_instance(spider, t_lim, workload, cap, scratch);
     return probe_instance(t_lim, workload, cap, scratch);
   }
@@ -344,7 +389,7 @@ void SpiderScheduler::build_instance(const Spider& spider, Time horizon,
     ChainScheduler::count_within_emissions(leg, horizon, k_cap, scratch.chain, scratch.emissions);
     scratch.offsets.push_back(scratch.emissions.size());
   }
-  scratch.nodes_built = scratch.emissions.size();
+  scratch.nodes_built += scratch.emissions.size();
   detail::merge_edd_runs(
       scratch.offsets,
       [&](std::size_t l, std::size_t j) {
@@ -378,6 +423,7 @@ void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim,
                                            const Workload& workload, std::size_t cap,
                                            SpiderSolveScratch& scratch, SpiderSchedule& out) {
   if (workload.has_release_dates()) {
+    scratch.count.nodes_built = 0;
     build_instance(spider, t_lim, workload, cap, scratch.count);
   } else {
     start_greedy(spider, t_lim, workload, scratch.count);
@@ -389,26 +435,22 @@ void SpiderScheduler::schedule_into(const Spider& spider, const Workload& worklo
                                     SpiderSolveScratch& scratch, SpiderSchedule& out) {
   require_uniform_sizes(workload);
   MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
-  // Identical tasks: every probe is a greedy count.  Release dates: steps
-  // (1)–(2) run once, at the top; every probe shifts that instance down to
-  // its horizon, and steps (3)–(4) select from it at the optimum.
+  // The identical-task optimum, every probe a greedy count; release dates
+  // then bracket their own search from it.
   const std::size_t n = workload.count();
-  const detail::SearchRange range = search_range(spider, workload);
+  const detail::SearchRange range = search_range(spider, n);
+  const Time top = range.top(workload.last_release());  // rejects an overflowing range first
   SpiderCountScratch& count = scratch.count;
-  count.top = range.top();  // rejects an overflowing range before `floor` sums it
   count.floor = range.floor();
-  Time horizon = 0;
+  count.top = range.top();
+  count.nodes_built = 0;
+  order_legs(spider, count);
+  Time horizon = detail::search_instance(count, count.floor, count.top, n, [&](Time t) {
+    return greedy(spider, t, n, /*count_only=*/true, count);
+  });
   if (workload.has_release_dates()) {
-    build_instance(spider, count.top, workload, n, count);
-    horizon = detail::search_instance(count, count.floor, count.top, n, [&](Time t) {
-      return probe_instance(t, workload, n, count);
-    });
-  } else {
-    count.nodes_built = 0;
-    order_legs(spider, count);
-    horizon = detail::search_instance(count, count.floor, count.top, n, [&](Time t) {
-      return greedy(spider, t, n, /*count_only=*/true, count);
-    });
+    horizon = search_released(spider, workload, range.floor(workload.releases()), horizon, count);
+    MST_ASSERT(count.top <= top);
   }
   select_spider(spider, horizon, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);

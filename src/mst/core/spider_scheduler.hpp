@@ -86,22 +86,33 @@
 /// release-dated workloads only.
 ///
 /// Search cost.  An identical-task search runs one greedy count per probe;
-/// it builds only the nodes each probe can keep.  A release-dated search
-/// builds once — a result beyond the paper, which re-runs steps (1)–(3) per
-/// probe: steps (1)–(2) only shift with the window (the backward
-/// construction's emissions at `T <= H` are those at `H` shifted by
-/// `T - H` and cut before the first negative one; see `min_horizon` in
-/// `core/kernels.hpp`).  So that search runs steps (1)–(2) once, at the top
-/// of its range — one backward construction per leg, and one p-way merge
-/// of the legs' node runs, each already in EDD order — and each probe is a
-/// single linear DP pass over the shifted instance, with no sort.  Both
-/// start at the one-port floor (`detail::SearchRange`, kept in
-/// `SpiderCountScratch::floor`), not 0, so they run at most
+/// it builds only the nodes each probe can keep.  It starts at the one-port
+/// floor (`detail::SearchRange`), not 0, so it runs at most
 /// `ceil(log2(top - floor + 1))` probes, and none when the floor meets the
 /// top — when one leg's first processor `(c, w)` has the minimum `c_{l,1}`,
-/// `w <= c` and the minimum path latency plus `w`.  Steps (3)–(4) at the
-/// optimum rebuild only each leg's kept suffix — its first `k`
-/// construction steps — not the whole leg.
+/// `w <= c` and the minimum path latency plus `w`.
+///
+/// A release-dated search first finds that identical-task optimum `T_id`,
+/// then bisects only the bracket `[LB, UB]` (results beyond the paper,
+/// which searches the whole horizon; proof sketches at `search_released`
+/// in `spider_scheduler.cpp`):
+///   * `LB = max(release one-port floor, T_id)` — release dates only remove
+///     selections;
+///   * `UB = T_id + δ` — the greedy's `n` nodes at `T_id`, walked in the
+///     DP's EDD order with prefix port times `P_j`, stay DP-feasible once
+///     every deadline moves `δ = max_j (r[j] − P_j)⁺` later.
+/// It builds once — steps (1)–(2) only shift with the window (the backward
+/// construction's emissions at `T <= H` are those at `H` shifted by
+/// `T - H` and cut before the first negative one; see `min_horizon` in
+/// `core/kernels.hpp`) — at `UB`: one backward construction per leg and
+/// one p-way merge of the legs' node runs, each already in EDD order.  Each
+/// probe is then a single linear DP pass over the shifted instance, with no
+/// sort, and there is none when `LB == UB`, as on 262, 267 and 258 of the
+/// 288 release-dated fork and spider makespan cells of the repo
+/// benchmark's `online-release` workload on seeds 1, 7 and 42.
+/// `SpiderCountScratch` keeps the last search's ends and probes.  Steps
+/// (3)–(4) at the optimum rebuild only each leg's kept suffix — its first
+/// `k` construction steps — not the whole leg.
 
 namespace mst {
 
@@ -150,9 +161,14 @@ struct SpiderCountScratch {
   std::vector<GreedyLeg> legs;        ///< the greedy's legs in join order
   std::vector<GreedyNode> selected;   ///< the greedy's selection
   std::vector<GreedyNode> merged;     ///< the selection with the joining leg's prefix
-  Time floor = 0;                     ///< lower end of the last makespan search
-  Time top = 0;                       ///< upper end of the last makespan search
-  std::size_t probes = 0;             ///< bisection probes of the last makespan search
+  /// Ends of the last makespan search: the one-port floor and the top for
+  /// identical tasks, `[LB, UB]` with release dates.
+  Time floor = 0;
+  Time top = 0;
+  /// Bisection probes of the last makespan search: greedy counts for
+  /// identical tasks, DP passes in `[LB, UB]` with release dates (the
+  /// greedy search for `T_id` before them is not counted).
+  std::size_t probes = 0;
   std::size_t nodes_built = 0;        ///< Fig 7 nodes built by the last count or solve
 };
 
@@ -232,8 +248,9 @@ class SpiderScheduler {
                                         const Workload& workload, std::size_t cap);
 
   /// Workload makespan form: binary search of the minimal horizon over the
-  /// release-aware count; the result keeps absolute times (no
-  /// normalization — release dates pin the origin).
+  /// release-aware count, in the bracket `[LB, UB]` (see "Search cost"
+  /// above); the result keeps absolute times (no normalization — release
+  /// dates pin the origin).
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
 
   // -------------------------------------------------------------------------

@@ -38,8 +38,9 @@ Tree read_tree(Lexer& lex) {
   for (std::size_t i = 1; i <= slaves; ++i) {
     const Time parent = lex.next_time("parent id");
     MST_REQUIRE(parent >= 0 && static_cast<std::size_t>(parent) < i,
-                "slave " + std::to_string(i) + ": parent must be 0 (the master) or an earlier "
-                "slave id, got " + std::to_string(parent));
+                at_line(lex.line()) + "slave " + std::to_string(i) +
+                    ": parent must be 0 (the master) or an earlier slave id, got " +
+                    std::to_string(parent));
     const Time c = lex.next_time("link latency");
     const Time w = lex.next_time("processing time");
     tree.add_node(static_cast<NodeId>(parent), Processor{c, w});

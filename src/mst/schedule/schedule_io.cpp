@@ -74,11 +74,12 @@ Schedule parse_any(const std::string& text) {
     Task& t = schedule.tasks.emplace_back();
     if constexpr (kSpider) {
       t.leg = lex.next_index("leg");
-      MST_REQUIRE(t.leg < legs.size(), "task leg outside the platform");
+      MST_REQUIRE(t.leg < legs.size(), at_line(lex.line()) + "task leg outside the platform");
     }
     const Chain& chain = legs[leg_of(t)];
     t.proc = lex.next_index("destination processor");
-    MST_REQUIRE(t.proc < chain.size(), "task destination outside the platform");
+    MST_REQUIRE(t.proc < chain.size(),
+                at_line(lex.line()) + "task destination outside the platform");
     t.start = lex.next_time("start time");
     MST_REQUIRE(t.start <= kMax - chain.work(t.proc), limit("end T + w"));
     t.emissions.resize(t.proc + 1);

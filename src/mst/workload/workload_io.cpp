@@ -35,15 +35,15 @@ Workload parse_workload(const std::string& text) {
   while (!lex.done()) {
     const std::string key = lex.next("'sizes' or 'release'");
     if (key == "sizes") {
-      MST_REQUIRE(sizes.empty(), "duplicate 'sizes' line");
+      MST_REQUIRE(sizes.empty(), at_line(lex.line()) + "duplicate 'sizes' line");
       sizes.reserve(std::min(n, lex.remaining()));
       for (std::size_t i = 0; i < n; ++i) sizes.push_back(lex.next_time("task size"));
     } else if (key == "release") {
-      MST_REQUIRE(release.empty(), "duplicate 'release' line");
+      MST_REQUIRE(release.empty(), at_line(lex.line()) + "duplicate 'release' line");
       release.reserve(std::min(n, lex.remaining()));
       for (std::size_t i = 0; i < n; ++i) release.push_back(lex.next_time("release date"));
     } else {
-      MST_REQUIRE(false, "unknown workload key '" + key + "'");
+      MST_REQUIRE(false, at_line(lex.line()) + "unknown workload key '" + key + "'");
     }
   }
   // Range validation (sizes >= 1, release >= 0) lives in the constructor.

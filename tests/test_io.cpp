@@ -161,6 +161,17 @@ TEST(Io, HeaderCountsBeyondTheFileEndAtItsEnd) {
   EXPECT_THROW(parse_spider("spider 1000000000000\nleg 1\n1 1\n"), std::invalid_argument);
 }
 
+TEST(Io, InvalidParentNamesItsLine) {
+  // Slave 2's parent, itself, sits on line 4, after a comment line.
+  try {
+    parse_tree("tree 2\n0 1 2\n# the second slave\n2 1 2\n");
+    FAIL() << "expected an exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4: slave 2: parent must be"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Io, ErrorsMentionLineNumbers) {
   try {
     parse_chain("chain 1\nbad 2\n");

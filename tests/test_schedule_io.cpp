@@ -156,6 +156,23 @@ TEST(ScheduleIo, EmbeddedPlatformErrorsNameTheirLineInTheFile) {
       << spider_error;
 }
 
+TEST(ScheduleIo, DestinationOutsideThePlatformNamesItsLine) {
+  // The second task names processor 5 of a one-processor chain on line 7.
+  const std::string error = parse_error(parse_chain_schedule,
+                                        "chain_schedule\nchain 1\n2 3\ntasks 2\n"
+                                        "0 2 0\n\n5 0 0\n");
+  EXPECT_NE(error.find("line 7: task destination outside the platform"), std::string::npos)
+      << error;
+}
+
+TEST(ScheduleIo, LegOutsideThePlatformNamesItsLine) {
+  // Leg 3 of a one-leg spider, on line 6.
+  const std::string error = parse_error(parse_spider_schedule,
+                                        "spider_schedule\nspider 1\nleg 1\n2 3\ntasks 1\n"
+                                        "3 0 2 0\n");
+  EXPECT_NE(error.find("line 6: task leg outside the platform"), std::string::npos) << error;
+}
+
 TEST(ScheduleIo, EmptySchedulesRoundTrip) {
   const Chain chain = Chain::from_vectors({1}, {1});
   ChainSchedule empty{chain, {}};

@@ -1,11 +1,17 @@
 // The spider makespan search on one built instance, forks included as
-// unit-leg spiders: the range it bisects (the one-port floor up to the
-// single-best-source pipeline), the probes it runs, the p-way merge that
-// builds its EDD instance, and the overflow-checked search tops.
+// unit-leg spiders: the bounds it bisects between, the probes it runs, the
+// p-way merge that builds its EDD instance, and the overflow-checked search
+// tops.
 //
-//   * The one-port floor is a lower bound: never above the optimum, on
-//     random forks and spiders, identical and release-dated, nor above the
-//     brute-force optimum at small sizes.
+//   * The release one-port floor is a lower bound: never above the
+//     optimum, on random forks and spiders, identical and release-dated,
+//     nor above the brute-force optimum at small sizes — release-gated when
+//     the tasks have release dates.
+//   * A release-dated search is bracketed by `[LB, UB]` — the floor or the
+//     identical-task optimum, and that optimum's release-delayed selection
+//     — and gives the horizon and schedule of the full-range search
+//     (`tests/support/full_range_release_search.hpp`) on random forks and
+//     spiders, with `LB <= T* <= UB` and the DP reaching `n` at `UB`.
 //   * A platform whose floor meets the top — one source with the minimum
 //     first link and the minimum reach, no slower than its link — solves
 //     with no probe; every search stays within
@@ -26,13 +32,16 @@
 #include <vector>
 
 #include "mst/baselines/brute_force.hpp"
+#include "mst/baselines/tree_asap.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/core/virtual_nodes.hpp"
 #include "mst/platform/generator.hpp"
+#include "mst/workload/arrival.hpp"
 #include "mst/workload/workload.hpp"
+#include "support/full_range_release_search.hpp"
 
 namespace mst {
 namespace {
@@ -121,6 +130,123 @@ TEST(SearchRange, OnePortFloorNeverExceedsTheBruteForceOptimum) {
     EXPECT_LE(spider_scratch.count.floor, brute_force_makespan(spider, n))
         << spider.describe() << " n=" << n;
   }
+}
+
+/// The exhaustive release-gated optimum of `workload` on `spider`: every
+/// destination sequence timed ASAP, the j-th emission no earlier than the
+/// j-th release date (the dates bind positionally).
+Time release_gated_optimum(const Spider& spider, const Workload& workload) {
+  TreeAsapState state(spider);
+  const std::size_t n = workload.count();
+  std::vector<Time> saved(state.saved_size() * n);
+  Time best = kTimeInfinity;
+  const auto search = [&](const auto& self, std::size_t j, Time makespan) -> void {
+    if (makespan >= best) return;
+    if (j == n) {
+      best = makespan;
+      return;
+    }
+    Time* const snapshot = saved.data() + j * state.saved_size();
+    state.save(snapshot);
+    for (NodeId v = 1; v < state.size(); ++v) {
+      const Time end = state.commit(v, 1, workload.release_of(j));
+      self(self, j + 1, std::max(makespan, end));
+      state.restore(snapshot);
+    }
+  };
+  search(search, 0, 0);
+  return best;
+}
+
+TEST(SearchRange, ReleaseFloorNeverExceedsTheReleaseGatedOptimum) {
+  Rng rng(0xF105);
+  ForkCountScratch fork_scratch;
+  SpiderSolveScratch spider_scratch;
+  SpiderSchedule out;
+  for (int trial = 0; trial < 60; ++trial) {
+    const GeneratorParams params = params_of(rng, trial);
+    const Workload workload = released_workload(rng, static_cast<std::size_t>(rng.uniform(1, 5)));
+    const Fork fork = random_fork(rng, static_cast<std::size_t>(rng.uniform(1, 3)), params);
+    const Spider spider =
+        random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 3)), 1, 2, params);
+    ForkScheduler::schedule_into(fork, workload, fork_scratch, out);
+    EXPECT_LE(fork_scratch.solve.count.floor,
+              release_gated_optimum(Spider::from_fork(fork), workload))
+        << fork.describe() << " " << workload.describe();
+    SpiderScheduler::schedule_into(spider, workload, spider_scratch, out);
+    EXPECT_LE(spider_scratch.count.floor, release_gated_optimum(spider, workload))
+        << spider.describe() << " " << workload.describe();
+  }
+}
+
+/// `n` release dates of shape `shape % 4`: Poisson arrivals, bursts, a
+/// periodic stream, or all equal.
+Workload shaped_releases(Rng& rng, std::size_t n, int shape) {
+  using Kind = ArrivalDist::Kind;
+  const auto seed = static_cast<std::uint64_t>(rng.uniform(0, 1 << 30));
+  switch (shape % 4) {
+    case 0:
+      return WorkloadGen{{}, {Kind::kPoisson, rng.uniform(1, 8), 0}}.make(n, seed);
+    case 1:
+      return WorkloadGen{{}, {Kind::kBursts, rng.uniform(1, 8), rng.uniform(1, 30)}}.make(n, seed);
+    case 2:
+      return WorkloadGen{{}, {Kind::kPeriodic, rng.uniform(1, 6), 0}}.make(n, seed);
+    default:
+      return Workload::released(std::vector<Time>(n, rng.uniform(1, 40)));
+  }
+}
+
+/// A fork whose slaves tie on their node deadlines but not on `c_1`: a
+/// slave `(c, w)` with `c <= w` has its nodes due at `T − w − i·w`, so
+/// slaves of one `w` tie rank by rank whatever their `c`.
+Fork deadline_tied_fork(Rng& rng) {
+  std::vector<Processor> slaves(static_cast<std::size_t>(rng.uniform(2, 6)));
+  const Time w = rng.uniform(2, 6);
+  for (Processor& slave : slaves) slave = Processor{rng.uniform(1, w), w};
+  return Fork(slaves);
+}
+
+/// The bracketed search on `spider` against the full-range oracle: the same
+/// horizon (a release-dated schedule ends at its horizon) and schedule,
+/// `LB <= T* <= UB`, and the DP reaching `n` at `UB`.
+void expect_bracket_matches_full_range(const Spider& spider, const Workload& workload,
+                                       SpiderSolveScratch& scratch) {
+  SpiderSchedule out;
+  SpiderScheduler::schedule_into(spider, workload, scratch, out);
+  const Time lower = scratch.count.floor;
+  const Time upper = scratch.count.top;
+  Time horizon = 0;
+  const SpiderSchedule expected = oracle::full_range_release_schedule(spider, workload, &horizon);
+  const std::string where = spider.describe() + " " + workload.describe();
+  EXPECT_EQ(out.makespan(), horizon) << where;
+  EXPECT_EQ(out, expected) << where;
+  EXPECT_LE(lower, horizon) << where;
+  EXPECT_LE(horizon, upper) << where;
+  SpiderCountScratch count;
+  EXPECT_EQ(SpiderScheduler::count_within(spider, upper, workload, workload.count(), count),
+            workload.count())
+      << where;
+}
+
+TEST(SearchRange, BracketedReleaseSearchMatchesTheFullRangeOracle) {
+  Rng rng(0xF106);
+  SpiderSolveScratch scratch;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const auto n = static_cast<std::size_t>(trial % 64 + 1);
+    const Workload workload = shaped_releases(rng, n, trial);
+    if (!workload.has_release_dates()) continue;  // a lone task released at 0
+    const GeneratorParams params{1, trial % 3 == 0 ? 3 : rng.uniform(2, 12),
+                                 all_platform_classes()[trial % 5]};
+    const Spider spider =
+        trial % 3 == 1 ? Spider::from_fork(deadline_tied_fork(rng))
+        : trial % 3 == 2
+            ? Spider::from_fork(random_fork(rng, static_cast<std::size_t>(rng.uniform(1, 8)), params))
+            : random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 5)), 1, 3, params);
+    expect_bracket_matches_full_range(spider, workload, scratch);
+  }
+  // A single task.
+  expect_bracket_matches_full_range(Spider::from_fork(Fork({{3, 2}, {1, 5}})),
+                                    Workload::released({4}), scratch);
 }
 
 TEST(SearchRange, PortBoundSolvesRunNoProbe) {

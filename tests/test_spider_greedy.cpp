@@ -30,6 +30,7 @@
 #include "mst/scenario/runner.hpp"
 #include "mst/scenario/spec.hpp"
 #include "mst/schedule/feasibility.hpp"
+#include "mst/workload/arrival.hpp"
 #include "support/moore_hodgson_oracle.hpp"
 
 namespace mst {
@@ -213,9 +214,11 @@ TEST(SpiderGreedyWork, SelectionBuildsFewNodesBeyondWhatItKeeps) {
   EXPECT_LE(scratch.count.nodes_built, n + 2 * legs);
 }
 
-/// The `core.spider.nodes_built` total of a small fork and spider `optimal`
-/// sweep, both forms, run on `threads` workers.
-std::int64_t sweep_nodes_built(unsigned threads) {
+/// The value of the deterministic counter `name` after a small fork and
+/// spider `optimal` sweep, both forms, with identical tasks and with
+/// Poisson and burst release dates, run on `threads` workers.
+std::int64_t sweep_counter(const std::string& name, unsigned threads) {
+  using Kind = ArrivalDist::Kind;
   scenario::SweepSpec spec;
   spec.name = "nodes";
   spec.kinds = {api::PlatformKind::kFork, api::PlatformKind::kSpider};
@@ -224,6 +227,8 @@ std::int64_t sweep_nodes_built(unsigned threads) {
   spec.algorithms = {"optimal"};
   spec.tasks = {9, 40};
   spec.deadlines = {30, 120};
+  spec.workloads = {WorkloadGen{}, WorkloadGen{{}, {Kind::kPoisson, 4, 0}},
+                    WorkloadGen{{}, {Kind::kBursts, 4, 12}}};
   obs::MetricsRegistry metrics;
   scenario::RunOptions options;
   options.threads = threads;
@@ -232,15 +237,21 @@ std::int64_t sweep_nodes_built(unsigned threads) {
     EXPECT_TRUE(cell.ok()) << cell.error;
   }
   for (const obs::MetricSample& sample : metrics.snapshot()) {
-    if (sample.name == "core.spider.nodes_built") return sample.value;
+    if (sample.name == name) return sample.value;
   }
   return -1;
 }
 
 TEST(SpiderGreedyWork, NodesBuiltCounterIsIdenticalAtAnyThreadCount) {
-  const std::int64_t one = sweep_nodes_built(1);
+  const std::int64_t one = sweep_counter("core.spider.nodes_built", 1);
   EXPECT_GT(one, 0);
-  EXPECT_EQ(one, sweep_nodes_built(8));
+  EXPECT_EQ(one, sweep_counter("core.spider.nodes_built", 8));
+}
+
+TEST(SpiderGreedyWork, ProbesCounterIsIdenticalAtAnyThreadCount) {
+  const std::int64_t one = sweep_counter("core.spider.probes", 1);
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(one, sweep_counter("core.spider.probes", 8));
 }
 
 }  // namespace

@@ -99,6 +99,31 @@ TEST(WorkloadIo, FuzzRejection) {
   EXPECT_THROW(parse_workload("workload 1000000000000\nsizes 1\n"), std::invalid_argument);
 }
 
+/// The message `parse_workload` rejects `text` with.
+std::string workload_error(const std::string& text) {
+  try {
+    parse_workload(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(WorkloadIo, UnknownKeyNamesItsLine) {
+  const std::string error = workload_error("workload 2\nrelease 0 1\n\nbogus 1 2\n");
+  EXPECT_NE(error.find("line 4: unknown workload key 'bogus'"), std::string::npos) << error;
+}
+
+TEST(WorkloadIo, DuplicateSizesNamesItsLine) {
+  const std::string error = workload_error("workload 2\nsizes 1 1\n# again\nsizes 1 1\n");
+  EXPECT_NE(error.find("line 4: duplicate 'sizes' line"), std::string::npos) << error;
+}
+
+TEST(WorkloadIo, DuplicateReleaseNamesItsLine) {
+  const std::string error = workload_error("workload 2\nrelease 0 1\nsizes 1 1\nrelease 0 1\n");
+  EXPECT_NE(error.find("line 4: duplicate 'release' line"), std::string::npos) << error;
+}
+
 TEST(WorkloadGenTest, DeterministicPerSeedAndValidated) {
   WorkloadGen gen;
   gen.sizes = SizeDist{SizeDist::Kind::kUniform, 1, 4};
