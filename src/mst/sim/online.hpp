@@ -52,7 +52,10 @@ const std::vector<OnlinePolicy>& all_online_policies();
 /// workload, invariant under permuting the evaluation order of equal-score
 /// slaves (and, on tie-free instances, equivariant under relabeling the
 /// slaves — asserted by the permutation-invariance test in
-/// tests/test_online.cpp).
+/// tests/test_online.cpp).  JSQ reads `DispatchContext::outstanding`, so a
+/// task that ends exactly at a dispatch instant still counts against its
+/// slave if its execution started after the previous first-hop send began,
+/// and no longer counts if it started before (`platform_sim.hpp`).
 SimResult simulate_online(const Tree& tree, std::size_t n, OnlinePolicy policy,
                           std::uint64_t seed = 0);
 

@@ -51,6 +51,14 @@ struct SimResult {
 /// What an online dispatcher may observe when choosing a destination: the
 /// virtual clock and, per node, the number of tasks assigned to it that have
 /// not finished executing yet (in flight, buffered or running).
+///
+/// A task whose execution ends exactly at `now` is settled by event order:
+/// events at one instant fire in the order they were queued.  A dispatch
+/// is queued when the previous first-hop send began (or, when it waits for
+/// a release date, when the master's port went idle), an execution's end
+/// when the execution began.  So that task still counts as outstanding if
+/// its execution started after the previous first-hop send began, and no
+/// longer counts if it started before.
 struct DispatchContext {
   Time now = 0;
   const std::vector<std::size_t>& outstanding;

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "mst/baselines/forward_greedy.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/sim/online.hpp"
+#include "mst/workload/workload.hpp"
 
 namespace mst {
 namespace {
@@ -118,6 +120,60 @@ TEST(Online, ScoreTiesBreakTowardTheSmallestSlaveIndex) {
     EXPECT_EQ(r.tasks_per_node[1], 3u) << to_string(policy);
     EXPECT_EQ(r.tasks_per_node[2], 2u) << to_string(policy);
   }
+}
+
+std::vector<NodeId> dests_of(const sim::SimResult& run) {
+  std::vector<NodeId> dests;
+  for (const sim::SimTask& task : run.tasks) dests.push_back(task.dest);
+  return dests;
+}
+
+/// What `DispatchContext::outstanding` reads at each dispatch of `dests`.
+std::vector<std::vector<std::size_t>> outstanding_seen(const Tree& tree,
+                                                       const std::vector<NodeId>& dests) {
+  std::vector<std::vector<std::size_t>> seen;
+  sim::simulate_chooser(tree, Workload::identical(dests.size()),
+                        [&](std::size_t i, const sim::DispatchContext& ctx) {
+                          seen.push_back(ctx.outstanding);
+                          return dests[i];
+                        });
+  return seen;
+}
+
+TEST(Online, TaskEndingAtDispatchIsDoneIfItStartedBeforeThePreviousSend) {
+  // Two (c 1, w 2) slaves.  Task 0 runs on node 1 over [1, 3]; task 2's
+  // send began at 2, and its end at 3 dispatches task 3.  Task 0 started
+  // before that send, so it no longer counts: one task outstanding on each
+  // slave, the scores tie at 5 and task 3 goes to node 1.  Counting task 0
+  // would send it to node 2.
+  Tree tree;
+  tree.add_node(0, {1, 2});
+  tree.add_node(0, {1, 2});
+  const sim::SimResult r = sim::simulate_online(tree, 4, sim::OnlinePolicy::kJoinShortestQueue);
+  EXPECT_EQ(dests_of(r), (std::vector<NodeId>{1, 2, 1, 1}));
+  EXPECT_EQ(r.tasks[0].start, 1);
+  EXPECT_EQ(r.tasks[0].end, 3);
+  EXPECT_EQ(r.tasks[2].master_emission, 2);
+  EXPECT_EQ(r.tasks[3].master_emission, 3);
+  EXPECT_EQ(outstanding_seen(tree, dests_of(r))[3], (std::vector<std::size_t>{0, 1, 1}));
+}
+
+TEST(Online, TaskEndingAtDispatchIsOutstandingIfItStartedAfterThePreviousSend) {
+  // Node 1 (c 2, w 4) relays to node 2 (c 1, w 1).  Task 0 reaches node 2
+  // at 3 and runs over [3, 4]; task 1's send began at 2, and its end at 4
+  // dispatches task 2.  Task 0 started after that send, so it still counts:
+  // two tasks outstanding on node 2, the scores tie at 6 and task 2 goes
+  // to node 1.  Dropping task 0 would send it to node 2.
+  Tree tree;
+  tree.add_node(0, {2, 4});
+  tree.add_node(1, {1, 1});
+  const sim::SimResult r = sim::simulate_online(tree, 4, sim::OnlinePolicy::kJoinShortestQueue);
+  EXPECT_EQ(dests_of(r), (std::vector<NodeId>{2, 2, 1, 2}));
+  EXPECT_EQ(r.tasks[0].start, 3);
+  EXPECT_EQ(r.tasks[0].end, 4);
+  EXPECT_EQ(r.tasks[1].master_emission, 2);
+  EXPECT_EQ(r.tasks[2].master_emission, 4);
+  EXPECT_EQ(outstanding_seen(tree, dests_of(r))[2], (std::vector<std::size_t>{0, 0, 2}));
 }
 
 TEST(Online, PolicyChoicesCommuteWithSlaveRelabeling) {

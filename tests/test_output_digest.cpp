@@ -16,6 +16,15 @@
 // was captured before each of those dispatchers was collapsed onto a
 // single implementation.
 //
+// A third digest freezes what the simulator reports to an attached
+// observation: the Chrome trace JSON and the metrics snapshot (event
+// counts, completed tasks, per-node and global queue gauges, the streaming
+// arrivals, latency and backlog metrics) of streaming runs under every
+// stream policy and of fixed-destination dispatches, plus the static
+// replay's makespans and conflict lists on mutated schedules.  Trace
+// order, queue depths and JSQ decisions all follow the order in which
+// same-instant events fire, so this digest pins that order too.
+//
 // If an intended algorithmic change moves a digest, the new value must be
 // justified in the change that updates it.
 
@@ -23,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -41,8 +51,12 @@
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/heuristics/tree_cover.hpp"
+#include "mst/obs/metrics.hpp"
+#include "mst/obs/trace.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/sim/online.hpp"
+#include "mst/sim/static_replay.hpp"
+#include "mst/sim/streaming.hpp"
 #include "mst/workload/workload.hpp"
 #include "support/moore_hodgson_oracle.hpp"
 
@@ -51,6 +65,7 @@ namespace {
 
 constexpr std::uint64_t kExpectedDigest = 0x0bfe06c7c9241a3dULL;
 constexpr std::uint64_t kExpectedAboveCoreDigest = 0xfc8ab36027215859ULL;
+constexpr std::uint64_t kExpectedObservedSimDigest = 0x53758cd2cadbf7d9ULL;
 
 class Digest {
  public:
@@ -64,6 +79,10 @@ class Digest {
   }
   void add(std::size_t value) { add(static_cast<std::int64_t>(value)); }
   void add(bool value) { add(static_cast<std::int64_t>(value ? 1 : 0)); }
+  void add(std::string_view text) {
+    add(text.size());
+    for (const char c : text) add(static_cast<std::int64_t>(c));
+  }
   void add(const std::vector<Time>& values) {
     add(values.size());
     for (const Time v : values) add(v);
@@ -471,6 +490,80 @@ void digest_tree(Digest& d, const Tree& tree, Rng& rng) {
   }
 }
 
+/// Runs `run` with a fresh metrics registry and trace sink attached and
+/// folds in what they recorded.
+template <typename Run>
+void digest_observed(Digest& d, const Run& run) {
+  obs::MetricsRegistry metrics;
+  obs::TraceSink trace(std::size_t{1} << 12);
+  run(obs::Observation{&metrics, &trace});
+  d.add(trace.to_chrome_json());
+  d.add(trace.dropped());
+  d.add(metrics.to_json());
+}
+
+/// Every stream policy on `platform`'s substrate, then fixed-destination
+/// dispatches, each observed.  `replan` takes uniform sizes only and no
+/// tree, so it runs on the release-dated workload of chains and spiders.
+void digest_observed_platform(Digest& d, const api::Platform& platform, Rng& rng) {
+  const Tree substrate = sim::stream_substrate(platform);
+  const auto seed = static_cast<std::uint64_t>(rng.uniform(0, 1000));
+  const bool tree = api::kind_of(platform) == api::PlatformKind::kTree;
+  for (const std::size_t n : {1u, 7u, 19u}) {
+    const Workload released = released_workload(rng, n);
+    const Workload sized = sized_released_workload(rng, n);
+    for (const char* algorithm :
+         {"online-round-robin", "online-random", "online-jsq", "online-ect", "replan"}) {
+      const bool replan = std::string_view(algorithm) == "replan";
+      if (replan && tree) continue;
+      for (const Workload* workload : {&released, &sized}) {
+        if (replan && workload == &sized) continue;
+        digest_observed(d, [&](const obs::Observation& observation) {
+          const auto policy = sim::make_named_policy(platform, substrate, algorithm, seed);
+          const sim::StreamResult result =
+              sim::simulate_stream(substrate, *workload, *policy, observation);
+          d.add(result.sim);
+          d.add(result.metrics.latency);
+          d.add(result.metrics.peak_backlog);
+        });
+      }
+    }
+    std::vector<NodeId> dests(n);
+    for (NodeId& dest : dests) {
+      dest = static_cast<NodeId>(
+          rng.uniform(1, static_cast<std::int64_t>(substrate.size()) - 1));
+    }
+    for (const Workload* workload : {&released, &sized}) {
+      digest_observed(d, [&](const obs::Observation& observation) {
+        d.add(sim::simulate_dispatch(substrate, dests, *workload, observation));
+      });
+    }
+  }
+}
+
+/// Shifts `k` random times of `schedule` (starts and emissions) by up to 4
+/// either way, so the replay meets busy resources, early starts, broken
+/// store-and-forward and negative times.
+template <typename Schedule>
+Schedule mutated(Schedule schedule, std::size_t k, Rng& rng) {
+  for (std::size_t m = 0; m < k && !schedule.tasks.empty(); ++m) {
+    auto& task = schedule.tasks[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(schedule.tasks.size()) - 1))];
+    const auto field = static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(task.emissions.size())));
+    Time& time = field == task.emissions.size() ? task.start : task.emissions[field];
+    time += rng.uniform(-4, 4);
+  }
+  return schedule;
+}
+
+void add_replay(Digest& d, const sim::ReplayResult& replay) {
+  d.add(replay.ok);
+  d.add(replay.makespan);
+  d.add(replay.conflicts.size());
+  for (const std::string& conflict : replay.conflicts) d.add(std::string_view(conflict));
+}
+
 TEST(OutputDigest, BaselineAndOnlineOutputIsFrozen) {
   Digest d;
   Rng rng(20030423);
@@ -498,6 +591,34 @@ TEST(OutputDigest, BaselineAndOnlineOutputIsFrozen) {
     }
   }
   EXPECT_EQ(d.value(), kExpectedAboveCoreDigest) << std::hex << "digest 0x" << d.value();
+}
+
+TEST(OutputDigest, ObservedSimulatorOutputIsFrozen) {
+  Digest d;
+  Rng rng(20030424);
+  for (int trial = 0; trial < 24; ++trial) {
+    Rng inst = rng.split();
+    const GeneratorParams params{1, 9, all_platform_classes()[trial % 5]};
+    const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 5)), params);
+    const Spider spider =
+        random_spider(inst, static_cast<std::size_t>(rng.uniform(1, 4)), 3, params);
+    const Tree tree = random_tree(inst, static_cast<std::size_t>(rng.uniform(1, 9)), params);
+    digest_observed_platform(d, api::Platform(chain), rng);
+    digest_observed_platform(d, api::Platform(spider), rng);
+    digest_observed_platform(d, api::Platform(tree), rng);
+    for (const std::size_t n : {1u, 6u, 15u}) {
+      for (const std::size_t k : {0u, 1u, 3u, 8u}) {
+        add_replay(d, sim::replay(mutated(ChainScheduler::schedule(chain, n), k, rng)));
+        add_replay(d, sim::replay(mutated(SpiderScheduler::schedule(spider, n), k, rng)));
+        add_replay(d, sim::replay(
+                          mutated(ChainScheduler::schedule(chain, released_workload(rng, n)), k,
+                                  rng)));
+        add_replay(d, sim::replay(mutated(
+                          SpiderScheduler::schedule(spider, released_workload(rng, n)), k, rng)));
+      }
+    }
+  }
+  EXPECT_EQ(d.value(), kExpectedObservedSimDigest) << std::hex << "digest 0x" << d.value();
 }
 
 TEST(OutputDigest, ExactCoreOutputIsFrozen) {
