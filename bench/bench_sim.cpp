@@ -1,17 +1,18 @@
-// CPLX-SIM: microbenchmarks of the simulator substrate — event engine
-// throughput, online store-and-forward dispatch and static replay.  Timing
-// harness shared with the other bench_* binaries: bench/bench_harness.hpp;
-// the committed baseline is bench/BENCH_sim.json.
+// CPLX-SIM: microbenchmarks of the simulator substrate — the event loop on
+// a fixed destination sequence, online store-and-forward dispatch and
+// static replay.  Timing harness shared with the other bench_* binaries:
+// bench/bench_harness.hpp; the committed baseline is bench/BENCH_sim.json.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "bench_harness.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/platform/generator.hpp"
-#include "mst/sim/engine.hpp"
 #include "mst/sim/online.hpp"
+#include "mst/sim/platform_sim.hpp"
 #include "mst/sim/static_replay.hpp"
 
 namespace {
@@ -23,14 +24,20 @@ using mst::bench::time_op;
 std::vector<Row> run_all() {
   std::vector<Row> rows;
 
-  for (std::size_t n = 1024; n <= 65536; n *= 4) {
-    rows.push_back({"engine_event_throughput", n, time_op([&] {
-                      mst::sim::Engine engine;
-                      for (std::size_t i = 0; i < n; ++i) {
-                        engine.at(static_cast<mst::Time>(i % 97), [] {});
-                      }
-                      keep(engine.run());
-                    })});
+  {
+    // Fixed destinations: no policy runs, so the row times the event loop.
+    mst::Rng rng(0xD15);
+    const mst::Tree tree = mst::random_tree(rng, 24, {1, 10, mst::PlatformClass::kUniform});
+    for (std::size_t n = 1024; n <= 65536; n *= 4) {
+      std::vector<mst::NodeId> dests(n);
+      for (mst::NodeId& dest : dests) {
+        dest = static_cast<mst::NodeId>(
+            rng.uniform(1, static_cast<std::int64_t>(tree.size()) - 1));
+      }
+      rows.push_back({"simulate_dispatch", n, time_op([&] {
+                        keep(mst::sim::simulate_dispatch(tree, dests).makespan);
+                      })});
+    }
   }
   {
     mst::Rng rng(0x51D);

@@ -26,17 +26,19 @@ std::size_t chain_hops(std::size_t p) { return p * (p + 1) / 2; }
 
 TreeAsapState::TreeAsapState(const Tree& tree) { assign(tree); }
 
-TreeAsapState::TreeAsapState(const Chain& chain) {
-  start(chain.size() + 1, chain_hops(chain.size()));
-  NodeId parent = 0;
-  for (const Processor& proc : chain.procs()) parent = add_node(parent, proc);
-}
+TreeAsapState::TreeAsapState(const Chain& chain) : TreeAsapState(legs_of(chain)) {}
 
-TreeAsapState::TreeAsapState(const Spider& spider) {
+TreeAsapState::TreeAsapState(const Spider& spider) : TreeAsapState(legs_of(spider)) {}
+
+TreeAsapState::TreeAsapState(std::span<const Chain> legs) {
+  std::size_t nodes = 1;
   std::size_t hops = 0;
-  for (const Chain& leg : spider.legs()) hops += chain_hops(leg.size());
-  start(spider.num_processors() + 1, hops);
-  for (const Chain& leg : spider.legs()) {
+  for (const Chain& leg : legs) {
+    nodes += leg.size();
+    hops += chain_hops(leg.size());
+  }
+  start(nodes, hops);
+  for (const Chain& leg : legs) {
     NodeId parent = 0;
     for (const Processor& proc : leg.procs()) parent = add_node(parent, proc);
   }

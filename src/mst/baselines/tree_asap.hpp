@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "mst/platform/chain.hpp"
@@ -96,6 +97,9 @@ class TreeAsapState {
   void restore(const Time* in);
 
  private:
+  /// The chain and spider constructors: master → one path per leg.
+  explicit TreeAsapState(std::span<const Chain> legs);
+
   struct Node {
     Processor proc;        ///< incoming link and work (unused for the master)
     std::size_t path = 0;  ///< root-excluded root→node path: `paths_[path, path + depth)`

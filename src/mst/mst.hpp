@@ -57,7 +57,6 @@
 #include "mst/baselines/tree_asap.hpp"
 
 #include "mst/sim/dispatch_render.hpp"
-#include "mst/sim/engine.hpp"
 #include "mst/sim/online.hpp"
 #include "mst/sim/platform_sim.hpp"
 #include "mst/sim/static_replay.hpp"

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,5 +62,11 @@ class Spider {
  private:
   std::vector<Chain> legs_;
 };
+
+/// The legs of a chain (the chain itself: a chain is the one-leg spider,
+/// and §7 runs the chain algorithm on every leg) or of a spider.  Code that
+/// serves both shapes walks this view once.
+inline std::span<const Chain> legs_of(const Chain& chain) { return {&chain, 1}; }
+inline std::span<const Chain> legs_of(const Spider& spider) { return spider.legs(); }
 
 }  // namespace mst

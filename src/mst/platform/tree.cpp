@@ -1,6 +1,7 @@
 #include "mst/platform/tree.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "mst/common/assert.hpp"
@@ -117,21 +118,23 @@ Tree::SpiderView Tree::to_spider() const {
   return SpiderView{Spider(std::move(legs)), std::move(node_of)};
 }
 
-Tree tree_from_chain(const Chain& chain) {
-  Tree tree;
-  NodeId parent = 0;
-  for (const Processor& p : chain.procs()) parent = tree.add_node(parent, p);
-  return tree;
-}
+namespace {
 
-Tree tree_from_spider(const Spider& spider) {
+/// Master → one path per leg, node ids leg by leg.
+Tree tree_from_legs(std::span<const Chain> legs) {
   Tree tree;
-  for (const Chain& leg : spider.legs()) {
+  for (const Chain& leg : legs) {
     NodeId parent = 0;
     for (const Processor& p : leg.procs()) parent = tree.add_node(parent, p);
   }
   return tree;
 }
+
+}  // namespace
+
+Tree tree_from_chain(const Chain& chain) { return tree_from_legs(legs_of(chain)); }
+
+Tree tree_from_spider(const Spider& spider) { return tree_from_legs(legs_of(spider)); }
 
 NodeId spider_node(const Spider& spider, const SpiderDest& dest) {
   MST_REQUIRE(dest.proc < spider.leg(dest.leg).size(), "destination outside its spider leg");

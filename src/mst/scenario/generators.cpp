@@ -3,7 +3,6 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "mst/common/rng.hpp"
@@ -256,14 +255,6 @@ std::vector<Cell> expand(const SweepSpec& spec, const api::Registry& registry) {
                           std::move(platform), "-", size, /*instance=*/i, /*platform_seed=*/0,
                           cells);
   }
-  // Platform cache: grid points that resolve to the same (generator inputs,
-  // seed) key — e.g. a spec listing a size or class twice — share one
-  // immutable instance instead of re-generating it per point.  Expansion is
-  // single-threaded, so the sharing is invisible to the runner's
-  // determinism contract.
-  using PlatformKey = std::tuple<int, int, std::size_t, Time, Time, std::size_t, std::size_t,
-                                 double, std::uint64_t>;
-  std::map<PlatformKey, std::shared_ptr<const api::Platform>> platform_cache;
   for (api::PlatformKind kind : spec.kinds) {
     for (PlatformClass cls : spec.classes) {
       for (std::size_t size : spec.sizes) {
@@ -282,17 +273,10 @@ std::vector<Cell> expand(const SweepSpec& spec, const api::Registry& registry) {
                           (static_cast<std::uint64_t>(kind) << 8) |
                               static_cast<std::uint64_t>(cls),
                           size, instance);
-          const PlatformKey key{static_cast<int>(kind),    static_cast<int>(cls),
-                                size,                      spec.lo,
-                                spec.hi,                   spec.min_leg_len,
-                                spec.max_leg_len,          spec.depth_bias,
-                                platform_seed};
-          auto& cached = platform_cache[key];
-          if (cached == nullptr) {
-            cached = std::make_shared<const api::Platform>(make_platform(pspec, platform_seed));
-          }
-          append_platform_cells(spec, registry, algorithms[static_cast<std::size_t>(kind)],
-                                cached, to_string(cls), size, instance, platform_seed, cells);
+          append_platform_cells(
+              spec, registry, algorithms[static_cast<std::size_t>(kind)],
+              std::make_shared<const api::Platform>(make_platform(pspec, platform_seed)),
+              to_string(cls), size, instance, platform_seed, cells);
         }
       }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mst/common/assert.hpp"
+#include "mst/schedule/legs.hpp"
 
 namespace mst {
 
@@ -15,11 +16,7 @@ Time ChainTask::arrival(const Chain& chain) const {
 Time ChainTask::end(const Chain& chain) const { return start + chain.work(proc); }
 
 Time ChainSchedule::makespan(const Workload& workload) const {
-  Time last = 0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    last = std::max(last, tasks[i].start + workload.size_of(i) * chain.work(tasks[i].proc));
-  }
-  return last;
+  return legs_makespan(legs_of(chain), tasks, workload);
 }
 
 Time ChainSchedule::start_time() const {

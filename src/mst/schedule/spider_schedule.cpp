@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mst/common/assert.hpp"
+#include "mst/schedule/legs.hpp"
 
 namespace mst {
 
@@ -15,12 +16,7 @@ Time SpiderTask::arrival(const Spider& spider) const {
 Time SpiderTask::end(const Spider& spider) const { return start + spider.leg(leg).work(proc); }
 
 Time SpiderSchedule::makespan(const Workload& workload) const {
-  Time last = 0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const SpiderTask& t = tasks[i];
-    last = std::max(last, t.start + workload.size_of(i) * spider.leg(t.leg).work(t.proc));
-  }
-  return last;
+  return legs_makespan(legs_of(spider), tasks, workload);
 }
 
 std::vector<std::size_t> SpiderSchedule::tasks_per_leg() const {

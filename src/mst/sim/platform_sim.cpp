@@ -1,11 +1,12 @@
 #include "mst/sim/platform_sim.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "mst/common/assert.hpp"
 #include "mst/obs/metrics.hpp"
 #include "mst/obs/trace.hpp"
-#include "mst/sim/engine.hpp"
 
 namespace mst::sim {
 
@@ -18,7 +19,30 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 /// global high-water gauge.
 constexpr std::size_t kPerNodeMetricCap = 128;
 
-/// Whole-run simulation state; nodes interact only through the engine.
+/// One pending event: the master's dispatch, a hop's end (`from`'s
+/// out-port frees and `task` reaches `to`) or an execution's end (`task`
+/// on `to`).
+struct Event {
+  enum class Kind : std::uint8_t { kDispatch, kHopDone, kExecDone };
+  Time time;
+  std::uint64_t seq;
+  Kind kind;
+  NodeId from;
+  NodeId to;
+  std::size_t task;
+};
+
+/// Heap order: the front of the heap is the earliest `(time, seq)`.  That
+/// is a total order, so firing order — ties in the order they were queued
+/// — never depends on the heap's internal layout.
+struct Later {
+  bool operator()(const Event& a, const Event& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
+
+/// Whole-run simulation state; nodes interact only through the event heap.
 ///
 /// The event loop is allocation-steady: all per-task state is sized once in
 /// the constructor, routes are cached per destination (a platform has few
@@ -49,7 +73,7 @@ class Simulation {
     outstanding_.assign(tree.size(), 0);
     // A bounded cut of the event graph is live at once: per node one
     // in-flight send and one running execution, plus the dispatch re-arm.
-    engine_.reserve(2 * tree.size() + 1);
+    events_.reserve(2 * tree.size() + 1);
     if (obs_.trace != nullptr) {
       // Gantt layout: one track for the master's emissions, one per link
       // (the span is the link's busy interval) and one per slave CPU.
@@ -71,8 +95,8 @@ class Simulation {
   }
 
   SimResult run() {
-    engine_.at(0, [this] { master_dispatch(); });
-    engine_.run();
+    schedule(0, Event::Kind::kDispatch);
+    run_events();
     result_.makespan = 0;
     result_.tasks_per_node.assign(tree_.size(), 0);
     for (const SimTask& t : result_.tasks) {
@@ -125,7 +149,8 @@ class Simulation {
   void record_metrics() {
     if (obs_.metrics == nullptr) return;
     obs::MetricsRegistry& metrics = *obs_.metrics;
-    metrics.counter("sim.engine.events").add(static_cast<Time>(engine_.events_processed()));
+    // Every queued event fires, so the sequence counter counts the fired.
+    metrics.counter("sim.engine.events").add(static_cast<Time>(next_seq_));
     metrics.counter("sim.tasks.completed").add(static_cast<Time>(n_));
     char name[obs::MetricsRegistry::kNameCapacity];
     Time global_hw = 0;
@@ -144,6 +169,29 @@ class Simulation {
   // Trace hooks are reserved-capacity pushes behind null checks.
   // mstlint: zero-alloc
 
+  /// Queues an event at `time >= now_`.
+  void schedule(Time time, Event::Kind kind, NodeId from = 0, NodeId to = 0,
+                std::size_t task = 0) {
+    MST_ASSERT(time >= now_);
+    events_.push_back(Event{time, next_seq_++, kind, from, to, task});
+    std::push_heap(events_.begin(), events_.end(), Later{});
+  }
+
+  /// Fires events, earliest `(time, seq)` first, until none is left.
+  void run_events() {
+    while (!events_.empty()) {
+      std::pop_heap(events_.begin(), events_.end(), Later{});
+      const Event event = events_.back();
+      events_.pop_back();
+      now_ = event.time;
+      switch (event.kind) {
+        case Event::Kind::kDispatch: master_dispatch(); break;
+        case Event::Kind::kHopDone: hop_done(event.from, event.to, event.task); break;
+        case Event::Kind::kExecDone: exec_done(event.to, event.task); break;
+      }
+    }
+  }
+
   /// The master's out-port freed (or the run just started): pick the next
   /// task's destination and enqueue it, unless relayed traffic is pending —
   /// the master's queue holds fresh tasks only, so dispatching is simply
@@ -153,11 +201,11 @@ class Simulation {
   void master_dispatch() {
     if (dispatched_ < n_) {
       const Time release = workload_.release_of(dispatched_);
-      if (engine_.now() < release) {
-        engine_.at(release, [this] { master_dispatch(); });
+      if (now_ < release) {
+        schedule(release, Event::Kind::kDispatch);
         return;
       }
-      const DispatchContext ctx{engine_.now(), outstanding_};
+      const DispatchContext ctx{now_, outstanding_};
       const NodeId dest = chooser_(dispatched_, ctx);
       MST_REQUIRE(dest != 0 && dest < tree_.size(),
                   "dispatch destination must be a slave node");
@@ -176,31 +224,33 @@ class Simulation {
     const NodeId next = route_to(result_.tasks[task].dest)[hop_[task]];
     MST_ASSERT(tree_.parent(next) == v);
     if (v == 0 && hop_[task] == 0) {
-      result_.tasks[task].master_emission = engine_.now();
+      result_.tasks[task].master_emission = now_;
       if (obs_.trace != nullptr) {
-        obs_.trace->instant(master_track_, emit_name_, engine_.now(),
-                            static_cast<Time>(task));
+        obs_.trace->instant(master_track_, emit_name_, now_, static_cast<Time>(task));
       }
     }
     out_busy_[v] = true;
     if (obs_.trace != nullptr) {
-      obs_.trace->begin(link_track_[next], comm_name_, engine_.now(),
-                        static_cast<Time>(task));
+      obs_.trace->begin(link_track_[next], comm_name_, now_, static_cast<Time>(task));
     }
-    engine_.after(workload_.size_of(task) * tree_.proc(next).comm, [this, v, next, task] {
-      out_busy_[v] = false;
-      if (obs_.trace != nullptr) obs_.trace->end(link_track_[next], comm_name_, engine_.now());
-      deliver(next, task);
-      if (v == 0) master_dispatch();
-      try_send(v);
-    });
+    schedule(now_ + workload_.size_of(task) * tree_.proc(next).comm, Event::Kind::kHopDone, v,
+             next, task);
+  }
+
+  /// `task` crossed the link `v -> next`: `v`'s out-port frees.
+  void hop_done(NodeId v, NodeId next, std::size_t task) {
+    out_busy_[v] = false;
+    if (obs_.trace != nullptr) obs_.trace->end(link_track_[next], comm_name_, now_);
+    deliver(next, task);
+    if (v == 0) master_dispatch();
+    try_send(v);
   }
 
   void deliver(NodeId node, std::size_t task) {
     ++hop_[task];
     if (hop_[task] == route_to(result_.tasks[task].dest).size()) {
       MST_ASSERT(node == result_.tasks[task].dest);
-      result_.tasks[task].arrival = engine_.now();
+      result_.tasks[task].arrival = now_;
       push(cpu_queue_[node], task);
       try_exec(node);
     } else {
@@ -213,19 +263,22 @@ class Simulation {
     if (cpu_busy_[node] || cpu_queue_[node].head == kNone) return;
     const std::size_t task = pop(cpu_queue_[node]);
     cpu_busy_[node] = true;
-    result_.tasks[task].start = engine_.now();
+    result_.tasks[task].start = now_;
     if (obs_.trace != nullptr) {
-      obs_.trace->begin(cpu_track_[node], exec_name_, engine_.now(),
-                        static_cast<Time>(task));
+      obs_.trace->begin(cpu_track_[node], exec_name_, now_, static_cast<Time>(task));
     }
-    engine_.after(workload_.size_of(task) * tree_.proc(node).work, [this, node, task] {
-      result_.tasks[task].end = engine_.now();
-      cpu_busy_[node] = false;
-      if (obs_.trace != nullptr) obs_.trace->end(cpu_track_[node], exec_name_, engine_.now());
-      MST_ASSERT(outstanding_[node] > 0);
-      --outstanding_[node];
-      try_exec(node);
-    });
+    schedule(now_ + workload_.size_of(task) * tree_.proc(node).work, Event::Kind::kExecDone, 0,
+             node, task);
+  }
+
+  /// `task` finished executing on `node`.
+  void exec_done(NodeId node, std::size_t task) {
+    result_.tasks[task].end = now_;
+    cpu_busy_[node] = false;
+    if (obs_.trace != nullptr) obs_.trace->end(cpu_track_[node], exec_name_, now_);
+    MST_ASSERT(outstanding_[node] > 0);
+    --outstanding_[node];
+    try_exec(node);
   }
 
   // mstlint: zero-alloc-end
@@ -235,7 +288,9 @@ class Simulation {
   std::size_t n_;
   const DestinationChooser& chooser_;
   obs::Observation obs_;
-  Engine engine_;
+  std::vector<Event> events_;  // binary heap under `Later`
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
   SimResult result_;
   std::size_t dispatched_ = 0;
   std::vector<std::size_t> hop_;
@@ -255,11 +310,6 @@ class Simulation {
 };
 
 }  // namespace
-
-SimResult simulate_chooser(const Tree& tree, std::size_t n, const DestinationChooser& chooser,
-                           const obs::Observation& observation) {
-  return simulate_chooser(tree, Workload::identical(n), chooser, observation);
-}
 
 SimResult simulate_chooser(const Tree& tree, const Workload& workload,
                            const DestinationChooser& chooser,

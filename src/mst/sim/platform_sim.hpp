@@ -18,6 +18,11 @@
 /// embed via `tree_from_chain` / `tree_from_spider`, so the same simulator
 /// cross-validates the analytic schedulers: feeding it the destination
 /// sequence of an optimal schedule must reproduce the ASAP makespan exactly.
+///
+/// The run is a discrete-event loop on a virtual clock with three kinds of
+/// event — the master's dispatch, a hop's end and an execution's end —
+/// fired in time order, ties in the order they were queued.  No wall clock
+/// and no threads: every run is exactly reproducible.
 
 namespace mst::sim {
 
@@ -68,22 +73,18 @@ struct DispatchContext {
 /// out-port frees up.  Must return a slave NodeId.
 using DestinationChooser = std::function<NodeId(std::size_t task_index, const DispatchContext&)>;
 
-/// Simulate `n` tasks whose destinations are chosen on the fly.
+/// Simulate the workload's tasks with destinations chosen on the fly: task
+/// `i` (canonical workload order) is dispatched no earlier than its release
+/// date — the master's out-port sits idle until the next task arrives — and
+/// occupies every link for `size·c` and its processor for `size·w`.
 ///
 /// Every entry point takes an optional `obs::Observation`.  With a metrics
-/// registry attached the run records engine event counts, completed tasks
-/// and per-node queue high-water marks; with a trace sink attached it
-/// records the paper's Figure-2 Gantt on the sim clock — compute spans per
-/// slave, communication spans per link, master emission instants.  Both
-/// default to off, in which case the instrumentation is null checks only.
-SimResult simulate_chooser(const Tree& tree, std::size_t n, const DestinationChooser& chooser,
-                           const obs::Observation& observation = {});
-
-/// Workload form: task `i` (canonical workload order) is dispatched no
-/// earlier than its release date — the master's out-port sits idle until
-/// the next task arrives — and occupies every link for `size·c` and its
-/// processor for `size·w`.  `Workload::identical(n)` reproduces the `n`
-/// form exactly.
+/// registry attached the run records event counts (`sim.engine.events`),
+/// completed tasks and per-node queue high-water marks; with a trace sink
+/// attached it records the paper's Figure-2 Gantt on the sim clock —
+/// compute spans per slave, communication spans per link, master emission
+/// instants.  Both default to off, in which case the instrumentation is
+/// null checks only.
 SimResult simulate_chooser(const Tree& tree, const Workload& workload,
                            const DestinationChooser& chooser,
                            const obs::Observation& observation = {});

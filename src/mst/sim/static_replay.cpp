@@ -1,12 +1,12 @@
 #include "mst/sim/static_replay.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <sstream>
 
 #include "mst/common/assert.hpp"
 #include "mst/schedule/legs.hpp"
-#include "mst/sim/engine.hpp"
 
 namespace mst::sim {
 
@@ -22,7 +22,7 @@ void add_conflict(ReplayResult& result, const Parts&... parts) {
 }
 
 /// A resource that admits one occupation at a time; claims must be issued
-/// in non-decreasing time order (guaranteed by the engine).
+/// in non-decreasing time order (the replay sorts them).
 class SerialResource {
  public:
   SerialResource(std::string name, ReplayResult* result)
@@ -52,17 +52,28 @@ class SerialResource {
   Time busy_until_ = 0;
 };
 
+/// One claim of `resource` at `time`: the master port or a link, or, with
+/// the task's `arrival`, a processor executing it.
+struct Claim {
+  Time time;
+  SerialResource* resource;
+  Time duration;
+  std::size_t task;
+  std::optional<Time> arrival;
+};
+
 /// One replay for a chain (one leg, resources unprefixed, no master port)
 /// and a spider (resources prefixed `leg l `).  Per task, negative times
 /// (impossible operationally, so rejected like the analytic checker does)
 /// and store-and-forward (a node cannot forward a task it has not fully
-/// received, the replay twin of condition (1)) are checked at once; then
-/// events claim the master port (spider), each link of the path and the
-/// processor.
+/// received, the replay twin of condition (1)) are checked at once; its
+/// claims on the master port (spider), each link of the path and the
+/// processor are queued, then applied in time order, ties in the order
+/// they were queued.
 template <class Task>
 ReplayResult replay_legs(std::span<const Chain> legs, const std::vector<Task>& tasks) {
   ReplayResult result;
-  Engine engine;
+  std::vector<Claim> claims;
 
   SerialResource master_port("master port", &result);
   std::vector<std::vector<SerialResource>> links(legs.size());
@@ -95,23 +106,24 @@ ReplayResult replay_legs(std::span<const Chain> legs, const std::vector<Task>& t
     }
     if constexpr (kSpiderTask<Task>) {
       // The first emission claims both the master port and the leg's link 0.
-      engine.at(std::max<Time>(e[0], 0), [&master_port, &engine, c = leg.comm(0), i] {
-        master_port.claim(engine.now(), c, i);
-      });
+      claims.push_back({std::max<Time>(e[0], 0), &master_port, leg.comm(0), i, std::nullopt});
     }
     for (std::size_t k = 0; k <= t.proc; ++k) {
-      engine.at(std::max<Time>(e[k], 0), [&link = links[l][k], &engine, c = leg.comm(k), i] {
-        link.claim(engine.now(), c, i);
-      });
+      claims.push_back({std::max<Time>(e[k], 0), &links[l][k], leg.comm(k), i, std::nullopt});
     }
-    const Time arrival = e.back() + leg.comm(t.proc);
-    engine.at(std::max<Time>(t.start, 0),
-              [&proc = procs[l][t.proc], &engine, arrival, w = leg.work(t.proc), i] {
-                proc.execute(engine.now(), arrival, w, i);
-              });
+    claims.push_back({std::max<Time>(t.start, 0), &procs[l][t.proc], leg.work(t.proc), i,
+                      e.back() + leg.comm(t.proc)});
     result.makespan = std::max(result.makespan, t.start + leg.work(t.proc));
   }
-  engine.run();
+  std::stable_sort(claims.begin(), claims.end(),
+                   [](const Claim& a, const Claim& b) { return a.time < b.time; });
+  for (const Claim& claim : claims) {
+    if (claim.arrival) {
+      claim.resource->execute(claim.time, *claim.arrival, claim.duration, claim.task);
+    } else {
+      claim.resource->claim(claim.time, claim.duration, claim.task);
+    }
+  }
   return result;
 }
 

@@ -7,11 +7,13 @@
 #include "mst/schedule/spider_schedule.hpp"
 
 /// \file static_replay.hpp
-/// Replaying a *static* schedule on the event engine.
+/// Replaying a *static* schedule.
 ///
-/// Every emission and execution is fired at exactly the time the schedule
-/// prescribes; the replay tracks each resource's busy horizon and records a
-/// conflict whenever an event claims a busy resource or an execution starts
+/// Every emission and execution claims its resource at exactly the time the
+/// schedule prescribes.  All claims are known up front, so the replay sorts
+/// them by time (ties in the order they were queued) and applies them in
+/// one pass, with no event loop.  It tracks each resource's busy horizon and
+/// records a conflict whenever a claim meets a busy resource or an execution starts
 /// before its task fully arrived.  This is an independent, operational
 /// re-implementation of the Definition 1 checker: the test suite requires
 /// both to agree on every schedule, and the realized makespan to equal the

@@ -426,21 +426,6 @@ TEST(Expand, WorkloadsAreDeterministicAndSharedAcrossAlgorithms) {
   }
 }
 
-TEST(Expand, PlatformCacheSharesDuplicateGridPoints) {
-  SweepSpec spec;
-  spec.name = "dup";
-  spec.kinds = {api::PlatformKind::kChain};
-  spec.classes = {PlatformClass::kUniform, PlatformClass::kUniform};  // duplicate point
-  spec.sizes = {3};
-  spec.tasks = {4};
-  spec.algorithms = {"optimal"};
-  const std::vector<Cell> cells = expand(spec);
-  ASSERT_EQ(cells.size(), 2u);
-  // Same (family, size, platform seed) → one shared instance, not a copy.
-  EXPECT_EQ(cells[0].platform_seed, cells[1].platform_seed);
-  EXPECT_EQ(cells[0].platform.get(), cells[1].platform.get());
-}
-
 TEST(Runner, ReleaseAxisSweepIsThreadInvariantAndFeasible) {
   SweepSpec spec;
   spec.name = "released";

@@ -1,5 +1,5 @@
-// Tests of the discrete-event engine, the store-and-forward simulator and
-// the static replay cross-validator.
+// Tests of the store-and-forward simulator and the static replay
+// cross-validator.
 
 #include <gtest/gtest.h>
 
@@ -12,54 +12,12 @@
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
-#include "mst/sim/engine.hpp"
 #include "mst/sim/platform_sim.hpp"
 #include "mst/sim/static_replay.hpp"
 #include "mst/workload/workload.hpp"
 
 namespace mst {
 namespace {
-
-TEST(Engine, FiresInTimeOrder) {
-  sim::Engine engine;
-  std::vector<int> order;
-  engine.at(5, [&] { order.push_back(2); });
-  engine.at(1, [&] { order.push_back(1); });
-  engine.at(9, [&] { order.push_back(3); });
-  EXPECT_EQ(engine.run(), 9);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(engine.events_processed(), 3u);
-}
-
-TEST(Engine, SameTimeFiresInScheduleOrder) {
-  sim::Engine engine;
-  std::vector<int> order;
-  engine.at(4, [&] { order.push_back(1); });
-  engine.at(4, [&] { order.push_back(2); });
-  engine.at(4, [&] { order.push_back(3); });
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Engine, CallbacksMaySpawnEvents) {
-  sim::Engine engine;
-  int fired = 0;
-  engine.at(0, [&] {
-    ++fired;
-    engine.after(3, [&] {
-      ++fired;
-      engine.after(0, [&] { ++fired; });
-    });
-  });
-  EXPECT_EQ(engine.run(), 3);
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(Engine, RejectsSchedulingInThePast) {
-  sim::Engine engine;
-  engine.at(5, [&] { EXPECT_THROW(engine.at(2, [] {}), std::invalid_argument); });
-  engine.run();
-}
 
 TEST(PlatformSim, SingleTaskTransitTime) {
   const Chain chain = Chain::from_vectors({2, 3}, {3, 5});

@@ -1,14 +1,12 @@
 // Dynamic half of the zero-alloc contract for the simulator substrate: the
-// statically-checked mstlint zero-alloc regions in engine.cpp/platform_sim.cpp
-// ban allocating constructs at the token level; these tests pin the actual
-// runtime behaviour with the shared global-allocation probe.
+// statically-checked mstlint zero-alloc region of platform_sim.cpp (the
+// event loop and its handlers) bans allocating constructs at the token
+// level; these tests pin the actual runtime behaviour with the shared
+// global-allocation probe.
 //
-// Two claims:
-//  1. the event engine's steady state — scheduling and firing events on a
-//     warm heap — performs zero allocations;
-//  2. the streaming driver's whole-run allocation *count* is independent
-//     of the task count: the per-task cost is zero, everything that does
-//     allocate is per-run or per-node setup.
+// The streaming driver's whole-run allocation *count* is independent of the
+// task count: the event loop's per-task cost is zero, everything that does
+// allocate is per-run or per-node setup.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +22,6 @@
 #include "mst/obs/observation.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/schedule/feasibility.hpp"
-#include "mst/sim/engine.hpp"
 #include "mst/sim/online.hpp"
 #include "mst/sim/streaming.hpp"
 #include "mst/workload/workload.hpp"
@@ -32,81 +29,6 @@
 
 namespace mst {
 namespace {
-
-/// Self-rescheduling event: each firing schedules the next until the
-/// countdown ends.  Two machine words — fits the inline callback storage.
-struct Ticker {
-  sim::Engine* engine;
-  int remaining;
-  void operator()() const {
-    if (remaining > 0) engine->after(1, Ticker{engine, remaining - 1});
-  }
-};
-
-TEST(EngineZeroAlloc, SteadyStateEventLoopIsAllocationFree) {
-  sim::Engine engine;
-  engine.reserve(8);
-  // Warm-up: sizes the heap vector and touches every code path once.
-  engine.at(0, Ticker{&engine, 100});
-  engine.run();
-
-  alloc_probe::Scope probe;
-  // Four interleaved tickers exercise heap sift-up/down, not just a
-  // single-element queue.
-  for (int lane = 0; lane < 4; ++lane) {
-    engine.at(engine.now() + lane, Ticker{&engine, 2500});
-  }
-  engine.run();
-  EXPECT_EQ(probe.count(), 0);
-  EXPECT_GE(engine.events_processed(), 10000u);
-}
-
-/// Ticker that counts every firing through a metric handle — the
-/// instrumented twin of the test above.  The handle is one pointer, so the
-/// capture still fits the inline storage.
-struct CountingTicker {
-  sim::Engine* engine;
-  int remaining;
-  mutable obs::Counter fired;  // handle updates are non-const (atomic RMW)
-  void operator()() const {
-    fired.increment();
-    if (remaining > 0) engine->after(1, CountingTicker{engine, remaining - 1, fired});
-  }
-};
-
-TEST(EngineZeroAlloc, InstrumentedEventLoopIsAllocationFree) {
-  // Both halves of the observability cost model: a disabled handle (the
-  // uninstrumented default) and an enabled, preregistered one — neither may
-  // allocate in the steady state.
-  obs::MetricsRegistry registry;
-  for (const bool enabled : {false, true}) {
-    obs::Counter fired = enabled ? registry.counter("engine.fired") : obs::Counter{};
-    EXPECT_EQ(fired.enabled(), enabled);
-    sim::Engine engine;
-    engine.reserve(8);
-    engine.at(0, CountingTicker{&engine, 100, fired});
-    engine.run();
-
-    alloc_probe::Scope probe;
-    for (int lane = 0; lane < 4; ++lane) {
-      engine.at(engine.now() + lane, CountingTicker{&engine, 2500, fired});
-    }
-    engine.run();
-    EXPECT_EQ(probe.count(), 0) << (enabled ? "enabled" : "disabled");
-  }
-  const std::vector<obs::MetricSample> samples = registry.snapshot();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_GE(samples[0].value, 10000);
-}
-
-TEST(EngineZeroAlloc, OversizedCaptureWouldNotCompile) {
-  // Compile-time contract documented here: InplaceCallback rejects
-  // captures beyond kStorage via static_assert, so nothing silently heap
-  // allocates per event.  This test just pins the storage constant the
-  // simulator's lambdas were sized against.
-  static_assert(sim::InplaceCallback::kStorage >= 7 * sizeof(void*));
-  SUCCEED();
-}
 
 /// Total allocations of one full streaming run (policy and workload are
 /// built outside the probed window; the run itself is driver + simulator +
