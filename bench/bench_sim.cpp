@@ -1,6 +1,6 @@
 // CPLX-SIM: microbenchmarks of the simulator substrate — the event loop on
-// a fixed destination sequence, online store-and-forward dispatch and
-// static replay.  Timing harness shared with the other bench_* binaries:
+// a fixed destination sequence, online store-and-forward dispatch, static
+// replay and the horizon re-planning stream policy.  Timing harness shared with the other bench_* binaries:
 // bench/bench_harness.hpp; the committed baseline is bench/BENCH_sim.json.
 
 #include <cstddef>
@@ -14,6 +14,8 @@
 #include "mst/sim/online.hpp"
 #include "mst/sim/platform_sim.hpp"
 #include "mst/sim/static_replay.hpp"
+#include "mst/sim/streaming.hpp"
+#include "mst/workload/arrival.hpp"
 
 namespace {
 
@@ -55,6 +57,28 @@ std::vector<Row> run_all() {
     for (std::size_t n = 64; n <= 1024; n *= 4) {
       const mst::ChainSchedule s = mst::ChainScheduler::schedule(chain, n);
       rows.push_back({"static_replay_chain", n, time_op([&] { keep(mst::sim::replay(s)); })});
+    }
+  }
+  {
+    // The horizon re-planner on periodic arrivals, one fresh policy per run.
+    // The chain keeps up, so every replan reads its held one-task plan; the
+    // spider falls behind, and its growing backlog re-solves at nearly every
+    // batch.  The two rows bracket the policy's cost.
+    mst::Rng rng(0x4E9);
+    const mst::GeneratorParams params{1, 10, mst::PlatformClass::kUniform};
+    const mst::Platform platforms[] = {mst::random_chain(rng, 12, params),
+                                       mst::random_spider(rng, 6, 3, params)};
+    const char* names[] = {"replan_chain", "replan_spider"};
+    const mst::WorkloadGen periodic{{}, {mst::ArrivalDist::Kind::kPeriodic, 2, 0}};
+    for (std::size_t k = 0; k < 2; ++k) {
+      const mst::Tree substrate = mst::sim::stream_substrate(platforms[k]);
+      for (std::size_t n = 256; n <= 1024; n *= 4) {
+        const mst::Workload workload = periodic.make(n, 1);
+        rows.push_back({names[k], n, time_op([&] {
+                          const auto policy = mst::sim::make_replan_policy(platforms[k]);
+                          keep(mst::sim::drive_stream(substrate, workload, *policy).makespan);
+                        })});
+      }
     }
   }
   return rows;

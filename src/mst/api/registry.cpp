@@ -565,11 +565,16 @@ SolveResult shape_result(const char* algorithm, PlatformKind kind, Schedule sche
 }
 
 /// Runs `fn` on the platform's shape: the chain, the fork's unit-leg spider
-/// (the paper solves a fork as that spider, sections 6-7) or the spider.
+/// (the paper solves a fork as that spider, sections 6-7; rebuilt in place
+/// in the fork scratch) or the spider.
 template <typename Fn>
-auto on_shape(const Platform& platform, Fn&& fn) {
+auto on_shape(const Platform& platform, const SolveOptions& opts, Fn&& fn) {
   if (const auto* chain = std::get_if<Chain>(&platform)) return fn(*chain);
-  if (const auto* fork = std::get_if<Fork>(&platform)) return fn(Spider::from_fork(*fork));
+  if (const auto* fork = std::get_if<Fork>(&platform)) {
+    Spider& legs = opts.scratch->fork.spider;
+    legs.assign_fork(*fork);
+    return fn(legs);
+  }
   return fn(std::get<Spider>(platform));
 }
 
@@ -705,6 +710,7 @@ void register_streaming(Registry& r, PlatformKind k, const char* name, const cha
           const std::unique_ptr<sim::StreamPolicy> policy =
               sim::make_named_policy(p, pooled.tree, name, opts.seed);
           const sim::SimResult run = sim::drive_stream(pooled.tree, w, *policy);
+          if (opts.metrics != nullptr) policy->count_work(*opts.metrics);
           pooled.dests.clear();
           for (const sim::SimTask& task : run.tasks) pooled.dests.push_back(task.dest);
           return make_result(name, k, w.count(), run.makespan, /*lower_bound=*/0,
@@ -719,16 +725,23 @@ void register_replan(Registry& r, PlatformKind k) {
                      kReleaseStreaming);
 }
 
-/// Registers one ASAP-engine baseline for an exact kind: `policy(shape, w)`
-/// runs on whatever `on_shape` hands it.
+/// The scratch's pooled schedule for a shape's payload.
+ChainSchedule& pool_for(const Chain&, SolveScratch& scratch) { return scratch.chain_pool; }
+SpiderSchedule& pool_for(const Spider&, SolveScratch& scratch) { return scratch.spider_pool; }
+
+/// Registers one ASAP-engine baseline for an exact kind:
+/// `policy(shape, w, state, out)` replays on the scratch's engine state into
+/// the shape's pooled schedule, so a warm solve allocates nothing.
 template <typename Policy>
 void add_engine_baseline(Registry& r, PlatformKind k, const char* name, const char* summary,
                          Policy policy) {
   r.add({k, name, summary, /*optimal=*/false, /*exponential=*/false, kSizesAndRelease},
         [k, name, policy](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          return on_shape(p, [&](const auto& shape) {
-            return shape_result(name, k, policy(shape, w), w, /*optimal=*/false, opts);
+          return on_shape(p, opts, [&](const auto& shape) {
+            auto& pooled = pool_for(shape, *opts.scratch);
+            policy(shape, w, opts.scratch->engine.state, pooled);
+            return shape_result(name, k, std::move(pooled), w, /*optimal=*/false, opts);
           });
         },
         nullptr);
@@ -738,17 +751,18 @@ void add_engine_baseline(Registry& r, PlatformKind k, const char* name, const ch
 /// the same way for chains, forks and spiders.
 void register_engine_baselines(Registry& r, PlatformKind k) {
   add_engine_baseline(r, k, "forward-greedy", "earliest-completion-time list scheduling",
-                      [](const auto& shape, const Workload& w) {
-                        return forward_greedy(shape, w);
-                      });
+                      [](const auto& shape, const Workload& w, TreeAsapState& state,
+                         auto& out) { forward_greedy(shape, w, state, out); });
   add_engine_baseline(r, k, "round-robin", "heterogeneity-blind cyclic dispatch",
-                      [](const auto& shape, const Workload& w) { return round_robin(shape, w); });
+                      [](const auto& shape, const Workload& w, TreeAsapState& state,
+                         auto& out) { round_robin(shape, w, state, out); });
   const char* pipeline_summary =
       k == PlatformKind::kChain  ? "best single-processor pipeline (generalized T-infinity)"
       : k == PlatformKind::kFork ? "best single-slave pipeline"
                                  : "best single-processor pipeline over all legs";
   add_engine_baseline(r, k, "single-node", pipeline_summary,
-                      [](const auto& shape, const Workload& w) { return single_node(shape, w); });
+                      [](const auto& shape, const Workload& w, TreeAsapState& state,
+                         auto& out) { single_node(shape, w, state, out); });
 }
 
 /// The exhaustive oracle of an exact kind, identical workloads only.
@@ -757,13 +771,13 @@ void register_brute_force(Registry& r, PlatformKind k) {
          /*exponential=*/true, WorkloadFeatures{}},
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
-          return on_shape(p, [&](const auto& shape) {
+          return on_shape(p, opts, [&](const auto& shape) {
             return shape_result("brute-force", k, brute_force_schedule(shape, w.count()), w,
                                 /*optimal=*/true, opts);
           });
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return on_shape(p, [&](const auto& shape) {
+          return on_shape(p, opts, [&](const auto& shape) {
             return brute_force_decision(k, shape, deadline, opts);
           });
         });

@@ -87,6 +87,7 @@ StreamOutcome run_stream(const Platform& platform, std::string_view algorithm,
   out.kind = kind;
   if (!workload.empty()) {
     sim::StreamResult run = sim::simulate_stream(tree, workload, *policy, observation);
+    if (observation.metrics != nullptr) policy->count_work(*observation.metrics);
     out.tasks = run.sim.num_tasks();
     out.makespan = run.sim.makespan;
     out.metrics = std::move(run.metrics);

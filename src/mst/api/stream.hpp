@@ -57,8 +57,8 @@ struct StreamOutcome {
 /// streamed run alone; attach it once afterwards with
 /// `attach_offline_reference`.  `observation` (optional, defaulted off)
 /// instruments the streamed run: the simulator's Gantt/queue signals, the
-/// streaming layer's arrival/latency/backlog signals, and an
-/// "api.stream.runs" counter.
+/// streaming layer's arrival/latency/backlog signals, the policy's work
+/// counts (`StreamPolicy::count_work`) and an "api.stream.runs" counter.
 StreamOutcome run_stream(const Platform& platform, std::string_view algorithm,
                          const Workload& workload, std::uint64_t seed = 1,
                          const Registry& registry = api::registry(),

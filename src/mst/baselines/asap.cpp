@@ -5,44 +5,61 @@
 
 namespace mst {
 
+namespace {
+
+/// The body of both replays: `out` is a `ChainSchedule` on a `Chain`, a
+/// `SpiderSchedule` on a `Spider`.
 template <class Schedule, class Shape>
-Schedule detail::asap_replay(const Shape& shape, const Workload& workload, const NextNode& next) {
+void replay_into(const Shape& shape, const Workload& workload, const NextNode& next,
+                 TreeAsapState& state, Schedule& out) {
   using Task = typename decltype(Schedule::tasks)::value_type;
-  TreeAsapState state(shape);
-  std::vector<std::size_t> leg_of_node;  // a spider's node -> leg, in engine node order
+  state.assign(shape);
   if constexpr (kSpiderTask<Task>) {
-    leg_of_node.assign(1, 0);
-    for (std::size_t l = 0; l < shape.num_legs(); ++l) {
-      leg_of_node.insert(leg_of_node.end(), shape.leg(l).size(), l);
-    }
+    out.spider = shape;
+  } else {
+    out.chain = shape;
   }
-  Schedule schedule{shape, std::vector<Task>(workload.count())};
+  out.tasks.resize(workload.count());
   for (std::size_t i = 0; i < workload.count(); ++i) {
     // Commits task `i` to the node `next` picks, filling its hop emissions.
-    Task& task = schedule.tasks[i];
+    Task& task = out.tasks[i];
     const Time size = workload.size_of(i);
     const Time release = workload.release_of(i);
     const NodeId node = next(state, i, size, release);
     task.emissions.resize(state.depth(node));
     const Time end = state.commit(node, size, release, task.emissions.data());
     task.start = end - size * state.proc(node).work;
-    if constexpr (kSpiderTask<Task>) task.leg = leg_of_node[node];
+    if constexpr (kSpiderTask<Task>) task.leg = state.leg(node);
     task.proc = task.emissions.size() - 1;
   }
-  return schedule;
 }
 
-template ChainSchedule detail::asap_replay(const Chain&, const Workload&, const NextNode&);
-template SpiderSchedule detail::asap_replay(const Spider&, const Workload&, const NextNode&);
+}  // namespace
+
+void asap_replay_into(const Chain& chain, const Workload& workload, const NextNode& next,
+                      TreeAsapState& state, ChainSchedule& out) {
+  replay_into(chain, workload, next, state, out);
+}
+
+void asap_replay_into(const Spider& spider, const Workload& workload, const NextNode& next,
+                      TreeAsapState& state, SpiderSchedule& out) {
+  replay_into(spider, workload, next, state, out);
+}
 
 ChainSchedule asap_chain_replay(const Chain& chain, const Workload& workload,
                                 const NextNode& next) {
-  return detail::asap_replay<ChainSchedule>(chain, workload, next);
+  TreeAsapState state;
+  ChainSchedule out;
+  asap_replay_into(chain, workload, next, state, out);
+  return out;
 }
 
 SpiderSchedule asap_spider_replay(const Spider& spider, const Workload& workload,
                                   const NextNode& next) {
-  return detail::asap_replay<SpiderSchedule>(spider, workload, next);
+  TreeAsapState state;
+  SpiderSchedule out;
+  asap_replay_into(spider, workload, next, state, out);
+  return out;
 }
 
 ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::size_t>& dests) {

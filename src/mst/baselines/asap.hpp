@@ -56,13 +56,12 @@ ChainSchedule asap_chain_replay(const Chain& chain, const Workload& workload,
 SpiderSchedule asap_spider_replay(const Spider& spider, const Workload& workload,
                                   const NextNode& next);
 
-namespace detail {
-
-/// The body of both replays, for a shape-generic caller: `Schedule` is
-/// `ChainSchedule` on a `Chain`, `SpiderSchedule` on a `Spider`.
-template <class Schedule, class Shape>
-Schedule asap_replay(const Shape& shape, const Workload& workload, const NextNode& next);
-
-}  // namespace detail
+/// The same replay rebuilt into `out` on `state`: both keep their buffers,
+/// so once they have held a platform and a workload this large the replay
+/// allocates nothing (the registry's baselines run on its pooled schedules).
+void asap_replay_into(const Chain& chain, const Workload& workload, const NextNode& next,
+                      TreeAsapState& state, ChainSchedule& out);
+void asap_replay_into(const Spider& spider, const Workload& workload, const NextNode& next,
+                      TreeAsapState& state, SpiderSchedule& out);
 
 }  // namespace mst

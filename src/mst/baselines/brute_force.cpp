@@ -21,9 +21,12 @@ template <typename Schedule, typename Shape>
 Schedule exact_schedule(const Shape& shape, std::size_t n) {
   std::vector<NodeId> best;
   exact_makespan(shape, n, &best);
-  return detail::asap_replay<Schedule>(
+  TreeAsapState state;
+  Schedule out;
+  asap_replay_into(
       shape, Workload::identical(n),
-      [&best](const TreeAsapState&, std::size_t i, Time, Time) { return best[i]; });
+      [&best](const TreeAsapState&, std::size_t i, Time, Time) { return best[i]; }, state, out);
+  return out;
 }
 
 }  // namespace

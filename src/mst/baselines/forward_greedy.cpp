@@ -20,4 +20,14 @@ SpiderSchedule forward_greedy(const Spider& spider, const Workload& workload) {
   return asap_spider_replay(spider, workload, earliest);
 }
 
+void forward_greedy(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                    ChainSchedule& out) {
+  asap_replay_into(chain, workload, earliest, state, out);
+}
+
+void forward_greedy(const Spider& spider, const Workload& workload, TreeAsapState& state,
+                    SpiderSchedule& out) {
+  asap_replay_into(spider, workload, earliest, state, out);
+}
+
 }  // namespace mst

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "mst/baselines/tree_asap.hpp"
 #include "mst/platform/chain.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -25,5 +26,12 @@ namespace mst {
 /// `Workload::identical(n)` gives the identical-task schedule.
 ChainSchedule forward_greedy(const Chain& chain, const Workload& workload);
 SpiderSchedule forward_greedy(const Spider& spider, const Workload& workload);
+
+/// The same schedule rebuilt into `out` on `state`'s buffers
+/// (`asap_replay_into`): allocation-free once both are warm.
+void forward_greedy(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                    ChainSchedule& out);
+void forward_greedy(const Spider& spider, const Workload& workload, TreeAsapState& state,
+                    SpiderSchedule& out);
 
 }  // namespace mst

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "mst/baselines/tree_asap.hpp"
 #include "mst/platform/chain.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -22,5 +23,12 @@ namespace mst {
 /// definition; timing is the size-scaled, release-gated ASAP placement.
 ChainSchedule round_robin(const Chain& chain, const Workload& workload);
 SpiderSchedule round_robin(const Spider& spider, const Workload& workload);
+
+/// The same schedule rebuilt into `out` on `state`'s buffers
+/// (`asap_replay_into`): allocation-free once both are warm.
+void round_robin(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                 ChainSchedule& out);
+void round_robin(const Spider& spider, const Workload& workload, TreeAsapState& state,
+                 SpiderSchedule& out);
 
 }  // namespace mst

@@ -10,13 +10,15 @@ namespace mst {
 namespace {
 
 /// The single-node pipeline with the smallest makespan over the `slaves`
-/// engine nodes of `platform`, ties toward the smaller node.  Candidates
-/// are scored on one engine state by commits alone (a pipeline's makespan
-/// is its largest commit end); only the winner is built as a schedule.
-template <typename Schedule, typename Platform>
-Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workload& workload) {
+/// engine nodes of `platform`, ties toward the smaller node, into `out`.
+/// Candidates are scored on the engine state by commits alone (a
+/// pipeline's makespan is its largest commit end); only the winner is built
+/// as a schedule.
+template <typename Platform, typename Schedule>
+void best_pipeline(const Platform& platform, std::size_t slaves, const Workload& workload,
+                   TreeAsapState& state, Schedule& out) {
   MST_REQUIRE(workload.count() >= 1, "need at least one task");
-  TreeAsapState state(platform);
+  state.assign(platform);
   NodeId best = 1;
   Time best_makespan = 0;
   for (NodeId v = 1; v <= slaves; ++v) {
@@ -30,18 +32,35 @@ Schedule best_pipeline(const Platform& platform, std::size_t slaves, const Workl
       best_makespan = makespan;
     }
   }
-  return detail::asap_replay<Schedule>(
-      platform, workload, [best](const TreeAsapState&, std::size_t, Time, Time) { return best; });
+  asap_replay_into(
+      platform, workload, [best](const TreeAsapState&, std::size_t, Time, Time) { return best; },
+      state, out);
 }
 
 }  // namespace
 
+void single_node(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                 ChainSchedule& out) {
+  best_pipeline(chain, chain.size(), workload, state, out);
+}
+
+void single_node(const Spider& spider, const Workload& workload, TreeAsapState& state,
+                 SpiderSchedule& out) {
+  best_pipeline(spider, spider.num_processors(), workload, state, out);
+}
+
 ChainSchedule single_node(const Chain& chain, const Workload& workload) {
-  return best_pipeline<ChainSchedule>(chain, chain.size(), workload);
+  TreeAsapState state;
+  ChainSchedule out;
+  single_node(chain, workload, state, out);
+  return out;
 }
 
 SpiderSchedule single_node(const Spider& spider, const Workload& workload) {
-  return best_pipeline<SpiderSchedule>(spider, spider.num_processors(), workload);
+  TreeAsapState state;
+  SpiderSchedule out;
+  single_node(spider, workload, state, out);
+  return out;
 }
 
 }  // namespace mst

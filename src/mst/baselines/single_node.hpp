@@ -1,5 +1,6 @@
 #pragma once
 
+#include "mst/baselines/tree_asap.hpp"
 #include "mst/platform/chain.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -24,5 +25,12 @@ namespace mst {
 /// toward the nearer processor.
 ChainSchedule single_node(const Chain& chain, const Workload& workload);
 SpiderSchedule single_node(const Spider& spider, const Workload& workload);
+
+/// The same schedule rebuilt into `out` on `state`'s buffers
+/// (`asap_replay_into`): allocation-free once both are warm.
+void single_node(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                 ChainSchedule& out);
+void single_node(const Spider& spider, const Workload& workload, TreeAsapState& state,
+                 SpiderSchedule& out);
 
 }  // namespace mst

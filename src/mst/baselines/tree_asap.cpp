@@ -26,11 +26,15 @@ std::size_t chain_hops(std::size_t p) { return p * (p + 1) / 2; }
 
 TreeAsapState::TreeAsapState(const Tree& tree) { assign(tree); }
 
-TreeAsapState::TreeAsapState(const Chain& chain) : TreeAsapState(legs_of(chain)) {}
+TreeAsapState::TreeAsapState(const Chain& chain) { assign(chain); }
 
-TreeAsapState::TreeAsapState(const Spider& spider) : TreeAsapState(legs_of(spider)) {}
+TreeAsapState::TreeAsapState(const Spider& spider) { assign(spider); }
 
-TreeAsapState::TreeAsapState(std::span<const Chain> legs) {
+void TreeAsapState::assign(const Chain& chain) { assign(legs_of(chain)); }
+
+void TreeAsapState::assign(const Spider& spider) { assign(legs_of(spider)); }
+
+void TreeAsapState::assign(std::span<const Chain> legs) {
   std::size_t nodes = 1;
   std::size_t hops = 0;
   for (const Chain& leg : legs) {
@@ -56,12 +60,13 @@ void TreeAsapState::start(std::size_t nodes, std::size_t hops) {
   paths_.reserve(hops);
   times_.assign(2 * nodes, 0);
   nodes_.push_back(Node{});
+  legs_ = 0;
 }
 
 NodeId TreeAsapState::add_node(NodeId parent, const Processor& proc) {
   const NodeId v = nodes_.size();
   const Node& up = nodes_[parent];
-  Node node{proc, paths_.size(), up.depth + 1};
+  Node node{proc, paths_.size(), up.depth + 1, parent == 0 ? legs_++ : up.leg};
   for (std::size_t i = up.path; i < up.path + up.depth; ++i) {
     const NodeId hop = paths_[i];
     paths_.push_back(hop);

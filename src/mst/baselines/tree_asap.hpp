@@ -50,9 +50,12 @@ class TreeAsapState {
   explicit TreeAsapState(const Chain& chain);
   explicit TreeAsapState(const Spider& spider);
 
-  /// Rebuilds the state for `tree`, all ports and processors free at 0.
-  /// Allocation-free once the buffers have held a tree this large.
+  /// Rebuilds the state for `tree` (or a chain or spider, numbered as the
+  /// constructors number them), all ports and processors free at 0.
+  /// Allocation-free once the buffers have held a platform this large.
   void assign(const Tree& tree);
+  void assign(const Chain& chain);
+  void assign(const Spider& spider);
 
   /// Node count, the master (node 0) included.
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
@@ -63,6 +66,10 @@ class TreeAsapState {
 
   /// Node `v`'s incoming link and work.
   [[nodiscard]] const Processor& proc(NodeId v) const { return nodes_[v].proc; }
+
+  /// Which of the master's children `v` descends from, in the order they
+  /// were added: a spider's leg, 0 on a chain.
+  [[nodiscard]] std::size_t leg(NodeId v) const { return nodes_[v].leg; }
 
   /// When the master's out-port frees up: no later task leaves the master
   /// before it.
@@ -97,13 +104,14 @@ class TreeAsapState {
   void restore(const Time* in);
 
  private:
-  /// The chain and spider constructors: master → one path per leg.
-  explicit TreeAsapState(std::span<const Chain> legs);
+  /// The chain and spider forms of `assign`: master → one path per leg.
+  void assign(std::span<const Chain> legs);
 
   struct Node {
     Processor proc;        ///< incoming link and work (unused for the master)
     std::size_t path = 0;  ///< root-excluded root→node path: `paths_[path, path + depth)`
     std::size_t depth = 0;
+    std::size_t leg = 0;   ///< the master's child it descends from (`leg`)
   };
 
   /// Empties the state down to the master, reserving room for `nodes`
@@ -119,6 +127,7 @@ class TreeAsapState {
   Time walk(NodeId dest, Time size, Time release, OnHop&& on_hop) const;
 
   std::vector<Node> nodes_;
+  std::size_t legs_ = 0;       ///< children of the master so far
   std::vector<NodeId> paths_;  ///< concatenated root-excluded paths
   /// The mutable times: node `v`'s out-port frees at `times_[2v]`, its
   /// processor at `times_[2v + 1]`.

@@ -1,6 +1,6 @@
 #include "mst/sim/streaming.hpp"
 
-#include <deque>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -104,12 +104,26 @@ class EctStream final : public StreamPolicy {
 };
 
 // ---------------------------------------------------------------------------
-// Horizon re-planning: on every arrival, re-run the exact solver on the
-// known undispatched backlog and follow the new plan's master-emission
-// order.  The plan models an idle platform — in-flight work shifts the real
-// timeline later through the substrate's FIFO queues — so this is the exact
-// algorithm as a reactive heuristic, not an optimality claim; with all
-// tasks released at 0 the single plan is the offline optimum itself.
+// Horizon re-planning: on every arrival batch, plan the known undispatched
+// backlog of `b` identical tasks exactly and follow the plan's
+// master-emission order.  The plan models an idle platform — in-flight work
+// shifts the real timeline later through the substrate's FIFO queues — so
+// this is the exact algorithm as a reactive heuristic, not an optimality
+// claim; with all tasks released at 0 the single plan is the offline
+// optimum itself.
+//
+// Because the plan depends on `(platform, b)` alone, a replan mostly reads
+// a plan it already holds instead of solving:
+//  * chain: the optimal `b`-task plan is the last `b` tasks of the `N`-task
+//    plan for any `N >= b` (the construction builds tasks last to first,
+//    and by the shift lemma its first `b` steps at `T∞(N)` are the `b`-task
+//    construction at `T∞(b)`, shifted), so one plan serves every backlog up
+//    to `N`, and `N` grows by doubling — from backlogs seen, never from the
+//    stream's length;
+//  * fork and spider: the last solved plan is kept whole, and a backlog of
+//    its size restarts it; any other size re-solves (the selection is not
+//    nested in `b`).
+// Either way the policy holds one plan of fewer than `2·max b` tasks.
 
 class ReplanStream final : public StreamPolicy {
  public:
@@ -127,22 +141,25 @@ class ReplanStream final : public StreamPolicy {
   }
 
   NodeId choose(std::size_t, const DispatchContext&) override {
-    // Arrivals since the last decision invalidated the plan; recompute it
-    // now (one solve per arrival batch — re-solving per arrival inside the
-    // batch would produce the same final plan at strictly more cost).
+    // Arrivals since the last decision invalidated the plan; re-plan now
+    // (once per arrival batch — re-planning per arrival inside the batch
+    // would produce the same final plan at strictly more cost).
     if (stale_) replan();
-    MST_ASSERT(!plan_.empty());
-    const NodeId dest = plan_.front();
-    plan_.pop_front();
+    MST_ASSERT(cursor_ < plan_.size());
     --backlog_;
-    return dest;
+    return plan_[cursor_++];
+  }
+
+  void count_work(obs::MetricsRegistry& metrics) const override {
+    metrics.counter("sim.replan.plans").add(static_cast<Time>(plans_));
+    metrics.counter("sim.replan.solves").add(static_cast<Time>(solves_));
   }
 
  private:
   /// The exact solver's warm buffers for the policy's platform kind: one
   /// scratch and one output schedule, rebuilt in place by `schedule_into`
-  /// on every replan (the same plan the value-returning `schedule` forms
-  /// build on a fresh scratch).
+  /// (the same plan the value-returning `schedule` forms build on a fresh
+  /// scratch).
   template <typename Scratch, typename Schedule>
   struct Solver {
     Scratch scratch;
@@ -151,24 +168,45 @@ class ReplanStream final : public StreamPolicy {
   using ChainSolver = Solver<ChainCountScratch, ChainSchedule>;
   using SpiderSolver = Solver<SpiderSolveScratch, SpiderSchedule>;
 
+  /// Points the cursor at the plan of the current backlog, solving only
+  /// when no held plan serves it.
   void replan() {
-    plan_.clear();
-    const Workload backlog = Workload::identical(backlog_);
+    ++plans_;
     if (const auto* chain = std::get_if<Chain>(&platform_)) {
-      // ChainSchedule keeps tasks in first-link emission order; processor
-      // `i` embeds as node `i + 1`.
-      auto& [scratch, plan] = std::get<ChainSolver>(solver_);
-      ChainScheduler::schedule_into(*chain, backlog, scratch, plan);
-      for (const ChainTask& task : plan.tasks) plan_.push_back(static_cast<NodeId>(task.proc + 1));
+      if (backlog_ > plan_.size()) {
+        std::size_t tasks = std::max(backlog_, 2 * plan_.size());
+        // A doubled plan whose T∞ leaves the time range would reject a
+        // backlog the solver accepts on its own: plan exactly that backlog.
+        try {
+          (void)chain->t_infinity(tasks);
+        } catch (const std::invalid_argument&) {
+          tasks = backlog_;
+        }
+        // ChainSchedule keeps tasks in first-link emission order; processor
+        // `i` embeds as node `i + 1`.
+        auto& [scratch, plan] = std::get<ChainSolver>(solver_);
+        ChainScheduler::schedule_into(*chain, Workload::identical(tasks), scratch, plan);
+        ++solves_;
+        plan_.clear();
+        for (const ChainTask& task : plan.tasks) {
+          plan_.push_back(static_cast<NodeId>(task.proc + 1));
+        }
+      }
     } else if (const auto* spider = std::get_if<Spider>(&platform_)) {
-      auto& [scratch, plan] = std::get<SpiderSolver>(solver_);
-      SpiderScheduler::schedule_into(*spider, backlog, scratch, plan);
-      for (const SpiderTask& task : plan.tasks) {
-        plan_.push_back(spider_node(*spider, {task.leg, task.proc}));
+      if (backlog_ != plan_.size()) {
+        auto& [scratch, plan] = std::get<SpiderSolver>(solver_);
+        SpiderScheduler::schedule_into(*spider, Workload::identical(backlog_), scratch, plan);
+        ++solves_;
+        plan_.clear();
+        for (const SpiderTask& task : plan.tasks) {
+          plan_.push_back(spider_node(*spider, {task.leg, task.proc}));
+        }
       }
     } else {
       throw std::logic_error("mst: replan policy constructed for a tree platform");
     }
+    // The backlog's plan is the held plan's last `backlog_` tasks.
+    cursor_ = plan_.size() - backlog_;
     stale_ = false;
   }
 
@@ -176,7 +214,10 @@ class ReplanStream final : public StreamPolicy {
   std::variant<std::monostate, ChainSolver, SpiderSolver> solver_;
   std::size_t backlog_ = 0;  ///< observed, not yet dispatched
   bool stale_ = false;
-  std::deque<NodeId> plan_;
+  std::vector<NodeId> plan_;  ///< destinations in master-emission order
+  std::size_t cursor_ = 0;    ///< the next task's position in `plan_`
+  std::size_t plans_ = 0;     ///< replans run
+  std::size_t solves_ = 0;    ///< exact solves among them
 };
 
 // ---------------------------------------------------------------------------

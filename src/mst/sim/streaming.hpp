@@ -28,12 +28,15 @@
 ///  * the four `OnlinePolicy` dispatchers (`make_stream_policy`) — their
 ///    only implementation: `simulate_online` runs these policies through
 ///    `drive_stream`;
-///  * `replan` (`make_replan_policy`) — horizon re-planning: on every
-///    arrival the exact chain/fork/spider solver is re-run on the currently
-///    known, still-undispatched backlog, and dispatch follows that plan's
-///    master-emission order until the next arrival invalidates it.  With
-///    everything released at 0 this degenerates to the offline optimum
-///    (one plan over the whole instance).
+///  * `replan` (`make_replan_policy`) — horizon re-planning: after every
+///    arrival batch, dispatch follows the exact chain/fork/spider plan of the
+///    currently known, still-undispatched backlog, in master-emission order,
+///    until the next arrival invalidates it.  That plan depends only on the
+///    platform and the backlog size, so the policy reads it from a plan it
+///    already holds where it can (a chain's plans are suffixes of one longer
+///    plan; a fork's or spider's last plan restarts when the backlog size
+///    repeats) and re-solves otherwise.  With everything released at 0 this
+///    degenerates to the offline optimum (one plan over the whole instance).
 ///
 /// The registry's streaming entries run these policies through the driver
 /// (makespan form); the registry bridge (`api::run_stream`, in
@@ -76,6 +79,12 @@ class StreamPolicy {
   /// — present-state information only, same as `DispatchContext` in the
   /// online simulator.
   virtual NodeId choose(std::size_t task, const DispatchContext& ctx) = 0;
+
+  /// Adds the policy's deterministic work counts so far to `metrics`:
+  /// `sim.replan.plans` and `sim.replan.solves` for `replan`, nothing for
+  /// the online dispatchers.  The api layer folds them after a run
+  /// (`api::run_stream`), so the driver's own metrics stay policy-free.
+  virtual void count_work(obs::MetricsRegistry& /*metrics*/) const {}
 };
 
 /// Aggregate streaming metrics, computed by the driver.

@@ -202,6 +202,25 @@ TEST(SolveZeroAlloc, WarmForwardGreedySolveIsAllocationFree) {
   EXPECT_EQ(decision_allocations(tree, "forward-greedy", 200), 0);
 }
 
+TEST(SolveZeroAlloc, WarmEngineBaselineSolvesAreAllocationFree) {
+  // The chain, fork and spider engine baselines replay on the scratch's
+  // engine state into the pooled schedule (a fork's unit-leg spider is
+  // rebuilt in place in the fork scratch), so a warm solve allocates
+  // nothing at any task count.
+  Rng rng(37);
+  const GeneratorParams params{1, 10, PlatformClass::kUniform};
+  const api::Platform chain(random_chain(rng, 8, params));
+  const api::Platform fork(random_fork(rng, 8, params));
+  const api::Platform spider(random_spider(rng, 4, 3, params));
+  for (const char* algorithm : {"forward-greedy", "round-robin", "single-node"}) {
+    for (const std::size_t n : {8u, 64u, 512u}) {
+      EXPECT_EQ(solve_allocations(chain, algorithm, n), 0) << "chain " << algorithm << " " << n;
+      EXPECT_EQ(solve_allocations(fork, algorithm, n), 0) << "fork " << algorithm << " " << n;
+      EXPECT_EQ(solve_allocations(spider, algorithm, n), 0) << "spider " << algorithm << " " << n;
+    }
+  }
+}
+
 TEST(SolveZeroAlloc, SingleNodeAllocationCountIndependentOfProcessorCount) {
   // single-node scores every candidate node by engine commits on one state
   // and builds only the winner's schedule, so a warm solve allocates as
