@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   const ChainSchedule plan = ChainScheduler::schedule(pipeline, tasks);
   std::cout << "optimal makespan: " << plan.makespan() << " s\n";
-  std::cout << "lower bound:      " << chain_makespan_lower_bound(pipeline, tasks) << " s\n";
+  std::cout << "lower bound:      " << makespan_lower_bound(legs_of(pipeline), tasks) << " s\n";
   const Workload batch = Workload::identical(tasks);
   std::cout << "single best node: " << single_node(pipeline, batch).makespan() << " s\n";
   std::cout << "forward greedy:   " << forward_greedy(pipeline, batch).makespan() << " s\n\n";

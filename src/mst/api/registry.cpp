@@ -25,27 +25,13 @@
 #include "mst/heuristics/local_search.hpp"
 #include "mst/heuristics/tree_schedule.hpp"
 #include "mst/obs/metrics.hpp"
+#include "mst/schedule/legs.hpp"
 #include "mst/sim/platform_sim.hpp"
 #include "mst/sim/streaming.hpp"
 
 namespace mst::api {
 
 namespace {
-
-// Platform-kind check with an error message naming the algorithm, so a
-// mismatched dispatch reads "optimal: expected a chain platform" instead of
-// a bare bad_variant_access.
-void require_kind(const Platform& platform, const char* algorithm, PlatformKind kind) {
-  if (kind_of(platform) == kind) return;
-  throw std::invalid_argument(std::string(algorithm) + ": expected a " + to_string(kind) +
-                              " platform, got " + to_string(kind_of(platform)));
-}
-
-void require_tasks(std::size_t n) {
-  if (n == 0) throw std::invalid_argument("solve: need at least one task");
-}
-
-void require_tasks(const Workload& workload) { require_tasks(workload.count()); }
 
 /// Makespan solves size their instances by the task count — the fork node
 /// instance alone holds up to `p·n` jobs — so a count above the search
@@ -84,20 +70,19 @@ void count_dispatch(obs::MetricsRegistry* metrics, const char* prefix,
   metrics->counter(name).increment();
 }
 
-/// Folds the Fig 7 nodes the last exact fork or spider solve built
-/// (`SpiderCountScratch::nodes_built`) into `core.spider.nodes_built`.
-void count_nodes_built(const SolveOptions& opts, const SpiderCountScratch& scratch) {
+/// Folds a work count of the solve that just ran (`ChainCountScratch::probes`,
+/// `SpiderCountScratch::nodes_built`, ...) into the deterministic counter
+/// `name`.
+void count_work(const SolveOptions& opts, const char* name, std::size_t value) {
   if (opts.metrics == nullptr) return;
-  opts.metrics->counter("core.spider.nodes_built")
-      .add(static_cast<std::int64_t>(scratch.nodes_built));
+  opts.metrics->counter(name).add(static_cast<std::int64_t>(value));
 }
 
-/// Folds the bisection probes of the last fork or spider makespan search
-/// (`SpiderCountScratch::probes`) into `core.spider.probes`.  Decisions
-/// run no search and leave the field as the last search set it.
-void count_probes(const SolveOptions& opts, const SpiderCountScratch& scratch) {
-  if (opts.metrics == nullptr) return;
-  opts.metrics->counter("core.spider.probes").add(static_cast<std::int64_t>(scratch.probes));
+/// Effective decision cap: the search cap, clamped to a finite pool.
+std::size_t decision_cap(const SolveOptions& options) {
+  const std::size_t cap = std::max<std::size_t>(1, options.cap);
+  const Workload* pool = options.workload.get();
+  return pool != nullptr ? std::min(cap, pool->count()) : cap;
 }
 
 }  // namespace
@@ -232,29 +217,55 @@ FeasibilityReport check_feasibility(const DecisionResult& result) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler defaults: decision form by makespan inversion
+// The table and its dispatch gate
 
-DecisionResult Scheduler::solve_within(const Platform& platform, Time deadline,
-                                       const SolveOptions& options) const {
-  // Invert the makespan form: the largest task set whose makespan fits the
-  // window, found by exponential growth then binary search.  Exact whenever
-  // the algorithm's makespan is monotone non-decreasing in the task count.
-  // With a finite pool (`options.workload`) the probes are the pool's
-  // canonical prefixes — appending a task never shrinks a makespan, so the
-  // same search applies.
+namespace {
+
+/// Runs `fn` on the caller's scratch, or on a local one when none was
+/// passed — the one place a solve gets its scratch, so every entry runs a
+/// single (pooled) path.
+template <typename Fn>
+auto with_scratch(const SolveOptions& options, Fn&& fn) {
+  if (options.scratch != nullptr) return fn(options);
+  SolveScratch local;
+  SolveOptions scoped = options;
+  scoped.scratch = &local;
+  return fn(scoped);
+}
+
+/// Honors `materialize == false`: the payload goes back to the scratch.
+/// Stripping a pooled payload must return its buffers, not free them —
+/// count-only sweeps recycle here, every solve.
+void strip_unless_materialized(AnySchedule& schedule, const SolveOptions& scoped) {
+  if (scoped.materialize) return;
+  scoped.scratch->recycle_schedule(std::move(schedule));
+  schedule = std::monostate{};
+}
+
+/// An entry's makespan form on a provisioned scratch, payload stripped per
+/// `materialize`.
+SolveResult run_solve(const SolveFn& solve, const Platform& platform, const Workload& workload,
+                      const SolveOptions& scoped) {
+  SolveResult result = solve(platform, workload, scoped);
+  strip_unless_materialized(result.schedule, scoped);
+  return result;
+}
+
+/// The decision form of an entry without a native one: invert the makespan
+/// form — the largest task set whose makespan fits the window, found by
+/// exponential growth then binary search.  Exact whenever the makespan is
+/// monotone non-decreasing in the task count.  With a finite pool
+/// (`options.workload`) the probes are the pool's canonical prefixes —
+/// appending a task never shrinks a makespan, so the same search applies.
+DecisionResult invert_makespan(const SolveFn& solve, const Platform& platform, Time deadline,
+                               const SolveOptions& options) {
   SolveOptions probe = options;
   probe.materialize = false;
   const Workload* pool = options.workload.get();
-  const std::size_t cap =
-      std::min(std::max<std::size_t>(1, options.cap),
-               pool != nullptr ? pool->count() : std::numeric_limits<std::size_t>::max());
+  const std::size_t cap = decision_cap(options);
 
   DecisionResult out;
-  out.kind = kind_of(platform);
-  out.deadline = deadline;
   // Trivially-empty window (or empty pool): skip the probe solve entirely.
-  // The algorithm name stays empty here; Registry::solve_within fills it on
-  // dispatch.
   if (deadline <= 0 || cap == 0) return out;
 
   // Instrumentation point: every makespan-form evaluation the inversion
@@ -266,13 +277,11 @@ DecisionResult Scheduler::solve_within(const Platform& platform, Time deadline,
   }
   const auto probe_solve = [&](std::size_t k, const SolveOptions& solve_options) {
     probes.increment();
-    return pool != nullptr ? solve(platform, pool->prefix(k), solve_options)
-                           : solve(platform, k, solve_options);
+    return run_solve(solve, platform, pool != nullptr ? pool->prefix(k) : Workload::identical(k),
+                     solve_options);
   };
 
   const SolveResult first = probe_solve(1, probe);
-  out.algorithm = first.algorithm;
-  out.optimal = first.optimal;  // an optimal makespan form inverts exactly
   if (first.makespan > deadline) return out;
 
   std::size_t lo = 1;  // largest count known to fit
@@ -300,10 +309,6 @@ DecisionResult Scheduler::solve_within(const Platform& platform, Time deadline,
 
   out.tasks = lo;
   out.makespan = lo_makespan;
-  // A search stopped by the cap may be truncated — the count is then not
-  // provably maximal no matter how exact the makespan form is.  Exhausting
-  // a finite pool, by contrast, is proof.
-  out.optimal = out.optimal && (lo < cap || (pool != nullptr && lo >= pool->count()));
   if (options.materialize) {
     SolveResult full = probe_solve(lo, options);
     out.makespan = full.makespan;
@@ -312,134 +317,34 @@ DecisionResult Scheduler::solve_within(const Platform& platform, Time deadline,
   return out;
 }
 
-namespace {
-
-/// Runs `fn` on the caller's scratch, or on a local one when none was
-/// passed — the one place a solve gets its scratch, so every built-in runs
-/// a single (pooled) path.
-template <typename Fn>
-auto with_scratch(const SolveOptions& options, Fn&& fn) {
-  if (options.scratch != nullptr) return fn(options);
-  SolveScratch local;
-  SolveOptions scoped = options;
-  scoped.scratch = &local;
-  return fn(scoped);
-}
-
-/// Adapts callables to the Scheduler interface (used by both lambda
-/// overloads of Registry::add and by every built-in registration below).
-/// Enforces the platform kind, the `materialize` contract, the workload
-/// capability gate and the task limit centrally, so individual
-/// registrations cannot forget any of them — and every callable may take
-/// its platform alternative with `std::get`.
-class FunctionScheduler final : public Scheduler {
- public:
-  FunctionScheduler(PlatformKind kind, std::string name, WorkloadFeatures supports,
-                    Registry::SolveFn solve_fn, Registry::DecisionFn within_fn)
-      : kind_(kind),
-        name_(std::move(name)),
-        supports_(supports),
-        solve_fn_(std::move(solve_fn)),
-        within_fn_(std::move(within_fn)) {}
-
-  using Scheduler::solve;
-
-  [[nodiscard]] SolveResult solve(const Platform& platform, const Workload& workload,
-                                  const SolveOptions& options) const override {
-    require_kind(platform, name_.c_str(), kind_);
-    require_supported(name_, supports_, workload.features());
-    require_within_cap(workload, options);
-    return with_scratch(options, [&](const SolveOptions& scoped) {
-      SolveResult result = solve_fn_(platform, workload, scoped);
-      result.workload = workload;
-      if (!scoped.materialize) {
-        // Stripping a pooled payload must return its buffers to the
-        // scratch, not free them — count-only sweeps recycle here, every
-        // solve.
-        scoped.scratch->recycle_schedule(std::move(result.schedule));
-        result.schedule = std::monostate{};
-      }
-      return result;
-    });
-  }
-
-  [[nodiscard]] DecisionResult solve_within(const Platform& platform, Time deadline,
-                                            const SolveOptions& options) const override {
-    // Before the makespan-inversion adapter, whose empty-window early
-    // return would otherwise answer for a platform of another kind.
-    require_kind(platform, name_.c_str(), kind_);
-    if (options.workload != nullptr) {
-      require_supported(name_, supports_, options.workload->features());
-    }
-    return with_scratch(options, [&](const SolveOptions& scoped) {
-      if (!within_fn_) return Scheduler::solve_within(platform, deadline, scoped);
-      DecisionResult result = within_fn_(platform, deadline, scoped);
-      if (!scoped.materialize) {
-        scoped.scratch->recycle_schedule(std::move(result.schedule));
-        result.schedule = std::monostate{};
-      }
-      return result;
-    });
-  }
-
- private:
-  PlatformKind kind_;
-  std::string name_;
-  WorkloadFeatures supports_;
-  Registry::SolveFn solve_fn_;
-  Registry::DecisionFn within_fn_;
-};
-
 }  // namespace
 
-void Registry::add(AlgorithmInfo info, std::shared_ptr<const Scheduler> scheduler) {
+void Registry::add(AlgorithmInfo info, SolveFn solve, DecisionFn decide) {
   if (info.name.empty()) throw std::invalid_argument("registry: algorithm name must be non-empty");
-  if (scheduler == nullptr) throw std::invalid_argument("registry: null scheduler");
-  if (find(info.kind, info.name) != nullptr) {
+  if (solve == nullptr) throw std::invalid_argument("registry: null solve function");
+  if (entry(info.kind, info.name) != nullptr) {
     throw std::invalid_argument("registry: duplicate algorithm (" + to_string(info.kind) + ", " +
                                 info.name + ")");
   }
-  entries_.push_back(Entry{std::move(info), std::move(scheduler)});
+  entries_.push_back(Entry{std::move(info), std::move(solve), std::move(decide)});
 }
 
-void Registry::add(AlgorithmInfo info,
-                   std::function<SolveResult(const Platform&, std::size_t)> fn) {
-  if (fn == nullptr) throw std::invalid_argument("registry: null solve function");
-  // The callable only sees a count: identical workloads only, whatever the
-  // info claims.
-  info.supports = WorkloadFeatures{};
-  add(std::move(info),
-      [fn = std::move(fn)](const Platform& p, const Workload& w, const SolveOptions&) {
-        return fn(p, w.count());
-      },
-      nullptr);
+const Registry::Entry* Registry::entry(PlatformKind kind, std::string_view name) const {
+  for (const Entry& e : entries_) {
+    if (e.info.kind == kind && e.info.name == name) return &e;
+  }
+  return nullptr;
 }
 
-void Registry::add(AlgorithmInfo info, SolveFn solve_fn, DecisionFn within_fn) {
-  if (solve_fn == nullptr) throw std::invalid_argument("registry: null solve function");
-  auto scheduler = std::make_shared<const FunctionScheduler>(
-      info.kind, info.name, info.supports, std::move(solve_fn), std::move(within_fn));
-  add(std::move(info), std::move(scheduler));
+const AlgorithmInfo* Registry::info(PlatformKind kind, std::string_view name) const {
+  const Entry* e = entry(kind, name);
+  return e != nullptr ? &e->info : nullptr;
 }
 
 bool Registry::supports(PlatformKind kind, std::string_view name,
                         const WorkloadFeatures& features) const {
   const AlgorithmInfo* entry = info(kind, name);
   return entry != nullptr && features.subset_of(entry->supports);
-}
-
-const Scheduler* Registry::find(PlatformKind kind, std::string_view name) const {
-  for (const Entry& e : entries_) {
-    if (e.info.kind == kind && e.info.name == name) return e.scheduler.get();
-  }
-  return nullptr;
-}
-
-const AlgorithmInfo* Registry::info(PlatformKind kind, std::string_view name) const {
-  for (const Entry& e : entries_) {
-    if (e.info.kind == kind && e.info.name == name) return &e.info;
-  }
-  return nullptr;
 }
 
 std::vector<AlgorithmInfo> Registry::list() const {
@@ -465,35 +370,37 @@ std::vector<std::string> Registry::names(PlatformKind kind) const {
   return out;
 }
 
-namespace {
-
-const Scheduler& resolve(const Registry& registry, const Platform& platform,
-                         std::string_view algorithm) {
+const Registry::Entry& Registry::resolve(const Platform& platform, std::string_view algorithm,
+                                         const Workload* workload, const char* counter,
+                                         obs::MetricsRegistry* metrics) const {
   const PlatformKind kind = kind_of(platform);
-  const Scheduler* scheduler = registry.find(kind, algorithm);
-  if (scheduler == nullptr) {
+  const Entry* e = entry(kind, algorithm);
+  if (e != nullptr && workload != nullptr) {
+    require_supported(algorithm, e->info.supports, workload->features());
+  }
+  count_dispatch(metrics, counter, algorithm);
+  if (e == nullptr) {
     std::ostringstream os;
     os << "no algorithm '" << algorithm << "' for " << to_string(kind) << " platforms; known:";
-    for (const std::string& name : registry.names(kind)) os << " " << name;
+    for (const std::string& name : names(kind)) os << " " << name;
     throw std::invalid_argument(os.str());
   }
-  return *scheduler;
+  return *e;
 }
-
-}  // namespace
 
 SolveResult Registry::solve(const Platform& platform, std::string_view algorithm,
                             const Workload& workload, const SolveOptions& options) const {
-  // Central capability gate (FunctionScheduler re-checks for direct
-  // Scheduler access; custom schedulers registered by pointer rely on this
-  // one).
-  if (const AlgorithmInfo* entry = info(kind_of(platform), algorithm)) {
-    require_supported(algorithm, entry->supports, workload.features());
-  }
-  count_dispatch(options.metrics, "api.solve.", algorithm);
-  SolveResult result = resolve(*this, platform, algorithm).solve(platform, workload, options);
-  result.workload = workload;
-  return result;
+  const Entry& e = resolve(platform, algorithm, &workload, "api.solve.", options.metrics);
+  require_within_cap(workload, options);
+  if (workload.count() == 0) throw std::invalid_argument("solve: need at least one task");
+  return with_scratch(options, [&](const SolveOptions& scoped) {
+    SolveResult result = run_solve(e.solve, platform, workload, scoped);
+    result.algorithm = e.info.name;
+    result.kind = e.info.kind;
+    result.optimal = e.info.optimal;
+    result.workload = workload;
+    return result;
+  });
 }
 
 SolveResult Registry::solve(const Platform& platform, std::string_view algorithm, std::size_t n,
@@ -503,22 +410,27 @@ SolveResult Registry::solve(const Platform& platform, std::string_view algorithm
 
 DecisionResult Registry::solve_within(const Platform& platform, std::string_view algorithm,
                                       Time deadline, const SolveOptions& options) const {
-  if (options.workload != nullptr) {
-    if (const AlgorithmInfo* entry = info(kind_of(platform), algorithm)) {
-      require_supported(algorithm, entry->supports, options.workload->features());
-    }
-  }
-  count_dispatch(options.metrics, "api.decide.", algorithm);
-  DecisionResult result =
-      resolve(*this, platform, algorithm).solve_within(platform, deadline, options);
-  // The adapter's empty-window early return has no probe to learn its
-  // registry name from.
-  if (result.algorithm.empty()) result.algorithm = algorithm;
-  // The tasks that made the count: canonical prefix of the pool, or the
-  // identical stream's first `tasks`.
-  result.workload = options.workload != nullptr ? options.workload->prefix(result.tasks)
-                                                : Workload::identical(result.tasks);
-  return result;
+  const Workload* pool = options.workload.get();
+  const Entry& e = resolve(platform, algorithm, pool, "api.decide.", options.metrics);
+  return with_scratch(options, [&](const SolveOptions& scoped) {
+    DecisionResult result = e.decide != nullptr
+                                ? e.decide(platform, deadline, scoped)
+                                : invert_makespan(e.solve, platform, deadline, scoped);
+    strip_unless_materialized(result.schedule, scoped);
+    result.algorithm = e.info.name;
+    result.kind = e.info.kind;
+    result.deadline = deadline;
+    // A count that reached the cap short of a finite pool's end may be
+    // truncated, and a truncated count proves nothing.
+    const bool truncated = result.tasks >= decision_cap(scoped) &&
+                           (pool == nullptr || result.tasks < pool->count());
+    result.optimal = e.info.optimal && !truncated;
+    // The tasks that made the count: canonical prefix of the pool, or the
+    // identical stream's first `tasks`.
+    result.workload =
+        pool != nullptr ? pool->prefix(result.tasks) : Workload::identical(result.tasks);
+    return result;
+  });
 }
 
 std::size_t Registry::max_tasks(const Platform& platform, std::string_view algorithm,
@@ -530,18 +442,18 @@ std::size_t Registry::max_tasks(const Platform& platform, std::string_view algor
 
 // ---------------------------------------------------------------------------
 // Built-in algorithms
+//
+// Each entry only solves: the gate above checks its inputs and stamps its
+// name, kind, workload and `optimal` flag.
 
 namespace {
 
-SolveResult make_result(const char* algorithm, PlatformKind kind, std::size_t tasks,
-                        Time makespan, Time lower_bound, bool optimal, AnySchedule schedule) {
+SolveResult make_result(std::size_t tasks, Time makespan, Time lower_bound,
+                        AnySchedule schedule) {
   SolveResult result;
-  result.algorithm = algorithm;
-  result.kind = kind;
   result.tasks = tasks;
   result.makespan = makespan;
   result.lower_bound = lower_bound;
-  result.optimal = optimal;
   result.schedule = std::move(schedule);
   return result;
 }
@@ -550,18 +462,12 @@ SolveResult make_result(const char* algorithm, PlatformKind kind, std::size_t ta
 // call — argument evaluation order is unspecified, so `schedule.makespan()`
 // must not race the `std::move(schedule)` argument.  Task `i` of the
 // schedule is task `i` of `w`; the makespan scales its work by its size.
-// A spider's bound fills the scratch's one-port buffer.
+// The bound fills the scratch's one-port buffer.
 template <class Schedule>
-SolveResult shape_result(const char* algorithm, PlatformKind kind, Schedule schedule,
-                         const Workload& w, bool optimal, const SolveOptions& opts) {
-  Time lb = 0;
-  if constexpr (std::is_same_v<Schedule, SpiderSchedule>) {
-    lb = spider_makespan_lower_bound(schedule.spider, w.count(), opts.scratch->bound);
-  } else {
-    lb = chain_makespan_lower_bound(schedule.chain, w.count());
-  }
+SolveResult shape_result(Schedule schedule, const Workload& w, const SolveOptions& opts) {
+  const Time lb = makespan_lower_bound(legs_of(schedule), w.count(), opts.scratch->bound);
   const Time makespan = schedule.makespan(w);
-  return make_result(algorithm, kind, w.count(), makespan, lb, optimal, std::move(schedule));
+  return make_result(w.count(), makespan, lb, std::move(schedule));
 }
 
 /// Runs `fn` on the platform's shape: the chain, the fork's unit-leg spider
@@ -578,16 +484,10 @@ auto on_shape(const Platform& platform, const SolveOptions& opts, Fn&& fn) {
   return fn(std::get<Spider>(platform));
 }
 
-DecisionResult make_decision(const char* algorithm, PlatformKind kind, Time deadline,
-                             std::size_t tasks, Time makespan, bool optimal,
-                             AnySchedule schedule) {
+DecisionResult make_decision(std::size_t tasks, Time makespan, AnySchedule schedule) {
   DecisionResult result;
-  result.algorithm = algorithm;
-  result.kind = kind;
-  result.deadline = deadline;
   result.tasks = tasks;
   result.makespan = makespan;
-  result.optimal = optimal;
   result.schedule = std::move(schedule);
   return result;
 }
@@ -600,39 +500,18 @@ constexpr WorkloadFeatures kReleaseStreaming{/*sizes=*/false, /*release=*/true,
 constexpr WorkloadFeatures kSizesReleaseStreaming{/*sizes=*/true, /*release=*/true,
                                                   /*streaming=*/true};
 
-/// The decision-form task pool, when one was supplied.
-const Workload* pool_of(const SolveOptions& options) { return options.workload.get(); }
-
-/// Effective decision cap: the search cap, clamped to a finite pool.
-std::size_t decision_cap(const SolveOptions& options, const Workload* pool) {
-  const std::size_t cap = std::max<std::size_t>(1, options.cap);
-  return pool != nullptr ? std::min(cap, pool->count()) : cap;
-}
-
-/// A count is provably maximal when the search was not truncated: it ended
-/// strictly inside the cap, or it exhausted a finite pool.
-bool decision_maximal(std::size_t tasks, std::size_t cap, const Workload* pool) {
-  if (pool != nullptr && tasks >= pool->count()) return true;
-  return tasks < cap;
-}
-
 /// Wraps a core decision-form schedule (`schedule_within` family) into a
 /// DecisionResult.  The core schedules stay absolute in `[0, deadline]`, so
 /// `makespan() <= deadline` by construction.  The schedule moves into the
 /// payload only when nonempty, so an empty window yields a payload-free
-/// result and never discards a pooled schedule's warm buffers.  A count
-/// that hit `cap` may be truncated, so it is only reported as provably
-/// maximal when it also exhausted a finite pool.
+/// result and never discards a pooled schedule's warm buffers.
 template <typename Schedule>
-DecisionResult decision_from_schedule(const char* algorithm, PlatformKind kind, Time deadline,
-                                      bool optimal, std::size_t cap, const Workload* pool,
-                                      Schedule& schedule) {
+DecisionResult decision_from_schedule(Schedule& schedule) {
   const std::size_t tasks = schedule.num_tasks();
   const Time makespan = schedule.makespan();
   AnySchedule payload;
   if (tasks > 0) payload = std::move(schedule);
-  return make_decision(algorithm, kind, deadline, tasks, makespan,
-                       optimal && decision_maximal(tasks, cap, pool), std::move(payload));
+  return make_decision(tasks, makespan, std::move(payload));
 }
 
 /// Decision form of the horizon-anchored exact solvers (chain, spider),
@@ -642,32 +521,29 @@ DecisionResult decision_from_schedule(const char* algorithm, PlatformKind kind, 
 /// dates included — the horizon anchor is unchanged).
 template <typename Core, typename Topology, typename CountScratch, typename Scratch,
           typename Schedule>
-DecisionResult horizon_decision(PlatformKind kind, const Topology& topology, Time deadline,
-                                const SolveOptions& opts, CountScratch& count_scratch,
-                                Scratch& scratch, Schedule& pooled) {
-  if (deadline <= 0) return make_decision("optimal", kind, deadline, 0, 0, true, {});
-  const Workload* pool = pool_of(opts);
-  const std::size_t cap = decision_cap(opts, pool);
+DecisionResult horizon_decision(const Topology& topology, Time deadline, const SolveOptions& opts,
+                                CountScratch& count_scratch, Scratch& scratch, Schedule& pooled) {
+  if (deadline <= 0) return {};
+  const Workload* pool = opts.workload.get();
+  const std::size_t cap = decision_cap(opts);
   const Workload stream = Workload::identical(cap);
   const Workload& tasks_from = pool != nullptr ? *pool : stream;
   if (!opts.materialize) {
     const std::size_t tasks =
         Core::count_within(topology, deadline, tasks_from, cap, count_scratch);
-    return make_decision("optimal", kind, deadline, tasks, tasks > 0 ? deadline : 0,
-                         /*optimal=*/decision_maximal(tasks, cap, pool), {});
+    return make_decision(tasks, tasks > 0 ? deadline : 0, {});
   }
   Core::schedule_within_into(topology, deadline, tasks_from, cap, scratch, pooled);
-  return decision_from_schedule("optimal", kind, deadline, /*optimal=*/true, cap, pool, pooled);
+  return decision_from_schedule(pooled);
 }
 
 /// Decision form of the exhaustive oracles: exact count from the monotone
 /// makespan staircase, optionally materialized as the optimal schedule of
 /// that count (its makespan fits the window by definition of the count).
 template <typename Shape>
-DecisionResult brute_force_decision(PlatformKind kind, const Shape& shape, Time deadline,
+DecisionResult brute_force_decision(const Shape& shape, Time deadline,
                                     const SolveOptions& options) {
-  const Workload* pool = pool_of(options);
-  const std::size_t cap = decision_cap(options, pool);
+  const std::size_t cap = decision_cap(options);
   const std::size_t tasks =
       deadline > 0 && cap > 0 ? brute_force_max_tasks(shape, deadline, cap) : 0;
   Time makespan = 0;
@@ -681,8 +557,7 @@ DecisionResult brute_force_decision(PlatformKind kind, const Shape& shape, Time 
       makespan = brute_force_makespan(shape, tasks);
     }
   }
-  return make_decision("brute-force", kind, deadline, tasks, makespan,
-                       /*optimal=*/decision_maximal(tasks, cap, pool), std::move(payload));
+  return make_decision(tasks, makespan, std::move(payload));
 }
 
 /// Registers one streaming entry: `replan` on an exactly-solved kind, or an
@@ -697,8 +572,7 @@ DecisionResult brute_force_decision(PlatformKind kind, const Shape& shape, Time 
 void register_streaming(Registry& r, PlatformKind k, const char* name, const char* summary,
                         WorkloadFeatures supports) {
   r.add({k, name, summary, /*optimal=*/false, /*exponential=*/false, supports},
-        [k, name](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
+        [name](const Platform& p, const Workload& w, const SolveOptions& opts) {
           // The plan lives in the pooled dispatch, as for every tree entry: a
           // tree platform copies into its warm capacity.
           TreeDispatch& pooled = opts.scratch->tree_pool;
@@ -713,15 +587,13 @@ void register_streaming(Registry& r, PlatformKind k, const char* name, const cha
           if (opts.metrics != nullptr) policy->count_work(*opts.metrics);
           pooled.dests.clear();
           for (const sim::SimTask& task : run.tasks) pooled.dests.push_back(task.dest);
-          return make_result(name, k, w.count(), run.makespan, /*lower_bound=*/0,
-                             /*optimal=*/false, std::move(pooled));
-        },
-        nullptr);
+          return make_result(w.count(), run.makespan, /*lower_bound=*/0, std::move(pooled));
+        });
 }
 
 void register_replan(Registry& r, PlatformKind k) {
   register_streaming(r, k, "replan",
-                     "streaming horizon re-planning (exact solver re-run per arrival)",
+                     "horizon re-planning per arrival (exact plan, held or re-solved)",
                      kReleaseStreaming);
 }
 
@@ -736,15 +608,13 @@ template <typename Policy>
 void add_engine_baseline(Registry& r, PlatformKind k, const char* name, const char* summary,
                          Policy policy) {
   r.add({k, name, summary, /*optimal=*/false, /*exponential=*/false, kSizesAndRelease},
-        [k, name, policy](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
+        [policy](const Platform& p, const Workload& w, const SolveOptions& opts) {
           return on_shape(p, opts, [&](const auto& shape) {
             auto& pooled = pool_for(shape, *opts.scratch);
             policy(shape, w, opts.scratch->engine.state, pooled);
-            return shape_result(name, k, std::move(pooled), w, /*optimal=*/false, opts);
+            return shape_result(std::move(pooled), w, opts);
           });
-        },
-        nullptr);
+        });
 }
 
 /// The forward-greedy, round-robin and single-node baselines, registered
@@ -769,16 +639,14 @@ void register_engine_baselines(Registry& r, PlatformKind k) {
 void register_brute_force(Registry& r, PlatformKind k) {
   r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
          /*exponential=*/true, WorkloadFeatures{}},
-        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
+        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           return on_shape(p, opts, [&](const auto& shape) {
-            return shape_result("brute-force", k, brute_force_schedule(shape, w.count()), w,
-                                /*optimal=*/true, opts);
+            return shape_result(brute_force_schedule(shape, w.count()), w, opts);
           });
         },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
+        [](const Platform& p, Time deadline, const SolveOptions& opts) {
           return on_shape(p, opts, [&](const auto& shape) {
-            return brute_force_decision(k, shape, deadline, opts);
+            return brute_force_decision(shape, deadline, opts);
           });
         });
 }
@@ -787,87 +655,71 @@ void register_chain_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kChain;
   r.add({k, "optimal", "backward construction, Theorem 1 (O(n*p))", /*optimal=*/true,
          /*exponential=*/false, kReleaseOnly},
-        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
+        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           const Chain& chain = std::get<Chain>(p);
           // Identical workloads run the classic construction; release dates
           // anchor it at the minimal feasible horizon instead.
           ChainSchedule& pooled = opts.scratch->chain_pool;
           ChainScheduler::schedule_into(chain, w, opts.scratch->chain, pooled);
-          return shape_result("optimal", k, std::move(pooled), w, true, opts);
+          count_work(opts, "core.chain.probes", opts.scratch->chain.probes);
+          return shape_result(std::move(pooled), w, opts);
         },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return horizon_decision<ChainScheduler>(k, std::get<Chain>(p), deadline, opts,
+        [](const Platform& p, Time deadline, const SolveOptions& opts) {
+          return horizon_decision<ChainScheduler>(std::get<Chain>(p), deadline, opts,
                                                   opts.scratch->chain, opts.scratch->chain,
                                                   opts.scratch->chain_pool);
         });
   register_engine_baselines(r, k);
   r.add({k, "periodic", "bandwidth-centric periodic pattern, ASAP prefix", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
-        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
+        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           const Chain& chain = std::get<Chain>(p);
           // The first `n` destinations of the repeated periodic block, ASAP.
           const auto dests = chain_periodic_destinations(chain, w.count());
-          return shape_result("periodic", k, asap_chain_schedule(chain, dests), w, false, opts);
-        },
-        nullptr);
+          return shape_result(asap_chain_schedule(chain, dests), w, opts);
+        });
   register_brute_force(r, k);
   register_replan(r, k);
 }
 
-/// The fork's exact solve, shared by its `optimal` and `greedy` entries:
-/// the paper's §6 ascending-`c` greedy is the spider pipeline's
+/// The fork's exact solve, registered by its `optimal` and `greedy` entries
+/// alike: the paper's §6 ascending-`c` greedy is the spider pipeline's
 /// identical-task selection on unit legs, so both run `ForkScheduler` on
 /// the pooled scratch and differ only in name and `optimal` flag.
-SolveResult fork_solve(const char* algorithm, bool optimal, const Platform& p, const Workload& w,
-                       const SolveOptions& opts) {
-  require_tasks(w);
+SolveResult fork_solve(const Platform& p, const Workload& w, const SolveOptions& opts) {
   const Fork& fork = std::get<Fork>(p);
   SpiderSchedule& pooled = opts.scratch->spider_pool;
   ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
-  count_nodes_built(opts, opts.scratch->fork.solve.count);
-  count_probes(opts, opts.scratch->fork.solve.count);
-  return shape_result(algorithm, PlatformKind::kFork, std::move(pooled), w, optimal, opts);
+  count_work(opts, "core.spider.nodes_built", opts.scratch->fork.solve.count.nodes_built);
+  count_work(opts, "core.spider.probes", opts.scratch->fork.solve.count.probes);
+  return shape_result(std::move(pooled), w, opts);
 }
 
 /// The fork's decision form, shared like `fork_solve`.  Unlike chain/spider,
 /// a fork decision makespan is the completion time of the ASAP starts, not
 /// the horizon, so every decision materializes, even when `materialize` is
-/// off (the wrapper strips the payload back into the pool).
-DecisionResult fork_decision(const char* algorithm, bool optimal, const Platform& p,
-                             Time deadline, const SolveOptions& opts) {
-  const PlatformKind k = PlatformKind::kFork;
-  if (deadline <= 0) return make_decision(algorithm, k, deadline, 0, 0, optimal, {});
-  const Workload* pool = pool_of(opts);
-  const std::size_t cap = decision_cap(opts, pool);
+/// off (the gate strips the payload back into the pool).
+DecisionResult fork_decision(const Platform& p, Time deadline, const SolveOptions& opts) {
+  if (deadline <= 0) return {};
+  const Workload* pool = opts.workload.get();
+  const std::size_t cap = decision_cap(opts);
   const Workload stream = Workload::identical(cap);
   SpiderSchedule& pooled = opts.scratch->spider_pool;
   ForkScheduler::schedule_within_into(std::get<Fork>(p), deadline,
                                       pool != nullptr ? *pool : stream, cap, opts.scratch->fork,
                                       pooled);
-  count_nodes_built(opts, opts.scratch->fork.solve.count);
-  return decision_from_schedule(algorithm, k, deadline, optimal, cap, pool, pooled);
+  count_work(opts, "core.spider.nodes_built", opts.scratch->fork.solve.count.nodes_built);
+  return decision_from_schedule(pooled);
 }
 
 void register_fork_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kFork;
   r.add({k, "optimal", "ascending-c greedy over Fig 6 nodes; positional-release DP",
          /*optimal=*/true, /*exponential=*/false, kReleaseOnly},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          return fork_solve("optimal", /*optimal=*/true, p, w, opts);
-        },
-        [](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return fork_decision("optimal", /*optimal=*/true, p, deadline, opts);
-        });
+        fork_solve, fork_decision);
   r.add({k, "greedy", "the paper's ascending-c greedy (Beaumont et al.)", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          return fork_solve("greedy", /*optimal=*/false, p, w, opts);
-        },
-        [](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return fork_decision("greedy", /*optimal=*/false, p, deadline, opts);
-        });
+        fork_solve, fork_decision);
   register_engine_baselines(r, k);
   register_brute_force(r, k);
   register_replan(r, k);
@@ -877,22 +729,21 @@ void register_spider_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kSpider;
   r.add({k, "optimal", "Fig 7 nodes + ascending-c greedy or release DP, Theorem 3",
          /*optimal=*/true, /*exponential=*/false, kReleaseOnly},
-        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
+        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           const Spider& spider = std::get<Spider>(p);
           SpiderSchedule& pooled = opts.scratch->spider_pool;
           SpiderScheduler::schedule_into(spider, w, opts.scratch->spider, pooled);
-          count_nodes_built(opts, opts.scratch->spider.count);
-          count_probes(opts, opts.scratch->spider.count);
-          return shape_result("optimal", k, std::move(pooled), w, true, opts);
+          count_work(opts, "core.spider.nodes_built", opts.scratch->spider.count.nodes_built);
+          count_work(opts, "core.spider.probes", opts.scratch->spider.count.probes);
+          return shape_result(std::move(pooled), w, opts);
         },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
+        [](const Platform& p, Time deadline, const SolveOptions& opts) {
           SpiderSolveScratch& scratch = opts.scratch->spider;
           scratch.count.nodes_built = 0;  // an empty window solves nothing
           DecisionResult result = horizon_decision<SpiderScheduler>(
-              k, std::get<Spider>(p), deadline, opts, scratch.count, scratch,
+              std::get<Spider>(p), deadline, opts, scratch.count, scratch,
               opts.scratch->spider_pool);
-          count_nodes_built(opts, scratch.count);
+          count_work(opts, "core.spider.nodes_built", scratch.count.nodes_built);
           return result;
         });
   register_engine_baselines(r, k);
@@ -902,28 +753,24 @@ void register_spider_algorithms(Registry& r) {
 
 void register_tree_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kTree;
-  // The three offline heuristics take the full SolveFn form (identical
-  // workloads only, as before) so the SolveScratch pools the dispatch plan
-  // and the pipeline working sets; with warm scratch their per-solve
-  // allocation count is independent of `n`.
+  // The three offline heuristics (identical workloads only) run on the
+  // SolveScratch, which pools the dispatch plan and the pipeline working
+  // sets; with warm scratch their per-solve allocation count is independent
+  // of `n`.
   r.add({k, "spider-cover", "optimal plan on the best-rate spider cover (section 8)",
          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
           const Tree& tree = std::get<Tree>(p);
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
           Time makespan = 0;
           schedule_tree_via_cover_into(tree, n, opts.scratch->tree_cover, pooled.dests, makespan);
           pooled.tree = tree;
-          return make_result("spider-cover", PlatformKind::kTree, n, makespan, /*lower_bound=*/0,
-                             /*optimal=*/false, std::move(pooled));
-        },
-        nullptr);
+          return make_result(n, makespan, /*lower_bound=*/0, std::move(pooled));
+        });
   r.add({k, "forward-greedy", "earliest-completion-time dispatch on the full tree",
          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
           const Tree& tree = std::get<Tree>(p);
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
@@ -931,29 +778,21 @@ void register_tree_algorithms(Registry& r) {
           state.assign(tree);
           const Time makespan = forward_greedy_tree_into(n, state, pooled.dests);
           pooled.tree = tree;
-          return make_result("forward-greedy", PlatformKind::kTree, n, makespan,
-                             /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
-        },
-        nullptr);
+          return make_result(n, makespan, /*lower_bound=*/0, std::move(pooled));
+        });
   r.add({k, "local-search", "greedy start + reassign/swap descent", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
           const Tree& tree = std::get<Tree>(p);
           const std::size_t n = w.count();
           TreeDispatch& pooled = opts.scratch->tree_pool;
           LocalSearchResult improved =
               local_search_tree(tree, n, opts.scratch->engine, std::move(pooled.dests));
-          if (opts.metrics != nullptr) {
-            opts.metrics->counter("heuristics.local_search.commits")
-                .add(static_cast<std::int64_t>(improved.commits));
-          }
+          count_work(opts, "heuristics.local_search.commits", improved.commits);
           pooled.dests = std::move(improved.dests);
           pooled.tree = tree;
-          return make_result("local-search", PlatformKind::kTree, n, improved.makespan,
-                             /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
-        },
-        nullptr);
+          return make_result(n, improved.makespan, /*lower_bound=*/0, std::move(pooled));
+        });
   // The online policies run on the discrete-event simulator, which executes
   // per-task sizes and release dates natively — the arrival-process axis of
   // the scenario engine lands here.  Their one implementation is the
@@ -991,7 +830,7 @@ Registry& Registry::instance() {
 Registry& registry() { return Registry::instance(); }
 
 std::string default_algorithm(PlatformKind kind) {
-  if (registry().find(kind, "optimal") != nullptr) return "optimal";
+  if (registry().info(kind, "optimal") != nullptr) return "optimal";
   const std::vector<std::string> names = registry().names(kind);
   if (names.empty()) {
     throw std::invalid_argument("no algorithms registered for " + to_string(kind) +

@@ -32,10 +32,13 @@
 ///     const api::SolveResult r =
 ///         api::registry().solve(platform, "forward-greedy", n);
 ///
-/// Algorithms are keyed by `(PlatformKind, name)` and enumerable, so a new
-/// algorithm becomes visible to `mstctl --mode=list`, the experiment sweeps
-/// and the registry test through a single `add()` call — no per-consumer
-/// wiring.
+/// The registry is a table of entries `{AlgorithmInfo, SolveFn, DecisionFn}`
+/// keyed by `(PlatformKind, name)` and enumerable, so a new algorithm
+/// becomes visible to `mstctl --mode=list`, the experiment sweeps and the
+/// registry test through a single `add()` call — no per-consumer wiring.
+/// An entry's functions only solve; every rule shared by all entries (kind,
+/// capability, task limit, scratch, payload stripping, result stamping) is
+/// applied once per dispatch by the registry (see `Registry`).
 ///
 /// Both of the paper's equivalent problem statements are exposed:
 ///
@@ -104,7 +107,8 @@ using AnySchedule = std::variant<std::monostate, ChainSchedule, SpiderSchedule, 
 struct SolveScratch;  // solve_scratch.hpp: borrowed cross-solve buffers
 
 /// Per-call knobs, carried by every registry solve.  Defaults reproduce the
-/// historical behaviour, so `solve(platform, n)` call sites never change.
+/// historical behaviour, so `solve(platform, algorithm, n)` call sites never
+/// change.
 struct SolveOptions {
   /// When false, the algorithm may skip building placement vectors and
   /// return a `monostate` schedule — the count/makespan-only fast path for
@@ -115,7 +119,7 @@ struct SolveOptions {
   std::uint64_t seed = 1;
   /// Upper bound on the task count explored by decision-form solves (both
   /// the native counting procedures and the makespan-inversion adapter),
-  /// and the largest task count a built-in makespan solve accepts — larger
+  /// and the largest task count a makespan solve accepts — larger
   /// workloads are rejected with `std::invalid_argument` before any
   /// instance is built.
   std::size_t cap = 1u << 20;
@@ -132,9 +136,9 @@ struct SolveOptions {
   /// is deterministic-class (pure function of the inputs).  The caller owns
   /// the registry and keeps it alive for the call.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional, borrowed cross-solve scratch (`solve_scratch.hpp`).  The
-  /// built-in solvers always run on a scratch — this one when set, else a
-  /// local one the registry builds for the call.  A caller-kept scratch
+  /// Optional, borrowed cross-solve scratch (`solve_scratch.hpp`).  Every
+  /// entry runs on a scratch — this one when set, else a local one the
+  /// registry builds for the call.  A caller-kept scratch
   /// stays warm across solves, which then become allocation-free — recycle
   /// each consumed result back via `SolveScratch::recycle` to close the
   /// loop.  Results are bit-identical with and without scratch.  Not
@@ -143,8 +147,8 @@ struct SolveOptions {
   SolveScratch* scratch = nullptr;
 };
 
-/// Uniform outcome of `Scheduler::solve`: the schedule plus the metrics the
-/// experiment tables need.
+/// Uniform outcome of the makespan form `Registry::solve`: the schedule plus
+/// the metrics the experiment tables need.
 struct SolveResult {
   std::string algorithm;    ///< registry name that produced this
   PlatformKind kind = PlatformKind::kChain;
@@ -199,40 +203,7 @@ FeasibilityReport check_feasibility(const SolveResult& result);
 FeasibilityReport check_feasibility(const DecisionResult& result);
 
 // ---------------------------------------------------------------------------
-// Schedulers and the registry
-
-/// Polymorphic scheduling algorithm: pure function of (platform, workload,
-/// options).
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-
-  /// Makespan form: schedules the whole non-empty workload.  Throws
-  /// `std::invalid_argument` if the platform alternative does not match the
-  /// algorithm's kind or the workload uses features the algorithm cannot
-  /// handle.  Implementations must honor `options.materialize == false` by
-  /// returning a `monostate` schedule.
-  [[nodiscard]] virtual SolveResult solve(const Platform& platform, const Workload& workload,
-                                          const SolveOptions& options) const = 0;
-
-  /// The paper's classic form: `n` identical tasks.  Exactly
-  /// `solve(platform, Workload::identical(n), options)` — one code path, so
-  /// equivalence is structural, not tested-for.
-  [[nodiscard]] SolveResult solve(const Platform& platform, std::size_t n,
-                                  const SolveOptions& options = {}) const {
-    return solve(platform, Workload::identical(n), options);
-  }
-
-  /// Decision form: the maximum number of tasks completable within
-  /// `deadline` — at most `options.cap`, drawn from
-  /// `options.workload` when set (its canonical prefixes) or from the
-  /// unbounded identical stream — with a witness schedule when
-  /// `options.materialize`.  The base implementation inverts the makespan
-  /// form by exponential + binary search (exact for monotone makespans);
-  /// algorithms with a native decision procedure override it.
-  [[nodiscard]] virtual DecisionResult solve_within(const Platform& platform, Time deadline,
-                                                    const SolveOptions& options) const;
-};
+// Entries and the registry
 
 /// Metadata shown by `mstctl --mode=list` and used by sweeps to filter.
 struct AlgorithmInfo {
@@ -249,9 +220,36 @@ struct AlgorithmInfo {
   WorkloadFeatures supports{};
 };
 
+/// An entry's makespan form.  It sees only what the registry's gate let
+/// through: a platform of the entry's kind (take it with `std::get`), a
+/// nonempty workload within `SolveOptions::cap` and the entry's `supports`,
+/// and options whose `scratch` is set.  It returns `tasks`, `makespan`,
+/// `lower_bound` and the schedule; it may return a payload even when
+/// `materialize` is off.
+using SolveFn = std::function<SolveResult(const Platform&, const Workload&, const SolveOptions&)>;
+
+/// An entry's native decision form: the count, completion time and witness
+/// schedule for `deadline`, drawn from `options.workload` when set (within
+/// the entry's `supports`) or from the identical stream, at most
+/// `options.cap` tasks.  Same platform and scratch guarantees as `SolveFn`.
+/// Entries without one answer through the makespan-inversion adapter.
+using DecisionFn = std::function<DecisionResult(const Platform&, Time, const SolveOptions&)>;
+
 /// The algorithm table.  `registry()` returns the process-wide instance with
 /// every built-in scheduler pre-registered; tests may also construct empty
 /// registries of their own.
+///
+/// Dispatch looks the entry up once, by `(kind_of(platform), name)`, so an
+/// entry never sees a platform of another kind, and applies every
+/// per-entry rule in one gate, in this order: the capability gate
+/// (`supports`), the `api.solve.<algo>` / `api.decide.<algo>` counter, the
+/// unknown-name error, then, for the makespan form, `SolveOptions::cap` and
+/// the empty-workload check.  It then provisions a scratch, runs the
+/// entry, strips the payload back into the scratch when `materialize` is
+/// off, and stamps `algorithm`, `kind`, `workload` and `optimal` (and, in
+/// the decision form, `deadline`) from the entry.  A decision's `optimal`
+/// is `info.optimal` unless the search stopped at the cap short of a finite
+/// pool — a truncated count proves nothing.
 class Registry {
  public:
   /// An empty registry (no built-ins).
@@ -260,33 +258,17 @@ class Registry {
   /// The process-wide registry, built-ins registered on first use.
   static Registry& instance();
 
-  /// Makespan-form callable; receives the per-call options (materialize /
-  /// seed) and must honor them.
-  using SolveFn =
-      std::function<SolveResult(const Platform&, const Workload&, const SolveOptions&)>;
-  /// Native decision-form callable.
-  using DecisionFn = std::function<DecisionResult(const Platform&, Time, const SolveOptions&)>;
-
-  /// Registers an algorithm.  Throws `std::invalid_argument` if
-  /// `(info.kind, info.name)` is already taken or the name is empty.
-  void add(AlgorithmInfo info, std::shared_ptr<const Scheduler> scheduler);
-
-  /// One-line registration from a callable — this is the extension point:
-  ///   registry().add(info, [](const Platform& p, std::size_t n) {...});
-  /// Entries registered this way are identical-workload algorithms (the
-  /// callable only sees a count, so `info.supports` is forced to none), get
-  /// the decision form through the makespan-inversion adapter, and
-  /// `materialize == false` by payload stripping.
-  void add(AlgorithmInfo info, std::function<SolveResult(const Platform&, std::size_t)> fn);
-
-  /// Options-aware registration, with an optional native decision form
-  /// (pass `nullptr` to keep the adapter).  Both callable forms only ever
-  /// see a platform of `info.kind`: any other kind is rejected first, in
-  /// both the makespan and the decision form.
-  void add(AlgorithmInfo info, SolveFn solve_fn, DecisionFn within_fn);
+  /// Registers an algorithm — the extension point:
+  ///   registry().add(info, [](const Platform& p, const Workload& w,
+  ///                           const SolveOptions& opts) {...});
+  /// Without `decide`, the decision form inverts the makespan form by
+  /// exponential + binary search (exact for makespans monotone in the task
+  /// count; with a finite pool it probes canonical prefixes).  Throws
+  /// `std::invalid_argument` if `(info.kind, info.name)` is already taken,
+  /// the name is empty or `solve` is null.
+  void add(AlgorithmInfo info, SolveFn solve, DecisionFn decide = nullptr);
 
   /// Lookup; null when absent.
-  [[nodiscard]] const Scheduler* find(PlatformKind kind, std::string_view name) const;
   [[nodiscard]] const AlgorithmInfo* info(PlatformKind kind, std::string_view name) const;
 
   /// All registered algorithms, in registration order.
@@ -303,11 +285,11 @@ class Registry {
   [[nodiscard]] bool supports(PlatformKind kind, std::string_view name,
                               const WorkloadFeatures& features) const;
 
-  /// Dispatch: resolves `(kind_of(platform), algorithm)` and solves the
-  /// workload.  Throws `std::invalid_argument` naming the known algorithms
-  /// when the lookup fails, and a feature-naming message when the workload
-  /// uses features the entry does not declare in `supports` — unsupported
-  /// workloads are rejected up front, never silently mis-scheduled.
+  /// Makespan form: schedules the whole nonempty workload with the entry
+  /// `(kind_of(platform), algorithm)`.  Throws `std::invalid_argument`
+  /// naming the known algorithms when the lookup fails, a feature-naming
+  /// message when the workload uses features the entry does not declare in
+  /// `supports`, and on an empty workload or one above `options.cap`.
   [[nodiscard]] SolveResult solve(const Platform& platform, std::string_view algorithm,
                                   const Workload& workload,
                                   const SolveOptions& options = {}) const;
@@ -317,10 +299,11 @@ class Registry {
   [[nodiscard]] SolveResult solve(const Platform& platform, std::string_view algorithm,
                                   std::size_t n, const SolveOptions& options = {}) const;
 
-  /// Decision-form dispatch: the maximum number of tasks completable within
-  /// `deadline`, with a witness schedule when `options.materialize`.  The
-  /// pool is `options.workload` when set (checked against the entry's
-  /// `supports`), else the unbounded identical stream.
+  /// Decision form: the maximum number of tasks completable within
+  /// `deadline` — at most `options.cap`, drawn from `options.workload` when
+  /// set (its canonical prefixes, checked against the entry's `supports`)
+  /// or from the unbounded identical stream — with a witness schedule when
+  /// `options.materialize`.
   [[nodiscard]] DecisionResult solve_within(const Platform& platform, std::string_view algorithm,
                                             Time deadline, const SolveOptions& options = {}) const;
 
@@ -333,8 +316,16 @@ class Registry {
  private:
   struct Entry {
     AlgorithmInfo info;
-    std::shared_ptr<const Scheduler> scheduler;
+    SolveFn solve;
+    DecisionFn decide;  ///< null: the makespan-inversion adapter
   };
+  [[nodiscard]] const Entry* entry(PlatformKind kind, std::string_view name) const;
+  /// The one lookup of a dispatch and the checks both forms share, in
+  /// order: the capability gate on `workload` (when given), the `counter`
+  /// prefix's per-algorithm counter, and the unknown-name error.
+  [[nodiscard]] const Entry& resolve(const Platform& platform, std::string_view algorithm,
+                                     const Workload* workload, const char* counter,
+                                     obs::MetricsRegistry* metrics) const;
   std::vector<Entry> entries_;
 };
 

@@ -65,9 +65,10 @@ double chain_steady_state_rate(const Chain& chain) {
 
 namespace {
 
-double spider_steady_state_rate(const Spider& spider, OnePortScratch& scratch) {
+/// The master's one-port fill over the legs' chain rates.
+double legs_steady_state_rate(std::span<const Chain> legs, OnePortScratch& scratch) {
   scratch.clear();
-  for (const Chain& leg : spider.legs()) {
+  for (const Chain& leg : legs) {
     scratch.emplace_back(leg.comm(0), chain_steady_state_rate(leg));
   }
   return one_port_fill(scratch);
@@ -78,7 +79,7 @@ double spider_steady_state_rate(const Spider& spider, OnePortScratch& scratch) {
 double spider_steady_state_rate(const Spider& spider) {
   OnePortScratch scratch;
   scratch.reserve(spider.num_legs());
-  return spider_steady_state_rate(spider, scratch);
+  return legs_steady_state_rate(spider.legs(), scratch);
 }
 
 namespace {
@@ -99,35 +100,18 @@ double tree_steady_state_rate(const Tree& tree) {
   return tree_rate_rec(tree, 0);
 }
 
-Time chain_makespan_lower_bound(const Chain& chain, std::size_t n) {
+Time makespan_lower_bound(std::span<const Chain> legs, std::size_t n, OnePortScratch& scratch) {
   MST_REQUIRE(n >= 1, "need at least one task");
   // (a) LP/steady-state busy-time bound.
-  Time lb = rate_bound(n, chain_steady_state_rate(chain));
-  // (b) Every task crosses link 0; after the last emission ends (>= n*c_0)
-  //     the cheapest continuation still costs transit + work.
+  Time lb = rate_bound(n, legs_steady_state_rate(legs, scratch));
+  // (b) Master-port busy time: every task occupies the port for at least
+  //     the cheapest first link; after the last emission the cheapest
+  //     continuation still costs transit + work.
   // (c) Any single task pays its full path plus its work.
-  Time tail = kTimeInfinity;
-  Time single = kTimeInfinity;
-  Time path = 0;  // `chain.path_latency(q)`, accumulated in O(p)
-  for (std::size_t q = 0; q < chain.size(); ++q) {
-    path += chain.comm(q);
-    tail = std::min(tail, path - chain.comm(0) + chain.work(q));
-    single = std::min(single, path + chain.work(q));
-  }
-  lb = std::max(lb, static_cast<Time>(n) * chain.comm(0) + tail);
-  return std::max(lb, single);
-}
-
-Time spider_makespan_lower_bound(const Spider& spider, std::size_t n, OnePortScratch& scratch) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  Time lb = rate_bound(n, spider_steady_state_rate(spider, scratch));
-  // Master-port busy time: every task occupies the port for at least the
-  // cheapest first link; the last-emitted task still needs the cheapest
-  // continuation.
   Time min_c0 = kTimeInfinity;
   Time tail = kTimeInfinity;
   Time single = kTimeInfinity;
-  for (const Chain& leg : spider.legs()) {
+  for (const Chain& leg : legs) {
     min_c0 = std::min(min_c0, leg.comm(0));
     Time path = 0;  // `leg.path_latency(q)`, accumulated in O(leg length)
     for (std::size_t q = 0; q < leg.size(); ++q) {
@@ -140,10 +124,10 @@ Time spider_makespan_lower_bound(const Spider& spider, std::size_t n, OnePortScr
   return std::max(lb, single);
 }
 
-Time spider_makespan_lower_bound(const Spider& spider, std::size_t n) {
+Time makespan_lower_bound(std::span<const Chain> legs, std::size_t n) {
   OnePortScratch scratch;
-  scratch.reserve(spider.num_legs());
-  return spider_makespan_lower_bound(spider, n, scratch);
+  scratch.reserve(legs.size());
+  return makespan_lower_bound(legs, n, scratch);
 }
 
 }  // namespace mst

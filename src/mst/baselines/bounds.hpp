@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,16 +38,18 @@ double spider_steady_state_rate(const Spider& spider);
 /// which forwards but does not compute).
 double tree_steady_state_rate(const Tree& tree);
 
-/// Reusable buffer for the one-port fill of the spider bounds; keep
-/// one per thread and the bound computations below allocate nothing.
+/// Reusable buffer for the one-port fill of the lower bound; keep one per
+/// thread and the bound below allocates nothing once warm.
 using OnePortScratch = std::vector<std::pair<Time, double>>;
 
-/// Makespan lower bounds: `max(path+work floor, ceil(n/rate-ish))` — every
-/// term is a valid bound, the max is reported.
-Time chain_makespan_lower_bound(const Chain& chain, std::size_t n);
-Time spider_makespan_lower_bound(const Spider& spider, std::size_t n);
+/// Makespan lower bound of `n` identical tasks on a chain or spider, given
+/// by its legs (`legs_of`; a chain is the one-leg spider, on which the
+/// master's one-port fill returns the chain's own rate `λ_0` bit for bit,
+/// since `λ_0 <= 1/c_0`): `max(port+tail floor, single-task path, ceil(n /
+/// rate))` — every term is a valid bound, the max is reported.
+Time makespan_lower_bound(std::span<const Chain> legs, std::size_t n, OnePortScratch& scratch);
 
-/// Scratch-reusing twin (identical value; warm scratch ⇒ no allocation).
-Time spider_makespan_lower_bound(const Spider& spider, std::size_t n, OnePortScratch& scratch);
+/// Allocating convenience form of the above.
+Time makespan_lower_bound(std::span<const Chain> legs, std::size_t n);
 
 }  // namespace mst

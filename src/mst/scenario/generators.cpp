@@ -57,7 +57,7 @@ std::vector<std::string> algorithms_for(const SweepSpec& spec, api::PlatformKind
     }
   } else {
     for (const std::string& name : spec.algorithms) {
-      if (registry.find(kind, name) != nullptr) names.push_back(name);
+      if (registry.info(kind, name) != nullptr) names.push_back(name);
     }
   }
   return names;
@@ -207,10 +207,10 @@ std::vector<Cell> expand(const SweepSpec& spec, const api::Registry& registry) {
     for (const std::string& name : spec.algorithms) {
       bool known = false;
       for (api::PlatformKind kind : spec.kinds) {
-        known = known || registry.find(kind, name) != nullptr;
+        known = known || registry.info(kind, name) != nullptr;
       }
       for (const api::Platform& platform : spec.platforms) {
-        known = known || registry.find(api::kind_of(platform), name) != nullptr;
+        known = known || registry.info(api::kind_of(platform), name) != nullptr;
       }
       if (!known) {
         throw std::invalid_argument("spec '" + spec.name + "': algorithm '" + name +

@@ -21,6 +21,14 @@
 
 namespace mst {
 
+/// The legs a schedule runs on: its chain (one leg) or its spider's.
+inline std::span<const Chain> legs_of(const ChainSchedule& schedule) {
+  return legs_of(schedule.chain);
+}
+inline std::span<const Chain> legs_of(const SpiderSchedule& schedule) {
+  return legs_of(schedule.spider);
+}
+
 /// The leg a task runs on: 0 on a chain.
 inline std::size_t leg_of(const ChainTask&) { return 0; }
 inline std::size_t leg_of(const SpiderTask& task) { return task.leg; }

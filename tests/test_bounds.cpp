@@ -77,7 +77,7 @@ TEST(Bounds, LowerBoundsAreSafe) {
     const auto p = static_cast<std::size_t>(rng.uniform(1, 5));
     const auto n = static_cast<std::size_t>(rng.uniform(1, 12));
     const Chain chain = random_chain(inst, p, params);
-    EXPECT_LE(chain_makespan_lower_bound(chain, n), ChainScheduler::makespan(chain, n))
+    EXPECT_LE(makespan_lower_bound(legs_of(chain), n), ChainScheduler::makespan(chain, n))
         << chain.describe() << " n=" << n;
   }
   for (int trial = 0; trial < 15; ++trial) {
@@ -85,7 +85,7 @@ TEST(Bounds, LowerBoundsAreSafe) {
     const auto legs = static_cast<std::size_t>(rng.uniform(1, 4));
     const auto n = static_cast<std::size_t>(rng.uniform(1, 10));
     const Spider spider = random_spider(inst, legs, 3, params);
-    EXPECT_LE(spider_makespan_lower_bound(spider, n), SpiderScheduler::makespan(spider, n))
+    EXPECT_LE(makespan_lower_bound(legs_of(spider), n), SpiderScheduler::makespan(spider, n))
         << spider.describe() << " n=" << n;
   }
 }
@@ -113,13 +113,13 @@ TEST(Bounds, OptimalThroughputApproachesSteadyStateRate) {
 TEST(Bounds, LowerBoundSingleTaskIsPathPlusWork) {
   const Chain chain = Chain::from_vectors({3, 1, 1}, {10, 6, 2});
   // Best single task: q2 -> 5 + 2 = 7.
-  EXPECT_EQ(chain_makespan_lower_bound(chain, 1), 7);
+  EXPECT_EQ(makespan_lower_bound(legs_of(chain), 1), 7);
   EXPECT_EQ(ChainScheduler::makespan(chain, 1), 7);  // tight here
 }
 
 TEST(Bounds, RejectsZeroTasks) {
-  EXPECT_THROW(chain_makespan_lower_bound(Chain::from_vectors({1}, {1}), 0),
-               std::invalid_argument);
+  const Chain chain = Chain::from_vectors({1}, {1});
+  EXPECT_THROW(makespan_lower_bound(legs_of(chain), 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -202,7 +202,7 @@ TEST(DecisionForm, OnlineRandomIsSeededAndReproducible) {
   tree.add_node(0, {3, 2});
   tree.add_node(0, {1, 5});
 
-  ASSERT_NE(api::registry().find(api::PlatformKind::kTree, "online-random"), nullptr);
+  ASSERT_NE(api::registry().info(api::PlatformKind::kTree, "online-random"), nullptr);
   api::SolveOptions options;
   options.seed = 5;
   const api::SolveResult a = api::registry().solve(tree, "online-random", 12, options);

@@ -57,7 +57,7 @@ TEST(Integration, EveryComponentAgreesOnTheOptimum) {
   const std::size_t n = 6;
   const Time alg = ChainScheduler::makespan(chain, n);
   EXPECT_EQ(alg, brute_force_makespan(chain, n));
-  EXPECT_GE(alg, chain_makespan_lower_bound(chain, n));
+  EXPECT_GE(alg, makespan_lower_bound(legs_of(chain), n));
   const Workload w = Workload::identical(n);
   EXPECT_LE(alg, single_node(chain, w).makespan());
   EXPECT_LE(alg, forward_greedy(chain, w).makespan());

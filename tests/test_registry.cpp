@@ -1,5 +1,5 @@
 // Tests of the algorithm registry (mst/api/registry.hpp): enumeration,
-// lookup, dispatch, custom registration, and — the load-bearing one —
+// lookup, the dispatch gate, custom registration, and — the load-bearing one —
 // that every registered (platform kind, algorithm) pair produces a
 // feasible schedule of the requested size on a small instance.
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mst/api/registry.hpp"
+#include "mst/api/solve_scratch.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/fork_scheduler.hpp"
@@ -73,7 +74,7 @@ TEST(Registry, EveryKindHasAlgorithms) {
   // "optimal" exists for every exactly-solved family.
   for (api::PlatformKind kind : {api::PlatformKind::kChain, api::PlatformKind::kFork,
                                  api::PlatformKind::kSpider}) {
-    EXPECT_NE(api::registry().find(kind, "optimal"), nullptr);
+    EXPECT_NE(api::registry().info(kind, "optimal"), nullptr);
   }
 }
 
@@ -194,87 +195,73 @@ TEST(Registry, UnknownAlgorithmThrowsWithKnownNames) {
   }
 }
 
-TEST(Registry, WrongPlatformAlternativeThrows) {
-  // A chain algorithm invoked with a spider platform must refuse, not crash.
-  const api::Scheduler* scheduler =
-      api::registry().find(api::PlatformKind::kChain, "optimal");
-  ASSERT_NE(scheduler, nullptr);
-  EXPECT_THROW((void)scheduler->solve(api::Platform(small_spider()), 4),
-               std::invalid_argument);
-  EXPECT_THROW((void)api::registry().solve(fig2_chain(), "optimal", 0),
-               std::invalid_argument);
-}
-
-/// Runs `call`, which must throw `std::invalid_argument` with `message`.
-template <typename Call>
-void expect_rejected(const Call& call, const std::string& message) {
-  try {
-    call();
-    ADD_FAILURE() << "accepted; expected \"" << message << "\"";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(std::string(e.what()), message);
-  }
-}
-
-TEST(Registry, EveryEntryRejectsPlatformsOfAnotherKind) {
-  // Every built-in refuses a platform of any other kind with one message,
-  // in the makespan form and in the decision form — an empty window
-  // included, which the makespan-inversion adapter answers without a probe
-  // solve — and never solves it as its substrate.
+// The gate refuses an empty workload before any entry runs, with one
+// message for every entry.
+TEST(Registry, EveryEntryRejectsAnEmptyWorkload) {
   for (const api::AlgorithmInfo& info : api::registry().list()) {
     SCOPED_TRACE(api::to_string(info.kind) + "/" + info.name);
-    const api::Scheduler* scheduler = api::registry().find(info.kind, info.name);
-    ASSERT_NE(scheduler, nullptr);
-    const api::SolveResult own = scheduler->solve(platform_of(info.kind), 4);
-    EXPECT_EQ(own.kind, info.kind);
-    EXPECT_EQ(own.tasks, 4u);
-    for (const api::PlatformKind other : api::all_platform_kinds()) {
-      if (other == info.kind) continue;
-      const api::Platform platform = platform_of(other);
-      const std::string message = info.name + ": expected a " + api::to_string(info.kind) +
-                                  " platform, got " + api::to_string(other);
-      expect_rejected([&] { (void)scheduler->solve(platform, 4); }, message);
-      for (const Time deadline : {Time{0}, Time{50}}) {
-        expect_rejected([&] { (void)scheduler->solve_within(platform, deadline, {}); }, message);
-      }
+    try {
+      (void)api::registry().solve(platform_of(info.kind), info.name, 0);
+      ADD_FAILURE() << "an empty workload was solved";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "solve: need at least one task");
     }
   }
 }
 
+/// One task per time unit on processor 0 of a chain, placed by the core
+/// construction on that one-processor chain.  Sets only what an entry
+/// returns: the registry stamps the rest.
+api::SolveResult always_first(const api::Platform& platform, const Workload& workload,
+                              const api::SolveOptions& /*options*/) {
+  const Chain first{std::get<Chain>(platform).proc(0)};
+  ChainSchedule schedule = ChainScheduler::schedule(first, workload.count());
+  api::SolveResult result;
+  result.tasks = workload.count();
+  result.makespan = schedule.makespan();
+  result.schedule = std::move(schedule);
+  return result;
+}
+
 // Extending the library is one `add()` call: the new entry is enumerable
-// and dispatchable exactly like the built-ins.
+// and dispatchable exactly like the built-ins, in both forms.
 TEST(Registry, CustomRegistrationIsOneLine) {
   api::Registry local;
   local.add({api::PlatformKind::kChain, "always-first",
              "send everything to processor 0 (test stub)", /*optimal=*/false,
              /*exponential=*/false, WorkloadFeatures{}},
-            [](const api::Platform& platform, std::size_t n) {
-              const Chain& chain = std::get<Chain>(platform);
-              api::SolveResult result;
-              result.algorithm = "always-first";
-              result.kind = api::PlatformKind::kChain;
-              result.tasks = n;
-              ChainSchedule schedule =
-                  ChainScheduler::schedule(Chain{chain.proc(0)}, n);
-              result.makespan = schedule.makespan();
-              result.schedule = std::move(schedule);
-              return result;
-            });
+            always_first);
   ASSERT_EQ(local.size(), 1u);
   EXPECT_EQ(local.list(api::PlatformKind::kChain).front().name, "always-first");
 
   const api::SolveResult result = local.solve(Chain{{2, 5}}, "always-first", 4);
   EXPECT_EQ(result.tasks, 4u);
+  EXPECT_EQ(result.algorithm, "always-first");
+  EXPECT_EQ(result.kind, api::PlatformKind::kChain);
+  EXPECT_EQ(result.workload, Workload::identical(4));
   EXPECT_TRUE(api::check_feasibility(result).ok());
+  // No decision form registered: the makespan form is inverted, and the
+  // result is stamped like a native one.  One processor with (c, w) =
+  // (2, 5) completes task k at 2 + 5k, so 4 tasks fit in 22.
+  const api::DecisionResult decided = local.solve_within(Chain{{2, 5}}, "always-first", 22);
+  EXPECT_EQ(decided.tasks, 4u);
+  EXPECT_EQ(decided.algorithm, "always-first");
+  EXPECT_EQ(decided.deadline, 22);
+  EXPECT_FALSE(decided.optimal);
+  EXPECT_TRUE(api::check_feasibility(decided).ok());
 
-  // Duplicate (kind, name) pairs and empty names are rejected.
+  // Duplicate (kind, name) pairs, empty names and null solvers are rejected.
   EXPECT_THROW(local.add({api::PlatformKind::kChain, "always-first", "dup",
                           /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
-                         [](const api::Platform&, std::size_t) { return api::SolveResult{}; }),
+                         always_first),
                std::invalid_argument);
   EXPECT_THROW(local.add({api::PlatformKind::kChain, "", "anonymous",
                           /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
-                         [](const api::Platform&, std::size_t) { return api::SolveResult{}; }),
+                         always_first),
+               std::invalid_argument);
+  EXPECT_THROW(local.add({api::PlatformKind::kChain, "null", "no solver",
+                          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
+                         nullptr),
                std::invalid_argument);
 }
 
@@ -286,27 +273,22 @@ TEST(Registry, UncheckedResultsAreFlagged) {
   EXPECT_FALSE(api::check_feasibility(bare).ok());
 }
 
-/// A scheduler registered by pointer: it checks no workload features
-/// itself, so only the registry's capability gate stands between it and a
-/// pool it cannot handle.  One task per time unit, whatever the platform.
-class UncheckedScheduler final : public api::Scheduler {
- public:
-  [[nodiscard]] api::SolveResult solve(const api::Platform& platform, const Workload& workload,
-                                       const api::SolveOptions& /*options*/) const override {
-    api::SolveResult result;
-    result.algorithm = "unchecked";
-    result.kind = api::kind_of(platform);
-    result.tasks = workload.count();
-    result.makespan = static_cast<Time>(workload.count());
-    return result;
-  }
-};
+/// An entry that checks no workload features itself, so only the
+/// registry's capability gate stands between it and a pool it cannot
+/// handle.  One task per time unit, whatever the platform.
+api::SolveResult unchecked_solve(const api::Platform& /*platform*/, const Workload& workload,
+                                 const api::SolveOptions& /*options*/) {
+  api::SolveResult result;
+  result.tasks = workload.count();
+  result.makespan = static_cast<Time>(workload.count());
+  return result;
+}
 
 api::Registry identical_only_registry() {
   api::Registry local;
-  local.add({api::PlatformKind::kChain, "unchecked", "identical-only pointer entry (test stub)",
+  local.add({api::PlatformKind::kChain, "unchecked", "identical-only entry (test stub)",
              /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
-            std::make_shared<const UncheckedScheduler>());
+            unchecked_solve);
   return local;
 }
 
@@ -320,17 +302,63 @@ TEST(Registry, MaxTasksAppliesTheCapabilityGate) {
   EXPECT_EQ(local.max_tasks(fig2_chain(), "unchecked", 10, options), 3u);
 }
 
+/// The value of counter `name` in `metrics`; 0 when it was never made.
+std::int64_t counter_value(const obs::MetricsRegistry& metrics, const std::string& name) {
+  for (const obs::MetricSample& sample : metrics.snapshot()) {
+    if (sample.name == name) return sample.value;
+  }
+  return 0;
+}
+
 TEST(Registry, MaxTasksCountsADecideDispatch) {
   const api::Registry local = identical_only_registry();
   obs::MetricsRegistry metrics;
   api::SolveOptions options;
   options.metrics = &metrics;
   EXPECT_EQ(local.max_tasks(fig2_chain(), "unchecked", 4, options), 4u);
-  std::int64_t decides = 0;
-  for (const obs::MetricSample& sample : metrics.snapshot()) {
-    if (sample.name == "api.decide.unchecked") decides = sample.value;
-  }
-  EXPECT_EQ(decides, 1);
+  EXPECT_EQ(counter_value(metrics, "api.decide.unchecked"), 1);
+}
+
+// The gate's order: the capability check throws before the dispatch is
+// counted; an unknown name, the cap and an empty workload throw after.
+TEST(Registry, GateCountsADispatchPastTheCapabilityCheck) {
+  obs::MetricsRegistry metrics;
+  api::SolveOptions options;
+  options.metrics = &metrics;
+  options.cap = 4;
+  const Workload sized = Workload::of_sizes({2, 3});
+  EXPECT_THROW((void)api::registry().solve(fig2_chain(), "optimal", sized, options),
+               std::invalid_argument);
+  EXPECT_EQ(counter_value(metrics, "api.solve.optimal"), 0);
+  EXPECT_THROW((void)api::registry().solve(fig2_chain(), "optimal", 0, options),
+               std::invalid_argument);
+  EXPECT_THROW((void)api::registry().solve(fig2_chain(), "optimal", 5, options),
+               std::invalid_argument);
+  EXPECT_EQ(counter_value(metrics, "api.solve.optimal"), 2);
+  EXPECT_THROW((void)api::registry().solve(fig2_chain(), "no-such-entry", 4, options),
+               std::invalid_argument);
+  EXPECT_EQ(counter_value(metrics, "api.solve.no-such-entry"), 1);
+  options.workload = std::make_shared<const Workload>(sized);
+  EXPECT_THROW((void)api::registry().solve_within(fig2_chain(), "optimal", 20, options),
+               std::invalid_argument);
+  EXPECT_EQ(counter_value(metrics, "api.decide.optimal"), 0);
+}
+
+// `core.chain.probes` folds the bisection probes of the release-dated chain
+// makespan search; an identical workload runs no search and adds 0.
+TEST(Registry, ChainOptimalSolvesCountTheirSearchProbes) {
+  obs::MetricsRegistry metrics;
+  api::SolveScratch scratch;
+  api::SolveOptions options;
+  options.metrics = &metrics;
+  options.scratch = &scratch;
+  (void)api::registry().solve(fig2_chain(), "optimal", 8, options);
+  EXPECT_EQ(counter_value(metrics, "core.chain.probes"), 0);
+  (void)api::registry().solve(fig2_chain(), "optimal", Workload::released({0, 0, 4, 9, 9, 20}),
+                              options);
+  EXPECT_GT(scratch.chain.probes, 0u);
+  EXPECT_EQ(counter_value(metrics, "core.chain.probes"),
+            static_cast<std::int64_t>(scratch.chain.probes));
 }
 
 // Makespan solves size their instances by the task count, so a count above

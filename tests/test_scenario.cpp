@@ -254,7 +254,8 @@ TEST(Runner, ErrorsAreReportedPerCell) {
   // quote/escape it.
   api::Registry registry;
   registry.add({api::PlatformKind::kChain, "boom", "always throws"},
-               [](const api::Platform&, std::size_t) -> api::SolveResult {
+               [](const api::Platform&, const Workload&,
+                  const api::SolveOptions&) -> api::SolveResult {
                  throw std::runtime_error("kaboom, \"quoted\" failure");
                });
   SweepSpec spec;
