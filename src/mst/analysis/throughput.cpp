@@ -5,7 +5,6 @@
 #include "mst/baselines/bounds.hpp"
 #include "mst/common/assert.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/spider_scheduler.hpp"
 
 namespace mst {
 
@@ -40,14 +39,7 @@ void finish(ThroughputCurve& curve) {
   }
 }
 
-}  // namespace
-
-double ThroughputCurve::efficiency_at_tail() const {
-  if (n.empty() || makespan.back() <= 0 || steady_rate <= 0.0) return 0.0;
-  const double tp = static_cast<double>(n.back()) / static_cast<double>(makespan.back());
-  return tp / steady_rate;
-}
-
+/// The LP steady-state rate of any platform.
 double steady_state_rate(const Platform& platform) {
   if (const auto* chain = std::get_if<Chain>(&platform)) {
     return chain_steady_state_rate(*chain);
@@ -61,6 +53,14 @@ double steady_state_rate(const Platform& platform) {
   return tree_steady_state_rate(std::get<Tree>(platform));
 }
 
+}  // namespace
+
+double ThroughputCurve::efficiency_at_tail() const {
+  if (n.empty() || makespan.back() <= 0 || steady_rate <= 0.0) return 0.0;
+  const double tp = static_cast<double>(n.back()) / static_cast<double>(makespan.back());
+  return tp / steady_rate;
+}
+
 ThroughputCurve throughput_curve(const Platform& platform,
                                  const std::vector<std::size_t>& ns,
                                  const std::function<Time(std::size_t)>& makespan_of) {
@@ -72,19 +72,6 @@ ThroughputCurve throughput_curve(const Platform& platform,
   curve.steady_rate = steady_state_rate(platform);
   finish(curve);
   return curve;
-}
-
-ThroughputCurve chain_throughput_curve(const Chain& chain,
-                                       const std::vector<std::size_t>& ns) {
-  validate_counts(ns);
-  const std::vector<Time> makespans = ChainScheduler::makespans(chain, ns.back());
-  return throughput_curve(chain, ns, [&](std::size_t n) { return makespans[n - 1]; });
-}
-
-ThroughputCurve spider_throughput_curve(const Spider& spider,
-                                        const std::vector<std::size_t>& ns) {
-  return throughput_curve(
-      spider, ns, [&](std::size_t n) { return SpiderScheduler::makespan(spider, n); });
 }
 
 std::size_t tasks_to_reach_rate_fraction(const Chain& chain, double fraction,

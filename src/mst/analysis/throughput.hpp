@@ -7,7 +7,6 @@
 #include "mst/common/time.hpp"
 #include "mst/platform/any.hpp"
 #include "mst/platform/chain.hpp"
-#include "mst/platform/spider.hpp"
 
 /// \file throughput.hpp
 /// Makespan-curve analysis: how the optimal makespan grows with the task
@@ -41,24 +40,15 @@ struct ThroughputCurve {
   [[nodiscard]] double efficiency_at_tail() const;
 };
 
-/// The LP steady-state rate of any platform (bounds.hpp, per kind; forks
-/// embed as single-processor-leg spiders, trees use the bandwidth-centric
-/// tree rate).
-double steady_state_rate(const Platform& platform);
-
 /// Samples `M(n)` at the given counts (must be increasing, >= 1), calling
 /// `makespan_of(n)` once per count, and fits the affine tail.  The steady
-/// rate comes from the matching LP bound for `platform`.
+/// rate comes from the matching LP bound for `platform` (bounds.hpp, per
+/// kind; forks embed as single-processor-leg spiders, trees use the
+/// bandwidth-centric tree rate).  `ChainScheduler::makespans` gives every
+/// optimal chain sample from one construction.
 ThroughputCurve throughput_curve(const Platform& platform,
                                  const std::vector<std::size_t>& ns,
                                  const std::function<Time(std::size_t)>& makespan_of);
-
-/// Samples the *optimal* `M(n)` at the given counts (must be increasing,
-/// >= 1) directly on the exact core schedulers.  The chain form reads every
-/// sample from one backward construction at `T∞` of the largest count.
-ThroughputCurve chain_throughput_curve(const Chain& chain, const std::vector<std::size_t>& ns);
-ThroughputCurve spider_throughput_curve(const Spider& spider,
-                                        const std::vector<std::size_t>& ns);
 
 /// Smallest n at which the optimal schedule achieves `fraction` of the
 /// steady-state rate (linear scan with doubling; `fraction` in (0,1)).

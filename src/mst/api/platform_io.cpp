@@ -1,7 +1,6 @@
 #include "mst/api/platform_io.hpp"
 
 #include <stdexcept>
-#include <variant>
 
 #include "mst/platform/io.hpp"
 
@@ -15,13 +14,6 @@ Platform parse_any_platform(const std::string& text) {
   if (kind == "tree") return parse_tree(text);
   throw std::invalid_argument("unknown platform kind '" + kind +
                               "' (expected chain|fork|spider|tree)");
-}
-
-std::string write_platform(const Platform& platform) {
-  if (const auto* chain = std::get_if<Chain>(&platform)) return write_chain(*chain);
-  if (const auto* fork = std::get_if<Fork>(&platform)) return write_fork(*fork);
-  if (const auto* spider = std::get_if<Spider>(&platform)) return write_spider(*spider);
-  return write_tree(std::get<Tree>(platform));
 }
 
 }  // namespace mst::api

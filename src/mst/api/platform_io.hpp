@@ -20,8 +20,4 @@ namespace mst::api {
 /// `std::invalid_argument` on malformed input or unknown keywords.
 Platform parse_any_platform(const std::string& text);
 
-/// Serializes the variant back to text; `parse_any_platform` round-trips it
-/// exactly, preserving the kind.
-std::string write_platform(const Platform& platform);
-
 }  // namespace mst::api

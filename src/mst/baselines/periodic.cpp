@@ -2,11 +2,19 @@
 
 #include <algorithm>
 
-#include "mst/baselines/asap.hpp"
 #include "mst/common/assert.hpp"
 
 namespace mst {
 
+double PeriodicPattern::rate() const {
+  double total = 0.0;
+  for (const Rational& r : rates) total += r.to_double();
+  return total;
+}
+
+namespace {
+
+/// Exact per-processor LP rates, by the forward greedy.
 std::vector<Rational> chain_lp_rates(const Chain& chain) {
   const std::size_t p = chain.size();
   // residual[k]: remaining capacity of link k (1/c_k minus allocations);
@@ -36,14 +44,6 @@ std::vector<Rational> chain_lp_rates(const Chain& chain) {
   }
   return rates;
 }
-
-double PeriodicPattern::rate() const {
-  double total = 0.0;
-  for (const Rational& r : rates) total += r.to_double();
-  return total;
-}
-
-namespace {
 
 /// Rates, hyperperiod and per-period counts of the pattern — everything but
 /// the block.  Returns the block length (total tasks per period).
@@ -124,17 +124,6 @@ std::vector<std::size_t> chain_periodic_destinations(const Chain& chain, std::si
   std::vector<std::size_t> dests(n);
   for (std::size_t i = 0; i < n; ++i) dests[i] = block[i % block.size()];
   return dests;
-}
-
-ChainSchedule periodic_chain_schedule(const Chain& chain, const PeriodicPattern& pattern,
-                                      std::size_t repetitions) {
-  MST_REQUIRE(repetitions >= 1, "need at least one period");
-  std::vector<std::size_t> dests;
-  dests.reserve(pattern.block.size() * repetitions);
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    dests.insert(dests.end(), pattern.block.begin(), pattern.block.end());
-  }
-  return asap_chain_schedule(chain, dests);
 }
 
 }  // namespace mst

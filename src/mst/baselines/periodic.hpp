@@ -5,7 +5,6 @@
 
 #include "mst/common/rational.hpp"
 #include "mst/platform/chain.hpp"
-#include "mst/schedule/chain_schedule.hpp"
 
 /// \file periodic.hpp
 /// Exact steady-state rates and periodic schedule construction for chains —
@@ -30,13 +29,10 @@
 
 namespace mst {
 
-/// Exact per-processor LP rates; their sum equals `chain_steady_state_rate`
-/// up to floating-point rounding (asserted in tests).
-std::vector<Rational> chain_lp_rates(const Chain& chain);
-
 /// One period of the bandwidth-centric schedule.
 struct PeriodicPattern {
-  std::vector<Rational> rates;      ///< exact per-processor rates
+  std::vector<Rational> rates;      ///< exact per-processor LP rates; their sum
+                                    ///< is `chain_steady_state_rate` up to rounding
   Time hyperperiod = 0;             ///< H: lcm of rate denominators
   std::vector<std::size_t> counts;  ///< tasks per processor per period (x_q·H)
   std::vector<std::size_t> block;   ///< destination sequence of one period,
@@ -56,10 +52,5 @@ PeriodicPattern chain_periodic_pattern(const Chain& chain);
 /// first `min(n, block length)` block positions — the block of a chain with
 /// nearly coprime times can hold trillions of entries.
 std::vector<std::size_t> chain_periodic_destinations(const Chain& chain, std::size_t n);
-
-/// Materializes `repetitions` periods as an ASAP schedule (feasible by
-/// construction; used to measure convergence to the LP rate).
-ChainSchedule periodic_chain_schedule(const Chain& chain, const PeriodicPattern& pattern,
-                                      std::size_t repetitions);
 
 }  // namespace mst

@@ -125,13 +125,6 @@ NodeId TreeAsapState::earliest_completion(Time size, Time release) const {
   return best;
 }
 
-Time asap_tree_makespan(const std::vector<NodeId>& dests, TreeAsapState& state) {
-  state.reset();
-  Time makespan = 0;
-  for (NodeId dest : dests) makespan = std::max(makespan, state.commit(dest));
-  return makespan;
-}
-
 Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests) {
   MST_REQUIRE(state.size() >= 2, "tree has no slaves");
   state.reset();
@@ -145,22 +138,6 @@ Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<N
   return makespan;
 }
 // mstlint: zero-alloc-end
-
-Time asap_tree_makespan(const Tree& tree, const std::vector<NodeId>& dests) {
-  TreeAsapState state(tree);
-  return asap_tree_makespan(dests, state);
-}
-
-std::vector<NodeId> forward_greedy_tree(const Tree& tree, std::size_t n) {
-  TreeAsapState state(tree);
-  std::vector<NodeId> dests;
-  forward_greedy_tree_into(n, state, dests);
-  return dests;
-}
-
-Time forward_greedy_tree_makespan(const Tree& tree, std::size_t n) {
-  return asap_tree_makespan(tree, forward_greedy_tree(tree, n));
-}
 
 /// Branch-and-bound DFS over destination sequences: at each depth the
 /// state is saved once and restored before each branch.  A branch is pruned

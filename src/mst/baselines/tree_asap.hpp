@@ -79,6 +79,7 @@ class TreeAsapState {
   /// without committing.  `size` scales every hop and the execution; the
   /// master emission starts no earlier than `release` (defaults reproduce
   /// the identical-task arithmetic exactly, matching the simulator).
+  // mstlint: allow-next-line(tests-only-api) -- ROADMAP item 21's reference for a one-pass ECT
   [[nodiscard]] Time peek_completion(NodeId dest, Time size = 1, Time release = 0) const;
 
   /// Appends a task to `dest`; returns its completion time.  When
@@ -134,21 +135,9 @@ class TreeAsapState {
   std::vector<Time> times_;
 };
 
-/// Makespan of dispatching the given destination sequence ASAP.
-Time asap_tree_makespan(const Tree& tree, const std::vector<NodeId>& dests);
-
-/// Scratch-reusing variant: resets `state` and replays `dests` through it.
-/// Identical result; zero allocations on a constructed state.
-Time asap_tree_makespan(const std::vector<NodeId>& dests, TreeAsapState& state);
-
-/// Earliest-completion-time forward greedy on a tree; returns the chosen
-/// destination sequence (ties toward the smaller node id).
-std::vector<NodeId> forward_greedy_tree(const Tree& tree, std::size_t n);
-Time forward_greedy_tree_makespan(const Tree& tree, std::size_t n);
-
-/// Scratch-reusing greedy: resets `state`, rebuilds the sequence into
-/// `dests` (capacity reused) and returns the makespan alongside.  The
-/// chosen sequence is identical to `forward_greedy_tree`.
+/// Earliest-completion-time forward greedy from `state`'s platform: resets
+/// `state`, rebuilds the chosen destination sequence into `dests` (ties
+/// toward the smaller node id, capacity reused) and returns its makespan.
 Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests);
 
 /// Exhaustive exact optimum of `n` identical tasks from `state`'s platform
@@ -160,6 +149,7 @@ Time brute_force_makespan(TreeAsapState& state, std::size_t n,
 
 /// The same on a tree.  This is the ground truth the §8 covering
 /// heuristics are measured against.
+// mstlint: allow-next-line(tests-only-api) -- ROADMAP item 20's tree bound and brute-force entry
 Time brute_force_tree_makespan(const Tree& tree, std::size_t n);
 
 }  // namespace mst

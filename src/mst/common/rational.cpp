@@ -24,8 +24,6 @@ std::int64_t checked_add(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
-std::int64_t gcd64(std::int64_t a, std::int64_t b) { return std::gcd(a, b); }
-
 std::int64_t lcm64(std::int64_t a, std::int64_t b) {
   MST_REQUIRE(a != 0 && b != 0, "lcm of zero");
   const std::int64_t g = std::gcd(a, b);
@@ -52,11 +50,6 @@ std::string Rational::to_string() const {
   return os.str();
 }
 
-Rational Rational::reciprocal() const {
-  MST_REQUIRE(num_ != 0, "reciprocal of zero");
-  return Rational(den_, num_);
-}
-
 Rational operator+(const Rational& a, const Rational& b) {
   // Cross-reduce before multiplying to keep intermediates small.
   const std::int64_t g = std::gcd(a.den_, b.den_);
@@ -75,7 +68,10 @@ Rational operator*(const Rational& a, const Rational& b) {
                   checked_mul(a.den_ / g2, b.den_ / g1));
 }
 
-Rational operator/(const Rational& a, const Rational& b) { return a * b.reciprocal(); }
+Rational operator/(const Rational& a, const Rational& b) {
+  MST_REQUIRE(b.num_ != 0, "division by zero");
+  return a * Rational(b.den_, b.num_);
+}
 
 bool operator<(const Rational& a, const Rational& b) {
   // Compare via cross multiplication with overflow-checked products.

@@ -31,9 +31,6 @@ class Rational {
   }
   [[nodiscard]] std::string to_string() const;
 
-  /// 1/x; throws for zero.
-  [[nodiscard]] Rational reciprocal() const;
-
   Rational operator-() const { return Rational(-num_, den_); }
   friend Rational operator+(const Rational& a, const Rational& b);
   friend Rational operator-(const Rational& a, const Rational& b);
@@ -56,8 +53,7 @@ class Rational {
   std::int64_t den_ = 1;
 };
 
-/// gcd/lcm on int64 with the usual conventions (gcd(0,x) = |x|).
-std::int64_t gcd64(std::int64_t a, std::int64_t b);
-std::int64_t lcm64(std::int64_t a, std::int64_t b);  ///< throws on overflow
+/// lcm on int64; throws on a zero argument or on overflow.
+std::int64_t lcm64(std::int64_t a, std::int64_t b);
 
 }  // namespace mst

@@ -14,14 +14,6 @@ double Sample::mean() const {
   return s / static_cast<double>(values_.size());
 }
 
-double Sample::stddev() const {
-  if (values_.size() < 2) return 0.0;
-  const double m = mean();
-  double s = 0.0;
-  for (double v : values_) s += (v - m) * (v - m);
-  return std::sqrt(s / static_cast<double>(values_.size()));
-}
-
 double Sample::min() const {
   MST_REQUIRE(!values_.empty(), "min of empty sample");
   return *std::min_element(values_.begin(), values_.end());

@@ -23,9 +23,6 @@ class Sample {
   /// Arithmetic mean; 0 for an empty sample.
   [[nodiscard]] double mean() const;
 
-  /// Population standard deviation; 0 for fewer than two values.
-  [[nodiscard]] double stddev() const;
-
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 

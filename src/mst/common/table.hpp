@@ -32,8 +32,6 @@ class Table {
   /// Render with a header rule and column padding.
   void print(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -95,6 +95,7 @@ class ChainScheduler {
   /// `H`, and its first `i` tasks are the optimal `i`-task schedule shifted
   /// to end there (suffix optimality plus the shift lemma), so
   /// `M(i) = H - e_i`, `e_i` being the i-th first emission.
+  // mstlint: allow-next-line(tests-only-api) -- ROADMAP item 2: api::throughput_curve reads it
   static std::vector<Time> makespans(const Chain& chain, std::size_t n);
 
   /// Workload makespan form.  Identical workloads take the `schedule(chain,
@@ -186,6 +187,7 @@ class ChainScheduler {
   /// stops before scheduling a task whose first emission would be negative
   /// (decision form); otherwise it schedules exactly `max_tasks` tasks
   /// regardless of sign (makespan form, shifted by the caller).
+  // mstlint: allow-next-line(tests-only-api) -- Lemma 2/4 tests: test_chain_{properties,kernel}
   static ChainSchedule build_backward(const Chain& chain, Time horizon, std::size_t max_tasks,
                                       bool stop_on_negative);
 

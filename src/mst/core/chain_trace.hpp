@@ -46,6 +46,7 @@ struct ChainTrace {
 };
 
 /// Traced equivalent of `ChainScheduler::build_backward`.
+// mstlint: allow-next-line(tests-only-api) -- test_chain_trace, test_output_digest's frozen trace
 ChainTrace trace_backward(const Chain& chain, Time horizon, std::size_t max_tasks,
                           bool stop_on_negative);
 

@@ -15,6 +15,19 @@ std::string to_string(const VirtualNode& node) {
   return os.str();
 }
 
+namespace {
+
+/// The number of Fig 6 nodes of `slave` within `t_lim`, at most
+/// `max_per_slave` (the closed form in the header).
+std::size_t fork_node_count(const Processor& slave, Time t_lim, std::size_t max_per_slave) {
+  if (t_lim - slave.work < slave.comm) return 0;  // `t_lim >= 0` and `w > 0`: no overflow
+  const Time m = std::max(slave.comm, slave.work);
+  const auto ranks = static_cast<std::uint64_t>((t_lim - slave.work - slave.comm) / m) + 1;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(ranks, max_per_slave));
+}
+
+}  // namespace
+
 std::vector<VirtualNode> expand_fork_slave(const Processor& slave, std::size_t slave_index,
                                            Time t_lim, std::size_t max_per_slave) {
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
@@ -23,22 +36,6 @@ std::vector<VirtualNode> expand_fork_slave(const Processor& slave, std::size_t s
   const std::size_t count = fork_node_count(slave, t_lim, max_per_slave);
   for (std::size_t q = 0; q < count; ++q) {
     nodes.push_back(VirtualNode{slave_index, q, slave.comm, slave.work + static_cast<Time>(q) * m});
-  }
-  return nodes;
-}
-
-std::size_t fork_node_count(const Processor& slave, Time t_lim, std::size_t max_per_slave) {
-  if (t_lim - slave.work < slave.comm) return 0;  // `t_lim >= 0` and `w > 0`: no overflow
-  const Time m = std::max(slave.comm, slave.work);
-  const auto ranks = static_cast<std::uint64_t>((t_lim - slave.work - slave.comm) / m) + 1;
-  return static_cast<std::size_t>(std::min<std::uint64_t>(ranks, max_per_slave));
-}
-
-std::vector<VirtualNode> expand_fork(const Fork& fork, Time t_lim, std::size_t max_per_slave) {
-  std::vector<VirtualNode> nodes;
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    auto slave_nodes = expand_fork_slave(fork.slave(i), i, t_lim, max_per_slave);
-    nodes.insert(nodes.end(), slave_nodes.begin(), slave_nodes.end());
   }
   return nodes;
 }

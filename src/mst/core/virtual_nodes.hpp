@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "mst/platform/fork.hpp"
+#include "mst/platform/processor.hpp"
 #include "mst/schedule/chain_schedule.hpp"
 
 /// \file virtual_nodes.hpp
@@ -49,20 +49,13 @@ std::string to_string(const VirtualNode& node);
 /// link-bound (`m = c`, arrivals pace the executions).
 ///
 /// Only nodes that could ever be scheduled are generated
-/// (`exec + c <= t_lim`), at most `max_per_slave` of them: the first
-/// `fork_node_count` ranks.
+/// (`exec + c <= t_lim`), at most `max_per_slave` of them:
+/// `min(max_per_slave, (t_lim - w - c)/m + 1)`, and none when
+/// `t_lim - w < c`.  That count is a closed form, so no node's `exec` is
+/// formed just to find it out of range — every generated node has
+/// `exec <= t_lim - c`, which cannot overflow.
 std::vector<VirtualNode> expand_fork_slave(const Processor& slave, std::size_t slave_index,
                                            Time t_lim, std::size_t max_per_slave);
-
-/// The number of Fig 6 nodes of slave `(c, w)` within `t_lim`, at most
-/// `max_per_slave`: `min(max_per_slave, (t_lim - w - c)/m + 1)`, and 0 when
-/// `t_lim - w < c`.  Closed form, so no node's `exec` is formed just to find
-/// it out of range — every counted node has `exec <= t_lim - c`, which
-/// cannot overflow.
-std::size_t fork_node_count(const Processor& slave, Time t_lim, std::size_t max_per_slave);
-
-/// All slaves of a fork (concatenated `expand_fork_slave`).
-std::vector<VirtualNode> expand_fork(const Fork& fork, Time t_lim, std::size_t max_per_slave);
 
 /// Fig 7 expansion of one spider leg: `leg_schedule` must be the decision-
 /// form chain schedule of the leg for the window `t_lim` (tasks in ascending

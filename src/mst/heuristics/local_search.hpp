@@ -82,6 +82,7 @@ struct LocalSearchScratch {
 
 /// Improves `initial` (destinations must be slave nodes).  Never returns a
 /// worse sequence than the input.
+// mstlint: allow-next-line(tests-only-api) -- ROADMAP item 20 reseeds the descent from spider-cover
 LocalSearchResult improve_tree_dispatch(const Tree& tree, std::vector<NodeId> initial,
                                         std::size_t max_passes = 16);
 

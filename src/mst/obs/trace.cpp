@@ -76,10 +76,6 @@ NameId TraceSink::name(std::string_view label) {
   return intern_label(names_, name_capacity_, label, dropped_);
 }
 
-std::string_view TraceSink::track_label(TrackId track) const {
-  return track < tracks_.size() ? std::string_view(tracks_[track].text) : std::string_view();
-}
-
 std::string_view TraceSink::name_label(NameId name) const {
   return name < names_.size() ? std::string_view(names_[name].text) : std::string_view();
 }

@@ -83,10 +83,7 @@ class TraceSink {
 
   // mstlint: zero-alloc-end
 
-  [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] std::int64_t dropped() const { return dropped_; }
-  [[nodiscard]] std::string_view track_label(TrackId track) const;
-  [[nodiscard]] std::string_view name_label(NameId name) const;
 
   /// Serializes to Chrome trace-event JSON: a stable sort by timestamp (so
   /// post-hoc pushes, e.g. the streaming walk's backlog samples, land in
@@ -98,6 +95,8 @@ class TraceSink {
   struct Label {
     char text[kLabelCapacity] = {};
   };
+
+  [[nodiscard]] std::string_view name_label(NameId name) const;
 
   void push(const TraceEvent& event) {
     if (event.track == kInvalidTrack || event.name == kInvalidName ||

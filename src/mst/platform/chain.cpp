@@ -48,12 +48,6 @@ Time Chain::path_latency(std::size_t i) const {
   return sum;
 }
 
-Chain Chain::suffix(std::size_t from) const {
-  MST_REQUIRE(from < procs_.size(), "suffix start out of range");
-  return Chain(std::vector<Processor>(procs_.begin() + static_cast<std::ptrdiff_t>(from),
-                                      procs_.end()));
-}
-
 Time Chain::t_infinity(std::size_t n) const {
   MST_REQUIRE(n >= 1, "t_infinity needs at least one task");
   const Processor& p0 = procs_.front();

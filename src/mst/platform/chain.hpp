@@ -51,10 +51,6 @@ class Chain {
   /// task to processor `i`.
   [[nodiscard]] Time path_latency(std::size_t i) const;
 
-  /// The sub-chain starting at processor `from` (used by Lemma 2 tests and
-  /// the optimality proof machinery).
-  [[nodiscard]] Chain suffix(std::size_t from) const;
-
   /// `T∞` of the paper's §3: the makespan of the trivial schedule that puts
   /// all `n` tasks on the first processor,
   /// `c_0 + (n-1)·max(w_0, c_0) + w_0`.  Defined for `n >= 1`; throws

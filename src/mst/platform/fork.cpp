@@ -1,6 +1,5 @@
 #include "mst/platform/fork.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "mst/common/assert.hpp"
@@ -24,11 +23,6 @@ Fork::Fork(std::initializer_list<Processor> slaves) : slaves_(slaves) { validate
 const Processor& Fork::slave(std::size_t i) const {
   MST_REQUIRE(i < slaves_.size(), "slave index out of range");
   return slaves_[i];
-}
-
-Time Fork::cadence(std::size_t i) const {
-  const Processor& p = slave(i);
-  return std::max(p.comm, p.work);
 }
 
 std::string Fork::describe() const {

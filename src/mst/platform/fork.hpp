@@ -28,10 +28,6 @@ class Fork {
   [[nodiscard]] const Processor& slave(std::size_t i) const;
   [[nodiscard]] const std::vector<Processor>& slaves() const { return slaves_; }
 
-  /// `m_i = max(c_i, w_i)`: the per-task cadence of slave `i` in the
-  /// virtual-node expansion of Fig 6.
-  [[nodiscard]] Time cadence(std::size_t i) const;
-
   [[nodiscard]] std::string describe() const;
 
   friend bool operator==(const Fork&, const Fork&) = default;

@@ -24,6 +24,9 @@ const std::vector<PlatformClass>& all_platform_classes() {
   return kAll;
 }
 
+namespace {
+
+/// One random processor of the given class.
 Processor random_processor(Rng& rng, const GeneratorParams& params) {
   MST_REQUIRE(params.lo >= 1 && params.hi >= params.lo, "need 1 <= lo <= hi");
   const Time lo = params.lo;
@@ -53,6 +56,8 @@ Processor random_processor(Rng& rng, const GeneratorParams& params) {
   // path falls off the end of this non-void function.
   detail::throw_invariant("false", __FILE__, __LINE__);
 }
+
+}  // namespace
 
 Chain random_chain(Rng& rng, std::size_t p, const GeneratorParams& params) {
   MST_REQUIRE(p >= 1, "chain needs at least one processor");

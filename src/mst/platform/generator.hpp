@@ -47,10 +47,8 @@ struct GeneratorParams {
   PlatformClass cls = PlatformClass::kUniform;
 };
 
-/// One random processor of the given class.
-Processor random_processor(Rng& rng, const GeneratorParams& params);
-
-/// A chain of `p` processors.
+/// A chain of `p` processors, each drawn from `params`' class (so a
+/// one-processor chain is one random processor).
 Chain random_chain(Rng& rng, std::size_t p, const GeneratorParams& params);
 
 /// A fork of `p` slaves.

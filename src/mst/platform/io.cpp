@@ -66,13 +66,6 @@ std::string write_chain(const Chain& chain) {
   return os.str();
 }
 
-std::string write_fork(const Fork& fork) {
-  std::ostringstream os;
-  os << "fork " << fork.size() << '\n';
-  write_proc_list(os, fork.slaves());
-  return os.str();
-}
-
 std::string write_spider(const Spider& spider) {
   std::ostringstream os;
   os << "spider " << spider.num_legs() << '\n';

@@ -41,7 +41,6 @@
 namespace mst {
 
 std::string write_chain(const Chain& chain);
-std::string write_fork(const Fork& fork);
 std::string write_spider(const Spider& spider);
 std::string write_tree(const Tree& tree);
 

@@ -39,21 +39,6 @@ std::size_t Spider::num_processors() const {
   return total;
 }
 
-bool Spider::is_fork() const {
-  for (const Chain& leg : legs_) {
-    if (leg.size() != 1) return false;
-  }
-  return true;
-}
-
-Fork Spider::to_fork() const {
-  MST_REQUIRE(is_fork(), "spider has a leg longer than 1; not a fork");
-  std::vector<Processor> slaves;
-  slaves.reserve(legs_.size());
-  for (const Chain& leg : legs_) slaves.push_back(leg.proc(0));
-  return Fork(std::move(slaves));
-}
-
 std::string Spider::describe() const {
   std::ostringstream os;
   os << "spider{";

@@ -49,12 +49,6 @@ class Spider {
   /// Total number of slave processors over all legs.
   [[nodiscard]] std::size_t num_processors() const;
 
-  /// True iff every leg has length 1 (the platform is a fork).
-  [[nodiscard]] bool is_fork() const;
-
-  /// Down-convert to a Fork; throws unless `is_fork()`.
-  [[nodiscard]] Fork to_fork() const;
-
   [[nodiscard]] std::string describe() const;
 
   friend bool operator==(const Spider&, const Spider&) = default;

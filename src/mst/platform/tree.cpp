@@ -72,52 +72,6 @@ std::vector<NodeId> Tree::path_from_root(NodeId v) const {
   return path;
 }
 
-bool Tree::is_chain() const {
-  for (const auto& kids : children_) {
-    if (kids.size() > 1) return false;
-  }
-  return num_slaves() >= 1;
-}
-
-bool Tree::is_spider() const {
-  if (num_slaves() < 1) return false;
-  for (NodeId v = 1; v < children_.size(); ++v) {
-    if (children_[v].size() > 1) return false;
-  }
-  return true;
-}
-
-Chain Tree::to_chain() const {
-  MST_REQUIRE(is_chain(), "tree is not a chain");
-  std::vector<Processor> procs;
-  NodeId v = 0;
-  while (!children_[v].empty()) {
-    v = children_[v].front();
-    procs.push_back(proc_[v]);
-  }
-  return Chain(std::move(procs));
-}
-
-Tree::SpiderView Tree::to_spider() const {
-  MST_REQUIRE(is_spider(), "tree is not a spider");
-  std::vector<Chain> legs;
-  std::vector<std::vector<NodeId>> node_of;
-  for (NodeId head : children_[0]) {
-    std::vector<Processor> procs;
-    std::vector<NodeId> ids;
-    NodeId v = head;
-    while (true) {
-      procs.push_back(proc_[v]);
-      ids.push_back(v);
-      if (children_[v].empty()) break;
-      v = children_[v].front();
-    }
-    legs.emplace_back(std::move(procs));
-    node_of.push_back(std::move(ids));
-  }
-  return SpiderView{Spider(std::move(legs)), std::move(node_of)};
-}
-
 namespace {
 
 /// Master → one path per leg, node ids leg by leg.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,24 +48,6 @@ class Tree {
 
   /// The node ids on the path root→`v`, excluding the root.
   [[nodiscard]] std::vector<NodeId> path_from_root(NodeId v) const;
-
-  /// True iff every node has at most one child (the tree is a chain).
-  [[nodiscard]] bool is_chain() const;
-
-  /// True iff only the root has more than one child (the tree is a spider).
-  [[nodiscard]] bool is_spider() const;
-
-  /// Convert to Chain / Spider; throws unless the shape matches.  The spider
-  /// conversion also returns, for every leg position, the original NodeId so
-  /// heuristic schedules can be mapped back onto the tree.
-  [[nodiscard]] Chain to_chain() const;
-
-  struct SpiderView {
-    Spider spider;
-    /// `node_of[l][d]` = tree node at depth `d` (0-based) of leg `l`.
-    std::vector<std::vector<NodeId>> node_of;
-  };
-  [[nodiscard]] SpiderView to_spider() const;
 
   /// Construct a random-shaped tree is provided by `mst/platform/generator.hpp`.
   [[nodiscard]] std::string describe() const;

@@ -99,9 +99,9 @@ struct Cell {
 /// Non-identical workload generators pair only with algorithms whose
 /// `AlgorithmInfo::supports` covers their features (the registry would
 /// reject the others anyway; the expander just skips the doomed cells).
-/// Platforms are generated once per unique (spec-point, seed) key and
-/// shared across cells — duplicate grid points (repeated classes or sizes)
-/// reuse the instance instead of re-generating it.  Throws
+/// Each grid point (and each explicit platform) builds its platform once,
+/// shared by all of that point's cells; a duplicate grid point (a repeated
+/// class or size) generates its own copy from the same seed.  Throws
 /// `std::invalid_argument` on empty or inconsistent specs.
 std::vector<Cell> expand(const SweepSpec& spec,
                          const api::Registry& registry = api::registry());

@@ -250,6 +250,14 @@ void sync_directory(const std::string& dir) {
   }
 }
 
+/// `DIR/shard-<i>-of-<N>.mstj`.
+std::string journal_path(const std::string& dir, std::size_t shard_index,
+                         std::size_t shard_count) {
+  std::ostringstream os;
+  os << dir << "/shard-" << shard_index << "-of-" << shard_count << ".mstj";
+  return os.str();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -274,13 +282,6 @@ std::uint64_t grid_fingerprint(const std::vector<Cell>& cells) {
     h = fold(h, cell.workload_seed);
   }
   return h;
-}
-
-std::string journal_path(const std::string& dir, std::size_t shard_index,
-                         std::size_t shard_count) {
-  std::ostringstream os;
-  os << dir << "/shard-" << shard_index << "-of-" << shard_count << ".mstj";
-  return os.str();
 }
 
 std::string encode_record(const CellOutcome& outcome) {

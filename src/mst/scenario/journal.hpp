@@ -66,19 +66,17 @@ namespace mst::scenario {
 /// loudly instead of merged silently.
 std::uint64_t grid_fingerprint(const std::vector<Cell>& cells);
 
-/// `DIR/shard-<i>-of-<N>.mstj`.
-std::string journal_path(const std::string& dir, std::size_t shard_index,
-                         std::size_t shard_count);
-
 /// One record's payload text.  Exposed (with `decode_record`) so tests can
 /// pin the round trip; the framing (length + CRC32 + fsync) is the
 /// journal's own business.
+// mstlint: allow-next-line(tests-only-api) -- ROADMAP item 19 rebuilds the codec and fuzzes it here
 std::string encode_record(const CellOutcome& outcome);
 
 /// Inverse of `encode_record`.  The decoded `Cell` carries key fields only
 /// — `platform`/`workload` stay null (reporters never dereference them;
 /// the resuming runner restores the live pointers after validating the
 /// key).  Throws `std::invalid_argument` on malformed payloads.
+// mstlint: allow-next-line(tests-only-api) -- ROADMAP item 19 rebuilds the codec and fuzzes it here
 CellOutcome decode_record(const std::string& payload);
 
 /// What replaying an existing journal file found.

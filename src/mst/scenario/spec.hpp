@@ -58,7 +58,8 @@
 /// the grid explicitly.  Workload cells draw their task count from `tasks`
 /// — including decision-form cells, whose pool is then finite.
 ///
-/// `parse_spec(write_spec(s)) == s` holds for every valid spec.
+/// The tests' canonical writer (`tests/support/spec_writer.hpp`) renders
+/// every valid spec as text that `parse_spec` reads back exactly.
 
 namespace mst::scenario {
 
@@ -109,8 +110,5 @@ struct SweepSpec {
 /// Parses the text format above.  Throws `std::invalid_argument` with a
 /// line number on malformed input, unknown keys or unknown enum names.
 SweepSpec parse_spec(const std::string& text);
-
-/// Canonical rendering; `parse_spec` round-trips it exactly.
-std::string write_spec(const SweepSpec& spec);
 
 }  // namespace mst::scenario

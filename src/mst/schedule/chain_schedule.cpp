@@ -19,16 +19,6 @@ Time ChainSchedule::makespan(const Workload& workload) const {
   return legs_makespan(legs_of(chain), tasks, workload);
 }
 
-Time ChainSchedule::start_time() const {
-  if (tasks.empty()) return 0;
-  Time first = kTimeInfinity;
-  for (const ChainTask& t : tasks) {
-    first = std::min(first, t.start);
-    if (!t.emissions.empty()) first = std::min(first, t.emissions.front());
-  }
-  return first;
-}
-
 std::vector<std::size_t> ChainSchedule::tasks_per_proc() const {
   std::vector<std::size_t> counts(chain.size(), 0);
   for (const ChainTask& t : tasks) {

@@ -41,10 +41,6 @@ struct ChainSchedule {
   /// task 1.
   [[nodiscard]] Time makespan(const Workload& workload = {}) const;
 
-  /// Earliest event in the schedule (first emission or first start); the
-  /// canonical schedules start at 0 after the paper's final shift.
-  [[nodiscard]] Time start_time() const;
-
   /// Number of tasks executed by each processor.
   [[nodiscard]] std::vector<std::size_t> tasks_per_proc() const;
 

@@ -35,9 +35,6 @@ struct SimTask {
   Time start = 0;            ///< execution start
   Time end = 0;              ///< execution end
 
-  /// Time in the system: `end - release` (the streaming latency metric).
-  [[nodiscard]] Time sojourn() const { return end - release; }
-
   friend bool operator==(const SimTask&, const SimTask&) = default;
 };
 

@@ -1,7 +1,6 @@
 #include "mst/workload/workload.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -22,11 +21,6 @@ std::string to_string(const WorkloadFeatures& features) {
 }
 
 Workload Workload::identical(std::size_t n) { return Workload(n, {}, {}); }
-
-Workload Workload::of_sizes(std::vector<Time> sizes) {
-  const std::size_t n = sizes.size();
-  return Workload(n, std::move(sizes), {});
-}
 
 Workload Workload::released(std::vector<Time> release) {
   const std::size_t n = release.size();
@@ -71,11 +65,6 @@ Workload::Workload(std::size_t count, std::vector<Time> sizes, std::vector<Time>
   if (std::all_of(release_.begin(), release_.end(), [](Time r) { return r == 0; })) {
     release_.clear();
   }
-}
-
-Time Workload::total_size() const {
-  if (sizes_.empty()) return static_cast<Time>(count_);
-  return std::accumulate(sizes_.begin(), sizes_.end(), Time{0});
 }
 
 Workload Workload::prefix(std::size_t k) const {

@@ -77,9 +77,6 @@ class Workload {
   /// The paper's model: `n` identical unit tasks, all available at time 0.
   static Workload identical(std::size_t n);
 
-  /// `sizes.size()` tasks with the given sizes, all available at time 0.
-  static Workload of_sizes(std::vector<Time> sizes);
-
   /// `release.size()` unit tasks with the given release dates.
   static Workload released(std::vector<Time> release);
 
@@ -115,9 +112,6 @@ class Workload {
   /// Largest release date (0 for none): the earliest time by which the whole
   /// workload is available.
   [[nodiscard]] Time last_release() const { return release_.empty() ? 0 : release_.back(); }
-
-  /// Sum of task sizes (== count() for uniform workloads).
-  [[nodiscard]] Time total_size() const;
 
   /// The first `k <= count()` tasks in canonical order — the k
   /// earliest-released tasks.  This is the probe set of the decision-form

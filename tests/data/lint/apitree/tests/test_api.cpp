@@ -1,0 +1,4 @@
+// Fixture: calls from tests/ do not count as uses.
+#include "mst/core/api.hpp"
+
+int main() { return mst::flagged(1) + mst::allowed(2); }

@@ -1,0 +1,9 @@
+// Fixture: a production caller.
+#include "mst/core/api.hpp"
+
+int main() {
+  const mst::Widget widget;
+  widget.each([](int) {});
+  const mst::Point point;
+  return mst::used(point.norm()) + widget.area();
+}

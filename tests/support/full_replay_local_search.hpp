@@ -8,6 +8,7 @@
 #include "mst/baselines/tree_asap.hpp"
 #include "mst/heuristics/local_search.hpp"
 #include "mst/platform/tree.hpp"
+#include "tree_replay.hpp"
 
 /// \file full_replay_local_search.hpp
 /// Test oracle: the reassign/swap descent of `improve_tree_dispatch` with

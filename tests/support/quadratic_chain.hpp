@@ -7,6 +7,7 @@
 #include "mst/platform/chain.hpp"
 #include "mst/schedule/chain_schedule.hpp"
 #include "mst/schedule/comm_vector.hpp"
+#include "definition3.hpp"
 
 /// \file quadratic_chain.hpp
 /// Test oracle: the paper's Fig 3 backward construction exactly as written,

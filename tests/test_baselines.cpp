@@ -209,7 +209,7 @@ TEST_P(BaselineProperty, OneLegSpiderEqualsItsChain) {
       sizes[i] = rng.uniform(1, 4);
       release[i] = rng.uniform(0, 12);
     }
-    for (const Workload& w : {Workload::identical(n), Workload::of_sizes(sizes),
+    for (const Workload& w : {Workload::identical(n), Workload(sizes.size(), sizes, {}),
                               Workload::released(release)}) {
       expect_same_schedule(forward_greedy(chain, w), forward_greedy(spider, w), w);
       expect_same_schedule(round_robin(chain, w), round_robin(spider, w), w);

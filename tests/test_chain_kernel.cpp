@@ -38,8 +38,10 @@ Chain draw_chain(Rng& rng, Family family, std::size_t p) {
   for (Processor& proc : procs) {
     switch (family) {
       case Family::kRandom:
-        proc = random_processor(
-            rng, {1, 20, all_platform_classes()[static_cast<std::size_t>(rng.uniform(0, 4))]});
+        proc = random_chain(
+                   rng, 1,
+                   {1, 20, all_platform_classes()[static_cast<std::size_t>(rng.uniform(0, 4))]})
+                   .proc(0);
         break;
       case Family::kAllOnes:
         proc = {1, 1};

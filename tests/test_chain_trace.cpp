@@ -8,6 +8,7 @@
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/chain_trace.hpp"
 #include "mst/platform/generator.hpp"
+#include "support/definition3.hpp"
 
 namespace mst {
 namespace {
@@ -37,7 +38,7 @@ TEST(ChainTrace, ChosenCandidateIsTheDefinition3Maximum) {
       const CommVector& winner = step.candidates[step.chosen];
       for (const CommVector& other : step.candidates) {
         if (other == winner) continue;
-        EXPECT_TRUE(precedes(other, winner))
+        EXPECT_TRUE(oracle::precedes(other, winner))
             << to_string(other) << " should precede " << to_string(winner);
       }
     }
@@ -60,12 +61,12 @@ TEST(ChainTrace, Lemma1NoCrossingBetweenCandidates) {
           if (k == l) continue;
           const CommVector& a = step.candidates[k];
           const CommVector& b = step.candidates[l];
-          if (!precedes(a, b)) continue;
+          if (!oracle::precedes(a, b)) continue;
           const std::size_t common = std::min(a.size(), b.size());
           for (std::size_t q = 0; q < common; ++q) {
             const CommVector suffix_a(a.begin() + static_cast<std::ptrdiff_t>(q), a.end());
             const CommVector suffix_b(b.begin() + static_cast<std::ptrdiff_t>(q), b.end());
-            EXPECT_TRUE(precedes_or_equal(suffix_a, suffix_b))
+            EXPECT_TRUE(suffix_a == suffix_b || oracle::precedes(suffix_a, suffix_b))
                 << chain.describe() << ": crossing at q=" << q << " between "
                 << to_string(a) << " and " << to_string(b);
           }

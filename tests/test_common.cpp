@@ -82,18 +82,16 @@ TEST(Rng, SplitChildDiffersFromParentContinuation) {
   EXPECT_LT(equal, 4);
 }
 
-TEST(Sample, MeanAndStddev) {
+TEST(Sample, Mean) {
   Sample s;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
 }
 
 TEST(Sample, EmptySampleDefaults) {
   Sample s;
   EXPECT_TRUE(s.empty());
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
   EXPECT_THROW((void)s.min(), std::invalid_argument);
   EXPECT_THROW((void)s.quantile(0.5), std::invalid_argument);
 }
@@ -141,7 +139,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("42"), std::string::npos);
   EXPECT_NE(out.find("3.14"), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
 }
 
 TEST(Table, RejectsTooManyCells) {

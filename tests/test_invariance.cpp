@@ -130,7 +130,7 @@ TEST(Invariance, ExtendingTheChainNeverHurts) {
     const auto n = static_cast<std::size_t>(rng.uniform(1, 8));
     const Time before = ChainScheduler::makespan(chain, n);
     std::vector<Processor> procs = chain.procs();
-    procs.push_back(random_processor(inst, params));
+    procs.push_back(random_chain(inst, 1, params).proc(0));
     EXPECT_LE(ChainScheduler::makespan(Chain(procs), n), before) << chain.describe();
   }
 }

@@ -8,6 +8,7 @@
 
 #include "mst/api/platform_io.hpp"
 #include "mst/platform/io.hpp"
+#include "support/spec_writer.hpp"
 
 namespace mst {
 namespace {
@@ -28,7 +29,7 @@ TEST(Io, ChainRoundTrip) {
 
 TEST(Io, ForkRoundTrip) {
   const Fork fork({Processor{1, 2}, Processor{3, 4}, Processor{5, 6}});
-  EXPECT_EQ(parse_fork(write_fork(fork)), fork);
+  EXPECT_EQ(parse_fork(oracle::write_fork(fork)), fork);
 }
 
 TEST(Io, SpiderRoundTrip) {
@@ -116,10 +117,10 @@ TEST(Io, WritePlatformRoundTripsEveryAlternative) {
       branching_tree(),
   };
   for (const api::Platform& platform : platforms) {
-    const std::string text = api::write_platform(platform);
+    const std::string text = oracle::write_platform(platform);
     const api::Platform reparsed = api::parse_any_platform(text);
     EXPECT_EQ(api::kind_of(reparsed), api::kind_of(platform));
-    EXPECT_EQ(api::write_platform(reparsed), text);
+    EXPECT_EQ(oracle::write_platform(reparsed), text);
     EXPECT_EQ(peek_platform_kind(text), to_string(api::kind_of(platform)));
   }
 }

@@ -46,6 +46,12 @@ SweepSpec small_grid() {
 }
 
 /// Fresh per-test scratch directory under the gtest temp root.
+/// The shard file a journal writes: `DIR/shard-<i>-of-<N>.mstj`.
+std::string shard_file(const std::string& dir, std::size_t shard_index, std::size_t shard_count) {
+  return dir + "/shard-" + std::to_string(shard_index) + "-of-" + std::to_string(shard_count) +
+         ".mstj";
+}
+
 std::string scratch_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "mst_journal_" + name;
   std::filesystem::remove_all(dir);
@@ -147,7 +153,10 @@ TEST(JournalGrid, FingerprintBindsToTheGrid) {
 }
 
 TEST(JournalFile, PathFormat) {
-  EXPECT_EQ(journal_path("dir", 2, 5), "dir/shard-2-of-5.mstj");
+  const std::string dir = scratch_dir("path_format");
+  const Journal journal(dir, 2, 5, 16, /*fingerprint=*/0);
+  EXPECT_EQ(journal.path(), dir + "/shard-2-of-5.mstj");
+  EXPECT_TRUE(std::filesystem::exists(shard_file(dir, 2, 5)));
 }
 
 TEST(JournalFile, AppendReplayAndHeaderMismatch) {
@@ -183,7 +192,7 @@ TEST(JournalFile, TornTailIsTruncatedAndRecovered) {
     journal.append(a);
     journal.append(b);
   }
-  const std::string path = journal_path(dir, 1, 3);
+  const std::string path = shard_file(dir, 1, 3);
   const auto full_size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full_size - 7);  // tear the final record
   {
@@ -293,7 +302,7 @@ void appends_after_a_failure_write_nothing(const std::string& dir) {
   std::uintmax_t torn_size = 0;
   {
     Journal journal(dir, 0, 1, kThreads * kMaxPerThread + 1, 0x5EED);
-    const std::string path = journal_path(dir, 0, 1);
+    const std::string path = shard_file(dir, 0, 1);
     rlimit limit{};
     if (getrlimit(RLIMIT_FSIZE, &limit) != 0) fail("getrlimit failed");
     const rlim_t hard = limit.rlim_max;
@@ -375,7 +384,7 @@ void appends_after_a_failure_write_nothing(const std::string& dir) {
     if (replayed[t].size() < synced[t]) fail(thread + ": a synced frame does not replay");
     if (replayed[t].size() > queued[t]) fail(thread + ": a frame replays that never queued");
   }
-  if (std::filesystem::file_size(journal_path(dir, 0, 1)) > torn_size) {
+  if (std::filesystem::file_size(shard_file(dir, 0, 1)) > torn_size) {
     fail("the reopened journal grew");
   }
   std::exit(0);
@@ -573,7 +582,7 @@ void sweeps_that_cannot_journal_throw(const std::string& dir) {
   { Journal probe(dir + "/probe", 0, cells.size(), cells.size(), grid_fingerprint(cells)); }
   rlimit limit{};
   if (getrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(1);
-  limit.rlim_cur = std::filesystem::file_size(journal_path(dir + "/probe", 0, cells.size()));
+  limit.rlim_cur = std::filesystem::file_size(shard_file(dir + "/probe", 0, cells.size()));
   if (setrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(1);
   for (const std::size_t shards : {cells.size(), std::size_t{1}}) {
     RunOptions options;

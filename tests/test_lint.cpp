@@ -57,6 +57,7 @@ TEST(LintRules, TableIsWellFormed) {
   EXPECT_TRUE(mstlint::known_rule("layering"));
   EXPECT_TRUE(mstlint::known_rule("include-cycle"));
   EXPECT_TRUE(mstlint::known_rule("shared-mutable-state"));
+  EXPECT_TRUE(mstlint::known_rule("tests-only-api"));
 }
 
 TEST(LintRules, LossyFloatFormats) {
@@ -190,6 +191,20 @@ TEST(LintTree, IncludeCycleFixtureTree) {
   EXPECT_NE(diags[0].message.find("src/mst/common/a.hpp -> src/mst/common/b.hpp -> "
                                   "src/mst/common/a.hpp"),
             std::string::npos);
+}
+
+TEST(LintTree, TestsOnlyApiFixtureTree) {
+  // Of the header's public functions only `flagged` fires: its one caller
+  // outside its own header and source is under tests/.  The allowed name,
+  // the names with a caller in tools/ or perfbench/ (or in an inline body of
+  // the header), and constructors, operators, virtual, defaulted and private
+  // members stay silent, and perfbench/ is never linted itself.
+  const std::vector<Diagnostic> diags = mstlint::lint_tree(fixture_path("apitree"));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "tests-only-api");
+  EXPECT_EQ(diags[0].file, "src/mst/core/api.hpp");
+  EXPECT_EQ(diags[0].line, 11);
+  EXPECT_NE(diags[0].message.find("'flagged'"), std::string::npos);
 }
 
 TEST(LintSuppressions, JustifiedAllowSilences) {

@@ -14,6 +14,7 @@
 #include "mst/scenario/runner.hpp"
 #include "mst/scenario/spec.hpp"
 #include "support/full_replay_local_search.hpp"
+#include "support/tree_replay.hpp"
 
 namespace mst {
 namespace {
@@ -34,10 +35,10 @@ TEST(LocalSearch, NeverWorseThanTheInput) {
     const auto n = static_cast<std::size_t>(rng.uniform(1, 8));
     // Deliberately bad start: everything to the last (often deep) node.
     std::vector<NodeId> bad(n, tree.size() - 1);
-    const Time before = asap_tree_makespan(tree, bad);
+    const Time before = oracle::asap_tree_makespan(tree, bad);
     const LocalSearchResult r = improve_tree_dispatch(tree, bad);
     EXPECT_LE(r.makespan, before) << tree.describe();
-    EXPECT_EQ(r.makespan, asap_tree_makespan(tree, r.dests));
+    EXPECT_EQ(r.makespan, oracle::asap_tree_makespan(tree, r.dests));
   }
 }
 
@@ -48,7 +49,7 @@ TEST(LocalSearch, ImprovesAnObviouslyBadAssignment) {
   tree.add_node(0, {1, 50});    // node 2: slow
   const std::vector<NodeId> bad(6, 2);
   const LocalSearchResult r = improve_tree_dispatch(tree, bad);
-  EXPECT_LT(r.makespan, asap_tree_makespan(tree, bad));
+  EXPECT_LT(r.makespan, oracle::asap_tree_makespan(tree, bad));
   EXPECT_GT(r.moves, 0u);
   // Most tasks must migrate to the fast slave.
   std::size_t on_fast = 0;
@@ -65,7 +66,8 @@ TEST(LocalSearch, StartsFromGreedyAndStaysBounded) {
     const auto n = static_cast<std::size_t>(rng.uniform(1, 6));
     const LocalSearchResult r = local_search_tree(tree, n);
     ASSERT_EQ(r.dests.size(), n);
-    EXPECT_LE(r.makespan, forward_greedy_tree_makespan(tree, n));
+    EXPECT_LE(r.makespan,
+              oracle::asap_tree_makespan(tree, oracle::forward_greedy_tree(tree, n)));
     EXPECT_GE(r.makespan, brute_force_tree_makespan(tree, n)) << tree.describe();
   }
 }
@@ -131,7 +133,7 @@ TEST(LocalSearch, MatchesTheFullReplayDescent) {
         const std::size_t n = task_counts[rng.uniform(0, 5)];
         const std::size_t max_passes = pass_budgets[trial % 3];
         const Tree tree = random_tree(inst, slaves, {1, 9, platform_class}, depth_bias);
-        std::vector<NodeId> start = forward_greedy_tree(tree, n);
+        std::vector<NodeId> start = oracle::forward_greedy_tree(tree, n);
         if (trial % 2 == 1) {
           for (NodeId& v : start) v = static_cast<NodeId>(rng.uniform(1, slaves));
         }
@@ -160,7 +162,7 @@ TEST(LocalSearch, MatchesTheFullReplayDescentOnLargeTrees) {
   for (int trial = 0; trial < 4; ++trial) {
     Rng inst = rng.split();
     const Tree tree = random_tree(inst, 64, {4, 8, PlatformClass::kUniform}, 0.5);
-    std::vector<NodeId> start = forward_greedy_tree(tree, 64);
+    std::vector<NodeId> start = oracle::forward_greedy_tree(tree, 64);
     if (trial % 2 == 1) {
       for (NodeId& v : start) v = static_cast<NodeId>(rng.uniform(1, 64));
     }
@@ -180,7 +182,7 @@ TEST(LocalSearch, CommitsFallBelowTheFullReplay) {
   const Tree tree = random_tree(rng, 64, {4, 8, PlatformClass::kUniform}, 0.5);
   const LocalSearchResult got = local_search_tree(tree, 64);
   const LocalSearchResult full =
-      oracle::full_replay_local_search(tree, forward_greedy_tree(tree, 64), 16);
+      oracle::full_replay_local_search(tree, oracle::forward_greedy_tree(tree, 64), 16);
   EXPECT_EQ(got.dests, full.dests);
   EXPECT_GT(got.commits, 0u);
   EXPECT_LT(got.commits, full.commits);

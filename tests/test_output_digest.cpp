@@ -193,7 +193,7 @@ Workload released_workload(Rng& rng, std::size_t n) {
 Workload sized_workload(Rng& rng, std::size_t n) {
   std::vector<Time> sizes(n);
   for (Time& size : sizes) size = rng.uniform(1, 4);
-  return Workload::of_sizes(std::move(sizes));
+  return Workload(n, std::move(sizes), {});
 }
 
 /// Sizes in `[1, 4]` and bursty release dates.

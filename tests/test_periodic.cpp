@@ -1,5 +1,6 @@
 // Tests of the exact LP rates and the periodic (bandwidth-centric)
-// schedule construction.
+// schedule construction, whose schedules the registry's `periodic` entry
+// materializes.
 
 #include <gtest/gtest.h>
 
@@ -12,23 +13,30 @@
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/platform/generator.hpp"
-#include "mst/schedule/feasibility.hpp"
 
 namespace mst {
 namespace {
 
+/// The exact per-processor LP rates the pattern is built from.
+std::vector<Rational> lp_rates(const Chain& chain) { return chain_periodic_pattern(chain).rates; }
+
+/// `n` tasks of the repeated block, through the registry's `periodic` entry.
+api::SolveResult periodic(const Chain& chain, std::size_t n) {
+  return api::registry().solve(chain, "periodic", n);
+}
+
 TEST(LpRates, SingleProcessor) {
-  const auto rates = chain_lp_rates(Chain::from_vectors({2}, {5}));
+  const auto rates = lp_rates(Chain::from_vectors({2}, {5}));
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_EQ(rates[0], Rational(1, 5));  // compute-bound
-  const auto link_bound = chain_lp_rates(Chain::from_vectors({5}, {2}));
+  const auto link_bound = lp_rates(Chain::from_vectors({5}, {2}));
   EXPECT_EQ(link_bound[0], Rational(1, 5));  // link-bound
 }
 
 TEST(LpRates, ForwardGreedyAllocation) {
   // Chain (c=2,w=3),(c=3,w=5): x0 = min(1/3, 1/2) = 1/3, residual link0 =
   // 1/6; x1 = min(1/5, 1/6, 1/3) = 1/6.
-  const auto rates = chain_lp_rates(Chain::from_vectors({2, 3}, {3, 5}));
+  const auto rates = lp_rates(Chain::from_vectors({2, 3}, {3, 5}));
   ASSERT_EQ(rates.size(), 2u);
   EXPECT_EQ(rates[0], Rational(1, 3));
   EXPECT_EQ(rates[1], Rational(1, 6));
@@ -36,13 +44,13 @@ TEST(LpRates, ForwardGreedyAllocation) {
 
 TEST(LpRates, SaturatedFirstLinkStarvesTheTail) {
   // (c=2,w=2): processor 0 takes the whole link-0 capacity.
-  const auto rates = chain_lp_rates(Chain::from_vectors({2, 1}, {2, 1}));
+  const auto rates = lp_rates(Chain::from_vectors({2, 1}, {2, 1}));
   EXPECT_EQ(rates[0], Rational(1, 2));
   EXPECT_EQ(rates[1], Rational(0));
 }
 
 TEST(LpRates, ZeroLatencyLinksAreUnbounded) {
-  const auto rates = chain_lp_rates(Chain::from_vectors({0, 0}, {4, 4}));
+  const auto rates = lp_rates(Chain::from_vectors({0, 0}, {4, 4}));
   EXPECT_EQ(rates[0], Rational(1, 4));
   EXPECT_EQ(rates[1], Rational(1, 4));
 }
@@ -53,7 +61,7 @@ TEST(LpRates, SumMatchesDoubleRecursionEverywhere) {
   for (int trial = 0; trial < 30; ++trial) {
     Rng inst = rng.split();
     const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 7)), params);
-    const auto rates = chain_lp_rates(chain);
+    const auto rates = lp_rates(chain);
     double total = 0;
     for (const Rational& r : rates) total += r.to_double();
     EXPECT_NEAR(total, chain_steady_state_rate(chain), 1e-9) << chain.describe();
@@ -66,7 +74,7 @@ TEST(LpRates, RatesSatisfyAllConstraintsExactly) {
   for (int trial = 0; trial < 20; ++trial) {
     Rng inst = rng.split();
     const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 6)), params);
-    const auto rates = chain_lp_rates(chain);
+    const auto rates = lp_rates(chain);
     for (std::size_t q = 0; q < rates.size(); ++q) {
       EXPECT_LE(rates[q], Rational(1, chain.work(q))) << chain.describe();
     }
@@ -114,9 +122,9 @@ TEST(Periodic, MaterializedScheduleIsFeasible) {
     Rng inst = rng.split();
     const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 5)), params);
     const PeriodicPattern pattern = chain_periodic_pattern(chain);
-    const ChainSchedule s = periodic_chain_schedule(chain, pattern, 3);
-    EXPECT_EQ(s.num_tasks(), pattern.tasks_per_period() * 3);
-    EXPECT_TRUE(check_feasibility(s).ok()) << chain.describe();
+    const api::SolveResult s = periodic(chain, pattern.tasks_per_period() * 3);
+    EXPECT_EQ(s.tasks, pattern.tasks_per_period() * 3);
+    EXPECT_TRUE(api::check_feasibility(s).ok()) << chain.describe();
   }
 }
 
@@ -128,9 +136,8 @@ TEST(Periodic, ThroughputConvergesToLpRate) {
     const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(2, 5)), params);
     const PeriodicPattern pattern = chain_periodic_pattern(chain);
     const std::size_t reps = 60;
-    const ChainSchedule s = periodic_chain_schedule(chain, pattern, reps);
-    const double tp =
-        static_cast<double>(s.num_tasks()) / static_cast<double>(s.makespan());
+    const api::SolveResult s = periodic(chain, pattern.tasks_per_period() * reps);
+    const double tp = static_cast<double>(s.tasks) / static_cast<double>(s.makespan);
     EXPECT_GT(tp, 0.85 * pattern.rate()) << chain.describe();
     EXPECT_LE(tp, pattern.rate() + 1e-9) << chain.describe();
   }
@@ -140,16 +147,9 @@ TEST(Periodic, NeverBeatsTheOptimalSchedule) {
   const Chain chain = Chain::from_vectors({2, 3}, {3, 5});
   const PeriodicPattern pattern = chain_periodic_pattern(chain);
   for (std::size_t reps : {1u, 4u, 16u}) {
-    const ChainSchedule periodic = periodic_chain_schedule(chain, pattern, reps);
-    EXPECT_GE(periodic.makespan(),
-              ChainScheduler::makespan(chain, periodic.num_tasks()));
+    const api::SolveResult s = periodic(chain, pattern.tasks_per_period() * reps);
+    EXPECT_GE(s.makespan, ChainScheduler::makespan(chain, s.tasks));
   }
-}
-
-TEST(Periodic, RejectsZeroRepetitions) {
-  const Chain chain = Chain::from_vectors({1}, {1});
-  const PeriodicPattern pattern = chain_periodic_pattern(chain);
-  EXPECT_THROW(periodic_chain_schedule(chain, pattern, 0), std::invalid_argument);
 }
 
 TEST(Periodic, RegistryPrefixBuildsOnlyTheTasksItNeeds) {
@@ -159,7 +159,7 @@ TEST(Periodic, RegistryPrefixBuildsOnlyTheTasksItNeeds) {
   // when the block is built whole.
   for (const Chain& chain : {Chain::from_vectors({1, 1, 1, 1, 1}, {997, 991, 983, 977, 971}),
                              Chain::from_vectors({1, 1, 1, 1}, {997, 991, 983, 977})}) {
-    const api::SolveResult result = api::registry().solve(chain, "periodic", 3);
+    const api::SolveResult result = periodic(chain, 3);
     EXPECT_EQ(result.tasks, 3u);
     EXPECT_TRUE(api::check_feasibility(result).ok()) << chain.describe();
   }
@@ -175,7 +175,7 @@ TEST(Periodic, RegistryPrefixRepeatsTheFullBlock) {
     const std::size_t block = pattern.tasks_per_period();
     for (const std::size_t n : {std::size_t{1}, block > 1 ? block - 1 : 1, block,
                                 2 * block + 3}) {
-      const api::SolveResult result = api::registry().solve(chain, "periodic", n);
+      const api::SolveResult result = periodic(chain, n);
       const auto& schedule = std::get<ChainSchedule>(result.schedule);
       ASSERT_EQ(schedule.num_tasks(), n);
       for (std::size_t i = 0; i < n; ++i) {

@@ -42,16 +42,6 @@ TEST(Chain, PathLatencyAccumulates) {
   EXPECT_THROW((void)chain.path_latency(3), std::invalid_argument);
 }
 
-TEST(Chain, SuffixDropsPrefix) {
-  const Chain chain = Chain::from_vectors({2, 3, 4}, {5, 6, 7});
-  const Chain suffix = chain.suffix(1);
-  ASSERT_EQ(suffix.size(), 2u);
-  EXPECT_EQ(suffix.comm(0), 3);
-  EXPECT_EQ(suffix.work(1), 7);
-  EXPECT_EQ(chain.suffix(0), chain);
-  EXPECT_THROW(chain.suffix(3), std::invalid_argument);
-}
-
 TEST(Chain, TInfinityMatchesPaperFormula) {
   // T∞ = c_1 + (n-1)·max(w_1, c_1) + w_1.
   const Chain compute_bound = Chain::from_vectors({2}, {5});
@@ -72,11 +62,10 @@ TEST(Chain, DescribeIsHumanReadable) {
   EXPECT_EQ(chain.describe(), "chain[(c=2,w=3)]");
 }
 
-TEST(Fork, BasicAccessorsAndCadence) {
+TEST(Fork, BasicAccessors) {
   const Fork fork({Processor{2, 5}, Processor{7, 3}});
   ASSERT_EQ(fork.size(), 2u);
-  EXPECT_EQ(fork.cadence(0), 5);  // max(2,5)
-  EXPECT_EQ(fork.cadence(1), 7);  // max(7,3)
+  EXPECT_EQ(fork.slave(1), (Processor{7, 3}));
   EXPECT_THROW((void)fork.slave(2), std::invalid_argument);
 }
 
@@ -89,16 +78,17 @@ TEST(Spider, BuildsFromLegs) {
   const Spider spider{Chain::from_vectors({2, 3}, {3, 5}), Chain::from_vectors({4}, {2})};
   EXPECT_EQ(spider.num_legs(), 2u);
   EXPECT_EQ(spider.num_processors(), 3u);
-  EXPECT_FALSE(spider.is_fork());
-  EXPECT_THROW(spider.to_fork(), std::invalid_argument);
   EXPECT_THROW((void)spider.leg(2), std::invalid_argument);
 }
 
-TEST(Spider, ForkRoundTrip) {
+TEST(Spider, FromForkHasOneUnitLegPerSlave) {
   const Fork fork({Processor{1, 2}, Processor{3, 4}});
   const Spider spider = Spider::from_fork(fork);
-  EXPECT_TRUE(spider.is_fork());
-  EXPECT_EQ(spider.to_fork(), fork);
+  ASSERT_EQ(spider.num_legs(), 2u);
+  for (std::size_t l = 0; l < 2; ++l) {
+    ASSERT_EQ(spider.leg(l).size(), 1u);
+    EXPECT_EQ(spider.leg(l).proc(0), fork.slave(l));
+  }
 }
 
 TEST(Spider, RejectsEmpty) {
@@ -138,57 +128,33 @@ TEST(Tree, RejectsInvalidInsertions) {
   EXPECT_THROW(tree.add_node(0, {1, 0}), std::invalid_argument);
 }
 
-TEST(Tree, ShapePredicates) {
-  Tree chain_tree;
-  NodeId v = chain_tree.add_node(0, {1, 1});
-  chain_tree.add_node(v, {2, 2});
-  EXPECT_TRUE(chain_tree.is_chain());
-  EXPECT_TRUE(chain_tree.is_spider());
-
-  Tree spider_tree;
-  spider_tree.add_node(0, {1, 1});
-  NodeId head = spider_tree.add_node(0, {2, 2});
-  spider_tree.add_node(head, {3, 3});
-  EXPECT_FALSE(spider_tree.is_chain());
-  EXPECT_TRUE(spider_tree.is_spider());
-
-  Tree generic;
-  NodeId mid = generic.add_node(0, {1, 1});
-  generic.add_node(mid, {1, 1});
-  generic.add_node(mid, {1, 1});  // interior node with two children
-  EXPECT_FALSE(generic.is_chain());
-  EXPECT_FALSE(generic.is_spider());
-}
-
-TEST(Tree, ChainConversionRoundTrip) {
+TEST(Tree, ChainEmbeddingIsOnePath) {
   const Chain chain = Chain::from_vectors({2, 3}, {3, 5});
   const Tree tree = tree_from_chain(chain);
-  EXPECT_TRUE(tree.is_chain());
-  EXPECT_EQ(tree.to_chain(), chain);
+  ASSERT_EQ(tree.num_slaves(), 2u);
+  for (NodeId v = 1; v <= 2; ++v) {
+    EXPECT_EQ(tree.parent(v), v - 1);
+    EXPECT_EQ(tree.proc(v), chain.proc(v - 1));
+  }
+  EXPECT_TRUE(tree.children(2).empty());
 }
 
-TEST(Tree, SpiderConversionRoundTrip) {
+TEST(Tree, SpiderEmbeddingNumbersNodesLegByLeg) {
   const Spider spider{Chain::from_vectors({2, 3}, {3, 5}), Chain::from_vectors({4}, {2})};
   const Tree tree = tree_from_spider(spider);
-  EXPECT_TRUE(tree.is_spider());
-  const auto view = tree.to_spider();
-  EXPECT_EQ(view.spider, spider);
-  ASSERT_EQ(view.node_of.size(), 2u);
-  EXPECT_EQ(view.node_of[0].size(), 2u);
-  EXPECT_EQ(view.node_of[1].size(), 1u);
-  // Node ids are assigned leg by leg.
-  EXPECT_EQ(view.node_of[0][0], 1u);
-  EXPECT_EQ(view.node_of[0][1], 2u);
-  EXPECT_EQ(view.node_of[1][0], 3u);
-}
-
-TEST(Tree, ConversionRejectsWrongShape) {
-  Tree generic;
-  NodeId mid = generic.add_node(0, {1, 1});
-  generic.add_node(mid, {1, 1});
-  generic.add_node(mid, {1, 1});
-  EXPECT_THROW(generic.to_chain(), std::invalid_argument);
-  EXPECT_THROW(generic.to_spider(), std::invalid_argument);
+  ASSERT_EQ(tree.num_slaves(), 3u);
+  EXPECT_EQ(tree.children(0), (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(tree.parent(2), 1u);
+  // Node ids are assigned leg by leg, and spider_node names the same ids.
+  EXPECT_EQ(spider_node(spider, {0, 0}), 1u);
+  EXPECT_EQ(spider_node(spider, {0, 1}), 2u);
+  EXPECT_EQ(spider_node(spider, {1, 0}), 3u);
+  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+    for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
+      EXPECT_EQ(tree.proc(spider_node(spider, {l, q})), spider.leg(l).proc(q));
+    }
+  }
+  EXPECT_THROW((void)spider_node(spider, {1, 1}), std::invalid_argument);
 }
 
 TEST(Generator, DeterministicForSeed) {
@@ -203,7 +169,7 @@ TEST(Generator, RespectsBoundsForAllClasses) {
     GeneratorParams params{1, 20, cls};
     Rng rng(17);
     for (int i = 0; i < 200; ++i) {
-      const Processor p = random_processor(rng, params);
+      const Processor p = random_chain(rng, 1, params).proc(0);
       EXPECT_GE(p.comm, 1) << to_string(cls);
       EXPECT_LE(p.comm, 20) << to_string(cls);
       EXPECT_GE(p.work, 1) << to_string(cls);
@@ -219,7 +185,7 @@ TEST(Generator, CommBoundClassSkewsTowardSlowLinks) {
   double work_sum = 0;
   const int trials = 500;
   for (int i = 0; i < trials; ++i) {
-    const Processor p = random_processor(rng, params);
+    const Processor p = random_chain(rng, 1, params).proc(0);
     comm_sum += static_cast<double>(p.comm);
     work_sum += static_cast<double>(p.work);
   }
@@ -233,7 +199,7 @@ TEST(Generator, ComputeBoundClassSkewsTowardSlowProcessors) {
   double work_sum = 0;
   const int trials = 500;
   for (int i = 0; i < trials; ++i) {
-    const Processor p = random_processor(rng, params);
+    const Processor p = random_chain(rng, 1, params).proc(0);
     comm_sum += static_cast<double>(p.comm);
     work_sum += static_cast<double>(p.work);
   }
@@ -260,7 +226,7 @@ TEST(Generator, RejectsDegenerateRequests) {
   EXPECT_THROW(random_spider(rng, 0, 2, params), std::invalid_argument);
   EXPECT_THROW(random_tree(rng, 0, params), std::invalid_argument);
   GeneratorParams bad{5, 2, PlatformClass::kUniform};
-  EXPECT_THROW(random_processor(rng, bad), std::invalid_argument);
+  EXPECT_THROW(random_chain(rng, 1, bad), std::invalid_argument);
 }
 
 TEST(Generator, ClassNamesAreDistinct) {

@@ -171,7 +171,7 @@ TEST(Registry, RandomInstancesStayFeasible) {
 // processor with (c, w) = (1, 2) ends at 5·1 + 5·2 = 15, on every platform
 // kind the sized baselines serve.
 TEST(Registry, SizedBaselineMakespansScaleTheWork) {
-  const Workload sized = Workload::of_sizes({5});
+  const Workload sized = Workload(1, {5}, {});
   const Chain one = Chain::from_vectors({1}, {2});
   for (const api::Platform& platform :
        {api::Platform(one), api::Platform(Fork{Processor{1, 2}}), api::Platform(Spider{one})}) {
@@ -326,7 +326,7 @@ TEST(Registry, GateCountsADispatchPastTheCapabilityCheck) {
   api::SolveOptions options;
   options.metrics = &metrics;
   options.cap = 4;
-  const Workload sized = Workload::of_sizes({2, 3});
+  const Workload sized = Workload(2, {2, 3}, {});
   EXPECT_THROW((void)api::registry().solve(fig2_chain(), "optimal", sized, options),
                std::invalid_argument);
   EXPECT_EQ(counter_value(metrics, "api.solve.optimal"), 0);

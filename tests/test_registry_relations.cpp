@@ -8,7 +8,9 @@
 //  * `optimal`'s decision form at `D = M(n)` places at least `n` tasks, and
 //    at `M(n) - 1` fewer;
 //  * a name resolves to the entry of the platform's own kind, whatever other
-//    kinds register under it, and a name the kind lacks is refused.
+//    kinds register under it, and a name the kind lacks is refused;
+//  * the prefix-stable entries (trees included) dispatch the first `k` tasks
+//    of an `n`-task run exactly as they dispatch a `k`-task run.
 //
 // Exponential entries (the brute-force oracles) stay out of the loops.
 
@@ -24,6 +26,7 @@
 #include "mst/api/registry.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/platform/generator.hpp"
+#include "mst/platform/tree.hpp"
 
 namespace mst {
 namespace {
@@ -155,6 +158,70 @@ TEST(RegistryRelations, NamesResolveToThePlatformsOwnKind) {
       EXPECT_EQ(decided.kind, kind);
       EXPECT_EQ(decided.algorithm, name);
       EXPECT_GE(decided.tasks, 3u);
+    }
+  }
+}
+
+/// Every task's destination in workload order: a chain processor, a spider
+/// (or fork) processor numbered as `spider_node` numbers it, or a tree node.
+std::vector<std::size_t> dispatch_sequence(const api::SolveResult& result) {
+  std::vector<std::size_t> out;
+  if (const auto* chain = std::get_if<ChainSchedule>(&result.schedule)) {
+    for (const ChainTask& task : chain->tasks) out.push_back(task.proc);
+  } else if (const auto* spider = std::get_if<SpiderSchedule>(&result.schedule)) {
+    for (const SpiderTask& task : spider->tasks) {
+      out.push_back(spider_node(spider->spider, {task.leg, task.proc}));
+    }
+  } else {
+    out = std::get<api::TreeDispatch>(result.schedule).dests;
+  }
+  return out;
+}
+
+TEST(RegistryRelations, PrefixStableEntriesDispatchTheirPrefix) {
+  // The entries whose `k`-task run is the first `k` tasks of any longer
+  // run: the list the one-pass decision form may rely on.  Release-dated
+  // workloads where the entry takes them; the `k`-task workload is the
+  // canonical prefix of the `n`-task one.
+  struct Entry {
+    api::PlatformKind kind;
+    const char* name;
+  };
+  const Entry entries[] = {
+      {api::PlatformKind::kChain, "forward-greedy"},  {api::PlatformKind::kChain, "round-robin"},
+      {api::PlatformKind::kChain, "periodic"},        {api::PlatformKind::kFork, "forward-greedy"},
+      {api::PlatformKind::kFork, "round-robin"},      {api::PlatformKind::kSpider, "forward-greedy"},
+      {api::PlatformKind::kSpider, "round-robin"},    {api::PlatformKind::kTree, "forward-greedy"},
+      {api::PlatformKind::kTree, "online-ect"},       {api::PlatformKind::kTree, "online-jsq"},
+      {api::PlatformKind::kTree, "online-round-robin"}, {api::PlatformKind::kTree, "online-random"},
+  };
+  Rng rng(0x18);
+  for (int trial = 0; trial < 40; ++trial) {
+    for (const Entry& entry : entries) {
+      Rng inst = rng.split();
+      const api::Platform platform =
+          entry.kind == api::PlatformKind::kTree
+              ? api::Platform(random_tree(inst, static_cast<std::size_t>(inst.uniform(1, 12)),
+                                          {1, 9, PlatformClass::kUniform}, 0.5))
+              : random_platform(inst, entry.kind);
+      const auto n = static_cast<std::size_t>(inst.uniform(2, 64));
+      const auto k = static_cast<std::size_t>(inst.uniform(1, static_cast<std::int64_t>(n) - 1));
+      std::vector<Workload> workloads{Workload::identical(n)};
+      const Workload released = random_releases(inst, n);
+      if (api::registry().supports(entry.kind, entry.name, released.features())) {
+        workloads.push_back(released);
+      }
+      for (const Workload& w : workloads) {
+        SCOPED_TRACE(std::string(entry.name) + " on " + api::describe(platform) +
+                     ", n = " + std::to_string(n) + ", k = " + std::to_string(k) +
+                     (w.has_release_dates() ? ", release-dated" : ""));
+        std::vector<std::size_t> full =
+            dispatch_sequence(api::registry().solve(platform, entry.name, w));
+        ASSERT_EQ(full.size(), n);
+        full.resize(k);
+        EXPECT_EQ(dispatch_sequence(api::registry().solve(platform, entry.name, w.prefix(k))),
+                  full);
+      }
     }
   }
 }

@@ -209,7 +209,7 @@ TEST(ReleaseDates, ForkOptimalMatchesExhaustiveOracle) {
 TEST(ReleaseDates, RegistryGatesUnsupportedWorkloads) {
   const api::Platform chain = Chain::from_vectors({2, 3}, {3, 5});
   const Workload released = Workload::released({0, 4, 8});
-  const Workload sized = Workload::of_sizes({1, 2, 3});
+  const Workload sized = Workload(3, {1, 2, 3}, {});
 
   // Chain optimal: release dates yes, sizes no.
   EXPECT_NO_THROW((void)api::registry().solve(chain, "optimal", released));

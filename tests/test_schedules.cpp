@@ -39,13 +39,6 @@ TEST(ChainScheduleData, MakespanIsLastEnd) {
   EXPECT_EQ((ChainSchedule{chain, {}}.makespan()), 0);
 }
 
-TEST(ChainScheduleData, StartTimeIsEarliestEvent) {
-  const Chain chain = fig2_chain();
-  ChainSchedule s{chain, {ChainTask{0, 5, {3}}, ChainTask{1, 9, {4, 6}}}};
-  EXPECT_EQ(s.start_time(), 3);
-  EXPECT_EQ((ChainSchedule{chain, {}}.start_time()), 0);
-}
-
 TEST(ChainScheduleData, TasksPerProcCounts) {
   const Chain chain = fig2_chain();
   ChainSchedule s{chain,

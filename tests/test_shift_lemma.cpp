@@ -70,7 +70,8 @@ Time fork_top(const Fork& fork, const Workload& workload) {
   Time top = kTimeInfinity;
   for (std::size_t i = 0; i < fork.size(); ++i) {
     const Processor& s = fork.slave(i);
-    top = std::min(top, s.comm + static_cast<Time>(workload.count() - 1) * fork.cadence(i) +
+    top = std::min(top, s.comm + static_cast<Time>(workload.count() - 1) *
+                                     std::max(s.comm, s.work) +
                             s.work);
   }
   return top + workload.last_release();

@@ -97,7 +97,6 @@ TEST(PlatformSim, MatchesAsapOnSpiders) {
     const auto legs = static_cast<std::size_t>(rng.uniform(1, 4));
     const Spider spider = random_spider(inst, legs, 3, params);
     const Tree tree = tree_from_spider(spider);
-    const auto view = tree.to_spider();
     const auto n = static_cast<std::size_t>(rng.uniform(1, 10));
     std::vector<SpiderDest> dests(n);
     std::vector<NodeId> nodes(n);
@@ -106,7 +105,7 @@ TEST(PlatformSim, MatchesAsapOnSpiders) {
       const auto q = static_cast<std::size_t>(
           rng.uniform(0, static_cast<Time>(spider.leg(l).size()) - 1));
       dests[i] = {l, q};
-      nodes[i] = view.node_of[l][q];
+      nodes[i] = spider_node(spider, {l, q});
     }
     const Time asap = asap_spider_schedule(spider, dests).makespan();
     const sim::SimResult sim_result = sim::simulate_dispatch(tree, nodes);

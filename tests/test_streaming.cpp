@@ -246,7 +246,7 @@ TEST(Streaming, RunStreamRejectsUnsupportedRequestsUpFront) {
   EXPECT_THROW((void)api::run_stream(chain, "no-such-algorithm", Workload::identical(4)),
                std::invalid_argument);
   // The re-planner's exact solvers do not cover non-uniform sizes.
-  EXPECT_THROW((void)api::run_stream(chain, "replan", Workload::of_sizes({1, 2, 3})),
+  EXPECT_THROW((void)api::run_stream(chain, "replan", Workload(3, {1, 2, 3}, {})),
                std::invalid_argument);
   // No exact tree solver to re-plan with.
   Tree tree;

@@ -6,14 +6,22 @@
 #include "mst/baselines/bounds.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
+#include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 
 namespace mst {
 namespace {
 
+/// The optimal chain curve, every sample read from one
+/// `ChainScheduler::makespans` construction at the largest count.
+ThroughputCurve chain_curve(const Chain& chain, const std::vector<std::size_t>& ns) {
+  const std::vector<Time> makespans = ChainScheduler::makespans(chain, ns.back());
+  return throughput_curve(chain, ns, [&](std::size_t n) { return makespans[n - 1]; });
+}
+
 TEST(Throughput, CurveSamplesOptimalMakespans) {
   const Chain chain = Chain::from_vectors({2, 3}, {3, 5});
-  const ThroughputCurve curve = chain_throughput_curve(chain, {1, 2, 5, 10});
+  const ThroughputCurve curve = chain_curve(chain, {1, 2, 5, 10});
   ASSERT_EQ(curve.n.size(), 4u);
   for (std::size_t i = 0; i < curve.n.size(); ++i) {
     EXPECT_EQ(curve.makespan[i], ChainScheduler::makespan(chain, curve.n[i]));
@@ -23,8 +31,8 @@ TEST(Throughput, CurveSamplesOptimalMakespans) {
 }
 
 TEST(Throughput, ChainMakespansFromOneConstructionMatchTheSchedules) {
-  // `makespan(chain, n)` and every curve sample read `T∞ - e_n` from a
-  // counting construction; both must equal the materialized optimum.
+  // `makespan(chain, n)` and every `makespans` sample read `T∞ - e_n` from
+  // a counting construction; both must equal the materialized optimum.
   Rng rng(0x7C0);
   for (int trial = 0; trial < 150; ++trial) {
     Rng inst = rng.split();
@@ -36,7 +44,7 @@ TEST(Throughput, ChainMakespansFromOneConstructionMatchTheSchedules) {
          n += static_cast<std::size_t>(rng.uniform(1, 9))) {
       ns.push_back(n);
     }
-    const ThroughputCurve curve = chain_throughput_curve(chain, ns);
+    const ThroughputCurve curve = chain_curve(chain, ns);
     ASSERT_EQ(curve.makespan.size(), ns.size());
     for (std::size_t i = 0; i < ns.size(); ++i) {
       const Time expected = ChainScheduler::schedule(chain, ns[i]).makespan();
@@ -51,7 +59,7 @@ TEST(Throughput, AffineTailFitRecoversSteadyRate) {
   // A single-processor chain is affine from the start:
   // M(n) = c + (n-1)*max(c,w) + w.
   const Chain chain = Chain::from_vectors({2}, {5});
-  const ThroughputCurve curve = chain_throughput_curve(chain, {1, 2, 4, 8, 16, 32});
+  const ThroughputCurve curve = chain_curve(chain, {1, 2, 4, 8, 16, 32});
   EXPECT_NEAR(curve.fitted_rate, 0.2, 1e-9);  // 1/max(c,w)
   EXPECT_EQ(curve.fitted_startup, 2);         // c + w - max(c,w)
   EXPECT_NEAR(curve.steady_rate, 0.2, 1e-12);
@@ -60,14 +68,15 @@ TEST(Throughput, AffineTailFitRecoversSteadyRate) {
 TEST(Throughput, EfficiencyApproachesOneOnLongRuns) {
   Rng rng(9);
   const Chain chain = random_chain(rng, 4, {1, 8, PlatformClass::kUniform});
-  const ThroughputCurve curve = chain_throughput_curve(chain, {4, 16, 64, 256, 1024});
+  const ThroughputCurve curve = chain_curve(chain, {4, 16, 64, 256, 1024});
   EXPECT_GT(curve.efficiency_at_tail(), 0.95);
   EXPECT_LE(curve.efficiency_at_tail(), 1.0 + 1e-9);
 }
 
 TEST(Throughput, SpiderCurveIsComputed) {
   const Spider spider{Chain::from_vectors({2, 3}, {3, 5}), Chain::from_vectors({4}, {2})};
-  const ThroughputCurve curve = spider_throughput_curve(spider, {2, 8, 32, 128});
+  const ThroughputCurve curve = throughput_curve(
+      spider, {2, 8, 32, 128}, [&](std::size_t n) { return SpiderScheduler::makespan(spider, n); });
   EXPECT_GT(curve.steady_rate, 0.0);
   EXPECT_GT(curve.fitted_rate, 0.0);
   EXPECT_GT(curve.efficiency_at_tail(), 0.9);
@@ -87,9 +96,13 @@ TEST(Throughput, TasksToReachRateFraction) {
 
 TEST(Throughput, ValidatesInputs) {
   const Chain chain = Chain::from_vectors({1}, {1});
-  EXPECT_THROW(chain_throughput_curve(chain, {}), std::invalid_argument);
-  EXPECT_THROW(chain_throughput_curve(chain, {3, 2}), std::invalid_argument);
-  EXPECT_THROW(chain_throughput_curve(chain, {0, 2}), std::invalid_argument);
+  const auto unsampled = [](std::size_t) -> Time {
+    ADD_FAILURE() << "sampled before the counts were validated";
+    return 0;
+  };
+  EXPECT_THROW(throughput_curve(chain, {}, unsampled), std::invalid_argument);
+  EXPECT_THROW(throughput_curve(chain, {3, 2}, unsampled), std::invalid_argument);
+  EXPECT_THROW(throughput_curve(chain, {0, 2}, unsampled), std::invalid_argument);
   EXPECT_THROW(tasks_to_reach_rate_fraction(chain, 0.0), std::invalid_argument);
   EXPECT_THROW(tasks_to_reach_rate_fraction(chain, 1.0), std::invalid_argument);
 }

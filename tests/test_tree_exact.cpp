@@ -15,9 +15,14 @@
 #include "mst/platform/generator.hpp"
 #include "mst/sim/platform_sim.hpp"
 #include "mst/workload/workload.hpp"
+#include "support/tree_replay.hpp"
 
 namespace mst {
 namespace {
+
+Time greedy_makespan(const Tree& tree, std::size_t n) {
+  return oracle::asap_tree_makespan(tree, oracle::forward_greedy_tree(tree, n));
+}
 
 TEST(TreeAsap, SingleTaskTransit) {
   const Tree tree = tree_from_chain(Chain::from_vectors({2, 3}, {3, 5}));
@@ -50,7 +55,8 @@ TEST(TreeAsap, MatchesEventSimulatorExactly) {
     for (NodeId& d : dests) {
       d = static_cast<NodeId>(rng.uniform(1, static_cast<Time>(tree.size()) - 1));
     }
-    EXPECT_EQ(asap_tree_makespan(tree, dests), sim::simulate_dispatch(tree, dests).makespan)
+    EXPECT_EQ(oracle::asap_tree_makespan(tree, dests),
+              sim::simulate_dispatch(tree, dests).makespan)
         << tree.describe() << " trial " << trial;
 
     // Sized and release-dated: every task starts, and leaves the master,
@@ -95,7 +101,7 @@ TEST(TreeGreedy, MatchesChainGreedyOnChains) {
     Rng inst = rng.split();
     const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 5)), params);
     const auto n = static_cast<std::size_t>(rng.uniform(1, 10));
-    const Time tree_greedy = forward_greedy_tree_makespan(tree_from_chain(chain), n);
+    const Time tree_greedy = greedy_makespan(tree_from_chain(chain), n);
     // Compare against the optimal as a sanity floor and the chain T∞ roof.
     EXPECT_GE(tree_greedy, ChainScheduler::makespan(chain, n));
     EXPECT_LE(tree_greedy, chain.t_infinity(n) * 2);
@@ -138,7 +144,7 @@ TEST(TreeExact, GreedyIsBoundedByExactOptimum) {
     Rng inst = rng.split();
     const Tree tree = random_tree(inst, static_cast<std::size_t>(rng.uniform(1, 5)), params);
     const auto n = static_cast<std::size_t>(rng.uniform(1, 5));
-    EXPECT_GE(forward_greedy_tree_makespan(tree, n), brute_force_tree_makespan(tree, n))
+    EXPECT_GE(greedy_makespan(tree, n), brute_force_tree_makespan(tree, n))
         << tree.describe() << " n=" << n;
   }
 }

@@ -36,17 +36,14 @@ TEST(VirtualNodes, ExpansionHonorsCapAndWindow) {
   EXPECT_TRUE(expand_fork_slave(Processor{1, 1}, 0, 0, 10).empty());
 }
 
-TEST(VirtualNodes, ForkExpansionConcatenatesSlaves) {
-  const Fork fork({Processor{2, 5}, Processor{4, 1}});
-  const auto nodes = expand_fork(fork, 14, 10);
-  std::size_t from0 = 0;
-  std::size_t from1 = 0;
-  for (const VirtualNode& node : nodes) {
-    if (node.source == 0) ++from0;
-    if (node.source == 1) ++from1;
-  }
-  EXPECT_EQ(from0, 2u);  // 5, 10 (15+2 > 14... 12+2=14 ok -> 5,10; 15+2>14)
-  EXPECT_EQ(from1, 3u);  // 1, 5, 9
+TEST(VirtualNodes, SlaveExpansionsStopAtTheWindow) {
+  const auto slow = expand_fork_slave(Processor{2, 5}, 0, 14, 10);
+  ASSERT_EQ(slow.size(), 2u);  // exec 5, 10 (10 + 2 <= 14; 15 + 2 > 14)
+  EXPECT_EQ(slow[1].exec, 10);
+  const auto fast = expand_fork_slave(Processor{4, 1}, 1, 14, 10);
+  ASSERT_EQ(fast.size(), 3u);  // exec 1, 5, 9
+  EXPECT_EQ(fast[2].exec, 9);
+  EXPECT_EQ(fast[2].source, 1u);
 }
 
 TEST(VirtualNodes, Fig7LegExpansionMatchesPaper) {

@@ -26,7 +26,6 @@ TEST(Workload, IdenticalIsTheNeutralElement) {
   EXPECT_FALSE(w.features().any());
   EXPECT_EQ(w.size_of(3), 1);
   EXPECT_EQ(w.release_of(3), 0);
-  EXPECT_EQ(w.total_size(), 5);
   EXPECT_EQ(w.last_release(), 0);
   // Degenerate vectors normalize away: all-1 sizes / all-0 releases are the
   // identical workload.
@@ -58,7 +57,7 @@ TEST(WorkloadIo, RoundTripsEveryShape) {
   const std::vector<Workload> workloads{
       Workload(),
       Workload::identical(7),
-      Workload::of_sizes({2, 1, 5}),
+      Workload(3, {2, 1, 5}, {}),
       Workload::released({0, 3, 3, 11}),
       Workload(3, {2, 2, 4}, {5, 0, 5}),
   };
@@ -195,7 +194,7 @@ TEST(SimWorkload, SizesScaleLinksAndProcessors) {
   const Tree tree = two_slave_tree();
   // One task of size 3 to slave 1: emission 3*2, execution 3*3.
   const sim::SimResult run =
-      sim::simulate_dispatch(tree, {1}, Workload::of_sizes({3}));
+      sim::simulate_dispatch(tree, {1}, Workload(1, {3}, {}));
   ASSERT_EQ(run.num_tasks(), 1u);
   EXPECT_EQ(run.tasks[0].arrival, 6);
   EXPECT_EQ(run.tasks[0].end, 6 + 9);

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 
 namespace mstlint {
@@ -67,6 +68,14 @@ const std::vector<RuleInfo> kRules = {
      "A header cycle means neither file can be understood (or compiled "
      "standalone) without the other; the one-TU-per-header gate and the "
      "layer DAG both presuppose an acyclic graph."},
+    {"tests-only-api",
+     "public function in a src/mst/ header that only tests/ references",
+     "Every public function is API to document and keep compiling; one that "
+     "only tests call serves nothing the library ships.  A name counts as "
+     "used when it appears in src/, tools/, bench/, examples/ or perfbench/ "
+     "outside its own header and same-stem .cpp, or inside an inline body "
+     "of its own header.  The match is by name, so a tests-only overload of "
+     "a name that production calls is invisible to the rule."},
     {"shared-mutable-state",
      "static-storage mutable state with no thread-safety story",
      "The sweep runner fans cells over a thread pool; a naked mutable "
@@ -112,6 +121,7 @@ struct Stripped {
   std::vector<std::string> raw;
   std::vector<std::string> code;
   std::vector<std::pair<int, std::string>> strings;  // 1-based line, body
+  std::vector<std::string> macros;  // code of `#define` lines, blanked in `code`
 };
 
 Stripped strip(const std::string& content) {
@@ -207,11 +217,15 @@ Stripped strip(const std::string& content) {
   // directives (e.g. a format string in a #define) were already collected
   // above and stay visible to the format rules.
   bool continuation = false;
+  bool in_define = false;
   for (std::string& code : out.code) {
     const std::size_t first = code.find_first_not_of(" \t");
     const bool directive =
         continuation || (first != std::string::npos && code[first] == '#');
     if (directive) {
+      static const std::regex kDefine(R"(^\s*#\s*define\b)");
+      if (!continuation) in_define = std::regex_search(code, kDefine);
+      if (in_define) out.macros.push_back(code);
       const std::size_t last = code.find_last_not_of(" \t");
       continuation = last != std::string::npos && code[last] == '\\';
       std::fill(code.begin(), code.end(), ' ');
@@ -696,6 +710,8 @@ struct FileRecord {
   std::string path;
   std::vector<IncludeRef> includes;
   Directives directives;
+  std::vector<std::string> code;    ///< the stripped code view
+  std::vector<std::string> macros;  ///< the `#define` lines `code` blanks
 };
 
 void check_layering(const std::vector<FileRecord>& records, std::vector<Diagnostic>& out) {
@@ -773,6 +789,256 @@ void check_cycles(const std::vector<FileRecord>& records, std::vector<Diagnostic
   for (const FileRecord& record : records) {
     if (!color.count(record.path)) dfs.visit(record.path);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Tree-level pass: tests-only API
+//
+// A token walk over each library header's code view finds the functions it
+// declares where a caller can see them (namespace scope, or a `public`
+// section of a class every enclosing class also exposes), and the names its
+// inline bodies use.  A declared name is used when some non-test file other
+// than the header and its same-stem .cpp mentions it, or an inline body of
+// the header does.
+
+struct Token {
+  std::string text;
+  int line = 0;
+};
+
+bool is_ident_char(char c) { return std::isalnum(static_cast<unsigned char>(c)) || c == '_'; }
+
+std::vector<Token> tokenize(const std::vector<std::string>& code) {
+  std::vector<Token> out;
+  for (std::size_t li = 0; li < code.size(); ++li) {
+    const std::string& text = code[li];
+    const int line = static_cast<int>(li) + 1;
+    for (std::size_t i = 0; i < text.size();) {
+      if (std::isspace(static_cast<unsigned char>(text[i]))) {
+        ++i;
+      } else if (is_ident_char(text[i])) {
+        std::size_t j = i;
+        while (j < text.size() && is_ident_char(text[j])) ++j;
+        out.push_back({text.substr(i, j - i), line});
+        i = j;
+      } else {
+        out.push_back({std::string(1, text[i]), line});
+        ++i;
+      }
+    }
+  }
+  return out;
+}
+
+bool is_identifier(const std::string& text) {
+  return !text.empty() && !std::isdigit(static_cast<unsigned char>(text[0])) &&
+         is_ident_char(text[0]);
+}
+
+struct HeaderApi {
+  std::vector<Token> declared;  ///< function names, at the line of the name
+  std::set<std::string> used;   ///< identifiers inside the header's inline bodies
+};
+
+/// Index of the first token after a leading `template <...>` (0 if none).
+std::size_t after_template(const std::vector<Token>& head) {
+  if (head.empty() || head[0].text != "template") return 0;
+  int depth = 0;
+  for (std::size_t i = 1; i < head.size(); ++i) {
+    if (head[i].text == "<") ++depth;
+    if (head[i].text == ">" && --depth == 0) return i + 1;
+  }
+  return head.size();
+}
+
+/// The function a statement head declares, if it declares one that the
+/// rule judges: not a constructor, destructor, operator, macro, `virtual`
+/// or `override` method, or `= default`/`= delete` member.
+const Token* declared_function(const std::vector<Token>& head, const std::string& class_name) {
+  // Keywords that take parentheses at the start of a declaration.
+  static const std::set<std::string> kNotNames = {"static_assert", "alignas", "decltype"};
+  const std::size_t i = after_template(head);
+  std::size_t open = head.size();
+  int angle = 0;
+  for (std::size_t k = i; k < head.size(); ++k) {
+    const std::string& t = head[k].text;
+    if (t == "=" || t == "using" || t == "typedef") return nullptr;  // not a function
+    if (t == "<") ++angle;
+    if (t == ">") angle = std::max(0, angle - 1);
+    if (t == "(" && angle == 0) {
+      open = k;
+      break;
+    }
+  }
+  if (open == head.size() || open == i) return nullptr;
+  const Token& name = head[open - 1];
+  if (!is_identifier(name.text) || kNotNames.count(name.text) || name.text == "operator" ||
+      name.text == class_name) {
+    return nullptr;
+  }
+  if (std::all_of(name.text.begin(), name.text.end(),
+                  [](char c) { return std::isupper(static_cast<unsigned char>(c)) || c == '_' ||
+                                      std::isdigit(static_cast<unsigned char>(c)); })) {
+    return nullptr;  // macro invocation
+  }
+  if (open >= i + 2) {
+    const std::string& before = head[open - 2].text;
+    if (before == "operator" || before == "~" || before == ":") return nullptr;
+  }
+  for (std::size_t k = open; k < head.size(); ++k) {
+    const std::string& t = head[k].text;
+    if (t == "default" || t == "delete" || t == "override") return nullptr;
+  }
+  for (std::size_t k = i; k < open; ++k) {
+    if (head[k].text == "virtual" || head[k].text == "explicit") return nullptr;
+  }
+  return &name;
+}
+
+HeaderApi scan_header_api(const std::vector<std::string>& code) {
+  enum class Scope { kNamespace, kClass, kBody };
+  struct Frame {
+    Scope scope;
+    bool visible;          ///< a caller outside the header can name members here
+    bool parent_visible;
+    std::string class_name;
+  };
+  HeaderApi out;
+  const std::vector<Token> tokens = tokenize(code);
+  std::vector<Frame> stack = {{Scope::kNamespace, true, true, ""}};
+  std::vector<Token> head;
+  int paren = 0;
+  const auto consider = [&] {
+    const Frame& top = stack.back();
+    if (top.scope == Scope::kBody || !top.visible) return;
+    if (const Token* name = declared_function(head, top.class_name)) {
+      out.declared.push_back(*name);
+    }
+  };
+  const auto has = [&](const char* word) {
+    return std::any_of(head.begin(), head.end(), [&](const Token& t) { return t.text == word; });
+  };
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const Token& t = tokens[i];
+    Frame& top = stack.back();
+    if (top.scope == Scope::kBody) {
+      if (t.text == "{") {
+        stack.push_back({Scope::kBody, false, false, ""});
+      } else if (t.text == "}") {
+        stack.pop_back();
+      } else if (is_identifier(t.text)) {
+        out.used.insert(t.text);
+      }
+      continue;
+    }
+    if (paren > 0 || t.text == "(") {
+      if (t.text == "(") ++paren;
+      if (t.text == ")") --paren;
+      head.push_back(t);
+      continue;
+    }
+    if (t.text == ";") {
+      consider();
+      head.clear();
+    } else if (t.text == "{") {
+      // What the brace opens: a namespace, a class, or a body to skip (a
+      // function, enum or initializer).  A template prefix may name `class`.
+      const auto key = std::find_if(
+          head.begin() + static_cast<std::ptrdiff_t>(after_template(head)), head.end(),
+          [](const Token& k) {
+            return k.text == "class" || k.text == "struct" || k.text == "union";
+          });
+      if (has("namespace")) {
+        const bool anonymous = head.back().text == "namespace";
+        stack.push_back({Scope::kNamespace, top.visible && !anonymous, top.visible, ""});
+      } else if (key != head.end() && !has("enum") && !has("(") && !has("=")) {
+        std::string name;
+        for (auto it = key + 1; it != head.end() && name.empty(); ++it) {
+          if (is_identifier(it->text) && it->text != "final") name = it->text;
+        }
+        const bool open_access = key->text != "class";
+        stack.push_back({Scope::kClass, top.visible && open_access, top.visible, name});
+      } else {
+        consider();  // an inline definition declares its function too
+        stack.push_back({Scope::kBody, false, false, ""});
+      }
+      head.clear();
+    } else if (t.text == "}") {
+      if (stack.size() > 1) stack.pop_back();
+      head.clear();
+    } else if (top.scope == Scope::kClass && head.empty() &&
+               (t.text == "public" || t.text == "private" || t.text == "protected") &&
+               i + 1 < tokens.size() && tokens[i + 1].text == ":") {
+      top.visible = top.parent_visible && t.text == "public";
+      ++i;  // the label's colon
+    } else {
+      head.push_back(t);
+    }
+  }
+  return out;
+}
+
+void check_tests_only_api(const std::vector<FileRecord>& records,
+                          const std::map<std::string, std::set<std::string>>& references,
+                          std::vector<Diagnostic>& out) {
+  for (const FileRecord& record : records) {
+    const std::string& path = record.path;
+    if (path.rfind("src/mst/", 0) != 0 || path.size() < 4 ||
+        path.compare(path.size() - 4, 4, ".hpp") != 0) {
+      continue;
+    }
+    HeaderApi api = scan_header_api(record.code);
+    for (const Token& t : tokenize(record.macros)) api.used.insert(t.text);  // macro bodies
+    const std::string source = path.substr(0, path.size() - 4) + ".cpp";  // same stem
+    for (const Token& name : api.declared) {
+      if (api.used.count(name.text)) continue;
+      const auto it = references.find(name.text);
+      const bool used_elsewhere =
+          it != references.end() &&
+          std::any_of(it->second.begin(), it->second.end(), [&](const std::string& file) {
+            return file != path && file != source;
+          });
+      if (used_elsewhere) continue;
+      out.push_back({path, name.line, "tests-only-api",
+                     "'" + name.text + "' is public, but nothing outside tests/ (and its own "
+                     "header/.cpp) references it: delete it, make it file-local, move it to "
+                     "tests/support/, or allow it naming the ROADMAP item that will call it"});
+    }
+  }
+}
+
+/// Which non-test files mention each identifier, from the scanned records
+/// plus the reference-only files under `perfbench/`.
+std::map<std::string, std::set<std::string>> reference_index(
+    const std::string& root, const std::vector<FileRecord>& records) {
+  namespace fs = std::filesystem;
+  std::map<std::string, std::set<std::string>> index;
+  const auto add_file = [&](const std::string& path, const std::vector<std::string>& code) {
+    for (const Token& t : tokenize(code)) {
+      if (is_identifier(t.text)) index[t.text].insert(path);
+    }
+  };
+  for (const FileRecord& record : records) {
+    if (record.path.rfind("tests/", 0) != 0) {
+      add_file(record.path, record.code);
+      add_file(record.path, record.macros);
+    }
+  }
+  const fs::path bench = fs::path(root) / "perfbench";
+  if (fs::exists(bench)) {
+    for (const auto& entry : fs::recursive_directory_iterator(bench)) {
+      const std::string ext = entry.path().extension().string();
+      if (!entry.is_regular_file() || (ext != ".cpp" && ext != ".hpp")) continue;
+      std::ifstream is(entry.path(), std::ios::binary);
+      std::ostringstream buffer;
+      buffer << is.rdbuf();
+      const Stripped stripped = strip(buffer.str());
+      const std::string path = fs::relative(entry.path(), root).generic_string();
+      add_file(path, stripped.code);
+      add_file(path, stripped.macros);
+    }
+  }
+  return index;
 }
 
 }  // namespace
@@ -854,16 +1120,20 @@ std::vector<Diagnostic> lint_tree(const std::string& root, std::vector<std::stri
     FileRecord record;
     record.path = file;
     record.includes = parse_includes(content);
-    record.directives = parse_directives(file, strip(content).raw);
+    Stripped stripped = strip(content);
+    record.directives = parse_directives(file, stripped.raw);
+    record.code = std::move(stripped.code);
+    record.macros = std::move(stripped.macros);
     records.push_back(std::move(record));
     if (scanned != nullptr) scanned->push_back(file);
   }
 
-  // Tree-level passes over the include graph; suppressions apply at the
-  // offending #include's own file:line.
+  // Tree-level passes (include graph, tests-only API); suppressions apply at
+  // the flagged #include's or declaration's own file:line.
   std::vector<Diagnostic> graph;
   check_layering(records, graph);
   check_cycles(records, graph);
+  check_tests_only_api(records, reference_index(root, records), graph);
   std::map<std::string, const FileRecord*> by_path;
   for (const FileRecord& record : records) by_path[record.path] = &record;
   for (Diagnostic& d : graph) {

@@ -55,8 +55,10 @@ bool known_rule(const std::string& id);
 std::vector<Diagnostic> lint_source(const std::string& path, const std::string& content);
 
 /// Walks `src/`, `tools/`, `bench/`, `examples/` and `tests/` under
-/// `root`, linting every `.cpp`/`.hpp`, then runs the tree-level passes
-/// over the project include graph (module layering, include cycles).
+/// `root`, linting every `.cpp`/`.hpp`, then runs the tree-level passes:
+/// module layering and include cycles over the project include graph, and
+/// the tests-only API check, which also reads `perfbench/` for references
+/// (never linting it).
 /// Skipped by design: `tools/mstlint/` (the rule table spells the banned
 /// tokens out as data), `tests/data/lint/` and `tests/test_lint.cpp` (the
 /// intentional-violation corpus and the fixtures embedded in the lint
