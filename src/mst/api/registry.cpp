@@ -78,6 +78,14 @@ void count_work(const SolveOptions& opts, const char* name, std::size_t value) {
   opts.metrics->counter(name).add(static_cast<std::int64_t>(value));
 }
 
+/// Folds the nodes the engine's earliest-completion passes visited in the
+/// solve that just ran into `core.asap.ect_nodes`; a policy that never
+/// chooses by earliest completion leaves no counter.
+void count_ect(const SolveOptions& opts) {
+  const std::size_t visited = opts.scratch->engine.state.ect_nodes();
+  if (visited > 0) count_work(opts, "core.asap.ect_nodes", visited);
+}
+
 /// Effective decision cap: the search cap, clamped to a finite pool.
 std::size_t decision_cap(const SolveOptions& options) {
   const std::size_t cap = std::max<std::size_t>(1, options.cap);
@@ -500,15 +508,15 @@ constexpr WorkloadFeatures kReleaseStreaming{/*sizes=*/false, /*release=*/true,
 constexpr WorkloadFeatures kSizesReleaseStreaming{/*sizes=*/true, /*release=*/true,
                                                   /*streaming=*/true};
 
-/// Wraps a core decision-form schedule (`schedule_within` family) into a
-/// DecisionResult.  The core schedules stay absolute in `[0, deadline]`, so
-/// `makespan() <= deadline` by construction.  The schedule moves into the
-/// payload only when nonempty, so an empty window yields a payload-free
-/// result and never discards a pooled schedule's warm buffers.
+/// Wraps a decision-form schedule (the core `schedule_within` family or a
+/// deadline-stopped replay) and its completion time into a DecisionResult.
+/// Both stay absolute in `[0, deadline]`, so `makespan <= deadline` by
+/// construction.  The schedule moves into the payload only when nonempty,
+/// so an empty window yields a payload-free result and never discards a
+/// pooled schedule's warm buffers.
 template <typename Schedule>
-DecisionResult decision_from_schedule(Schedule& schedule) {
+DecisionResult decision_from_schedule(Schedule& schedule, Time makespan) {
   const std::size_t tasks = schedule.num_tasks();
-  const Time makespan = schedule.makespan();
   AnySchedule payload;
   if (tasks > 0) payload = std::move(schedule);
   return make_decision(tasks, makespan, std::move(payload));
@@ -534,7 +542,7 @@ DecisionResult horizon_decision(const Topology& topology, Time deadline, const S
     return make_decision(tasks, tasks > 0 ? deadline : 0, {});
   }
   Core::schedule_within_into(topology, deadline, tasks_from, cap, scratch, pooled);
-  return decision_from_schedule(pooled);
+  return decision_from_schedule(pooled, pooled.makespan());
 }
 
 /// Decision form of the exhaustive oracles: exact count from the monotone
@@ -601,38 +609,80 @@ void register_replan(Registry& r, PlatformKind k) {
 ChainSchedule& pool_for(const Chain&, SolveScratch& scratch) { return scratch.chain_pool; }
 SpiderSchedule& pool_for(const Spider&, SolveScratch& scratch) { return scratch.spider_pool; }
 
-/// Registers one ASAP-engine baseline for an exact kind:
-/// `policy(shape, w, state, out)` replays on the scratch's engine state into
-/// the shape's pooled schedule, so a warm solve allocates nothing.
-template <typename Policy>
+/// An engine baseline's makespan form on `shape`: `policy(shape, w, state,
+/// out)` replays on the scratch's engine state into the shape's pooled
+/// schedule, so a warm solve allocates nothing.
+template <typename Shape, typename Policy>
+SolveResult replay_solve(const Shape& shape, const Workload& w, const SolveOptions& opts,
+                         const Policy& policy) {
+  auto& pooled = pool_for(shape, *opts.scratch);
+  policy(shape, w, opts.scratch->engine.state, pooled);
+  count_ect(opts);
+  return shape_result(std::move(pooled), w, opts);
+}
+
+/// A prefix-stable engine baseline's decision form on `shape`, in one
+/// replay: `policy(shape, tasks, state, out, stop)` commits tasks from the
+/// pool, or from the identical stream, up to the cap and stops before the
+/// first that would complete after `deadline`.  The kept prefix is the
+/// answer and the payload; nothing is solved twice.
+template <typename Shape, typename Policy>
+DecisionResult replay_decision(const Shape& shape, Time deadline, const SolveOptions& opts,
+                               const Policy& policy) {
+  if (deadline <= 0) return {};
+  const Workload* pool = opts.workload.get();
+  const std::size_t cap = decision_cap(opts);
+  const Workload stream = Workload::identical(cap);
+  auto& pooled = pool_for(shape, *opts.scratch);
+  const Time makespan = policy(shape, pool != nullptr ? *pool : stream,
+                               opts.scratch->engine.state, pooled, ReplayStop{cap, deadline});
+  count_ect(opts);
+  return decision_from_schedule(pooled, makespan);
+}
+
+/// Registers one ASAP-engine baseline for an exact kind (`replay_solve`).
+/// A prefix-stable policy also answers the decision form natively
+/// (`replay_decision`); the others go through the makespan inversion.
+template <bool kPrefixStable, typename Policy>
 void add_engine_baseline(Registry& r, PlatformKind k, const char* name, const char* summary,
                          Policy policy) {
+  DecisionFn decide;
+  if constexpr (kPrefixStable) {
+    decide = [policy](const Platform& p, Time deadline, const SolveOptions& opts) {
+      return on_shape(p, opts, [&](const auto& shape) {
+        return replay_decision(shape, deadline, opts, policy);
+      });
+    };
+  }
   r.add({k, name, summary, /*optimal=*/false, /*exponential=*/false, kSizesAndRelease},
         [policy](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          return on_shape(p, opts, [&](const auto& shape) {
-            auto& pooled = pool_for(shape, *opts.scratch);
-            policy(shape, w, opts.scratch->engine.state, pooled);
-            return shape_result(std::move(pooled), w, opts);
-          });
-        });
+          return on_shape(p, opts,
+                          [&](const auto& shape) { return replay_solve(shape, w, opts, policy); });
+        },
+        std::move(decide));
 }
 
 /// The forward-greedy, round-robin and single-node baselines, registered
-/// the same way for chains, forks and spiders.
+/// the same way for chains, forks and spiders.  Forward greedy and round
+/// robin are prefix-stable; the best single pipeline of `n` tasks is not.
 void register_engine_baselines(Registry& r, PlatformKind k) {
-  add_engine_baseline(r, k, "forward-greedy", "earliest-completion-time list scheduling",
-                      [](const auto& shape, const Workload& w, TreeAsapState& state,
-                         auto& out) { forward_greedy(shape, w, state, out); });
-  add_engine_baseline(r, k, "round-robin", "heterogeneity-blind cyclic dispatch",
-                      [](const auto& shape, const Workload& w, TreeAsapState& state,
-                         auto& out) { round_robin(shape, w, state, out); });
+  add_engine_baseline<true>(r, k, "forward-greedy", "earliest-completion-time list scheduling",
+                            [](const auto& shape, const Workload& w, TreeAsapState& state,
+                               auto& out, const ReplayStop& stop = {}) {
+                              return forward_greedy(shape, w, state, out, stop);
+                            });
+  add_engine_baseline<true>(r, k, "round-robin", "heterogeneity-blind cyclic dispatch",
+                            [](const auto& shape, const Workload& w, TreeAsapState& state,
+                               auto& out, const ReplayStop& stop = {}) {
+                              return round_robin(shape, w, state, out, stop);
+                            });
   const char* pipeline_summary =
       k == PlatformKind::kChain  ? "best single-processor pipeline (generalized T-infinity)"
       : k == PlatformKind::kFork ? "best single-slave pipeline"
                                  : "best single-processor pipeline over all legs";
-  add_engine_baseline(r, k, "single-node", pipeline_summary,
-                      [](const auto& shape, const Workload& w, TreeAsapState& state,
-                         auto& out) { single_node(shape, w, state, out); });
+  add_engine_baseline<false>(r, k, "single-node", pipeline_summary,
+                             [](const auto& shape, const Workload& w, TreeAsapState& state,
+                                auto& out) { single_node(shape, w, state, out); });
 }
 
 /// The exhaustive oracle of an exact kind, identical workloads only.
@@ -670,13 +720,18 @@ void register_chain_algorithms(Registry& r) {
                                                   opts.scratch->chain_pool);
         });
   register_engine_baselines(r, k);
+  // The repeated periodic block's destinations, ASAP: prefix-stable.
+  const auto periodic = [](const Chain& chain, const Workload& w, TreeAsapState& state,
+                           ChainSchedule& out, const ReplayStop& stop = {}) {
+    return chain_periodic(chain, w, state, out, stop);
+  };
   r.add({k, "periodic", "bandwidth-centric periodic pattern, ASAP prefix", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          const Chain& chain = std::get<Chain>(p);
-          // The first `n` destinations of the repeated periodic block, ASAP.
-          const auto dests = chain_periodic_destinations(chain, w.count());
-          return shape_result(asap_chain_schedule(chain, dests), w, opts);
+        [periodic](const Platform& p, const Workload& w, const SolveOptions& opts) {
+          return replay_solve(std::get<Chain>(p), w, opts, periodic);
+        },
+        [periodic](const Platform& p, Time deadline, const SolveOptions& opts) {
+          return replay_decision(std::get<Chain>(p), deadline, opts, periodic);
         });
   register_brute_force(r, k);
   register_replan(r, k);
@@ -709,7 +764,7 @@ DecisionResult fork_decision(const Platform& p, Time deadline, const SolveOption
                                       pool != nullptr ? *pool : stream, cap, opts.scratch->fork,
                                       pooled);
   count_work(opts, "core.spider.nodes_built", opts.scratch->fork.solve.count.nodes_built);
-  return decision_from_schedule(pooled);
+  return decision_from_schedule(pooled, pooled.makespan());
 }
 
 void register_fork_algorithms(Registry& r) {
@@ -751,6 +806,20 @@ void register_spider_algorithms(Registry& r) {
   register_replan(r, k);
 }
 
+/// The tree forward greedy on the scratch's engine into the pooled
+/// dispatch: at most `n` tasks, stopped before the first that would
+/// complete after `deadline`.  Returns the makespan of the tasks kept.
+Time tree_greedy(const Platform& p, std::size_t n, Time deadline, const SolveOptions& opts) {
+  const Tree& tree = std::get<Tree>(p);
+  TreeDispatch& pooled = opts.scratch->tree_pool;
+  TreeAsapState& state = opts.scratch->engine.state;
+  state.assign(tree);
+  const Time makespan = forward_greedy_tree_into(n, state, pooled.dests, deadline);
+  count_ect(opts);
+  pooled.tree = tree;
+  return makespan;
+}
+
 void register_tree_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kTree;
   // The three offline heuristics (identical workloads only) run on the
@@ -771,14 +840,19 @@ void register_tree_algorithms(Registry& r) {
   r.add({k, "forward-greedy", "earliest-completion-time dispatch on the full tree",
          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          const Tree& tree = std::get<Tree>(p);
-          const std::size_t n = w.count();
+          const Time makespan = tree_greedy(p, w.count(), kNoDeadline, opts);
+          return make_result(w.count(), makespan, /*lower_bound=*/0,
+                             std::move(opts.scratch->tree_pool));
+        },
+        // Prefix-stable: one greedy run over the identical stream (or
+        // pool), stopped before the first task past the deadline.
+        [](const Platform& p, Time deadline, const SolveOptions& opts) {
+          if (deadline <= 0) return DecisionResult{};
+          const Time makespan = tree_greedy(p, decision_cap(opts), deadline, opts);
           TreeDispatch& pooled = opts.scratch->tree_pool;
-          TreeAsapState& state = opts.scratch->engine.state;
-          state.assign(tree);
-          const Time makespan = forward_greedy_tree_into(n, state, pooled.dests);
-          pooled.tree = tree;
-          return make_result(n, makespan, /*lower_bound=*/0, std::move(pooled));
+          const std::size_t tasks = pooled.dests.size();
+          if (tasks == 0) return DecisionResult{};
+          return make_decision(tasks, makespan, std::move(pooled));
         });
   r.add({k, "local-search", "greedy start + reassign/swap descent", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},

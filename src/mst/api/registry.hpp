@@ -51,11 +51,17 @@
 ///
 /// Every entry supports the decision form: algorithms with a native decision
 /// procedure (the chain backward construction, the fork/spider virtual-node
-/// selections, the brute-force oracles) register it directly; every other
-/// entry inherits an adapter that inverts its makespan form by exponential +
-/// binary search, which is exact whenever the makespan is monotone in the
-/// task count (true for all built-ins).  For finite workloads the adapter
-/// probes canonical prefixes instead of counts.
+/// selections, the brute-force oracles) register it directly.  So do the
+/// prefix-stable entries on the forward-ASAP engine, whose `k`-task run is
+/// the first `k` tasks of any longer run: tree `forward-greedy`, chain,
+/// fork and spider `forward-greedy` and `round-robin`, and chain
+/// `periodic`.  They answer in one pass, one run stopped before the first
+/// task that would complete after the deadline.  Every other entry
+/// (`single-node`, `local-search`, `spider-cover`, `replan` and the tree
+/// `online-*` policies) inherits an adapter that inverts its makespan form
+/// by exponential + binary search, which is exact whenever the makespan is
+/// monotone in the task count (true for all built-ins).  For finite
+/// workloads the adapter probes canonical prefixes instead of counts.
 ///
 /// Workload generality is opt-in per algorithm: `AlgorithmInfo::supports`
 /// declares which features (non-uniform sizes, release dates) an entry can

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "mst/baselines/tree_asap.hpp"
@@ -44,9 +45,19 @@ SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<Spid
                                     const Workload& workload);
 
 /// Picks the engine node that task `i` of the workload (of the given size
-/// and release date) is sent to, from the state before it is placed.
+/// and release date) is sent to, from the state before it is placed.  The
+/// state is not const only so the earliest-completion choice can use its
+/// buffer; a policy commits nothing.
 using NextNode =
-    std::function<NodeId(const TreeAsapState& state, std::size_t i, Time size, Time release)>;
+    std::function<NodeId(TreeAsapState& state, std::size_t i, Time size, Time release)>;
+
+/// Where a replay stops: after `limit` tasks of its workload, or before the
+/// first task that would complete after `deadline`.  The defaults replay
+/// the whole workload.
+struct ReplayStop {
+  std::size_t limit = std::numeric_limits<std::size_t>::max();
+  Time deadline = kNoDeadline;
+};
 
 /// Dispatches `workload` in order, task `i` to the node `next` picks, and
 /// returns the schedule the engine times: the one replay behind every
@@ -56,12 +67,17 @@ ChainSchedule asap_chain_replay(const Chain& chain, const Workload& workload,
 SpiderSchedule asap_spider_replay(const Spider& spider, const Workload& workload,
                                   const NextNode& next);
 
-/// The same replay rebuilt into `out` on `state`: both keep their buffers,
-/// so once they have held a platform and a workload this large the replay
-/// allocates nothing (the registry's baselines run on its pooled schedules).
-void asap_replay_into(const Chain& chain, const Workload& workload, const NextNode& next,
-                      TreeAsapState& state, ChainSchedule& out);
-void asap_replay_into(const Spider& spider, const Workload& workload, const NextNode& next,
-                      TreeAsapState& state, SpiderSchedule& out);
+/// The same replay rebuilt into `out` on `state`, returning its makespan:
+/// both keep their buffers, so once they have held a platform and a
+/// workload this large the replay allocates nothing (the registry's
+/// baselines run on its pooled schedules).  The schedule grows as tasks
+/// are kept, so a `stop` far beyond them costs nothing.  For a
+/// prefix-stable policy (its `k`-task run is the first `k` tasks of any
+/// longer run) a deadline stop answers the decision form: `out` holds the
+/// most tasks its runs complete by the deadline.
+Time asap_replay_into(const Chain& chain, const Workload& workload, const NextNode& next,
+                      TreeAsapState& state, ChainSchedule& out, const ReplayStop& stop = {});
+Time asap_replay_into(const Spider& spider, const Workload& workload, const NextNode& next,
+                      TreeAsapState& state, SpiderSchedule& out, const ReplayStop& stop = {});
 
 }  // namespace mst

@@ -6,7 +6,7 @@ namespace mst {
 
 namespace {
 
-NodeId earliest(const TreeAsapState& state, std::size_t, Time size, Time release) {
+NodeId earliest(TreeAsapState& state, std::size_t, Time size, Time release) {
   return state.earliest_completion(size, release);
 }
 
@@ -20,14 +20,14 @@ SpiderSchedule forward_greedy(const Spider& spider, const Workload& workload) {
   return asap_spider_replay(spider, workload, earliest);
 }
 
-void forward_greedy(const Chain& chain, const Workload& workload, TreeAsapState& state,
-                    ChainSchedule& out) {
-  asap_replay_into(chain, workload, earliest, state, out);
+Time forward_greedy(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                    ChainSchedule& out, const ReplayStop& stop) {
+  return asap_replay_into(chain, workload, earliest, state, out, stop);
 }
 
-void forward_greedy(const Spider& spider, const Workload& workload, TreeAsapState& state,
-                    SpiderSchedule& out) {
-  asap_replay_into(spider, workload, earliest, state, out);
+Time forward_greedy(const Spider& spider, const Workload& workload, TreeAsapState& state,
+                    SpiderSchedule& out, const ReplayStop& stop) {
+  return asap_replay_into(spider, workload, earliest, state, out, stop);
 }
 
 }  // namespace mst

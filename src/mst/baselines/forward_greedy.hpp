@@ -1,6 +1,6 @@
 #pragma once
 
-#include "mst/baselines/tree_asap.hpp"
+#include "mst/baselines/asap.hpp"
 #include "mst/platform/chain.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -28,10 +28,12 @@ ChainSchedule forward_greedy(const Chain& chain, const Workload& workload);
 SpiderSchedule forward_greedy(const Spider& spider, const Workload& workload);
 
 /// The same schedule rebuilt into `out` on `state`'s buffers
-/// (`asap_replay_into`): allocation-free once both are warm.
-void forward_greedy(const Chain& chain, const Workload& workload, TreeAsapState& state,
-                    ChainSchedule& out);
-void forward_greedy(const Spider& spider, const Workload& workload, TreeAsapState& state,
-                    SpiderSchedule& out);
+/// (`asap_replay_into`), returning its makespan: allocation-free once both
+/// are warm.  The policy is prefix-stable, so a deadline `stop` gives its
+/// decision form in the same one replay.
+Time forward_greedy(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                    ChainSchedule& out, const ReplayStop& stop = {});
+Time forward_greedy(const Spider& spider, const Workload& workload, TreeAsapState& state,
+                    SpiderSchedule& out, const ReplayStop& stop = {});
 
 }  // namespace mst

@@ -74,38 +74,33 @@ std::size_t pattern_counts(const Chain& chain, PeriodicPattern& pattern) {
   return total;
 }
 
-/// The first `length <= total` positions of the block interleaving `counts`
-/// (which sum to `total`).  Position `i` depends only on the counts, the
-/// total and `i`, so a prefix is the whole block's prefix.
-std::vector<std::size_t> interleave(const std::vector<std::size_t>& counts, std::size_t total,
-                                    std::size_t length) {
+/// The processor at 1-based position `i` of the block interleaving
+/// `counts` (which sum to `total`), given how many each has had earlier in
+/// the block (`emitted`, updated).  Position `i` depends only on the counts,
+/// the total and `i`, so a prefix is the whole block's prefix.
+std::size_t interleave_step(const std::vector<std::size_t>& counts, std::size_t total,
+                            std::size_t i, std::vector<std::size_t>& emitted) {
   // Evenly interleave the counts (per-processor Bresenham): at block
   // position i, emit processor q when its accumulated share crosses the
   // next integer.  Smooth interleaving keeps every link's load spread out,
-  // which is what lets ASAP timing track the fluid schedule.
-  std::vector<std::size_t> block;
-  block.reserve(length);
-  std::vector<std::size_t> emitted(counts.size(), 0);
-  for (std::size_t i = 1; i <= length; ++i) {
-    // Pick the processor whose deficit (expected share - emitted) is
-    // largest; ties toward the nearer processor.
-    std::size_t best = counts.size();
-    double best_deficit = -1e300;
-    for (std::size_t q = 0; q < counts.size(); ++q) {
-      if (counts[q] == 0) continue;
-      const double expected =
-          static_cast<double>(counts[q]) * static_cast<double>(i) / static_cast<double>(total);
-      const double deficit = expected - static_cast<double>(emitted[q]);
-      if (deficit > best_deficit + 1e-12) {
-        best_deficit = deficit;
-        best = q;
-      }
+  // which is what lets ASAP timing track the fluid schedule.  The
+  // processor whose deficit (expected share - emitted) is largest wins,
+  // ties toward the nearer processor.
+  std::size_t best = counts.size();
+  double best_deficit = -1e300;
+  for (std::size_t q = 0; q < counts.size(); ++q) {
+    if (counts[q] == 0) continue;
+    const double expected =
+        static_cast<double>(counts[q]) * static_cast<double>(i) / static_cast<double>(total);
+    const double deficit = expected - static_cast<double>(emitted[q]);
+    if (deficit > best_deficit + 1e-12) {
+      best_deficit = deficit;
+      best = q;
     }
-    MST_ASSERT(best < counts.size());
-    ++emitted[best];
-    block.push_back(best);
   }
-  return block;
+  MST_ASSERT(best < counts.size());
+  ++emitted[best];
+  return best;
 }
 
 }  // namespace
@@ -113,17 +108,32 @@ std::vector<std::size_t> interleave(const std::vector<std::size_t>& counts, std:
 PeriodicPattern chain_periodic_pattern(const Chain& chain) {
   PeriodicPattern pattern;
   const std::size_t total = pattern_counts(chain, pattern);
-  pattern.block = interleave(pattern.counts, total, total);
+  std::vector<std::size_t> emitted(pattern.counts.size(), 0);
+  pattern.block.reserve(total);
+  for (std::size_t i = 1; i <= total; ++i) {
+    pattern.block.push_back(interleave_step(pattern.counts, total, i, emitted));
+  }
   return pattern;
 }
 
-std::vector<std::size_t> chain_periodic_destinations(const Chain& chain, std::size_t n) {
+Time chain_periodic(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                    ChainSchedule& out, const ReplayStop& stop) {
   PeriodicPattern pattern;
   const std::size_t total = pattern_counts(chain, pattern);
-  const std::vector<std::size_t> block = interleave(pattern.counts, total, std::min(n, total));
-  std::vector<std::size_t> dests(n);
-  for (std::size_t i = 0; i < n; ++i) dests[i] = block[i % block.size()];
-  return dests;
+  // The stream's position in the current block: the block restarts, its
+  // emitted counts cleared, every `total` tasks.
+  std::vector<std::size_t> emitted(pattern.counts.size(), 0);
+  std::size_t position = 0;
+  return asap_replay_into(
+      chain, workload,
+      [&](TreeAsapState&, std::size_t, Time, Time) {
+        if (position == total) {
+          position = 0;
+          std::fill(emitted.begin(), emitted.end(), 0);
+        }
+        return interleave_step(pattern.counts, total, ++position, emitted) + 1;
+      },
+      state, out, stop);
 }
 
 }  // namespace mst

@@ -3,8 +3,11 @@
 #include <cstddef>
 #include <vector>
 
+#include "mst/baselines/asap.hpp"
 #include "mst/common/rational.hpp"
 #include "mst/platform/chain.hpp"
+#include "mst/schedule/chain_schedule.hpp"
+#include "mst/workload/workload.hpp"
 
 /// \file periodic.hpp
 /// Exact steady-state rates and periodic schedule construction for chains —
@@ -48,9 +51,13 @@ struct PeriodicPattern {
 /// capacity instead).
 PeriodicPattern chain_periodic_pattern(const Chain& chain);
 
-/// The first `n` destinations of the repeated block, building only the
-/// first `min(n, block length)` block positions — the block of a chain with
-/// nearly coprime times can hold trillions of entries.
-std::vector<std::size_t> chain_periodic_destinations(const Chain& chain, std::size_t n);
+/// The periodic baseline: the repeated block's destinations, timed ASAP
+/// into `out` on `state` (`asap_replay_into`), returning the makespan.
+/// Task `i` goes to block position `i mod tasks_per_period`, built as the
+/// replay reaches it, never the whole block: the block of a chain with
+/// nearly coprime times can hold trillions of entries.  Prefix-stable, so a
+/// deadline `stop` gives its decision form in the same one replay.
+Time chain_periodic(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                    ChainSchedule& out, const ReplayStop& stop = {});
 
 }  // namespace mst

@@ -21,14 +21,14 @@ SpiderSchedule round_robin(const Spider& spider, const Workload& workload) {
   return asap_spider_replay(spider, workload, cyclic);
 }
 
-void round_robin(const Chain& chain, const Workload& workload, TreeAsapState& state,
-                 ChainSchedule& out) {
-  asap_replay_into(chain, workload, cyclic, state, out);
+Time round_robin(const Chain& chain, const Workload& workload, TreeAsapState& state,
+                 ChainSchedule& out, const ReplayStop& stop) {
+  return asap_replay_into(chain, workload, cyclic, state, out, stop);
 }
 
-void round_robin(const Spider& spider, const Workload& workload, TreeAsapState& state,
-                 SpiderSchedule& out) {
-  asap_replay_into(spider, workload, cyclic, state, out);
+Time round_robin(const Spider& spider, const Workload& workload, TreeAsapState& state,
+                 SpiderSchedule& out, const ReplayStop& stop) {
+  return asap_replay_into(spider, workload, cyclic, state, out, stop);
 }
 
 }  // namespace mst

@@ -59,14 +59,16 @@ void TreeAsapState::start(std::size_t nodes, std::size_t hops) {
   nodes_.reserve(nodes);
   paths_.reserve(hops);
   times_.assign(2 * nodes, 0);
+  ready_.resize(nodes);
   nodes_.push_back(Node{});
   legs_ = 0;
+  ect_nodes_ = 0;
 }
 
 NodeId TreeAsapState::add_node(NodeId parent, const Processor& proc) {
   const NodeId v = nodes_.size();
   const Node& up = nodes_[parent];
-  Node node{proc, paths_.size(), up.depth + 1, parent == 0 ? legs_++ : up.leg};
+  Node node{proc, parent, paths_.size(), up.depth + 1, parent == 0 ? legs_++ : up.leg};
   for (std::size_t i = up.path; i < up.path + up.depth; ++i) {
     const NodeId hop = paths_[i];
     paths_.push_back(hop);
@@ -83,56 +85,62 @@ void TreeAsapState::save(Time* out) const { std::copy(times_.begin(), times_.end
 
 void TreeAsapState::restore(const Time* in) { std::copy_n(in, times_.size(), times_.begin()); }
 
-template <typename OnHop>
-Time TreeAsapState::walk(NodeId dest, Time size, Time release, OnHop&& on_hop) const {
+Time TreeAsapState::commit(NodeId dest, Time size, Time release) {
   MST_REQUIRE(dest != 0 && dest < nodes_.size(), "destination must be a slave node");
   const Node& target = nodes_[dest];
   Time ready = release;
   NodeId sender = 0;
   for (const NodeId* hop = &paths_[target.path]; hop != &paths_[target.path] + target.depth;
        ++hop) {
-    const Time emit = std::max(ready, times_[2 * sender]);
-    ready = advance(emit, size, nodes_[*hop].proc.comm);
-    on_hop(sender, emit, ready);
+    ready = advance(std::max(ready, times_[2 * sender]), size, nodes_[*hop].proc.comm);
+    times_[2 * sender] = ready;
     sender = *hop;
   }
-  return advance(std::max(ready, times_[2 * dest + 1]), size, target.proc.work);
-}
-
-Time TreeAsapState::peek_completion(NodeId dest, Time size, Time release) const {
-  return walk(dest, size, release, [](NodeId, Time, Time) {});
-}
-
-Time TreeAsapState::commit(NodeId dest, Time size, Time release, Time* emissions) {
-  const Time end = walk(dest, size, release, [&](NodeId sender, Time emit, Time link_free) {
-    times_[2 * sender] = link_free;
-    if (emissions != nullptr) *emissions++ = emit;
-  });
+  const Time end = advance(std::max(ready, times_[2 * dest + 1]), size, target.proc.work);
   times_[2 * dest + 1] = end;
   return end;
 }
 
-NodeId TreeAsapState::earliest_completion(Time size, Time release) const {
-  NodeId best = 1;
-  Time best_completion = peek_completion(best, size, release);
-  for (NodeId v = 2; v < nodes_.size(); ++v) {
-    const Time completion = peek_completion(v, size, release);
-    if (completion < best_completion) {
+void TreeAsapState::hop_emissions(NodeId dest, Time size, Time* out) const {
+  const Node& target = nodes_[dest];
+  NodeId sender = 0;
+  for (const NodeId* hop = &paths_[target.path]; hop != &paths_[target.path] + target.depth;
+       ++hop) {
+    *out++ = times_[2 * sender] - size * nodes_[*hop].proc.comm;
+    sender = *hop;
+  }
+}
+
+NodeId TreeAsapState::earliest_completion(Time size, Time release) {
+  MST_REQUIRE(nodes_.size() >= 2, "platform has no slaves");
+  ready_[0] = release;
+  NodeId best = 0;
+  Time best_completion = 0;
+  for (NodeId v = 1; v < nodes_.size(); ++v) {
+    const Node& node = nodes_[v];
+    ready_[v] = advance(std::max(ready_[node.parent], times_[2 * node.parent]), size,
+                        node.proc.comm);
+    const Time completion = advance(std::max(ready_[v], times_[2 * v + 1]), size, node.proc.work);
+    if (best == 0 || completion < best_completion) {
       best_completion = completion;
       best = v;
     }
   }
+  ect_nodes_ += nodes_.size() - 1;
   return best;
 }
 
-Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests) {
+Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests,
+                              Time deadline) {
   MST_REQUIRE(state.size() >= 2, "tree has no slaves");
   state.reset();
   dests.clear();
   Time makespan = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId best = state.earliest_completion();
-    makespan = std::max(makespan, state.commit(best));
+    const Time end = state.commit(best);
+    if (end > deadline) break;
+    makespan = std::max(makespan, end);
     dests.push_back(best);
   }
   return makespan;

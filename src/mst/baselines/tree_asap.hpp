@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -31,9 +32,13 @@
 
 namespace mst {
 
+/// A deadline no completion passes: the makespan forms' "no deadline".
+inline constexpr Time kNoDeadline = std::numeric_limits<Time>::max();
+
 /// Incremental ASAP state: per node, when its out-port and its processor
 /// become free.  The root→node paths are flattened into one table at
-/// construction, so `peek_completion` and `commit` never allocate — the
+/// construction, and the earliest-completion pass has its buffer sized
+/// there too, so `commit` and `earliest_completion` never allocate — the
 /// local-search descent evaluates thousands of candidate sequences per solve
 /// through one state.
 ///
@@ -75,21 +80,31 @@ class TreeAsapState {
   /// before it.
   [[nodiscard]] Time master_port_free() const { return times_[0]; }
 
-  /// Completion time if the next task were sent to `dest` (a slave node),
-  /// without committing.  `size` scales every hop and the execution; the
-  /// master emission starts no earlier than `release` (defaults reproduce
-  /// the identical-task arithmetic exactly, matching the simulator).
-  // mstlint: allow-next-line(tests-only-api) -- ROADMAP item 21's reference for a one-pass ECT
-  [[nodiscard]] Time peek_completion(NodeId dest, Time size = 1, Time release = 0) const;
+  /// Appends a task to `dest` (a slave node); returns its completion time.
+  /// `size` scales every hop and the execution; the master emission starts
+  /// no earlier than `release` (defaults reproduce the identical-task
+  /// arithmetic exactly, matching the simulator).
+  Time commit(NodeId dest, Time size = 1, Time release = 0);
 
-  /// Appends a task to `dest`; returns its completion time.  When
-  /// `emissions` is given, it receives the task's emission time on each of
-  /// the `depth(dest)` hops, master first.
-  Time commit(NodeId dest, Time size = 1, Time release = 0, Time* emissions = nullptr);
+  /// Writes to `out[0, depth(dest))` the hop emissions, master first, of
+  /// the task the last `commit` sent to `dest` with this `size`.  Each
+  /// out-port on its path still frees when that task's hop ends, so an
+  /// emission is that time less the hop; valid until the next commit.
+  void hop_emissions(NodeId dest, Time size, Time* out) const;
 
-  /// The slave whose `peek_completion(v, size, release)` is smallest, ties
-  /// toward the smaller node id: the earliest-completion-time choice.
-  [[nodiscard]] NodeId earliest_completion(Time size = 1, Time release = 0) const;
+  /// The slave a task of this `size` and `release` would complete on
+  /// earliest, ties toward the smaller node id: the
+  /// earliest-completion-time choice.  One ascending pass over the nodes
+  /// (a parent is numbered before its children) gives every arrival,
+  /// `ready[v] = advance(max(ready[parent], port_free[parent]), size, c_v)`
+  /// from `ready[0] = release`, and with it every completion: `O(|V|)`,
+  /// where one walk per slave would be `O(Σ depth)`.  The hops it times are
+  /// the ones `commit` would, so an overflowing one throws the same error.
+  [[nodiscard]] NodeId earliest_completion(Time size = 1, Time release = 0);
+
+  /// Slave nodes `earliest_completion` has visited since the last
+  /// `assign`: the engine's share of `core.asap.ect_nodes`.
+  [[nodiscard]] std::size_t ect_nodes() const { return ect_nodes_; }
 
   /// Forget every committed task (all ports and processors free at 0); the
   /// path table is platform-shaped and survives.  Allocation-free.
@@ -110,6 +125,7 @@ class TreeAsapState {
 
   struct Node {
     Processor proc;        ///< incoming link and work (unused for the master)
+    NodeId parent = 0;     ///< smaller than the node's own id
     std::size_t path = 0;  ///< root-excluded root→node path: `paths_[path, path + depth)`
     std::size_t depth = 0;
     std::size_t leg = 0;   ///< the master's child it descends from (`leg`)
@@ -122,23 +138,26 @@ class TreeAsapState {
   /// Appends a node under `parent` (already present); returns its id.
   NodeId add_node(NodeId parent, const Processor& proc);
 
-  /// The recurrence, once: walks master→`dest` and returns the completion;
-  /// `on_hop(sender, emission, link_free)` sees every hop.
-  template <typename OnHop>
-  Time walk(NodeId dest, Time size, Time release, OnHop&& on_hop) const;
-
   std::vector<Node> nodes_;
   std::size_t legs_ = 0;       ///< children of the master so far
   std::vector<NodeId> paths_;  ///< concatenated root-excluded paths
   /// The mutable times: node `v`'s out-port frees at `times_[2v]`, its
   /// processor at `times_[2v + 1]`.
   std::vector<Time> times_;
+  /// `earliest_completion`'s arrival time per node, sized by `assign`.
+  std::vector<Time> ready_;
+  std::size_t ect_nodes_ = 0;
 };
 
 /// Earliest-completion-time forward greedy from `state`'s platform: resets
-/// `state`, rebuilds the chosen destination sequence into `dests` (ties
-/// toward the smaller node id, capacity reused) and returns its makespan.
-Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests);
+/// `state`, rebuilds the chosen destination sequence of `n` tasks into
+/// `dests` (ties toward the smaller node id, capacity reused) and returns
+/// its makespan.  With a `deadline` it is the decision form: the run stops
+/// before the first task that would complete after it, and `dests` holds
+/// the tasks kept.  The greedy is prefix-stable, so those are the most
+/// tasks its runs complete by `deadline`.
+Time forward_greedy_tree_into(std::size_t n, TreeAsapState& state, std::vector<NodeId>& dests,
+                              Time deadline = kNoDeadline);
 
 /// Exhaustive exact optimum of `n` identical tasks from `state`'s platform
 /// (reset first): branch and bound over destination sequences, nodes tried

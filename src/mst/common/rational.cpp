@@ -1,6 +1,5 @@
 #include "mst/common/rational.hpp"
 
-#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -16,9 +15,9 @@ std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
   return out;
 }
 
-std::int64_t checked_add(std::int64_t a, std::int64_t b) {
+std::int64_t checked_sub(std::int64_t a, std::int64_t b) {
   std::int64_t out = 0;
-  MST_REQUIRE(!__builtin_add_overflow(a, b, &out), "rational arithmetic overflow");
+  MST_REQUIRE(!__builtin_sub_overflow(a, b, &out), "rational arithmetic overflow");
   return out;
 }
 
@@ -50,27 +49,20 @@ std::string Rational::to_string() const {
   return os.str();
 }
 
-Rational operator+(const Rational& a, const Rational& b) {
+Rational operator-(const Rational& a, const Rational& b) {
   // Cross-reduce before multiplying to keep intermediates small.
   const std::int64_t g = std::gcd(a.den_, b.den_);
   const std::int64_t scale_a = b.den_ / g;
   const std::int64_t scale_b = a.den_ / g;
-  return Rational(checked_add(checked_mul(a.num_, scale_a), checked_mul(b.num_, scale_b)),
+  return Rational(checked_sub(checked_mul(a.num_, scale_a), checked_mul(b.num_, scale_b)),
                   checked_mul(a.den_, scale_a));
 }
-
-Rational operator-(const Rational& a, const Rational& b) { return a + (-b); }
 
 Rational operator*(const Rational& a, const Rational& b) {
   const std::int64_t g1 = std::gcd(a.num_ < 0 ? -a.num_ : a.num_, b.den_);
   const std::int64_t g2 = std::gcd(b.num_ < 0 ? -b.num_ : b.num_, a.den_);
   return Rational(checked_mul(a.num_ / g1, b.num_ / g2),
                   checked_mul(a.den_ / g2, b.den_ / g1));
-}
-
-Rational operator/(const Rational& a, const Rational& b) {
-  MST_REQUIRE(b.num_ != 0, "division by zero");
-  return a * Rational(b.den_, b.num_);
 }
 
 bool operator<(const Rational& a, const Rational& b) {

@@ -31,22 +31,15 @@ class Rational {
   }
   [[nodiscard]] std::string to_string() const;
 
-  Rational operator-() const { return Rational(-num_, den_); }
-  friend Rational operator+(const Rational& a, const Rational& b);
   friend Rational operator-(const Rational& a, const Rational& b);
   friend Rational operator*(const Rational& a, const Rational& b);
-  friend Rational operator/(const Rational& a, const Rational& b);  ///< throws on /0
 
   friend bool operator==(const Rational& a, const Rational& b) = default;
   friend bool operator<(const Rational& a, const Rational& b);
-  friend bool operator<=(const Rational& a, const Rational& b) { return a == b || a < b; }
-  friend bool operator>(const Rational& a, const Rational& b) { return b < a; }
-  friend bool operator>=(const Rational& a, const Rational& b) { return b <= a; }
 
   [[nodiscard]] bool is_zero() const { return num_ == 0; }
 
   static Rational min(const Rational& a, const Rational& b) { return a < b ? a : b; }
-  static Rational max(const Rational& a, const Rational& b) { return a < b ? b : a; }
 
  private:
   std::int64_t num_ = 0;

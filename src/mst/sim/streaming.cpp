@@ -97,6 +97,9 @@ class EctStream final : public StreamPolicy {
     asap_.commit(best, arrival.size, arrival.release);
     return best;
   }
+  void count_work(obs::MetricsRegistry& metrics) const override {
+    metrics.counter("core.asap.ect_nodes").add(static_cast<Time>(asap_.ect_nodes()));
+  }
 
  private:
   TreeAsapState asap_;

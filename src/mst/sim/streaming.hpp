@@ -81,8 +81,9 @@ class StreamPolicy {
   virtual NodeId choose(std::size_t task, const DispatchContext& ctx) = 0;
 
   /// Adds the policy's deterministic work counts so far to `metrics`:
-  /// `sim.replan.plans` and `sim.replan.solves` for `replan`, nothing for
-  /// the online dispatchers.  The api layer folds them after a run
+  /// `sim.replan.plans` and `sim.replan.solves` for `replan`,
+  /// `core.asap.ect_nodes` for the earliest-completion dispatcher, nothing
+  /// for the other online dispatchers.  The api layer folds them after a run
   /// (`api::run_stream`), so the driver's own metrics stay policy-free.
   virtual void count_work(obs::MetricsRegistry& /*metrics*/) const {}
 };

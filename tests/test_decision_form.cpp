@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "mst/baselines/brute_force.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/platform/generator.hpp"
+#include "support/inverted_decision.hpp"
 
 namespace mst {
 namespace {
@@ -243,6 +247,129 @@ TEST(DecisionForm, UnknownAlgorithmThrows) {
                std::invalid_argument);
   EXPECT_THROW((void)api::registry().solve_within(chain, "simulated-annealing", 10),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// One-pass decisions: the prefix-stable engine baselines answer the decision
+// form with one run stopped before the first task past the deadline.  It
+// must give exactly what inverting their makespan form gives.
+
+/// A processor with `c` in [0, 9] (zero-latency links included) and `w` in
+/// [1, 9].
+Processor random_link(Rng& rng) { return {rng.uniform(0, 9), rng.uniform(1, 9)}; }
+
+Chain random_link_chain(Rng& rng, std::size_t p) {
+  std::vector<Processor> procs(p);
+  for (Processor& proc : procs) proc = random_link(rng);
+  return Chain(std::move(procs));
+}
+
+/// A small platform of `kind`: 1 to 6 chain or fork processors, 1 to 3
+/// spider legs of 1 to 3 processors, or 1 to 8 tree slaves.
+api::Platform random_link_platform(api::PlatformKind kind, Rng& rng) {
+  const auto p = static_cast<std::size_t>(rng.uniform(1, 6));
+  switch (kind) {
+    case api::PlatformKind::kChain: return random_link_chain(rng, p);
+    case api::PlatformKind::kFork: {
+      std::vector<Processor> slaves(p);
+      for (Processor& slave : slaves) slave = random_link(rng);
+      return Fork(std::move(slaves));
+    }
+    case api::PlatformKind::kSpider: {
+      std::vector<Chain> legs(static_cast<std::size_t>(rng.uniform(1, 3)));
+      for (Chain& leg : legs) {
+        leg = random_link_chain(rng, static_cast<std::size_t>(rng.uniform(1, 3)));
+      }
+      return Spider(std::move(legs));
+    }
+    case api::PlatformKind::kTree: {
+      Tree tree;
+      const auto slaves = static_cast<std::size_t>(rng.uniform(1, 8));
+      for (std::size_t v = 1; v <= slaves; ++v) {
+        tree.add_node(static_cast<NodeId>(rng.uniform(0, static_cast<std::int64_t>(v) - 1)),
+                      random_link(rng));
+      }
+      return tree;
+    }
+  }
+  throw std::logic_error("unknown platform kind");
+}
+
+/// The task pools a decision may draw from: none (the identical stream),
+/// then identical, sized, release-dated and sized release-dated pools of
+/// `n` tasks, each only where the entry takes it.
+std::vector<std::shared_ptr<const Workload>> pools_for(api::PlatformKind kind, const char* name,
+                                                       Rng& rng, std::size_t n) {
+  std::vector<Time> sizes(n);
+  std::vector<Time> release(n);
+  for (Time& size : sizes) size = rng.uniform(1, 4);
+  for (Time& r : release) r = rng.uniform(0, static_cast<std::int64_t>(3 * n));
+  std::vector<std::shared_ptr<const Workload>> pools{nullptr};
+  for (const Workload& w : {Workload::identical(n), Workload(n, sizes, {}),
+                            Workload::released(release), Workload(n, sizes, release)}) {
+    if (api::registry().supports(kind, name, w.features())) {
+      pools.push_back(std::make_shared<const Workload>(w));
+    }
+  }
+  return pools;
+}
+
+/// `solve_within`, materialized and count-only, against the inversion
+/// oracle: identical `tasks`, `makespan` and `optimal`, and a feasible
+/// payload.
+void expect_matches_inversion(const api::Platform& platform, const char* name, Time deadline,
+                              const api::SolveOptions& options) {
+  SCOPED_TRACE("T=" + std::to_string(deadline) + " cap=" + std::to_string(options.cap));
+  const api::DecisionResult expected = oracle::inverted_decision(platform, name, deadline, options);
+  for (const bool materialize : {true, false}) {
+    api::SolveOptions opts = options;
+    opts.materialize = materialize;
+    const api::DecisionResult got = api::registry().solve_within(platform, name, deadline, opts);
+    EXPECT_EQ(got.tasks, expected.tasks) << "materialize=" << materialize;
+    EXPECT_EQ(got.makespan, expected.makespan) << "materialize=" << materialize;
+    EXPECT_EQ(got.optimal, expected.optimal) << "materialize=" << materialize;
+    if (materialize) {
+      const FeasibilityReport report = api::check_feasibility(got);
+      EXPECT_TRUE(report.ok()) << report.summary();
+    }
+  }
+}
+
+TEST(DecisionForm, OnePassDecisionsMatchTheInvertedMakespan) {
+  struct Entry {
+    api::PlatformKind kind;
+    const char* name;
+  };
+  const Entry entries[] = {
+      {api::PlatformKind::kChain, "forward-greedy"}, {api::PlatformKind::kChain, "round-robin"},
+      {api::PlatformKind::kChain, "periodic"},       {api::PlatformKind::kFork, "forward-greedy"},
+      {api::PlatformKind::kFork, "round-robin"},     {api::PlatformKind::kSpider, "forward-greedy"},
+      {api::PlatformKind::kSpider, "round-robin"},   {api::PlatformKind::kTree, "forward-greedy"},
+  };
+  Rng rng(0x0E'9A55);
+  for (int trial = 0; trial < 12; ++trial) {
+    for (const Entry& entry : entries) {
+      Rng inst = rng.split();
+      const api::Platform platform = random_link_platform(entry.kind, inst);
+      const auto n = static_cast<std::size_t>(inst.uniform(2, 24));
+      for (const std::shared_ptr<const Workload>& pool :
+           pools_for(entry.kind, entry.name, inst, n)) {
+        SCOPED_TRACE(std::string(entry.name) + " on " + api::describe(platform) + ", pool " +
+                     (pool == nullptr ? "none" : to_string(pool->features())));
+        api::SolveOptions options;
+        options.workload = pool;
+        const auto k = static_cast<std::size_t>(inst.uniform(1, static_cast<std::int64_t>(n)));
+        const Workload tasks = pool != nullptr ? pool->prefix(k) : Workload::identical(k);
+        const Time makespan = api::registry().solve(platform, entry.name, tasks).makespan;
+        for (const Time deadline : {makespan - 1, makespan, makespan + 1, Time{0}, Time{-5}}) {
+          expect_matches_inversion(platform, entry.name, deadline, options);
+        }
+        // A cap below the answer truncates the count.
+        options.cap = k > 1 ? k - 1 : 1;
+        expect_matches_inversion(platform, entry.name, makespan, options);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -58,6 +58,7 @@
 #include "mst/sim/static_replay.hpp"
 #include "mst/sim/streaming.hpp"
 #include "mst/workload/workload.hpp"
+#include "support/asap_peek.hpp"
 #include "support/moore_hodgson_oracle.hpp"
 
 namespace mst {
@@ -445,26 +446,26 @@ void digest_baselines(Digest& d, const Chain& chain, const Spider& spider, Rng& 
       const Time size = workload.size_of(i);
       const Time release = workload.release_of(i);
       for (std::size_t q = 0; q < chain.size(); ++q) {
-        d.add(chain_state.peek_completion(q + 1, size, release));
+        d.add(oracle::peek_completion(chain_state, q + 1, size, release));
       }
       for (NodeId v = 1; v < spider_state.size(); ++v) {
-        d.add(spider_state.peek_completion(v, size, release));
+        d.add(oracle::peek_completion(spider_state, v, size, release));
       }
       ChainTask chain_task;
       chain_task.proc = chain_dests[i];
       chain_task.emissions.resize(chain_dests[i] + 1);
-      chain_task.start = chain_state.commit(chain_dests[i] + 1, size, release,
-                                            chain_task.emissions.data()) -
+      chain_task.start = chain_state.commit(chain_dests[i] + 1, size, release) -
                          size * chain.work(chain_dests[i]);
+      chain_state.hop_emissions(chain_dests[i] + 1, size, chain_task.emissions.data());
       d.add(chain_task);
       const SpiderDest dest = spider_dests[i];
       SpiderTask spider_task;
       spider_task.leg = dest.leg;
       spider_task.proc = dest.proc;
       spider_task.emissions.resize(dest.proc + 1);
-      spider_task.start = spider_state.commit(spider_node(spider, dest), size, release,
-                                              spider_task.emissions.data()) -
+      spider_task.start = spider_state.commit(spider_node(spider, dest), size, release) -
                           size * spider.leg(dest.leg).work(dest.proc);
+      spider_state.hop_emissions(spider_node(spider, dest), size, spider_task.emissions.data());
       d.add(spider_task);
     }
   }

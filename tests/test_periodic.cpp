@@ -76,13 +76,14 @@ TEST(LpRates, RatesSatisfyAllConstraintsExactly) {
     const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 6)), params);
     const auto rates = lp_rates(chain);
     for (std::size_t q = 0; q < rates.size(); ++q) {
-      EXPECT_LE(rates[q], Rational(1, chain.work(q))) << chain.describe();
+      EXPECT_FALSE(Rational(1, chain.work(q)) < rates[q]) << chain.describe();
     }
     for (std::size_t k = 0; k < chain.size(); ++k) {
       if (chain.comm(k) == 0) continue;
-      Rational suffix(0);
-      for (std::size_t j = k; j < rates.size(); ++j) suffix = suffix + rates[j];
-      EXPECT_LE(suffix, Rational(1, chain.comm(k))) << chain.describe() << " link " << k;
+      // Link k's capacity less the rates of every processor behind it.
+      Rational slack(1, chain.comm(k));
+      for (std::size_t j = k; j < rates.size(); ++j) slack = slack - rates[j];
+      EXPECT_FALSE(slack < Rational(0)) << chain.describe() << " link " << k;
     }
   }
 }

@@ -195,7 +195,7 @@ TEST(SolveZeroAlloc, WarmLocalSearchSolveIsAllocationFree) {
 TEST(SolveZeroAlloc, WarmForwardGreedySolveIsAllocationFree) {
   // The tree forward-greedy assigns the scratch's engine state in place, so
   // a warm solve on the same tree allocates nothing — in makespan form, and
-  // in decision form, whose makespan inversion runs one solve per probe.
+  // in decision form, one greedy run stopped at the deadline.
   Rng rng(35);
   const api::Platform tree(random_tree(rng, 10, {1, 9, PlatformClass::kUniform}));
   EXPECT_EQ(solve_allocations(tree, "forward-greedy", 48), 0);
@@ -217,6 +217,27 @@ TEST(SolveZeroAlloc, WarmEngineBaselineSolvesAreAllocationFree) {
       EXPECT_EQ(solve_allocations(chain, algorithm, n), 0) << "chain " << algorithm << " " << n;
       EXPECT_EQ(solve_allocations(fork, algorithm, n), 0) << "fork " << algorithm << " " << n;
       EXPECT_EQ(solve_allocations(spider, algorithm, n), 0) << "spider " << algorithm << " " << n;
+    }
+  }
+}
+
+TEST(SolveZeroAlloc, WarmEngineBaselineDecisionsAreAllocationFree) {
+  // The prefix-stable engine baselines decide in one deadline-stopped
+  // replay that grows the pooled schedule only by the tasks it keeps, so a
+  // warm decision allocates nothing, whatever the cap (2^20 by default).
+  Rng rng(38);
+  const GeneratorParams params{1, 10, PlatformClass::kUniform};
+  const api::Platform chain(random_chain(rng, 8, params));
+  const api::Platform fork(random_fork(rng, 8, params));
+  const api::Platform spider(random_spider(rng, 4, 3, params));
+  for (const char* algorithm : {"forward-greedy", "round-robin"}) {
+    for (const Time deadline : {40, 400}) {
+      EXPECT_EQ(decision_allocations(chain, algorithm, deadline), 0)
+          << "chain " << algorithm << " " << deadline;
+      EXPECT_EQ(decision_allocations(fork, algorithm, deadline), 0)
+          << "fork " << algorithm << " " << deadline;
+      EXPECT_EQ(decision_allocations(spider, algorithm, deadline), 0)
+          << "spider " << algorithm << " " << deadline;
     }
   }
 }
