@@ -24,7 +24,6 @@
 #include "mst/common/cli.hpp"
 #include "mst/common/table.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/scenario/generators.hpp"
 #include "mst/sim/streaming.hpp"
@@ -103,7 +102,7 @@ int main(int argc, char** argv) {
           offline = ChainScheduler::schedule(*chain, workload).makespan();
         } else if (!workload.has_release_dates()) {
           offline = std::holds_alternative<Fork>(platform)
-                        ? ForkScheduler::makespan(std::get<Fork>(platform), n)
+                        ? SpiderScheduler::makespan(Spider::from_fork(std::get<Fork>(platform)), n)
                         : SpiderScheduler::makespan(std::get<Spider>(platform), n);
         }
 

@@ -20,7 +20,6 @@
 #include "mst/baselines/single_node.hpp"
 #include "mst/baselines/tree_asap.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/heuristics/local_search.hpp"
 #include "mst/heuristics/tree_schedule.hpp"
@@ -478,18 +477,23 @@ SolveResult shape_result(Schedule schedule, const Workload& w, const SolveOption
   return make_result(w.count(), makespan, lb, std::move(schedule));
 }
 
-/// Runs `fn` on the platform's shape: the chain, the fork's unit-leg spider
-/// (the paper solves a fork as that spider, sections 6-7; rebuilt in place
-/// in the fork scratch) or the spider.
+/// The spider of a fork or spider platform: a fork is its unit-leg spider
+/// (the paper solves it as that spider, sections 6-7), rebuilt in place in
+/// the scratch.
+const Spider& spider_of(const Platform& platform, const SolveOptions& opts) {
+  if (const auto* fork = std::get_if<Fork>(&platform)) {
+    opts.scratch->fork.assign_fork(*fork);
+    return opts.scratch->fork;
+  }
+  return std::get<Spider>(platform);
+}
+
+/// Runs `fn` on the platform's shape: the chain, or the spider of a fork or
+/// spider (`spider_of`).
 template <typename Fn>
 auto on_shape(const Platform& platform, const SolveOptions& opts, Fn&& fn) {
   if (const auto* chain = std::get_if<Chain>(&platform)) return fn(*chain);
-  if (const auto* fork = std::get_if<Fork>(&platform)) {
-    Spider& legs = opts.scratch->fork.spider;
-    legs.assign_fork(*fork);
-    return fn(legs);
-  }
-  return fn(std::get<Spider>(platform));
+  return fn(spider_of(platform, opts));
 }
 
 DecisionResult make_decision(std::size_t tasks, Time makespan, AnySchedule schedule) {
@@ -720,50 +724,56 @@ void register_chain_algorithms(Registry& r) {
                                                   opts.scratch->chain_pool);
         });
   register_engine_baselines(r, k);
-  // The repeated periodic block's destinations, ASAP: prefix-stable.
-  const auto periodic = [](const Chain& chain, const Workload& w, TreeAsapState& state,
-                           ChainSchedule& out, const ReplayStop& stop = {}) {
-    return chain_periodic(chain, w, state, out, stop);
+  // The repeated periodic block's destinations, ASAP: prefix-stable.  Its
+  // rates and counts are rebuilt in the scratch.
+  const auto periodic = [](const SolveOptions& opts) {
+    return [&buffers = opts.scratch->periodic](const Chain& chain, const Workload& w,
+                                               TreeAsapState& state, ChainSchedule& out,
+                                               const ReplayStop& stop = {}) {
+      return chain_periodic(chain, w, buffers, state, out, stop);
+    };
   };
   r.add({k, "periodic", "bandwidth-centric periodic pattern, ASAP prefix", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
         [periodic](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          return replay_solve(std::get<Chain>(p), w, opts, periodic);
+          return replay_solve(std::get<Chain>(p), w, opts, periodic(opts));
         },
         [periodic](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return replay_decision(std::get<Chain>(p), deadline, opts, periodic);
+          return replay_decision(std::get<Chain>(p), deadline, opts, periodic(opts));
         });
   register_brute_force(r, k);
   register_replan(r, k);
 }
 
-/// The fork's exact solve, registered by its `optimal` and `greedy` entries
-/// alike: the paper's §6 ascending-`c` greedy is the spider pipeline's
-/// identical-task selection on unit legs, so both run `ForkScheduler` on
-/// the pooled scratch and differ only in name and `optimal` flag.
-SolveResult fork_solve(const Platform& p, const Workload& w, const SolveOptions& opts) {
-  const Fork& fork = std::get<Fork>(p);
+/// The spider's exact solve, which the fork's `optimal` and `greedy`
+/// entries register too: the paper's §6 ascending-`c` greedy is the spider
+/// pipeline's identical-task selection on unit legs, and the spider's start
+/// pass starts each task on its slave as soon as it has arrived, as §6 does.
+SolveResult spider_solve(const Platform& p, const Workload& w, const SolveOptions& opts) {
+  SpiderSolveScratch& scratch = opts.scratch->spider;
   SpiderSchedule& pooled = opts.scratch->spider_pool;
-  ForkScheduler::schedule_into(fork, w, opts.scratch->fork, pooled);
-  count_work(opts, "core.spider.nodes_built", opts.scratch->fork.solve.count.nodes_built);
-  count_work(opts, "core.spider.probes", opts.scratch->fork.solve.count.probes);
+  SpiderScheduler::schedule_into(spider_of(p, opts), w, scratch, pooled);
+  count_work(opts, "core.spider.nodes_built", scratch.count.nodes_built);
+  count_work(opts, "core.spider.probes", scratch.count.probes);
   return shape_result(std::move(pooled), w, opts);
 }
 
-/// The fork's decision form, shared like `fork_solve`.  Unlike chain/spider,
-/// a fork decision makespan is the completion time of the ASAP starts, not
-/// the horizon, so every decision materializes, even when `materialize` is
+/// The fork's decision form, registered by `optimal` and `greedy`.  Unlike
+/// a spider decision, which keeps its planned starts and reports the
+/// window, a fork decision starts its tasks early and reports their
+/// completion, so every decision materializes, even when `materialize` is
 /// off (the gate strips the payload back into the pool).
 DecisionResult fork_decision(const Platform& p, Time deadline, const SolveOptions& opts) {
   if (deadline <= 0) return {};
   const Workload* pool = opts.workload.get();
   const std::size_t cap = decision_cap(opts);
   const Workload stream = Workload::identical(cap);
+  SpiderSolveScratch& scratch = opts.scratch->spider;
   SpiderSchedule& pooled = opts.scratch->spider_pool;
-  ForkScheduler::schedule_within_into(std::get<Fork>(p), deadline,
-                                      pool != nullptr ? *pool : stream, cap, opts.scratch->fork,
-                                      pooled);
-  count_work(opts, "core.spider.nodes_built", opts.scratch->fork.solve.count.nodes_built);
+  SpiderScheduler::schedule_within_into(spider_of(p, opts), deadline,
+                                        pool != nullptr ? *pool : stream, cap, scratch, pooled);
+  SpiderScheduler::start_early(scratch, pooled);
+  count_work(opts, "core.spider.nodes_built", scratch.count.nodes_built);
   return decision_from_schedule(pooled, pooled.makespan());
 }
 
@@ -771,10 +781,10 @@ void register_fork_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kFork;
   r.add({k, "optimal", "ascending-c greedy over Fig 6 nodes; positional-release DP",
          /*optimal=*/true, /*exponential=*/false, kReleaseOnly},
-        fork_solve, fork_decision);
+        spider_solve, fork_decision);
   r.add({k, "greedy", "the paper's ascending-c greedy (Beaumont et al.)", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
-        fork_solve, fork_decision);
+        spider_solve, fork_decision);
   register_engine_baselines(r, k);
   register_brute_force(r, k);
   register_replan(r, k);
@@ -784,14 +794,7 @@ void register_spider_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kSpider;
   r.add({k, "optimal", "Fig 7 nodes + ascending-c greedy or release DP, Theorem 3",
          /*optimal=*/true, /*exponential=*/false, kReleaseOnly},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          const Spider& spider = std::get<Spider>(p);
-          SpiderSchedule& pooled = opts.scratch->spider_pool;
-          SpiderScheduler::schedule_into(spider, w, opts.scratch->spider, pooled);
-          count_work(opts, "core.spider.nodes_built", opts.scratch->spider.count.nodes_built);
-          count_work(opts, "core.spider.probes", opts.scratch->spider.count.probes);
-          return shape_result(std::move(pooled), w, opts);
-        },
+        spider_solve,
         [](const Platform& p, Time deadline, const SolveOptions& opts) {
           SpiderSolveScratch& scratch = opts.scratch->spider;
           scratch.count.nodes_built = 0;  // an empty window solves nothing

@@ -5,8 +5,8 @@
 
 #include "mst/api/registry.hpp"
 #include "mst/baselines/bounds.hpp"
+#include "mst/baselines/periodic.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/heuristics/local_search.hpp"
 #include "mst/heuristics/tree_schedule.hpp"
@@ -29,13 +29,14 @@ namespace mst::api {
 struct SolveScratch {
   // Core counting + materialization scratch, one per exactly-solved kind.
   ChainCountScratch chain;
-  ForkCountScratch fork;
-  SpiderSolveScratch spider;
+  Spider fork;                ///< a fork as its unit-leg spider, rebuilt in place
+  SpiderSolveScratch spider;  ///< spiders and forks alike
   TreeCoverScratch tree_cover;
   /// The forward-ASAP engine with the tree descent's snapshots and bounds;
   /// the tree `forward-greedy` and `local-search` entries both run on it.
   LocalSearchScratch engine;
   OnePortScratch bound;  ///< spider/fork lower-bound one-port fill
+  PeriodicScratch periodic;  ///< the chain `periodic` baseline's rates and counts
 
   // Pooled schedule payloads.  A solve moves the pool into its result; the
   // caller moves it back with `recycle` once the result is consumed.

@@ -14,41 +14,37 @@ double PeriodicPattern::rate() const {
 
 namespace {
 
-/// Exact per-processor LP rates, by the forward greedy.
-std::vector<Rational> chain_lp_rates(const Chain& chain) {
+/// Exact per-processor LP rates into `rates`, by the forward greedy;
+/// `residual[k]` holds the capacity link `k` has left (1/c_k minus the
+/// allocations; a zero-latency link has no limit).
+void chain_lp_rates(const Chain& chain, std::vector<Rational>& rates,
+                    std::vector<Rational>& residual) {
   const std::size_t p = chain.size();
-  // residual[k]: remaining capacity of link k (1/c_k minus allocations);
-  // `unbounded[k]` marks zero-latency links.
-  std::vector<Rational> residual(p, Rational(0));
-  std::vector<bool> unbounded(p, false);
+  residual.assign(p, Rational(0));
   for (std::size_t k = 0; k < p; ++k) {
-    if (chain.comm(k) == 0) {
-      unbounded[k] = true;
-    } else {
-      residual[k] = Rational(1, chain.comm(k));
-    }
+    if (chain.comm(k) != 0) residual[k] = Rational(1, chain.comm(k));
   }
 
-  std::vector<Rational> rates(p, Rational(0));
+  rates.assign(p, Rational(0));
   for (std::size_t q = 0; q < p; ++q) {
     // Processor q is capped by its speed and by every link on its path.
     Rational x(1, chain.work(q));
     for (std::size_t k = 0; k <= q; ++k) {
-      if (!unbounded[k]) x = Rational::min(x, residual[k]);
+      if (chain.comm(k) != 0) x = Rational::min(x, residual[k]);
     }
     if (x.is_zero()) continue;
     rates[q] = x;
     for (std::size_t k = 0; k <= q; ++k) {
-      if (!unbounded[k]) residual[k] = residual[k] - x;
+      if (chain.comm(k) != 0) residual[k] = residual[k] - x;
     }
   }
-  return rates;
 }
 
 /// Rates, hyperperiod and per-period counts of the pattern — everything but
 /// the block.  Returns the block length (total tasks per period).
-std::size_t pattern_counts(const Chain& chain, PeriodicPattern& pattern) {
-  pattern.rates = chain_lp_rates(chain);
+std::size_t pattern_counts(const Chain& chain, PeriodicPattern& pattern,
+                           std::vector<Rational>& residual) {
+  chain_lp_rates(chain, pattern.rates, residual);
 
   // Hyperperiod: lcm of the denominators of the non-zero rates.
   std::int64_t h = 1;
@@ -62,7 +58,7 @@ std::size_t pattern_counts(const Chain& chain, PeriodicPattern& pattern) {
   MST_REQUIRE(any, "chain has zero steady-state rate");
   pattern.hyperperiod = h;
 
-  pattern.counts.resize(pattern.rates.size(), 0);
+  pattern.counts.assign(pattern.rates.size(), 0);
   std::size_t total = 0;
   for (std::size_t q = 0; q < pattern.rates.size(); ++q) {
     const Rational tasks = pattern.rates[q] * Rational(h);
@@ -107,7 +103,8 @@ std::size_t interleave_step(const std::vector<std::size_t>& counts, std::size_t 
 
 PeriodicPattern chain_periodic_pattern(const Chain& chain) {
   PeriodicPattern pattern;
-  const std::size_t total = pattern_counts(chain, pattern);
+  std::vector<Rational> residual;
+  const std::size_t total = pattern_counts(chain, pattern, residual);
   std::vector<std::size_t> emitted(pattern.counts.size(), 0);
   pattern.block.reserve(total);
   for (std::size_t i = 1; i <= total; ++i) {
@@ -116,22 +113,19 @@ PeriodicPattern chain_periodic_pattern(const Chain& chain) {
   return pattern;
 }
 
-Time chain_periodic(const Chain& chain, const Workload& workload, TreeAsapState& state,
-                    ChainSchedule& out, const ReplayStop& stop) {
-  PeriodicPattern pattern;
-  const std::size_t total = pattern_counts(chain, pattern);
-  // The stream's position in the current block: the block restarts, its
-  // emitted counts cleared, every `total` tasks.
-  std::vector<std::size_t> emitted(pattern.counts.size(), 0);
-  std::size_t position = 0;
+Time chain_periodic(const Chain& chain, const Workload& workload, PeriodicScratch& scratch,
+                    TreeAsapState& state, ChainSchedule& out, const ReplayStop& stop) {
+  const std::size_t total = pattern_counts(chain, scratch.pattern, scratch.residual);
+  scratch.emitted.resize(scratch.pattern.counts.size());
+  // Task `i` sits at position `i mod total` of its block; the block
+  // restarts, its emitted counts cleared, every `total` tasks.  Two
+  // captures keep the chooser inside `std::function`'s inline buffer.
   return asap_replay_into(
       chain, workload,
-      [&](TreeAsapState&, std::size_t, Time, Time) {
-        if (position == total) {
-          position = 0;
-          std::fill(emitted.begin(), emitted.end(), 0);
-        }
-        return interleave_step(pattern.counts, total, ++position, emitted) + 1;
+      [&scratch, total](TreeAsapState&, std::size_t i, Time, Time) {
+        const std::size_t position = i % total;
+        if (position == 0) std::fill(scratch.emitted.begin(), scratch.emitted.end(), 0);
+        return interleave_step(scratch.pattern.counts, total, position + 1, scratch.emitted) + 1;
       },
       state, out, stop);
 }

@@ -45,6 +45,16 @@ struct PeriodicPattern {
   [[nodiscard]] double rate() const;  ///< Σ rates as a double
 };
 
+/// Reusable buffers of the periodic baseline: the pattern's rates and
+/// counts (its block stays empty), the LP's residual link capacities and
+/// the current block's emitted counts.  With warm buffers a solve or a
+/// decision on a chain of as many processors allocates nothing.
+struct PeriodicScratch {
+  PeriodicPattern pattern;
+  std::vector<Rational> residual;
+  std::vector<std::size_t> emitted;
+};
+
 /// Builds the pattern; throws if the chain has zero total rate (impossible
 /// for valid platforms: w >= 1 gives every processor positive speed, only
 /// an all-zero-capacity link chain could stall, and c=0 means infinite
@@ -56,8 +66,9 @@ PeriodicPattern chain_periodic_pattern(const Chain& chain);
 /// Task `i` goes to block position `i mod tasks_per_period`, built as the
 /// replay reaches it, never the whole block: the block of a chain with
 /// nearly coprime times can hold trillions of entries.  Prefix-stable, so a
-/// deadline `stop` gives its decision form in the same one replay.
-Time chain_periodic(const Chain& chain, const Workload& workload, TreeAsapState& state,
-                    ChainSchedule& out, const ReplayStop& stop = {});
+/// deadline `stop` gives its decision form in the same one replay.  The
+/// rates and counts are rebuilt in `scratch`.
+Time chain_periodic(const Chain& chain, const Workload& workload, PeriodicScratch& scratch,
+                    TreeAsapState& state, ChainSchedule& out, const ReplayStop& stop = {});
 
 }  // namespace mst

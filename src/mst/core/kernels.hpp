@@ -17,7 +17,7 @@
 /// build merge, and the one implementation of the Fig 3 backward
 /// construction.  Every chain entry point — counting, first emissions,
 /// materialization, tracing — and, through them, the spider reduction (and
-/// the fork, a spider with unit legs) runs that loop; a *sink* decides what
+/// a fork, solved as its unit-leg spider) runs that loop; a *sink* decides what
 /// each step produces.
 
 namespace mst::detail {

@@ -456,6 +456,34 @@ void SpiderScheduler::schedule_into(const Spider& spider, const Workload& worklo
   MST_ASSERT(out.tasks.size() == n);
   // Release dates pin the origin; identical workloads start at 0.
   if (!workload.has_release_dates()) out.normalize();
+  start_early(scratch, out);
+}
+
+void SpiderScheduler::start_early(SpiderSolveScratch& scratch, SpiderSchedule& out) {
+  const Spider& spider = out.spider;
+  scratch.counts.clear();
+  std::size_t nodes = 0;
+  for (const Chain& leg : spider.legs()) {
+    scratch.counts.push_back(nodes);
+    nodes += leg.size();
+  }
+  scratch.free.assign(nodes, NodeFree{});
+  for (SpiderTask& task : out.tasks) {
+    const Chain& leg = spider.leg(task.leg);
+    NodeFree* const node = scratch.free.data() + scratch.counts[task.leg];
+    Time arrival = task.emissions.front() + leg.comm(0);
+    for (std::size_t d = 1; d <= task.proc; ++d) {
+      const Time relay = std::max(arrival, node[d - 1].port);
+      MST_ASSERT(relay <= task.emissions[d]);
+      task.emissions[d] = relay;
+      arrival = relay + leg.comm(d);
+      node[d - 1].port = arrival;
+    }
+    const Time start = std::max(arrival, node[task.proc].proc);
+    MST_ASSERT(start <= task.start);
+    task.start = start;
+    node[task.proc].proc = start + leg.work(task.proc);
+  }
 }
 // mstlint: zero-alloc-end
 

@@ -113,6 +113,19 @@
 /// `SpiderCountScratch` keeps the last search's ends and probes.  Steps
 /// (3)–(4) at the optimum rebuild only each leg's kept suffix — its first
 /// `k` construction steps — not the whole leg.
+///
+/// Starts.  Step (4) keeps each task's planned relays and start from its
+/// leg's backward construction, as late as the window allows.  The makespan
+/// forms then run one start pass (`start_early`): in master-emission order,
+/// every master emission stays, every relay leaves as soon as the task has
+/// arrived and the sending processor's port is free, and every task starts
+/// as soon as it has arrived and its processor is free.  The plan relays
+/// and runs each leg's tasks in master order, so by induction no time moves
+/// later (asserted) and the schedule stays feasible; with release dates a makespan can end
+/// earlier (a fork's, as on its unit-leg spider, since the paper's §6
+/// starts every task at once).  The decision forms keep the planned starts,
+/// so a materialized decision ends at the window, as a count-only one
+/// reports.
 
 namespace mst {
 
@@ -172,6 +185,13 @@ struct SpiderCountScratch {
   std::size_t nodes_built = 0;        ///< Fig 7 nodes built by the last count or solve
 };
 
+/// When a processor's out-port and the processor itself are next free
+/// (`SpiderScheduler::start_early`).
+struct NodeFree {
+  Time port = 0;
+  Time proc = 0;
+};
+
 /// Reusable buffers for the scratch-reusing materializing path
 /// (`schedule_into` / `schedule_within_into`).  Extends the counting scratch
 /// with pooled per-leg suffix schedules and the step (3)–(4) working sets.
@@ -180,10 +200,15 @@ struct SpiderSolveScratch {
   std::vector<ChainSchedule> legs;    ///< pooled kept-suffix schedules per leg
   std::vector<std::uint64_t> taken;   ///< positional-release selection backtrack bits
   std::vector<EddJob> picked;         ///< positional-release selection, EDD order
-  std::vector<std::size_t> counts;    ///< kept suffix length per leg
+  /// Kept suffix length per leg; the start pass then holds each leg's
+  /// first node in `free` here.
+  std::vector<std::size_t> counts;
   /// Step (4) sequencing: (deadline, leg, task_index), EDD with ties toward
   /// the lower leg, then the earlier task.
   std::vector<std::tuple<Time, std::size_t, std::size_t>> chosen;
+  /// The start pass: when each processor's out-port and the processor
+  /// itself are next free, leg `l`'s from `counts[l]` on.
+  std::vector<NodeFree> free;
 };
 
 class SpiderScheduler {
@@ -225,7 +250,8 @@ class SpiderScheduler {
   static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
                                     SpiderCountScratch& scratch);
 
-  /// Makespan form: optimal schedule of exactly `n` tasks.
+  /// Makespan form: optimal schedule of exactly `n` tasks, started early
+  /// (see "Starts" above).
   static SpiderSchedule schedule(const Spider& spider, std::size_t n);
 
   /// Optimal makespan of `n` tasks.
@@ -249,8 +275,8 @@ class SpiderScheduler {
 
   /// Workload makespan form: binary search of the minimal horizon over the
   /// release-aware count, in the bracket `[LB, UB]` (see "Search cost"
-  /// above); the result keeps absolute times (no normalization — release
-  /// dates pin the origin).
+  /// above), then the start pass; the result keeps absolute times (no
+  /// normalization — release dates pin the origin).
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
 
   // -------------------------------------------------------------------------
@@ -273,6 +299,12 @@ class SpiderScheduler {
   /// `schedule(spider, workload)` into `out`.
   static void schedule_into(const Spider& spider, const Workload& workload,
                             SpiderSolveScratch& scratch, SpiderSchedule& out);
+
+  /// The start pass of the makespan forms (see "Starts" above) on `out`, in
+  /// place: its tasks in master-emission order, each leg's in the order its
+  /// processors relay and run them.  Master emissions stay; no time moves
+  /// later.  The registry's fork decisions run it after `schedule_within_into`.
+  static void start_early(SpiderSolveScratch& scratch, SpiderSchedule& out);
 };
 
 }  // namespace mst

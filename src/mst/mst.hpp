@@ -42,7 +42,6 @@
 
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/chain_trace.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/moore_hodgson.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/core/virtual_nodes.hpp"

@@ -55,7 +55,8 @@ inline Time full_range_release_horizon(const Spider& spider, const Workload& wor
 }
 
 /// The full-range search's schedule: the selection at its horizon, which
-/// by the shift lemma equals the one from the instance built at the top.
+/// by the shift lemma equals the one from the instance built at the top,
+/// then the makespan forms' start pass.
 inline SpiderSchedule full_range_release_schedule(const Spider& spider, const Workload& workload,
                                                   Time* horizon = nullptr) {
   SpiderSolveScratch scratch;
@@ -63,6 +64,7 @@ inline SpiderSchedule full_range_release_schedule(const Spider& spider, const Wo
   if (horizon != nullptr) *horizon = optimum;
   SpiderSchedule out;
   SpiderScheduler::schedule_within_into(spider, optimum, workload, workload.count(), scratch, out);
+  SpiderScheduler::start_early(scratch, out);
   return out;
 }
 

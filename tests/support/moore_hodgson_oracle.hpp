@@ -9,7 +9,6 @@
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/moore_hodgson.hpp"
 #include "mst/core/spider_scheduler.hpp"
-#include "mst/platform/fork.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/spider_schedule.hpp"
 #include "mst/workload/workload.hpp"
@@ -164,8 +163,38 @@ inline SpiderSchedule schedule_within(const Spider& spider, Time t_lim, std::siz
   return out;
 }
 
+/// The start pass of the makespan forms, written out plainly: in
+/// master-emission order, each task keeps its master emission, relays as
+/// soon as it has arrived and the sending processor's port is free, and
+/// starts as soon as it has arrived and its processor is free.
+inline SpiderSchedule start_early(SpiderSchedule out) {
+  std::vector<std::vector<Time>> port_free;
+  std::vector<std::vector<Time>> proc_free;
+  for (const Chain& leg : out.spider.legs()) {
+    port_free.emplace_back(leg.size(), 0);
+    proc_free.emplace_back(leg.size(), 0);
+  }
+  std::vector<std::size_t> order(out.tasks.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return out.tasks[a].emissions.front() < out.tasks[b].emissions.front();
+  });
+  for (const std::size_t i : order) {
+    SpiderTask& task = out.tasks[i];
+    const Chain& leg = out.spider.leg(task.leg);
+    for (std::size_t d = 1; d <= task.proc; ++d) {
+      const Time arrival = task.emissions[d - 1] + leg.comm(d - 1);
+      task.emissions[d] = std::max(arrival, port_free[task.leg][d - 1]);
+      port_free[task.leg][d - 1] = task.emissions[d] + leg.comm(d);
+    }
+    task.start = std::max(task.arrival(out.spider), proc_free[task.leg][task.proc]);
+    proc_free[task.leg][task.proc] = task.start + leg.work(task.proc);
+  }
+  return out;
+}
+
 /// The makespan form: the decision schedule of `n` tasks at the smallest
-/// horizon whose count reaches `n`, shifted to start at 0.
+/// horizon whose count reaches `n`, shifted to start at 0, started early.
 inline SpiderSchedule schedule(const Spider& spider, std::size_t n) {
   Time hi = 1;
   while (count_within(spider, hi, n) < n) hi *= 2;
@@ -180,19 +209,7 @@ inline SpiderSchedule schedule(const Spider& spider, std::size_t n) {
   }
   SpiderSchedule out = schedule_within(spider, lo, n);
   out.normalize();
-  return out;
-}
-
-/// A fork's schedule: its unit-leg spider's, every task then started as
-/// soon as it has arrived and its slave is free.
-inline SpiderSchedule fork_starts(const Fork& fork, SpiderSchedule out) {
-  std::vector<Time> slave_free(fork.size(), 0);
-  for (SpiderTask& task : out.tasks) {
-    const Processor& slave = fork.slave(task.leg);
-    task.start = std::max(task.emissions.front() + slave.comm, slave_free[task.leg]);
-    slave_free[task.leg] = task.start + slave.work;
-  }
-  return out;
+  return start_early(std::move(out));
 }
 
 }  // namespace mst::oracle

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/workload/workload.hpp"
@@ -94,16 +93,18 @@ TEST(ForkCounting, MatchesMaterializedConstruction) {
     const auto p = static_cast<std::size_t>(rng.uniform(1, 5));
     const GeneratorParams params{1, 9, all_platform_classes()[trial % 5]};
     const Fork fork = random_fork(inst, p, params);
-    ForkCountScratch scratch;
+    // A fork is solved as its unit-leg spider.
+    const Spider legs = Spider::from_fork(fork);
+    SpiderSolveScratch scratch;
     SpiderSchedule into;
     for (const Time t_lim : {0, 4, 19, 45, 120}) {
       const std::size_t cap = static_cast<std::size_t>(rng.uniform(1, 40));
-      const SpiderSchedule materialized = ForkScheduler::schedule_within(fork, t_lim, cap);
-      EXPECT_EQ(ForkScheduler::count_within(fork, t_lim, cap, scratch),
+      const SpiderSchedule materialized = SpiderScheduler::schedule_within(legs, t_lim, cap);
+      EXPECT_EQ(SpiderScheduler::count_within(legs, t_lim, cap, scratch.count),
                 materialized.tasks.size())
           << fork.describe() << " T=" << t_lim << " cap=" << cap;
       // The warm-scratch twin replays the full pipeline.
-      ForkScheduler::schedule_within_into(fork, t_lim, cap, scratch, into);
+      SpiderScheduler::schedule_within_into(legs, t_lim, cap, scratch, into);
       EXPECT_EQ(into.tasks.size(), materialized.tasks.size());
       EXPECT_EQ(into.makespan(), materialized.makespan())
           << fork.describe() << " T=" << t_lim << " cap=" << cap;
@@ -113,16 +114,19 @@ TEST(ForkCounting, MatchesMaterializedConstruction) {
 
 TEST(ForkCounting, ZeroAllocationsAfterWarmup) {
   Rng rng(13);
-  const Fork fork = random_fork(rng, 6, GeneratorParams{1, 9, PlatformClass::kUniform});
-  ForkCountScratch scratch;
+  const Spider legs =
+      Spider::from_fork(random_fork(rng, 6, GeneratorParams{1, 9, PlatformClass::kUniform}));
+  SpiderSolveScratch scratch;
   SpiderSchedule into;
-  const std::size_t expected = ForkScheduler::count_within(fork, 250, 4096, scratch);
-  ForkScheduler::schedule_within_into(fork, 250, 4096, scratch, into);
+  const std::size_t expected = SpiderScheduler::count_within(legs, 250, 4096, scratch.count);
+  SpiderScheduler::schedule_within_into(legs, 250, 4096, scratch, into);
+  SpiderScheduler::start_early(scratch, into);
   const std::pair<std::size_t, Time> expected_pair{into.tasks.size(), into.makespan()};
 
   alloc_probe::arm();
-  const std::size_t counted = ForkScheduler::count_within(fork, 250, 4096, scratch);
-  ForkScheduler::schedule_within_into(fork, 250, 4096, scratch, into);
+  const std::size_t counted = SpiderScheduler::count_within(legs, 250, 4096, scratch.count);
+  SpiderScheduler::schedule_within_into(legs, 250, 4096, scratch, into);
+  SpiderScheduler::start_early(scratch, into);
   const std::pair<std::size_t, Time> pair{into.tasks.size(), into.makespan()};
   const long allocations = alloc_probe::allocations();
   EXPECT_EQ(counted, expected);
@@ -131,13 +135,13 @@ TEST(ForkCounting, ZeroAllocationsAfterWarmup) {
   EXPECT_EQ(allocations, 0);
 }
 
-// Every exact fork form converts the fork into its unit-leg spider in the
-// scratch, in place: a warm scratch serves a different fork of as many
-// slaves without allocating.  The second fork is the first with every time
-// doubled, so its solves have the same shape and only the conversion could
-// allocate.  A count with the makespan solve's cap at ten times its
-// optimum allocates nothing either: the greedy's buffers are bounded by the
-// cap, not the window.
+// A fork is rebuilt as its unit-leg spider in place (`Spider::assign_fork`,
+// as the registry does in its scratch): a warm spider and scratch serve a
+// different fork of as many slaves without allocating.  The second fork is
+// the first with every time doubled, so its solves have the same shape and
+// only the conversion could allocate.  A count with the makespan solve's
+// cap at ten times its optimum allocates nothing either: the greedy's
+// buffers are bounded by the cap, not the window.
 TEST(ForkCounting, WarmScratchServesAnotherForkWithoutAllocating) {
   Rng rng(16);
   const Fork fork = random_fork(rng, 6, GeneratorParams{1, 9, PlatformClass::kUniform});
@@ -145,20 +149,23 @@ TEST(ForkCounting, WarmScratchServesAnotherForkWithoutAllocating) {
   for (Processor& slave : doubled) slave = Processor{2 * slave.comm, 2 * slave.work};
   const Fork other(doubled);
   const Workload workload = Workload::identical(60);
-  ForkCountScratch scratch;
+  Spider legs;
+  SpiderSolveScratch scratch;
   SpiderSchedule out;
   std::size_t counted = 0;
   for (int warm = 0; warm < 2; ++warm) {
-    counted = ForkScheduler::count_within(fork, 250, 4096, scratch);
-    ForkScheduler::schedule_into(fork, workload, scratch, out);
+    legs.assign_fork(fork);
+    counted = SpiderScheduler::count_within(legs, 250, 4096, scratch.count);
+    SpiderScheduler::schedule_into(legs, workload, scratch, out);
   }
   const Time makespan = out.makespan();
 
   alloc_probe::arm();
-  const std::size_t other_counted = ForkScheduler::count_within(other, 500, 4096, scratch);
-  ForkScheduler::schedule_into(other, workload, scratch, out);
+  legs.assign_fork(other);
+  const std::size_t other_counted = SpiderScheduler::count_within(legs, 500, 4096, scratch.count);
+  SpiderScheduler::schedule_into(legs, workload, scratch, out);
   const std::size_t wide_counted =
-      ForkScheduler::count_within(other, 10 * out.makespan(), workload.count(), scratch);
+      SpiderScheduler::count_within(legs, 10 * out.makespan(), workload.count(), scratch.count);
   const long allocations = alloc_probe::allocations();
   EXPECT_EQ(other_counted, counted);
   EXPECT_EQ(out.makespan(), 2 * makespan);
@@ -224,23 +231,23 @@ TEST(Counting, HoistedProbesAllocateNothing) {
 TEST(Counting, WarmMakespanSolvesAllocateNothing) {
   Rng rng(15);
   const GeneratorParams params{1, 9, PlatformClass::kUniform};
-  const Fork fork = random_fork(rng, 6, params);
+  const Spider fork = Spider::from_fork(random_fork(rng, 6, params));
   const Spider spider = random_spider(rng, 4, 3, params);
   for (const Workload& workload :
        {Workload::identical(60), Workload::released({0, 0, 3, 9, 9, 14, 30, 31, 55, 80})}) {
-    ForkCountScratch fork_scratch;
+    SpiderSolveScratch fork_scratch;
     SpiderSolveScratch spider_scratch;
     SpiderSchedule fork_out;
     SpiderSchedule spider_out;
     for (int warm = 0; warm < 2; ++warm) {
-      ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
+      SpiderScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
       SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
     }
     const Time fork_makespan = fork_out.makespan();
     const Time spider_makespan = spider_out.makespan();
 
     alloc_probe::arm();
-    ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
+    SpiderScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
     SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
     const long allocations = alloc_probe::allocations();
     EXPECT_EQ(fork_out.makespan(), fork_makespan);
@@ -251,7 +258,7 @@ TEST(Counting, WarmMakespanSolvesAllocateNothing) {
     const std::size_t n = workload.count();
     alloc_probe::arm();
     const std::size_t fork_count =
-        ForkScheduler::count_within(fork, 10 * fork_makespan, n, fork_scratch);
+        SpiderScheduler::count_within(fork, 10 * fork_makespan, n, fork_scratch.count);
     const std::size_t spider_count =
         SpiderScheduler::count_within(spider, 10 * spider_makespan, n, spider_scratch.count);
     const long wide_allocations = alloc_probe::allocations();

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -394,6 +398,89 @@ TEST(JournalFile, AppendsAfterAFailedWriteThrowAndWriteNothing) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // the child starts threads
   const std::string dir = scratch_dir("sticky_failure");
   EXPECT_EXIT(appends_after_a_failure_write_nothing(dir), ::testing::ExitedWithCode(0), "");
+}
+
+/// Holds and fails one `fsync` call (see the interposer below).
+struct FsyncGate {
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool armed = false;     ///< the next call is held, then fails
+  bool entered = false;   ///< a call is held
+  bool released = false;  ///< the held call may return its failure
+};
+
+FsyncGate& fsync_gate() {
+  static FsyncGate gate;
+  return gate;
+}
+
+}  // namespace
+}  // namespace mst::scenario
+
+/// A link-time seam: this definition interposes the C library's `fsync` for
+/// the whole test binary, the journal included.  Armed, it holds the next
+/// call until the test releases it, then fails it with EIO; every other
+/// call is the real one.
+extern "C" int fsync(int fd) {
+  mst::scenario::FsyncGate& gate = mst::scenario::fsync_gate();
+  {
+    std::unique_lock<std::mutex> lock(gate.mutex);
+    if (gate.armed) {
+      gate.armed = false;
+      gate.entered = true;
+      gate.changed.notify_all();
+      gate.changed.wait(lock, [&] { return gate.released; });
+      errno = EIO;
+      return -1;
+    }
+  }
+  return static_cast<int>(::syscall(SYS_fsync, fd));
+}
+
+namespace mst::scenario {
+namespace {
+
+// The first failed flush is sticky even when its cause goes away: a group
+// whose fsync fails, with frames queued behind it, is the last thing the
+// journal writes, although every later write and fsync would succeed.  Once
+// a journal is open only its flusher syncs, so the armed gate holds the
+// flusher inside the first group's fsync while two more frames queue.
+TEST(JournalFile, NothingLandsAfterAFailedFlushOnceItsCauseLifts) {
+  const std::string dir = scratch_dir("transient_failure");
+  FsyncGate& gate = fsync_gate();
+  std::uintmax_t failed_size = 0;
+  {
+    Journal journal(dir, 0, 1, 4, 0x5EED);
+    CellOutcome out = sample_outcome();
+    {
+      std::lock_guard<std::mutex> lock(gate.mutex);
+      gate.armed = true;
+      gate.entered = false;
+      gate.released = false;
+    }
+    out.cell.index = 0;
+    journal.append(out);  // written, then held in its fsync
+    {
+      std::unique_lock<std::mutex> lock(gate.mutex);
+      gate.changed.wait(lock, [&] { return gate.entered; });
+    }
+    for (std::size_t i = 1; i < 3; ++i) {
+      out.cell.index = i;
+      journal.append(out);  // queued behind the held group
+    }
+    failed_size = std::filesystem::file_size(shard_file(dir, 0, 1));
+    {
+      std::lock_guard<std::mutex> lock(gate.mutex);
+      gate.released = true;  // that fsync fails; every later one succeeds
+    }
+    gate.changed.notify_all();
+    EXPECT_THROW(journal.sync(), std::runtime_error);
+    out.cell.index = 3;
+    EXPECT_THROW(journal.append(out), std::runtime_error);
+  }  // the destructor ends the flusher
+  EXPECT_EQ(std::filesystem::file_size(shard_file(dir, 0, 1)), failed_size);
+  Journal reopened(dir, 0, 1, 4, 0x5EED);
+  EXPECT_EQ(reopened.replayed().outcomes.size(), 1u);
 }
 
 /// Runs in a forked child: appends `outcomes` in order through a fresh

@@ -15,7 +15,6 @@
 #include "mst/api/solve_scratch.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/obs/metrics.hpp"
 #include "mst/platform/generator.hpp"
@@ -126,7 +125,7 @@ TEST(Registry, OptimalEntriesMatchCoreSchedulers) {
   EXPECT_EQ(api::registry().solve(fig2_chain(), "optimal", n).makespan,
             ChainScheduler::makespan(fig2_chain(), n));
   EXPECT_EQ(api::registry().solve(small_fork(), "optimal", n).makespan,
-            ForkScheduler::makespan(small_fork(), n));
+            SpiderScheduler::makespan(Spider::from_fork(small_fork()), n));
   EXPECT_EQ(api::registry().solve(small_spider(), "optimal", n).makespan,
             SpiderScheduler::makespan(small_spider(), n));
 

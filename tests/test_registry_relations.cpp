@@ -10,7 +10,10 @@
 //  * a name resolves to the entry of the platform's own kind, whatever other
 //    kinds register under it, and a name the kind lacks is refused;
 //  * the prefix-stable entries (trees included) dispatch the first `k` tasks
-//    of an `n`-task run exactly as they dispatch a `k`-task run.
+//    of an `n`-task run exactly as they dispatch a `k`-task run;
+//  * a fork's `optimal` and `greedy` entries return the unit-leg spider's
+//    `optimal` result — tasks, makespan and schedule — on identical and
+//    release-dated workloads alike.
 //
 // Exponential entries (the brute-force oracles) stay out of the loops.
 
@@ -21,12 +24,14 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "mst/api/registry.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/platform/tree.hpp"
+#include "mst/schedule/spider_schedule.hpp"
 
 namespace mst {
 namespace {
@@ -106,6 +111,45 @@ TEST(RegistryRelations, OptimalIsLeastAndItsDecisionFormInvertsIt) {
       }
     }
   }
+}
+
+/// The fork entries against spider `optimal` on the unit-leg spider.
+void expect_fork_is_its_unit_leg_spider(const Fork& fork, const Workload& w) {
+  const api::Platform legs = Spider::from_fork(fork);
+  const api::SolveResult spider = api::registry().solve(legs, "optimal", w);
+  for (const char* name : {"optimal", "greedy"}) {
+    if (!api::registry().supports(api::PlatformKind::kFork, name, w.features())) continue;
+    SCOPED_TRACE(name);
+    const api::SolveResult result = api::registry().solve(fork, name, w);
+    EXPECT_EQ(result.tasks, spider.tasks);
+    EXPECT_EQ(result.makespan, spider.makespan);
+    EXPECT_EQ(std::get<SpiderSchedule>(result.schedule),
+              std::get<SpiderSchedule>(spider.schedule));
+  }
+}
+
+TEST(RegistryRelations, ForkEntriesEqualTheUnitLegSpider) {
+  Rng rng(0x39);
+  for (int trial = 0; trial < 200; ++trial) {
+    Rng inst = rng.split();
+    const Fork fork = std::get<Fork>(random_platform(inst, api::PlatformKind::kFork));
+    const auto n = static_cast<std::size_t>(inst.uniform(1, 64));
+    SCOPED_TRACE(fork.describe() + ", n = " + std::to_string(n));
+    expect_fork_is_its_unit_leg_spider(fork, Workload::identical(n));
+    SCOPED_TRACE("release-dated");
+    expect_fork_is_its_unit_leg_spider(fork, random_releases(inst, n));
+  }
+}
+
+// Where the unit-leg spider once kept its planned starts, it ended this
+// release-dated instance at 53 and the fork at 52: both send the same
+// emissions to the same slaves, and starting each task as soon as it has
+// arrived and its slave is free gives 52.
+TEST(RegistryRelations, ForkCounterExampleEndsAt52OnBothKinds) {
+  const Fork fork({{6, 3}, {9, 1}, {1, 8}});
+  const Workload w = Workload::released({0, 2, 5, 6, 7, 9, 9, 10, 11, 12, 14, 17, 19});
+  EXPECT_EQ(api::registry().solve(fork, "optimal", w).makespan, 52);
+  EXPECT_EQ(api::registry().solve(Spider::from_fork(fork), "optimal", w).makespan, 52);
 }
 
 /// A small instance of every kind, trees included.

@@ -12,13 +12,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mst/api/registry.hpp"
 #include "mst/baselines/asap.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/schedule/feasibility.hpp"
@@ -180,20 +180,21 @@ TEST(ReleaseDates, ForkOptimalMatchesExhaustiveOracle) {
     const auto n = static_cast<std::size_t>(rng.uniform(1, 4));
     const Workload workload = random_released(rng, n, rng.uniform(0, 25));
 
-    const SpiderSchedule schedule = ForkScheduler::schedule(fork, workload);
+    const SpiderSchedule schedule = SpiderScheduler::schedule(embedded, workload);
     const Time oracle = spider_oracle_makespan(embedded, workload);
     EXPECT_EQ(schedule.makespan(), oracle) << fork.describe() << " " << workload.describe();
     const FeasibilityReport report = check_feasibility(schedule, workload);
     EXPECT_TRUE(report.ok()) << report.summary();
 
-    ForkCountScratch scratch;
+    SpiderCountScratch scratch;
     for (const Time t_lim : {oracle - 1, oracle, oracle + 4}) {
       if (t_lim < 0) continue;
       const std::size_t counted =
-          ForkScheduler::count_within(fork, t_lim, workload, 64, scratch);
+          SpiderScheduler::count_within(embedded, t_lim, workload, 64, scratch);
       EXPECT_EQ(counted, spider_oracle_count(embedded, workload, t_lim))
           << fork.describe() << " " << workload.describe() << " T=" << t_lim;
-      const SpiderSchedule within = ForkScheduler::schedule_within(fork, t_lim, workload, 64);
+      const SpiderSchedule within =
+          SpiderScheduler::schedule_within(embedded, t_lim, workload, 64);
       EXPECT_EQ(within.num_tasks(), counted);
       const FeasibilityReport within_report =
           check_feasibility(within, workload.prefix(counted));
@@ -205,6 +206,54 @@ TEST(ReleaseDates, ForkOptimalMatchesExhaustiveOracle) {
 // ---------------------------------------------------------------------------
 // Registry integration
 // ---------------------------------------------------------------------------
+
+// The makespan forms' start pass on random spiders with release dates: it
+// keeps every task's leg, processor and master emission, moves no relay or
+// start later than the selection at the search's horizon planned it, and
+// leaves a feasible schedule.  The makespan never drops below the exhaustive
+// oracle's (checked where it is small enough to run).
+TEST(ReleaseDates, SpiderStartPassOnlyMovesTimesEarlier) {
+  Rng rng(707);
+  SpiderSolveScratch scratch;
+  for (int trial = 0; trial < 300; ++trial) {
+    Rng inst = rng.split();
+    const GeneratorParams params{1, 9, all_platform_classes()[trial % 5]};
+    const Spider spider = random_spider(inst, static_cast<std::size_t>(rng.uniform(1, 4)), 3,
+                                        params);
+    const bool small = trial % 2 == 0;
+    const auto n = static_cast<std::size_t>(rng.uniform(1, small ? 4 : 40));
+    const Workload workload = random_released(rng, n, rng.uniform(0, 2 * static_cast<Time>(n)));
+    const std::string where = spider.describe() + " " + workload.describe();
+
+    const SpiderSchedule early = SpiderScheduler::schedule(spider, workload);
+    // The plan: the selection at the search's horizon, the smallest whose
+    // count reaches `n`, which the start pass can only undercut.
+    Time horizon = early.makespan();
+    while (SpiderScheduler::count_within(spider, horizon, workload, n, scratch.count) < n) {
+      ++horizon;
+    }
+    SpiderSchedule planned;
+    SpiderScheduler::schedule_within_into(spider, horizon, workload, n, scratch, planned);
+    ASSERT_EQ(planned.tasks.size(), early.tasks.size()) << where;
+    for (std::size_t i = 0; i < early.tasks.size(); ++i) {
+      const SpiderTask& moved = early.tasks[i];
+      const SpiderTask& plan = planned.tasks[i];
+      EXPECT_EQ(moved.leg, plan.leg) << where;
+      EXPECT_EQ(moved.proc, plan.proc) << where;
+      ASSERT_EQ(moved.emissions.size(), plan.emissions.size()) << where;
+      EXPECT_EQ(moved.emissions.front(), plan.emissions.front()) << where;
+      for (std::size_t hop = 1; hop < moved.emissions.size(); ++hop) {
+        EXPECT_LE(moved.emissions[hop], plan.emissions[hop]) << where << " task " << i;
+      }
+      EXPECT_LE(moved.start, plan.start) << where << " task " << i;
+    }
+    const FeasibilityReport report = check_feasibility(early, workload);
+    EXPECT_TRUE(report.ok()) << where << "\n" << report.summary();
+    if (small && spider.num_processors() <= 6) {
+      EXPECT_GE(early.makespan(), spider_oracle_makespan(spider, workload)) << where;
+    }
+  }
+}
 
 TEST(ReleaseDates, RegistryGatesUnsupportedWorkloads) {
   const api::Platform chain = Chain::from_vectors({2, 3}, {3, 5});

@@ -19,7 +19,6 @@
 
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/workload/workload.hpp"
@@ -150,12 +149,13 @@ TEST(ShiftLemma, ForkHoistedProbeMatchesCount) {
     const Workload workload = random_workload(rng, n);
     const auto cap = static_cast<std::size_t>(rng.uniform(1, static_cast<std::int64_t>(n) + 4));
     const Time top = fork_top(fork, workload);
+    const Spider legs = Spider::from_fork(fork);
     SpiderCountScratch hoisted;
-    ForkCountScratch fresh;
-    SpiderScheduler::build_instance(Spider::from_fork(fork), top, workload, cap, hoisted);
+    SpiderCountScratch fresh;
+    SpiderScheduler::build_instance(legs, top, workload, cap, hoisted);
     for (const Time t : probe_horizons(rng, top, 20)) {
       EXPECT_EQ(hoisted_probe(t, workload, cap, hoisted),
-                ForkScheduler::count_within(fork, t, workload, cap, fresh))
+                SpiderScheduler::count_within(legs, t, workload, cap, fresh))
           << fork.describe() << " H=" << top << " T=" << t << " cap=" << cap;
     }
   }
@@ -206,26 +206,43 @@ void expect_smallest_feasible(const Platform& platform, const Workload& workload
   }
 }
 
+/// A spider's makespan form is the selection at the smallest horizon whose
+/// fresh count admits all `n` tasks, started early; the start pass can end
+/// it before that horizon (with release dates), never after.
+void expect_spider_search_lands(const Spider& spider, const Workload& workload,
+                                SpiderSolveScratch& scratch) {
+  const std::size_t n = workload.count();
+  const SpiderSchedule solved = SpiderScheduler::schedule(spider, workload);
+  Time horizon = solved.makespan();
+  while (SpiderScheduler::count_within(spider, horizon, workload, n, scratch.count) < n) {
+    ++horizon;
+  }
+  expect_smallest_feasible<SpiderScheduler>(spider, workload, horizon, scratch.count);
+  SpiderSchedule expected;
+  SpiderScheduler::schedule_within_into(spider, horizon, workload, n, scratch, expected);
+  SpiderScheduler::start_early(scratch, expected);
+  EXPECT_EQ(solved, expected) << spider.describe() << " horizon " << horizon;
+}
+
 // The hoisted searches land on the horizon a per-probe rebuild finds: each
-// optimal makespan is the smallest horizon whose fresh count reaches `n`.
+// optimal chain makespan, and each spider or fork search's horizon, is the
+// smallest horizon whose fresh count reaches `n`.
 TEST(ShiftLemma, SearchesFindTheSmallestFeasibleHorizon) {
   Rng rng(0x0B7);
   for (int trial = 0; trial < 60; ++trial) {
     const GeneratorParams params = params_of(rng, trial);
     const Workload workload = random_workload(rng, static_cast<std::size_t>(rng.uniform(1, 14)));
     const Chain chain = random_chain(rng, static_cast<std::size_t>(rng.uniform(1, 6)), params);
-    const Fork fork = random_fork(rng, static_cast<std::size_t>(rng.uniform(1, 6)), params);
+    const Spider fork =
+        Spider::from_fork(random_fork(rng, static_cast<std::size_t>(rng.uniform(1, 6)), params));
     const Spider spider =
         random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 4)), 1, 5, params);
     ChainCountScratch chain_scratch;
-    ForkCountScratch fork_scratch;
-    SpiderCountScratch spider_scratch;
+    SpiderSolveScratch spider_scratch;
     expect_smallest_feasible<ChainScheduler>(
         chain, workload, ChainScheduler::schedule(chain, workload).makespan(), chain_scratch);
-    expect_smallest_feasible<ForkScheduler>(
-        fork, workload, ForkScheduler::schedule(fork, workload).makespan(), fork_scratch);
-    expect_smallest_feasible<SpiderScheduler>(
-        spider, workload, SpiderScheduler::schedule(spider, workload).makespan(), spider_scratch);
+    expect_spider_search_lands(fork, workload, spider_scratch);
+    expect_spider_search_lands(spider, workload, spider_scratch);
   }
 }
 

@@ -23,7 +23,6 @@
 
 #include "mst/api/registry.hpp"
 #include "mst/common/rng.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/obs/metrics.hpp"
@@ -70,7 +69,6 @@ Spider tie_heavy_spider(Rng& rng) {
 struct Case {
   Spider spider;
   bool is_fork = false;
-  Fork fork;
 };
 
 Case random_case(Rng& rng, int trial) {
@@ -78,21 +76,21 @@ Case random_case(Rng& rng, int trial) {
     case 0:
       return {random_spider(rng, static_cast<std::size_t>(rng.uniform(1, 8)), 5,
                             random_params(rng)),
-              false, Fork{}};
+              false};
     case 1:
-      return {tie_heavy_spider(rng), false, Fork{}};
+      return {tie_heavy_spider(rng), false};
     case 2: {
       Fork fork = rng.chance(0.5)
                       ? random_fork(rng, static_cast<std::size_t>(rng.uniform(1, 8)),
                                     random_params(rng))
                       : random_fork(rng, static_cast<std::size_t>(rng.uniform(1, 8)),
                                     GeneratorParams{1, rng.uniform(1, 2)});
-      return {Spider::from_fork(fork), true, fork};
+      return {Spider::from_fork(fork), true};
     }
     default:
       return {Spider{random_chain(rng, static_cast<std::size_t>(rng.uniform(1, 5)),
                                   random_params(rng))},
-              false, Fork{}};
+              false};
   }
 }
 
@@ -105,7 +103,6 @@ std::vector<std::size_t> tasks_per_leg(const SpiderSchedule& schedule) {
 TEST(GreedyDifferential, DecisionsMatchMooreHodgson) {
   Rng rng(0x6EED);
   SpiderSolveScratch solve;
-  ForkCountScratch fork_scratch;
   SpiderSchedule out;
   for (int trial = 0; trial < 20000; ++trial) {
     const Case c = random_case(rng, trial);
@@ -119,17 +116,16 @@ TEST(GreedyDifferential, DecisionsMatchMooreHodgson) {
     const std::size_t expected_count = oracle::count_within(spider, horizon, cap);
     const std::vector<std::size_t> expected_legs = oracle::leg_counts(spider, horizon, cap);
     const SpiderSchedule expected = oracle::schedule_within(spider, horizon, cap);
+    EXPECT_EQ(SpiderScheduler::count_within(spider, horizon, cap, solve.count), expected_count)
+        << where;
+    SpiderScheduler::schedule_within_into(spider, horizon, cap, solve, out);
+    EXPECT_EQ(solve.counts, expected_legs) << where;
     if (c.is_fork) {
-      EXPECT_EQ(ForkScheduler::count_within(c.fork, horizon, cap, fork_scratch), expected_count)
-          << where;
-      ForkScheduler::schedule_within_into(c.fork, horizon, cap, fork_scratch, out);
-      EXPECT_EQ(fork_scratch.solve.counts, expected_legs) << where;
-      EXPECT_EQ(out, oracle::fork_starts(c.fork, expected)) << where;
+      // A fork decision, as the registry's fork entries answer it, starts
+      // its tasks early.
+      SpiderScheduler::start_early(solve, out);
+      EXPECT_EQ(out, oracle::start_early(expected)) << where;
     } else {
-      EXPECT_EQ(SpiderScheduler::count_within(spider, horizon, cap, solve.count), expected_count)
-          << where;
-      SpiderScheduler::schedule_within_into(spider, horizon, cap, solve, out);
-      EXPECT_EQ(solve.counts, expected_legs) << where;
       EXPECT_EQ(out, expected) << where;
     }
     EXPECT_EQ(tasks_per_leg(expected), expected_legs) << where;
@@ -141,7 +137,6 @@ TEST(GreedyDifferential, DecisionsMatchMooreHodgson) {
 TEST(GreedyDifferential, MakespanSchedulesMatchMooreHodgson) {
   Rng rng(0x6EEE);
   SpiderSolveScratch solve;
-  ForkCountScratch fork_scratch;
   SpiderSchedule out;
   for (int trial = 0; trial < 20000; ++trial) {
     const Case c = random_case(rng, trial);
@@ -149,15 +144,9 @@ TEST(GreedyDifferential, MakespanSchedulesMatchMooreHodgson) {
     const auto n = static_cast<std::size_t>(rng.uniform(1, 64));
     const std::string where = spider.describe() + " n=" + std::to_string(n);
 
-    const SpiderSchedule expected = oracle::schedule(spider, n);
-    if (c.is_fork) {
-      ForkScheduler::schedule_into(c.fork, Workload::identical(n), fork_scratch, out);
-      EXPECT_EQ(out, oracle::fork_starts(c.fork, expected)) << where;
-    } else {
-      SpiderScheduler::schedule_into(spider, Workload::identical(n), solve, out);
-      EXPECT_EQ(out, expected) << where;
-      EXPECT_TRUE(check_feasibility(out).ok()) << where;
-    }
+    SpiderScheduler::schedule_into(spider, Workload::identical(n), solve, out);
+    EXPECT_EQ(out, oracle::schedule(spider, n)) << where;
+    EXPECT_TRUE(check_feasibility(out).ok()) << where;
     if (::testing::Test::HasFailure()) break;
   }
 }

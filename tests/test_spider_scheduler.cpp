@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "mst/api/registry.hpp"
 #include "mst/baselines/brute_force.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/schedule/feasibility.hpp"
 
@@ -42,7 +42,8 @@ TEST(SpiderScheduler, ForkShapedSpiderEqualsForkScheduler) {
   const Fork fork({Processor{2, 5}, Processor{4, 1}, Processor{1, 9}});
   const Spider spider = Spider::from_fork(fork);
   for (std::size_t n = 1; n <= 7; ++n) {
-    EXPECT_EQ(SpiderScheduler::makespan(spider, n), ForkScheduler::makespan(fork, n))
+    EXPECT_EQ(SpiderScheduler::makespan(spider, n),
+              api::registry().solve(fork, "optimal", n).makespan)
         << "n=" << n;
   }
 }

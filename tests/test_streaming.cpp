@@ -21,7 +21,6 @@
 #include "mst/api/stream.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/sim/online.hpp"
@@ -81,7 +80,7 @@ TEST(Streaming, ReplanReproducesTheOfflineOptimumWhenAllTasksAreAvailable) {
     const auto n = static_cast<std::size_t>(rng.uniform(1, 9));
     const Fork fork = random_fork(inst, static_cast<std::size_t>(rng.uniform(1, 4)), params);
     EXPECT_EQ(api::run_stream(fork, "replan", Workload::identical(n)).makespan,
-              ForkScheduler::makespan(fork, n))
+              SpiderScheduler::makespan(Spider::from_fork(fork), n))
         << fork.describe() << " n=" << n;
     const Spider spider =
         random_spider(inst, static_cast<std::size_t>(rng.uniform(1, 3)), 3, params);
@@ -131,7 +130,8 @@ TEST(Streaming, ReplanNeverBeatsTheOfflineOptimumOnArrivalStreams) {
         const api::StreamOutcome run = api::run_stream(fork, "replan", workload);
         EXPECT_EQ(run.offline_makespan, 0) << "beatable reference must not be reported";
         EXPECT_LT(run.regret, 0.0);
-        EXPECT_GE(run.makespan, ForkScheduler::makespan(fork, n)) << fork.describe();
+        EXPECT_GE(run.makespan, SpiderScheduler::makespan(Spider::from_fork(fork), n))
+            << fork.describe();
       }
       {
         const api::StreamOutcome run = api::run_stream(spider, "replan", workload);

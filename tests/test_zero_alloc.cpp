@@ -205,8 +205,9 @@ TEST(SolveZeroAlloc, WarmForwardGreedySolveIsAllocationFree) {
 TEST(SolveZeroAlloc, WarmEngineBaselineSolvesAreAllocationFree) {
   // The chain, fork and spider engine baselines replay on the scratch's
   // engine state into the pooled schedule (a fork's unit-leg spider is
-  // rebuilt in place in the fork scratch), so a warm solve allocates
-  // nothing at any task count.
+  // rebuilt in place in the scratch), so a warm solve allocates nothing at
+  // any task count.  The chain's `periodic` rebuilds its rates and counts
+  // in the scratch too.
   Rng rng(37);
   const GeneratorParams params{1, 10, PlatformClass::kUniform};
   const api::Platform chain(random_chain(rng, 8, params));
@@ -219,12 +220,16 @@ TEST(SolveZeroAlloc, WarmEngineBaselineSolvesAreAllocationFree) {
       EXPECT_EQ(solve_allocations(spider, algorithm, n), 0) << "spider " << algorithm << " " << n;
     }
   }
+  for (const std::size_t n : {8u, 64u, 512u}) {
+    EXPECT_EQ(solve_allocations(chain, "periodic", n), 0) << "chain periodic " << n;
+  }
 }
 
 TEST(SolveZeroAlloc, WarmEngineBaselineDecisionsAreAllocationFree) {
-  // The prefix-stable engine baselines decide in one deadline-stopped
-  // replay that grows the pooled schedule only by the tasks it keeps, so a
-  // warm decision allocates nothing, whatever the cap (2^20 by default).
+  // The prefix-stable engine baselines, the chain's `periodic` among them,
+  // decide in one deadline-stopped replay that grows the pooled schedule
+  // only by the tasks it keeps, so a warm decision allocates nothing,
+  // whatever the cap (2^20 by default).
   Rng rng(38);
   const GeneratorParams params{1, 10, PlatformClass::kUniform};
   const api::Platform chain(random_chain(rng, 8, params));
@@ -239,6 +244,10 @@ TEST(SolveZeroAlloc, WarmEngineBaselineDecisionsAreAllocationFree) {
       EXPECT_EQ(decision_allocations(spider, algorithm, deadline), 0)
           << "spider " << algorithm << " " << deadline;
     }
+  }
+  for (const Time deadline : {40, 400}) {
+    EXPECT_EQ(decision_allocations(chain, "periodic", deadline), 0)
+        << "chain periodic " << deadline;
   }
 }
 
