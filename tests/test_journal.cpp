@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -140,6 +142,73 @@ TEST(JournalRecord, RoundTripsEveryField) {
   ASSERT_EQ(back.metrics.size(), out.metrics.size());
   EXPECT_EQ(back.metrics[0], out.metrics[0]);
   EXPECT_EQ(back.metrics[1], out.metrics[1]);
+}
+
+/// An outcome whose text fields need every escape and rule of the format:
+/// spaces, `#`, `\`, a newline, a carriage return and an empty field, next
+/// to 64-bit extremes, a negative time and an infinite throughput.
+CellOutcome frozen_outcome() {
+  CellOutcome out;
+  out.cell.index = 41;
+  out.cell.spec_name = "pin spec #1";
+  out.cell.kind = "fork";
+  out.cell.cls = "comm-bound";
+  out.cell.size = 4;
+  out.cell.instance = 2;
+  out.cell.platform_seed = 18446744073709551615ull;
+  out.cell.algorithm = "";
+  out.cell.mode = CellMode::kWithin;
+  out.cell.deadline = 9223372036854775807ll;
+  out.cell.seed = 0x8000000000000000ull;
+  out.cell.workload_label = "a\\b c";
+  out.cell.workload_seed = 3;
+  out.tasks = 5;
+  out.makespan = -2;
+  out.throughput = std::numeric_limits<double>::infinity();
+  out.wall_ms = 0.1;
+  out.peak_backlog = 7;
+  out.regret = 1e-300;
+  out.error = "bad # not a comment\n  indented \\ line\r";
+  obs::MetricSample counter;
+  counter.name = "odd name # x";
+  counter.value = -9;
+  obs::MetricSample hist;
+  hist.name = "stream.latency";
+  hist.type = obs::MetricType::kHistogram;
+  hist.determinism = obs::DeterminismClass::kWallTime;
+  hist.count = 3;
+  hist.sum = 1234567890123;
+  hist.buckets[0] = 1;
+  hist.buckets[15] = 2;
+  out.metrics = {counter, hist};
+  return out;
+}
+
+// The payload bytes of `mstjournal 1`: journals written by earlier builds
+// must keep replaying, so neither the encoder nor the decoder may drift.
+TEST(JournalRecord, EncodingIsFrozen) {
+  const std::string frozen =
+      "cell 41 4 2 18446744073709551615 9223372036854775808 3 0 9223372036854775807 within\n"
+      "spec pin spec #1\n"
+      "kind fork\n"
+      "class comm-bound\n"
+      "algo \n"
+      "wl a\\\\b c\n"
+      "out 5 -2 0 0 7\n"
+      "num inf 0.10000000000000001 -1 1e-300\n"
+      "err bad # not a comment\\n  indented \\\\ line\\r\n"
+      "metric 0 0 -9 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 odd name # x\n"
+      "metric 2 1 0 3 1234567890123 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2 stream.latency\n";
+  const CellOutcome out = frozen_outcome();
+  EXPECT_EQ(encode_record(out), frozen);
+  const CellOutcome back = decode_record(frozen);
+  EXPECT_EQ(encode_record(back), frozen);
+  EXPECT_EQ(back.cell.algorithm, "");
+  EXPECT_EQ(back.cell.workload_label, out.cell.workload_label);
+  EXPECT_EQ(back.error, out.error);
+  EXPECT_EQ(back.throughput, out.throughput);
+  EXPECT_EQ(back.regret, out.regret);
+  EXPECT_EQ(back.metrics, out.metrics);
 }
 
 TEST(JournalRecord, DecodeRejectsGarbage) {
@@ -531,6 +600,51 @@ TEST(JournalFile, KillBetweenAppendAndSyncReplaysAPrefixAndResumes) {
   const std::vector<CellOutcome> merged = merge_journals(dir);
   EXPECT_EQ(to_csv(merged, {}), to_csv(reference, {}));
   EXPECT_EQ(to_json(merged, {}), to_json(reference, {}));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+std::string pinned_data(const std::string& name) {
+  return std::string(MST_TEST_DATA_DIR) + "/journal/" + name;
+}
+
+// tests/data/journal/shard-0-of-1.mstj was written by an earlier build from
+// journal_pin.spec next to it.  It must still replay under this build's
+// grid fingerprint, merge into the same outcomes, and come back byte for
+// byte when its records are appended to a fresh journal.
+TEST(JournalFile, CheckedInShardReplaysMergesAndRewritesByteForByte) {
+  const std::string pinned = read_file(pinned_data("shard-0-of-1.mstj"));
+  const std::vector<Cell> cells = expand(parse_spec(read_file(pinned_data("journal_pin.spec"))));
+  const std::uint64_t fingerprint = grid_fingerprint(cells);
+  const std::string dir = scratch_dir("pinned_shard");
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(pinned_data("shard-0-of-1.mstj"), shard_file(dir, 0, 1));
+
+  std::vector<CellOutcome> replayed;
+  {
+    const Journal journal(dir, 0, 1, cells.size(), fingerprint);
+    EXPECT_FALSE(journal.replayed().torn);
+    replayed = journal.replayed().outcomes;
+  }
+  ASSERT_EQ(replayed.size(), cells.size());
+  EXPECT_EQ(read_file(shard_file(dir, 0, 1)), pinned);  // replay leaves it as it was
+
+  const std::vector<CellOutcome> merged = merge_journals(dir);
+  ASSERT_EQ(merged.size(), cells.size());
+  for (const CellOutcome& record : replayed) {
+    EXPECT_EQ(encode_record(merged[record.cell.index]), encode_record(record));
+  }
+
+  const std::string again = scratch_dir("pinned_shard_again");
+  {
+    Journal journal(again, 0, 1, cells.size(), fingerprint);
+    for (const CellOutcome& record : replayed) journal.append(record);
+    journal.sync();
+  }
+  EXPECT_EQ(read_file(shard_file(again, 0, 1)), pinned);
 }
 
 TEST(ShardedRun, PartitionIsDisjointAndComplete) {
