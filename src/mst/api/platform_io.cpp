@@ -6,14 +6,22 @@
 
 namespace mst::api {
 
+Platform read_any_platform(Lexer& lex) {
+  const std::string_view kind = peek_platform_kind(lex);
+  if (kind == "chain") return read_chain(lex);
+  if (kind == "fork") return read_fork(lex);
+  if (kind == "spider") return read_spider(lex);
+  if (kind == "tree") return read_tree(lex);
+  lex.next("platform kind");
+  throw std::invalid_argument(at_line(lex.line()) + "unknown platform kind '" +
+                              std::string(kind) + "' (expected chain|fork|spider|tree)");
+}
+
 Platform parse_any_platform(const std::string& text) {
-  const std::string kind = peek_platform_kind(text);
-  if (kind == "chain") return parse_chain(text);
-  if (kind == "fork") return parse_fork(text);
-  if (kind == "spider") return parse_spider(text);
-  if (kind == "tree") return parse_tree(text);
-  throw std::invalid_argument("unknown platform kind '" + kind +
-                              "' (expected chain|fork|spider|tree)");
+  Lexer lex(text);
+  Platform platform = read_any_platform(lex);
+  lex.expect_end();
+  return platform;
 }
 
 }  // namespace mst::api

@@ -1,8 +1,10 @@
 #include "mst/common/cli.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "mst/common/assert.hpp"
+#include "mst/common/lexer.hpp"
 
 namespace mst {
 
@@ -30,19 +32,17 @@ std::string Args::get(const std::string& name, const std::string& def) const {
 std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  std::size_t used = 0;
-  const std::int64_t v = std::stoll(it->second, &used);
-  MST_REQUIRE(used == it->second.size(), "not an integer: --" + name + "=" + it->second);
-  return v;
+  const std::optional<Time> value = to_time(it->second);
+  MST_REQUIRE(value, "not a 64-bit integer: --" + name + "=" + it->second);
+  return *value;
 }
 
 double Args::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  std::size_t used = 0;
-  const double v = std::stod(it->second, &used);
-  MST_REQUIRE(used == it->second.size(), "not a number: --" + name + "=" + it->second);
-  return v;
+  const std::optional<double> value = to_double(it->second);
+  MST_REQUIRE(value, "not a number: --" + name + "=" + it->second);
+  return *value;
 }
 
 }  // namespace mst

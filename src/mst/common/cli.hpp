@@ -20,7 +20,9 @@ class Args {
 
   [[nodiscard]] bool has(const std::string& name) const;
 
-  /// Value lookups with defaults.  Numeric conversions throw on garbage.
+  /// Value lookups with defaults.  Numbers follow the rules of
+  /// `common/lexer.hpp`; a value that is not one, or out of range, throws
+  /// `std::invalid_argument` naming the option.
   [[nodiscard]] std::string get(const std::string& name, const std::string& def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;

@@ -1,82 +1,134 @@
 #include "mst/common/lexer.hpp"
 
-#include <sstream>
-#include <utility>
+#include <charconv>
+#include <cstdint>
+#include <type_traits>
 
 #include "mst/common/assert.hpp"
 
 namespace mst {
 
+namespace {
+
+static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+              "next_index reads 64-bit seeds and fingerprints as std::size_t");
+
+bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f'; }
+
+template <class Number>
+std::optional<Number> whole(std::string_view token) {
+  Number value{};
+  const char* const end = token.data() + token.size();
+  const auto [ptr, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 std::string at_line(std::size_t line) { return "line " + std::to_string(line) + ": "; }
 
-Lexer::Lexer(const std::string& text, std::string document) : document_(std::move(document)) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string tok;
-    while (ls >> tok) tokens_.push_back({tok, lineno});
+std::optional<Time> to_time(std::string_view token) { return whole<Time>(token); }
+
+std::optional<double> to_double(std::string_view token) { return whole<double>(token); }
+
+Lexer::Lexer(std::string_view text, const char* document) : text_(text), document_(document) {
+  skip();
+}
+
+void Lexer::skip() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c == '\n') {
+      ++next_line_;
+      ++pos_;
+    } else if (c == '#') {
+      const std::size_t eol = text_.find('\n', pos_);
+      pos_ = eol == std::string_view::npos ? text_.size() : eol;
+    } else if (is_blank(c)) {
+      ++pos_;
+    } else {
+      return;
+    }
   }
 }
 
-const Lexer::Token& Lexer::peek(const char* what) const {
-  MST_REQUIRE(!done(), "unexpected end of " + document_ + ", expected " + what);
-  return tokens_[pos_];
+std::size_t Lexer::token_size() const {
+  std::size_t end = pos_;
+  while (end < text_.size() && text_[end] != '\n' && text_[end] != '#' && !is_blank(text_[end])) {
+    ++end;
+  }
+  return end - pos_;
 }
 
-std::string Lexer::next(const char* what) {
-  const std::string& tok = peek(what).text;
-  ++pos_;
-  return tok;
+std::string_view Lexer::peek(const char* what) const {
+  MST_REQUIRE(!done(), "unexpected end of " + std::string(document_) + ", expected " + what);
+  return text_.substr(pos_, token_size());
+}
+
+std::string_view Lexer::next(const char* what) {
+  const std::string_view token = peek(what);
+  line_ = next_line_;
+  pos_ += token.size();
+  end_ = pos_;
+  skip();
+  return token;
+}
+
+void Lexer::bad_token(std::string_view token, const char* what) const {
+  detail::throw_requirement(
+      "whole token", at_line(line_) + "expected " + what + ", got '" + std::string(token) + "'");
 }
 
 Time Lexer::next_time(const char* what) {
-  const Token& tok = peek(what);
-  ++pos_;
-  std::size_t used = 0;
-  Time v = 0;
-  try {
-    v = std::stoll(tok.text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  MST_REQUIRE(used == tok.text.size(),
-              at_line(tok.line) + "expected " + what + ", got '" + tok.text + "'");
-  return v;
-}
-
-std::size_t Lexer::next_count(const char* what) {
-  const std::size_t line = peek(what).line;
-  const Time v = next_time(what);
-  MST_REQUIRE(v >= 1, at_line(line) + what + " must be >= 1");
-  return static_cast<std::size_t>(v);
+  const std::string_view token = next(what);
+  const std::optional<Time> value = to_time(token);
+  if (!value) bad_token(token, what);
+  return *value;
 }
 
 std::size_t Lexer::next_index(const char* what) {
-  const std::size_t line = peek(what).line;
-  const Time v = next_time(what);
-  MST_REQUIRE(v >= 0, at_line(line) + what + " must be non-negative");
-  return static_cast<std::size_t>(v);
+  const std::string_view token = next(what);
+  const std::optional<std::size_t> value = whole<std::size_t>(token);
+  if (value) return *value;
+  MST_REQUIRE(token.front() != '-' || !to_time(token),
+              at_line(line_) + what + " must be non-negative");
+  bad_token(token, what);
 }
 
-void Lexer::expect(const std::string& keyword) {
-  const Token& tok = peek(keyword.c_str());
-  ++pos_;
-  MST_REQUIRE(tok.text == keyword,
-              at_line(tok.line) + "expected '" + keyword + "', got '" + tok.text + "'");
+std::size_t Lexer::next_count(const char* what) {
+  const std::size_t value = next_index(what);
+  MST_REQUIRE(value >= 1, at_line(line_) + what + " must be >= 1");
+  return value;
 }
 
-std::size_t Lexer::line() const {
-  MST_ASSERT(pos_ >= 1);
-  return tokens_[pos_ - 1].line;
+double Lexer::next_double(const char* what) {
+  const std::string_view token = next(what);
+  const std::optional<double> value = to_double(token);
+  if (!value) bad_token(token, what);
+  return *value;
+}
+
+void Lexer::expect(const char* keyword) {
+  const std::string_view token = next(keyword);
+  MST_REQUIRE(token == keyword, at_line(line_) + "expected '" + keyword + "', got '" +
+                                    std::string(token) + "'");
 }
 
 void Lexer::expect_end() const {
-  MST_REQUIRE(done(), at_line(tokens_[pos_].line) + "trailing input '" + tokens_[pos_].text + "'");
+  MST_REQUIRE(done(), at_line(next_line_) + "trailing input '" +
+                          std::string(text_.substr(pos_, token_size())) + "'");
+}
+
+std::string_view Lexer::rest_of_line() {
+  std::size_t from = end_;
+  if (from < text_.size() && is_blank(text_[from])) ++from;
+  std::size_t eol = text_.find('\n', from);
+  if (eol == std::string_view::npos) eol = text_.size();
+  pos_ = eol;
+  next_line_ = line_;
+  skip();
+  return text_.substr(from, eol - from);
 }
 
 }  // namespace mst

@@ -25,29 +25,6 @@ void write_proc_list(std::ostringstream& os, const std::vector<Processor>& procs
   for (const Processor& p : procs) os << p.comm << ' ' << p.work << '\n';
 }
 
-Fork read_fork(Lexer& lex) {
-  lex.expect("fork");
-  const std::size_t p = lex.next_count("slave count");
-  return Fork(read_proc_list(lex, p));
-}
-
-Tree read_tree(Lexer& lex) {
-  lex.expect("tree");
-  const std::size_t slaves = lex.next_count("slave count");
-  Tree tree;
-  for (std::size_t i = 1; i <= slaves; ++i) {
-    const Time parent = lex.next_time("parent id");
-    MST_REQUIRE(parent >= 0 && static_cast<std::size_t>(parent) < i,
-                at_line(lex.line()) + "slave " + std::to_string(i) +
-                    ": parent must be 0 (the master) or an earlier slave id, got " +
-                    std::to_string(parent));
-    const Time c = lex.next_time("link latency");
-    const Time w = lex.next_time("processing time");
-    tree.add_node(static_cast<NodeId>(parent), Processor{c, w});
-  }
-  return tree;
-}
-
 /// The platform `read` finds in `text`, which must hold nothing else.
 template <class Read>
 auto parse_whole(const std::string& text, Read read) {
@@ -93,6 +70,29 @@ Chain read_chain(Lexer& lex) {
   return Chain(read_proc_list(lex, p));
 }
 
+Fork read_fork(Lexer& lex) {
+  lex.expect("fork");
+  const std::size_t p = lex.next_count("slave count");
+  return Fork(read_proc_list(lex, p));
+}
+
+Tree read_tree(Lexer& lex) {
+  lex.expect("tree");
+  const std::size_t slaves = lex.next_count("slave count");
+  Tree tree;
+  for (std::size_t i = 1; i <= slaves; ++i) {
+    const Time parent = lex.next_time("parent id");
+    MST_REQUIRE(parent >= 0 && static_cast<std::size_t>(parent) < i,
+                at_line(lex.line()) + "slave " + std::to_string(i) +
+                    ": parent must be 0 (the master) or an earlier slave id, got " +
+                    std::to_string(parent));
+    const Time c = lex.next_time("link latency");
+    const Time w = lex.next_time("processing time");
+    tree.add_node(static_cast<NodeId>(parent), Processor{c, w});
+  }
+  return tree;
+}
+
 Spider read_spider(Lexer& lex) {
   lex.expect("spider");
   const std::size_t legs = lex.next_count("leg count");
@@ -111,8 +111,10 @@ Fork parse_fork(const std::string& text) { return parse_whole(text, read_fork); 
 Spider parse_spider(const std::string& text) { return parse_whole(text, read_spider); }
 Tree parse_tree(const std::string& text) { return parse_whole(text, read_tree); }
 
+std::string_view peek_platform_kind(const Lexer& lex) { return lex.peek("platform kind"); }
+
 std::string peek_platform_kind(const std::string& text) {
-  return Lexer(text).next("platform kind");
+  return std::string(peek_platform_kind(Lexer(text)));
 }
 
 }  // namespace mst

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "mst/common/lexer.hpp"
 #include "mst/platform/chain.hpp"
@@ -44,19 +45,29 @@ std::string write_chain(const Chain& chain);
 std::string write_spider(const Spider& spider);
 std::string write_tree(const Tree& tree);
 
+// The per-kind parsers.  The library reads any kind through
+// `api::read_any_platform`; test_io and test_parser_fuzz pin each reader
+// through its own parser.
+// mstlint: allow-next-line(tests-only-api) -- test_io, test_parser_fuzz
 Chain parse_chain(const std::string& text);
+// mstlint: allow-next-line(tests-only-api) -- test_io, test_parser_fuzz
 Fork parse_fork(const std::string& text);
 Spider parse_spider(const std::string& text);
+// mstlint: allow-next-line(tests-only-api) -- test_io, test_parser_fuzz
 Tree parse_tree(const std::string& text);
 
 Chain read_chain(Lexer& lex);
+Fork read_fork(Lexer& lex);
 Spider read_spider(Lexer& lex);
+Tree read_tree(Lexer& lex);
 
 /// The header keyword of a platform description ("chain", "fork", "spider",
-/// "tree", ...), read with the same comment/whitespace rules as the parsers.
-/// Throws on empty input; does not validate the keyword.
-/// For kind-preserving parsing into the registry's typed variant, use
-/// `api::parse_any_platform` (mst/api/platform_io.hpp).
+/// "tree", ...), read with the same comment/whitespace rules as the parsers;
+/// the lexer form does not consume it.  Throws on empty input; does not
+/// validate the keyword.  For kind-preserving parsing into the registry's
+/// typed variant, use `api::parse_any_platform` / `api::read_any_platform`
+/// (mst/api/platform_io.hpp).
+std::string_view peek_platform_kind(const Lexer& lex);
 std::string peek_platform_kind(const std::string& text);
 
 }  // namespace mst

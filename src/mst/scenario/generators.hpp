@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mst/api/registry.hpp"
@@ -85,6 +86,15 @@ struct Cell {
   std::string workload_label = "unit";
   std::uint64_t workload_seed = 0;  ///< 0 on identical cells
 };
+
+/// A cell's key: every field but the live platform and workload, in the
+/// order `grid_fingerprint` folds them.  A journal record names its cell by
+/// these fields alone, and resumes it only when they all match.
+inline auto key_fields(const Cell& cell) {
+  return std::tie(cell.index, cell.spec_name, cell.kind, cell.cls, cell.size, cell.instance,
+                  cell.platform_seed, cell.algorithm, cell.mode, cell.n, cell.deadline,
+                  cell.seed, cell.workload_label, cell.workload_seed);
+}
 
 /// Expands the spec into its cell grid: explicit platforms first, then the
 /// generator grid in (kind, class, size, instance) order; per platform, the

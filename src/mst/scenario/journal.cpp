@@ -6,16 +6,19 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
 
 #include "mst/common/fmt.hpp"
+#include "mst/common/lexer.hpp"
 #include "mst/obs/metrics.hpp"
 
 namespace mst::scenario {
@@ -28,7 +31,7 @@ namespace {
 /// CRC-32 (reflected 0xEDB88320, the zlib polynomial) over the payload
 /// bytes.  Torn appends are the expected failure mode; the CRC additionally
 /// catches bit rot and hand-edited records.
-std::uint32_t crc32(const std::string& data) {
+std::uint32_t crc32(std::string_view data) {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -68,14 +71,23 @@ std::uint64_t fold(std::uint64_t h, const std::string& s) {
 // ---------------------------------------------------------------------------
 // Payload serialization
 //
-// Line-oriented `tag fields...` records; string fields are
-// escaped-to-end-of-line (only `\\`, `\n`, `\r` need escaping — the rest of
-// the line is taken verbatim), doubles render with the sanctioned `%.17g`
-// formatter so every value survives the round trip bit-for-bit.
+// Line-oriented `tag fields...` records read through the one lexer; string
+// fields are escaped-to-end-of-line (only `\\`, `\n`, `\r` need escaping —
+// the rest of the line, `#` included, is taken verbatim by
+// `Lexer::rest_of_line`), integers render with `std::to_chars` and doubles
+// with the sanctioned `%.17g` formatter, so every value survives the round
+// trip bit-for-bit.
 
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+/// Appends `value` in decimal, then `sep`.
+template <class Int>
+void put(std::string& out, Int value, char sep = ' ') {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+  out += sep;
+}
+
+/// Appends `text` escaped to one line, then the line break.
+void put_line(std::string& out, const std::string& text) {
   for (const char ch : text) {
     switch (ch) {
       case '\\': out += "\\\\"; break;
@@ -84,10 +96,12 @@ std::string escape(const std::string& text) {
       default: out += ch;
     }
   }
-  return out;
+  out += '\n';
 }
 
-std::string unescape(const std::string& text) {
+/// The string field at the rest of the lexer's line, unescaped.
+std::string text_field(Lexer& lex) {
+  const std::string_view text = lex.rest_of_line();
   std::string out;
   out.reserve(text.size());
   for (std::size_t i = 0; i < text.size(); ++i) {
@@ -101,46 +115,48 @@ std::string unescape(const std::string& text) {
   return out;
 }
 
-/// The tail of `line` after `prefix + ' '`, unescaped; "" when the line is
-/// exactly the bare tag (an empty string field).
-std::string string_field(const std::string& line, std::size_t tag_end) {
-  if (tag_end >= line.size()) return {};
-  return unescape(line.substr(tag_end + 1));
-}
-
-double parse_double(const std::string& token) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    throw std::invalid_argument("journal: bad double '" + token + "'");
+/// Throws unless the fields just read were all on the tag's line and
+/// nothing follows them.
+void end_fields(const Lexer& lex, std::size_t tag_line, const char* tag) {
+  if (lex.line() != tag_line || !lex.line_ended()) {
+    throw std::invalid_argument(std::string("journal: malformed ") + tag + " line");
   }
-  return value;
 }
 
-CellMode mode_from(const std::string& name) {
+CellMode mode_from(std::string_view name) {
   if (name == "solve") return CellMode::kSolve;
   if (name == "within") return CellMode::kWithin;
   if (name == "stream") return CellMode::kStream;
-  throw std::invalid_argument("journal: unknown cell mode '" + name + "'");
+  throw std::invalid_argument("journal: unknown cell mode '" + std::string(name) + "'");
 }
 
-/// Throws when an extraction failed mid-line.
-void expect(std::istream& is, const char* what) {
-  if (!is) throw std::invalid_argument(std::string("journal: malformed ") + what + " line");
+/// An enum stored as its index, which must be at most `last`.
+template <class Enum>
+Enum enum_field(Lexer& lex, const char* what, Enum last) {
+  const std::size_t value = lex.next_index(what);
+  if (value > static_cast<std::size_t>(last)) {
+    throw std::invalid_argument(std::string("journal: bad ") + what + " " +
+                                std::to_string(value));
+  }
+  return static_cast<Enum>(value);
 }
 
 // ---------------------------------------------------------------------------
 // File framing
 
 constexpr const char* kMagic = "mstjournal";
-constexpr int kVersion = 1;
+constexpr std::size_t kVersion = 1;
 
 std::string render_header(std::size_t shard_index, std::size_t shard_count,
                           std::size_t total_cells, std::uint64_t fingerprint) {
-  std::ostringstream os;
-  os << kMagic << ' ' << kVersion << ' ' << shard_index << ' ' << shard_count << ' '
-     << total_cells << ' ' << fingerprint << '\n';
-  return os.str();
+  std::string out = kMagic;
+  out += ' ';
+  put(out, kVersion);
+  put(out, shard_index);
+  put(out, shard_count);
+  put(out, total_cells);
+  put(out, fingerprint, '\n');
+  return out;
 }
 
 struct Header {
@@ -157,17 +173,23 @@ std::size_t parse_header(const std::string& path, const std::string& content, He
   if (eol == std::string::npos) {
     throw std::runtime_error(path + ": not a journal (missing header line)");
   }
-  std::istringstream is(content.substr(0, eol));
-  std::string magic;
-  int version = 0;
-  is >> magic >> version >> out.shard_index >> out.shard_count >> out.total_cells >>
-      out.fingerprint;
-  if (!is || magic != kMagic) {
+  std::size_t version = 0;
+  try {
+    Lexer lex(std::string_view(content).substr(0, eol), "journal header");
+    lex.expect(kMagic);
+    version = lex.next_index("version");
+    if (version == kVersion) {
+      out.shard_index = lex.next_index("shard index");
+      out.shard_count = lex.next_index("shard count");
+      out.total_cells = lex.next_index("cell count");
+      out.fingerprint = lex.next_index("fingerprint");
+      lex.expect_end();
+    }
+  } catch (const std::invalid_argument&) {
     throw std::runtime_error(path + ": not a journal (bad header)");
   }
   if (version != kVersion) {
-    throw std::runtime_error(path + ": unsupported journal version " +
-                             std::to_string(version));
+    throw std::runtime_error(path + ": unsupported journal version " + std::to_string(version));
   }
   return eol + 1;
 }
@@ -186,16 +208,21 @@ JournalReplay scan_records(const std::string& content, std::size_t start,
   while (at < content.size()) {
     const std::size_t eol = content.find('\n', at);
     if (eol == std::string::npos) break;  // torn frame header
-    std::istringstream frame(content.substr(at, eol - at));
-    std::string tag;
     std::size_t payload_size = 0;
-    std::uint32_t crc = 0;
-    frame >> tag >> payload_size >> crc;
-    if (!frame || tag != "rec") break;
+    std::size_t crc = 0;
+    try {
+      Lexer frame(std::string_view(content).substr(at, eol - at), "frame line");
+      frame.expect("rec");
+      payload_size = frame.next_index("payload size");
+      crc = frame.next_index("checksum");
+      frame.expect_end();
+    } catch (const std::invalid_argument&) {
+      break;  // torn or corrupt frame line
+    }
     const std::size_t payload_at = eol + 1;
     // The payload is followed by its framing newline; both must fit.
-    if (payload_at + payload_size + 1 > content.size()) break;  // torn payload
-    const std::string payload = content.substr(payload_at, payload_size);
+    if (content.size() - payload_at <= payload_size) break;  // torn payload
+    const std::string_view payload = std::string_view(content).substr(payload_at, payload_size);
     if (content[payload_at + payload_size] != '\n') break;
     if (crc32(payload) != crc) break;  // corrupt tail
     try {
@@ -265,112 +292,129 @@ std::string journal_path(const std::string& dir, std::size_t shard_index,
 
 std::uint64_t grid_fingerprint(const std::vector<Cell>& cells) {
   std::uint64_t h = mix(cells.size());
+  const auto fold_field = [&h](const auto& field) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>, std::string>) {
+      h = fold(h, field);
+    } else {
+      h = fold(h, static_cast<std::uint64_t>(field));
+    }
+  };
   for (const Cell& cell : cells) {
-    h = fold(h, cell.index);
-    h = fold(h, cell.spec_name);
-    h = fold(h, cell.kind);
-    h = fold(h, cell.cls);
-    h = fold(h, cell.size);
-    h = fold(h, cell.instance);
-    h = fold(h, cell.platform_seed);
-    h = fold(h, cell.algorithm);
-    h = fold(h, static_cast<std::uint64_t>(cell.mode));
-    h = fold(h, cell.n);
-    h = fold(h, static_cast<std::uint64_t>(cell.deadline));
-    h = fold(h, cell.seed);
-    h = fold(h, cell.workload_label);
-    h = fold(h, cell.workload_seed);
+    std::apply([&](const auto&... field) { (fold_field(field), ...); }, key_fields(cell));
   }
   return h;
 }
 
 std::string encode_record(const CellOutcome& outcome) {
   const Cell& cell = outcome.cell;
-  std::ostringstream os;
-  os << "cell " << cell.index << ' ' << cell.size << ' ' << cell.instance << ' '
-     << cell.platform_seed << ' ' << cell.seed << ' ' << cell.workload_seed << ' ' << cell.n
-     << ' ' << cell.deadline << ' ' << to_string(cell.mode) << '\n';
-  os << "spec " << escape(cell.spec_name) << '\n';
-  os << "kind " << escape(cell.kind) << '\n';
-  os << "class " << escape(cell.cls) << '\n';
-  os << "algo " << escape(cell.algorithm) << '\n';
-  os << "wl " << escape(cell.workload_label) << '\n';
-  os << "out " << outcome.tasks << ' ' << outcome.makespan << ' ' << outcome.lower_bound << ' '
-     << (outcome.optimal ? 1 : 0) << ' ' << outcome.peak_backlog << '\n';
-  os << "num " << format_double(outcome.throughput) << ' ' << format_double(outcome.wall_ms)
-     << ' ' << format_double(outcome.mean_latency) << ' ' << format_double(outcome.regret)
-     << '\n';
-  os << "err " << escape(outcome.error) << '\n';
-  for (const obs::MetricSample& sample : outcome.metrics) {
-    os << "metric " << static_cast<int>(sample.type) << ' '
-       << static_cast<int>(sample.determinism) << ' ' << sample.value << ' ' << sample.count
-       << ' ' << sample.sum;
-    for (const std::int64_t bucket : sample.buckets) os << ' ' << bucket;
-    os << ' ' << escape(sample.name) << '\n';
+  std::string out;
+  out.reserve(256 + 96 * outcome.metrics.size());
+  const auto text = [&out](const char* tag, const std::string& value) {
+    out += tag;
+    put_line(out, value);
+  };
+  out += "cell ";
+  put(out, cell.index);
+  put(out, cell.size);
+  put(out, cell.instance);
+  put(out, cell.platform_seed);
+  put(out, cell.seed);
+  put(out, cell.workload_seed);
+  put(out, cell.n);
+  put(out, cell.deadline);
+  out += to_string(cell.mode);
+  out += '\n';
+  text("spec ", cell.spec_name);
+  text("kind ", cell.kind);
+  text("class ", cell.cls);
+  text("algo ", cell.algorithm);
+  text("wl ", cell.workload_label);
+  out += "out ";
+  put(out, outcome.tasks);
+  put(out, outcome.makespan);
+  put(out, outcome.lower_bound);
+  put(out, outcome.optimal ? 1 : 0);
+  put(out, outcome.peak_backlog, '\n');
+  out += "num ";
+  for (const double value :
+       {outcome.throughput, outcome.wall_ms, outcome.mean_latency, outcome.regret}) {
+    out += format_double(value);
+    out += ' ';
   }
-  return os.str();
+  out.back() = '\n';
+  text("err ", outcome.error);
+  for (const obs::MetricSample& sample : outcome.metrics) {
+    out += "metric ";
+    put(out, static_cast<int>(sample.type));
+    put(out, static_cast<int>(sample.determinism));
+    put(out, sample.value);
+    put(out, sample.count);
+    put(out, sample.sum);
+    for (const std::int64_t bucket : sample.buckets) put(out, bucket);
+    put_line(out, sample.name);
+  }
+  return out;
 }
 
-CellOutcome decode_record(const std::string& payload) {
+CellOutcome decode_record(std::string_view payload) {
   CellOutcome out;
-  std::istringstream lines(payload);
-  std::string line;
+  Lexer lex(payload, "journal record");
   bool saw_cell = false;
-  while (std::getline(lines, line)) {
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
+  while (!lex.done()) {
+    const std::string_view tag = lex.next("record tag");
+    const std::size_t line = lex.line();
     if (tag == "cell") {
-      std::string mode;
-      is >> out.cell.index >> out.cell.size >> out.cell.instance >> out.cell.platform_seed >>
-          out.cell.seed >> out.cell.workload_seed >> out.cell.n >> out.cell.deadline >> mode;
-      expect(is, "cell");
-      out.cell.mode = mode_from(mode);
+      Cell& cell = out.cell;
+      cell.index = lex.next_index("cell index");
+      cell.size = lex.next_index("size");
+      cell.instance = lex.next_index("instance");
+      cell.platform_seed = lex.next_index("platform seed");
+      cell.seed = lex.next_index("cell seed");
+      cell.workload_seed = lex.next_index("workload seed");
+      cell.n = lex.next_index("task count");
+      cell.deadline = lex.next_time("deadline");
+      cell.mode = mode_from(lex.next("cell mode"));
+      end_fields(lex, line, "cell");
       saw_cell = true;
     } else if (tag == "spec") {
-      out.cell.spec_name = string_field(line, 4);
+      out.cell.spec_name = text_field(lex);
     } else if (tag == "kind") {
-      out.cell.kind = string_field(line, 4);
+      out.cell.kind = text_field(lex);
     } else if (tag == "class") {
-      out.cell.cls = string_field(line, 5);
+      out.cell.cls = text_field(lex);
     } else if (tag == "algo") {
-      out.cell.algorithm = string_field(line, 4);
+      out.cell.algorithm = text_field(lex);
     } else if (tag == "wl") {
-      out.cell.workload_label = string_field(line, 2);
+      out.cell.workload_label = text_field(lex);
     } else if (tag == "out") {
-      int optimal = 0;
-      is >> out.tasks >> out.makespan >> out.lower_bound >> optimal >> out.peak_backlog;
-      expect(is, "out");
-      out.optimal = optimal != 0;
+      out.tasks = lex.next_index("tasks");
+      out.makespan = lex.next_time("makespan");
+      out.lower_bound = lex.next_time("lower bound");
+      out.optimal = lex.next_index("optimal flag") != 0;
+      out.peak_backlog = lex.next_index("peak backlog");
+      end_fields(lex, line, "out");
     } else if (tag == "num") {
-      std::string throughput;
-      std::string wall;
-      std::string latency;
-      std::string regret;
-      is >> throughput >> wall >> latency >> regret;
-      expect(is, "num");
-      out.throughput = parse_double(throughput);
-      out.wall_ms = parse_double(wall);
-      out.mean_latency = parse_double(latency);
-      out.regret = parse_double(regret);
+      out.throughput = lex.next_double("throughput");
+      out.wall_ms = lex.next_double("wall time");
+      out.mean_latency = lex.next_double("mean latency");
+      out.regret = lex.next_double("regret");
+      end_fields(lex, line, "num");
     } else if (tag == "err") {
-      out.error = string_field(line, 3);
+      out.error = text_field(lex);
     } else if (tag == "metric") {
-      obs::MetricSample sample;
-      int type = 0;
-      int determinism = 0;
-      is >> type >> determinism >> sample.value >> sample.count >> sample.sum;
-      for (std::int64_t& bucket : sample.buckets) is >> bucket;
-      expect(is, "metric");
-      sample.type = static_cast<obs::MetricType>(type);
-      sample.determinism = static_cast<obs::DeterminismClass>(determinism);
+      obs::MetricSample& sample = out.metrics.emplace_back();
+      sample.type = enum_field(lex, "metric type", obs::MetricType::kHistogram);
+      sample.determinism =
+          enum_field(lex, "determinism class", obs::DeterminismClass::kWallTime);
+      sample.value = lex.next_time("metric value");
+      sample.count = lex.next_time("metric count");
+      sample.sum = lex.next_time("metric sum");
+      for (std::int64_t& bucket : sample.buckets) bucket = lex.next_time("metric bucket");
+      if (lex.line() != line) throw std::invalid_argument("journal: malformed metric line");
       // The name is the rest of the line past the 21 numeric fields.
-      std::string name;
-      std::getline(is >> std::ws, name);
-      sample.name = unescape(name);
-      out.metrics.push_back(std::move(sample));
-    } else if (!tag.empty()) {
-      throw std::invalid_argument("journal: unknown record tag '" + tag + "'");
+      sample.name = text_field(lex);
+    } else {
+      throw std::invalid_argument("journal: unknown record tag '" + std::string(tag) + "'");
     }
   }
   if (!saw_cell) throw std::invalid_argument("journal: record without a cell line");

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <exception>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -37,7 +38,8 @@
 /// last valid record.  After any failed write or fsync the journal refuses
 /// every later append and sync, so no record ever lands behind a torn one.
 ///
-/// File format (text-framed, binary-safe payloads):
+/// File format `mstjournal 1` (text-framed, binary-safe payloads; every
+/// line is read through `common/lexer.hpp`):
 ///
 ///     mstjournal 1 <shard> <shards> <cells> <fingerprint>\n
 ///     rec <payload-bytes> <crc32>\n
@@ -45,11 +47,23 @@
 ///     rec ...
 ///
 /// The header binds the file to one run: shard position, grid size, and a
-/// fingerprint folded over every cell's key fields (seeds, algorithm, mode,
-/// work point), so a journal can never silently resume a *different* sweep.
-/// The payload serializes the cell's key plus the full `CellOutcome` —
-/// including the per-cell metric snapshot — with `%.17g` doubles, so a
-/// decoded record reproduces the reporters' bytes exactly.
+/// fingerprint folded over every cell's key fields (`key_fields`: seeds,
+/// algorithm, mode, work point), so a journal can never silently resume a
+/// *different* sweep.  The payload serializes the cell's key plus the full
+/// `CellOutcome`, one tagged line per field group:
+///
+///     cell <index> <size> <instance> <platform-seed> <seed> <wl-seed> <n> <deadline> <mode>
+///     spec|kind|class|algo|wl <text>
+///     out <tasks> <makespan> <lower-bound> <optimal 0|1> <peak-backlog>
+///     num <throughput> <wall-ms> <mean-latency> <regret>
+///     err <text>
+///     metric <type> <determinism> <value> <count> <sum> <16 buckets> <name-text>
+///
+/// with one `metric` line per entry of the per-cell metric snapshot.
+/// Integers are decimal and doubles `%.17g` (`format_double`), so a decoded
+/// record reproduces the reporters' bytes exactly.  A `<text>` is the rest
+/// of its line after one blank, `#` included, with backslash, line feed
+/// and carriage return escaped as `\\`, `\n` and `\r`.
 ///
 /// Reassembly: `merge_journals` reads every shard file of a directory,
 /// checks the shards agree (same shard count, cell count, fingerprint) and
@@ -67,17 +81,17 @@ namespace mst::scenario {
 std::uint64_t grid_fingerprint(const std::vector<Cell>& cells);
 
 /// One record's payload text.  Exposed (with `decode_record`) so tests can
-/// pin the round trip; the framing (length + CRC32 + fsync) is the
-/// journal's own business.
-// mstlint: allow-next-line(tests-only-api) -- ROADMAP item 19 rebuilds the codec and fuzzes it here
+/// pin the bytes and the round trip; the framing (length + CRC32 + fsync)
+/// is the journal's own business.
+// mstlint: allow-next-line(tests-only-api) -- test_journal's frozen bytes and checked-in shard
 std::string encode_record(const CellOutcome& outcome);
 
 /// Inverse of `encode_record`.  The decoded `Cell` carries key fields only
 /// — `platform`/`workload` stay null (reporters never dereference them;
 /// the resuming runner restores the live pointers after validating the
 /// key).  Throws `std::invalid_argument` on malformed payloads.
-// mstlint: allow-next-line(tests-only-api) -- ROADMAP item 19 rebuilds the codec and fuzzes it here
-CellOutcome decode_record(const std::string& payload);
+// mstlint: allow-next-line(tests-only-api) -- test_journal's round trips, test_parser_fuzz
+CellOutcome decode_record(std::string_view payload);
 
 /// What replaying an existing journal file found.
 struct JournalReplay {

@@ -195,19 +195,6 @@ void run_one(const Cell& cell, const RunOptions& options, const api::Registry& r
   flush_metrics();
 }
 
-/// Journal records identify cells by key fields only; before trusting a
-/// record, the resuming runner checks the live cell agrees on every one of
-/// them.  The grid fingerprint in the journal header already makes a
-/// mismatch nearly impossible — this is the per-record belt to that
-/// suspender.
-bool same_cell_key(const Cell& a, const Cell& b) {
-  return a.index == b.index && a.spec_name == b.spec_name && a.kind == b.kind &&
-         a.cls == b.cls && a.size == b.size && a.instance == b.instance &&
-         a.platform_seed == b.platform_seed && a.algorithm == b.algorithm &&
-         a.mode == b.mode && a.n == b.n && a.deadline == b.deadline && a.seed == b.seed &&
-         a.workload_label == b.workload_label && a.workload_seed == b.workload_seed;
-}
-
 // The resume skip test runs once per owned cell while the batches are
 // built: one byte load.  Completed cells never reach a worker — the solve
 // hot path itself re-checks nothing — and the region pins the lookup
@@ -272,8 +259,12 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
     for (std::size_t j = 0; j < owned.size(); ++j) slot_of[cells[owned[j]].index] = j;
     for (const CellOutcome& record : journal->replayed().outcomes) {
       const auto found = slot_of.find(record.cell.index);
+      // Before trusting a record, check the live cell agrees on every key
+      // field.  The grid fingerprint in the journal header already makes a
+      // mismatch nearly impossible; this is the per-record belt to that
+      // suspender.
       if (found == slot_of.end() ||
-          !same_cell_key(record.cell, cells[owned[found->second]])) {
+          key_fields(record.cell) != key_fields(cells[owned[found->second]])) {
         throw std::runtime_error(journal->path() + ": journal record for cell " +
                                  std::to_string(record.cell.index) +
                                  " does not match this sweep's grid; refusing to resume");

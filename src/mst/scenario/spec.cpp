@@ -1,147 +1,137 @@
 #include "mst/scenario/spec.hpp"
 
-#include <sstream>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "mst/api/platform_io.hpp"
+#include "mst/common/lexer.hpp"
 
 namespace mst::scenario {
 
 namespace {
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
-  std::ostringstream os;
-  os << "spec line " << line << ": " << what;
-  throw std::invalid_argument(os.str());
+  throw std::invalid_argument("spec " + at_line(line) + what);
 }
 
-/// Strips a trailing comment and surrounding whitespace.
-std::string strip(const std::string& raw) {
-  std::string line = raw;
-  const std::size_t hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const std::size_t last = line.find_last_not_of(" \t\r");
-  return line.substr(first, last - first + 1);
-}
+/// The values of one key, which run to the end of the key's line.
+class KeyLine {
+ public:
+  explicit KeyLine(Lexer& lex) : lex_(lex), line_(lex.line()) {}
 
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (is >> token) tokens.push_back(token);
-  return tokens;
-}
+  [[nodiscard]] std::size_t line() const { return line_; }
+  [[nodiscard]] bool more() const { return !lex_.line_ended(); }
 
-std::int64_t parse_int(const std::string& token, std::size_t line) {
-  std::size_t pos = 0;
-  std::int64_t value = 0;
-  try {
-    value = std::stoll(token, &pos);
-  } catch (const std::invalid_argument&) {
-    fail(line, "expected a number, got '" + token + "'");
-  } catch (const std::out_of_range&) {
-    fail(line, "number out of range: '" + token + "'");
+  /// The next value; `usage` says what the key takes if the line has ended.
+  std::string_view next(const char* usage) {
+    if (!more()) fail(line_, usage);
+    return lex_.next(usage);
   }
-  if (pos != token.size()) fail(line, "trailing characters in number '" + token + "'");
-  return value;
-}
 
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  const std::int64_t value = parse_int(token, line);
-  if (value < 0) fail(line, "expected a non-negative number, got '" + token + "'");
-  return static_cast<std::uint64_t>(value);
-}
-
-std::size_t parse_size(const std::string& token, std::size_t line) {
-  const std::int64_t value = parse_int(token, line);
-  if (value < 1) fail(line, "expected a positive number, got '" + token + "'");
-  return static_cast<std::size_t>(value);
-}
-
-double parse_double(const std::string& token, std::size_t line) {
-  std::size_t pos = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(token, &pos);
-  } catch (const std::exception&) {
-    fail(line, "expected a floating-point number, got '" + token + "'");
+  /// The next value as a whole number of at least `least`.
+  std::int64_t integer(const char* usage,
+                       std::int64_t least = std::numeric_limits<std::int64_t>::min()) {
+    const std::string_view token = next(usage);
+    const std::optional<Time> value = to_time(token);
+    if (!value) fail(line_, "expected a number, got '" + std::string(token) + "'");
+    if (*value < least) {
+      fail(line_, "expected a number >= " + std::to_string(least) + ", got " + std::string(token));
+    }
+    return *value;
   }
-  if (pos != token.size()) fail(line, "trailing characters in number '" + token + "'");
-  return value;
-}
 
-api::PlatformKind parse_kind(const std::string& token, std::size_t line) {
-  const auto kind = api::platform_kind_from(token);
-  if (!kind) fail(line, "unknown platform kind '" + token + "'");
+  std::size_t positive(const char* usage) { return static_cast<std::size_t>(integer(usage, 1)); }
+
+  double real(const char* usage) {
+    const std::string_view token = next(usage);
+    const std::optional<double> value = to_double(token);
+    if (!value) fail(line_, "expected a floating-point number, got '" + std::string(token) + "'");
+    return *value;
+  }
+
+  /// Fails with `usage` unless the line has ended.
+  void end(const char* usage) const {
+    if (more()) fail(line_, usage);
+  }
+
+ private:
+  Lexer& lex_;
+  std::size_t line_;
+};
+
+api::PlatformKind parse_kind(std::string_view token, std::size_t line) {
+  const auto kind = api::platform_kind_from(std::string(token));
+  if (!kind) fail(line, "unknown platform kind '" + std::string(token) + "'");
   return *kind;
 }
 
-PlatformClass parse_class(const std::string& token, std::size_t line) {
+PlatformClass parse_class(std::string_view token, std::size_t line) {
   for (PlatformClass cls : all_platform_classes()) {
     if (token == to_string(cls)) return cls;
   }
-  fail(line, "unknown platform class '" + token + "'");
+  fail(line, "unknown platform class '" + std::string(token) + "'");
 }
 
-/// One `tasks.sizes` line → a size-only workload generator.
-WorkloadGen parse_sizes_gen(const std::vector<std::string>& tokens, std::size_t line) {
-  WorkloadGen gen;
-  if (tokens.size() < 2) fail(line, "'tasks.sizes' needs a family (unit|fixed|uniform)");
-  const std::string& family = tokens[1];
-  if (family == "unit") {
-    if (tokens.size() != 2) fail(line, "'tasks.sizes unit' takes no parameters");
-  } else if (family == "fixed") {
-    if (tokens.size() != 3) fail(line, "'tasks.sizes fixed' takes '<size>'");
-    gen.sizes = SizeDist{SizeDist::Kind::kFixed, parse_int(tokens[2], line), 0};
-  } else if (family == "uniform") {
-    if (tokens.size() != 4) fail(line, "'tasks.sizes uniform' takes '<lo> <hi>'");
-    gen.sizes =
-        SizeDist{SizeDist::Kind::kUniform, parse_int(tokens[2], line), parse_int(tokens[3], line)};
-  } else {
-    fail(line, "unknown size family '" + family + "' (expected unit|fixed|uniform)");
-  }
+void check(const WorkloadGen& gen, std::size_t line) {
   try {
     validate(gen);
   } catch (const std::invalid_argument& e) {
     fail(line, e.what());
   }
+}
+
+/// One `tasks.sizes` line → a size-only workload generator.
+WorkloadGen parse_sizes_gen(KeyLine& values) {
+  WorkloadGen gen;
+  const std::string_view family = values.next("'tasks.sizes' needs a family (unit|fixed|uniform)");
+  if (family == "unit") {
+    values.end("'tasks.sizes unit' takes no parameters");
+  } else if (family == "fixed") {
+    const char* usage = "'tasks.sizes fixed' takes '<size>'";
+    gen.sizes = SizeDist{SizeDist::Kind::kFixed, values.integer(usage), 0};
+    values.end(usage);
+  } else if (family == "uniform") {
+    const char* usage = "'tasks.sizes uniform' takes '<lo> <hi>'";
+    const Time lo = values.integer(usage);
+    gen.sizes = SizeDist{SizeDist::Kind::kUniform, lo, values.integer(usage)};
+    values.end(usage);
+  } else {
+    fail(values.line(),
+         "unknown size family '" + std::string(family) + "' (expected unit|fixed|uniform)");
+  }
+  check(gen, values.line());
   return gen;
 }
 
 /// One `tasks.release` / `tasks.arrival` line → a release-only generator.
-WorkloadGen parse_release_gen(const std::vector<std::string>& tokens, std::size_t line,
-                              bool arrival_key) {
+WorkloadGen parse_release_gen(KeyLine& values, bool arrival_key) {
   WorkloadGen gen;
-  const char* key = arrival_key ? "'tasks.arrival'" : "'tasks.release'";
-  if (tokens.size() < 2) {
-    fail(line, std::string(key) + (arrival_key ? " needs a family (poisson|bursts)"
-                                               : " needs a family (periodic|jitter)"));
-  }
-  const std::string& family = tokens[1];
+  const std::string_view family =
+      values.next(arrival_key ? "'tasks.arrival' needs a family (poisson|bursts)"
+                              : "'tasks.release' needs a family (periodic|jitter)");
+  const auto one = [&](ArrivalDist::Kind kind, const char* usage) {
+    gen.arrival = ArrivalDist{kind, values.integer(usage), 0};
+    values.end(usage);
+  };
+  const auto two = [&](ArrivalDist::Kind kind, const char* usage) {
+    const Time a = values.integer(usage);
+    gen.arrival = ArrivalDist{kind, a, values.integer(usage)};
+    values.end(usage);
+  };
   if (!arrival_key && family == "periodic") {
-    if (tokens.size() != 3) fail(line, "'tasks.release periodic' takes '<gap>'");
-    gen.arrival = ArrivalDist{ArrivalDist::Kind::kPeriodic, parse_int(tokens[2], line), 0};
+    one(ArrivalDist::Kind::kPeriodic, "'tasks.release periodic' takes '<gap>'");
   } else if (!arrival_key && family == "jitter") {
-    if (tokens.size() != 4) fail(line, "'tasks.release jitter' takes '<lo> <hi>'");
-    gen.arrival = ArrivalDist{ArrivalDist::Kind::kJitter, parse_int(tokens[2], line),
-                              parse_int(tokens[3], line)};
+    two(ArrivalDist::Kind::kJitter, "'tasks.release jitter' takes '<lo> <hi>'");
   } else if (arrival_key && family == "poisson") {
-    if (tokens.size() != 3) fail(line, "'tasks.arrival poisson' takes '<mean-gap>'");
-    gen.arrival = ArrivalDist{ArrivalDist::Kind::kPoisson, parse_int(tokens[2], line), 0};
+    one(ArrivalDist::Kind::kPoisson, "'tasks.arrival poisson' takes '<mean-gap>'");
   } else if (arrival_key && family == "bursts") {
-    if (tokens.size() != 4) fail(line, "'tasks.arrival bursts' takes '<size> <gap>'");
-    gen.arrival = ArrivalDist{ArrivalDist::Kind::kBursts, parse_int(tokens[2], line),
-                              parse_int(tokens[3], line)};
+    two(ArrivalDist::Kind::kBursts, "'tasks.arrival bursts' takes '<size> <gap>'");
   } else {
-    fail(line, "unknown family '" + family + "' for " + key);
+    fail(values.line(), "unknown family '" + std::string(family) + "' for " +
+                            (arrival_key ? "'tasks.arrival'" : "'tasks.release'"));
   }
-  try {
-    validate(gen);
-  } catch (const std::invalid_argument& e) {
-    fail(line, e.what());
-  }
+  check(gen, values.line());
   return gen;
 }
 
@@ -149,104 +139,85 @@ WorkloadGen parse_release_gen(const std::vector<std::string>& tokens, std::size_
 
 SweepSpec parse_spec(const std::string& text) {
   SweepSpec spec;
-  std::istringstream in(text);
-  std::string raw;
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const std::string line = strip(raw);
-    if (line.empty()) continue;
-    const std::vector<std::string> tokens = tokens_of(line);
-    const std::string& key = tokens.front();
+  Lexer lex(text, "spec");
+  if (lex.done()) throw std::invalid_argument("spec: empty input (expected 'sweep <name>')");
+  if (lex.next("'sweep'") != "sweep") fail(lex.line(), "spec must start with 'sweep <name>'");
+  KeyLine header(lex);
+  if (header.more()) spec.name = header.next("name");
+  header.end("'sweep' takes at most one name");
 
-    if (!saw_header) {
-      if (key != "sweep") fail(line_no, "spec must start with 'sweep <name>'");
-      if (tokens.size() > 2) fail(line_no, "'sweep' takes at most one name");
-      if (tokens.size() == 2) spec.name = tokens[1];
-      saw_header = true;
-      continue;
-    }
-
+  while (!lex.done()) {
+    const std::string_view key = lex.next("key");
+    KeyLine values(lex);
     if (key == "end") break;
     if (key == "seed") {
-      if (tokens.size() != 2) fail(line_no, "'seed' takes one value");
-      spec.seed = parse_u64(tokens[1], line_no);
+      const char* usage = "'seed' takes one value";
+      spec.seed = static_cast<std::uint64_t>(values.integer(usage, 0));
+      values.end(usage);
     } else if (key == "kinds") {
       spec.kinds.clear();
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        spec.kinds.push_back(parse_kind(tokens[i], line_no));
-      }
+      while (values.more()) spec.kinds.push_back(parse_kind(values.next("kind"), values.line()));
     } else if (key == "classes") {
       spec.classes.clear();
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        spec.classes.push_back(parse_class(tokens[i], line_no));
+      while (values.more()) {
+        spec.classes.push_back(parse_class(values.next("class"), values.line()));
       }
     } else if (key == "sizes") {
       spec.sizes.clear();
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        spec.sizes.push_back(parse_size(tokens[i], line_no));
-      }
+      while (values.more()) spec.sizes.push_back(values.positive("size"));
     } else if (key == "instances") {
-      if (tokens.size() != 2) fail(line_no, "'instances' takes one value");
-      spec.instances = parse_size(tokens[1], line_no);
+      const char* usage = "'instances' takes one value";
+      spec.instances = values.positive(usage);
+      values.end(usage);
     } else if (key == "times") {
-      if (tokens.size() != 3) fail(line_no, "'times' takes '<lo> <hi>'");
-      spec.lo = parse_int(tokens[1], line_no);
-      spec.hi = parse_int(tokens[2], line_no);
+      const char* usage = "'times' takes '<lo> <hi>'";
+      spec.lo = values.integer(usage);
+      spec.hi = values.integer(usage);
+      values.end(usage);
     } else if (key == "leg-len") {
-      if (tokens.size() != 3) fail(line_no, "'leg-len' takes '<min> <max>'");
-      spec.min_leg_len = parse_size(tokens[1], line_no);
-      spec.max_leg_len = parse_size(tokens[2], line_no);
+      const char* usage = "'leg-len' takes '<min> <max>'";
+      spec.min_leg_len = values.positive(usage);
+      spec.max_leg_len = values.positive(usage);
+      values.end(usage);
     } else if (key == "depth-bias") {
-      if (tokens.size() != 2) fail(line_no, "'depth-bias' takes one value");
-      spec.depth_bias = parse_double(tokens[1], line_no);
+      const char* usage = "'depth-bias' takes one value";
+      spec.depth_bias = values.real(usage);
+      values.end(usage);
     } else if (key == "tasks") {
       spec.tasks.clear();
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        spec.tasks.push_back(parse_size(tokens[i], line_no));
-      }
+      while (values.more()) spec.tasks.push_back(values.positive("task count"));
     } else if (key == "deadlines") {
       spec.deadlines.clear();
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        spec.deadlines.push_back(parse_int(tokens[i], line_no));
-      }
+      while (values.more()) spec.deadlines.push_back(values.integer("deadline"));
     } else if (key == "stream") {
-      if (tokens.size() != 1) fail(line_no, "'stream' is a bare keyword (no values)");
+      values.end("'stream' is a bare keyword (no values)");
       spec.stream = true;
     } else if (key == "tasks.sizes") {
-      spec.workloads.push_back(parse_sizes_gen(tokens, line_no));
+      spec.workloads.push_back(parse_sizes_gen(values));
     } else if (key == "tasks.release") {
-      spec.workloads.push_back(parse_release_gen(tokens, line_no, /*arrival_key=*/false));
+      spec.workloads.push_back(parse_release_gen(values, /*arrival_key=*/false));
     } else if (key == "tasks.arrival") {
-      spec.workloads.push_back(parse_release_gen(tokens, line_no, /*arrival_key=*/true));
+      spec.workloads.push_back(parse_release_gen(values, /*arrival_key=*/true));
     } else if (key == "algos") {
-      spec.algorithms.assign(tokens.begin() + 1, tokens.end());
+      spec.algorithms.clear();
+      while (values.more()) spec.algorithms.emplace_back(values.next("algorithm"));
     } else if (key == "platform") {
-      if (tokens.size() != 1) fail(line_no, "'platform' starts a block; no inline values");
-      // Collect the block verbatim until its own 'end' and hand it to the
-      // typed platform parser.
-      std::ostringstream block;
-      bool closed = false;
-      while (std::getline(in, raw)) {
-        ++line_no;
-        if (strip(raw) == "end") {
-          closed = true;
-          break;
-        }
-        block << raw << '\n';
-      }
-      if (!closed) fail(line_no, "unterminated 'platform' block (missing 'end')");
+      values.end("'platform' starts a block; no inline values");
+      // The block is read in place, so its errors name their spec line.
       try {
-        spec.platforms.push_back(api::parse_any_platform(block.str()));
+        spec.platforms.push_back(api::read_any_platform(lex));
       } catch (const std::invalid_argument& e) {
-        fail(line_no, std::string("bad platform block: ") + e.what());
+        fail(lex.line(), std::string("bad platform block: ") + e.what());
+      }
+      if (lex.done()) fail(lex.line(), "unterminated 'platform' block (missing 'end')");
+      const std::string_view end = lex.next("'end'");
+      if (end != "end") {
+        fail(lex.line(), "bad platform block: expected 'end', got '" + std::string(end) + "'");
       }
     } else {
-      fail(line_no, "unknown key '" + key + "'");
+      fail(values.line(), "unknown key '" + std::string(key) + "'");
     }
   }
-  if (!saw_header) throw std::invalid_argument("spec: empty input (expected 'sweep <name>')");
   return spec;
 }
 

@@ -33,7 +33,7 @@ Workload parse_workload(const std::string& text) {
   std::vector<Time> sizes;
   std::vector<Time> release;
   while (!lex.done()) {
-    const std::string key = lex.next("'sizes' or 'release'");
+    const std::string_view key = lex.next("'sizes' or 'release'");
     if (key == "sizes") {
       MST_REQUIRE(sizes.empty(), at_line(lex.line()) + "duplicate 'sizes' line");
       sizes.reserve(std::min(n, lex.remaining()));
@@ -43,7 +43,7 @@ Workload parse_workload(const std::string& text) {
       release.reserve(std::min(n, lex.remaining()));
       for (std::size_t i = 0; i < n; ++i) release.push_back(lex.next_time("release date"));
     } else {
-      MST_REQUIRE(false, at_line(lex.line()) + "unknown workload key '" + key + "'");
+      MST_REQUIRE(false, at_line(lex.line()) + "unknown workload key '" + std::string(key) + "'");
     }
   }
   // Range validation (sizes >= 1, release >= 0) lives in the constructor.

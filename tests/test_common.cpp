@@ -169,9 +169,19 @@ TEST(Args, RejectsMalformedOptions) {
 }
 
 TEST(Args, RejectsNonNumericValues) {
-  const char* argv[] = {"prog", "--n=abc"};
-  Args args(2, argv);
-  EXPECT_THROW((void)args.get_int("n", 0), std::exception);
+  const char* argv[] = {"prog", "--n=abc", "--big=99999999999999999999", "--x=1.5e"};
+  Args args(4, argv);
+  for (const char* name : {"n", "big"}) {
+    try {
+      (void)args.get_int(name, 0);
+      FAIL() << name << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name + "="), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)args.get_double("x", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("n", 0), std::invalid_argument);
 }
 
 TEST(AssertMacros, RequireThrowsInvalidArgument) {

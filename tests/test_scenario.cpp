@@ -115,6 +115,29 @@ TEST(SweepSpecText, RejectsGarbage) {
                std::invalid_argument);  // unterminated block
 }
 
+// A platform block is read in place, so an error inside it names the line
+// of the spec it is on, not the block's `end` or its line within the block.
+TEST(SweepSpecText, BadPlatformBlockNamesItsSpecLine) {
+  const std::string text =
+      "sweep s\n"      // line 1
+      "kinds chain\n"  // line 2
+      "sizes 2\n"      // line 3
+      "tasks 4\n"      // line 4
+      "platform\n"     // line 5
+      "chain 2\n"      // line 6
+      "x 3\n"          // line 7
+      "1 2\n"          // line 8
+      "end\n";
+  try {
+    (void)parse_spec(text);
+    FAIL() << "a bad platform block parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("spec line 7: bad platform block: ", 0), 0u) << what;
+    EXPECT_NE(what.find("line 7: expected link latency, got 'x'"), std::string::npos) << what;
+  }
+}
+
 TEST(Generators, SameSeedSamePlatform) {
   for (api::PlatformKind kind : api::all_platform_kinds()) {
     PlatformSpec spec;

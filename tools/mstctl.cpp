@@ -710,7 +710,7 @@ int run_validate(const mst::Args& args) {
   using namespace mst;
   const std::string text = slurp(args.get("schedule", ""));
   // Dispatch on the header keyword, read by the lexer parse_*_schedule uses.
-  const std::string kind = Lexer(text, "schedule").next("schedule kind");
+  const std::string_view kind = Lexer(text, "schedule").peek("schedule kind");
   FeasibilityReport report;
   Time analytic_makespan = 0;
   sim::ReplayResult replayed;
