@@ -5,8 +5,8 @@
 namespace mst {
 
 /// Round-trip-exact rendering for doubles: `%.17g` (max_digits10) survives
-/// a `std::stod` round trip bit-for-bit, so every writer that emits this
-/// string produces comparable, re-parseable output.  Infinities render as
+/// a `to_double` (`common/lexer.hpp`) round trip bit-for-bit, so every
+/// writer that emits this string produces comparable, re-parseable output.  Infinities render as
 /// the `inf`/`-inf` sentinels the report layer documents (the
 /// degenerate-platform value of `SolveResult::throughput`).
 ///

@@ -573,76 +573,83 @@ std::vector<CellOutcome> merge_journals(const std::string& dir) {
   // reporting (the merged output is index-ordered regardless).
   std::sort(paths.begin(), paths.end());
 
-  Header first;
-  std::vector<bool> shard_seen;
-  std::vector<CellOutcome> slots;
-  std::vector<bool> filled;
-  bool any = false;
-  for (const std::string& path : paths) {
-    const std::string content = slurp_file(path);
+  // Every shard is read before anything is sized by a header's counts, so a
+  // count the files cannot back ends in an error, not in an allocation.
+  struct Shard {
     Header header;
+    std::vector<CellOutcome> outcomes;
+  };
+  std::vector<Shard> shards(paths.size());
+  std::vector<std::size_t> present;  // shard indices
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const std::string& path = paths[i];
+    const std::string content = slurp_file(path);
+    Header& header = shards[i].header;
     const std::size_t body = parse_header(path, content, header);
-    if (!any) {
-      first = header;
-      any = true;
-      shard_seen.assign(first.shard_count, false);
-      slots.resize(first.total_cells);
-      filled.assign(first.total_cells, false);
-    } else if (header.shard_count != first.shard_count ||
-               header.total_cells != first.total_cells ||
-               header.fingerprint != first.fingerprint) {
+    const Header& first = shards.front().header;
+    if (header.shard_count != first.shard_count || header.total_cells != first.total_cells ||
+        header.fingerprint != first.fingerprint) {
       throw std::runtime_error(path + ": shard journals disagree (different sweep or seed?); "
                                       "merge needs all shards of one run in one directory");
     }
     if (header.shard_index >= header.shard_count) {
       throw std::runtime_error(path + ": shard index out of range");
     }
-    if (shard_seen[header.shard_index]) {
-      throw std::runtime_error(path + ": duplicate journal for shard " +
-                               std::to_string(header.shard_index));
-    }
-    shard_seen[header.shard_index] = true;
-
+    present.push_back(header.shard_index);
     std::size_t valid_end = 0;
-    JournalReplay replay = scan_records(content, body, valid_end);
-    for (CellOutcome& outcome : replay.outcomes) {
+    shards[i].outcomes = std::move(scan_records(content, body, valid_end).outcomes);
+    for (const CellOutcome& outcome : shards[i].outcomes) {
       const std::size_t index = outcome.cell.index;
-      if (index >= first.total_cells || index % first.shard_count != header.shard_index) {
+      if (index >= header.total_cells || index % header.shard_count != header.shard_index) {
         throw std::runtime_error(path + ": record for cell " + std::to_string(index) +
                                  " does not belong to shard " +
                                  std::to_string(header.shard_index));
       }
-      if (filled[index]) {
-        throw std::runtime_error(path + ": duplicate record for cell " +
-                                 std::to_string(index));
-      }
-      filled[index] = true;
-      slots[index] = std::move(outcome);
     }
+  }
+  const Header& first = shards.front().header;
+
+  // The least index missing from distinct, ascending `sorted`.
+  const auto first_gap = [](const std::vector<std::size_t>& sorted) {
+    std::size_t i = 0;
+    while (i < sorted.size() && sorted[i] == i) ++i;
+    return i;
+  };
+  std::sort(present.begin(), present.end());
+  if (const auto twin = std::adjacent_find(present.begin(), present.end());
+      twin != present.end()) {
+    throw std::runtime_error(dir + ": duplicate journal for shard " + std::to_string(*twin));
+  }
+  if (present.size() < first.shard_count) {
+    throw std::runtime_error(dir + ": missing journal for shard " +
+                             std::to_string(first_gap(present)) + " of " +
+                             std::to_string(first.shard_count) +
+                             "; run (or resume) that shard before merging");
   }
 
-  for (std::size_t s = 0; s < first.shard_count; ++s) {
-    if (!shard_seen[s]) {
-      throw std::runtime_error(dir + ": missing journal for shard " + std::to_string(s) +
-                               " of " + std::to_string(first.shard_count) +
-                               "; run (or resume) that shard before merging");
-    }
+  std::vector<std::size_t> cells;  // every record's cell index
+  for (const Shard& shard : shards) {
+    for (const CellOutcome& outcome : shard.outcomes) cells.push_back(outcome.cell.index);
   }
-  std::size_t missing = 0;
-  std::size_t first_missing = 0;
-  for (std::size_t i = 0; i < filled.size(); ++i) {
-    if (!filled[i]) {
-      if (missing == 0) first_missing = i;
-      ++missing;
-    }
+  std::sort(cells.begin(), cells.end());
+  if (const auto twin = std::adjacent_find(cells.begin(), cells.end()); twin != cells.end()) {
+    throw std::runtime_error(dir + ": duplicate record for cell " + std::to_string(*twin));
   }
-  if (missing > 0) {
+  if (cells.size() < first.total_cells) {
+    const std::size_t missing = first_gap(cells);
     throw std::runtime_error(
-        dir + ": journals cover only " + std::to_string(filled.size() - missing) + " of " +
-        std::to_string(filled.size()) + " cells (first missing: cell " +
-        std::to_string(first_missing) + ", shard " +
-        std::to_string(first_missing % first.shard_count) +
+        dir + ": journals cover only " + std::to_string(cells.size()) + " of " +
+        std::to_string(first.total_cells) + " cells (first missing: cell " +
+        std::to_string(missing) + ", shard " + std::to_string(missing % first.shard_count) +
         "); resume the incomplete shard runs before merging");
+  }
+  // Distinct, in range and as many as the grid: every cell exactly once.
+  std::vector<CellOutcome> slots(first.total_cells);
+  for (Shard& shard : shards) {
+    for (CellOutcome& outcome : shard.outcomes) {
+      const std::size_t index = outcome.cell.index;
+      slots[index] = std::move(outcome);
+    }
   }
   return slots;
 }

@@ -882,6 +882,33 @@ TEST(MergeJournals, MissingShardIsAHardError) {
   }
 }
 
+// A header's counts are trusted only as far as the shard files back them:
+// a grid of 10^15 cells or of 10^12 shards is an error, not an allocation.
+TEST(MergeJournals, HeaderCountsTheFilesCannotBackAreErrors) {
+  const std::string dir = scratch_dir("huge_header");
+  {
+    Journal journal(dir, 0, 1, 1, 7);
+    CellOutcome outcome = sample_outcome();
+    outcome.cell.index = 0;
+    journal.append(outcome);
+    journal.sync();
+  }
+  const std::string file = shard_file(dir, 0, 1);
+  const std::string records = read_file(file).substr(read_file(file).find('\n'));
+  const std::pair<const char*, const char*> headers[] = {
+      {"mstjournal 1 0 1 1000000000000000 7", "cover only 1 of 1000000000000000 cells"},
+      {"mstjournal 1 0 1000000000000 1 7", "missing journal for shard 1 of 1000000000000"}};
+  for (const auto& [header, error] : headers) {
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << header << records;
+    try {
+      (void)merge_journals(dir);
+      FAIL() << header << " merged";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(error), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(MergeJournals, EmptyDirectoryIsAnError) {
   const std::string dir = scratch_dir("empty");
   std::filesystem::create_directories(dir);
