@@ -78,16 +78,16 @@ std::uint64_t fold(std::uint64_t h, const std::string& s) {
 // with the sanctioned `%.17g` formatter, so every value survives the round
 // trip bit-for-bit.
 
-/// Appends `value` in decimal, then `sep`.
-template <class Int>
-void put(std::string& out, Int value, char sep = ' ') {
+/// Appends each value in decimal, each followed by a blank.
+template <class... Ints>
+void put(std::string& out, Ints... values) {
   char digits[24];
-  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
-  out += sep;
+  ((out.append(digits, std::to_chars(digits, digits + sizeof digits, values).ptr) += ' '), ...);
 }
 
-/// Appends `text` escaped to one line, then the line break.
-void put_line(std::string& out, const std::string& text) {
+/// Appends `tag`, then `text` escaped to one line, then the line break.
+void put_line(std::string& out, const char* tag, const std::string& text) {
+  out += tag;
   for (const char ch : text) {
     switch (ch) {
       case '\\': out += "\\\\"; break;
@@ -151,11 +151,8 @@ std::string render_header(std::size_t shard_index, std::size_t shard_count,
                           std::size_t total_cells, std::uint64_t fingerprint) {
   std::string out = kMagic;
   out += ' ';
-  put(out, kVersion);
-  put(out, shard_index);
-  put(out, shard_count);
-  put(out, total_cells);
-  put(out, fingerprint, '\n');
+  put(out, kVersion, shard_index, shard_count, total_cells, fingerprint);
+  out.back() = '\n';
   return out;
 }
 
@@ -309,32 +306,20 @@ std::string encode_record(const CellOutcome& outcome) {
   const Cell& cell = outcome.cell;
   std::string out;
   out.reserve(256 + 96 * outcome.metrics.size());
-  const auto text = [&out](const char* tag, const std::string& value) {
-    out += tag;
-    put_line(out, value);
-  };
   out += "cell ";
-  put(out, cell.index);
-  put(out, cell.size);
-  put(out, cell.instance);
-  put(out, cell.platform_seed);
-  put(out, cell.seed);
-  put(out, cell.workload_seed);
-  put(out, cell.n);
-  put(out, cell.deadline);
+  put(out, cell.index, cell.size, cell.instance, cell.platform_seed, cell.seed,
+      cell.workload_seed, cell.n, cell.deadline);
   out += to_string(cell.mode);
   out += '\n';
-  text("spec ", cell.spec_name);
-  text("kind ", cell.kind);
-  text("class ", cell.cls);
-  text("algo ", cell.algorithm);
-  text("wl ", cell.workload_label);
+  put_line(out, "spec ", cell.spec_name);
+  put_line(out, "kind ", cell.kind);
+  put_line(out, "class ", cell.cls);
+  put_line(out, "algo ", cell.algorithm);
+  put_line(out, "wl ", cell.workload_label);
   out += "out ";
-  put(out, outcome.tasks);
-  put(out, outcome.makespan);
-  put(out, outcome.lower_bound);
-  put(out, outcome.optimal ? 1 : 0);
-  put(out, outcome.peak_backlog, '\n');
+  put(out, outcome.tasks, outcome.makespan, outcome.lower_bound, outcome.optimal ? 1 : 0,
+      outcome.peak_backlog);
+  out.back() = '\n';
   out += "num ";
   for (const double value :
        {outcome.throughput, outcome.wall_ms, outcome.mean_latency, outcome.regret}) {
@@ -342,16 +327,13 @@ std::string encode_record(const CellOutcome& outcome) {
     out += ' ';
   }
   out.back() = '\n';
-  text("err ", outcome.error);
+  put_line(out, "err ", outcome.error);
   for (const obs::MetricSample& sample : outcome.metrics) {
     out += "metric ";
-    put(out, static_cast<int>(sample.type));
-    put(out, static_cast<int>(sample.determinism));
-    put(out, sample.value);
-    put(out, sample.count);
-    put(out, sample.sum);
+    put(out, static_cast<int>(sample.type), static_cast<int>(sample.determinism), sample.value,
+        sample.count, sample.sum);
     for (const std::int64_t bucket : sample.buckets) put(out, bucket);
-    put_line(out, sample.name);
+    put_line(out, "", sample.name);
   }
   return out;
 }
@@ -573,81 +555,71 @@ std::vector<CellOutcome> merge_journals(const std::string& dir) {
   // reporting (the merged output is index-ordered regardless).
   std::sort(paths.begin(), paths.end());
 
-  // Every shard is read before anything is sized by a header's counts, so a
-  // count the files cannot back ends in an error, not in an allocation.
-  struct Shard {
-    Header header;
-    std::vector<CellOutcome> outcomes;
-  };
-  std::vector<Shard> shards(paths.size());
-  std::vector<std::size_t> present;  // shard indices
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const std::string& path = paths[i];
+  Header first;
+  std::vector<bool> shard_seen;
+  std::vector<CellOutcome> slots;
+  std::vector<bool> filled;
+  bool any = false;
+  for (const std::string& path : paths) {
     const std::string content = slurp_file(path);
-    Header& header = shards[i].header;
+    Header header;
     const std::size_t body = parse_header(path, content, header);
-    const Header& first = shards.front().header;
-    if (header.shard_count != first.shard_count || header.total_cells != first.total_cells ||
-        header.fingerprint != first.fingerprint) {
+    if (any && (header.shard_count != first.shard_count ||
+                header.total_cells != first.total_cells ||
+                header.fingerprint != first.fingerprint)) {
       throw std::runtime_error(path + ": shard journals disagree (different sweep or seed?); "
                                       "merge needs all shards of one run in one directory");
     }
     if (header.shard_index >= header.shard_count) {
       throw std::runtime_error(path + ": shard index out of range");
     }
-    present.push_back(header.shard_index);
+    // The header's counts size the merge only once the files back them:
+    // every shard has a journal here, and each journal holds all the cells
+    // of its shard.  With distinct shards and cells below, that is every
+    // cell of the grid exactly once.
+    if (header.shard_count > paths.size()) {
+      throw std::runtime_error(dir + ": only " + std::to_string(paths.size()) + " of " +
+                               std::to_string(header.shard_count) +
+                               " shard journals; run (or resume) the missing shards "
+                               "before merging");
+    }
     std::size_t valid_end = 0;
-    shards[i].outcomes = std::move(scan_records(content, body, valid_end).outcomes);
-    for (const CellOutcome& outcome : shards[i].outcomes) {
+    JournalReplay replay = scan_records(content, body, valid_end);
+    const std::size_t owned =
+        header.total_cells > header.shard_index
+            ? (header.total_cells - header.shard_index - 1) / header.shard_count + 1
+            : 0;
+    if (replay.outcomes.size() < owned) {
+      throw std::runtime_error(path + ": holds " + std::to_string(replay.outcomes.size()) +
+                               " of the " + std::to_string(owned) + " cells of shard " +
+                               std::to_string(header.shard_index) +
+                               "; resume that shard before merging");
+    }
+    if (!any) {
+      first = header;
+      any = true;
+      shard_seen.assign(first.shard_count, false);
+      slots.resize(first.total_cells);
+      filled.assign(first.total_cells, false);
+    }
+    if (shard_seen[header.shard_index]) {
+      throw std::runtime_error(path + ": duplicate journal for shard " +
+                               std::to_string(header.shard_index));
+    }
+    shard_seen[header.shard_index] = true;
+
+    for (CellOutcome& outcome : replay.outcomes) {
       const std::size_t index = outcome.cell.index;
-      if (index >= header.total_cells || index % header.shard_count != header.shard_index) {
+      if (index >= first.total_cells || index % first.shard_count != header.shard_index) {
         throw std::runtime_error(path + ": record for cell " + std::to_string(index) +
                                  " does not belong to shard " +
                                  std::to_string(header.shard_index));
       }
-    }
-  }
-  const Header& first = shards.front().header;
-
-  // The least index missing from distinct, ascending `sorted`.
-  const auto first_gap = [](const std::vector<std::size_t>& sorted) {
-    std::size_t i = 0;
-    while (i < sorted.size() && sorted[i] == i) ++i;
-    return i;
-  };
-  std::sort(present.begin(), present.end());
-  if (const auto twin = std::adjacent_find(present.begin(), present.end());
-      twin != present.end()) {
-    throw std::runtime_error(dir + ": duplicate journal for shard " + std::to_string(*twin));
-  }
-  if (present.size() < first.shard_count) {
-    throw std::runtime_error(dir + ": missing journal for shard " +
-                             std::to_string(first_gap(present)) + " of " +
-                             std::to_string(first.shard_count) +
-                             "; run (or resume) that shard before merging");
-  }
-
-  std::vector<std::size_t> cells;  // every record's cell index
-  for (const Shard& shard : shards) {
-    for (const CellOutcome& outcome : shard.outcomes) cells.push_back(outcome.cell.index);
-  }
-  std::sort(cells.begin(), cells.end());
-  if (const auto twin = std::adjacent_find(cells.begin(), cells.end()); twin != cells.end()) {
-    throw std::runtime_error(dir + ": duplicate record for cell " + std::to_string(*twin));
-  }
-  if (cells.size() < first.total_cells) {
-    const std::size_t missing = first_gap(cells);
-    throw std::runtime_error(
-        dir + ": journals cover only " + std::to_string(cells.size()) + " of " +
-        std::to_string(first.total_cells) + " cells (first missing: cell " +
-        std::to_string(missing) + ", shard " + std::to_string(missing % first.shard_count) +
-        "); resume the incomplete shard runs before merging");
-  }
-  // Distinct, in range and as many as the grid: every cell exactly once.
-  std::vector<CellOutcome> slots(first.total_cells);
-  for (Shard& shard : shards) {
-    for (CellOutcome& outcome : shard.outcomes) {
-      const std::size_t index = outcome.cell.index;
+      if (filled[index]) {
+        throw std::runtime_error(path + ": duplicate record for cell " +
+                                 std::to_string(index));
+      }
+      filled[index] = true;
       slots[index] = std::move(outcome);
     }
   }
