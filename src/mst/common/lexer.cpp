@@ -1,6 +1,5 @@
 #include "mst/common/lexer.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <type_traits>
@@ -14,10 +13,7 @@ namespace {
 static_assert(std::is_same_v<std::size_t, std::uint64_t>,
               "next_index reads 64-bit seeds and fingerprints as std::size_t");
 
-constexpr std::string_view kBlanks = " \t\r\v\f";
-constexpr std::string_view kTokenEnds = " \t\r\v\f\n#";
-
-bool is_blank(char c) { return kBlanks.find(c) != std::string_view::npos; }
+bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f'; }
 
 template <class Number>
 std::optional<Number> whole(std::string_view token) {
@@ -58,7 +54,11 @@ void Lexer::skip() {
 }
 
 std::size_t Lexer::token_size() const {
-  return std::min(text_.find_first_of(kTokenEnds, pos_), text_.size()) - pos_;
+  std::size_t end = pos_;
+  while (end < text_.size() && text_[end] != '\n' && text_[end] != '#' && !is_blank(text_[end])) {
+    ++end;
+  }
+  return end - pos_;
 }
 
 std::string_view Lexer::peek(const char* what) const {

@@ -573,34 +573,37 @@ std::vector<CellOutcome> merge_journals(const std::string& dir) {
     if (header.shard_index >= header.shard_count) {
       throw std::runtime_error(path + ": shard index out of range");
     }
-    // The header's counts size the merge only once the files back them:
-    // every shard has a journal here, and each journal holds all the cells
-    // of its shard.  With distinct shards and cells below, that is every
-    // cell of the grid exactly once.
+    // The header's counts size the merge only once the files can back
+    // them: every shard has a journal here, and each journal holds all the
+    // cells of its shard (a record takes two lines at least).  With
+    // distinct shards and cells below, that is every cell exactly once.
+    const std::size_t owned =
+        header.total_cells > header.shard_index
+            ? (header.total_cells - header.shard_index - 1) / header.shard_count + 1
+            : 0;
+    const auto short_of = [&](const std::string& held) {
+      return std::runtime_error(path + ": " + held + " the " + std::to_string(owned) +
+                                " cells of shard " + std::to_string(header.shard_index) +
+                                "; resume that shard before merging");
+    };
     if (header.shard_count > paths.size()) {
       throw std::runtime_error(dir + ": only " + std::to_string(paths.size()) + " of " +
                                std::to_string(header.shard_count) +
                                " shard journals; run (or resume) the missing shards "
                                "before merging");
     }
-    std::size_t valid_end = 0;
-    JournalReplay replay = scan_records(content, body, valid_end);
-    const std::size_t owned =
-        header.total_cells > header.shard_index
-            ? (header.total_cells - header.shard_index - 1) / header.shard_count + 1
-            : 0;
-    if (replay.outcomes.size() < owned) {
-      throw std::runtime_error(path + ": holds " + std::to_string(replay.outcomes.size()) +
-                               " of the " + std::to_string(owned) + " cells of shard " +
-                               std::to_string(header.shard_index) +
-                               "; resume that shard before merging");
-    }
+    if (owned > content.size() / 2) throw short_of("is too short to hold");
     if (!any) {
       first = header;
       any = true;
       shard_seen.assign(first.shard_count, false);
       slots.resize(first.total_cells);
       filled.assign(first.total_cells, false);
+    }
+    std::size_t valid_end = 0;
+    JournalReplay replay = scan_records(content, body, valid_end);
+    if (replay.outcomes.size() < owned) {
+      throw short_of("holds " + std::to_string(replay.outcomes.size()) + " of");
     }
     if (shard_seen[header.shard_index]) {
       throw std::runtime_error(path + ": duplicate journal for shard " +

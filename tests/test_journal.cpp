@@ -896,7 +896,7 @@ TEST(MergeJournals, HeaderCountsTheFilesCannotBackAreErrors) {
   const std::string file = shard_file(dir, 0, 1);
   const std::string records = read_file(file).substr(read_file(file).find('\n'));
   const std::pair<const char*, const char*> headers[] = {
-      {"mstjournal 1 0 1 1000000000000000 7", "holds 1 of the 1000000000000000 cells"},
+      {"mstjournal 1 0 1 1000000000000000 7", "the 1000000000000000 cells of shard 0"},
       {"mstjournal 1 0 1000000000000 1 7", "only 1 of 1000000000000 shard journals"}};
   for (const auto& [header, error] : headers) {
     std::ofstream(file, std::ios::binary | std::ios::trunc) << header << records;
