@@ -75,26 +75,20 @@ std::string_view Lexer::next(const char* what) {
   return token;
 }
 
-void Lexer::bad_token(std::string_view token, const char* what) const {
+template <class Number>
+Number Lexer::next_number(const char* what) {
+  const std::string_view token = next(what);
+  const std::optional<Number> value = whole<Number>(token);
+  if (value) return *value;
+  MST_REQUIRE(std::is_signed_v<Number> || token.front() != '-' || !to_time(token),
+              at_line(line_) + what + " must be non-negative");
   detail::throw_requirement(
       "whole token", at_line(line_) + "expected " + what + ", got '" + std::string(token) + "'");
 }
 
-Time Lexer::next_time(const char* what) {
-  const std::string_view token = next(what);
-  const std::optional<Time> value = to_time(token);
-  if (!value) bad_token(token, what);
-  return *value;
-}
+Time Lexer::next_time(const char* what) { return next_number<Time>(what); }
 
-std::size_t Lexer::next_index(const char* what) {
-  const std::string_view token = next(what);
-  const std::optional<std::size_t> value = whole<std::size_t>(token);
-  if (value) return *value;
-  MST_REQUIRE(token.front() != '-' || !to_time(token),
-              at_line(line_) + what + " must be non-negative");
-  bad_token(token, what);
-}
+std::size_t Lexer::next_index(const char* what) { return next_number<std::size_t>(what); }
 
 std::size_t Lexer::next_count(const char* what) {
   const std::size_t value = next_index(what);
@@ -102,12 +96,7 @@ std::size_t Lexer::next_count(const char* what) {
   return value;
 }
 
-double Lexer::next_double(const char* what) {
-  const std::string_view token = next(what);
-  const std::optional<double> value = to_double(token);
-  if (!value) bad_token(token, what);
-  return *value;
-}
+double Lexer::next_double(const char* what) { return next_number<double>(what); }
 
 void Lexer::expect(const char* keyword) {
   const std::string_view token = next(keyword);

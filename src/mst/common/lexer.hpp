@@ -104,8 +104,10 @@ class Lexer {
   /// The length of the token at the cursor.
   [[nodiscard]] std::size_t token_size() const;
 
-  /// Throws "line N: expected <what>, got '<token>'".
-  [[noreturn]] void bad_token(std::string_view token, const char* what) const;
+  /// The next token as a whole `Number`; throws "line N: expected <what>,
+  /// got '<token>'" unless it is one.
+  template <class Number>
+  Number next_number(const char* what);
 
   std::string_view text_;
   std::size_t pos_ = 0;        ///< start of the next token, or the end

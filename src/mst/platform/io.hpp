@@ -45,9 +45,6 @@ std::string write_chain(const Chain& chain);
 std::string write_spider(const Spider& spider);
 std::string write_tree(const Tree& tree);
 
-// The per-kind parsers.  The library reads any kind through
-// `api::read_any_platform`; test_io and test_parser_fuzz pin each reader
-// through its own parser.
 // mstlint: allow-next-line(tests-only-api) -- test_io, test_parser_fuzz
 Chain parse_chain(const std::string& text);
 // mstlint: allow-next-line(tests-only-api) -- test_io, test_parser_fuzz

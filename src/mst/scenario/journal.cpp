@@ -130,17 +130,6 @@ CellMode mode_from(std::string_view name) {
   throw std::invalid_argument("journal: unknown cell mode '" + std::string(name) + "'");
 }
 
-/// An enum stored as its index, which must be at most `last`.
-template <class Enum>
-Enum enum_field(Lexer& lex, const char* what, Enum last) {
-  const std::size_t value = lex.next_index(what);
-  if (value > static_cast<std::size_t>(last)) {
-    throw std::invalid_argument(std::string("journal: bad ") + what + " " +
-                                std::to_string(value));
-  }
-  return static_cast<Enum>(value);
-}
-
 // ---------------------------------------------------------------------------
 // File framing
 
@@ -385,9 +374,14 @@ CellOutcome decode_record(std::string_view payload) {
       out.error = text_field(lex);
     } else if (tag == "metric") {
       obs::MetricSample& sample = out.metrics.emplace_back();
-      sample.type = enum_field(lex, "metric type", obs::MetricType::kHistogram);
-      sample.determinism =
-          enum_field(lex, "determinism class", obs::DeterminismClass::kWallTime);
+      const std::size_t type = lex.next_index("metric type");
+      const std::size_t determinism = lex.next_index("determinism class");
+      if (type > static_cast<std::size_t>(obs::MetricType::kHistogram) ||
+          determinism > static_cast<std::size_t>(obs::DeterminismClass::kWallTime)) {
+        throw std::invalid_argument("journal: bad metric type or determinism class");
+      }
+      sample.type = static_cast<obs::MetricType>(type);
+      sample.determinism = static_cast<obs::DeterminismClass>(determinism);
       sample.value = lex.next_time("metric value");
       sample.count = lex.next_time("metric count");
       sample.sum = lex.next_time("metric sum");
