@@ -7,7 +7,7 @@
 namespace mst::api {
 
 Platform read_any_platform(Lexer& lex) {
-  const std::string_view kind = peek_platform_kind(lex);
+  const std::string_view kind = lex.peek("platform kind");
   if (kind == "chain") return read_chain(lex);
   if (kind == "fork") return read_fork(lex);
   if (kind == "spider") return read_spider(lex);

@@ -55,8 +55,8 @@ class Lexer {
 
   [[nodiscard]] bool done() const { return pos_ == text_.size(); }
 
-  /// At least the number of tokens not yet read (a token and the blank
-  /// after it take two bytes).
+  /// An upper bound on the tokens not yet read: a token and the blank after
+  /// it take two bytes.
   [[nodiscard]] std::size_t remaining() const { return (text_.size() - pos_ + 1) / 2; }
 
   /// The next token; `what` names it if the input has ended.

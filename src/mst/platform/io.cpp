@@ -111,10 +111,8 @@ Fork parse_fork(const std::string& text) { return parse_whole(text, read_fork); 
 Spider parse_spider(const std::string& text) { return parse_whole(text, read_spider); }
 Tree parse_tree(const std::string& text) { return parse_whole(text, read_tree); }
 
-std::string_view peek_platform_kind(const Lexer& lex) { return lex.peek("platform kind"); }
-
 std::string peek_platform_kind(const std::string& text) {
-  return std::string(peek_platform_kind(Lexer(text)));
+  return std::string(Lexer(text).peek("platform kind"));
 }
 
 }  // namespace mst

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 
 #include "mst/common/lexer.hpp"
 #include "mst/platform/chain.hpp"
@@ -59,12 +58,11 @@ Spider read_spider(Lexer& lex);
 Tree read_tree(Lexer& lex);
 
 /// The header keyword of a platform description ("chain", "fork", "spider",
-/// "tree", ...), read with the same comment/whitespace rules as the parsers;
-/// the lexer form does not consume it.  Throws on empty input; does not
-/// validate the keyword.  For kind-preserving parsing into the registry's
-/// typed variant, use `api::parse_any_platform` / `api::read_any_platform`
-/// (mst/api/platform_io.hpp).
-std::string_view peek_platform_kind(const Lexer& lex);
+/// "tree", ...), read with the same comment/whitespace rules as the parsers.
+/// Throws on empty input; does not validate the keyword.
+/// For kind-preserving parsing into the registry's typed variant, use
+/// `api::parse_any_platform` (mst/api/platform_io.hpp).
+// mstlint: allow-next-line(tests-only-api) -- test_io checks it against each kind
 std::string peek_platform_kind(const std::string& text);
 
 }  // namespace mst

@@ -251,7 +251,7 @@ std::string random_text(Rng& rng) {
 }
 
 scenario::CellOutcome random_outcome(Rng& rng, std::size_t index) {
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto any_time = [&rng] { return static_cast<Time>(rng.next_u64()); };
   scenario::CellOutcome out;
   scenario::Cell& cell = out.cell;
   cell.index = index;
@@ -264,12 +264,12 @@ scenario::CellOutcome random_outcome(Rng& rng, std::size_t index) {
   cell.algorithm = random_text(rng);
   cell.mode = static_cast<scenario::CellMode>(rng.uniform(0, 2));
   cell.n = static_cast<std::size_t>(rng.uniform(0, 1000));
-  cell.deadline = rng.uniform(-kMax, kMax);
+  cell.deadline = any_time();
   cell.seed = rng.next_u64();
   cell.workload_label = random_text(rng);
   cell.workload_seed = rng.next_u64();
   out.tasks = static_cast<std::size_t>(rng.uniform(0, 1000));
-  out.makespan = rng.uniform(-kMax, kMax);
+  out.makespan = any_time();
   out.lower_bound = rng.uniform(0, 1000);
   out.optimal = rng.chance(0.5);
   out.throughput = rng.chance(0.2) ? std::numeric_limits<double>::infinity() : rng.uniform01();
@@ -283,7 +283,7 @@ scenario::CellOutcome random_outcome(Rng& rng, std::size_t index) {
     sample.name = random_text(rng);
     sample.type = static_cast<obs::MetricType>(rng.uniform(0, 2));
     sample.determinism = static_cast<obs::DeterminismClass>(rng.uniform(0, 1));
-    sample.value = rng.uniform(-kMax, kMax);
+    sample.value = any_time();
     sample.count = rng.uniform(0, 99);
     sample.sum = rng.uniform(0, 9999);
     for (std::int64_t& bucket : sample.buckets) bucket = rng.uniform(0, 9);
