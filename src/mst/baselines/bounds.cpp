@@ -113,7 +113,7 @@ Time makespan_lower_bound(std::span<const Chain> legs, std::size_t n, OnePortScr
   Time single = kTimeInfinity;
   for (const Chain& leg : legs) {
     min_c0 = std::min(min_c0, leg.comm(0));
-    Time path = 0;  // `leg.path_latency(q)`, accumulated in O(leg length)
+    Time path = 0;  // links up to processor `q`, accumulated in O(leg length)
     for (std::size_t q = 0; q < leg.size(); ++q) {
       path += leg.comm(q);
       tail = std::min(tail, path - leg.comm(0) + leg.work(q));

@@ -41,13 +41,6 @@ const Processor& Chain::proc(std::size_t i) const {
   return procs_[i];
 }
 
-Time Chain::path_latency(std::size_t i) const {
-  MST_REQUIRE(i < procs_.size(), "processor index out of range");
-  Time sum = 0;
-  for (std::size_t j = 0; j <= i; ++j) sum += procs_[j].comm;
-  return sum;
-}
-
 Time Chain::t_infinity(std::size_t n) const {
   MST_REQUIRE(n >= 1, "t_infinity needs at least one task");
   const Processor& p0 = procs_.front();

@@ -46,11 +46,6 @@ class Chain {
 
   [[nodiscard]] const std::vector<Processor>& procs() const { return procs_; }
 
-  /// Cumulative link latency from the master up to and including processor
-  /// `i`'s link: `sum_{j<=i} c_j`.  This is the minimum transit time of one
-  /// task to processor `i`.
-  [[nodiscard]] Time path_latency(std::size_t i) const;
-
   /// `T∞` of the paper's §3: the makespan of the trivial schedule that puts
   /// all `n` tasks on the first processor,
   /// `c_0 + (n-1)·max(w_0, c_0) + w_0`.  Defined for `n >= 1`; throws

@@ -51,16 +51,6 @@ std::size_t Tree::depth(NodeId v) const {
   return d;
 }
 
-Time Tree::path_latency(NodeId v) const {
-  MST_REQUIRE(v < parent_.size() && v != 0, "path latency defined for slaves only");
-  Time sum = 0;
-  while (v != 0) {
-    sum += proc_[v].comm;
-    v = parent_[v];
-  }
-  return sum;
-}
-
 std::vector<NodeId> Tree::path_from_root(NodeId v) const {
   MST_REQUIRE(v < parent_.size() && v != 0, "path defined for slaves only");
   std::vector<NodeId> path;

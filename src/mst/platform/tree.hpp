@@ -43,9 +43,6 @@ class Tree {
   /// Depth of `v` (root has depth 0).
   [[nodiscard]] std::size_t depth(NodeId v) const;
 
-  /// Sum of link latencies from the root down to `v` inclusive.
-  [[nodiscard]] Time path_latency(NodeId v) const;
-
   /// The node ids on the path root→`v`, excluding the root.
   [[nodiscard]] std::vector<NodeId> path_from_root(NodeId v) const;
 

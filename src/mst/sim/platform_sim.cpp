@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <utility>
 
 #include "mst/common/assert.hpp"
 #include "mst/obs/metrics.hpp"
@@ -43,26 +44,26 @@ struct Later {
 };
 
 /// Whole-run simulation state; nodes interact only through the event heap.
+/// The tasks arrive with their destinations filled in; the run fills in the
+/// rest of each `SimTask`.
 ///
 /// The event loop is allocation-steady: all per-task state is sized once in
 /// the constructor, routes are cached per destination (a platform has few
 /// nodes, a run has many tasks), and the waiting tasks are linked through a
 /// single shared `next_task_` array instead of per-node deques — a task
 /// waits in at most one queue at a time, so one intrusive link suffices.
-/// The streaming driver rides this same loop, so its steady state inherits
-/// the property (pinned by tests/test_zero_alloc.cpp).
-///
 /// Observability rides the same discipline: trace tracks and event names
 /// are interned here in the constructor (into the sink's fixed label
 /// tables), so the per-event hooks are null checks plus reserved-capacity
 /// pushes — the zero-alloc region below stays clean with a sink attached.
 class Simulation {
  public:
-  Simulation(const Tree& tree, const Workload& workload, const DestinationChooser& chooser,
+  Simulation(const Tree& tree, const Workload& workload, std::vector<SimTask> tasks,
              const obs::Observation& observation)
-      : tree_(tree), workload_(workload), n_(workload.count()), chooser_(chooser),
-        obs_(observation) {
-    result_.tasks.resize(n_);
+      : tree_(tree), workload_(workload), n_(workload.count()), obs_(observation) {
+    MST_REQUIRE(tasks.size() == n_,
+                "workload and destination sequence must have the same length");
+    result_.tasks = std::move(tasks);
     hop_.assign(n_, 0);
     next_task_.assign(n_, kNone);
     route_to_.resize(tree.size());
@@ -70,7 +71,6 @@ class Simulation {
     out_busy_.assign(tree.size(), false);
     cpu_queue_.assign(tree.size(), Fifo{});
     cpu_busy_.assign(tree.size(), false);
-    outstanding_.assign(tree.size(), 0);
     // A bounded cut of the event graph is live at once: per node one
     // in-flight send and one running execution, plus the dispatch re-arm.
     events_.reserve(2 * tree.size() + 1);
@@ -192,10 +192,9 @@ class Simulation {
     }
   }
 
-  /// The master's out-port freed (or the run just started): pick the next
-  /// task's destination and enqueue it, unless relayed traffic is pending —
-  /// the master's queue holds fresh tasks only, so dispatching is simply
-  /// appending to its out-queue.  A task whose release date has not arrived
+  /// The master's out-port freed (or the run just started): enqueue the
+  /// next task for its destination — the master's queue holds fresh tasks
+  /// only, so dispatching is simply appending to its out-queue.  A task whose release date has not arrived
   /// re-arms the dispatch at that date (the port sits idle; release dates
   /// gate the master's emissions).
   void master_dispatch() {
@@ -205,14 +204,11 @@ class Simulation {
         schedule(release, Event::Kind::kDispatch);
         return;
       }
-      const DispatchContext ctx{now_, outstanding_};
-      const NodeId dest = chooser_(dispatched_, ctx);
+      const std::size_t task = dispatched_++;
+      const NodeId dest = result_.tasks[task].dest;
       MST_REQUIRE(dest != 0 && dest < tree_.size(),
                   "dispatch destination must be a slave node");
-      const std::size_t task = dispatched_++;
-      result_.tasks[task].dest = dest;
       result_.tasks[task].release = release;
-      ++outstanding_[dest];
       push(out_queue_[0], task);
       try_send(0);
     }
@@ -276,8 +272,6 @@ class Simulation {
     result_.tasks[task].end = now_;
     cpu_busy_[node] = false;
     if (obs_.trace != nullptr) obs_.trace->end(cpu_track_[node], exec_name_, now_);
-    MST_ASSERT(outstanding_[node] > 0);
-    --outstanding_[node];
     try_exec(node);
   }
 
@@ -286,7 +280,6 @@ class Simulation {
   const Tree& tree_;
   const Workload& workload_;
   std::size_t n_;
-  const DestinationChooser& chooser_;
   obs::Observation obs_;
   std::vector<Event> events_;  // binary heap under `Later`
   Time now_ = 0;
@@ -300,7 +293,6 @@ class Simulation {
   std::vector<bool> out_busy_;
   std::vector<Fifo> cpu_queue_;
   std::vector<bool> cpu_busy_;
-  std::vector<std::size_t> outstanding_;
   obs::TrackId master_track_ = obs::kInvalidTrack;
   obs::NameId comm_name_ = obs::kInvalidName;
   obs::NameId exec_name_ = obs::kInvalidName;
@@ -311,13 +303,6 @@ class Simulation {
 
 }  // namespace
 
-SimResult simulate_chooser(const Tree& tree, const Workload& workload,
-                           const DestinationChooser& chooser,
-                           const obs::Observation& observation) {
-  Simulation sim(tree, workload, chooser, observation);
-  return sim.run();
-}
-
 SimResult simulate_dispatch(const Tree& tree, const std::vector<NodeId>& dests,
                             const obs::Observation& observation) {
   return simulate_dispatch(tree, dests, Workload::identical(dests.size()), observation);
@@ -325,11 +310,14 @@ SimResult simulate_dispatch(const Tree& tree, const std::vector<NodeId>& dests,
 
 SimResult simulate_dispatch(const Tree& tree, const std::vector<NodeId>& dests,
                             const Workload& workload, const obs::Observation& observation) {
-  MST_REQUIRE(workload.count() == dests.size(),
-              "workload and destination sequence must have the same length");
-  return simulate_chooser(tree, workload,
-                          [&dests](std::size_t i, const DispatchContext&) { return dests[i]; },
-                          observation);
+  std::vector<SimTask> tasks(dests.size());
+  for (std::size_t i = 0; i < dests.size(); ++i) tasks[i].dest = dests[i];
+  return Simulation(tree, workload, std::move(tasks), observation).run();
+}
+
+SimResult replay_dispatch(const Tree& tree, const SimResult& run, const Workload& workload,
+                          const obs::Observation& observation) {
+  return Simulation(tree, workload, run.tasks, observation).run();
 }
 
 }  // namespace mst::sim

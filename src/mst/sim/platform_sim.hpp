@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "mst/obs/observation.hpp"
@@ -9,7 +8,8 @@
 #include "mst/workload/workload.hpp"
 
 /// \file platform_sim.hpp
-/// Operational (event-driven) execution of master-slave tasking on a tree.
+/// Operational (event-driven) execution of master-slave tasking on a tree:
+/// the replay oracle of the forward ASAP engine.
 ///
 /// This is the library's store-and-forward network model: every node owns a
 /// one-port sender (emissions to its children serialize), every link carries
@@ -23,6 +23,13 @@
 /// event — the master's dispatch, a hop's end and an execution's end —
 /// fired in time order, ties in the order they were queued.  No wall clock
 /// and no threads: every run is exactly reproducible.
+///
+/// Nothing is timed here first.  Stream runs are timed on the forward ASAP
+/// engine (`tree_asap.hpp`, driven by `drive_stream`), which places every
+/// emission, hop and execution at its earliest feasible time; this loop
+/// only replays fixed destination sequences — as the independent check the
+/// tests hold the engine to, and, with an observation attached, for the
+/// Gantt trace and the event and queue metrics only it records.
 
 namespace mst::sim {
 
@@ -50,30 +57,10 @@ struct SimResult {
   friend bool operator==(const SimResult&, const SimResult&) = default;
 };
 
-/// What an online dispatcher may observe when choosing a destination: the
-/// virtual clock and, per node, the number of tasks assigned to it that have
-/// not finished executing yet (in flight, buffered or running).
-///
-/// A task whose execution ends exactly at `now` is settled by event order:
-/// events at one instant fire in the order they were queued.  A dispatch
-/// is queued when the previous first-hop send began (or, when it waits for
-/// a release date, when the master's port went idle), an execution's end
-/// when the execution began.  So that task still counts as outstanding if
-/// its execution started after the previous first-hop send began, and no
-/// longer counts if it started before.
-struct DispatchContext {
-  Time now = 0;
-  const std::vector<std::size_t>& outstanding;
-};
-
-/// Chooses the destination of task `task_index` at the moment the master's
-/// out-port frees up.  Must return a slave NodeId.
-using DestinationChooser = std::function<NodeId(std::size_t task_index, const DispatchContext&)>;
-
-/// Simulate the workload's tasks with destinations chosen on the fly: task
-/// `i` (canonical workload order) is dispatched no earlier than its release
-/// date — the master's out-port sits idle until the next task arrives — and
-/// occupies every link for `size·c` and its processor for `size·w`.
+/// Simulate dispatching tasks to the given fixed destinations, in order,
+/// each emitted by the master as soon as its out-port frees and no earlier
+/// than its release date (the port sits idle until the task arrives).  A
+/// task occupies every link for `size·c` and its processor for `size·w`.
 ///
 /// Every entry point takes an optional `obs::Observation`.  With a metrics
 /// registry attached the run records event counts (`sim.engine.events`),
@@ -82,17 +69,19 @@ using DestinationChooser = std::function<NodeId(std::size_t task_index, const Di
 /// compute spans per slave, communication spans per link, master emission
 /// instants.  Both default to off, in which case the instrumentation is
 /// null checks only.
-SimResult simulate_chooser(const Tree& tree, const Workload& workload,
-                           const DestinationChooser& chooser,
-                           const obs::Observation& observation = {});
-
-/// Simulate dispatching tasks to the given fixed destinations, in order,
-/// each emitted by the master as soon as its out-port frees.
 SimResult simulate_dispatch(const Tree& tree, const std::vector<NodeId>& dests,
                             const obs::Observation& observation = {});
 
 /// Workload form of the above; requires `workload.count() == dests.size()`.
 SimResult simulate_dispatch(const Tree& tree, const std::vector<NodeId>& dests,
                             const Workload& workload, const obs::Observation& observation = {});
+
+/// The workload form on the destinations of `run`, a timeline of
+/// `workload` on `tree` timed elsewhere: how a stream run, timed on the
+/// forward ASAP engine (`drive_stream`), gets its Gantt trace, event counts
+/// and queue gauges.  Allocates exactly as often as `simulate_dispatch` of
+/// the same destinations.
+SimResult replay_dispatch(const Tree& tree, const SimResult& run, const Workload& workload,
+                          const obs::Observation& observation);
 
 }  // namespace mst::sim

@@ -58,7 +58,13 @@ class RandomStream final : public StreamPolicy {
 /// Join the slave minimizing `(outstanding + 1) * work + path_latency`.
 class JsqStream final : public StreamPolicy {
  public:
-  explicit JsqStream(const Tree& tree) : tree_(&tree) { require_slaves(tree); }
+  explicit JsqStream(const Tree& tree) : tree_(&tree), path_latency_(tree.size(), 0) {
+    require_slaves(tree);
+    // One ascending pass: a parent is numbered before its children.
+    for (NodeId v = 1; v < tree.size(); ++v) {
+      path_latency_[v] = path_latency_[tree.parent(v)] + tree.proc(v).comm;
+    }
+  }
   void observe(const StreamArrival&) override {}
   NodeId choose(std::size_t, const DispatchContext& ctx) override {
     // Ascending node id with strict improvement: score ties break toward
@@ -66,8 +72,8 @@ class JsqStream final : public StreamPolicy {
     NodeId best = 1;
     Time best_score = kTimeInfinity;
     for (NodeId v = 1; v < tree_->size(); ++v) {
-      const Time score = static_cast<Time>(ctx.outstanding[v] + 1) * tree_->proc(v).work +
-                         tree_->path_latency(v);
+      const Time score =
+          static_cast<Time>(ctx.outstanding[v] + 1) * tree_->proc(v).work + path_latency_[v];
       if (score < best_score) {
         best_score = score;
         best = v;
@@ -78,6 +84,7 @@ class JsqStream final : public StreamPolicy {
 
  private:
   const Tree* tree_;
+  std::vector<Time> path_latency_;  ///< sum of link latencies root -> node
 };
 
 /// Earliest estimated completion: the exact forward ASAP estimator (FIFO
@@ -298,24 +305,91 @@ StreamMetrics compute_metrics(const Workload& workload, const SimResult& sim,
   return metrics;
 }
 
+/// A task the stream driver has dispatched and not yet counted finished.
+/// Ordered by `(end, start)`: a dispatch at `now` with trigger `trigger`
+/// counts finished every task ordered at or before `{now, trigger}`.
+struct InFlight {
+  Time end;
+  Time start;
+  NodeId node;
+
+  bool operator<(const InFlight& other) const {
+    return end != other.end ? end < other.end : start < other.start;
+  }
+};
+
+/// Min-heap order for `std::push_heap`/`std::pop_heap`.
+struct Later {
+  bool operator()(const InFlight& a, const InFlight& b) const { return b < a; }
+};
+
 }  // namespace
 
 SimResult drive_stream(const Tree& tree, const Workload& workload, StreamPolicy& policy,
                        const obs::Observation& observation) {
+  const std::size_t n = workload.count();
+  TreeAsapState asap(tree);
+  std::size_t depth = 0;
+  for (NodeId v = 1; v < tree.size(); ++v) depth = std::max(depth, asap.depth(v));
+  std::vector<Time> emissions(depth);
+  std::vector<std::size_t> outstanding(tree.size(), 0);
+  // Tasks assigned and not yet counted finished, earliest `(end, start)`
+  // on top: one entry per task in flight.
+  std::vector<InFlight> in_flight;
+  in_flight.reserve(tree.size());
+  SimResult run;
+  run.tasks.resize(n);
+  run.tasks_per_node.assign(tree.size(), 0);
   std::size_t revealed = 0;
-  const DestinationChooser chooser = [&](std::size_t task, const DispatchContext& ctx) {
+  Time previous_send = 0;
+
+  // mstlint: zero-alloc
+  for (std::size_t i = 0; i < n; ++i) {
+    const Time release = workload.release_of(i);
+    const Time size = workload.size_of(i);
+    // The dispatch instant, and its trigger (`DispatchContext`): the
+    // previous first-hop send, or the port's idle instant when the task
+    // arrives later.
+    const Time port_free = asap.master_port_free();
+    const Time now = std::max(port_free, release);
+    const Time trigger = release > port_free ? port_free : previous_send;
     // Reveal exactly the arrived prefix: every task whose release date the
     // clock has reached, and nothing else.  This is the no-lookahead
     // enforcement — the policy's whole world is these `observe` calls.
-    while (revealed < workload.count() && workload.release_of(revealed) <= ctx.now) {
+    while (revealed < n && workload.release_of(revealed) <= now) {
       policy.observe(StreamArrival{revealed, workload.size_of(revealed),
                                    workload.release_of(revealed)});
       ++revealed;
     }
-    MST_ASSERT(revealed > task);  // the dispatched task itself has arrived
-    return policy.choose(task, ctx);
-  };
-  return simulate_chooser(tree, workload, chooser, observation);
+    while (!in_flight.empty() && !(InFlight{now, trigger, 0} < in_flight.front())) {
+      std::pop_heap(in_flight.begin(), in_flight.end(), Later{});
+      --outstanding[in_flight.back().node];
+      in_flight.pop_back();
+    }
+    const NodeId dest = policy.choose(i, DispatchContext{now, outstanding});
+    SimTask& task = run.tasks[i];
+    task.end = asap.commit(dest, size, release);
+    asap.hop_emissions(dest, size, emissions.data());
+    task.dest = dest;
+    task.release = release;
+    task.master_emission = emissions[0];
+    task.arrival = emissions[asap.depth(dest) - 1] + size * asap.proc(dest).comm;
+    task.start = task.end - size * asap.proc(dest).work;
+    MST_ASSERT(task.master_emission == now);
+    previous_send = now;
+    ++outstanding[dest];
+    in_flight.push_back(InFlight{task.end, task.start, dest});
+    std::push_heap(in_flight.begin(), in_flight.end(), Later{});
+    ++run.tasks_per_node[dest];
+    run.makespan = std::max(run.makespan, task.end);
+  }
+  // mstlint: zero-alloc-end
+
+  // Only the event loop records the Gantt trace and the event and queue
+  // metrics: an observed run replays its destinations through it, which
+  // must reproduce the engine's timeline.
+  if (observation.enabled()) MST_ASSERT(replay_dispatch(tree, run, workload, observation) == run);
+  return run;
 }
 
 StreamResult simulate_stream(const Tree& tree, const Workload& workload, StreamPolicy& policy,

@@ -62,6 +62,33 @@ struct StreamArrival {
   friend bool operator==(const StreamArrival&, const StreamArrival&) = default;
 };
 
+/// What a dispatcher may observe when choosing a destination: the virtual
+/// clock and, per node, the number of tasks assigned to it that have not
+/// finished executing yet (in flight, buffered or running).
+///
+/// A dispatch at `now` has a trigger: the instant the previous task's
+/// first-hop send began, or, when the dispatch waited for a release date,
+/// the instant the master's port went idle.  A task whose execution ends
+/// exactly at `now` has finished if it started at or before the trigger,
+/// and is still outstanding if it started after it.  These are the event
+/// loop's firing order (`platform_sim.hpp`: ties in the order events were
+/// queued, an execution's end queued when it began, a dispatch at its
+/// trigger) wherever that order is fixed; where the execution began at the
+/// trigger itself the loop's order depends on how earlier events were
+/// queued, and the rule counts the task finished.  Example (pinned by
+/// `Online.TaskEndingAtDispatchIsDoneIfItStartedAtThePreviousSend`): on the
+/// tree 1:(0,2,4) 2:(1,1,7) 3:(2,2,4) 4:(1,1,6) 5:(4,1,4) 6:(0,1,8)
+/// (`node:(parent, c, w)`) with sizes {1,1,1,2,2} under JSQ, task 4 is
+/// dispatched at 10, when task 1 ends on node 5.  Task 1 started at 6, the
+/// instant task 3's send began, so it has finished and task 4 goes to node
+/// 5.  The event loop began that send before task 1's last hop landed at
+/// the same instant, so it queued the dispatch before the execution's end,
+/// counted task 1 outstanding and sent task 4 to node 4.
+struct DispatchContext {
+  Time now = 0;
+  const std::vector<std::size_t>& outstanding;
+};
+
 /// A no-lookahead dispatcher.  The driver calls `observe` once per task, in
 /// arrival order, never before the simulated clock reaches the task's
 /// release date; it calls `choose` when the master's out-port is free and

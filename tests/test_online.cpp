@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "mst/baselines/forward_greedy.hpp"
@@ -10,6 +11,7 @@
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/sim/online.hpp"
+#include "mst/sim/streaming.hpp"
 #include "mst/workload/workload.hpp"
 
 namespace mst {
@@ -128,16 +130,33 @@ std::vector<NodeId> dests_of(const sim::SimResult& run) {
   return dests;
 }
 
+/// Sends task `i` to `dests[i]` and records what the driver shows it.
+class RecordingPolicy final : public sim::StreamPolicy {
+ public:
+  explicit RecordingPolicy(std::vector<NodeId> dests) : dests_(std::move(dests)) {}
+  void observe(const sim::StreamArrival&) override {}
+  NodeId choose(std::size_t task, const sim::DispatchContext& ctx) override {
+    seen.push_back(ctx.outstanding);
+    return dests_[task];
+  }
+
+  std::vector<std::vector<std::size_t>> seen;
+
+ private:
+  std::vector<NodeId> dests_;
+};
+
 /// What `DispatchContext::outstanding` reads at each dispatch of `dests`.
+std::vector<std::vector<std::size_t>> outstanding_seen(const Tree& tree, const Workload& workload,
+                                                       const std::vector<NodeId>& dests) {
+  RecordingPolicy policy(dests);
+  (void)sim::drive_stream(tree, workload, policy);
+  return policy.seen;
+}
+
 std::vector<std::vector<std::size_t>> outstanding_seen(const Tree& tree,
                                                        const std::vector<NodeId>& dests) {
-  std::vector<std::vector<std::size_t>> seen;
-  sim::simulate_chooser(tree, Workload::identical(dests.size()),
-                        [&](std::size_t i, const sim::DispatchContext& ctx) {
-                          seen.push_back(ctx.outstanding);
-                          return dests[i];
-                        });
-  return seen;
+  return outstanding_seen(tree, Workload::identical(dests.size()), dests);
 }
 
 TEST(Online, TaskEndingAtDispatchIsDoneIfItStartedBeforeThePreviousSend) {
@@ -174,6 +193,31 @@ TEST(Online, TaskEndingAtDispatchIsOutstandingIfItStartedAfterThePreviousSend) {
   EXPECT_EQ(r.tasks[1].master_emission, 2);
   EXPECT_EQ(r.tasks[2].master_emission, 4);
   EXPECT_EQ(outstanding_seen(tree, dests_of(r))[2], (std::vector<std::size_t>{0, 0, 2}));
+}
+
+TEST(Online, TaskEndingAtDispatchIsDoneIfItStartedAtThePreviousSend) {
+  // The equal case of the tie rule (`DispatchContext`).  Task 4 is
+  // dispatched when task 3's first hop ends, at 10.  Task 1 ends on node 5
+  // at that instant, and its execution started at 6, exactly when task 3's
+  // send began.  It counts finished, so node 5 scores (0 + 1) * 4 + 4 = 8,
+  // below node 4's and node 6's 9, and task 4 goes to node 5.  The event
+  // loop settles that instant by how earlier events were queued: it counted
+  // task 1 outstanding (node 5 scores 12) and sent task 4 to node 4.
+  Tree tree;
+  tree.add_node(0, {2, 4});  // 1
+  tree.add_node(1, {1, 7});  // 2
+  tree.add_node(2, {2, 4});  // 3
+  tree.add_node(1, {1, 6});  // 4
+  tree.add_node(4, {1, 4});  // 5
+  tree.add_node(0, {1, 8});  // 6
+  const Workload workload(5, {1, 1, 1, 2, 2}, {});
+  const sim::SimResult r =
+      sim::simulate_online(tree, workload, sim::OnlinePolicy::kJoinShortestQueue);
+  EXPECT_EQ(dests_of(r), (std::vector<NodeId>{1, 5, 3, 1, 5}));
+  EXPECT_EQ(r.tasks[1].start, r.tasks[3].master_emission);
+  EXPECT_EQ(r.tasks[1].end, r.tasks[4].master_emission);
+  EXPECT_EQ(outstanding_seen(tree, workload, dests_of(r))[4],
+            (std::vector<std::size_t>{0, 1, 0, 1, 0, 0, 0}));
 }
 
 TEST(Online, PolicyChoicesCommuteWithSlaveRelabeling) {

@@ -34,14 +34,6 @@ TEST(Chain, AllowsZeroLatencyLinks) {
   EXPECT_NO_THROW(Chain({Processor{0, 1}}));
 }
 
-TEST(Chain, PathLatencyAccumulates) {
-  const Chain chain = Chain::from_vectors({2, 3, 4}, {1, 1, 1});
-  EXPECT_EQ(chain.path_latency(0), 2);
-  EXPECT_EQ(chain.path_latency(1), 5);
-  EXPECT_EQ(chain.path_latency(2), 9);
-  EXPECT_THROW((void)chain.path_latency(3), std::invalid_argument);
-}
-
 TEST(Chain, TInfinityMatchesPaperFormula) {
   // T∞ = c_1 + (n-1)·max(w_1, c_1) + w_1.
   const Chain compute_bound = Chain::from_vectors({2}, {5});
@@ -114,7 +106,6 @@ TEST(Tree, AddNodesAndNavigate) {
   EXPECT_EQ(tree.children(0).size(), 2u);
   EXPECT_EQ(tree.depth(b), 2u);
   EXPECT_EQ(tree.depth(c), 1u);
-  EXPECT_EQ(tree.path_latency(b), 6);
   const auto path = tree.path_from_root(b);
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(path[0], a);

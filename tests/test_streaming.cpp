@@ -16,12 +16,17 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mst/api/registry.hpp"
 #include "mst/api/stream.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
+#include "mst/obs/metrics.hpp"
+#include "mst/obs/observation.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/sim/online.hpp"
 #include "mst/sim/streaming.hpp"
@@ -47,6 +52,72 @@ TEST(Streaming, AdaptedPoliciesMatchSimulateOnlineBitForBit) {
         // The whole timeline, task for task — not just the makespan.
         EXPECT_EQ(online, stream.sim) << to_string(policy) << " on " << workload.describe();
       }
+    }
+  }
+}
+
+/// `n` tasks of sizes in [1, 3] (or all 1) whose release dates climb by up
+/// to 9 at random steps, so bursts, idle gaps and equal releases all occur.
+Workload random_stream(Rng& rng, std::size_t n, bool sized) {
+  std::vector<Time> sizes;
+  std::vector<Time> release(n);
+  Time t = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.chance(0.4)) t += rng.uniform(0, 9);
+    release[i] = t;
+    if (sized) sizes.push_back(rng.uniform(1, 3));
+  }
+  return Workload(n, std::move(sizes), std::move(release));
+}
+
+/// `run` is the event loop's timing of its own destinations.
+void expect_event_loop_agrees(const Tree& tree, const Workload& workload,
+                              const sim::SimResult& run, const std::string& what) {
+  std::vector<NodeId> dests;
+  for (const sim::SimTask& task : run.tasks) dests.push_back(task.dest);
+  EXPECT_EQ(run, sim::simulate_dispatch(tree, dests, workload)) << what;
+}
+
+TEST(Streaming, EngineDriverMatchesTheEventLoopOnRandomPlatforms) {
+  // The driver times streams on the forward ASAP engine; the event loop is
+  // its independent oracle.  Every policy on random trees of 1-9 slaves
+  // (times in [1, 9], every platform class), with sizes and releases, and
+  // `replan` on random chains and spiders: each run's whole timeline must
+  // equal the event loop's replay of its destinations.  An observed run
+  // replays inside the driver too, which must not throw.
+  Rng rng(20261019);
+  for (int trial = 0; trial < 150; ++trial) {
+    Rng inst = rng.split();
+    const GeneratorParams params{1, 9, all_platform_classes()[trial % 5]};
+    const Tree tree = random_tree(inst, static_cast<std::size_t>(rng.uniform(1, 9)), params);
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 40));
+    for (const bool sized : {false, true}) {
+      const Workload workload = random_stream(rng, n, sized);
+      for (sim::OnlinePolicy policy : sim::all_online_policies()) {
+        const std::string what = to_string(policy) + " on " + tree.describe() + " with " +
+                                 workload.describe();
+        const auto stream_policy = sim::make_stream_policy(tree, policy, 3);
+        const sim::SimResult run = sim::drive_stream(tree, workload, *stream_policy);
+        expect_event_loop_agrees(tree, workload, run, what);
+        obs::MetricsRegistry metrics;
+        const auto observed_policy = sim::make_stream_policy(tree, policy, 3);
+        EXPECT_EQ(sim::drive_stream(tree, workload, *observed_policy,
+                                    obs::Observation{&metrics, nullptr}),
+                  run)
+            << what;
+      }
+    }
+    const Workload released = random_stream(rng, n, /*sized=*/false);
+    const Chain chain = random_chain(inst, static_cast<std::size_t>(rng.uniform(1, 5)), params);
+    const Spider spider =
+        random_spider(inst, static_cast<std::size_t>(rng.uniform(1, 4)), 3, params);
+    for (const Platform& platform : {Platform(chain), Platform(spider)}) {
+      const Tree substrate = sim::stream_substrate(platform);
+      const auto replan = sim::make_replan_policy(platform);
+      const sim::SimResult run = sim::drive_stream(substrate, released, *replan);
+      expect_event_loop_agrees(substrate, released, run,
+                               "replan on " + substrate.describe() + " with " +
+                                   released.describe());
     }
   }
 }

@@ -1,17 +1,19 @@
 // Dynamic half of the zero-alloc contract for the simulator substrate: the
-// statically-checked mstlint zero-alloc region of platform_sim.cpp (the
-// event loop and its handlers) bans allocating constructs at the token
-// level; these tests pin the actual runtime behaviour with the shared
-// global-allocation probe.
+// statically-checked mstlint zero-alloc regions (the streaming driver's
+// per-task loop, and the event loop and its handlers of platform_sim.cpp)
+// ban allocating constructs at the token level; these tests pin the actual
+// runtime behaviour with the shared global-allocation probe.
 //
 // The streaming driver's whole-run allocation *count* is independent of the
-// task count: the event loop's per-task cost is zero, everything that does
-// allocate is per-run or per-node setup.
+// task count: its per-task cost is zero, everything that does allocate is
+// per-run or per-node setup.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "mst/api/registry.hpp"
 #include "mst/api/solve_scratch.hpp"
@@ -30,43 +32,70 @@
 namespace mst {
 namespace {
 
-/// Total allocations of one full streaming run (policy and workload are
-/// built outside the probed window; the run itself is driver + simulator +
-/// metrics).
-long stream_allocations(std::size_t n, obs::MetricsRegistry* metrics = nullptr) {
+/// The platform and policy of the streaming probes.
+struct StreamSetup {
+  Tree tree;
+  std::unique_ptr<sim::StreamPolicy> policy;
+};
+
+StreamSetup stream_setup() {
   Rng rng(99);
-  const Tree tree = random_tree(rng, 12, {1, 9, PlatformClass::kUniform});
-  const auto policy = sim::make_stream_policy(tree, sim::OnlinePolicy::kRoundRobin);
+  StreamSetup setup{random_tree(rng, 12, {1, 9, PlatformClass::kUniform}), nullptr};
+  setup.policy = sim::make_stream_policy(setup.tree, sim::OnlinePolicy::kRoundRobin);
+  return setup;
+}
+
+/// Total allocations of one full streaming run (policy and workload are
+/// built outside the probed window; the run itself is driver, metrics and,
+/// with a registry attached, the event loop's replay).
+long stream_allocations(std::size_t n, obs::MetricsRegistry* metrics = nullptr) {
+  const StreamSetup setup = stream_setup();
   const Workload workload = Workload::identical(n);
 
   alloc_probe::Scope probe;
-  const sim::StreamResult result =
-      sim::simulate_stream(tree, workload, *policy, obs::Observation{metrics, nullptr});
+  const sim::StreamResult result = sim::simulate_stream(setup.tree, workload, *setup.policy,
+                                                        obs::Observation{metrics, nullptr});
   EXPECT_EQ(result.sim.tasks.size(), n);
+  return probe.count();
+}
+
+/// Allocations of one unobserved `simulate_dispatch` of the destinations
+/// the streaming probe's run chooses for `n` tasks.
+long replay_allocations(std::size_t n) {
+  const StreamSetup setup = stream_setup();
+  const Workload workload = Workload::identical(n);
+  const sim::SimResult run = sim::drive_stream(setup.tree, workload, *setup.policy);
+  std::vector<NodeId> dests;
+  for (const sim::SimTask& task : run.tasks) dests.push_back(task.dest);
+
+  alloc_probe::Scope probe;
+  EXPECT_EQ(sim::simulate_dispatch(setup.tree, dests, workload), run);
   return probe.count();
 }
 
 TEST(StreamingZeroAlloc, RunAllocationCountIndependentOfTaskCount) {
   const long small = stream_allocations(256);
   const long large = stream_allocations(2048);
-  // Setup (result arrays, route cache, event heap, metrics vector) may
-  // allocate; the steady-state loop may not — so 8x the tasks must not add
-  // a single extra allocation.
+  // Setup (result arrays, engine state, in-flight heap, metrics vector) may
+  // allocate; the per-task loop may not — so 8x the tasks must not add a
+  // single extra allocation.
   EXPECT_GT(small, 0);
   EXPECT_EQ(small, large);
 }
 
 TEST(StreamingZeroAlloc, MetricsAttachedRunAllocatesNothingExtra) {
   // The observability contract end to end: with a metrics registry attached
-  // the driver registers into fixed slots and updates atomics, so the run's
-  // allocation count neither grows with the task count nor exceeds the
-  // uninstrumented run's.
+  // the run replays its destinations through the event loop, which
+  // registers into fixed slots and updates atomics.  So the run's
+  // allocation count does not grow with the task count, and is the
+  // unobserved run's plus one unobserved replay of the same destinations:
+  // the instrumentation itself allocates nothing.
   obs::MetricsRegistry registry;
   const long small = stream_allocations(256, &registry);
   const long large = stream_allocations(2048, &registry);
   EXPECT_GT(small, 0);
   EXPECT_EQ(small, large);
-  EXPECT_EQ(small, stream_allocations(256));
+  EXPECT_EQ(small, stream_allocations(256) + replay_allocations(256));
 
   const std::vector<obs::MetricSample> samples = registry.snapshot();
   EXPECT_FALSE(samples.empty());
