@@ -7,6 +7,7 @@
 #include "mst/common/assert.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
+#include "mst/workload/workload.hpp"
 
 namespace mst {
 
@@ -49,7 +50,7 @@ RobustnessResult evaluate_stale_plan(const Chain& believed, const Chain& actual,
   for (const ChainTask& t : plan.tasks) dests.push_back(t.proc);
 
   RobustnessResult result;
-  result.stale_plan = asap_chain_schedule(actual, dests).makespan();
+  result.stale_plan = asap_chain_schedule(actual, dests, Workload::identical(n)).makespan();
   result.replanned = ChainScheduler::makespan(actual, n);
   MST_ASSERT(result.stale_plan >= result.replanned);
   return result;
@@ -75,7 +76,7 @@ RobustnessResult evaluate_stale_plan(const Spider& believed, const Spider& actua
   }
 
   RobustnessResult result;
-  result.stale_plan = asap_spider_schedule(actual, dests).makespan();
+  result.stale_plan = asap_spider_schedule(actual, dests, Workload::identical(n)).makespan();
   result.replanned = SpiderScheduler::makespan(actual, n);
   MST_ASSERT(result.stale_plan >= result.replanned);
   return result;

@@ -73,10 +73,6 @@ SpiderSchedule asap_spider_replay(const Spider& spider, const Workload& workload
   return out;
 }
 
-ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::size_t>& dests) {
-  return asap_chain_schedule(chain, dests, Workload::identical(dests.size()));
-}
-
 ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::size_t>& dests,
                                   const Workload& workload) {
   MST_REQUIRE(workload.count() == dests.size(),
@@ -85,10 +81,6 @@ ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::siz
     MST_REQUIRE(dests[i] < chain.size(), "destination outside the chain");
     return dests[i] + 1;
   });
-}
-
-SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<SpiderDest>& dests) {
-  return asap_spider_schedule(spider, dests, Workload::identical(dests.size()));
 }
 
 SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<SpiderDest>& dests,

@@ -31,16 +31,14 @@
 namespace mst {
 
 /// ASAP schedule of the given chain destination sequence (`dest[i]` is the
-/// 0-based destination processor of the i-th emitted task).
-ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::size_t>& dests);
-
-/// Workload-aware form: task `i` has `workload.size_of(i)` /
-/// `workload.release_of(i)`; requires `workload.count() == dests.size()`.
+/// 0-based destination processor of the i-th emitted task): task `i` has
+/// `workload.size_of(i)` / `workload.release_of(i)`; requires
+/// `workload.count() == dests.size()` (`Workload::identical` for the
+/// paper's identical tasks).
 ChainSchedule asap_chain_schedule(const Chain& chain, const std::vector<std::size_t>& dests,
                                   const Workload& workload);
 
-/// ASAP schedule of the given spider destination sequence.
-SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<SpiderDest>& dests);
+/// ASAP schedule of the given spider destination sequence, as above.
 SpiderSchedule asap_spider_schedule(const Spider& spider, const std::vector<SpiderDest>& dests,
                                     const Workload& workload);
 

@@ -7,5 +7,8 @@ int flagged(int x) { return x; }
 int allowed(int x) { return flagged(x); }
 int used(int x) { return x; }
 int bench_only(int x) { return x; }
+int overloaded(int x) { return x; }
+int overloaded(int x, int y) { return x + y; }
+int defaulted(int x, int y) { return x + y; }
 
 }  // namespace mst

@@ -1,8 +1,10 @@
 #pragma once
 
-// Fixture: the tests-only-api pass.  Only `flagged` may fire: `allowed`
-// carries a justified allow, `used` has a caller in tools/, and
-// `bench_only` one in perfbench/ (read for references, never linted).
+// Fixture: the tests-only-api pass.  Only `flagged` and the two-argument
+// `overloaded` may fire: `allowed` carries a justified allow, `used` and
+// the one-argument `overloaded` have a caller in tools/, and `bench_only`
+// one in perfbench/ (read for references, never linted).  `defaulted` is
+// called with one argument, which its default admits.
 // Constructors, operators, virtual, defaulted and private members are not
 // judged, and `size` is used by an inline body of this header.
 
@@ -13,6 +15,9 @@ int flagged(int x);
 int allowed(int x);
 int used(int x);
 int bench_only(int x);
+int overloaded(int x);
+int overloaded(int x, int y);
+int defaulted(int x, int y = 0);
 
 class Widget {
  public:

@@ -5,5 +5,5 @@ int main() {
   const mst::Widget widget;
   widget.each([](int) {});
   const mst::Point point;
-  return mst::used(point.norm()) + widget.area();
+  return mst::used(point.norm()) + widget.area() + mst::overloaded(1) + mst::defaulted(1);
 }

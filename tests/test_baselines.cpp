@@ -24,7 +24,7 @@ Chain fig2_chain() { return Chain::from_vectors({2, 3}, {3, 5}); }
 
 TEST(Asap, ChainTimingByHand) {
   // Two tasks to proc 1, one to proc 0 on the Fig 2 chain.
-  const ChainSchedule s = asap_chain_schedule(fig2_chain(), {1, 1, 0});
+  const ChainSchedule s = asap_chain_schedule(fig2_chain(), {1, 1, 0}, Workload::identical(3));
   ASSERT_EQ(s.num_tasks(), 3u);
   // Task 0: emit 0 on link0, 2 on link1, arrive 5, run [5,10).
   EXPECT_EQ(s.tasks[0].emissions, (CommVector{0, 2}));
@@ -50,7 +50,7 @@ TEST(Asap, PeekMatchesCommit) {
 
 TEST(Asap, SpiderSerializesMasterPort) {
   const Spider spider{Chain::from_vectors({3}, {1}), Chain::from_vectors({2}, {1})};
-  const SpiderSchedule s = asap_spider_schedule(spider, {{0, 0}, {1, 0}});
+  const SpiderSchedule s = asap_spider_schedule(spider, {{0, 0}, {1, 0}}, Workload::identical(2));
   // First emission occupies the port [0,3); the second leg waits.
   EXPECT_EQ(s.tasks[0].emissions[0], 0);
   EXPECT_EQ(s.tasks[1].emissions[0], 3);
@@ -60,10 +60,10 @@ TEST(Asap, SpiderSerializesMasterPort) {
 TEST(Asap, RejectsBadDestinations) {
   TreeAsapState state(fig2_chain());
   EXPECT_THROW((void)oracle::peek_completion(state, 5 + 1), std::invalid_argument);
-  EXPECT_THROW(asap_spider_schedule(Spider{fig2_chain()}, {{3, 0}}), std::invalid_argument);
+  EXPECT_THROW(asap_spider_schedule(Spider{fig2_chain()}, {{3, 0}}, Workload::identical(1)), std::invalid_argument);
   // Leg 0 processor 2 would number as leg 1's head: still rejected.
   const Spider two_legs{fig2_chain(), Chain::from_vectors({4}, {2})};
-  EXPECT_THROW(asap_spider_schedule(two_legs, {{0, fig2_chain().size()}}), std::invalid_argument);
+  EXPECT_THROW(asap_spider_schedule(two_legs, {{0, fig2_chain().size()}}, Workload::identical(1)), std::invalid_argument);
 }
 
 TEST(BruteForce, TrivialInstances) {

@@ -194,17 +194,25 @@ TEST(LintTree, IncludeCycleFixtureTree) {
 }
 
 TEST(LintTree, TestsOnlyApiFixtureTree) {
-  // Of the header's public functions only `flagged` fires: its one caller
-  // outside its own header and source is under tests/.  The allowed name,
-  // the names with a caller in tools/ or perfbench/ (or in an inline body of
-  // the header), and constructors, operators, virtual, defaulted and private
+  // Of the header's public functions only `flagged` and the two-argument
+  // `overloaded` fire: their one caller outside their own header and source
+  // is under tests/.  The one-argument `overloaded` is called from tools/,
+  // which does not clear its sibling: functions are keyed by name and
+  // parameter count.  `defaulted` is called with fewer arguments than it
+  // has parameters, which its default admits.  The allowed name, the names
+  // with a caller in tools/ or perfbench/ (or in an inline body of the
+  // header), and constructors, operators, virtual, defaulted and private
   // members stay silent, and perfbench/ is never linted itself.
   const std::vector<Diagnostic> diags = mstlint::lint_tree(fixture_path("apitree"));
-  ASSERT_EQ(diags.size(), 1u);
+  ASSERT_EQ(diags.size(), 2u);
   EXPECT_EQ(diags[0].rule, "tests-only-api");
   EXPECT_EQ(diags[0].file, "src/mst/core/api.hpp");
-  EXPECT_EQ(diags[0].line, 11);
+  EXPECT_EQ(diags[0].line, 13);
   EXPECT_NE(diags[0].message.find("'flagged'"), std::string::npos);
+  EXPECT_EQ(diags[1].rule, "tests-only-api");
+  EXPECT_EQ(diags[1].file, "src/mst/core/api.hpp");
+  EXPECT_EQ(diags[1].line, 19);
+  EXPECT_NE(diags[1].message.find("'overloaded'"), std::string::npos);
 }
 
 TEST(LintSuppressions, JustifiedAllowSilences) {

@@ -444,9 +444,9 @@ void digest_baselines(Digest& d, const Chain& chain, const Spider& spider, Rng& 
                    rng.uniform(0, static_cast<std::int64_t>(spider.leg(leg).size()) - 1))};
     }
     const Workload workload = sized_released_workload(rng, n);
-    d.add_schedule(asap_chain_schedule(chain, chain_dests));
+    d.add_schedule(asap_chain_schedule(chain, chain_dests, Workload::identical(n)));
     d.add_schedule(asap_chain_schedule(chain, chain_dests, workload));
-    d.add_schedule(asap_spider_schedule(spider, spider_dests));
+    d.add_schedule(asap_spider_schedule(spider, spider_dests, Workload::identical(n)));
     d.add_schedule(asap_spider_schedule(spider, spider_dests, workload));
 
     // The engine numbers chain processor `q` as node `q + 1` and spider

@@ -77,7 +77,7 @@ TEST(PlatformSim, MatchesAsapOnChainsForRandomSequences) {
       dests[i] = static_cast<std::size_t>(rng.uniform(0, static_cast<Time>(p) - 1));
       nodes[i] = dests[i] + 1;  // tree node ids are 1-based along the chain
     }
-    const Time asap = asap_chain_schedule(chain, dests).makespan();
+    const Time asap = asap_chain_schedule(chain, dests, Workload::identical(n)).makespan();
     const sim::SimResult sim_result = sim::simulate_dispatch(tree_from_chain(chain), nodes);
     EXPECT_EQ(sim_result.makespan, asap) << chain.describe() << " trial " << trial;
     for (const Workload& workload : uneven_workloads(draws, n)) {
@@ -107,7 +107,7 @@ TEST(PlatformSim, MatchesAsapOnSpiders) {
       dests[i] = {l, q};
       nodes[i] = spider_node(spider, {l, q});
     }
-    const Time asap = asap_spider_schedule(spider, dests).makespan();
+    const Time asap = asap_spider_schedule(spider, dests, Workload::identical(n)).makespan();
     const sim::SimResult sim_result = sim::simulate_dispatch(tree, nodes);
     EXPECT_EQ(sim_result.makespan, asap) << spider.describe() << " trial " << trial;
     for (const Workload& workload : uneven_workloads(draws, n)) {

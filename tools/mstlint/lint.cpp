@@ -74,8 +74,10 @@ const std::vector<RuleInfo> kRules = {
      "only tests call serves nothing the library ships.  A name counts as "
      "used when it appears in src/, tools/, bench/, examples/ or perfbench/ "
      "outside its own header and same-stem .cpp, or inside an inline body "
-     "of its own header.  The match is by name, so a tests-only overload of "
-     "a name that production calls is invisible to the rule."},
+     "of its own header.  Functions are keyed by name and parameter count: "
+     "a call names the overloads its argument count fits (defaulted "
+     "parameters included), and a mention that is not a call, or whose "
+     "arguments the token walk cannot count, names every overload."},
     {"shared-mutable-state",
      "static-storage mutable state with no thread-safety story",
      "The sweep runner fans cells over a thread pool; a naked mutable "
@@ -797,9 +799,10 @@ void check_cycles(const std::vector<FileRecord>& records, std::vector<Diagnostic
 // A token walk over each library header's code view finds the functions it
 // declares where a caller can see them (namespace scope, or a `public`
 // section of a class every enclosing class also exposes), and the names its
-// inline bodies use.  A declared name is used when some non-test file other
-// than the header and its same-stem .cpp mentions it, or an inline body of
-// the header does.
+// inline bodies use.  A declared function is used when some non-test file
+// other than the header and its same-stem .cpp mentions its name with an
+// argument count it accepts (or with no countable call), or an inline body
+// of the header mentions its name.
 
 struct Token {
   std::string text;
@@ -835,10 +838,90 @@ bool is_identifier(const std::string& text) {
          is_ident_char(text[0]);
 }
 
-struct HeaderApi {
-  std::vector<Token> declared;  ///< function names, at the line of the name
-  std::set<std::string> used;   ///< identifiers inside the header's inline bodies
+/// Argument counts a declaration accepts, `min` (the parameters without a
+/// default) through `max` (`kAnyCount` for a variadic one).
+struct Arity {
+  int min = 0;
+  int max = 0;
 };
+
+/// A mention's argument count when it is not a countable call.
+constexpr int kAnyCount = -1;
+
+struct Declared {
+  Token name;  ///< at the line of the name
+  Arity arity;
+};
+
+struct HeaderApi {
+  std::vector<Declared> declared;  ///< public functions
+  std::set<std::string> used;      ///< identifiers inside the header's inline bodies
+};
+
+/// The argument count of the call whose `(` is `tokens[open]`: top-level
+/// commas plus one, 0 for `()`.  `kAnyCount` when `tokens[open]` is not a
+/// `(`, or when the arguments hold a `<` (a template argument list may
+/// hold commas, a comparison may not close one).
+int call_arguments(const std::vector<Token>& tokens, std::size_t open) {
+  if (open >= tokens.size() || tokens[open].text != "(") return kAnyCount;
+  int depth = 0;
+  int commas = 0;
+  for (std::size_t k = open; k < tokens.size(); ++k) {
+    const std::string& t = tokens[k].text;
+    if (t == "<") return kAnyCount;
+    if (t == "(" || t == "[" || t == "{") ++depth;
+    if (t == ")" || t == "]" || t == "}") {
+      if (--depth > 0) continue;
+      return k == open + 1 ? 0 : commas + 1;
+    }
+    if (t == "," && depth == 1) ++commas;
+  }
+  return kAnyCount;  // unbalanced
+}
+
+/// The argument counts a declaration accepts, from its parameter list
+/// `head[open]` = `(` through the matching `)`.
+Arity declared_arity(const std::vector<Token>& head, std::size_t open) {
+  Arity arity;
+  int depth = 0;
+  bool empty = true;
+  bool defaulted = false;  // the current parameter has a default
+  const auto close_parameter = [&] {
+    if (!defaulted) arity.min = arity.max + 1;
+    ++arity.max;
+    defaulted = false;
+  };
+  for (std::size_t k = open; k < head.size(); ++k) {
+    const std::string& t = head[k].text;
+    if (t == "(" || t == "[" || t == "{" || t == "<") {
+      ++depth;
+      continue;
+    }
+    if (t == ")" || t == "]" || t == "}" || t == ">") {
+      if (--depth > 0) continue;
+      if (!empty) close_parameter();
+      break;
+    }
+    if (depth != 1) continue;
+    if (t == ",") {
+      close_parameter();
+    } else if (t == "=") {
+      defaulted = true;
+    } else if (t == "." && k + 2 < head.size() && head[k + 1].text == "." &&
+               head[k + 2].text == ".") {
+      arity.max = kAnyCount;  // variadic: the rest is unbounded
+      return arity;
+    } else if (!(t == "void" && empty && k + 1 < head.size() && head[k + 1].text == ")")) {
+      empty = false;
+    }
+  }
+  return arity;
+}
+
+bool accepts(const Arity& arity, int arguments) {
+  return arguments == kAnyCount ||
+         (arguments >= arity.min && (arity.max == kAnyCount || arguments <= arity.max));
+}
 
 /// Index of the first token after a leading `template <...>` (0 if none).
 std::size_t after_template(const std::vector<Token>& head) {
@@ -912,7 +995,8 @@ HeaderApi scan_header_api(const std::vector<std::string>& code) {
     const Frame& top = stack.back();
     if (top.scope == Scope::kBody || !top.visible) return;
     if (const Token* name = declared_function(head, top.class_name)) {
-      out.declared.push_back(*name);
+      const auto open = static_cast<std::size_t>(name - head.data()) + 1;
+      out.declared.push_back({*name, declared_arity(head, open)});
     }
   };
   const auto has = [&](const char* word) {
@@ -978,9 +1062,13 @@ HeaderApi scan_header_api(const std::vector<std::string>& code) {
   return out;
 }
 
+/// Per identifier, the non-test files that mention it, each with the
+/// mention's argument count (`kAnyCount` for a mention that is not a
+/// countable call).
+using ReferenceIndex = std::map<std::string, std::set<std::pair<std::string, int>>>;
+
 void check_tests_only_api(const std::vector<FileRecord>& records,
-                          const std::map<std::string, std::set<std::string>>& references,
-                          std::vector<Diagnostic>& out) {
+                          const ReferenceIndex& references, std::vector<Diagnostic>& out) {
   for (const FileRecord& record : records) {
     const std::string& path = record.path;
     if (path.rfind("src/mst/", 0) != 0 || path.size() < 4 ||
@@ -990,13 +1078,14 @@ void check_tests_only_api(const std::vector<FileRecord>& records,
     HeaderApi api = scan_header_api(record.code);
     for (const Token& t : tokenize(record.macros)) api.used.insert(t.text);  // macro bodies
     const std::string source = path.substr(0, path.size() - 4) + ".cpp";  // same stem
-    for (const Token& name : api.declared) {
+    for (const auto& [name, arity] : api.declared) {
       if (api.used.count(name.text)) continue;
       const auto it = references.find(name.text);
       const bool used_elsewhere =
           it != references.end() &&
-          std::any_of(it->second.begin(), it->second.end(), [&](const std::string& file) {
-            return file != path && file != source;
+          std::any_of(it->second.begin(), it->second.end(), [&](const auto& mention) {
+            return mention.first != path && mention.first != source &&
+                   accepts(arity, mention.second);
           });
       if (used_elsewhere) continue;
       out.push_back({path, name.line, "tests-only-api",
@@ -1007,15 +1096,18 @@ void check_tests_only_api(const std::vector<FileRecord>& records,
   }
 }
 
-/// Which non-test files mention each identifier, from the scanned records
-/// plus the reference-only files under `perfbench/`.
-std::map<std::string, std::set<std::string>> reference_index(
-    const std::string& root, const std::vector<FileRecord>& records) {
+/// Which non-test files mention each identifier, and with how many
+/// arguments, from the scanned records plus the reference-only files under
+/// `perfbench/`.
+ReferenceIndex reference_index(const std::string& root, const std::vector<FileRecord>& records) {
   namespace fs = std::filesystem;
-  std::map<std::string, std::set<std::string>> index;
+  ReferenceIndex index;
   const auto add_file = [&](const std::string& path, const std::vector<std::string>& code) {
-    for (const Token& t : tokenize(code)) {
-      if (is_identifier(t.text)) index[t.text].insert(path);
+    const std::vector<Token> tokens = tokenize(code);
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      if (is_identifier(tokens[i].text)) {
+        index[tokens[i].text].emplace(path, call_arguments(tokens, i + 1));
+      }
     }
   };
   for (const FileRecord& record : records) {
