@@ -870,8 +870,8 @@ void register_tree_algorithms(Registry& r) {
           pooled.tree = tree;
           return make_result(n, improved.makespan, /*lower_bound=*/0, std::move(pooled));
         });
-  // The online policies run on the discrete-event simulator, which executes
-  // per-task sizes and release dates natively — the arrival-process axis of
+  // The online policies run on the streaming driver's forward ASAP engine,
+  // which times per-task sizes and release dates natively — the arrival-process axis of
   // the scenario engine lands here.  Their one implementation is the
   // no-lookahead stream policy (the `streaming` capability flag), which is
   // also what `mode=stream` sweep cells key on.  `online-random` is

@@ -19,9 +19,10 @@
 namespace mst::sim {
 
 /// Renders the replay of a dispatch plan on `tree`.  `run` must come from a
-/// simulation on the same tree (`simulate_dispatch`, `simulate_chooser`,
-/// `simulate_online`), so its destinations are in range.  `time_scale` compresses the axis: one cell covers `time_scale`
-/// time units (>= 1); cells covering any busy instant are marked.
+/// run on the same tree (`simulate_dispatch`, `drive_stream`,
+/// `simulate_online`), so its destinations are in range.  `time_scale`
+/// compresses the axis: one cell covers `time_scale` time units (>= 1);
+/// cells covering any busy instant are marked.
 std::string render_dispatch(const Tree& tree, const SimResult& run, Time time_scale = 1);
 
 }  // namespace mst::sim

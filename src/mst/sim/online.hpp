@@ -9,7 +9,7 @@
 
 /// \file online.hpp
 /// Online (no-lookahead) master policies — what deployed master-worker
-/// runtimes actually do, simulated on the store-and-forward substrate.
+/// runtimes actually do, run on the store-and-forward substrate.
 ///
 /// The paper's algorithm plans the whole schedule offline; production
 /// systems such as the SETI@home-style pools it motivates dispatch
@@ -54,15 +54,16 @@ const std::vector<OnlinePolicy>& all_online_policies();
 /// slaves — asserted by the permutation-invariance test in
 /// tests/test_online.cpp).  JSQ reads `DispatchContext::outstanding`, so a
 /// task that ends exactly at a dispatch instant still counts against its
-/// slave if its execution started after the previous first-hop send began,
-/// and no longer counts if it started before (`platform_sim.hpp`).
+/// slave if its execution started after the dispatch's trigger (the
+/// previous first-hop send, or the instant the master's port went idle),
+/// and no longer counts if it started at or before it (`streaming.hpp`).
 SimResult simulate_online(const Tree& tree, std::size_t n, OnlinePolicy policy,
                           std::uint64_t seed = 0);
 
 /// Workload form: tasks arrive at the master at their release dates (online
 /// arrivals), carry per-task sizes, and are dispatched in canonical
 /// workload order.  The ECT estimator stays exact — its incremental ASAP
-/// state mirrors the simulator's size-scaled, release-gated recurrences.
+/// state runs the driver's own size-scaled, release-gated recurrences.
 SimResult simulate_online(const Tree& tree, const Workload& workload, OnlinePolicy policy,
                           std::uint64_t seed = 0);
 

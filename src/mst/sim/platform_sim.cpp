@@ -194,9 +194,9 @@ class Simulation {
 
   /// The master's out-port freed (or the run just started): enqueue the
   /// next task for its destination — the master's queue holds fresh tasks
-  /// only, so dispatching is simply appending to its out-queue.  A task whose release date has not arrived
-  /// re-arms the dispatch at that date (the port sits idle; release dates
-  /// gate the master's emissions).
+  /// only, so dispatching is simply appending to its out-queue.  A task
+  /// whose release date has not arrived re-arms the dispatch at that date
+  /// (the port sits idle; release dates gate the master's emissions).
   void master_dispatch() {
     if (dispatched_ < n_) {
       const Time release = workload_.release_of(dispatched_);

@@ -24,6 +24,16 @@
 /// arrives through `observe`, and the driver only calls `observe` for tasks
 /// whose release date has passed.
 ///
+/// The driver times the run on the forward ASAP engine (`TreeAsapState`,
+/// `tree_asap.hpp`): each dispatch instant is `max(master port free,
+/// release)`, and every hop and execution of the chosen destination lands
+/// at its earliest feasible time — the simulator's timing exactly, since
+/// the master is the only source and every port forwards FIFO.  The
+/// discrete-event simulator (`platform_sim.hpp`) is kept as the replay
+/// oracle: the tests hold every policy's timeline equal to its replay, and
+/// an observed run replays its destinations through it for the Gantt trace
+/// and the event and queue metrics.
+///
 /// Policies:
 ///  * the four `OnlinePolicy` dispatchers (`make_stream_policy`) — their
 ///    only implementation: `simulate_online` runs these policies through
@@ -103,8 +113,7 @@ class StreamPolicy {
 
   /// Destination (a slave NodeId) for `task`, the oldest undispatched
   /// observed task.  `ctx` carries the clock and per-node in-flight counts
-  /// — present-state information only, same as `DispatchContext` in the
-  /// online simulator.
+  /// — present-state information only.
   virtual NodeId choose(std::size_t task, const DispatchContext& ctx) = 0;
 
   /// Adds the policy's deterministic work counts so far to `metrics`:
@@ -140,8 +149,12 @@ struct StreamResult {
 /// and returns the operational timeline.  Dispatch is FIFO in arrival order
 /// (tasks are interchangeable up to their observed size, and the master
 /// serves its backlog in order); the policy only picks destinations.
-/// `tree` must outlive the call.  `observation` (optional, defaulted off)
-/// makes the underlying simulation record its Gantt and queue metrics.
+/// `tree` must outlive the call.  Beyond the result the driver holds
+/// `O(|V|)` state plus one heap entry per task in flight, and its per-task
+/// loop allocates nothing while those entries fit the `|V|` it reserves.
+/// `observation` (optional, defaulted off) replays the chosen destinations
+/// through the event loop (`replay_dispatch`), which records its Gantt and
+/// queue metrics and must reproduce the engine's timeline.
 SimResult drive_stream(const Tree& tree, const Workload& workload, StreamPolicy& policy,
                        const obs::Observation& observation = {});
 

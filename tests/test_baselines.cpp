@@ -60,10 +60,13 @@ TEST(Asap, SpiderSerializesMasterPort) {
 TEST(Asap, RejectsBadDestinations) {
   TreeAsapState state(fig2_chain());
   EXPECT_THROW((void)oracle::peek_completion(state, 5 + 1), std::invalid_argument);
-  EXPECT_THROW(asap_spider_schedule(Spider{fig2_chain()}, {{3, 0}}, Workload::identical(1)), std::invalid_argument);
+  EXPECT_THROW(asap_spider_schedule(Spider{fig2_chain()}, {{3, 0}}, Workload::identical(1)),
+               std::invalid_argument);
   // Leg 0 processor 2 would number as leg 1's head: still rejected.
   const Spider two_legs{fig2_chain(), Chain::from_vectors({4}, {2})};
-  EXPECT_THROW(asap_spider_schedule(two_legs, {{0, fig2_chain().size()}}, Workload::identical(1)), std::invalid_argument);
+  EXPECT_THROW(
+      asap_spider_schedule(two_legs, {{0, fig2_chain().size()}}, Workload::identical(1)),
+      std::invalid_argument);
 }
 
 TEST(BruteForce, TrivialInstances) {
