@@ -306,21 +306,19 @@ StreamMetrics compute_metrics(const Workload& workload, const SimResult& sim,
 }
 
 /// A task the stream driver has dispatched and not yet counted finished.
-/// Ordered by `(end, start)`: a dispatch at `now` with trigger `trigger`
-/// counts finished every task ordered at or before `{now, trigger}`.
 struct InFlight {
   Time end;
   Time start;
   NodeId node;
-
-  bool operator<(const InFlight& other) const {
-    return end != other.end ? end < other.end : start < other.start;
-  }
 };
 
-/// Min-heap order for `std::push_heap`/`std::pop_heap`.
+/// Later `(end, start)` first: the heap order that keeps the earliest on
+/// top.  A dispatch at `now` with trigger `trigger` counts finished every
+/// task not later than `{now, trigger}`.
 struct Later {
-  bool operator()(const InFlight& a, const InFlight& b) const { return b < a; }
+  bool operator()(const InFlight& a, const InFlight& b) const {
+    return a.end != b.end ? a.end > b.end : a.start > b.start;
+  }
 };
 
 }  // namespace
@@ -329,9 +327,7 @@ SimResult drive_stream(const Tree& tree, const Workload& workload, StreamPolicy&
                        const obs::Observation& observation) {
   const std::size_t n = workload.count();
   TreeAsapState asap(tree);
-  std::size_t depth = 0;
-  for (NodeId v = 1; v < tree.size(); ++v) depth = std::max(depth, asap.depth(v));
-  std::vector<Time> emissions(depth);
+  std::vector<Time> emissions(tree.size());  // a task's hops, master first
   std::vector<std::size_t> outstanding(tree.size(), 0);
   // Tasks assigned and not yet counted finished, earliest `(end, start)`
   // on top: one entry per task in flight.
@@ -361,7 +357,7 @@ SimResult drive_stream(const Tree& tree, const Workload& workload, StreamPolicy&
                                    workload.release_of(revealed)});
       ++revealed;
     }
-    while (!in_flight.empty() && !(InFlight{now, trigger, 0} < in_flight.front())) {
+    while (!in_flight.empty() && !Later{}(in_flight.front(), InFlight{now, trigger, 0})) {
       std::pop_heap(in_flight.begin(), in_flight.end(), Later{});
       --outstanding[in_flight.back().node];
       in_flight.pop_back();
