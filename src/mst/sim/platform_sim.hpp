@@ -24,12 +24,12 @@
 /// fired in time order, ties in the order they were queued.  No wall clock
 /// and no threads: every run is exactly reproducible.
 ///
-/// Nothing is timed here first.  Stream runs are timed on the forward ASAP
-/// engine (`tree_asap.hpp`, driven by `drive_stream`), which places every
-/// emission, hop and execution at its earliest feasible time; this loop
-/// only replays fixed destination sequences — as the independent check the
-/// tests hold the engine to, and, with an observation attached, for the
-/// Gantt trace and the event and queue metrics only it records.
+/// Stream runs are timed on the forward ASAP engine (`tree_asap.hpp`,
+/// driven by `drive_stream`), which places every emission, hop and
+/// execution at its earliest feasible time.  This loop only replays fixed
+/// destination sequences: as the independent check the tests hold the
+/// engine to and, with an observation attached, for the Gantt trace and the
+/// event and queue metrics that only it records.
 
 namespace mst::sim {
 

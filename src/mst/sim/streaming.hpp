@@ -80,11 +80,11 @@ struct StreamArrival {
 /// first-hop send began, or, when the dispatch waited for a release date,
 /// the instant the master's port went idle.  A task whose execution ends
 /// exactly at `now` has finished if it started at or before the trigger,
-/// and is still outstanding if it started after it.  These are the event
+/// and is still outstanding if it started after it.  That is the event
 /// loop's firing order (`platform_sim.hpp`: ties in the order events were
 /// queued, an execution's end queued when it began, a dispatch at its
-/// trigger) wherever that order is fixed; where the execution began at the
-/// trigger itself the loop's order depends on how earlier events were
+/// trigger) wherever that order is fixed.  Where the execution began at the
+/// trigger itself, the loop's order depends on how earlier events were
 /// queued, and the rule counts the task finished.  Example (pinned by
 /// `Online.TaskEndingAtDispatchIsDoneIfItStartedAtThePreviousSend`): on the
 /// tree 1:(0,2,4) 2:(1,1,7) 3:(2,2,4) 4:(1,1,6) 5:(4,1,4) 6:(0,1,8)

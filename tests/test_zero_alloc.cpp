@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,29 +31,23 @@
 namespace mst {
 namespace {
 
-/// The platform and policy of the streaming probes.
-struct StreamSetup {
-  Tree tree;
-  std::unique_ptr<sim::StreamPolicy> policy;
-};
-
-StreamSetup stream_setup() {
+/// The platform of the streaming probes.
+Tree stream_tree() {
   Rng rng(99);
-  StreamSetup setup{random_tree(rng, 12, {1, 9, PlatformClass::kUniform}), nullptr};
-  setup.policy = sim::make_stream_policy(setup.tree, sim::OnlinePolicy::kRoundRobin);
-  return setup;
+  return random_tree(rng, 12, {1, 9, PlatformClass::kUniform});
 }
 
 /// Total allocations of one full streaming run (policy and workload are
 /// built outside the probed window; the run itself is driver, metrics and,
 /// with a registry attached, the event loop's replay).
 long stream_allocations(std::size_t n, obs::MetricsRegistry* metrics = nullptr) {
-  const StreamSetup setup = stream_setup();
+  const Tree tree = stream_tree();
+  const auto policy = sim::make_stream_policy(tree, sim::OnlinePolicy::kRoundRobin);
   const Workload workload = Workload::identical(n);
 
   alloc_probe::Scope probe;
-  const sim::StreamResult result = sim::simulate_stream(setup.tree, workload, *setup.policy,
-                                                        obs::Observation{metrics, nullptr});
+  const sim::StreamResult result =
+      sim::simulate_stream(tree, workload, *policy, obs::Observation{metrics, nullptr});
   EXPECT_EQ(result.sim.tasks.size(), n);
   return probe.count();
 }
@@ -62,14 +55,15 @@ long stream_allocations(std::size_t n, obs::MetricsRegistry* metrics = nullptr) 
 /// Allocations of one unobserved `simulate_dispatch` of the destinations
 /// the streaming probe's run chooses for `n` tasks.
 long replay_allocations(std::size_t n) {
-  const StreamSetup setup = stream_setup();
+  const Tree tree = stream_tree();
+  const auto policy = sim::make_stream_policy(tree, sim::OnlinePolicy::kRoundRobin);
   const Workload workload = Workload::identical(n);
-  const sim::SimResult run = sim::drive_stream(setup.tree, workload, *setup.policy);
+  const sim::SimResult run = sim::drive_stream(tree, workload, *policy);
   std::vector<NodeId> dests;
   for (const sim::SimTask& task : run.tasks) dests.push_back(task.dest);
 
   alloc_probe::Scope probe;
-  EXPECT_EQ(sim::simulate_dispatch(setup.tree, dests, workload), run);
+  EXPECT_EQ(sim::simulate_dispatch(tree, dests, workload), run);
   return probe.count();
 }
 
