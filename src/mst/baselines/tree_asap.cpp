@@ -112,21 +112,27 @@ void TreeAsapState::hop_emissions(NodeId dest, Time size, Time* out) const {
 }
 
 NodeId TreeAsapState::earliest_completion(Time size, Time release) {
+  const NodeId best = earliest_completion(size, release, ready_);
+  ect_nodes_ += nodes_.size() - 1;
+  return best;
+}
+
+NodeId TreeAsapState::earliest_completion(Time size, Time release, std::span<Time> ready) const {
   MST_REQUIRE(nodes_.size() >= 2, "platform has no slaves");
-  ready_[0] = release;
+  MST_ASSERT(ready.size() == nodes_.size());
+  ready[0] = release;
   NodeId best = 0;
   Time best_completion = 0;
   for (NodeId v = 1; v < nodes_.size(); ++v) {
     const Node& node = nodes_[v];
-    ready_[v] = advance(std::max(ready_[node.parent], times_[2 * node.parent]), size,
-                        node.proc.comm);
-    const Time completion = advance(std::max(ready_[v], times_[2 * v + 1]), size, node.proc.work);
+    ready[v] = advance(std::max(ready[node.parent], times_[2 * node.parent]), size,
+                       node.proc.comm);
+    const Time completion = advance(std::max(ready[v], times_[2 * v + 1]), size, node.proc.work);
     if (best == 0 || completion < best_completion) {
       best_completion = completion;
       best = v;
     }
   }
-  ect_nodes_ += nodes_.size() - 1;
   return best;
 }
 

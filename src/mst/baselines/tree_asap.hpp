@@ -102,6 +102,11 @@ class TreeAsapState {
   /// the ones `commit` would, so an overflowing one throws the same error.
   [[nodiscard]] NodeId earliest_completion(Time size = 1, Time release = 0);
 
+  /// The same choice on a read-only state: the arrivals go to `ready`,
+  /// `size()` times the caller owns, and `ect_nodes` is not counted.  The
+  /// stream driver hands its engine to a policy this way.
+  [[nodiscard]] NodeId earliest_completion(Time size, Time release, std::span<Time> ready) const;
+
   /// Slave nodes `earliest_completion` has visited since the last
   /// `assign`: the engine's share of `core.asap.ect_nodes`.
   [[nodiscard]] std::size_t ect_nodes() const { return ect_nodes_; }

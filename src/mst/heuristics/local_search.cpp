@@ -23,6 +23,30 @@ Time saturating_add(Time a, Time b) {
   return __builtin_add_overflow(a, b, &sum) ? std::numeric_limits<Time>::max() : sum;
 }
 
+/// `a·b` for `a, b >= 0`, or the largest time when that overflows.
+Time saturating_mul(Time a, Time b) {
+  Time product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? std::numeric_limits<Time>::max() : product;
+}
+
+/// A suffix's one-port bound as a function of the bound `t` of what follows
+/// it, `t -> max(floor, shift + t)`.  One position sending to `d` is
+/// `first(d) + max(rest(d), t)`; a run of positions composes into the same
+/// form, so the swap scan extends the run between its pair in O(1).
+struct PortBound {
+  Time floor = 0;  ///< bounds are >= 0, so {0, 0} is the identity
+  Time shift = 0;
+
+  [[nodiscard]] Time operator()(Time t) const { return std::max(floor, saturating_add(shift, t)); }
+
+  /// This run followed by one more position, which sends to a node with
+  /// these `first` and `rest`.
+  [[nodiscard]] PortBound then(Time first, Time rest) const {
+    return {std::max(floor, saturating_add(shift, saturating_add(first, rest))),
+            saturating_add(shift, first)};
+  }
+};
+
 /// One first-improvement descent over `result.dests` on `scratch.state`,
 /// which holds `tree`.
 class Descent {
@@ -50,28 +74,43 @@ class Descent {
     }
     scratch_.snapshots.resize((n_ / stride_ + 1) * width_);
     scratch_.prefix.resize(n_ + 1);
+    scratch_.port.resize(n_ + 1);
     scratch_.tail.resize(n_ + 1);
+    scratch_.later.resize(n_);
+    scratch_.total.resize(tree.size());
+    scratch_.after.resize(tree.size());
+    scratch_.between.resize(tree.size());
     state_.reset();
     state_.save(scratch_.snapshots.data());
     scratch_.prefix[0] = 0;
+    scratch_.port[0] = 0;
     rebuild(0);
   }
 
   // mstlint: zero-alloc
   void run(std::size_t max_passes) {
     const NodeId nodes = state_.size();
+    std::vector<std::size_t>& after = scratch_.after;
+    std::vector<std::size_t>& between = scratch_.between;
     bool improved = true;
     while (improved && result_.passes < max_passes) {
       improved = false;
       ++result_.passes;
 
-      // Move 1: reassign one task to another node.
+      // Move 1: reassign one task to another node.  A reassign keeps every
+      // later position, so `after` needs no update when one is accepted.
+      after = scratch_.total;
       for (std::size_t i = 0; i < n_; ++i) {
+        // Prefix `i` already completes a task at the makespan: no candidate
+        // from here on can beat it.
+        if (scratch_.prefix[i] >= result_.makespan) break;
         const NodeId original = dests_[i];
+        --after[original];  // now counts positions after `i`
         for (NodeId v = 1; v < nodes; ++v) {
           if (v == original) continue;
           dests_[i] = v;
-          if (accept_if_better(i, i)) {
+          const Time bound = lift(v, scratch_.tail[i + 1]);
+          if (accept_if_better(i, i, bound, after[v], 0)) {
             improved = true;
             break;  // keep v, rescan neighborhood next pass
           }
@@ -79,40 +118,74 @@ class Descent {
         }
       }
 
-      // Move 2: swap the destinations of two emission positions.
+      // Move 2: swap the destinations of two emission positions.  The
+      // candidate of `(i, j)` sends position `i` to `b` and `j` to `a`.
+      after = scratch_.total;
       for (std::size_t i = 0; i < n_; ++i) {
+        if (scratch_.prefix[i] >= result_.makespan) break;
+        --after[dests_[i]];
+        std::fill(between.begin(), between.end(), 0);
+        PortBound inner;  // the incumbent's positions strictly between `i` and `j`
         for (std::size_t j = i + 1; j < n_; ++j) {
-          if (dests_[i] == dests_[j]) continue;
-          std::swap(dests_[i], dests_[j]);
-          if (accept_if_better(i, j)) {
-            improved = true;
-          } else {
+          const NodeId a = dests_[i];
+          const NodeId b = dests_[j];
+          if (a != b) {
             std::swap(dests_[i], dests_[j]);
+            const Time bound = lift(b, inner(lift(a, scratch_.tail[j + 1])));
+            if (accept_if_better(i, j, bound, after[b] - 1, after[a] - between[a])) {
+              improved = true;
+              --after[b];
+              ++after[a];
+            } else {
+              std::swap(dests_[i], dests_[j]);
+            }
           }
+          ++between[dests_[j]];
+          inner = inner.then(scratch_.first[dests_[j]], scratch_.rest[dests_[j]]);
         }
       }
     }
   }
 
  private:
+  /// One-port bound of a position sending to `dest`, followed by a suffix
+  /// of bound `t`.
+  [[nodiscard]] Time lift(NodeId dest, Time t) const {
+    return saturating_add(scratch_.first[dest], std::max(scratch_.rest[dest], t));
+  }
+
   /// Replays the candidate now in `dests_`, which differs from the incumbent
   /// at positions `i..last` only, from the snapshot at or before `i`.
   /// Accepts it (returns true) iff its makespan beats the incumbent's.
-  bool accept_if_better(std::size_t i, std::size_t last) {
+  /// `bound` is the one-port bound of its positions `i..n-1`; `first_later`
+  /// and `last_later` count the positions after `i` and after `last` that
+  /// send to the node `i` and `last` send to.
+  bool accept_if_better(std::size_t i, std::size_t last, Time bound, std::size_t first_later,
+                        std::size_t last_later) {
     const Time incumbent = result_.makespan;
-    if (scratch_.prefix[i] >= incumbent) return false;
+    if (saturating_add(scratch_.port[i], bound) >= incumbent) return false;
     seek(i);
-    Time partial = scratch_.prefix[i];
     for (std::size_t k = i; k < n_; ++k) {
-      partial = std::max(partial, commit(dests_[k]));
-      if (partial >= incumbent) return false;
-      if (k >= last &&
-          saturating_add(state_.master_port_free(), scratch_.tail[k + 1]) >= incumbent) {
+      const NodeId dest = dests_[k];
+      const Time end = commit(dest);
+      // Tasks the candidate sends to `dest` after position `k`: the
+      // incumbent's count, but for a swap `(i, last)` position `last` now
+      // sends to `dests_[last]` instead of `dests_[i]`.
+      std::size_t later = scratch_.later[k];
+      if (k == i) {
+        later = first_later;
+      } else if (k == last) {
+        later = last_later;
+      } else if (k < last) {
+        later = later + (dest == dests_[last]) - (dest == dests_[i]);
+      }
+      if (saturating_add(end, saturating_mul(static_cast<Time>(later),
+                                             state_.proc(dest).work)) >= incumbent) {
         return false;
       }
     }
     ++result_.moves;
-    rebuild(i);  // sets the incumbent makespan to `partial`
+    rebuild(i);
     return true;
   }
 
@@ -123,8 +196,9 @@ class Descent {
     for (std::size_t k = kept * stride_; k < i; ++k) commit(dests_[k]);
   }
 
-  /// Recomputes the snapshots, prefix makespans and tail bounds of the
-  /// incumbent, which changed at positions `i` and later.
+  /// Recomputes the incumbent's makespan, the snapshots, prefix makespans
+  /// and port times from position `i` on (the incumbent changed there), and
+  /// its tail bounds and destination counts.
   void rebuild(std::size_t i) {
     const std::size_t from = i / stride_ * stride_;
     seek(from);
@@ -132,14 +206,16 @@ class Descent {
     for (std::size_t k = from; k < n_; ++k) {
       partial = std::max(partial, commit(dests_[k]));
       scratch_.prefix[k + 1] = partial;
+      scratch_.port[k + 1] = state_.master_port_free();
       if ((k + 1) % stride_ == 0) state_.save(&scratch_.snapshots[(k + 1) / stride_ * width_]);
     }
     result_.makespan = partial;
     scratch_.tail[n_] = 0;
+    std::fill(scratch_.total.begin(), scratch_.total.end(), 0);
     for (std::size_t k = n_; k-- > 0;) {
       const NodeId dest = dests_[k];
-      scratch_.tail[k] = saturating_add(scratch_.first[dest],
-                                        std::max(scratch_.rest[dest], scratch_.tail[k + 1]));
+      scratch_.tail[k] = lift(dest, scratch_.tail[k + 1]);
+      scratch_.later[k] = scratch_.total[dest]++;
     }
   }
 

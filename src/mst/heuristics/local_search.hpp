@@ -30,27 +30,45 @@
 /// `(n+1)·2|V|` times pass 32 MiB, only every `s`-th prefix is kept, and a
 /// candidate first replays the incumbent from the nearest one kept.)
 ///
-/// **Early rejection.**  A candidate is dropped as soon as it provably
-/// cannot beat the incumbent makespan `M`:
-///   * its partial makespan (a completion already placed) reaches `M`;
-///   * past its last changed position `k0` (`i` for a reassign, `j` for a
-///     swap `(i, j)`) the rest of the sequence is the incumbent's.  The
-///     master has one out-port, so those remaining emissions leave it one
-///     after another, none before its current free time `P`.  With
-///     `first(v)` the first-hop latency of node `v` and `rest(v)` the rest
-///     of its path latency plus `w_v`, the suffix from position `k` needs
-///     at least `tail[k] = first(d_k) + max(rest(d_k), tail[k+1])` after
-///     `P` (`tail[n] = 0`): task `k` completes no earlier than
-///     `first + rest` after its emission, and every later task is emitted
-///     after task `k`'s first hop.  So `P + tail[k+1]` bounds the
-///     candidate's makespan from below once position `k >= k0` is placed,
-///     and the candidate is dropped when that bound reaches `M`; a bound
-///     past the largest time drops it too.
-/// Both tests reject only candidates whose full makespan is `>= M`, which
-/// the full replay rejects as well, and an accepted candidate is replayed to
-/// its end.  So every accepted move, the returned sequence, `makespan`,
-/// `moves` and `passes` are exactly those of replaying every candidate from
-/// scratch; only `commits` differs.
+/// **Early rejection.**  Let `M` be the incumbent makespan.  A candidate
+/// is dropped as soon as a lower bound on its makespan reaches `M`, most of
+/// them before any commit:
+///   * *One-port bound, before the replay.*  With `first(v)` the first-hop
+///     latency of node `v` and `rest(v)` the rest of its path latency plus
+///     `w_v`, a suffix of destinations from position `k` needs at least
+///     `tail[k] = first(d_k) + max(rest(d_k), tail[k+1])` (`tail[n] = 0`)
+///     after the master's out-port frees: task `k` leaves no earlier and
+///     completes `first + rest` after it leaves, and the master has one
+///     out-port, so every later task leaves after task `k`'s first hop.
+///     The descent keeps `port[k]`, when the out-port frees after prefix `k`
+///     of the incumbent, and the incumbent's `tail`.  The candidate shares
+///     prefix `i` and every position after `last`, so folding
+///     `f_d(t) = first(d) + max(rest(d), t)` over its positions
+///     `last, ..., i` from `tail[last + 1]` gives its suffix bound `b`, and
+///     its makespan is at least `port[i] + b`.  A run of positions folds
+///     into `t -> max(floor, shift + t)`, so the swap scan extends the run
+///     between its pair in O(1) per candidate.  Checking it again during
+///     the replay would add nothing: the master emits back to back, so
+///     after position `k` its out-port frees at exactly `port[i]` plus the
+///     first hops of positions `i..k`, which the fold already counts.
+///   * *Per-processor bound, during the replay.*  Once position `k` is
+///     committed to `d` with completion `end`, each of the `r` later tasks
+///     the candidate sends to `d` runs on `d` after it, so the makespan is
+///     at least `end + r·w_d`.  `r` is the incumbent's count after `k` (kept
+///     per position), except at the changed positions: the scan keeps, per
+///     node, how many positions after `i` and (for a swap `(i, j)`) how many
+///     strictly between `i` and `j` send to it, and a swap moves one task
+///     from `dests[j]`'s count to `dests[i]`'s for every `k < j`.  With
+///     `r = 0` this is the partial makespan itself.
+/// And a sweep stops at the first `i` whose incumbent prefix already
+/// completes a task at `M`: every candidate from there on keeps that prefix.
+/// A bound past the largest time saturates and rejects.  Every test rejects
+/// only candidates whose full makespan is `>= M`, which the full replay
+/// rejects as well, and an accepted candidate is replayed to its end.  So
+/// every accepted move, the returned sequence, `makespan`, `moves` and
+/// `passes` are exactly those of replaying every candidate from scratch;
+/// only `commits` differs.  The bookkeeping is `O(n + |V|)` values beside
+/// the snapshots.
 ///
 /// **Overflow.**  Every ASAP time is checked, and a commit the descent does
 /// make throws `std::invalid_argument` when a time passes the largest
@@ -75,9 +93,15 @@ struct LocalSearchScratch {
   TreeAsapState state;          ///< the engine, shared by the greedy start and the descent
   std::vector<Time> snapshots;  ///< `state.save` after prefixes of the incumbent
   std::vector<Time> prefix;     ///< makespan of each prefix of the incumbent
+  std::vector<Time> port;       ///< master out-port free time after each prefix of the incumbent
   std::vector<Time> tail;       ///< one-port lower bound of each suffix of the incumbent
   std::vector<Time> first;      ///< per node: first-hop latency
   std::vector<Time> rest;       ///< per node: rest of the path latency plus work
+  /// Per position of the incumbent: later positions with its destination.
+  std::vector<std::size_t> later;
+  std::vector<std::size_t> total;    ///< per node: positions of the incumbent sending to it
+  std::vector<std::size_t> after;    ///< per node: positions after the scan's `i` sending to it
+  std::vector<std::size_t> between;  ///< per node: positions strictly between a swapped pair
 };
 
 /// Improves `initial` (destinations must be slave nodes).  Never returns a

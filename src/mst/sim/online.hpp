@@ -62,8 +62,8 @@ SimResult simulate_online(const Tree& tree, std::size_t n, OnlinePolicy policy,
 
 /// Workload form: tasks arrive at the master at their release dates (online
 /// arrivals), carry per-task sizes, and are dispatched in canonical
-/// workload order.  The ECT estimator stays exact — its incremental ASAP
-/// state runs the driver's own size-scaled, release-gated recurrences.
+/// workload order.  The ECT estimator stays exact — it reads the driver's
+/// own engine, which runs the size-scaled, release-gated recurrences.
 SimResult simulate_online(const Tree& tree, const Workload& workload, OnlinePolicy policy,
                           std::uint64_t seed = 0);
 

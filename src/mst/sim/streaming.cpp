@@ -87,30 +87,27 @@ class JsqStream final : public StreamPolicy {
   std::vector<Time> path_latency_;  ///< sum of link latencies root -> node
 };
 
-/// Earliest estimated completion: the exact forward ASAP estimator (FIFO
+/// Earliest estimated completion, read off the driver's own engine (FIFO
 /// out-ports and a single source make its predictions match the simulator
-/// exactly, see tree_asap.hpp; the size/release arguments keep that true
-/// for workloads).
+/// exactly, see tree_asap.hpp; the dispatched task's size and release keep
+/// that true for workloads).
 class EctStream final : public StreamPolicy {
  public:
-  explicit EctStream(const Tree& tree) : asap_(tree) { require_slaves(tree); }
-  void observe(const StreamArrival& arrival) override {
-    MST_ASSERT(arrival.task == arrivals_.size());
-    arrivals_.push_back(arrival);
-  }
-  NodeId choose(std::size_t task, const DispatchContext&) override {
-    const StreamArrival& arrival = arrivals_[task];
-    const NodeId best = asap_.earliest_completion(arrival.size, arrival.release);
-    asap_.commit(best, arrival.size, arrival.release);
+  explicit EctStream(const Tree& tree) : ready_(tree.size()) { require_slaves(tree); }
+  void observe(const StreamArrival&) override {}
+  NodeId choose(std::size_t, const DispatchContext& ctx) override {
+    const NodeId best =
+        ctx.engine.earliest_completion(ctx.arrival.size, ctx.arrival.release, ready_);
+    ect_nodes_ += ready_.size() - 1;
     return best;
   }
   void count_work(obs::MetricsRegistry& metrics) const override {
-    metrics.counter("core.asap.ect_nodes").add(static_cast<Time>(asap_.ect_nodes()));
+    metrics.counter("core.asap.ect_nodes").add(static_cast<Time>(ect_nodes_));
   }
 
  private:
-  TreeAsapState asap_;
-  std::vector<StreamArrival> arrivals_;
+  std::vector<Time> ready_;  ///< the engine's arrival time per node
+  std::size_t ect_nodes_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -362,7 +359,8 @@ SimResult drive_stream(const Tree& tree, const Workload& workload, StreamPolicy&
       --outstanding[in_flight.back().node];
       in_flight.pop_back();
     }
-    const NodeId dest = policy.choose(i, DispatchContext{now, outstanding});
+    const NodeId dest =
+        policy.choose(i, DispatchContext{now, outstanding, asap, StreamArrival{i, size, release}});
     SimTask& task = run.tasks[i];
     task.end = asap.commit(dest, size, release);
     asap.hop_emissions(dest, size, emissions.data());

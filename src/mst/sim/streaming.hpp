@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "mst/baselines/tree_asap.hpp"
 #include "mst/platform/any.hpp"
 #include "mst/platform/tree.hpp"
 #include "mst/sim/online.hpp"
@@ -21,8 +22,8 @@
 /// dates pass on the simulated clock, and never learns the total task count
 /// or any future release date.  The driver — not policy discipline — enforces that: the
 /// policy has no reference to the `Workload`; every fact it ever receives
-/// arrives through `observe`, and the driver only calls `observe` for tasks
-/// whose release date has passed.
+/// arrives through `observe` or the present-state `DispatchContext`, and the
+/// driver only reveals tasks whose release date has passed.
 ///
 /// The driver times the run on the forward ASAP engine (`TreeAsapState`,
 /// `tree_asap.hpp`): each dispatch instant is `max(master port free,
@@ -73,8 +74,10 @@ struct StreamArrival {
 };
 
 /// What a dispatcher may observe when choosing a destination: the virtual
-/// clock and, per node, the number of tasks assigned to it that have not
-/// finished executing yet (in flight, buffered or running).
+/// clock; per node, the number of tasks assigned to it that have not
+/// finished executing yet (in flight, buffered or running); the driver's
+/// engine, read-only, which holds every dispatch so far; and the task being
+/// dispatched as it was observed, so a policy need not keep its arrivals.
 ///
 /// A dispatch at `now` has a trigger: the instant the previous task's
 /// first-hop send began, or, when the dispatch waited for a release date,
@@ -97,6 +100,8 @@ struct StreamArrival {
 struct DispatchContext {
   Time now = 0;
   const std::vector<std::size_t>& outstanding;
+  const TreeAsapState& engine;
+  StreamArrival arrival;
 };
 
 /// A no-lookahead dispatcher.  The driver calls `observe` once per task, in

@@ -40,9 +40,10 @@ Tree stream_tree() {
 /// Total allocations of one full streaming run (policy and workload are
 /// built outside the probed window; the run itself is driver, metrics and,
 /// with a registry attached, the event loop's replay).
-long stream_allocations(std::size_t n, obs::MetricsRegistry* metrics = nullptr) {
+long stream_allocations(std::size_t n, obs::MetricsRegistry* metrics = nullptr,
+                        sim::OnlinePolicy online = sim::OnlinePolicy::kRoundRobin) {
   const Tree tree = stream_tree();
-  const auto policy = sim::make_stream_policy(tree, sim::OnlinePolicy::kRoundRobin);
+  const auto policy = sim::make_stream_policy(tree, online);
   const Workload workload = Workload::identical(n);
 
   alloc_probe::Scope probe;
@@ -68,13 +69,17 @@ long replay_allocations(std::size_t n) {
 }
 
 TEST(StreamingZeroAlloc, RunAllocationCountIndependentOfTaskCount) {
-  const long small = stream_allocations(256);
-  const long large = stream_allocations(2048);
   // Setup (result arrays, engine state, in-flight heap, metrics vector) may
   // allocate; the per-task loop may not — so 8x the tasks must not add a
-  // single extra allocation.
-  EXPECT_GT(small, 0);
-  EXPECT_EQ(small, large);
+  // single extra allocation.  The earliest-completion policy chooses on the
+  // driver's engine and keeps no arrivals, so it holds for it too.
+  for (const sim::OnlinePolicy online :
+       {sim::OnlinePolicy::kRoundRobin, sim::OnlinePolicy::kEarliestCompletion}) {
+    const long small = stream_allocations(256, nullptr, online);
+    const long large = stream_allocations(2048, nullptr, online);
+    EXPECT_GT(small, 0) << sim::to_string(online);
+    EXPECT_EQ(small, large) << sim::to_string(online);
+  }
 }
 
 TEST(StreamingZeroAlloc, MetricsAttachedRunAllocatesNothingExtra) {
