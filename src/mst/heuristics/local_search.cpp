@@ -119,11 +119,12 @@ class Descent {
       }
 
       // Move 2: swap the destinations of two emission positions.  The
-      // candidate of `(i, j)` sends position `i` to `b` and `j` to `a`.
-      after = scratch_.total;
+      // candidate of `(i, j)` sends position `i` to `b` and `j` to `a`: after
+      // `i` it sends `between[b] + later[j]` tasks to `b`, and after `j`
+      // `later[i] - between[a]` to `a`.
+      const std::vector<std::size_t>& later = scratch_.later;
       for (std::size_t i = 0; i < n_; ++i) {
         if (scratch_.prefix[i] >= result_.makespan) break;
-        --after[dests_[i]];
         std::fill(between.begin(), between.end(), 0);
         PortBound inner;  // the incumbent's positions strictly between `i` and `j`
         for (std::size_t j = i + 1; j < n_; ++j) {
@@ -132,10 +133,8 @@ class Descent {
           if (a != b) {
             std::swap(dests_[i], dests_[j]);
             const Time bound = lift(b, inner(lift(a, scratch_.tail[j + 1])));
-            if (accept_if_better(i, j, bound, after[b] - 1, after[a] - between[a])) {
+            if (accept_if_better(i, j, bound, between[b] + later[j], later[i] - between[a])) {
               improved = true;
-              --after[b];
-              ++after[a];
             } else {
               std::swap(dests_[i], dests_[j]);
             }
@@ -163,7 +162,10 @@ class Descent {
   bool accept_if_better(std::size_t i, std::size_t last, Time bound, std::size_t first_later,
                         std::size_t last_later) {
     const Time incumbent = result_.makespan;
-    if (saturating_add(scratch_.port[i], bound) >= incumbent) return false;
+    // The candidate keeps prefix `i`, so its makespan is at least both.
+    if (scratch_.prefix[i] >= incumbent || saturating_add(scratch_.port[i], bound) >= incumbent) {
+      return false;
+    }
     seek(i);
     for (std::size_t k = i; k < n_; ++k) {
       const NodeId dest = dests_[k];

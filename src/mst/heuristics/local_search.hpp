@@ -55,20 +55,26 @@
 ///     committed to `d` with completion `end`, each of the `r` later tasks
 ///     the candidate sends to `d` runs on `d` after it, so the makespan is
 ///     at least `end + r·w_d`.  `r` is the incumbent's count after `k` (kept
-///     per position), except at the changed positions: the scan keeps, per
-///     node, how many positions after `i` and (for a swap `(i, j)`) how many
-///     strictly between `i` and `j` send to it, and a swap moves one task
-///     from `dests[j]`'s count to `dests[i]`'s for every `k < j`.  With
-///     `r = 0` this is the partial makespan itself.
-/// And a sweep stops at the first `i` whose incumbent prefix already
-/// completes a task at `M`: every candidate from there on keeps that prefix.
-/// A bound past the largest time saturates and rejects.  Every test rejects
-/// only candidates whose full makespan is `>= M`, which the full replay
-/// rejects as well, and an accepted candidate is replayed to its end.  So
-/// every accepted move, the returned sequence, `makespan`, `moves` and
-/// `passes` are exactly those of replaying every candidate from scratch;
-/// only `commits` differs.  The bookkeeping is `O(n + |V|)` values beside
-/// the snapshots.
+///     per position as `later[k]`), except at the changed positions.  The
+///     reassign scan keeps, per node, how many positions after `i` send to
+///     it.  The swap scan keeps, per node, how many positions strictly
+///     between `i` and `j` send to it (`between`); the candidate of
+///     `(i, j)`, with incumbent destinations `a` at `i` and `b` at `j`,
+///     sends `between[b] + later[j]` later tasks to `b` from `i` and
+///     `later[i] - between[a]` to `a` from `j`, and for `i < k < j` it moves
+///     one task from `b`'s count to `a`'s.
+/// The candidate also keeps the incumbent's prefix `i`, so its makespan is
+/// at least that prefix's makespan `prefix[i]` too: it is rejected before
+/// any commit when `prefix[i] >= M`, and a sweep stops at the first such
+/// `i`, since every candidate from there on keeps that prefix.  With the
+/// prefix below `M` and `r = 0`, the per-processor test is the candidate's
+/// partial makespan.  A bound past the largest time saturates and rejects.
+/// Every test rejects only candidates whose full makespan is `>= M`, which
+/// the full replay rejects as well, and an accepted candidate is replayed to
+/// its end.  So every accepted move, the returned sequence, `makespan`,
+/// `moves` and `passes` are exactly those of replaying every candidate from
+/// scratch; only `commits` differs.  The bookkeeping is `O(n + |V|)` values
+/// beside the snapshots.
 ///
 /// **Overflow.**  Every ASAP time is checked, and a commit the descent does
 /// make throws `std::invalid_argument` when a time passes the largest
@@ -100,8 +106,8 @@ struct LocalSearchScratch {
   /// Per position of the incumbent: later positions with its destination.
   std::vector<std::size_t> later;
   std::vector<std::size_t> total;    ///< per node: positions of the incumbent sending to it
-  std::vector<std::size_t> after;    ///< per node: positions after the scan's `i` sending to it
-  std::vector<std::size_t> between;  ///< per node: positions strictly between a swapped pair
+  std::vector<std::size_t> after;    ///< per node: positions after the reassign's `i` sending to it
+  std::vector<std::size_t> between;  ///< per node: positions strictly between the swapped pair
 };
 
 /// Improves `initial` (destinations must be slave nodes).  Never returns a

@@ -189,6 +189,40 @@ TEST(LocalSearch, MatchesTheFullReplayDescentOnLargeTrees) {
   EXPECT_GE(moved, 30u);  // the comparison must exercise accepted moves
 }
 
+TEST(LocalSearch, MatchesTheFullReplayDescentWhenASwapLowersTheMakespanToItsPrefix) {
+  // A swap row keeps scanning after it accepts a move.  Here an accepted
+  // swap `(i, j)` brings the makespan down to the makespan of prefix `i`,
+  // and a later swap of the same row keeps every suffix task below it: the
+  // candidate must still be rejected, since it keeps that prefix.  Both
+  // instances were found by comparing the two descents on random trees.
+  struct Case {
+    std::vector<Processor> nodes;  // node v + 1's parent, then its c and w
+    std::vector<NodeId> parents;
+    std::vector<NodeId> start;
+  };
+  const Case cases[] = {
+      {{{1, 1}, {3, 3}, {2, 3}, {3, 3}, {3, 3}, {1, 2}, {3, 3}, {4, 4}},
+       {0, 1, 2, 3, 4, 5, 6, 7},
+       {2, 5, 6, 8, 1, 1, 6, 6, 2, 5}},
+      {{{8, 3}, {8, 3}, {9, 5}, {12, 2}, {9, 3}, {7, 2}, {11, 6}},
+       {0, 1, 2, 3, 4, 5, 6},
+       {4, 7, 6, 1, 3, 4, 2, 3, 5}},
+  };
+  for (const Case& c : cases) {
+    Tree tree;
+    for (std::size_t v = 0; v < c.nodes.size(); ++v) tree.add_node(c.parents[v], c.nodes[v]);
+    for (const std::size_t max_passes : {1u, 2u, 16u}) {
+      const LocalSearchResult expected = oracle::full_replay_local_search(tree, c.start, max_passes);
+      const LocalSearchResult got = improve_tree_dispatch(tree, c.start, max_passes);
+      const std::string context = tree.describe() + " passes=" + std::to_string(max_passes);
+      EXPECT_EQ(got.dests, expected.dests) << context;
+      EXPECT_EQ(got.makespan, expected.makespan) << context;
+      EXPECT_EQ(got.moves, expected.moves) << context;
+      EXPECT_EQ(got.passes, expected.passes) << context;
+    }
+  }
+}
+
 TEST(LocalSearch, CommitsFallBelowTheFullReplay) {
   // The work count the gain shows in: on a 64-slave tree the descent makes
   // strictly fewer engine commits than the full replay, for the same result.
