@@ -62,15 +62,19 @@ std::vector<Row> run_all() {
   {
     // The horizon re-planner on periodic arrivals, one fresh policy per run.
     // The chain keeps up, so every replan reads its held one-task plan; the
-    // spider falls behind, and its growing backlog re-solves at nearly every
-    // batch.  The two rows bracket the policy's cost.
+    // spider and the fork (whose links take 4 or more per task) fall behind,
+    // and their growing backlogs re-solve at nearly every batch, each on leg
+    // profiles the policy keeps for the run.  The rows bracket the policy's
+    // cost.
     mst::Rng rng(0x4E9);
     const mst::GeneratorParams params{1, 10, mst::PlatformClass::kUniform};
+    const mst::GeneratorParams slow{4, 10, mst::PlatformClass::kUniform};
     const mst::Platform platforms[] = {mst::random_chain(rng, 12, params),
-                                       mst::random_spider(rng, 6, 3, params)};
-    const char* names[] = {"replan_chain", "replan_spider"};
+                                       mst::random_spider(rng, 6, 3, params),
+                                       mst::random_fork(rng, 12, slow)};
+    const char* names[] = {"replan_chain", "replan_spider", "replan_fork"};
     const mst::WorkloadGen periodic{{}, {mst::ArrivalDist::Kind::kPeriodic, 2, 0}};
-    for (std::size_t k = 0; k < 2; ++k) {
+    for (std::size_t k = 0; k < 3; ++k) {
       const mst::Tree substrate = mst::sim::stream_substrate(platforms[k]);
       for (std::size_t n = 256; n <= 1024; n *= 4) {
         const mst::Workload workload = periodic.make(n, 1);

@@ -128,12 +128,6 @@ std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim, std::si
   return count_backward(chain, t_lim, cap, scratch, nullptr);
 }
 
-std::size_t ChainScheduler::count_within_emissions(const Chain& chain, Time t_lim,
-                                                   std::size_t cap, ChainCountScratch& scratch,
-                                                   std::vector<Time>& first_emissions) {
-  return count_backward(chain, t_lim, cap, scratch, &first_emissions);
-}
-
 std::size_t ChainScheduler::max_tasks(const Chain& chain, Time t_lim, std::size_t cap) {
   ChainCountScratch scratch;
   return count_within(chain, t_lim, cap, scratch);

@@ -62,16 +62,37 @@
 
 namespace mst {
 
+/// The state of one backward construction (the derivation above), which
+/// resumes one task at a time: a construction run whole keeps it in its
+/// scratch, a spider leg's emission profile (`LegProfile`) for as long as
+/// the profile lives.  Its four arrays share one buffer, so a profile per
+/// leg costs one allocation for them.
+class BackwardState {
+ public:
+  /// Sizes the arrays for a chain of `p` processors; their values are the
+  /// construction's to set.
+  void resize(std::size_t p) {
+    p_ = p;
+    buffer_.resize(4 * p + 1);
+  }
+  Time* prefix() { return buffer_.data(); }  ///< `S_j`, the latency up to link `j` (`p + 1`)
+  Time* hull_slack() { return buffer_.data() + p_ + 1; }  ///< `a_i = h_i - S_{i+1}` per link
+  /// `b_k = o_k - w_k - S_{k+1}` per processor.
+  Time* occupancy_slack() { return buffer_.data() + 2 * p_ + 1; }
+  Time* best() { return buffer_.data() + 3 * p_ + 1; }  ///< the current task's winner
+
+ private:
+  std::size_t p_ = 0;
+  std::vector<Time> buffer_;
+};
+
 /// Reusable buffers of the backward construction (counting and
 /// materializing alike).  Keep one per thread: after the first
 /// call the buffers are warm, and every further call on a chain of the same
 /// (or smaller) size performs no heap allocation at all — the sweep runner's
 /// hot path relies on this.
 struct ChainCountScratch {
-  std::vector<Time> prefix;           ///< `S_j`, the latency up to link `j` (`p + 1` entries)
-  std::vector<Time> hull_slack;       ///< `a_i = h_i - S_{i+1}` per link
-  std::vector<Time> occupancy_slack;  ///< `b_k = o_k - w_k - S_{k+1}` per processor
-  std::vector<Time> best;             ///< the winning candidate of the current task
+  BackwardState state;          ///< the construction's state
   std::vector<Time> emissions;  ///< release-dated counts: first emissions as built
   Time build_horizon = 0;       ///< horizon `emissions` were built at
   std::size_t probes = 0;       ///< bisection probes of the last makespan search
@@ -172,14 +193,6 @@ class ChainScheduler {
   /// on it.
   static std::size_t count_within(const Chain& chain, Time t_lim, std::size_t cap,
                                   ChainCountScratch& scratch);
-
-  /// Counting variant that also records each counted task's first-link
-  /// emission `C^i_1` by appending to `first_emissions` (construction order:
-  /// latest task first).  The spider reduction builds its virtual-node
-  /// deadlines from these without materializing the leg schedules.
-  static std::size_t count_within_emissions(const Chain& chain, Time t_lim, std::size_t cap,
-                                            ChainCountScratch& scratch,
-                                            std::vector<Time>& first_emissions);
 
   /// Raw backward construction anchored at an arbitrary horizon, exposed for
   /// the property tests of Lemma 2 (sub-chain projection) and Lemma 4

@@ -16,9 +16,10 @@
 /// bisection behind every makespan form with the spider search range and
 /// build merge, and the one implementation of the Fig 3 backward
 /// construction.  Every chain entry point — counting, first emissions,
-/// materialization, tracing — and, through them, the spider reduction (and
-/// a fork, solved as its unit-leg spider) runs that loop; a *sink* decides what
-/// each step produces.
+/// materialization, tracing — runs its loop, a *sink* deciding what each
+/// step produces; a spider leg's emission profile (`LegProfile`), which the
+/// spider reduction and a fork, its unit-leg spider, read, resumes the same
+/// steps one rank at a time.
 
 namespace mst::detail {
 
@@ -34,9 +35,9 @@ namespace mst::detail {
 /// Build once, probe many times — the chain searches and the release-dated
 /// spider (and fork) searches never rebuild their instance per probe; an
 /// identical-task spider or fork search instead runs each probe as the lazy
-/// greedy's count (`spider_scheduler.hpp`), which builds only the nodes that
-/// probe can keep.  Building once rests on a shift lemma (a result beyond
-/// the paper): the
+/// greedy's count (`spider_scheduler.hpp`), which reads only the nodes that
+/// probe can keep off per-leg emission profiles that build each rank once.
+/// Building once rests on a shift lemma (a result beyond the paper): the
 /// backward construction only takes `min`s of, and subtracts from, values
 /// that all start at the horizon (`h = o = H`), so it commutes with a
 /// uniform shift.  Its first emissions at any `T <= H` are the emissions at
@@ -218,11 +219,13 @@ Time search_instance(Scratch& scratch, Time lo, Time hi, std::size_t n, CountAt&
   });
 }
 
-/// The backward construction anchored at `horizon`, in `O(p)` per task
-/// (derivation and proof sketch: `core/chain_scheduler.hpp`).  With
-/// `stop_on_negative` (decision form) it stops before a task whose first
-/// emission would be negative; otherwise it places exactly `max_tasks`
-/// tasks.  Returns the number placed.
+/// The backward construction, one task at a time, in `O(p)` per task
+/// (derivation and proof sketch: `core/chain_scheduler.hpp`).
+/// `start_backward` anchors `state` at `horizon`; each `next_backward` then
+/// finds the next task's Definition 3 winner and builds its vector into
+/// `state.best()`, and `commit_backward` makes it the new hull.  The loop
+/// below and the spider reduction's leg profiles (`LegProfile`) run these
+/// same steps, so there is one copy of the Definition 3 loop.
 ///
 /// The state is kept relative to the prefix latencies `S_j = c_0 + … +
 /// c_{j-1}`: `a_i = h_i - S_{i+1}` per link and `b_k = o_k - w_k - S_{k+1}`
@@ -233,33 +236,23 @@ Time search_instance(Scratch& scratch, Time lo, Time hi, std::size_t n, CountAt&
 /// `b_k < min(lim, b_k')`, and once `b_k >= lim` nothing later can.  Only
 /// the winner is built, right to left, and committed as the new hull.
 ///
-/// Rejects (`std::invalid_argument`) a chain whose prefix latencies or
-/// initial state overflow `Time`.  The fixed-count form also rejects a
-/// chain whose total latency plus its largest `w` overflows: its state
-/// keeps falling past 0, and every value it forms stays within that
-/// distance below the state.  The decision form needs no such bound: it
-/// only commits a task whose first emission `best[0] >= 0`, so the
-/// destination's `b >= best[0] >= 0` before it loses one `w`, and every
-/// `a_j = best[j] - S_{j+1} >= -S_p` — all within the range the initial
-/// pass already checked.
-///
-/// The sink sees every placement, latest task first:
-/// `place(dest, start, best)` — the committed vector (`best[0..dest]`) and
-/// execution start.  The loop itself only touches `scratch`, so a warm
-/// scratch and a non-allocating sink make it allocation-free.
-template <typename Sink>
-std::size_t backward_construction(const Chain& chain, Time horizon, std::size_t max_tasks,
-                                  bool stop_on_negative, ChainCountScratch& scratch, Sink& sink) {
+/// `start_backward` rejects (`std::invalid_argument`) a chain whose prefix
+/// latencies or initial state overflow `Time`.  With `fixed_count` it also
+/// rejects a chain whose total latency plus its largest `w` overflows: a
+/// fixed-count construction's state keeps falling past 0, and every value
+/// it forms stays within that distance below the state.  A decision-form
+/// construction needs no such bound as long as it only commits a task whose
+/// first emission `best[0] >= 0`: the destination's `b >= best[0] >= 0`
+/// before it loses one `w`, and every `a_j = best[j] - S_{j+1} >= -S_p` —
+/// all within the range the initial pass already checked.
+inline void start_backward(const Chain& chain, Time horizon, bool fixed_count,
+                           BackwardState& state) {
   const std::size_t p = chain.size();
-  scratch.prefix.resize(p + 1);
-  scratch.hull_slack.resize(p);
-  scratch.occupancy_slack.resize(p);
-  scratch.best.resize(p);
-  Time* const prefix = scratch.prefix.data();
-  Time* const a = scratch.hull_slack.data();
-  Time* const b = scratch.occupancy_slack.data();
-  Time* const best = scratch.best.data();
-  // Every index below is `< p`, so the loop reads the processors directly
+  state.resize(p);
+  Time* const prefix = state.prefix();
+  Time* const a = state.hull_slack();
+  Time* const b = state.occupancy_slack();
+  // Every index below is `< p`, so the loops read the processors directly
   // rather than through the range-checked `Chain::proc` call.
   const Processor* const procs = chain.procs().data();
 
@@ -274,42 +267,78 @@ std::size_t backward_construction(const Chain& chain, Time horizon, std::size_t 
     max_work = std::max(max_work, procs[k].work);
   }
   Time reach = 0;
-  if (!stop_on_negative) overflow |= __builtin_add_overflow(prefix[p], max_work, &reach);
+  if (fixed_count) overflow |= __builtin_add_overflow(prefix[p], max_work, &reach);
   MST_REQUIRE(!overflow,
               "the chain's total link latency plus its largest w exceeds the largest time "
               "9223372036854775807");
+}
 
+/// The next task's destination, its vector built into `state.best()[0..dest]`.
+/// Its entries increase along the vector (c_j >= 0), so `best[0]` decides
+/// whether the task still fits a window.  Commits nothing.
+inline std::size_t next_backward(const Chain& chain, BackwardState& state) {
+  const std::size_t p = chain.size();
+  const Time* const prefix = state.prefix();
+  const Time* const a = state.hull_slack();
+  const Time* const b = state.occupancy_slack();
+  Time* const best = state.best();
+
+  // Definition 3 maximum over the destinations, one comparison each.
+  std::size_t dest = 0;
+  Time lim = a[0];
+  for (std::size_t k = 1; k < p; ++k) {
+    lim = std::min(lim, a[k]);
+    if (b[dest] >= lim) break;
+    if (b[dest] < b[k]) {
+      dest = k;
+      lim = a[k];
+    }
+  }
+
+  // The winner, right to left.
+  Time m = b[dest];
+  for (std::size_t j1 = dest + 1; j1 >= 1; --j1) {
+    const std::size_t j = j1 - 1;
+    m = std::min(m, a[j]);
+    best[j] = prefix[j] + m;
+  }
+  return dest;
+}
+
+/// Commits the winner `next_backward` left in `state.best()`: the task
+/// executes as late as `dest` allows, and its emissions become the hulls of
+/// every link it crosses.  Returns its execution start.
+inline Time commit_backward(const Chain& chain, std::size_t dest, BackwardState& state) {
+  const Time* const prefix = state.prefix();
+  Time* const a = state.hull_slack();
+  Time* const b = state.occupancy_slack();
+  const Time* const best = state.best();
+  const Time start = b[dest] + prefix[dest + 1];
+  b[dest] -= chain.procs()[dest].work;
+  for (std::size_t j = 0; j <= dest; ++j) a[j] = best[j] - prefix[j + 1];
+  return start;
+}
+
+/// The backward construction anchored at `horizon`.  With
+/// `stop_on_negative` (decision form) it stops before a task whose first
+/// emission would be negative; otherwise it places exactly `max_tasks`
+/// tasks.  Returns the number placed.
+///
+/// The sink sees every placement, latest task first:
+/// `place(dest, start, best)` — the committed vector (`best[0..dest]`) and
+/// execution start.  The loop itself only touches `scratch`, so a warm
+/// scratch and a non-allocating sink make it allocation-free.
+template <typename Sink>
+std::size_t backward_construction(const Chain& chain, Time horizon, std::size_t max_tasks,
+                                  bool stop_on_negative, ChainCountScratch& scratch, Sink& sink) {
+  BackwardState& state = scratch.state;
+  start_backward(chain, horizon, /*fixed_count=*/!stop_on_negative, state);
   std::size_t placed = 0;
-  while (placed < max_tasks) {
-    // Definition 3 maximum over the destinations, one comparison each.
-    std::size_t dest = 0;
-    Time lim = a[0];
-    for (std::size_t k = 1; k < p; ++k) {
-      lim = std::min(lim, a[k]);
-      if (b[dest] >= lim) break;
-      if (b[dest] < b[k]) {
-        dest = k;
-        lim = a[k];
-      }
-    }
-
-    // The winner, right to left.  Its entries increase along the vector
-    // (c_j >= 0), so the first one decides whether the task still fits.
-    Time m = b[dest];
-    for (std::size_t j1 = dest + 1; j1 >= 1; --j1) {
-      const std::size_t j = j1 - 1;
-      m = std::min(m, a[j]);
-      best[j] = prefix[j] + m;
-    }
-    if (stop_on_negative && best[0] < 0) break;
-
-    // Execute as late as the destination allows; the task's emissions
-    // become the hulls of every link it crosses.
-    const Time start = b[dest] + prefix[dest + 1];
-    sink.place(dest, start, static_cast<const Time*>(best));
-    b[dest] -= procs[dest].work;
-    for (std::size_t j = 0; j <= dest; ++j) a[j] = best[j] - prefix[j + 1];
-    ++placed;
+  for (; placed < max_tasks; ++placed) {
+    const std::size_t dest = next_backward(chain, state);
+    if (stop_on_negative && state.best()[0] < 0) break;
+    const Time start = commit_backward(chain, dest, state);
+    sink.place(dest, start, static_cast<const Time*>(state.best()));
   }
   return placed;
 }

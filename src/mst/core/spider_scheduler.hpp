@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -34,11 +35,12 @@
 ///
 /// Identical tasks: steps (1)–(3) as one lazy greedy (a result beyond the
 /// paper, which runs Moore–Hodgson over every Fig 7 node).  Legs join in
-/// ascending `(c_1, leg)` order; each builds, with the first-emissions sink,
-/// only as many of its nodes as could still fit — `min(room, (T_lim −
-/// used)/c_1)`, since every deadline is at most `T_lim` and so a feasible
-/// set holds the port at most `T_lim` — and keeps the longest prefix of its
-/// ranks (latest emissions first) that leaves the selection EDD-feasible.
+/// ascending `(c_1, leg)` order; each reads, from its emission profile
+/// (`LegProfile`, below), only as many of its nodes as could still fit —
+/// `min(room, (T_lim − used)/c_1)`, since every deadline is at most `T_lim`
+/// and so a feasible set holds the port at most `T_lim` — and keeps the
+/// longest prefix of its ranks (latest emissions first) that leaves the
+/// selection EDD-feasible.
 /// That prefix is the least of one bound per node due at or after its
 /// earliest rank, read in one pass down the deadline-sorted selection;
 /// a merge then joins it.  A count stops once `cap` nodes are kept.
@@ -46,6 +48,16 @@
 /// down to `cap` by dropping, one at a time, the node of largest
 /// `exec = T_lim − C¹ − c_1` among the legs' earliest kept nodes (ties
 /// toward the lower leg).
+///
+/// Emission profiles.  Step (1) at any window reads one construction per
+/// leg.  The backward construction commutes with a uniform shift of its
+/// horizon (the shift lemma, `min_horizon` in `core/kernels.hpp`), so a
+/// leg's ranks at `T_lim` are the first ranks of one horizon-free
+/// construction, moved to `T_lim` and cut before the first negative
+/// emission.  A `LegProfile` keeps that construction's state and the first
+/// emission and destination of every rank it has built, and extends it only
+/// as far as some window asks: a solve builds each rank of each leg at most
+/// once, over all its probes, its selection and its release-dated instance.
 ///
 /// Why the greedy is exact.  The nodes of one leg `l` share one processing
 /// time `c_l` (its first link), their deadlines `C¹ᵢ + c_l` fall with the
@@ -81,12 +93,15 @@
 /// spiders, unit-leg forks and one-leg spiders.
 ///
 /// Release dates keep steps (1)–(2) on the whole node instance
-/// (`build_instance`) and select with the positional-release DP;
-/// `probe_instance`, that DP's count over the built instance, is for
-/// release-dated workloads only.
+/// (`build_instance`, read off the profiles) and select with the
+/// positional-release DP; `probe_instance`, that DP's count over the built
+/// instance, is for release-dated workloads only.
 ///
-/// Search cost.  An identical-task search runs one greedy count per probe;
-/// it builds only the nodes each probe can keep.  It starts at the one-port
+/// Search cost.  An identical-task search runs one greedy count per probe.
+/// The profiles build each rank once, so a probe costs only the greedy's
+/// merges and at most one binary search per leg over ranks already built;
+/// the ranks the whole search builds are those of its deepest probe per
+/// leg, at most one rank past them.  It starts at the one-port
 /// floor (`detail::SearchRange`), not 0, so it runs at most
 /// `ceil(log2(top - floor + 1))` probes, and none when the floor meets the
 /// top — when one leg's first processor `(c, w)` has the minimum `c_{l,1}`,
@@ -101,18 +116,19 @@
 ///   * `UB = T_id + δ` — the greedy's `n` nodes at `T_id`, walked in the
 ///     DP's EDD order with prefix port times `P_j`, stay DP-feasible once
 ///     every deadline moves `δ = max_j (r[j] − P_j)⁺` later.
-/// It builds once — steps (1)–(2) only shift with the window (the backward
-/// construction's emissions at `T <= H` are those at `H` shifted by
-/// `T - H` and cut before the first negative one; see `min_horizon` in
-/// `core/kernels.hpp`) — at `UB`: one backward construction per leg and
-/// one p-way merge of the legs' node runs, each already in EDD order.  Each
+/// It builds the node instance once, at `UB`, from the same profiles: one
+/// p-way merge of the legs' node runs, each already in EDD order.  Each
 /// probe is then a single linear DP pass over the shifted instance, with no
 /// sort, and there is none when `LB == UB`, as on 262, 267 and 258 of the
 /// 288 release-dated fork and spider makespan cells of the repo
 /// benchmark's `online-release` workload on seeds 1, 7 and 42.
-/// `SpiderCountScratch` keeps the last search's ends and probes.  Steps
-/// (3)–(4) at the optimum rebuild only each leg's kept suffix — its first
-/// `k` construction steps — not the whole leg.
+/// `SpiderCountScratch` keeps the last search's ends and probes.
+///
+/// Step (4) orders the kept nodes by `(deadline, leg, index)` straight from
+/// the profiles.  The materializing forms then rebuild only each leg's kept
+/// suffix — its first `k` construction steps, every hop and start — not the
+/// whole leg; the destinations-only form (`destinations_into`) reads each
+/// task's processor off the profile and materializes nothing.
 ///
 /// Starts.  Step (4) keeps each task's planned relays and start from its
 /// leg's backward construction, as late as the window allows.  The makespan
@@ -141,12 +157,70 @@ struct SpiderTransformation {
   std::vector<VirtualNode> nodes;
 };
 
+/// One leg's emission profile (see "Emission profiles" above): the first
+/// emission `C¹` and destination processor of each rank of the leg's
+/// backward construction, latest first, built lazily by one resumable
+/// construction.  That construction is the decision form anchored at the
+/// largest time, so the leg's ranks at a horizon `t` are the profile's first
+/// ranks whose emission, lowered by `largest time − t`, is still at least 0,
+/// and every value it forms stays in the range `start_backward` checks.
+class LegProfile {
+ public:
+  /// Binds the profile to `leg`, which must outlive its use, and forgets
+  /// every rank; the buffers stay warm.
+  void reset(const Chain& leg);
+
+  /// The number of the leg's ranks at horizon `t >= 0`, at most `cap`: the
+  /// count of the decision-form construction at `t`.  Builds the ranks that
+  /// answer needs that are not built yet, and at most one more.  Rejects a
+  /// leg whose prefix latencies overflow (`std::invalid_argument`), as the
+  /// construction does.
+  std::size_t ranks(Time t, std::size_t cap);
+
+  /// Rank `i`'s first emission at horizon `t` (`i < ranks(t, …)`).
+  [[nodiscard]] Time emission(std::size_t i, Time t) const {
+    return ranks_[i].emission - (kAnchor - t);
+  }
+  /// Rank `i`'s destination processor.
+  [[nodiscard]] std::size_t dest(std::size_t i) const { return ranks_[i].dest; }
+  /// The ranks built since the last `reset`.
+  [[nodiscard]] std::size_t depth() const { return ranks_.size(); }
+
+ private:
+  static constexpr Time kAnchor = std::numeric_limits<Time>::max();
+  struct Rank {
+    Time emission = 0;     ///< anchored first emission
+    std::size_t dest = 0;  ///< destination processor
+  };
+  const Chain* leg_ = nullptr;
+  BackwardState state_;      ///< valid once `started_`
+  bool started_ = false;     ///< anchored on the first `ranks` call
+  bool exhausted_ = false;   ///< the next rank's anchored emission is negative
+  std::vector<Rank> ranks_;  ///< latest first
+};
+
+/// The emission profiles of one spider's legs.
+class SpiderProfile {
+ public:
+  /// Binds the profiles to `spider`'s legs (the spider must outlive their
+  /// use) and forgets every rank.  Buffers of earlier, wider spiders stay.
+  void reset(const Spider& spider);
+  [[nodiscard]] LegProfile& leg(std::size_t l) { return legs_[l]; }
+  /// The ranks built over every leg since the last `reset`.
+  [[nodiscard]] std::size_t depth() const;
+
+ private:
+  friend class SpiderScheduler;  // `destinations_into` checks the binding
+  const Spider* spider_ = nullptr;
+  std::size_t num_legs_ = 0;
+  std::vector<LegProfile> legs_;  ///< the first `num_legs_` serve the spider
+};
+
 /// One leg in the identical-task greedy's order, with what it kept.
 struct GreedyLeg {
-  Time comm = 0;          ///< the leg's `c_1`; legs join by `(comm, leg)`
+  Time comm = 0;         ///< the leg's `c_1`; legs join by `(comm, leg)`
   std::size_t leg = 0;
-  std::size_t first = 0;  ///< its nodes' emissions: `SpiderCountScratch::emissions[first ..]`
-  std::size_t kept = 0;   ///< the prefix of its ranks it keeps
+  std::size_t kept = 0;  ///< the prefix of its ranks it keeps
 };
 
 /// One node of the greedy's selection, in EDD order.
@@ -158,15 +232,12 @@ struct GreedyNode {
 
 /// Reusable buffers for `SpiderScheduler::count_within` and the makespan
 /// search's probes.  Keep one per thread; with warm buffers a whole count —
-/// the greedy's lazy per-leg construction and merges, or a release-dated
-/// build and DP — runs without allocating.
+/// the greedy's lazy profile reads and merges, or a release-dated build and
+/// DP — runs without allocating.
 struct SpiderCountScratch {
-  ChainCountScratch chain;            ///< shared across legs
-  /// First-link emissions, latest first per leg: leg after leg as built by
-  /// `build_instance`; a greedy selection's at `GreedyLeg::first`, a greedy
-  /// count's only for the leg joining.
-  std::vector<Time> emissions;
-  std::vector<std::size_t> offsets;   ///< leg l's emissions and ids: [offsets[l], offsets[l+1])
+  ChainCountScratch chain;            ///< kept-suffix materialization, shared across legs
+  SpiderProfile profile;              ///< the legs' emission profiles
+  std::vector<std::size_t> offsets;   ///< the built instance's leg l ids: [offsets[l], offsets[l+1])
   std::vector<EddJob> edd;            ///< the built instance, EDD order as built
   Time build_horizon = 0;             ///< horizon `edd` was built at
   std::vector<EddRun> merge;          ///< the build's p-way merge heap
@@ -182,7 +253,8 @@ struct SpiderCountScratch {
   /// identical tasks, DP passes in `[LB, UB]` with release dates (the
   /// greedy search for `T_id` before them is not counted).
   std::size_t probes = 0;
-  std::size_t nodes_built = 0;        ///< Fig 7 nodes built by the last count or solve
+  /// Fig 7 nodes (profile ranks) built by the last count or solve.
+  std::size_t nodes_built = 0;
 };
 
 /// When a processor's out-port and the processor itself are next free
@@ -204,7 +276,9 @@ struct SpiderSolveScratch {
   /// first node in `free` here.
   std::vector<std::size_t> counts;
   /// Step (4) sequencing: (deadline, leg, task_index), EDD with ties toward
-  /// the lower leg, then the earlier task.
+  /// the lower leg, then the earlier task; `task_index` counts a leg's kept
+  /// suffix in ascending first emission, so it is rank `counts[leg] - 1 -
+  /// task_index` of the leg's profile.
   std::vector<std::tuple<Time, std::size_t, std::size_t>> chosen;
   /// The start pass: when each processor's out-port and the processor
   /// itself are next free, leg `l`'s from `counts[l]` on.
@@ -299,6 +373,17 @@ class SpiderScheduler {
   /// `schedule(spider, workload)` into `out`.
   static void schedule_into(const Spider& spider, const Workload& workload,
                             SpiderSolveScratch& scratch, SpiderSchedule& out);
+
+  /// Destinations-only makespan form: the `(leg, proc)` of each task of
+  /// `schedule(spider, n)`, in its master-emission order, into `out`.  The
+  /// same search and selection, read straight off the profiles: no leg
+  /// schedule is materialized, resequenced, normalized or started early.
+  /// Unlike every other form it keeps the ranks `scratch.count.profile`
+  /// holds, which must be bound to `spider` (`SpiderProfile::reset`), so
+  /// repeated solves on one spider build each rank once; `nodes_built`
+  /// counts the ranks this solve added.
+  static void destinations_into(const Spider& spider, std::size_t n, SpiderSolveScratch& scratch,
+                                std::vector<SpiderDest>& out);
 
   /// The start pass of the makespan forms (see "Starts" above) on `out`, in
   /// place: its tasks in master-emission order, each leg's in the order its

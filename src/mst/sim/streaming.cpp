@@ -129,7 +129,14 @@ class EctStream final : public StreamPolicy {
 //    stream's length;
 //  * fork and spider: the last solved plan is kept whole, and a backlog of
 //    its size restarts it; any other size re-solves (the selection is not
-//    nested in `b`).
+//    nested in `b`).  A re-solve is the destinations-only makespan form
+//    (`SpiderScheduler::destinations_into`): no schedule is materialized.
+//    Its leg ranks come from emission profiles the policy keeps for the
+//    whole run — a leg's ranks do not depend on the horizon (the shift
+//    lemma), so each is built once, when the first backlog deep enough
+//    asks for it, and never again.  A leg's profile holds at most about as
+//    many ranks as the largest backlog, as a selection at that backlog
+//    builds anyway.
 // Either way the policy holds one plan of fewer than `2·max b` tasks.
 
 class ReplanStream final : public StreamPolicy {
@@ -139,8 +146,13 @@ class ReplanStream final : public StreamPolicy {
     // only processor embeds as node `s + 1` in the fork's substrate too.
     if (const auto* fork = std::get_if<Fork>(&platform_)) platform_ = Spider::from_fork(*fork);
     if (std::holds_alternative<Chain>(platform_)) solver_.emplace<ChainSolver>();
-    if (std::holds_alternative<Spider>(platform_)) solver_.emplace<SpiderSolver>();
+    if (const auto* spider = std::get_if<Spider>(&platform_)) {
+      // The profiles point into `platform_`, which the policy never moves.
+      solver_.emplace<SpiderSolver>().scratch.count.profile.reset(*spider);
+    }
   }
+  ReplanStream(const ReplanStream&) = delete;
+  ReplanStream& operator=(const ReplanStream&) = delete;
 
   void observe(const StreamArrival&) override {
     ++backlog_;
@@ -160,20 +172,26 @@ class ReplanStream final : public StreamPolicy {
   void count_work(obs::MetricsRegistry& metrics) const override {
     metrics.counter("sim.replan.plans").add(static_cast<Time>(plans_));
     metrics.counter("sim.replan.solves").add(static_cast<Time>(solves_));
+    metrics.counter("sim.replan.probes").add(static_cast<Time>(probes_));
+    // The profiles live as long as the policy: their depth is every rank built.
+    const auto* spider = std::get_if<SpiderSolver>(&solver_);
+    const std::size_t ranks = spider != nullptr ? spider->scratch.count.profile.depth() : 0;
+    metrics.counter("sim.replan.ranks").add(static_cast<Time>(ranks));
   }
 
  private:
   /// The exact solver's warm buffers for the policy's platform kind: one
-  /// scratch and one output schedule, rebuilt in place by `schedule_into`
-  /// (the same plan the value-returning `schedule` forms build on a fresh
-  /// scratch).
-  template <typename Scratch, typename Schedule>
+  /// scratch and one output, rebuilt in place — a chain schedule by
+  /// `schedule_into` (the same plan the value-returning `schedule` forms
+  /// build on a fresh scratch), a spider's destinations by
+  /// `destinations_into`, whose profiles stay bound to the policy's spider.
+  template <typename Scratch, typename Plan>
   struct Solver {
     Scratch scratch;
-    Schedule plan;
+    Plan plan;
   };
   using ChainSolver = Solver<ChainCountScratch, ChainSchedule>;
-  using SpiderSolver = Solver<SpiderSolveScratch, SpiderSchedule>;
+  using SpiderSolver = Solver<SpiderSolveScratch, std::vector<SpiderDest>>;
 
   /// Points the cursor at the plan of the current backlog, solving only
   /// when no held plan serves it.
@@ -202,12 +220,11 @@ class ReplanStream final : public StreamPolicy {
     } else if (const auto* spider = std::get_if<Spider>(&platform_)) {
       if (backlog_ != plan_.size()) {
         auto& [scratch, plan] = std::get<SpiderSolver>(solver_);
-        SpiderScheduler::schedule_into(*spider, Workload::identical(backlog_), scratch, plan);
+        SpiderScheduler::destinations_into(*spider, backlog_, scratch, plan);
         ++solves_;
+        probes_ += scratch.count.probes;
         plan_.clear();
-        for (const SpiderTask& task : plan.tasks) {
-          plan_.push_back(spider_node(*spider, {task.leg, task.proc}));
-        }
+        for (const SpiderDest& dest : plan) plan_.push_back(spider_node(*spider, dest));
       }
     } else {
       throw std::logic_error("mst: replan policy constructed for a tree platform");
@@ -225,6 +242,7 @@ class ReplanStream final : public StreamPolicy {
   std::size_t cursor_ = 0;    ///< the next task's position in `plan_`
   std::size_t plans_ = 0;     ///< replans run
   std::size_t solves_ = 0;    ///< exact solves among them
+  std::size_t probes_ = 0;    ///< fork/spider search probes over every solve
 };
 
 // ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ class StreamPolicy {
   virtual NodeId choose(std::size_t task, const DispatchContext& ctx) = 0;
 
   /// Adds the policy's deterministic work counts so far to `metrics`:
-  /// `sim.replan.plans` and `sim.replan.solves` for `replan`,
+  /// `sim.replan.plans`, `sim.replan.solves`, `sim.replan.probes` and
+  /// `sim.replan.ranks` for `replan`,
   /// `core.asap.ect_nodes` for the earliest-completion dispatcher, nothing
   /// for the other online dispatchers.  The api layer folds them after a run
   /// (`api::run_stream`), so the driver's own metrics stay policy-free.

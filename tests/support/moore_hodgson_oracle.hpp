@@ -114,7 +114,7 @@ inline std::vector<std::size_t> leg_counts(const Spider& spider, Time t_lim, std
     Time worst_exec = -1;
     for (std::size_t l = 0; l < spider.num_legs(); ++l) {
       if (counts[l] == 0) continue;
-      const Time emission = built.emissions[built.offsets[l] + counts[l] - 1];
+      const Time emission = built.profile.leg(l).emission(counts[l] - 1, t_lim);
       const Time exec = t_lim - emission - spider.leg(l).comm(0);
       if (exec > worst_exec) {
         worst_exec = exec;

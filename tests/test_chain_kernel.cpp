@@ -2,7 +2,8 @@
 // construction (`detail::backward_construction`) against the paper's
 // quadratic Fig 3 loop (tests/support/quadratic_chain.hpp), task for task —
 // destination, execution start and every emission — in both forms of the
-// construction, on random and tie-heavy chains.
+// construction and in a spider leg's emission profile (`LegProfile`), on
+// random and tie-heavy chains.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "mst/common/rng.hpp"
 #include "mst/core/chain_scheduler.hpp"
+#include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "support/quadratic_chain.hpp"
 
@@ -66,8 +68,7 @@ Chain draw_chain(Rng& rng, Family family, std::size_t p) {
 
 TEST(ChainKernel, MatchesTheQuadraticLoopTaskForTask) {
   Rng rng(0xC4A17);
-  ChainCountScratch scratch;  // one warm scratch across chains of every size
-  std::vector<Time> emissions;
+  LegProfile profile;  // one warm profile across chains of every size
   std::size_t min_p = 64;
   std::size_t max_p = 1;
   std::size_t stopped_early = 0;
@@ -92,13 +93,16 @@ TEST(ChainKernel, MatchesTheQuadraticLoopTaskForTask) {
           << " stop_on_negative=" << stop_on_negative;
       if (!stop_on_negative) continue;
 
-      // The counting sink sees the same first emissions, latest task first.
-      emissions.clear();
-      const std::size_t count =
-          ChainScheduler::count_within_emissions(chain, horizon, n, scratch, emissions);
+      // A leg profile, which resumes the same steps from the largest time,
+      // holds the same first emissions and destinations, latest task first.
+      profile.reset(chain);
+      const std::size_t count = profile.ranks(horizon, n);
       ASSERT_EQ(count, expected.tasks.size()) << chain.describe() << " horizon=" << horizon;
       for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(emissions[i], expected.tasks[count - 1 - i].emissions.front())
+        const ChainTask& task = expected.tasks[count - 1 - i];
+        ASSERT_EQ(profile.emission(i, horizon), task.emissions.front())
+            << chain.describe() << " horizon=" << horizon << " task " << i;
+        ASSERT_EQ(profile.dest(i), task.proc)
             << chain.describe() << " horizon=" << horizon << " task " << i;
       }
       if (count < n) ++stopped_early;

@@ -236,8 +236,13 @@ void digest_chain(Digest& d, const Chain& chain, Rng& rng) {
     d.add_schedule(into);
     d.add(ChainScheduler::count_within(chain, t_lim, cap, scratch));
     d.add(ChainScheduler::max_tasks(chain, t_lim, cap));
+    // A leg profile's ranks at `t_lim`: the count, then the first emissions.
+    LegProfile profile;
+    profile.reset(chain);
+    const std::size_t ranks = profile.ranks(t_lim, cap);
     std::vector<Time> emissions;
-    d.add(ChainScheduler::count_within_emissions(chain, t_lim, cap, scratch, emissions));
+    for (std::size_t i = 0; i < ranks; ++i) emissions.push_back(profile.emission(i, t_lim));
+    d.add(ranks);
     d.add(emissions);
     const Workload released = released_workload(rng, cap);
     d.add(ChainScheduler::count_within(chain, t_lim, released, cap, scratch));

@@ -54,6 +54,17 @@ std::vector<Time> probe_horizons(Rng& rng, Time top, int samples) {
   return horizons;
 }
 
+/// The first emissions of the decision-form construction at `t_lim`, at
+/// most `cap`, latest task first: a fresh construction, materialized.
+std::vector<Time> first_emissions(const Chain& chain, Time t_lim, std::size_t cap) {
+  const ChainSchedule built = ChainScheduler::schedule_within(chain, t_lim, cap);
+  std::vector<Time> out;
+  for (auto task = built.tasks.rbegin(); task != built.tasks.rend(); ++task) {
+    out.push_back(task->emissions.front());
+  }
+  return out;
+}
+
 /// The emissions at `H` shifted by `shift` and cut before the first negative.
 std::vector<Time> shift_and_cut(const std::vector<Time>& emissions, Time shift) {
   std::vector<Time> out;
@@ -107,15 +118,57 @@ TEST(ShiftLemma, ChainEmissionsShiftWithTheHorizon) {
     const Chain chain = random_chain(rng, p, params_of(rng, trial));
     const auto cap = static_cast<std::size_t>(rng.uniform(1, 30));
     const Time top = chain.t_infinity(cap) + rng.uniform(0, 20);
-    ChainCountScratch scratch;
-    std::vector<Time> at_top;
-    ChainScheduler::count_within_emissions(chain, top, cap, scratch, at_top);
+    const std::vector<Time> at_top = first_emissions(chain, top, cap);
     for (const Time t : probe_horizons(rng, top, 20)) {
-      std::vector<Time> at_t;
-      ChainScheduler::count_within_emissions(chain, t, cap, scratch, at_t);
-      EXPECT_EQ(at_t, shift_and_cut(at_top, top - t))
+      EXPECT_EQ(first_emissions(chain, t, cap), shift_and_cut(at_top, top - t))
           << chain.describe() << " H=" << top << " T=" << t << " cap=" << cap;
     }
+  }
+}
+
+/// `chain` with each link's latency zeroed with probability 1/3: `c = 0`
+/// links let several ranks share one first emission.
+Chain with_free_links(Rng& rng, const Chain& chain) {
+  std::vector<Processor> procs = chain.procs();
+  for (Processor& proc : procs) {
+    if (rng.chance(1.0 / 3)) proc.comm = 0;
+  }
+  return Chain(std::move(procs));
+}
+
+// A leg profile is one construction, anchored at the largest time and
+// extended only as far as each horizon asks.  Extended out of order — a
+// middle horizon, a low one, then the top — its ranks at every horizon and
+// cap must be the decision-form construction's there: the same count, first
+// emissions and destinations.
+TEST(ShiftLemma, LegProfileMatchesTheConstructionAtEveryHorizon) {
+  Rng rng(0x9F0F);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t p = trial % 6 == 5 ? 64 : static_cast<std::size_t>(rng.uniform(1, 8));
+    const Chain chain = with_free_links(rng, random_chain(rng, p, params_of(rng, trial)));
+    const auto most = static_cast<std::size_t>(rng.uniform(1, 40));
+    const Time top = chain.t_infinity(most) + rng.uniform(0, 20);
+    std::vector<Time> horizons = {top / 2, rng.uniform(0, top / 4), top};
+    for (const Time t : probe_horizons(rng, top, 20)) horizons.push_back(t);
+    LegProfile profile;
+    profile.reset(chain);
+    for (const Time t : horizons) {
+      for (const std::size_t cap : {std::size_t{0}, std::size_t{1}, most / 2, most}) {
+        const std::size_t ranks = profile.ranks(t, cap);
+        const ChainSchedule direct = ChainScheduler::schedule_within(chain, t, cap);
+        ASSERT_EQ(ranks, direct.tasks.size())
+            << chain.describe() << " T=" << t << " cap=" << cap;
+        for (std::size_t i = 0; i < ranks; ++i) {
+          const ChainTask& task = direct.tasks[ranks - 1 - i];
+          EXPECT_EQ(profile.emission(i, t), task.emissions.front())
+              << chain.describe() << " T=" << t << " cap=" << cap << " rank " << i;
+          EXPECT_EQ(profile.dest(i), task.proc)
+              << chain.describe() << " T=" << t << " cap=" << cap << " rank " << i;
+        }
+      }
+    }
+    // Lazy: never more than one rank past what the top asked for.
+    EXPECT_LE(profile.depth(), most + 1) << chain.describe();
   }
 }
 

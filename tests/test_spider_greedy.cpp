@@ -203,6 +203,38 @@ TEST(SpiderGreedyWork, SelectionBuildsFewNodesBeyondWhatItKeeps) {
   EXPECT_LE(scratch.count.nodes_built, n + 2 * legs);
 }
 
+// The gate on the emission profiles: a makespan solve builds each leg rank
+// once, over every probe and its selection, so the nodes it counts are the
+// profiles' depth.  The literals are the nodes the same solves built before
+// the profiles, when every probe and the selection rebuilt each leg.  On the
+// spider above the search runs no probe (its one-port floor meets the top),
+// so the selection alone builds, as before; on a 128-leg spider with link
+// latencies in [1, 12] the search runs 10 probes.
+TEST(SpiderGreedyWork, MakespanSolveBuildsEachRankOnce) {
+  struct Case {
+    std::uint64_t seed;
+    GeneratorParams params;
+    std::size_t probes;
+    std::size_t nodes_before;  // rebuilt per probe
+  };
+  const std::size_t legs = 128;
+  const std::size_t n = 1024;
+  for (const Case& c : {Case{0x128, GeneratorParams{4, 8}, 0, 1054},
+                        Case{0x12B, GeneratorParams{1, 12}, 10, 11330}}) {
+    Rng rng(c.seed);
+    const Spider spider = random_spider(rng, legs, 2, 2, c.params);
+    SpiderSolveScratch scratch;
+    SpiderSchedule out;
+    SpiderScheduler::schedule_into(spider, Workload::identical(n), scratch, out);
+    EXPECT_EQ(scratch.count.probes, c.probes) << c.seed;
+    EXPECT_EQ(scratch.count.nodes_built, scratch.count.profile.depth()) << c.seed;
+    EXPECT_LE(scratch.count.nodes_built, c.nodes_before) << c.seed;
+    if (c.probes > 0) {
+      EXPECT_LT(scratch.count.nodes_built, c.nodes_before / 8) << c.seed;
+    }
+  }
+}
+
 /// The value of the deterministic counter `name` after a small fork and
 /// spider `optimal` sweep, both forms, with identical tasks and with
 /// Poisson and burst release dates, run on `threads` workers.

@@ -82,6 +82,46 @@ TEST(StreamingZeroAlloc, RunAllocationCountIndependentOfTaskCount) {
   }
 }
 
+/// Allocations of one full `replan` run on `platform` (policy, substrate
+/// and workload built outside the probed window).  The tasks arrive in
+/// bursts of 1, 2, …, 8 tasks, 400 time units apart, so each burst drains
+/// before the next: the backlog stays at most 8 however long the stream,
+/// and every burst of a new size re-solves.
+long replan_allocations(const api::Platform& platform, std::size_t n) {
+  const Tree tree = sim::stream_substrate(platform);
+  const auto policy = sim::make_replan_policy(platform);
+  std::vector<Time> release;
+  for (std::size_t burst = 0; release.size() < n; ++burst) {
+    for (std::size_t k = 0; k <= burst % 8 && release.size() < n; ++k) {
+      release.push_back(static_cast<Time>(burst) * 400);
+    }
+  }
+  const Workload workload = Workload::released(std::move(release));
+
+  alloc_probe::Scope probe;
+  const sim::StreamResult result = sim::simulate_stream(tree, workload, *policy);
+  EXPECT_EQ(result.sim.tasks.size(), n);
+  return probe.count();
+}
+
+TEST(StreamingZeroAlloc, ReplanAllocationCountIndependentOfTaskCount) {
+  // Fork and spider re-solves read emission profiles the policy keeps for
+  // the whole run and write only destinations: once the largest backlog
+  // has been solved, no re-solve allocates, so 8x the tasks (and about 8x
+  // the re-solves) add no allocation.
+  Rng rng(8);
+  const GeneratorParams params{1, 10, PlatformClass::kUniform};
+  const api::Platform fork(random_fork(rng, 12, params));
+  const api::Platform spider(random_spider(rng, 6, 3, params));
+  for (const api::Platform* platform : {&fork, &spider}) {
+    const char* const name = platform == &fork ? "fork" : "spider";
+    const long small = replan_allocations(*platform, 256);
+    const long large = replan_allocations(*platform, 2048);
+    EXPECT_GT(small, 0) << name;
+    EXPECT_EQ(small, large) << name;
+  }
+}
+
 TEST(StreamingZeroAlloc, MetricsAttachedRunAllocatesNothingExtra) {
   // The observability contract end to end: with a metrics registry attached
   // the run replays its destinations through the event loop, which
