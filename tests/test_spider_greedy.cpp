@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,6 +150,61 @@ TEST(GreedyDifferential, MakespanSchedulesMatchMooreHodgson) {
     EXPECT_TRUE(check_feasibility(out).ok()) << where;
     if (::testing::Test::HasFailure()) break;
   }
+}
+
+/// `spider` with every time multiplied by `factor` (no product may overflow).
+Spider scaled(const Spider& spider, Time factor) {
+  std::vector<Chain> legs;
+  for (const Chain& leg : spider.legs()) {
+    std::vector<Processor> procs = leg.procs();
+    for (Processor& proc : procs) {
+      EXPECT_FALSE(__builtin_mul_overflow(proc.comm, factor, &proc.comm));
+      EXPECT_FALSE(__builtin_mul_overflow(proc.work, factor, &proc.work));
+    }
+    legs.emplace_back(std::move(procs));
+  }
+  return Spider(std::move(legs));
+}
+
+// The destinations-only form keeps its profiles from solve to solve, as
+// `replan` does.  Over one spider, solves of random sizes read the same
+// `(leg, proc)` sequence as the materialized schedule's tasks, and — with
+// times near 2^60, where the largest pipelines overflow — reject exactly
+// the sizes the materialized form rejects.
+TEST(GreedyDifferential, DestinationsOnlyFormMatchesTheSchedule) {
+  Rng rng(0xDE57);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Case c = random_case(rng, trial);
+    const Spider spider = trial % 5 == 4 ? scaled(c.spider, Time{1} << 56) : c.spider;
+    SpiderSolveScratch kept;
+    kept.count.profile.reset(spider);
+    SpiderSolveScratch fresh;
+    SpiderSchedule out;
+    std::vector<SpiderDest> dests;
+    for (int solve = 0; solve < 6; ++solve) {
+      const auto n = static_cast<std::size_t>(rng.uniform(1, 64));
+      const std::string where = spider.describe() + " n=" + std::to_string(n);
+      try {
+        SpiderScheduler::schedule_into(spider, Workload::identical(n), fresh, out);
+      } catch (const std::invalid_argument&) {
+        EXPECT_THROW(SpiderScheduler::destinations_into(spider, n, kept, dests),
+                     std::invalid_argument)
+            << where;
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      SpiderScheduler::destinations_into(spider, n, kept, dests);
+      std::vector<SpiderDest> expected;
+      for (const SpiderTask& task : out.tasks) expected.push_back({task.leg, task.proc});
+      EXPECT_EQ(dests, expected) << where;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 10 * rejected);
 }
 
 // At `exact-large`'s sizes — forks of 64 and 256 slaves, spiders of 64 and
