@@ -1,7 +1,7 @@
 // CPLX-SPIDER: microbenchmarks of the spider algorithm (Theorem 2 claims a
 // polynomial bound below O(n²p²)) — decision form, makespan n-sweep and
-// legs-sweep at n = 1024, its materialization step alone and the
-// spider→chains transformation.  Timing
+// legs-sweep at n = 1024, its materialization step alone, the
+// release-dated makespan form and the spider→chains transformation.  Timing
 // harness shared with the other bench_* binaries: bench/bench_harness.hpp;
 // the committed baseline is bench/BENCH_spider.json.
 
@@ -13,6 +13,7 @@
 #include "mst/common/rng.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
+#include "mst/workload/workload.hpp"
 
 namespace {
 
@@ -57,6 +58,25 @@ std::vector<Row> run_all() {
                         mst::SpiderScheduler::schedule_within_into(spider6, optimum, n, scratch,
                                                                    out);
                         keep(out.tasks.size());
+                      })});
+    }
+  }
+  // The release-dated makespan form on 8 unit legs (a fork), one task
+  // released every 2 time units, on a warm scratch: the positional-release
+  // search and its selection DP.  The first links draw from [1, 10], so the
+  // master's port, not the releases, binds, and slower legs fill positions
+  // the fastest could still lower: the DP relaxes about N·K/3 positions.
+  {
+    const mst::Spider fork8 = make_spider(8, 1);
+    for (const std::size_t n : {64, 256, 512}) {
+      std::vector<mst::Time> releases(n);
+      for (std::size_t i = 0; i < n; ++i) releases[i] = 2 * static_cast<mst::Time>(i);
+      const mst::Workload workload = mst::Workload::released(std::move(releases));
+      mst::SpiderSolveScratch scratch;
+      mst::SpiderSchedule out;
+      rows.push_back({"spider_release_makespan", n, time_op([&] {
+                        mst::SpiderScheduler::schedule_into(fork8, workload, scratch, out);
+                        keep(out.makespan());
                       })});
     }
   }

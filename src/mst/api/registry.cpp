@@ -85,6 +85,13 @@ void count_ect(const SolveOptions& opts) {
   if (visited > 0) count_work(opts, "core.asap.ect_nodes", visited);
 }
 
+/// Folds the positional-release DP positions the spider or fork solve that
+/// just ran relaxed into `core.spider.dp_cells`; an identical-task solve
+/// runs no DP and leaves no counter.
+void count_dp_cells(const SolveOptions& opts, const SpiderCountScratch& count) {
+  if (count.dp_cells > 0) count_work(opts, "core.spider.dp_cells", count.dp_cells);
+}
+
 /// Effective decision cap: the search cap, clamped to a finite pool.
 std::size_t decision_cap(const SolveOptions& options) {
   const std::size_t cap = std::max<std::size_t>(1, options.cap);
@@ -755,6 +762,7 @@ SolveResult spider_solve(const Platform& p, const Workload& w, const SolveOption
   SpiderScheduler::schedule_into(spider_of(p, opts), w, scratch, pooled);
   count_work(opts, "core.spider.nodes_built", scratch.count.nodes_built);
   count_work(opts, "core.spider.probes", scratch.count.probes);
+  count_dp_cells(opts, scratch.count);
   return shape_result(std::move(pooled), w, opts);
 }
 
@@ -774,6 +782,7 @@ DecisionResult fork_decision(const Platform& p, Time deadline, const SolveOption
                                         pool != nullptr ? *pool : stream, cap, scratch, pooled);
   SpiderScheduler::start_early(scratch, pooled);
   count_work(opts, "core.spider.nodes_built", scratch.count.nodes_built);
+  count_dp_cells(opts, scratch.count);
   return decision_from_schedule(pooled, pooled.makespan());
 }
 
@@ -798,10 +807,12 @@ void register_spider_algorithms(Registry& r) {
         [](const Platform& p, Time deadline, const SolveOptions& opts) {
           SpiderSolveScratch& scratch = opts.scratch->spider;
           scratch.count.nodes_built = 0;  // an empty window solves nothing
+          scratch.count.dp_cells = 0;
           DecisionResult result = horizon_decision<SpiderScheduler>(
               std::get<Spider>(p), deadline, opts, scratch.count, scratch,
               opts.scratch->spider_pool);
           count_work(opts, "core.spider.nodes_built", scratch.count.nodes_built);
+          count_dp_cells(opts, scratch.count);
           return result;
         });
   register_engine_baselines(r, k);

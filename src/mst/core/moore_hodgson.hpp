@@ -58,10 +58,15 @@ struct EddRun {
 /// their release dates, so the dates bind *positionally*: the j-th selected
 /// emission in time order (0-based) cannot start before `releases[j]`
 /// (`releases` sorted ascending).  At most `min(max_count, releases.size())`
-/// jobs can be selected.  Solved exactly by the O(N·K) selection DP over the
-/// EDD order (`dp[j]` = minimal completion time of a feasible j-job
-/// selection of the processed prefix); Moore–Hodgson's eviction rule does
-/// not extend to position-dependent machine availability, the DP does.
+/// jobs can be selected.  Solved exactly by the selection DP over the EDD
+/// order (`dp[j]` = minimal completion time of a feasible j-job selection
+/// of the processed prefix); Moore–Hodgson's eviction rule does not extend
+/// to position-dependent machine availability, the DP does.  A job relaxes
+/// at most `min(best + 1, K)` positions (`best` the count so far, `K` the
+/// limit), O(N·K) per pass over `N` jobs at worst, minus the row's frozen
+/// prefix, which no later job can lower (`moore_hodgson.cpp`).  Both entry
+/// points add the positions they relax to `cells`, which the registry
+/// reports as the `core.spider.dp_cells` counter.
 /// The *probe* step of a release-dated search: `edd` is EDD-ordered and
 /// built at `H`, probed at `T = H - shift` — every deadline lowered by
 /// `shift`, jobs whose shifted deadline falls below their processing time
@@ -69,7 +74,8 @@ struct EddRun {
 /// `dp_scratch` is reused capacity (cleared).
 std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time shift,
                                          const std::vector<Time>& releases,
-                                         std::size_t max_count, std::vector<Time>& dp_scratch);
+                                         std::size_t max_count, std::vector<Time>& dp_scratch,
+                                         std::size_t& cells);
 
 /// Positional-release selection over the same shifted instance (`edd`
 /// EDD-ordered, built at `H`, selected at `T = H - shift`); it reads and
@@ -80,9 +86,10 @@ std::size_t moore_hodgson_released_count(const std::vector<EddJob>& edd, Time sh
 /// DP row in `dp_scratch` and keeps, per job, one bit per count in `taken`
 /// — whether the job lowered that DP entry — to backtrack (ties toward
 /// leaving a job out).  Deterministic; every buffer is reused capacity.
+/// Adds the positions it relaxes to `cells`.
 void moore_hodgson_released(const std::vector<EddJob>& edd, Time shift,
                             const std::vector<Time>& releases, std::size_t max_count,
                             std::vector<Time>& dp_scratch, std::vector<std::uint64_t>& taken,
-                            std::vector<EddJob>& picked);
+                            std::vector<EddJob>& picked, std::size_t& cells);
 
 }  // namespace mst

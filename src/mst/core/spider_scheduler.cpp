@@ -171,10 +171,11 @@ void order_legs(const Spider& spider, SpiderCountScratch& scratch) {
 }
 
 /// Starts a count or solve of `spider` from no built rank: binds the
-/// profiles and resets the node count.
+/// profiles and resets the work counts.
 void start_solve(const Spider& spider, SpiderCountScratch& scratch) {
   scratch.profile.reset(spider);
   scratch.nodes_built = 0;
+  scratch.dp_cells = 0;
 }
 
 /// Starts an identical-task decision at `t_lim`: checks its inputs, binds
@@ -338,7 +339,7 @@ void select_spider(const Spider& spider, Time t_lim, const Workload& workload,
     // Release-aware: positional-release selection on the one-port.
     const Time shift = count.build_horizon - t_lim;
     moore_hodgson_released(count.edd, shift, workload.releases(), k_cap, count.dp, scratch.taken,
-                           scratch.picked);
+                           scratch.picked, count.dp_cells);
     // Step (4) with release gating: replay the DP's own EDD sequence —
     // position j starts no earlier than the j-th smallest release date, and
     // the DP already proved every completion meets its node's deadline.
@@ -490,7 +491,7 @@ std::size_t SpiderScheduler::probe_instance(Time t_lim, const Workload& workload
               "probe horizon must lie in [0, build horizon]");
   return moore_hodgson_released_count(scratch.edd, scratch.build_horizon - t_lim,
                                       workload.releases(), std::min(cap, workload.count()),
-                                      scratch.dp);
+                                      scratch.dp, scratch.dp_cells);
 }
 
 void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
@@ -529,6 +530,7 @@ void SpiderScheduler::destinations_into(const Spider& spider, std::size_t n,
   MST_REQUIRE(count.profile.spider_ == &spider,
               "destinations_into needs the scratch's profiles bound to the spider");
   count.nodes_built = 0;
+  count.dp_cells = 0;
   const Workload workload = Workload::identical(n);
   const Time horizon = search_horizon(spider, workload, count);
   select_spider(spider, horizon, workload, n, scratch);

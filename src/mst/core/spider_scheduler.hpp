@@ -255,6 +255,9 @@ struct SpiderCountScratch {
   std::size_t probes = 0;
   /// Fig 7 nodes (profile ranks) built by the last count or solve.
   std::size_t nodes_built = 0;
+  /// Positional-release DP positions relaxed by the last count or solve
+  /// (`moore_hodgson_released*`); 0 for identical tasks.
+  std::size_t dp_cells = 0;
 };
 
 /// When a processor's out-port and the processor itself are next free

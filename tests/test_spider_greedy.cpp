@@ -11,7 +11,9 @@
 //
 // Work: the nodes a solve builds (`SpiderCountScratch::nodes_built`, the
 // deterministic counter `core.spider.nodes_built`) stay near the nodes it
-// keeps, and their sweep total is the same at any thread count.
+// keeps; a release-dated solve's DP positions (`dp_cells`,
+// `core.spider.dp_cells`) stay far below a dense pass; and the sweep totals
+// are the same at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "mst/api/registry.hpp"
+#include "mst/api/solve_scratch.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/platform/generator.hpp"
@@ -291,6 +294,50 @@ TEST(SpiderGreedyWork, MakespanSolveBuildsEachRankOnce) {
   }
 }
 
+// The gate on the positional-release DP's frozen prefix: release-dated fork
+// `optimal` solves shaped like the benchmark's `release-optimal` cells (8
+// slaves, times in [4, 8], n = 256, its three release families, twelve
+// seeds) relax, over every probe and selection, at most an eighth of the
+// `N·K` positions of one dense pass over each instance built at the
+// search's top (`N` nodes, `K = n` tasks).  The gate is on the total: one
+// solve ranges from about N (the prefix freezes right behind the count)
+// to half of `N·K` (a search of seven passes where slower legs must fill
+// positions the fastest could still lower).  The registry folds exactly the
+// solve's count into `core.spider.dp_cells`.
+TEST(SpiderGreedyWork, ReleaseDatedSolvesRelaxFewDpCells) {
+  using Kind = ArrivalDist::Kind;
+  const std::size_t n = 256;
+  std::size_t cells = 0;
+  std::size_t dense = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const ArrivalDist arrival : {ArrivalDist{Kind::kPoisson, 4, 0},
+                                      ArrivalDist{Kind::kBursts, 8, 24},
+                                      ArrivalDist{Kind::kPeriodic, 3, 0}}) {
+      Rng rng(seed);
+      const Fork fork = random_fork(rng, 8, GeneratorParams{4, 8});
+      obs::MetricsRegistry metrics;
+      api::SolveScratch scratch;
+      api::SolveOptions options;
+      options.metrics = &metrics;
+      options.scratch = &scratch;
+      (void)api::registry().solve(fork, "optimal", WorkloadGen{{}, arrival}.make(n, seed),
+                                  options);
+      const SpiderCountScratch& count = scratch.spider.count;
+      std::int64_t counted = -1;
+      for (const obs::MetricSample& sample : metrics.snapshot()) {
+        if (sample.name == "core.spider.dp_cells") counted = sample.value;
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " " + WorkloadGen{{}, arrival}.label();
+      EXPECT_GT(count.dp_cells, 0U) << where;
+      EXPECT_EQ(counted, static_cast<std::int64_t>(count.dp_cells)) << where;
+      cells += count.dp_cells;
+      dense += count.edd.size() * n;
+    }
+  }
+  EXPECT_LE(cells, dense / 8);
+}
+
 /// The value of the deterministic counter `name` after a small fork and
 /// spider `optimal` sweep, both forms, with identical tasks and with
 /// Poisson and burst release dates, run on `threads` workers.
@@ -329,6 +376,12 @@ TEST(SpiderGreedyWork, ProbesCounterIsIdenticalAtAnyThreadCount) {
   const std::int64_t one = sweep_counter("core.spider.probes", 1);
   EXPECT_GT(one, 0);
   EXPECT_EQ(one, sweep_counter("core.spider.probes", 8));
+}
+
+TEST(SpiderGreedyWork, DpCellsCounterIsIdenticalAtAnyThreadCount) {
+  const std::int64_t one = sweep_counter("core.spider.dp_cells", 1);
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(one, sweep_counter("core.spider.dp_cells", 8));
 }
 
 }  // namespace
