@@ -81,10 +81,12 @@ std::size_t tasks_to_reach_rate_fraction(const Chain& chain, double fraction,
   MST_REQUIRE(rate > 0.0, "platform has zero steady-state rate");
   // Doubling search for an upper bound, then binary search: throughput of
   // the optimal schedule is monotone non-decreasing in n (adding a task
-  // reuses the previous pipeline).
+  // reuses the previous pipeline).  One emission profile answers every
+  // probe, each rank built once.
+  LegProfile profile;
+  profile.reset(chain);
   auto achieves = [&](std::size_t n) {
-    const double tp =
-        static_cast<double>(n) / static_cast<double>(ChainScheduler::makespan(chain, n));
+    const double tp = static_cast<double>(n) / static_cast<double>(profile.makespan(n));
     return tp >= fraction * rate;
   };
   std::size_t hi = 1;

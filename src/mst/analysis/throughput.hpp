@@ -44,8 +44,8 @@ struct ThroughputCurve {
 /// `makespan_of(n)` once per count, and fits the affine tail.  The steady
 /// rate comes from the matching LP bound for `platform` (bounds.hpp, per
 /// kind; forks embed as single-processor-leg spiders, trees use the
-/// bandwidth-centric tree rate).  `ChainScheduler::makespans` gives every
-/// optimal chain sample from one construction.
+/// bandwidth-centric tree rate).  One chain emission profile
+/// (`LegProfile::makespan`) gives every optimal chain sample.
 ThroughputCurve throughput_curve(const Platform& platform,
                                  const std::vector<std::size_t>& ns,
                                  const std::function<Time(std::size_t)>& makespan_of);

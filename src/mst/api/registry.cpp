@@ -535,7 +535,7 @@ DecisionResult decision_from_schedule(Schedule& schedule, Time makespan) {
 
 /// Decision form of the horizon-anchored exact solvers (chain, spider),
 /// drawing from the pool or the identical stream.  Without materialization
-/// only the count sinks run: a nonempty backward construction ends exactly
+/// only the counts run: a nonempty backward construction ends exactly
 /// at the horizon, so the completion time is `deadline` itself (release
 /// dates included — the horizon anchor is unchanged).
 template <typename Core, typename Topology, typename CountScratch, typename Scratch,

@@ -14,19 +14,10 @@ void require_uniform_sizes(const Workload& workload) {
               "the backward construction is only optimal for identical task sizes");
 }
 
-// Sinks of `detail::backward_construction` and the build/probe steps of the
-// release-dated counts.  Statically allocation-checked (dynamic twins:
-// tests/test_counting.cpp, tests/test_zero_alloc.cpp).
+// The materializing sink, the profile and its release-dated counts.
+// Statically allocation-checked (dynamic twins: tests/test_counting.cpp,
+// tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
-
-/// Count only; optionally records each task's first-link emission `C^i_1`
-/// (construction order: latest task first).
-struct CountSink {
-  std::vector<Time>* first_emissions;
-  void place(std::size_t /*dest*/, Time /*start*/, const Time* best) {
-    if (first_emissions != nullptr) first_emissions->push_back(best[0]);
-  }
-};
 
 /// Commits each task into a recycled slot of `out.tasks`; the emission
 /// vectors keep their warm capacity across rebuilds.
@@ -42,14 +33,6 @@ struct MaterializeSink {
   }
 };
 
-std::size_t count_backward(const Chain& chain, Time t_lim, std::size_t cap,
-                           ChainCountScratch& scratch, std::vector<Time>* first_emissions) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  CountSink sink{first_emissions};
-  return detail::backward_construction(chain, t_lim, cap, /*stop_on_negative=*/true, scratch,
-                                       sink);
-}
-
 /// Rebuilds `out` in place, tasks in first-link emission order (the paper's
 /// indexing convention; the construction produces them last to first).
 void build_backward_into(const Chain& chain, Time horizon, std::size_t max_tasks,
@@ -61,29 +44,22 @@ void build_backward_into(const Chain& chain, Time horizon, std::size_t max_tasks
   std::reverse(out.tasks.begin(), out.tasks.end());
 }
 
-/// The count at `T = H - shift` of a counting construction's first
-/// emissions at `H` (construction order, latest first).  By the shift lemma
-/// (`min_horizon` in `core/kernels.hpp`) the construction at `T` emits the
-/// same values lowered by `shift`, stopping before the first negative one;
-/// emissions never increase along the construction, so that cut is a
-/// prefix.  Without release dates the count is the cut itself.  With them
-/// it is the largest k such that the k latest shifted emissions dominate
-/// the k earliest release dates: `emissions[j] - shift >= releases[k-1-j]`
-/// for all `j < k` (`releases` sorted ascending).  Feasible(k) implies
-/// feasible(k-1) — the matched release of every emission only gets smaller
-/// — so binary search is exact.
-std::size_t max_released_count(const std::vector<Time>& emissions, Time shift,
-                               const std::vector<Time>& releases) {
-  std::size_t hi = 0;
-  while (hi < emissions.size() && emissions[hi] >= shift) ++hi;
-  if (releases.empty()) return hi;
+/// The release-dated count at `t` of the profile's first `ranks` ranks
+/// there (`profile.ranks(t, …)`): the largest k such that the k latest
+/// emissions dominate the k earliest release dates,
+/// `emission(j, t) >= releases[k-1-j]` for all `j < k` (`releases` sorted
+/// ascending).  Feasible(k) implies feasible(k-1) — the matched release of
+/// every emission only gets smaller — so binary search is exact.
+std::size_t released_count(const LegProfile& profile, std::size_t ranks, Time t,
+                           const std::vector<Time>& releases) {
   const auto feasible = [&](std::size_t k) {
     for (std::size_t j = 0; j < k; ++j) {
-      if (emissions[j] - shift < releases[k - 1 - j]) return false;
+      if (profile.emission(j, t) < releases[k - 1 - j]) return false;
     }
     return true;
   };
   std::size_t lo = 0;
+  std::size_t hi = ranks;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo + 1) / 2;
     if (feasible(mid)) {
@@ -97,20 +73,65 @@ std::size_t max_released_count(const std::vector<Time>& emissions, Time shift,
 
 }  // namespace
 
-void ChainScheduler::build_instance(const Chain& chain, Time horizon, const Workload& workload,
-                                    std::size_t cap, ChainCountScratch& scratch) {
-  require_uniform_sizes(workload);
-  scratch.build_horizon = horizon;
-  scratch.emissions.clear();
-  count_backward(chain, horizon, std::min(cap, workload.count()), scratch, &scratch.emissions);
+void LegProfile::reset(const Chain& leg) {
+  leg_ = &leg;
+  started_ = false;
+  exhausted_ = false;
+  ranks_.clear();
 }
 
-std::size_t ChainScheduler::probe_instance(Time t_lim, const Workload& workload,
-                                           std::size_t /*cap*/, ChainCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0 && t_lim <= scratch.build_horizon,
-              "probe horizon must lie in [0, build horizon]");
-  return max_released_count(scratch.emissions, scratch.build_horizon - t_lim,
-                            workload.releases());
+std::size_t LegProfile::ranks(Time t, std::size_t cap) {
+  MST_ASSERT(leg_ != nullptr && t >= 0);
+  const Time least = kAnchor - t;  // the least anchored emission that exists at `t`
+  if (!started_) {
+    detail::start_backward(*leg_, kAnchor, /*fixed_count=*/false, state_);
+    started_ = true;
+  }
+  // Extend while fewer than `cap` ranks are built and the next one may
+  // exist at `t`: its first emission is at most `a_0`, the first link's
+  // hull less `c_1`, so once that falls below `least` no rank is built in
+  // vain.  A rank is committed only when its anchored emission is at least
+  // 0, which keeps the state in the checked range.
+  while (ranks_.size() < cap && !exhausted_ && state_.hull_slack()[0] >= least) {
+    const std::size_t dest = detail::next_backward(*leg_, state_);
+    const Time emission = state_.best()[0];
+    if (emission < 0) {
+      exhausted_ = true;
+      break;
+    }
+    detail::commit_backward(*leg_, dest, state_);
+    ranks_.push_back(Rank{emission, dest});
+  }
+  // Emissions never increase along the construction, so the ranks at `t`
+  // are a prefix.
+  const auto end = ranks_.begin() + static_cast<std::ptrdiff_t>(std::min(cap, depth()));
+  return static_cast<std::size_t>(
+      std::partition_point(ranks_.begin(), end,
+                           [least](const Rank& rank) { return rank.emission >= least; }) -
+      ranks_.begin());
+}
+
+Time LegProfile::makespan(std::size_t n) {
+  const Time horizon = leg_->t_infinity(n);
+  const std::size_t built = ranks(horizon, n);
+  MST_ASSERT(built == n);
+  return horizon - emission(n - 1, horizon);
+}
+
+std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim, std::size_t cap,
+                                         ChainCountScratch& scratch) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  scratch.profile.reset(chain);
+  return scratch.profile.ranks(t_lim, cap);
+}
+
+std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim,
+                                         const Workload& workload, std::size_t cap,
+                                         ChainCountScratch& scratch) {
+  require_uniform_sizes(workload);
+  const std::size_t ranks = count_within(chain, t_lim, std::min(cap, workload.count()), scratch);
+  if (!workload.has_release_dates()) return ranks;
+  return released_count(scratch.profile, ranks, t_lim, workload.releases());
 }
 
 // mstlint: zero-alloc-end
@@ -123,24 +144,9 @@ ChainSchedule ChainScheduler::build_backward(const Chain& chain, Time horizon,
   return out;
 }
 
-std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim, std::size_t cap,
-                                         ChainCountScratch& scratch) {
-  return count_backward(chain, t_lim, cap, scratch, nullptr);
-}
-
 std::size_t ChainScheduler::max_tasks(const Chain& chain, Time t_lim, std::size_t cap) {
   ChainCountScratch scratch;
   return count_within(chain, t_lim, cap, scratch);
-}
-
-std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim,
-                                         const Workload& workload, std::size_t cap,
-                                         ChainCountScratch& scratch) {
-  require_uniform_sizes(workload);
-  const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) return count_within(chain, t_lim, k_cap, scratch);
-  build_instance(chain, t_lim, workload, cap, scratch);
-  return probe_instance(t_lim, workload, cap, scratch);
 }
 
 void ChainScheduler::schedule_within_into(const Chain& chain, Time t_lim, std::size_t max_tasks,
@@ -171,8 +177,8 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
     // Minimal horizon admitting all n tasks.  The all-on-first-processor
     // schedule shifted past the last release always fits, so the upper
     // bound is feasible; monotonicity of the count in the horizon makes it
-    // exact.  The backward construction runs once, at the top; every probe
-    // shifts its emissions down to the probed horizon.  No -C^1_1 shift:
+    // exact.  The profile builds its n ranks once, at the top; every probe
+    // reads them shifted down to the probed horizon.  No -C^1_1 shift:
     // release dates are absolute, the window is the schedule.
     Time top = 0;
     const bool overflow =
@@ -180,10 +186,15 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
     MST_REQUIRE(!overflow,
                 "the last release date plus T-infinity exceeds the largest time "
                 "9223372036854775807");
-    build_instance(chain, top, workload, n, scratch);
-    const Time horizon = detail::search_instance(
-        scratch, 0, top, n, [&](Time t) { return probe_instance(t, workload, n, scratch); });
-    schedule_within_into(chain, horizon, workload, n, scratch, out);
+    LegProfile& profile = scratch.profile;
+    profile.reset(chain);
+    profile.ranks(top, n);
+    const Time horizon = detail::search_instance(scratch, 0, top, n, [&](Time t) {
+      return released_count(profile, profile.ranks(t, n), t, workload.releases());
+    });
+    // The count at `T*` reached n, so the n-task backward build there is
+    // release-feasible: no recount through the workload form.
+    schedule_within_into(chain, horizon, n, scratch, out);
     MST_ASSERT(out.tasks.size() == n);
     return;
   }
@@ -214,17 +225,9 @@ ChainSchedule ChainScheduler::schedule(const Chain& chain, const Workload& workl
 }
 
 Time ChainScheduler::makespan(const Chain& chain, std::size_t n) {
-  return makespans(chain, n).back();
-}
-
-std::vector<Time> ChainScheduler::makespans(const Chain& chain, std::size_t n) {
-  const Time horizon = chain.t_infinity(n);
-  ChainCountScratch scratch;
-  std::vector<Time> out;
-  count_backward(chain, horizon, n, scratch, &out);
-  MST_ASSERT(out.size() == n);
-  for (Time& emission : out) emission = horizon - emission;
-  return out;
+  LegProfile profile;
+  profile.reset(chain);
+  return profile.makespan(n);
 }
 
 ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,

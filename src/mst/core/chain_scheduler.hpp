@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "mst/platform/chain.hpp"
@@ -64,8 +65,8 @@ namespace mst {
 
 /// The state of one backward construction (the derivation above), which
 /// resumes one task at a time: a construction run whole keeps it in its
-/// scratch, a spider leg's emission profile (`LegProfile`) for as long as
-/// the profile lives.  Its four arrays share one buffer, so a profile per
+/// scratch, an emission profile (`LegProfile`, below) for as long as the
+/// profile lives.  Its four arrays share one buffer, so a profile per
 /// leg costs one allocation for them.
 class BackwardState {
  public:
@@ -86,16 +87,68 @@ class BackwardState {
   std::vector<Time> buffer_;
 };
 
-/// Reusable buffers of the backward construction (counting and
-/// materializing alike).  Keep one per thread: after the first
-/// call the buffers are warm, and every further call on a chain of the same
-/// (or smaller) size performs no heap allocation at all — the sweep runner's
-/// hot path relies on this.
+/// A chain's emission profile: the first emission `C¹` and destination
+/// processor of each rank of its backward construction, latest first, built
+/// lazily by one resumable construction.  That construction is the decision
+/// form anchored at the largest time.  By the shift lemma (`min_horizon` in
+/// `core/kernels.hpp`) the construction at a horizon `t` emits the same
+/// values lowered by `largest time − t`, stopping before the first negative
+/// one, so the ranks at `t` are the profile's first ranks whose emission,
+/// so lowered, is still at least 0, and every value it forms stays in the
+/// range `start_backward` checks.  The profile extends only as far as some
+/// horizon asks: every count, makespan and release-dated search of the
+/// chain reads one, as does each spider leg and fork slave
+/// (`spider_scheduler.hpp`) and the chain `replan` policy, which keeps it
+/// for the whole stream.
+class LegProfile {
+ public:
+  /// Binds the profile to `leg`, which must outlive its use, and forgets
+  /// every rank; the buffers stay warm.
+  void reset(const Chain& leg);
+
+  /// The number of the chain's ranks at horizon `t >= 0`, at most `cap`:
+  /// the count of the decision-form construction at `t`.  Builds the ranks
+  /// that answer needs that are not built yet, and at most one more.
+  /// Rejects a chain whose prefix latencies overflow
+  /// (`std::invalid_argument`), as the construction does.
+  std::size_t ranks(Time t, std::size_t cap);
+
+  /// The optimal makespan of `n >= 1` tasks on the chain,
+  /// `H - emission(n - 1, H)` at `H = T∞(n)` (`ChainScheduler::makespan`),
+  /// building the ranks that needs.  Rejects an `n` whose `T∞` leaves the
+  /// time range (`std::invalid_argument`).
+  Time makespan(std::size_t n);
+
+  /// Rank `i`'s first emission at horizon `t` (`i < ranks(t, …)`).
+  [[nodiscard]] Time emission(std::size_t i, Time t) const {
+    return ranks_[i].emission - (kAnchor - t);
+  }
+  /// Rank `i`'s destination processor.
+  [[nodiscard]] std::size_t dest(std::size_t i) const { return ranks_[i].dest; }
+  /// The ranks built since the last `reset`.
+  [[nodiscard]] std::size_t depth() const { return ranks_.size(); }
+
+ private:
+  static constexpr Time kAnchor = std::numeric_limits<Time>::max();
+  struct Rank {
+    Time emission = 0;     ///< anchored first emission
+    std::size_t dest = 0;  ///< destination processor
+  };
+  const Chain* leg_ = nullptr;
+  BackwardState state_;      ///< valid once `started_`
+  bool started_ = false;     ///< anchored on the first `ranks` call
+  bool exhausted_ = false;   ///< the next rank's anchored emission is negative
+  std::vector<Rank> ranks_;  ///< latest first
+};
+
+/// Reusable buffers of the chain forms.  Keep one per thread: after the
+/// first call the buffers are warm, and every further call on a chain of
+/// the same (or smaller) size performs no heap allocation at all — the
+/// sweep runner's hot path relies on this.
 struct ChainCountScratch {
-  BackwardState state;          ///< the construction's state
-  std::vector<Time> emissions;  ///< release-dated counts: first emissions as built
-  Time build_horizon = 0;       ///< horizon `emissions` were built at
-  std::size_t probes = 0;       ///< bisection probes of the last makespan search
+  BackwardState state;     ///< the materializing construction's state
+  LegProfile profile;      ///< the counts' and searches' emission profile
+  std::size_t probes = 0;  ///< bisection probes of the last makespan search
 };
 
 /// Optimal scheduling on chains (stateless; all methods are pure functions
@@ -107,17 +160,13 @@ class ChainScheduler {
   /// Complexity O(n·p).
   static ChainSchedule schedule(const Chain& chain, std::size_t n);
 
-  /// Optimal makespan of `n` tasks without materializing task placements
-  /// (`makespans(chain, n).back()`).
+  /// Optimal makespan of `n` tasks without materializing task placements:
+  /// `H - e_n` at `H = T∞(n)`, `e_n` being the first emission of the
+  /// emission profile's rank `n - 1` there (`LegProfile::makespan`).  The
+  /// construction's first task placed ends at `H`, and its first `n` tasks
+  /// are the optimal `n`-task schedule shifted to end there (suffix
+  /// optimality plus the shift lemma), so one profile answers every `n`.
   static Time makespan(const Chain& chain, std::size_t n);
-
-  /// Optimal makespans `M(1..n)` (entry `i` holds `M(i+1)`) from one
-  /// counting construction at `H = T∞(n)`.  Its first task placed ends at
-  /// `H`, and its first `i` tasks are the optimal `i`-task schedule shifted
-  /// to end there (suffix optimality plus the shift lemma), so
-  /// `M(i) = H - e_i`, `e_i` being the i-th first emission.
-  // mstlint: allow-next-line(tests-only-api) -- ROADMAP item 2: api::throughput_curve reads it
-  static std::vector<Time> makespans(const Chain& chain, std::size_t n);
 
   /// Workload makespan form.  Identical workloads take the `schedule(chain,
   /// n)` path above bit-for-bit.  Release dates are handled natively: tasks
@@ -132,11 +181,12 @@ class ChainScheduler {
   /// schedule does.  Non-uniform task sizes are outside the algorithm's
   /// optimality proof and are rejected (`std::invalid_argument`).
   ///
-  /// Search cost: one `O(n·p)` backward construction at the top of the
-  /// range, then at most `ceil(log2(top + 1))` probes of `O(n log n)` each
-  /// (counted in `ChainCountScratch::probes`), with no further
-  /// construction.  This rests on a shift lemma, a result beyond the paper:
-  /// the construction commutes with a uniform shift of its horizon, so its
+  /// Search cost: the emission profile's `n` ranks, built at the top of the
+  /// range in `O(n·p)`, then at most `ceil(log2(top + 1))` probes of
+  /// `O(n log n)` each (counted in `ChainCountScratch::probes`) that read it
+  /// with no further construction, and one materializing construction at
+  /// `T*`.  This rests on a shift lemma, a result beyond the paper: the
+  /// construction commutes with a uniform shift of its horizon, so its
   /// first emissions at `T <= H` are those at `H` shifted by `T - H` and cut
   /// before the first negative one (`min_horizon` in `core/kernels.hpp`).
   static ChainSchedule schedule(const Chain& chain, const Workload& workload);
@@ -148,28 +198,14 @@ class ChainScheduler {
   static ChainSchedule schedule_within(const Chain& chain, Time t_lim, const Workload& workload,
                                        std::size_t cap);
 
-  /// Counting form of the above.  For release-dated workloads this builds
-  /// the counting construction's first emissions into the scratch once, and
-  /// then probes them: the largest k whose k latest emissions dominate the k
-  /// earliest release dates (sorted-to-sorted matching is optimal for
-  /// interchangeable tasks; the predicate is monotone in k, so a binary
-  /// search suffices).
+  /// Counting form of the above, read off the scratch's emission profile
+  /// (`scratch.profile`, rebound to `chain`).  Without release dates it is
+  /// the profile's ranks at `t_lim`.  With them it is the largest k whose k
+  /// latest of those ranks' emissions dominate the k earliest release dates
+  /// (sorted-to-sorted matching is optimal for interchangeable tasks; the
+  /// predicate is monotone in k, so a binary search suffices).
   static std::size_t count_within(const Chain& chain, Time t_lim, const Workload& workload,
                                   std::size_t cap, ChainCountScratch& scratch);
-
-  /// The two steps of the release-dated counts (`count_within` runs both
-  /// at `t_lim`).  `build_instance` runs the counting construction at
-  /// `horizon` once, recording at most `min(cap, workload.count())` first
-  /// emissions in `scratch.emissions`; `probe_instance` then answers the
-  /// count at any `t_lim` in `[0, horizon]` — for the same workload and
-  /// cap — by shifting and cutting those emissions and matching them
-  /// against the release dates, with no further construction.  Equals
-  /// `count_within(chain, t_lim, workload, cap, scratch)` at every such
-  /// `t_lim`, identical workloads included.
-  static void build_instance(const Chain& chain, Time horizon, const Workload& workload,
-                             std::size_t cap, ChainCountScratch& scratch);
-  static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
-                                    ChainCountScratch& scratch);
 
   /// Decision form (§7): schedule as many tasks as possible — at most
   /// `max_tasks` — so that all of them complete by `t_lim`.  All times stay
@@ -185,12 +221,11 @@ class ChainScheduler {
   /// Runs the counting construction below with a private scratch.
   static std::size_t max_tasks(const Chain& chain, Time t_lim, std::size_t cap);
 
-  /// Decision-form counting without materialization: the backward
-  /// construction of `schedule_within` with a count-only sink, never
+  /// Decision-form counting without materialization: the ranks of the
+  /// scratch's emission profile, rebound to `chain`, at `t_lim`, never
   /// building `ChainTask`s or communication vectors.  With a warm
   /// `scratch` this performs zero heap allocations — the registry's
-  /// `materialize == false` fast path and the spider binary search both sit
-  /// on it.
+  /// `materialize == false` fast path sits on it.
   static std::size_t count_within(const Chain& chain, Time t_lim, std::size_t cap,
                                   ChainCountScratch& scratch);
 
@@ -205,14 +240,15 @@ class ChainScheduler {
                                       bool stop_on_negative);
 
   // -------------------------------------------------------------------------
-  // One kernel, several sinks.  Every entry point above and below runs the
-  // same backward construction (`core/kernels.hpp`); a sink decides what each
-  // step produces: a count, first emissions, a schedule materialized into
-  // reused buffers, or a trace step (`chain_trace.hpp`).  The value-returning
-  // forms are a local scratch around the `_into` forms, which rebuild `out`
-  // in place — task slots, their communication vectors and the chain copy
-  // all reuse warm capacity.  After one warm-up call at a given (p, n),
-  // repeated solves perform zero heap allocations.
+  // One kernel, two readers.  Every entry point above and below runs the
+  // same backward construction steps (`core/kernels.hpp`).  Counts and
+  // searches read them through the emission profile; materialization and
+  // tracing (`chain_trace.hpp`) run them whole, a sink deciding what each
+  // step produces: a schedule materialized into reused buffers, or a trace
+  // step.  The value-returning forms are a local scratch around the `_into`
+  // forms, which rebuild `out` in place — task slots, their communication
+  // vectors and the chain copy all reuse warm capacity.  After one warm-up
+  // call at a given (p, n), repeated solves perform zero heap allocations.
 
   /// `schedule(chain, workload)` into `out`.
   static void schedule_into(const Chain& chain, const Workload& workload,

@@ -15,11 +15,10 @@
 /// Core-private kernels shared by the exact schedulers: the one horizon
 /// bisection behind every makespan form with the spider search range and
 /// build merge, and the one implementation of the Fig 3 backward
-/// construction.  Every chain entry point — counting, first emissions,
-/// materialization, tracing — runs its loop, a *sink* deciding what each
-/// step produces; a spider leg's emission profile (`LegProfile`), which the
-/// spider reduction and a fork, its unit-leg spider, read, resumes the same
-/// steps one rank at a time.
+/// construction.  Materialization and tracing run its loop whole, a *sink*
+/// deciding what each step produces; an emission profile (`LegProfile`),
+/// which every chain count and search, the spider reduction's legs and a
+/// fork's unit legs read, resumes the same steps one rank at a time.
 
 namespace mst::detail {
 
@@ -47,12 +46,13 @@ namespace mst::detail {
 /// the leg's emissions, and exists at `T` iff that deadline still covers
 /// its `c_1`.  So a search runs one *build* step at the top of its range —
 /// for a release-dated spider, the upper end `UB` of its bracket —
-/// the chain emissions, or the node instance as EDD-ordered
+/// the chain profile's ranks, or the node instance as EDD-ordered
 /// `(deadline at H, comm, id)` jobs, merged from the per-leg runs
 /// (`merge_edd_runs`) — and every bisection *probe* at `T` lowers each
-/// deadline by `H - T` and drops the jobs whose deadline fell below their
-/// processing time.  A uniform shift keeps EDD order, so a probe is one
-/// linear positional-release DP pass with no sort (`probe_instance` takes
+/// emission or deadline by `H - T`, dropping the ranks whose emission fell
+/// below 0 or the jobs whose deadline fell below their processing time.
+/// A uniform shift keeps EDD order, so a spider probe is one linear
+/// positional-release DP pass with no sort (`probe_instance` takes
 /// release-dated workloads only), and the optimum `T*` is selected and
 /// materialized from the same instance, shifted by `H - T*`.  A
 /// release-dated `count_within` is the same two steps at one horizon
@@ -224,8 +224,8 @@ Time search_instance(Scratch& scratch, Time lo, Time hi, std::size_t n, CountAt&
 /// `start_backward` anchors `state` at `horizon`; each `next_backward` then
 /// finds the next task's Definition 3 winner and builds its vector into
 /// `state.best()`, and `commit_backward` makes it the new hull.  The loop
-/// below and the spider reduction's leg profiles (`LegProfile`) run these
-/// same steps, so there is one copy of the Definition 3 loop.
+/// below and the emission profiles (`LegProfile`) run these same steps, so
+/// there is one copy of the Definition 3 loop.
 ///
 /// The state is kept relative to the prefix latencies `S_j = c_0 + … +
 /// c_{j-1}`: `a_i = h_i - S_{i+1}` per link and `b_k = o_k - w_k - S_{k+1}`

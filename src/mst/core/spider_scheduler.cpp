@@ -404,44 +404,6 @@ void materialize(const Spider& spider, Time t_lim, const Workload& workload,
 
 }  // namespace
 
-void LegProfile::reset(const Chain& leg) {
-  leg_ = &leg;
-  started_ = false;
-  exhausted_ = false;
-  ranks_.clear();
-}
-
-std::size_t LegProfile::ranks(Time t, std::size_t cap) {
-  MST_ASSERT(leg_ != nullptr && t >= 0);
-  const Time least = kAnchor - t;  // the least anchored emission that exists at `t`
-  if (!started_) {
-    detail::start_backward(*leg_, kAnchor, /*fixed_count=*/false, state_);
-    started_ = true;
-  }
-  // Extend while fewer than `cap` ranks are built and the next one may
-  // exist at `t`: its first emission is at most `a_0`, the first link's
-  // hull less `c_1`, so once that falls below `least` no rank is built in
-  // vain.  A rank is committed only when its anchored emission is at least
-  // 0, which keeps the state in the checked range.
-  while (ranks_.size() < cap && !exhausted_ && state_.hull_slack()[0] >= least) {
-    const std::size_t dest = detail::next_backward(*leg_, state_);
-    const Time emission = state_.best()[0];
-    if (emission < 0) {
-      exhausted_ = true;
-      break;
-    }
-    detail::commit_backward(*leg_, dest, state_);
-    ranks_.push_back(Rank{emission, dest});
-  }
-  // Emissions never increase along the construction, so the ranks at `t`
-  // are a prefix.
-  const auto end = ranks_.begin() + static_cast<std::ptrdiff_t>(std::min(cap, depth()));
-  return static_cast<std::size_t>(
-      std::partition_point(ranks_.begin(), end,
-                           [least](const Rank& rank) { return rank.emission >= least; }) -
-      ranks_.begin());
-}
-
 void SpiderProfile::reset(const Spider& spider) {
   spider_ = &spider;
   num_legs_ = spider.num_legs();

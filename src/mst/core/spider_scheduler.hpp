@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -36,11 +35,11 @@
 /// Identical tasks: steps (1)–(3) as one lazy greedy (a result beyond the
 /// paper, which runs Moore–Hodgson over every Fig 7 node).  Legs join in
 /// ascending `(c_1, leg)` order; each reads, from its emission profile
-/// (`LegProfile`, below), only as many of its nodes as could still fit —
-/// `min(room, (T_lim − used)/c_1)`, since every deadline is at most `T_lim`
-/// and so a feasible set holds the port at most `T_lim` — and keeps the
-/// longest prefix of its ranks (latest emissions first) that leaves the
-/// selection EDD-feasible.
+/// (`LegProfile`, `chain_scheduler.hpp`), only as many of its nodes as
+/// could still fit — `min(room, (T_lim − used)/c_1)`, since every deadline
+/// is at most `T_lim` and so a feasible set holds the port at most
+/// `T_lim` — and keeps the longest prefix of its ranks (latest emissions
+/// first) that leaves the selection EDD-feasible.
 /// That prefix is the least of one bound per node due at or after its
 /// earliest rank, read in one pass down the deadline-sorted selection;
 /// a merge then joins it.  A count stops once `cap` nodes are kept.
@@ -155,48 +154,6 @@ struct SpiderTransformation {
   /// one leg appear in ascending rank (descending exec matches ascending
   /// first-emission order of the leg schedule — rank 0 is the latest task).
   std::vector<VirtualNode> nodes;
-};
-
-/// One leg's emission profile (see "Emission profiles" above): the first
-/// emission `C¹` and destination processor of each rank of the leg's
-/// backward construction, latest first, built lazily by one resumable
-/// construction.  That construction is the decision form anchored at the
-/// largest time, so the leg's ranks at a horizon `t` are the profile's first
-/// ranks whose emission, lowered by `largest time − t`, is still at least 0,
-/// and every value it forms stays in the range `start_backward` checks.
-class LegProfile {
- public:
-  /// Binds the profile to `leg`, which must outlive its use, and forgets
-  /// every rank; the buffers stay warm.
-  void reset(const Chain& leg);
-
-  /// The number of the leg's ranks at horizon `t >= 0`, at most `cap`: the
-  /// count of the decision-form construction at `t`.  Builds the ranks that
-  /// answer needs that are not built yet, and at most one more.  Rejects a
-  /// leg whose prefix latencies overflow (`std::invalid_argument`), as the
-  /// construction does.
-  std::size_t ranks(Time t, std::size_t cap);
-
-  /// Rank `i`'s first emission at horizon `t` (`i < ranks(t, …)`).
-  [[nodiscard]] Time emission(std::size_t i, Time t) const {
-    return ranks_[i].emission - (kAnchor - t);
-  }
-  /// Rank `i`'s destination processor.
-  [[nodiscard]] std::size_t dest(std::size_t i) const { return ranks_[i].dest; }
-  /// The ranks built since the last `reset`.
-  [[nodiscard]] std::size_t depth() const { return ranks_.size(); }
-
- private:
-  static constexpr Time kAnchor = std::numeric_limits<Time>::max();
-  struct Rank {
-    Time emission = 0;     ///< anchored first emission
-    std::size_t dest = 0;  ///< destination processor
-  };
-  const Chain* leg_ = nullptr;
-  BackwardState state_;      ///< valid once `started_`
-  bool started_ = false;     ///< anchored on the first `ranks` call
-  bool exhausted_ = false;   ///< the next rank's anchored emission is negative
-  std::vector<Rank> ranks_;  ///< latest first
 };
 
 /// The emission profiles of one spider's legs.
@@ -322,8 +279,13 @@ class SpiderScheduler {
   /// `count_within(spider, t_lim, workload, cap, scratch)` at every such
   /// `t_lim`.  It rejects an identical workload (`std::invalid_argument`):
   /// identical-task counts are the greedy's, which builds no instance.
+  ///
+  /// Both stay public for the reference oracles that probe a built
+  /// instance directly.
+  // mstlint: allow-next-line(tests-only-api) -- oracles: tests/support/{full_range_release_search,moore_hodgson_oracle}.hpp, test_{search_range,shift_lemma,counting}
   static void build_instance(const Spider& spider, Time horizon, const Workload& workload,
                              std::size_t cap, SpiderCountScratch& scratch);
+  // mstlint: allow-next-line(tests-only-api) -- oracles: tests/support/full_range_release_search.hpp, test_{shift_lemma,counting}
   static std::size_t probe_instance(Time t_lim, const Workload& workload, std::size_t cap,
                                     SpiderCountScratch& scratch);
 

@@ -120,13 +120,15 @@ class EctStream final : public StreamPolicy {
 // optimum itself.
 //
 // Because the plan depends on `(platform, b)` alone, a replan mostly reads
-// a plan it already holds instead of solving:
-//  * chain: the optimal `b`-task plan is the last `b` tasks of the `N`-task
-//    plan for any `N >= b` (the construction builds tasks last to first,
-//    and by the shift lemma its first `b` steps at `T∞(N)` are the `b`-task
-//    construction at `T∞(b)`, shifted), so one plan serves every backlog up
-//    to `N`, and `N` grows by doubling — from backlogs seen, never from the
-//    stream's length;
+// what it already holds instead of solving:
+//  * chain: the optimal `b`-task plan is the first `b` ranks of the chain's
+//    emission profile (`LegProfile`), in master-emission order `b−1 … 0`
+//    (the construction builds tasks last to first, and by the shift lemma
+//    its first `b` steps at `T∞(N)` are the `b`-task construction at
+//    `T∞(b)`, shifted, for any `N >= b`).  The policy keeps one profile for
+//    the whole run and extends it when a backlog outgrows it, so it holds
+//    as many ranks as the largest backlog, each built once, and never
+//    solves or materializes a plan;
 //  * fork and spider: the last solved plan is kept whole, and a backlog of
 //    its size restarts it; any other size re-solves (the selection is not
 //    nested in `b`).  A re-solve is the destinations-only makespan form
@@ -136,20 +138,17 @@ class EctStream final : public StreamPolicy {
 //    lemma), so each is built once, when the first backlog deep enough
 //    asks for it, and never again.  A leg's profile holds at most about as
 //    many ranks as the largest backlog, as a selection at that backlog
-//    builds anyway.
-// Either way the policy holds one plan of fewer than `2·max b` tasks.
+//    builds anyway.  The policy holds one plan of at most `max b` tasks.
 
 class ReplanStream final : public StreamPolicy {
  public:
   explicit ReplanStream(Platform platform) : platform_(std::move(platform)) {
     // A fork is the spider with unit legs: slave `s` becomes leg `s`, whose
     // only processor embeds as node `s + 1` in the fork's substrate too.
+    // The profiles point into `platform_`, which the policy never moves.
     if (const auto* fork = std::get_if<Fork>(&platform_)) platform_ = Spider::from_fork(*fork);
-    if (std::holds_alternative<Chain>(platform_)) solver_.emplace<ChainSolver>();
-    if (const auto* spider = std::get_if<Spider>(&platform_)) {
-      // The profiles point into `platform_`, which the policy never moves.
-      solver_.emplace<SpiderSolver>().scratch.count.profile.reset(*spider);
-    }
+    if (const auto* chain = std::get_if<Chain>(&platform_)) profile_.reset(*chain);
+    if (const auto* spider = std::get_if<Spider>(&platform_)) scratch_.count.profile.reset(*spider);
   }
   ReplanStream(const ReplanStream&) = delete;
   ReplanStream& operator=(const ReplanStream&) = delete;
@@ -164,9 +163,15 @@ class ReplanStream final : public StreamPolicy {
     // (once per arrival batch — re-planning per arrival inside the batch
     // would produce the same final plan at strictly more cost).
     if (stale_) replan();
-    MST_ASSERT(cursor_ < plan_.size());
+    MST_ASSERT(backlog_ >= 1);
     --backlog_;
-    return plan_[cursor_++];
+    // The backlog's plan is the chain profile's ranks `backlog_ … 0`, or
+    // the held fork/spider plan's last `backlog_ + 1` tasks; processor `i`
+    // of a chain embeds as node `i + 1`.
+    if (std::holds_alternative<Chain>(platform_)) {
+      return static_cast<NodeId>(profile_.dest(backlog_) + 1);
+    }
+    return plan_[plan_.size() - 1 - backlog_];
   }
 
   void count_work(obs::MetricsRegistry& metrics) const override {
@@ -174,75 +179,49 @@ class ReplanStream final : public StreamPolicy {
     metrics.counter("sim.replan.solves").add(static_cast<Time>(solves_));
     metrics.counter("sim.replan.probes").add(static_cast<Time>(probes_));
     // The profiles live as long as the policy: their depth is every rank built.
-    const auto* spider = std::get_if<SpiderSolver>(&solver_);
-    const std::size_t ranks = spider != nullptr ? spider->scratch.count.profile.depth() : 0;
+    const std::size_t ranks = std::holds_alternative<Chain>(platform_)
+                                  ? profile_.depth()
+                                  : scratch_.count.profile.depth();
     metrics.counter("sim.replan.ranks").add(static_cast<Time>(ranks));
   }
 
  private:
-  /// The exact solver's warm buffers for the policy's platform kind: one
-  /// scratch and one output, rebuilt in place — a chain schedule by
-  /// `schedule_into` (the same plan the value-returning `schedule` forms
-  /// build on a fresh scratch), a spider's destinations by
-  /// `destinations_into`, whose profiles stay bound to the policy's spider.
-  template <typename Scratch, typename Plan>
-  struct Solver {
-    Scratch scratch;
-    Plan plan;
-  };
-  using ChainSolver = Solver<ChainCountScratch, ChainSchedule>;
-  using SpiderSolver = Solver<SpiderSolveScratch, std::vector<SpiderDest>>;
-
-  /// Points the cursor at the plan of the current backlog, solving only
-  /// when no held plan serves it.
+  /// Makes the current backlog's plan readable, solving only when no held
+  /// plan serves it.
   void replan() {
     ++plans_;
     if (const auto* chain = std::get_if<Chain>(&platform_)) {
-      if (backlog_ > plan_.size()) {
-        std::size_t tasks = std::max(backlog_, 2 * plan_.size());
-        // A doubled plan whose T∞ leaves the time range would reject a
-        // backlog the solver accepts on its own: plan exactly that backlog.
-        try {
-          (void)chain->t_infinity(tasks);
-        } catch (const std::invalid_argument&) {
-          tasks = backlog_;
-        }
-        // ChainSchedule keeps tasks in first-link emission order; processor
-        // `i` embeds as node `i + 1`.
-        auto& [scratch, plan] = std::get<ChainSolver>(solver_);
-        ChainScheduler::schedule_into(*chain, Workload::identical(tasks), scratch, plan);
-        ++solves_;
-        plan_.clear();
-        for (const ChainTask& task : plan.tasks) {
-          plan_.push_back(static_cast<NodeId>(task.proc + 1));
-        }
+      if (backlog_ > profile_.depth()) {
+        // Rejects a backlog whose T∞ leaves the time range, as a solve of
+        // it would; the profile then holds its ranks, all of them at T∞.
+        const Time horizon = chain->t_infinity(backlog_);
+        const std::size_t ranks = profile_.ranks(horizon, backlog_);
+        MST_ASSERT(ranks == backlog_);
       }
     } else if (const auto* spider = std::get_if<Spider>(&platform_)) {
       if (backlog_ != plan_.size()) {
-        auto& [scratch, plan] = std::get<SpiderSolver>(solver_);
-        SpiderScheduler::destinations_into(*spider, backlog_, scratch, plan);
+        SpiderScheduler::destinations_into(*spider, backlog_, scratch_, dests_);
         ++solves_;
-        probes_ += scratch.count.probes;
+        probes_ += scratch_.count.probes;
         plan_.clear();
-        for (const SpiderDest& dest : plan) plan_.push_back(spider_node(*spider, dest));
+        for (const SpiderDest& dest : dests_) plan_.push_back(spider_node(*spider, dest));
       }
     } else {
       throw std::logic_error("mst: replan policy constructed for a tree platform");
     }
-    // The backlog's plan is the held plan's last `backlog_` tasks.
-    cursor_ = plan_.size() - backlog_;
     stale_ = false;
   }
 
   Platform platform_;
-  std::variant<std::monostate, ChainSolver, SpiderSolver> solver_;
-  std::size_t backlog_ = 0;  ///< observed, not yet dispatched
+  LegProfile profile_;                ///< a chain's ranks, kept for the run
+  SpiderSolveScratch scratch_;        ///< a fork's or spider's solve buffers and profiles
+  std::vector<SpiderDest> dests_;     ///< the last fork/spider solve's destinations
+  std::size_t backlog_ = 0;           ///< observed, not yet dispatched
   bool stale_ = false;
-  std::vector<NodeId> plan_;  ///< destinations in master-emission order
-  std::size_t cursor_ = 0;    ///< the next task's position in `plan_`
-  std::size_t plans_ = 0;     ///< replans run
-  std::size_t solves_ = 0;    ///< exact solves among them
-  std::size_t probes_ = 0;    ///< fork/spider search probes over every solve
+  std::vector<NodeId> plan_;          ///< fork/spider destinations in master-emission order
+  std::size_t plans_ = 0;             ///< replans run
+  std::size_t solves_ = 0;            ///< fork/spider solves among them
+  std::size_t probes_ = 0;            ///< fork/spider search probes over every solve
 };
 
 // ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@
 /// \file resolving_replan.hpp
 /// Test oracle: horizon re-planning that re-runs the exact solver on the
 /// whole known backlog after every arrival batch and pops the plan as it
-/// dispatches.  The library's `replan` policy reads a held plan instead
-/// (a chain's plans are suffixes of one longer plan; a fork's or spider's
-/// last plan restarts when the backlog size repeats);
+/// dispatches.  The library's `replan` policy reads what it holds instead
+/// (a chain's plans are the first ranks of one emission profile; a fork's
+/// or spider's last plan restarts when the backlog size repeats);
 /// `tests/test_replan.cpp` checks that both dispatch identically.  This is
 /// the only copy of the re-solving loop.
 

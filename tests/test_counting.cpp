@@ -176,11 +176,12 @@ TEST(ForkCounting, WarmScratchServesAnotherForkWithoutAllocating) {
 
 // The makespan searches' probes: after one build at the top of the range,
 // every probe at a lower horizon runs on the built instance and allocates
-// nothing — the chain's, identical or release-dated, and the spider's and
-// fork's release-dated ones.  Identical-task spider and fork searches probe
-// with the greedy instead (`WarmMakespanSolvesAllocateNothing`); here their
-// built instances are probed by the oracle's Moore–Hodgson on a warm
-// buffer.
+// nothing — the spider's and fork's release-dated ones.  Identical-task
+// spider and fork searches probe with the greedy instead
+// (`WarmMakespanSolvesAllocateNothing`); here their built instances are
+// probed by the oracle's Moore–Hodgson on a warm buffer.  A chain count,
+// identical or release-dated, reads its scratch's emission profile: once
+// warm at the top, its counts at lower horizons allocate nothing either.
 TEST(Counting, HoistedProbesAllocateNothing) {
   Rng rng(14);
   const GeneratorParams params{1, 9, PlatformClass::kUniform};
@@ -201,18 +202,17 @@ TEST(Counting, HoistedProbesAllocateNothing) {
                  ? SpiderScheduler::probe_instance(t, workload, n, built)
                  : oracle::probe_instance(t, workload, n, built, selected);
     };
-    ChainScheduler::build_instance(chain, top, workload, n, chain_scratch);
     SpiderScheduler::build_instance(fork, top, workload, n, fork_scratch);
     SpiderScheduler::build_instance(spider, top, workload, n, spider_scratch);
-    // Warm the probe buffers (heap, DP row) once at the top.
-    const std::size_t expected = ChainScheduler::probe_instance(top, workload, n, chain_scratch) +
-                                 spider_probe(top, fork_scratch) +
-                                 spider_probe(top, spider_scratch);
+    // Warm the probe buffers (profile, heap, DP row) once at the top.
+    const std::size_t expected =
+        ChainScheduler::count_within(chain, top, workload, n, chain_scratch) +
+        spider_probe(top, fork_scratch) + spider_probe(top, spider_scratch);
 
     alloc_probe::arm();
     std::size_t counted = 0;
     for (const Time t : {top, top / 2, top / 5, Time{0}}) {
-      counted += ChainScheduler::probe_instance(t, workload, n, chain_scratch) +
+      counted += ChainScheduler::count_within(chain, t, workload, n, chain_scratch) +
                  spider_probe(t, fork_scratch) + spider_probe(t, spider_scratch);
     }
     const long allocations = alloc_probe::allocations();

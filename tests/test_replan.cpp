@@ -7,17 +7,21 @@
 //    Poisson, burst, periodic and all-at-0 arrivals, and it plans once per
 //    arrival batch, as the oracle solves;
 //  * the chain's `b`-task plan is the suffix of its `N`-task plan for every
-//    `b <= N`, the property the policy's one held chain plan rests on;
-//  * growing the chain plan by doubling never rejects a backlog the solver
-//    accepts on its own;
+//    `b <= N`, the property the policy's one chain profile rests on;
+//  * on a chain, every dispatch at backlog `b` sends the first task of
+//    `ChainScheduler::schedule(chain, b)`, and the profile holds as many
+//    ranks as the largest backlog;
+//  * a chain backlog is rejected only when the solver would reject it;
 //  * `api::run_stream` folds the deterministic work counters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -145,16 +149,73 @@ TEST(Replan, ChainPlanOfBTasksIsTheSuffixOfTheNTaskPlan) {
   }
 }
 
-TEST(Replan, DoubledChainPlanPastTheTimeRangeFallsBackToTheBacklog) {
-  // T∞(n) = 1 + n·W on the first processor: 4 and 5 tasks fit the time
-  // range, the doubled 6 and 8 do not.  The fast second processor keeps
-  // the simulated timeline small.
+/// Forwards to `inner` and records the backlog — tasks observed, not yet
+/// dispatched — at every dispatch.
+class BacklogRecorder final : public sim::StreamPolicy {
+ public:
+  explicit BacklogRecorder(sim::StreamPolicy& inner) : inner_(&inner) {}
+  void observe(const sim::StreamArrival& arrival) override {
+    ++backlog_;
+    inner_->observe(arrival);
+  }
+  NodeId choose(std::size_t task, const sim::DispatchContext& ctx) override {
+    backlogs.push_back(backlog_--);
+    return inner_->choose(task, ctx);
+  }
+  std::vector<std::size_t> backlogs;  ///< the backlog at each dispatch, in order
+
+ private:
+  sim::StreamPolicy* inner_;
+  std::size_t backlog_ = 0;
+};
+
+TEST(Replan, ChainDispatchesTheFirstTaskOfEachBacklogsPlan) {
+  const ArrivalDist arrivals[] = {{ArrivalDist::Kind::kPoisson, 3, 0},
+                                  {ArrivalDist::Kind::kPoisson, 12, 0},
+                                  {ArrivalDist::Kind::kBursts, 6, 40},
+                                  {ArrivalDist::Kind::kPeriodic, 4, 0}};
+  Rng rng(0xBAC106);
+  bool grew_and_shrank = false;
+  for (int trial = 0; trial < 30; ++trial) {
+    const Chain chain = random_leg(rng, static_cast<std::size_t>(rng.uniform(1, 8)));
+    const Tree substrate = sim::stream_substrate(chain);
+    for (const ArrivalDist& arrival : arrivals) {
+      const std::size_t n = static_cast<std::size_t>(rng.uniform(1, 200));
+      const auto seed = static_cast<std::uint64_t>(rng.uniform(0, 1 << 30));
+      const Workload workload = WorkloadGen{SizeDist{}, arrival}.make(n, seed);
+      const std::unique_ptr<sim::StreamPolicy> policy = sim::make_replan_policy(chain);
+      BacklogRecorder recorder(*policy);
+      const sim::SimResult run = sim::drive_stream(substrate, workload, recorder);
+      ASSERT_EQ(recorder.backlogs.size(), n);
+      std::map<std::size_t, NodeId> first;  // backlog -> its plan's first node
+      std::size_t largest = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t b = recorder.backlogs[i];
+        if (!first.count(b)) first[b] = ChainScheduler::schedule(chain, b).tasks.front().proc + 1;
+        ASSERT_EQ(run.tasks[i].dest, first[b])
+            << chain.describe() << " " << workload.describe() << " task " << i << " b=" << b;
+        largest = std::max(largest, b);
+        grew_and_shrank = grew_and_shrank || (i > 0 && b > recorder.backlogs[i - 1] &&
+                                              recorder.backlogs[i - 1] > 1);
+      }
+      EXPECT_EQ(work_counter(*policy, "sim.replan.ranks"), static_cast<std::int64_t>(largest))
+          << chain.describe() << " " << workload.describe();
+      EXPECT_EQ(work_counter(*policy, "sim.replan.solves"), 0);
+    }
+  }
+  // Some stream let the backlog fall and rise again mid-plan.
+  EXPECT_TRUE(grew_and_shrank);
+}
+
+TEST(Replan, ChainBacklogsNearTheTimeRangeMatchTheResolvingPolicy) {
+  // T∞(n) = 1 + n·W on the first processor: 5 tasks fit the time range, 6
+  // do not.  The fast second processor keeps the simulated timeline small.
   constexpr Time kW = std::numeric_limits<Time>::max() / 5;
   const Chain chain = Chain::from_vectors({1, 1}, {kW, 1});
   EXPECT_NO_THROW((void)chain.t_infinity(5));
   EXPECT_THROW((void)chain.t_infinity(6), std::invalid_argument);
-  // Three tasks plan 3; the batch at 1 meets a backlog of 4, whose doubled
-  // plan (6) would overflow, so exactly 4 are planned; then 5.
+  // Three tasks plan 3; the batch at 1 meets a backlog of 4, then 5: each
+  // grows the profile to its own size, whose T∞ still fits.
   const Workload workload = Workload::released({0, 0, 0, 1, 1, 2, 2});
   const Tree substrate = sim::stream_substrate(chain);
   const std::unique_ptr<sim::StreamPolicy> policy = sim::make_replan_policy(chain);
@@ -164,6 +225,13 @@ TEST(Replan, DoubledChainPlanPastTheTimeRangeFallsBackToTheBacklog) {
   EXPECT_EQ(work_counter(*policy, "sim.replan.plans"),
             static_cast<std::int64_t>(resolving.solves()));
   EXPECT_GE(resolving.solves(), 3u);
+  // A backlog of 6, whose T∞ leaves the time range, is rejected as the
+  // solver rejects it.
+  const Workload six = Workload::identical(6);
+  EXPECT_THROW((void)sim::simulate_stream(substrate, six, *sim::make_replan_policy(chain)),
+               std::invalid_argument);
+  oracle::ResolvingReplan rejecting{Platform{chain}};
+  EXPECT_THROW((void)sim::simulate_stream(substrate, six, rejecting), std::invalid_argument);
 }
 
 TEST(Replan, RunStreamFoldsTheWorkCounters) {
@@ -181,12 +249,13 @@ TEST(Replan, RunStreamFoldsTheWorkCounters) {
     }
     return out;
   };
-  // Everything at 0: one plan, one solve.
-  EXPECT_EQ(counters("replan", Workload::identical(20)), (std::vector<std::int64_t>{1, 1}));
+  // A chain reads its emission profile and never solves.  Everything at 0:
+  // one plan.
+  EXPECT_EQ(counters("replan", Workload::identical(20)), (std::vector<std::int64_t>{1, 0}));
   // Three batches of one, each dispatched before the next arrives: three
-  // plans, every one the held plan's last task after the first solve.
+  // plans, every one the profile's first rank.
   EXPECT_EQ(counters("replan", Workload::released({0, 50, 100})),
-            (std::vector<std::int64_t>{3, 1}));
+            (std::vector<std::int64_t>{3, 0}));
 }
 
 }  // namespace

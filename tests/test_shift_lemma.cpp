@@ -5,8 +5,10 @@
 // negative one.  Every makespan search therefore builds its instance once,
 // at the top of its range, and probes it at each bisection step: a probe at
 // `T` after a build at `top` must equal a fresh build-and-probe at `T`
-// (`count_within`), for chains, forks and spiders, with identical and
-// release-dated workloads, on every platform class.  Identical-task spider
+// (`count_within`), for forks and spiders, with identical and
+// release-dated workloads, on every platform class.  A chain's counts read
+// its emission profile, which must answer every horizon and cap as the
+// construction there does, and one warm scratch must count as a fresh one.  Identical-task spider
 // and fork counts are the greedy's, which builds no instance; their built
 // instances are probed with the oracle's Moore–Hodgson
 // (tests/support/moore_hodgson_oracle.hpp), which must give the same counts.
@@ -172,7 +174,29 @@ TEST(ShiftLemma, LegProfileMatchesTheConstructionAtEveryHorizon) {
   }
 }
 
-TEST(ShiftLemma, ChainHoistedProbeMatchesCount) {
+/// The release-dated count at `t` from a fresh materialized construction:
+/// the largest `k <= min(cap, n)` whose `k` latest first emissions dominate
+/// the `k` earliest release dates, every `k` tried.
+std::size_t matched_count(const Chain& chain, Time t, const Workload& workload,
+                          std::size_t cap) {
+  const std::vector<Time> emissions =
+      first_emissions(chain, t, std::min(cap, workload.count()));
+  std::size_t best = 0;
+  for (std::size_t k = 1; k <= emissions.size(); ++k) {
+    bool feasible = true;
+    for (std::size_t j = 0; j < k; ++j) {
+      feasible = feasible && emissions[j] >= workload.release_of(k - 1 - j);
+    }
+    if (feasible) best = k;
+  }
+  return best;
+}
+
+// A chain count reads the scratch's emission profile, rebound per call.
+// One warm scratch, reused over every horizon below the search's top, must
+// count as a fresh scratch does, and as the sorted-release matching over a
+// fresh materialized construction does.
+TEST(ShiftLemma, ChainWarmCountMatchesFreshCount) {
   Rng rng(0xC4A1);
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t p = trial % 6 == 5 ? 64 : static_cast<std::size_t>(rng.uniform(1, 8));
@@ -180,12 +204,14 @@ TEST(ShiftLemma, ChainHoistedProbeMatchesCount) {
     const Workload workload = random_workload(rng, static_cast<std::size_t>(rng.uniform(1, 24)));
     const auto cap = static_cast<std::size_t>(rng.uniform(1, 30));
     const Time top = chain.t_infinity(workload.count()) + workload.last_release();
-    ChainCountScratch hoisted;
-    ChainCountScratch fresh;
-    ChainScheduler::build_instance(chain, top, workload, cap, hoisted);
+    ChainCountScratch warm;
+    (void)ChainScheduler::count_within(chain, top, workload, cap, warm);
     for (const Time t : probe_horizons(rng, top, 20)) {
-      EXPECT_EQ(ChainScheduler::probe_instance(t, workload, cap, hoisted),
-                ChainScheduler::count_within(chain, t, workload, cap, fresh))
+      ChainCountScratch fresh;
+      const std::size_t counted = ChainScheduler::count_within(chain, t, workload, cap, warm);
+      EXPECT_EQ(counted, ChainScheduler::count_within(chain, t, workload, cap, fresh))
+          << chain.describe() << " H=" << top << " T=" << t << " cap=" << cap;
+      EXPECT_EQ(counted, matched_count(chain, t, workload, cap))
           << chain.describe() << " H=" << top << " T=" << t << " cap=" << cap;
     }
   }

@@ -12,11 +12,11 @@
 namespace mst {
 namespace {
 
-/// The optimal chain curve, every sample read from one
-/// `ChainScheduler::makespans` construction at the largest count.
+/// The optimal chain curve, every sample read from one emission profile.
 ThroughputCurve chain_curve(const Chain& chain, const std::vector<std::size_t>& ns) {
-  const std::vector<Time> makespans = ChainScheduler::makespans(chain, ns.back());
-  return throughput_curve(chain, ns, [&](std::size_t n) { return makespans[n - 1]; });
+  LegProfile profile;
+  profile.reset(chain);
+  return throughput_curve(chain, ns, [&](std::size_t n) { return profile.makespan(n); });
 }
 
 TEST(Throughput, CurveSamplesOptimalMakespans) {
@@ -31,8 +31,8 @@ TEST(Throughput, CurveSamplesOptimalMakespans) {
 }
 
 TEST(Throughput, ChainMakespansFromOneConstructionMatchTheSchedules) {
-  // `makespan(chain, n)` and every `makespans` sample read `T∞ - e_n` from
-  // a counting construction; both must equal the materialized optimum.
+  // `makespan(chain, n)` and every sample of one profile read `T∞ - e_n`
+  // from an emission profile; both must equal the materialized optimum.
   Rng rng(0x7C0);
   for (int trial = 0; trial < 150; ++trial) {
     Rng inst = rng.split();

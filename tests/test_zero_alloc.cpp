@@ -108,13 +108,15 @@ TEST(StreamingZeroAlloc, ReplanAllocationCountIndependentOfTaskCount) {
   // Fork and spider re-solves read emission profiles the policy keeps for
   // the whole run and write only destinations: once the largest backlog
   // has been solved, no re-solve allocates, so 8x the tasks (and about 8x
-  // the re-solves) add no allocation.
+  // the re-solves) add no allocation.  A chain reads its one profile, which
+  // grows only with the largest backlog.
   Rng rng(8);
   const GeneratorParams params{1, 10, PlatformClass::kUniform};
   const api::Platform fork(random_fork(rng, 12, params));
   const api::Platform spider(random_spider(rng, 6, 3, params));
-  for (const api::Platform* platform : {&fork, &spider}) {
-    const char* const name = platform == &fork ? "fork" : "spider";
+  const api::Platform chain(random_chain(rng, 8, params));
+  for (const api::Platform* platform : {&chain, &fork, &spider}) {
+    const char* const name = platform == &chain ? "chain" : platform == &fork ? "fork" : "spider";
     const long small = replan_allocations(*platform, 256);
     const long large = replan_allocations(*platform, 2048);
     EXPECT_GT(small, 0) << name;
